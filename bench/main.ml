@@ -89,39 +89,27 @@ let kernel_engine_events () =
   done;
   Nest_sim.Engine.run e
 
-(* Heap-vs-Wheel head-to-head under engine-like churn: seed a batch,
-   then every extraction schedules one near-future follow-up (the
-   pattern the event loop produces).  Near-future pushes are the timing
-   wheel's O(1) case; the heap pays log n on both sides. *)
-let queue_churn ~push ~pop =
+(* Timing-wheel churn shaped like the event loop: seed a batch, then
+   every extraction schedules one near-future follow-up.  Near-future
+   pushes are the wheel's O(1) case. *)
+let kernel_exec_queue_wheel () =
+  let w = Nest_sim.Wheel.create () in
   let pushed = ref 0 in
   let push ~prio v =
     incr pushed;
-    push ~prio v
+    Nest_sim.Wheel.push w ~prio v
   in
   for i = 1 to 256 do
     push ~prio:(i * 13) i
   done;
   let rec loop () =
-    match pop () with
+    match Nest_sim.Wheel.pop w with
     | None -> ()
     | Some (p, v) ->
       if !pushed < 5_000 then push ~prio:(p + 1 + ((v * 7) land 1023)) (v + 1);
       loop ()
   in
   loop ()
-
-let kernel_exec_queue_heap () =
-  let h = Nest_sim.Heap.create () in
-  queue_churn
-    ~push:(fun ~prio v -> Nest_sim.Heap.push h ~prio v)
-    ~pop:(fun () -> Nest_sim.Heap.pop h)
-
-let kernel_exec_queue_wheel () =
-  let w = Nest_sim.Wheel.create () in
-  queue_churn
-    ~push:(fun ~prio v -> Nest_sim.Wheel.push w ~prio v)
-    ~pop:(fun () -> Nest_sim.Wheel.pop w)
 
 (* Exactly-once hot-plug: every first Device_add loses its ack after
    applying (Partial_timeout), so every retry answers from the reply
@@ -223,11 +211,9 @@ let micro_tests =
       (Staged.stage (kernel_netperf_pair ~mode:`SameNode));
     Test.make ~name:"fig13:netperf-overlay"
       (Staged.stage (kernel_netperf_pair ~mode:`Overlay));
-    Test.make ~name:"fig14:cpu-hostlo" (Staged.stage kernel_cpu_breakdown);
     Test.make ~name:"fig15:netperf-natx"
       (Staged.stage (kernel_netperf_pair ~mode:`NatX));
     Test.make ~name:"engine:1k-events" (Staged.stage kernel_engine_events);
-    Test.make ~name:"exec_queue:heap" (Staged.stage kernel_exec_queue_heap);
     Test.make ~name:"exec_queue:wheel" (Staged.stage kernel_exec_queue_wheel);
     Test.make ~name:"net:conntrack-snat" (Staged.stage kernel_conntrack);
     Test.make ~name:"vmm:qmp-dedupe" (Staged.stage kernel_qmp_dedupe);
@@ -486,102 +472,10 @@ let run_fleet_scaling () =
     fs_identical = identical }
 
 (* ------------------------------------------------------------------ *)
-(* Composed-verdict fast path: steady-state hit rates of the overlay
-   and Hostlo dataplanes, and a byte-identity check of the fig13/fig10
-   experiment results against a mechanisms-off (cache disabled) run —
-   the cache may only move wall-clock, never a result. *)
-
-type fastpath = {
-  fp_overlay_hit_rate : float;
-  fp_hostlo_hit_rate : float;
-  fp_fig13_identical : bool;
-  fp_fig10_identical : bool;
-}
-
-let rr_digest (r : Nest_workloads.Netperf.rr_result) =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( r.Nest_workloads.Netperf.transactions,
-            Nest_sim.Stats.samples r.Nest_workloads.Netperf.latency )
-          []))
-
-let fastpath_rr ~mode () =
-  let tb, site = Exp_util.deploy_pair_sync ~mode ~port:7000 () in
-  let r =
-    Nest_workloads.Netperf.udp_rr tb
-      (Nest_workloads.App.of_pair site)
-      ~msg_size:1024 ~warmup:(Time.ms 5) ~duration:(Time.ms 60) ()
-  in
-  (tb, site, r)
-
-(* Hit rate over every [<prefix>*.hits]/[.misses] counter pair on the
-   testbed's registry (the VTEPs register [fc.overlay.<name>.*]). *)
-let counter_rate ~prefix tb =
-  let h, m =
-    List.fold_left
-      (fun (h, m) (name, v) ->
-        match v with
-        | Nest_sim.Metrics.Counter n when String.starts_with ~prefix name ->
-          if String.ends_with ~suffix:".hits" name then (h + n, m)
-          else if String.ends_with ~suffix:".misses" name then (h, m + n)
-          else (h, m)
-        | _ -> (h, m))
-      (0, 0)
-      (Nest_sim.Metrics.snapshot
-         (Nest_sim.Engine.metrics tb.Nestfusion.Testbed.engine))
-  in
-  if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
-
-let stack_rate ns_list =
-  let h, m =
-    List.fold_left
-      (fun (h, m) ns ->
-        let h', m' = Nest_net.Stack.flow_cache_stats ns in
-        (h + h', m + m'))
-      (0, 0) ns_list
-  in
-  if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
-
-let run_fastpath () =
-  print_newline ();
-  print_endline
-    "== Composed-verdict fast path (hit rates, mechanisms-off identity) ==";
-  let tb_ov, _, r_ov = fastpath_rr ~mode:`Overlay () in
-  let overlay_rate = counter_rate ~prefix:"fc.overlay." tb_ov in
-  let _, site_hl, r_hl = fastpath_rr ~mode:`Hostlo () in
-  let hostlo_rate =
-    stack_rate
-      [ site_hl.Nestfusion.Deploy.a_ns; site_hl.Nestfusion.Deploy.b_ns ]
-  in
-  Nest_net.Stack.set_default_flow_cache false;
-  let r_ov', r_hl' =
-    Fun.protect
-      ~finally:(fun () -> Nest_net.Stack.set_default_flow_cache true)
-      (fun () ->
-        let _, _, a = fastpath_rr ~mode:`Overlay () in
-        let _, _, b = fastpath_rr ~mode:`Hostlo () in
-        (a, b))
-  in
-  let fig13_id = String.equal (rr_digest r_ov) (rr_digest r_ov') in
-  let fig10_id = String.equal (rr_digest r_hl) (rr_digest r_hl') in
-  Printf.printf "%-42s %9.2f %%\n" "overlay steady-state hit rate"
-    (100. *. overlay_rate);
-  Printf.printf "%-42s %9.2f %%\n" "hostlo steady-state hit rate"
-    (100. *. hostlo_rate);
-  Printf.printf "%-42s %10s\n" "fig13 identical to mechanisms-off"
-    (if fig13_id then "yes" else "NO — RESULT DRIFT");
-  Printf.printf "%-42s %10s\n" "fig10 identical to mechanisms-off"
-    (if fig10_id then "yes" else "NO — RESULT DRIFT");
-  { fp_overlay_hit_rate = overlay_rate; fp_hostlo_hit_rate = hostlo_rate;
-    fp_fig13_identical = fig13_id; fp_fig10_identical = fig10_id }
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable output (--json PATH): micro rows, observability
    overhead and fan-out scaling as one BENCH_*.json document. *)
 
-let write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling
-    ~fastpath =
+let write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling =
   let esc = Nest_sim.Trace.json_escape in
   let b = Buffer.create 4096 in
   let fl v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
@@ -664,16 +558,6 @@ let write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling
              else 0.0))
          (Nest_sim.Domain_pool.recommended_jobs ())
          s.fs_identical));
-  (match fastpath with
-  | None -> ()
-  | Some f ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"overlay_fastpath\": {\"overlay_hit_rate\": %s, \
-          \"hostlo_hit_rate\": %s, \"fig13_identical\": %b, \
-          \"fig10_identical\": %b},\n"
-         (fl f.fp_overlay_hit_rate) (fl f.fp_hostlo_hit_rate)
-         f.fp_fig13_identical f.fp_fig10_identical));
   Buffer.add_string b
     (Printf.sprintf "  \"host_cores\": %d\n}\n"
        (Nest_sim.Domain_pool.recommended_jobs ()));
@@ -814,7 +698,7 @@ let () =
     | None -> ()
     | Some path ->
       write_json ~path ~rows:[] ~overhead ~scaling:None ~shard_scaling:None
-        ~fleet_scaling:None ~fastpath:None);
+        ~fleet_scaling:None);
     exit 0
   end;
   if not micro_only then begin
@@ -830,7 +714,6 @@ let () =
   end;
   let rows = run_micro () in
   let overhead = Some (run_overhead ()) in
-  let fastpath = Some (run_fastpath ()) in
   let scaling =
     if jobs > 1 then Some (run_jobs_scaling ~jobs ()) else None
   in
@@ -843,8 +726,7 @@ let () =
   (match !json with
   | None -> ()
   | Some path ->
-    write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling
-      ~fastpath);
+    write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling);
   let ok = ref true in
   (match !baseline with
   | None -> ()

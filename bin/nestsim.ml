@@ -101,7 +101,6 @@ let obs_cmd ids quick shards out trace_capacity timeline_period_us prov_sample
     probes;
   Nest_sim.Trace_export.to_file ex out;
   List.iter Nest_experiments.Exp_util.print_attribution probes;
-  Nest_experiments.Exp_util.print_cache_health ();
   Nest_experiments.Exp_util.Obs.print_shard_tables ();
   Nest_experiments.Exp_util.Obs.discard ();
   (* Live SLO monitoring demo: one fault-free served cell per deployment

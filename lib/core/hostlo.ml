@@ -79,9 +79,6 @@ let provision_one config ~node ~pod_name =
            one — a crash during the plug makes the device fiction. *)
         (match Nest_virt.Vmm.find_vm config.vmm (Nest_virt.Vm.name vm) with
         | Some v when v == vm ->
-          (* A fresh endpoint joined the tap: the reflector's queue set
-             changed, so cached reflect verdicts must be rebuilt. *)
-          Tap.bump_binding tap;
           Hashtbl.replace config.pool key (pool_entries config key @ [ (vm, mac) ])
         | _ -> ()))
     ()
@@ -121,10 +118,6 @@ let plugin config =
       let key = (Nest_virt.Vm.name vm, pod_name) in
       match pool_entries config key with
       | (vm', mac) :: rest when vm' == vm ->
-        (* The claimed endpoint changes owner (PR 5 failover rebind):
-           without this bump a cached reflector verdict could keep
-           serving the dead pod's binding. *)
-        Tap.bump_binding tap;
         Hashtbl.replace config.pool key rest;
         Some mac
       | _ :: _ ->

@@ -260,44 +260,6 @@ let header title =
 
 (* --- latency provenance probes -------------------------------------- *)
 
-(* Flow-cache health harvested alongside each probe: the fast-path
-   hit/miss counters and [fc.invalidate.<ns>.{full,scoped}] per
-   namespace the datagram traversed, plus any overlay resolution-cache
-   counters ([fc.overlay.<name>.{hits,misses}]) on the testbed engine.
-   A GARP storm shows up here as a scoped-invalidation burst with the
-   hit rate intact; a collapsing hit rate implicates full flushes. *)
-type cache_health = {
-  ch_label : string;  (* probe label, e.g. "single:nat" *)
-  ch_ns : string;
-  ch_hits : int;
-  ch_misses : int;
-  ch_full : int;      (* full-flush invalidations *)
-  ch_scoped : int;    (* per-neighbour invalidations *)
-}
-
-(* Probes run sequentially (observability forces --jobs 1). *)
-let cache_rows : cache_health list ref = ref []
-let overlay_rows : (string * string * int) list ref = ref []
-
-let harvest_cache ~label tb nss =
-  List.iter
-    (fun ns ->
-      let hits, misses = Nest_net.Stack.flow_cache_stats ns in
-      let full, scoped = Nest_net.Stack.flow_cache_invalidations ns in
-      cache_rows :=
-        { ch_label = label; ch_ns = Nest_net.Stack.name ns; ch_hits = hits;
-          ch_misses = misses; ch_full = full; ch_scoped = scoped }
-        :: !cache_rows)
-    nss;
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Nest_sim.Metrics.Counter c
-        when String.length name > 11 && String.sub name 0 11 = "fc.overlay." ->
-        overlay_rows := (label, name, c) :: !overlay_rows
-      | _ -> ())
-    (Nest_sim.Metrics.snapshot (Nest_sim.Engine.metrics tb.Testbed.engine))
-
 (* One timed UDP datagram per deployment mode, on a dedicated testbed:
    the per-hop latency-attribution comparison the `obs` subcommand
    prints, and the fixture the provenance tests assert against. *)
@@ -311,10 +273,6 @@ let provenance_probe_single ?seed ~mode () =
     ~k:(fun e -> out := Some e)
     ();
   Testbed.run_until tb (Time.sec 3);
-  harvest_cache
-    ~label:("single:" ^ Modes.single_to_string mode)
-    tb
-    [ tb.Testbed.client_ns; site.Deploy.site_ns ];
   match !out with
   | Some e -> e
   | None ->
@@ -330,10 +288,6 @@ let provenance_probe_pair ?seed ~mode () =
     ~k:(fun e -> out := Some e)
     ();
   Testbed.run_until tb (Time.sec 3);
-  harvest_cache
-    ~label:("pair:" ^ Modes.pair_to_string mode)
-    tb
-    [ site.Deploy.a_ns; site.Deploy.b_ns ];
   match !out with
   | Some e -> e
   | None ->
@@ -342,10 +296,8 @@ let provenance_probe_pair ?seed ~mode () =
       ^ Modes.pair_to_string mode)
 
 let provenance_probes () =
-  cache_rows := [];
-  overlay_rows := [];
-  (* bind singles first: [@] evaluates right-to-left, and the harvested
-     cache rows should print in the same order as the probe tables *)
+  (* bind singles first: [@] evaluates right-to-left, and the probes
+     should run (and export) in the order their tables print *)
   let singles =
     List.map
       (fun mode ->
@@ -376,32 +328,6 @@ let print_attribution (label, entries) =
   let s = List.fold_left (fun a e -> a + P.service_ns e) 0 entries in
   Printf.printf "  %-32s %12d %12d %12d  (%d hops)\n" "TOTAL" q s (q + s)
     (List.length entries)
-
-let print_cache_health () =
-  match List.rev !cache_rows with
-  | [] -> ()
-  | rows ->
-    header "flow-cache health (per probe namespace)";
-    Printf.printf "  %-16s %-10s %8s %8s %7s %11s %13s\n" "probe" "ns" "hits"
-      "misses" "hit%" "inval_full" "inval_scoped";
-    List.iter
-      (fun r ->
-        let tot = r.ch_hits + r.ch_misses in
-        let hitp =
-          if tot = 0 then 0.0
-          else 100.0 *. float_of_int r.ch_hits /. float_of_int tot
-        in
-        Printf.printf "  %-16s %-10s %8d %8d %6.1f%% %11d %13d\n" r.ch_label
-          r.ch_ns r.ch_hits r.ch_misses hitp r.ch_full r.ch_scoped)
-      rows;
-    match List.rev !overlay_rows with
-    | [] -> ()
-    | ors ->
-      Printf.printf "\n  %-16s %-36s %8s\n" "probe" "overlay counter" "value";
-      List.iter
-        (fun (label, name, c) ->
-          Printf.printf "  %-16s %-36s %8d\n" label name c)
-        ors
 
 let row s = print_endline s
 let kv k v = Printf.printf "  %-42s %s\n" k v

@@ -120,13 +120,6 @@ val provenance_probes :
 val print_attribution : string * Nest_sim.Provenance.entry list -> unit
 (** Per-hop queue/service table for one probe result. *)
 
-val print_cache_health : unit -> unit
-(** Flow-cache health table for the namespaces the last
-    {!provenance_probes} sweep traversed: fast-path hits/misses with the
-    hit rate, [fc.invalidate.<ns>.{full,scoped}] invalidation splits,
-    and any [fc.overlay.*] resolution-cache counters.  Prints nothing
-    if no probe has run. *)
-
 val header : string -> unit
 (** Prints a boxed section header. *)
 

@@ -39,13 +39,12 @@ type rewrite = {
 type t = {
   table : (flow, rewrite) Hashtbl.t;
   mutable next_port : int;
-  mutable gen : int;
   mutable capacity : int option;
   mutable ct_drops : int;
 }
 
 let create () =
-  { table = Hashtbl.create 64; next_port = 32768; gen = 0; capacity = None;
+  { table = Hashtbl.create 64; next_port = 32768; capacity = None;
     ct_drops = 0 }
 
 let set_capacity t c = t.capacity <- c
@@ -107,7 +106,6 @@ let snat t p ~to_ip =
         f_dport = nat_port }
     in
     let back = { new_src = None; new_dst = Some (f.f_src, f.f_sport) } in
-    t.gen <- t.gen + 1;
     Hashtbl.replace t.table f fwd;
     Hashtbl.replace t.table reply_flow back;
     apply fwd p
@@ -123,13 +121,11 @@ let dnat t p ~to_ip ~to_port =
         f_dport = f.f_sport }
     in
     let back = { new_src = Some (f.f_dst, f.f_dport); new_dst = None } in
-    t.gen <- t.gen + 1;
     Hashtbl.replace t.table f fwd;
     Hashtbl.replace t.table reply_flow back;
     apply fwd p
 
 let entry_count t = Hashtbl.length t.table
-let generation t = t.gen
 
 let bindings t =
   Hashtbl.fold

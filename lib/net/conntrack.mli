@@ -56,10 +56,5 @@ val admit : t -> Packet.t -> bool
 val drops : t -> int
 (** Packets refused by {!admit} because the table was full. *)
 
-val generation : t -> int
-(** Monotonic counter bumped whenever a new binding pair is created.
-    Lets callers (the stack's flow cache) detect staleness with one
-    comparison. *)
-
 val bindings : t -> (flow * flow) list
 (** [(matched flow, rewritten-to flow)] pairs, unordered. *)

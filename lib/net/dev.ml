@@ -14,31 +14,22 @@ type t = {
   mutable mtu : int;
   mutable up : bool;
   l2 : l2_mode;
-  (* Binding generation: bumped whenever the device's ownership changes
-     (claimed by an agent, rebound after failover).  Reflector endpoints
-     of one tap share a single ref, so any endpoint claim invalidates the
-     socket-state-dependent verdicts cached against the whole tap. *)
-  binding : int ref;
   stats : stats;
   mutable tx_fn : Frame.t -> unit;
   mutable rx_fn : (Frame.t -> unit) option;
   mutable corrupt_fn : (Frame.t -> bool) option;
 }
 
-let create ?(mtu = 1500) ?(l2 = Normal) ?binding ~name ~mac () =
+let create ?(mtu = 1500) ?(l2 = Normal) ~name ~mac () =
   let stats =
     { rx_packets = 0; rx_bytes = 0; tx_packets = 0; tx_bytes = 0; drops = 0 }
   in
-  let binding = match binding with Some r -> r | None -> ref 0 in
   let t =
-    { name; mac; mtu; up = true; l2; binding; stats; tx_fn = (fun _ -> ());
+    { name; mac; mtu; up = true; l2; stats; tx_fn = (fun _ -> ());
       rx_fn = None; corrupt_fn = None }
   in
   t.tx_fn <- (fun _ -> stats.drops <- stats.drops + 1);
   t
-
-let bump_binding t = incr t.binding
-let binding_generation t = !(t.binding)
 
 let set_tx t f = t.tx_fn <- f
 let set_rx t f = t.rx_fn <- Some f

@@ -29,7 +29,6 @@ type t = {
   mutable mtu : int;
   mutable up : bool;
   l2 : l2_mode;
-  binding : int ref;  (** Ownership/binding generation; see {!bump_binding}. *)
   stats : stats;
   mutable tx_fn : Frame.t -> unit;
   mutable rx_fn : (Frame.t -> unit) option;
@@ -37,20 +36,9 @@ type t = {
 }
 
 val create :
-  ?mtu:int -> ?l2:l2_mode -> ?binding:int ref -> name:string -> mac:Mac.t ->
-  unit -> t
+  ?mtu:int -> ?l2:l2_mode -> name:string -> mac:Mac.t -> unit -> t
 (** Fresh device, up, with no medium ([tx_fn] drops and counts) and nothing
-    attached on top.  [binding] shares an ownership-generation ref with
-    sibling devices (all endpoints of one reflector tap); by default the
-    device gets a private one. *)
-
-val bump_binding : t -> unit
-(** Marks an ownership change — the device (or, for a shared ref, any of
-    its siblings) was claimed or rebound.  Flow-cache verdicts whose
-    validity depends on which socket owner the device serves embed the
-    binding generation and die on the next lookup. *)
-
-val binding_generation : t -> int
+    attached on top. *)
 
 val set_tx : t -> (Frame.t -> unit) -> unit
 (** Installed by the medium constructor. *)

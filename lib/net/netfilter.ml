@@ -13,7 +13,6 @@ type rule = {
 type t = {
   chains : (hook, rule list ref) Hashtbl.t;
   mutable hits : int;
-  mutable gen : int;
 }
 
 let all_hooks = [ Prerouting; Input; Forward; Output; Postrouting ]
@@ -21,18 +20,16 @@ let all_hooks = [ Prerouting; Input; Forward; Output; Postrouting ]
 let create () =
   let chains = Hashtbl.create 8 in
   List.iter (fun h -> Hashtbl.add chains h (ref [])) all_hooks;
-  { chains; hits = 0; gen = 0 }
+  { chains; hits = 0 }
 
 let chain t hook = Hashtbl.find t.chains hook
 
 let append t hook rule =
   let c = chain t hook in
-  t.gen <- t.gen + 1;
   c := !c @ [ rule ]
 
 let remove t hook name =
   let c = chain t hook in
-  t.gen <- t.gen + 1;
   c := List.filter (fun r -> r.rule_name <> name) !c
 
 let run t hook ctx pkt =
@@ -52,5 +49,4 @@ let run t hook ctx pkt =
 let rule_count t hook = List.length !(chain t hook)
 let rule_names t hook = List.map (fun r -> r.rule_name) !(chain t hook)
 let hits t = t.hits
-let generation t = t.gen
 let no_ctx = { in_dev = None; out_dev = None }

@@ -39,12 +39,6 @@ val run : t -> hook -> ctx -> Packet.t -> Packet.t option
 val rule_count : t -> hook -> int
 val rule_names : t -> hook -> string list
 val hits : t -> int
-(** Total rule evaluations (diagnostics; a proxy for hook work).  Note
-    that packets served from the stack's flow cache skip rule
-    evaluation, so cached traversals do not count here. *)
-
-val generation : t -> int
-(** Monotonic counter bumped on every [append]/[remove]; lets callers
-    (the stack's flow cache) detect staleness with one comparison. *)
+(** Total rule evaluations (diagnostics; a proxy for hook work). *)
 
 val no_ctx : ctx

@@ -5,35 +5,35 @@ type entry = {
   src : Ipv4.t option;
 }
 
-type t = { mutable routes : entry list; mutable gen : int }
+type t = { mutable routes : entry list }
 
-let create () = { routes = []; gen = 0 }
+let create () = { routes = [] }
 
 let add t ~dst ~dev ?gateway ?src () =
-  t.gen <- t.gen + 1;
   t.routes <- { dst; gateway; dev; src } :: t.routes
 
 let add_default t ~gateway ~dev ?src () =
   add t ~dst:(Ipv4.cidr_of_string "0.0.0.0/0") ~dev ~gateway ?src ()
 
-let lookup t ip =
-  let best = ref None in
-  let consider e =
-    if Ipv4.in_subnet e.dst ip then
-      match !best with
-      | Some b when b.dst.Ipv4.prefix >= e.dst.Ipv4.prefix -> ()
-      | Some _ | None -> best := Some e
-  in
-  (* [routes] is most-recent-first; keeping the incumbent on equal
-     prefixes therefore makes the most recent entry win. *)
-  List.iter consider t.routes;
-  !best
+(* [routes] is most-recent-first; keeping the incumbent on equal
+   prefixes therefore makes the most recent entry win.  A top-level loop
+   rather than [List.iter]: it runs for every packet and allocates no
+   closure. *)
+let rec longest ip best = function
+  | [] -> best
+  | e :: rest ->
+    if Ipv4.in_subnet e.dst ip
+       && (match best with
+          | Some b -> e.dst.Ipv4.prefix > b.dst.Ipv4.prefix
+          | None -> true)
+    then longest ip (Some e) rest
+    else longest ip best rest
+
+let lookup t ip = longest ip None t.routes
 
 let next_hop e ip = match e.gateway with Some gw -> gw | None -> ip
 
 let remove_dev t dev =
-  t.gen <- t.gen + 1;
   t.routes <- List.filter (fun e -> e.dev != dev) t.routes
 
 let entries t = t.routes
-let generation t = t.gen

@@ -24,7 +24,3 @@ val next_hop : entry -> Ipv4.t -> Ipv4.t
 
 val remove_dev : t -> Dev.t -> unit
 val entries : t -> entry list
-
-val generation : t -> int
-(** Monotonic counter bumped on every table mutation; lets callers
-    (the stack's flow cache) detect staleness with one comparison. *)

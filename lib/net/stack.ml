@@ -26,54 +26,6 @@ type ns_counters = {
   mutable rst_sent : int;
 }
 
-(* ONCache-style flow cache: the complete forwarding verdict for a flow —
-   egress device, next hop, ARP-resolved MAC, and whether the netfilter
-   chains were a no-op — memoized per namespace so steady-state packets
-   skip the route list walk, the hook chains and ARP resolution.
-
-   A verdict is valid while none of the state it was derived from has
-   mutated; each mutable table carries a monotonic generation counter and
-   the verdict records their sum at install time (all counters only grow,
-   so sum equality is equivalent to component-wise equality; [fc_stamp]
-   asserts the monotonicity and guards the sum against saturation).
-   Neighbour state is scoped finer: instead of folding ARP churn into the
-   namespace-wide generation, each verdict that resolved a next hop also
-   records that destination's per-neighbour generation ([fc_ngen]), so a
-   MAC move — chaos recovery announces them in gratuitous-ARP bursts —
-   kills only the verdicts that reference the moved neighbour.
-
-   Reflector (Hostlo) egress additionally depends on live socket state:
-   the local-deliver vs reflect split consults the socket tables, and the
-   endpoint can be rebound wholesale (standby-pool claim).  Those inputs
-   get their own generations — [sock_gen] for the socket tables and the
-   device's binding generation (see {!Dev.bump_binding}) — folded into
-   [rf_gen] at install time, which makes the previously uncacheable
-   reflector decision an ordinary stamped verdict.
-
-   Per-packet work that is not flow-invariant — conntrack translation,
-   TTL decrement, hop costing, delivery counters — still runs on the fast
-   path, so cached and uncached packets are simulated identically. *)
-type fc_tx = { fc_dev : Dev.t; fc_next_hop : Ipv4.t; fc_mac : Mac.t }
-
-type fc_reflect = Rf_local | Rf_tx of fc_tx
-
-type fc_out =
-  | Fc_out_local
-  | Fc_out_tx of fc_tx
-  | Fc_out_reflect of {
-      rf_dev : Dev.t;
-      rf_gen : int;   (* sock_gen + endpoint binding generation at install *)
-      rf_syn : bool;  (* derived from a connection-opening SYN?  The
-                         listener clause of the socket match only applies
-                         to such packets, so a verdict may be replayed
-                         only for packets of the same class. *)
-      rf_v : fc_reflect;
-    }
-
-type fc_in = Fc_in_deliver | Fc_in_forward of fc_tx
-
-type 'v fc_verdict = { fc_stamp : int; fc_ngen : int; fc_v : 'v }
-
 (* TCP tuning.  Values follow Linux defaults where a default exists. *)
 let sndbuf_default = 262_144
 let rcvwnd_default = 262_144
@@ -172,22 +124,6 @@ and ns = {
   mutable lo : Dev.t option;
   mutable observer : (Packet.t -> unit) option;
   ns_rng : Nest_sim.Prng.t;
-  (* Flow cache (see the comment on [fc_tx]). *)
-  mutable fc_enabled : bool;
-  mutable fc_gen : int;  (* bumped on addr/dev/fwd-flag mutation *)
-  mutable sock_gen : int;  (* bumped on any socket-table mutation *)
-  neigh_gen : (Ipv4.t, int) Hashtbl.t;  (* per-destination ARP moves *)
-  out_cache : (Conntrack.flow, fc_out fc_verdict) Hashtbl.t;
-  in_cache : (string * Conntrack.flow, fc_in fc_verdict) Hashtbl.t;
-  mutable fc_hits : int;
-  mutable fc_misses : int;
-  mutable fc_inval_full : int;    (* whole-cache invalidations *)
-  mutable fc_inval_scoped : int;  (* single-neighbour invalidations *)
-  (* Last component generations seen by [fc_stamp], for the debug
-     assertion that each one is monotonic (sum aliasing guard). *)
-  mutable fc_seen_rt : int;
-  mutable fc_seen_nf : int;
-  mutable fc_seen_ct : int;
 }
 
 (* Scheduler wakeup latency: base plus an exponential tail (run-queue
@@ -239,10 +175,7 @@ let costs ns = ns.cs
 let devices ns = ns.devs
 let find_dev ns n = List.find_opt (fun d -> d.Dev.name = n) ns.devs
 let addrs ns = ns.addr_list
-let set_ip_forward ns b =
-  ns.fwd <- b;
-  ns.fc_gen <- ns.fc_gen + 1;
-  ns.fc_inval_full <- ns.fc_inval_full + 1
+let set_ip_forward ns b = ns.fwd <- b
 let set_trace_all ns b = ns.trace_all <- b
 let set_provenance_all ns b = ns.prov_all <- b
 
@@ -274,146 +207,27 @@ let addr_of_dev ns dev =
 
 let lo_subnet = Ipv4.cidr_of_string "127.0.0.0/8"
 
+(* Top-level loops rather than [List.exists]/[List.find_map]: these run
+   for every packet, and a top-level loop allocates no closure. *)
+let rec addr_held ip = function
+  | [] -> false
+  | (_, a, _) :: rest -> Ipv4.equal a ip || addr_held ip rest
+
 let is_local_addr ns ip =
-  List.exists (fun (_, a, _) -> Ipv4.equal a ip) ns.addr_list
-  || (ns.lo <> None && Ipv4.in_subnet lo_subnet ip)
+  addr_held ip ns.addr_list || (ns.lo <> None && Ipv4.in_subnet lo_subnet ip)
+
+let rec dev_of_addr ip = function
+  | [] -> None
+  | (d, a, _) :: rest -> if Ipv4.equal a ip then Some d else dev_of_addr ip rest
 
 let dev_holding_addr ns ip =
-  match
-    List.find_map
-      (fun (d, a, _) -> if Ipv4.equal a ip then Some d else None)
-      ns.addr_list
-  with
-  | Some d -> Some d
+  match dev_of_addr ip ns.addr_list with
+  | Some _ as d -> d
   | None -> if Ipv4.in_subnet lo_subnet ip then ns.lo else None
 
 let arp_cache ns =
   Hashtbl.fold (fun ip mac acc -> (ip, mac) :: acc) ns.arp_tbl []
   |> List.sort compare
-
-(* ------------------------------------------------------------------ *)
-(* Flow cache                                                          *)
-
-(* Margin before [max_int] at which the saturation guard trips.  Far
-   larger than any realistic mutation count, far smaller than the range
-   it protects. *)
-let fc_stamp_margin = 0xffff
-
-(* The stamp is a SUM of four generation counters.  Sum equality stands
-   in for component-wise equality only because every component is
-   monotonic non-decreasing: a later +1/-1 pair across two components
-   could otherwise alias a stamp back onto a stale verdict.  The debug
-   assertion pins the invariant (each component never observed to
-   decrease); release builds compile it out and the datapath pays two
-   loads per component.  Should the sum ever approach [max_int] — it
-   cannot overflow silently, OCaml ints wrap — the cache fails safe by
-   switching itself off for this namespace instead of risking aliased
-   stamps after a wrap. *)
-let fc_stamp ns =
-  let rt_gen = Route.generation ns.rt in
-  let nf_gen = Netfilter.generation ns.nf_tbl in
-  let ct_gen = Conntrack.generation ns.ct_tbl in
-  assert (
-    rt_gen >= ns.fc_seen_rt && nf_gen >= ns.fc_seen_nf
-    && ct_gen >= ns.fc_seen_ct);
-  ns.fc_seen_rt <- rt_gen;
-  ns.fc_seen_nf <- nf_gen;
-  ns.fc_seen_ct <- ct_gen;
-  let s = rt_gen + nf_gen + ct_gen + ns.fc_gen in
-  if s >= max_int - fc_stamp_margin && ns.fc_enabled then begin
-    ns.fc_enabled <- false;
-    Hashtbl.reset ns.out_cache;
-    Hashtbl.reset ns.in_cache
-  end;
-  s
-
-(* Stale entries linger until overwritten or the cap trips; they are
-   harmless (the stamp check rejects them) but bound the tables anyway. *)
-let fc_cap = 4096
-
-let fc_install tbl key v =
-  if Hashtbl.length tbl >= fc_cap then Hashtbl.reset tbl;
-  Hashtbl.replace tbl key v
-
-let fc_invalidate ns =
-  ns.fc_gen <- ns.fc_gen + 1;
-  ns.fc_inval_full <- ns.fc_inval_full + 1
-
-(* Per-destination invalidation: only verdicts whose resolved next hop is
-   [ip] embed its neighbour generation, so bumping it leaves every other
-   flow's verdict live — a gratuitous-ARP storm no longer collapses the
-   hit rate namespace-wide. *)
-let neigh_generation ns ip =
-  match Hashtbl.find_opt ns.neigh_gen ip with Some g -> g | None -> 0
-
-let fc_invalidate_neigh ns ip =
-  Hashtbl.replace ns.neigh_gen ip (neigh_generation ns ip + 1);
-  ns.fc_inval_scoped <- ns.fc_inval_scoped + 1
-
-(* Socket-table generation: any bind/close/listen/connect-registration
-   mutation.  Only reflector verdicts depend on it (their local-deliver
-   vs reflect split consults the socket tables); ordinary verdicts stay
-   live across socket churn. *)
-let sock_mutated ns = ns.sock_gen <- ns.sock_gen + 1
-
-let reflector_gen ns (dev : Dev.t) = ns.sock_gen + Dev.binding_generation dev
-
-let pkt_open_syn (pkt : Packet.t) =
-  match pkt.Packet.transport with
-  | Packet.Tcp { seg; _ } ->
-    seg.Tcp_wire.flags.Tcp_wire.syn && not seg.Tcp_wire.flags.Tcp_wire.ack
-  | Packet.Udp _ | Packet.Icmp_echo _ -> false
-
-(* ICMP echo state (icmp_waiters) churns with every ping, so reflector
-   verdicts for ICMP would invalidate themselves constantly. *)
-let reflect_cachable (pkt : Packet.t) =
-  match pkt.Packet.transport with
-  | Packet.Icmp_echo _ -> false
-  | Packet.Udp _ | Packet.Tcp _ -> true
-
-let fc_tx_live ns v tx = neigh_generation ns tx.fc_next_hop = v.fc_ngen
-
-let fc_out_live ns pkt (v : fc_out fc_verdict) =
-  match v.fc_v with
-  | Fc_out_local -> true
-  | Fc_out_tx tx -> fc_tx_live ns v tx
-  | Fc_out_reflect r ->
-    r.rf_gen = reflector_gen ns r.rf_dev
-    && r.rf_syn = pkt_open_syn pkt
-    && (match r.rf_v with Rf_local -> true | Rf_tx tx -> fc_tx_live ns v tx)
-
-let fc_in_live ns (v : fc_in fc_verdict) =
-  match v.fc_v with
-  | Fc_in_deliver -> true
-  | Fc_in_forward tx -> fc_tx_live ns v tx
-
-let fc_out_ngen ns = function
-  | Fc_out_local | Fc_out_reflect { rf_v = Rf_local; _ } -> 0
-  | Fc_out_tx tx | Fc_out_reflect { rf_v = Rf_tx tx; _ } ->
-    neigh_generation ns tx.fc_next_hop
-
-let fc_in_ngen ns = function
-  | Fc_in_deliver -> 0
-  | Fc_in_forward tx -> neigh_generation ns tx.fc_next_hop
-
-let set_flow_cache ns on =
-  ns.fc_enabled <- on;
-  if not on then begin
-    Hashtbl.reset ns.out_cache;
-    Hashtbl.reset ns.in_cache
-  end
-
-(* Process-wide default applied at namespace creation.  Written only by
-   harness code between runs (bench mechanisms-off passes, equivalence
-   tests) — never from inside a simulation — so reading it under
-   [--jobs N] domains is race-free in practice and atomic regardless. *)
-let fc_default = Atomic.make true
-let set_default_flow_cache b = Atomic.set fc_default b
-let default_flow_cache () = Atomic.get fc_default
-
-let flow_cache_enabled ns = ns.fc_enabled
-let flow_cache_stats ns = (ns.fc_hits, ns.fc_misses)
-let flow_cache_invalidations ns = (ns.fc_inval_full, ns.fc_inval_scoped)
 
 (* Netfilter is "armed" once any rule exists; armed namespaces pay the
    [nat] hop surcharge on their datapath — a fixed hook cost plus a
@@ -504,15 +318,6 @@ let arp_resolve ns dev ip k =
 
 let arp_learn ns ip mac =
   if not (Ipv4.equal ip Ipv4.any) then begin
-    (* A neighbour moving to a new MAC invalidates cached verdicts that
-       resolved the old one — and only those: the invalidation is scoped
-       to this destination's neighbour generation, so a recovery-time
-       GARP burst does not flush unrelated flows.  Re-learning the same
-       MAC invalidates nothing (it is the common case and would defeat
-       the cache). *)
-    (match Hashtbl.find_opt ns.arp_tbl ip with
-    | Some old when not (Mac.equal old mac) -> fc_invalidate_neigh ns ip
-    | Some _ | None -> ());
     Hashtbl.replace ns.arp_tbl ip mac;
     match Hashtbl.find_opt ns.arp_waiting ip with
     | None -> ()
@@ -524,12 +329,8 @@ let arp_learn ns ip mac =
 
 let arp_flush ?ip ns =
   match ip with
-  | Some ip ->
-    Hashtbl.remove ns.arp_tbl ip;
-    fc_invalidate_neigh ns ip
-  | None ->
-    Hashtbl.reset ns.arp_tbl;
-    fc_invalidate ns
+  | Some ip -> Hashtbl.remove ns.arp_tbl ip
+  | None -> Hashtbl.reset ns.arp_tbl
 
 let arp_input ns dev (a : Frame.arp_msg) =
   arp_learn ns a.Frame.sender_ip a.Frame.sender_mac;
@@ -574,19 +375,8 @@ let local_socket_matches ns (pkt : Packet.t) =
   | Packet.Icmp_echo { id; reply; _ } ->
     if reply then Hashtbl.mem ns.icmp_waiters id else true
 
-(* [install] receives the complete transmit verdict when it is safe to
-   replay for the rest of the flow: the postrouting chain either was
-   skipped (conntrack-translated flow — the fast path re-translates every
-   packet) or returned the packet physically unchanged, and the next hop's
-   MAC is already resolved (an async ARP resolution installs nothing; the
-   flow's next packet will).  Reflector devices resolve synchronously to
-   broadcast, so their transmit verdict always installs; the caller is
-   responsible for wrapping it with the socket/binding generations its
-   delivery-vs-transmit split depends on. *)
-let transmit_via ?(install = fun (_ : fc_tx) -> ()) ns ~(dev : Dev.t)
-    ~next_hop pkt =
+let transmit_via ns ~(dev : Dev.t) ~next_hop pkt =
   let ctx = { Netfilter.in_dev = None; out_dev = Some dev.Dev.name } in
-  let pkt0 = pkt in
   let pkt, translated = Conntrack.translate ns.ct_tbl pkt in
   let post =
     if translated then Some pkt
@@ -595,17 +385,11 @@ let transmit_via ?(install = fun (_ : fc_tx) -> ()) ns ~(dev : Dev.t)
   match post with
   | None -> note_drop ns `Filtered
   | Some pkt ->
-    if dev.Dev.l2 = Dev.Reflector then begin
-      if translated || pkt == pkt0 then
-        install { fc_dev = dev; fc_next_hop = next_hop; fc_mac = Mac.broadcast };
+    if dev.Dev.l2 = Dev.Reflector then
       send_ip_frame ns dev ~dst_mac:Mac.broadcast pkt
-    end
     else (
       match Hashtbl.find_opt ns.arp_tbl next_hop with
-      | Some mac ->
-        if translated || pkt == pkt0 then
-          install { fc_dev = dev; fc_next_hop = next_hop; fc_mac = mac };
-        send_ip_frame ns dev ~dst_mac:mac pkt
+      | Some mac -> send_ip_frame ns dev ~dst_mac:mac pkt
       | None ->
         arp_resolve ns dev next_hop (fun mac ->
             send_ip_frame ns dev ~dst_mac:mac pkt))
@@ -620,82 +404,24 @@ let deliver_locally ns pkt =
       | None -> ());
       !ip_local_input_ref ns pkt)
 
-let ip_output_slow ns ~install pkt =
-  let ctx = Netfilter.no_ctx in
-  let pkt0 = pkt in
-  match Netfilter.run ns.nf_tbl Netfilter.Output ctx pkt with
+let ip_output ns pkt =
+  match Netfilter.run ns.nf_tbl Netfilter.Output Netfilter.no_ctx pkt with
   | None -> note_drop ns `Filtered
   | Some pkt -> (
-    (* A mangled packet means the verdict keyed on the original flow does
-       not describe what the chains do: never install it. *)
-    let unmangled = pkt == pkt0 in
-    if is_local_addr ns pkt.Packet.dst then begin
-      match dev_holding_addr ns pkt.Packet.dst with
-      | Some dev when dev.Dev.l2 = Dev.Reflector ->
-        (* Hostlo: the destination is the pod's localhost; whether it is
-           delivered here or leaves through the reflector depends on live
-           socket state.  The verdict is cachable anyway, stamped with the
-           socket-table and endpoint-binding generations (plus the SYN
-           class for TCP, whose listener clause only matches opening
-           SYNs); ICMP echo state churns per ping and stays uncached. *)
-        let install_rf rf_v =
-          if reflect_cachable pkt then
-            install
-              (Fc_out_reflect
-                 { rf_dev = dev; rf_gen = reflector_gen ns dev;
-                   rf_syn = pkt_open_syn pkt; rf_v })
-        in
-        if local_socket_matches ns pkt then begin
-          if unmangled then install_rf Rf_local;
-          deliver_locally ns pkt
-        end
-        else
-          transmit_via ns
-            ~install:(if unmangled then fun tx -> install_rf (Rf_tx tx)
-                      else fun _ -> ())
-            ~dev ~next_hop:pkt.Packet.dst pkt
-      | Some _ | None ->
-        if unmangled then install Fc_out_local;
-        deliver_locally ns pkt
-    end
-    else
+    match dev_holding_addr ns pkt.Packet.dst with
+    | Some dev when dev.Dev.l2 = Dev.Reflector ->
+      (* Hostlo: the destination is the pod's localhost; it is delivered
+         here when a local socket would take it, and otherwise leaves
+         through the reflector to the pod's other fractions. *)
+      if local_socket_matches ns pkt then deliver_locally ns pkt
+      else transmit_via ns ~dev ~next_hop:pkt.Packet.dst pkt
+    | Some _ -> deliver_locally ns pkt
+    | None -> (
       match Route.lookup ns.rt pkt.Packet.dst with
       | None -> note_drop ns `No_route
       | Some e ->
-        transmit_via ns
-          ~install:(if unmangled then fun tx -> install (Fc_out_tx tx)
-                    else fun _ -> ())
-          ~dev:e.Route.dev
-          ~next_hop:(Route.next_hop e pkt.Packet.dst) pkt)
-
-let fc_no_install _ = ()
-
-let fc_out_replay ns pkt (v : fc_out fc_verdict) =
-  ns.fc_hits <- ns.fc_hits + 1;
-  match v.fc_v with
-  | Fc_out_local | Fc_out_reflect { rf_v = Rf_local; _ } ->
-    deliver_locally ns pkt
-  | Fc_out_tx tx | Fc_out_reflect { rf_v = Rf_tx tx; _ } ->
-    (* Translation is per-packet work (it rewrites each packet of a
-       bound flow); the chains stay skipped either because the flow is
-       translated (Linux semantics) or because they were observed to
-       be a no-op for this flow. *)
-    let pkt, _ = Conntrack.translate ns.ct_tbl pkt in
-    send_ip_frame ns tx.fc_dev ~dst_mac:tx.fc_mac pkt
-
-let ip_output ns pkt =
-  if not ns.fc_enabled then ip_output_slow ns ~install:fc_no_install pkt
-  else
-    let key = Conntrack.flow_of_packet pkt in
-    let stamp = fc_stamp ns in
-    match Hashtbl.find_opt ns.out_cache key with
-    | Some v when v.fc_stamp = stamp && fc_out_live ns pkt v ->
-      fc_out_replay ns pkt v
-    | Some _ | None ->
-      ns.fc_misses <- ns.fc_misses + 1;
-      ip_output_slow ns pkt ~install:(fun v ->
-          fc_install ns.out_cache key
-            { fc_stamp = stamp; fc_ngen = fc_out_ngen ns v; fc_v = v })
+        transmit_via ns ~dev:e.Route.dev
+          ~next_hop:(Route.next_hop e pkt.Packet.dst) pkt))
 
 (* ------------------------------------------------------------------ *)
 (* TCP                                                                 *)
@@ -703,11 +429,9 @@ let ip_output ns pkt =
 let conn_key_of c = (c.c_local_port, c.c_remote_ip, c.c_remote_port)
 
 let tcp_register c =
-  sock_mutated c.c_ns;
   Hashtbl.replace c.c_ns.conns (conn_key_of c) c
 
 let tcp_unregister c =
-  sock_mutated c.c_ns;
   Hashtbl.remove c.c_ns.conns (conn_key_of c)
 
 let tcp_make_segment c ~flags ~seq ~len ~msgs =
@@ -1124,9 +848,8 @@ let ip_local_input ns pkt =
 let () = ip_local_input_ref := ip_local_input
 
 (* Input from a device, after the rx hop has been paid. *)
-let ip_input_slow ns (dev : Dev.t) ~install (pkt : Packet.t) =
+let ip_input ns (dev : Dev.t) (pkt : Packet.t) =
   let ctx = { Netfilter.in_dev = Some dev.Dev.name; out_dev = None } in
-  let pkt0 = pkt in
   let pkt, translated = Conntrack.translate ns.ct_tbl pkt in
   let pre =
     if translated then Some pkt
@@ -1135,24 +858,15 @@ let ip_input_slow ns (dev : Dev.t) ~install (pkt : Packet.t) =
   match pre with
   | None -> note_drop ns `Filtered
   | Some pkt ->
-    (* Installable only when the packet the verdict was derived from is
-       the keyed flow itself: translated (the fast path re-translates) or
-       passed through prerouting untouched. *)
-    let unmangled = translated || pkt == pkt0 in
     if is_local_addr ns pkt.Packet.dst then begin
-      let pkt1 = pkt in
       match Netfilter.run ns.nf_tbl Netfilter.Input ctx pkt with
       | None -> note_drop ns `Filtered
-      | Some pkt ->
-        if unmangled && pkt == pkt1 then install Fc_in_deliver;
-        demux ns (Some dev) pkt
+      | Some pkt -> demux ns (Some dev) pkt
     end
     else if ns.fwd then begin
-      let pkt1 = pkt in
       match Netfilter.run ns.nf_tbl Netfilter.Forward ctx pkt with
       | None -> note_drop ns `Filtered
       | Some pkt -> (
-        let unmangled = unmangled && pkt == pkt1 in
         match Packet.decrement_ttl pkt with
         | None -> note_drop ns `Ttl
         | Some pkt -> (
@@ -1162,42 +876,10 @@ let ip_input_slow ns (dev : Dev.t) ~install (pkt : Packet.t) =
             ns.cnt.forwarded_pkts <- ns.cnt.forwarded_pkts + 1;
             Hop.service_prov ?prov:(Packet.prov pkt) ns.cs.forward
               ~bytes:(Packet.len pkt) (fun () ->
-                transmit_via ns
-                  ~install:
-                    (if unmangled then fun tx -> install (Fc_in_forward tx)
-                     else fun _ -> ())
-                  ~dev:e.Route.dev
+                transmit_via ns ~dev:e.Route.dev
                   ~next_hop:(Route.next_hop e pkt.Packet.dst) pkt)))
     end
     else note_drop ns `No_route
-
-let ip_input ns (dev : Dev.t) (pkt : Packet.t) =
-  if not ns.fc_enabled then ip_input_slow ns dev ~install:fc_no_install pkt
-  else
-    let key = (dev.Dev.name, Conntrack.flow_of_packet pkt) in
-    let stamp = fc_stamp ns in
-    match Hashtbl.find_opt ns.in_cache key with
-    | Some v when v.fc_stamp = stamp && fc_in_live ns v -> (
-      ns.fc_hits <- ns.fc_hits + 1;
-      let pkt, _ = Conntrack.translate ns.ct_tbl pkt in
-      match v.fc_v with
-      | Fc_in_deliver -> demux ns (Some dev) pkt
-      | Fc_in_forward tx -> (
-        match Packet.decrement_ttl pkt with
-        | None -> note_drop ns `Ttl
-        | Some pkt ->
-          ns.cnt.forwarded_pkts <- ns.cnt.forwarded_pkts + 1;
-          Hop.service_prov ?prov:(Packet.prov pkt) ns.cs.forward
-            ~bytes:(Packet.len pkt) (fun () ->
-              (* Second translation mirrors the slow path's transmit_via
-                 (the forwarded flow may carry its own binding). *)
-              let pkt, _ = Conntrack.translate ns.ct_tbl pkt in
-              send_ip_frame ns tx.fc_dev ~dst_mac:tx.fc_mac pkt)))
-    | Some _ | None ->
-      ns.fc_misses <- ns.fc_misses + 1;
-      ip_input_slow ns dev pkt ~install:(fun v ->
-          fc_install ns.in_cache key
-            { fc_stamp = stamp; fc_ngen = fc_in_ngen ns v; fc_v = v })
 
 let dev_rx ns dev frame =
   (* L2 address filter. *)
@@ -1222,7 +904,6 @@ let dev_rx ns dev frame =
 
 let add_addr ns dev ip cidr =
   ns.addr_list <- ns.addr_list @ [ (dev, ip, cidr) ];
-  fc_invalidate ns;
   Route.add ns.rt ~dst:cidr ~dev ~src:ip ()
 
 let attach ns dev =
@@ -1232,7 +913,6 @@ let attach ns dev =
 let detach ns dev =
   ns.devs <- List.filter (fun d -> d != dev) ns.devs;
   ns.addr_list <- List.filter (fun (d, _, _) -> d != dev) ns.addr_list;
-  fc_invalidate ns;
   Route.remove_dev ns.rt dev;
   Dev.clear_rx dev
 
@@ -1253,12 +933,7 @@ let create engine ~name ~costs ?(with_loopback = true) ?rng () =
       prov_tick = 0; cnt; lo = None; observer = None;
       ns_rng =
         Nest_sim.Prng.split
-          (match rng with Some r -> r | None -> Engine.rng engine);
-      fc_enabled = default_flow_cache (); fc_gen = 0;
-      sock_gen = 0; neigh_gen = Hashtbl.create 16;
-      out_cache = Hashtbl.create 64; in_cache = Hashtbl.create 64;
-      fc_hits = 0; fc_misses = 0; fc_inval_full = 0; fc_inval_scoped = 0;
-      fc_seen_rt = 0; fc_seen_nf = 0; fc_seen_ct = 0 }
+          (match rng with Some r -> r | None -> Engine.rng engine) }
   in
   (* Each namespace owns its costs record (Kernel_costs.stack_costs builds
      fresh hops per call), so its hops can carry attribution names. *)
@@ -1290,18 +965,6 @@ let create engine ~name ~costs ?(with_loopback = true) ?rng () =
   reg "dropped_filtered" (fun c -> c.dropped_filtered);
   reg "dropped_ttl" (fun c -> c.dropped_ttl);
   reg "rst_sent" (fun c -> c.rst_sent);
-  Metrics.gauge_probe m
-    (Printf.sprintf "ns.%s.flow_cache_hits" name)
-    (fun () -> float_of_int ns.fc_hits);
-  Metrics.gauge_probe m
-    (Printf.sprintf "ns.%s.flow_cache_misses" name)
-    (fun () -> float_of_int ns.fc_misses);
-  Metrics.gauge_probe m
-    (Printf.sprintf "fc.invalidate.%s.full" name)
-    (fun () -> float_of_int ns.fc_inval_full);
-  Metrics.gauge_probe m
-    (Printf.sprintf "fc.invalidate.%s.scoped" name)
-    (fun () -> float_of_int ns.fc_inval_scoped);
   ns
 
 (* ------------------------------------------------------------------ *)
@@ -1320,7 +983,6 @@ module Udp = struct
         u_closed = false }
     in
     Hashtbl.replace ns.udp_binds port s;
-    sock_mutated ns;
     s
 
   let sendto ?prov s ~dst ~dst_port payload =
@@ -1339,65 +1001,8 @@ module Udp = struct
       ~bytes:(Packet.len pkt)
       (fun () -> ip_output ns pkt)
 
-  (* A pinned destination for a socket: memoizes the source-address
-     selection, the syscall/NAT surcharge, and (once warm) the composed
-     egress verdict, all validated against the namespace stamp so a warm
-     send is indistinguishable from [sendto] — same packet bytes, same
-     hop costs, same delivery-time table consultation. *)
-  type flow = {
-    uf_sock : sock;
-    uf_dst : Ipv4.t;
-    uf_dport : int;
-    mutable uf_stamp : int;
-    mutable uf_src : Ipv4.t;
-    mutable uf_extra_ns : int;
-    mutable uf_v : fc_out fc_verdict option;
-  }
-
-  let flow s ~dst ~dst_port =
-    { uf_sock = s; uf_dst = dst; uf_dport = dst_port; uf_stamp = min_int;
-      uf_src = dst; uf_extra_ns = 0; uf_v = None }
-
-  let flow_send ?prov uf payload =
-    let s = uf.uf_sock in
-    let ns = s.u_ns in
-    if not ns.fc_enabled then
-      sendto ?prov s ~dst:uf.uf_dst ~dst_port:uf.uf_dport payload
-    else begin
-      let stamp = fc_stamp ns in
-      if uf.uf_stamp <> stamp then begin
-        (* Same lookups [sendto] performs at send time, revalidated by
-           the stamp that already covers route and netfilter state. *)
-        uf.uf_src <- src_for ns uf.uf_dst;
-        uf.uf_extra_ns <- ns.cs.syscall.Hop.fixed_ns + nat_surcharge ns;
-        uf.uf_stamp <- stamp;
-        uf.uf_v <- None
-      end;
-      let prov = match prov with Some _ as p -> p | None -> fresh_prov ns in
-      let pkt =
-        Packet.make ~traced:ns.trace_all ?prov ~src:uf.uf_src ~dst:uf.uf_dst
-          (Packet.Udp { src_port = s.u_port; dst_port = uf.uf_dport; payload })
-      in
-      Hop.service_prov ?prov:(Packet.prov pkt) ~extra_ns:uf.uf_extra_ns
-        ns.cs.tx ~bytes:(Packet.len pkt)
-        (fun () ->
-          (* Consult at delivery time, exactly like [ip_output]: table
-             state may have moved while the datagram sat in the tx hop. *)
-          match uf.uf_v with
-          | Some v
-            when ns.fc_enabled && v.fc_stamp = fc_stamp ns
-                 && fc_out_live ns pkt v ->
-            fc_out_replay ns pkt v
-          | _ ->
-            ip_output ns pkt;
-            if ns.fc_enabled then
-              uf.uf_v <-
-                Hashtbl.find_opt ns.out_cache (Conntrack.flow_of_packet pkt))
-    end
-
   let close s =
     s.u_closed <- true;
-    sock_mutated s.u_ns;
     Hashtbl.remove s.u_ns.udp_binds s.u_port
 
   let port s = s.u_port
@@ -1411,12 +1016,9 @@ module Tcp = struct
     if Hashtbl.mem ns.listeners port then
       failwith
         (Printf.sprintf "Stack.Tcp.listen: port %d busy in %s" port ns.ns_name);
-    Hashtbl.replace ns.listeners port { l_on_accept = on_accept };
-    sock_mutated ns
+    Hashtbl.replace ns.listeners port { l_on_accept = on_accept }
 
-  let unlisten ns ~port =
-    sock_mutated ns;
-    Hashtbl.remove ns.listeners port
+  let unlisten ns ~port = Hashtbl.remove ns.listeners port
 
   let connect ns ~dst ~port ?src ~on_established ?(on_close = fun () -> ()) () =
     let local_ip =

@@ -93,8 +93,7 @@ val arp_cache : ns -> (Ipv4.t * Mac.t) list
 
 val arp_flush : ?ip:Ipv4.t -> ns -> unit
 (** Expires one neighbour entry ([ip]) or the whole ARP cache, as a
-    neighbour-table timeout would; invalidates dependent flow-cache
-    verdicts. *)
+    neighbour-table timeout would. *)
 
 val garp : ns -> Dev.t -> Ipv4.t -> unit
 (** Gratuitous ARP: broadcast announce of [ip] at [dev]'s MAC (as
@@ -102,62 +101,6 @@ val garp : ns -> Dev.t -> Ipv4.t -> unit
     entries segment-wide when an address is reused with a new MAC —
     e.g. an IPAM lease freed by crash-time GC and re-allocated to a
     replacement pod. *)
-
-(** {2 Flow cache}
-
-    ONCache-style per-namespace memoization of the complete forwarding
-    verdict — egress device, next hop, resolved MAC, netfilter no-op —
-    keyed by flow tuple (plus ingress device on the input path).
-    Verdicts are stamped with the sum of the route/netfilter/conntrack
-    generation counters plus a namespace-local one bumped on
-    address/device/forwarding-flag mutation, so any table change
-    atomically invalidates every dependent verdict.  Summing is sound
-    because each component is monotonic (asserted in debug builds): the
-    sum can only repeat a value if every component is unchanged.  A
-    saturation guard disables the cache outright should the sum ever
-    approach [max_int].
-
-    Two finer-grained generations avoid storm-wide flushes: a neighbour
-    MAC move bumps only that destination's generation (verdicts embed
-    the generation of the next hop they resolved), and socket-table
-    mutations bump a socket generation consulted only by reflector
-    (Hostlo) verdicts, whose local-deliver-vs-reflect decision depends
-    on live socket state.  Reflector endpoint devices additionally
-    carry a binding generation ({!Dev.bump_binding}) bumped when a
-    device is claimed or rebound, so failover cannot serve a dead VM's
-    binding.
-
-    Per-packet work (conntrack translation, TTL, hop costing, delivery
-    counters) still runs on cached packets: simulated time and results
-    are identical with the cache on or off.  The cache assumes
-    netfilter rules are flow-stable — a rule's match/verdict may depend
-    on the flow tuple and devices but not on per-packet payload — which
-    holds for every rule this repository installs (and for iptables NAT
-    generally). *)
-
-val set_flow_cache : ns -> bool -> unit
-(** Default on; disabling also empties both cache tables. *)
-
-val flow_cache_enabled : ns -> bool
-
-val set_default_flow_cache : bool -> unit
-(** Process-wide default applied to namespaces created afterwards —
-    lets a harness run a whole deployment mechanisms-off without
-    plumbing a flag through every construction site.  Set it before
-    building the world; existing namespaces are unaffected. *)
-
-val default_flow_cache : unit -> bool
-
-val flow_cache_stats : ns -> int * int
-(** [(hits, misses)] of the fast path since namespace creation (also
-    exported as [ns.<name>.flow_cache_hits]/[..._misses] gauges). *)
-
-val flow_cache_invalidations : ns -> int * int
-(** [(full, scoped)] invalidation counts: full flushes (address/device/
-    route-table mutations, whole-cache ARP flush) versus scoped
-    per-neighbour invalidations (MAC moves, single-entry ARP expiry).
-    Also exported as [fc.invalidate.<name>.full]/[.scoped] gauges — a
-    GARP storm shows up as a scoped burst with the hit rate intact. *)
 
 val set_observer : ns -> (Packet.t -> unit) option -> unit
 (** Debug tap invoked for every packet delivered to a local socket in
@@ -186,20 +129,6 @@ module Udp : sig
       tunnel threads the inner frame's record onto the outer packet this
       way; by default a record is minted iff {!set_provenance_all} is
       on. *)
-
-  type flow
-  (** A socket pinned to one destination: memoizes source-address
-      selection, the send-time cost surcharge, and the composed egress
-      verdict, all stamp-validated so {!flow_send} is byte- and
-      time-identical to {!sendto} — it only skips re-deriving state the
-      stamp proves unchanged. *)
-
-  val flow : sock -> dst:Ipv4.t -> dst_port:int -> flow
-
-  val flow_send : ?prov:Nest_sim.Provenance.t -> flow -> Payload.t -> unit
-  (** Like {!sendto} on the pinned destination, via the composed fast
-      path when the namespace flow cache is enabled (plain [sendto]
-      otherwise). *)
 
   val close : sock -> unit
   val port : sock -> int

@@ -13,10 +13,6 @@ and t = {
   hop : Hop.t;
   per_queue_ns : int;
   host_side : Dev.t;
-  (* Shared by every endpoint device carried by this tap's queues: a
-     loopback tap is one interface multiplexed between VMs, so claiming
-     any endpoint changes which socket owner the reflector serves. *)
-  binding_gen : int ref;
   mutable queue_list : queue list;
   mutable reflected : int;
   mutable exhausted : bool;
@@ -50,7 +46,7 @@ let create engine ~name ~mode ~hop ?(per_queue_ns = 0) ~mac () =
   let host_side = Dev.create ~name ~mac () in
   let t =
     { tap_name = name; tap_mode = mode; engine; hop; per_queue_ns; host_side;
-      binding_gen = ref 0; queue_list = []; reflected = 0; exhausted = false;
+      queue_list = []; reflected = 0; exhausted = false;
       tap_drops = 0;
       hop_ctr =
         Nest_sim.Metrics.counter (Nest_sim.Engine.metrics engine)
@@ -83,8 +79,6 @@ let remove_queues t ~owner =
 
 let queues t = t.queue_list
 let queue_owner q = q.q_owner
-let queue_binding q = q.tap.binding_gen
-let bump_binding t = incr t.binding_gen
 let queue_set_backend q f = q.backend <- Some f
 let queue_attached q = List.memq q q.tap.queue_list
 let set_exhausted t b = t.exhausted <- b

@@ -53,16 +53,6 @@ val remove_queues : t -> owner:string -> int
 val queues : t -> queue list
 val queue_owner : queue -> string
 
-val queue_binding : queue -> int ref
-(** The tap-wide binding-generation ref (see {!Dev.create}'s [binding]):
-    endpoint devices created over this queue should share it, so a claim
-    of any endpoint invalidates cached reflector verdicts tap-wide. *)
-
-val bump_binding : t -> unit
-(** Marks an endpoint ownership change (standby-pool claim/replenish,
-    device claim on hot-plug): cached reflector-egress verdicts derived
-    under the previous binding are invalidated on their next lookup. *)
-
 val queue_set_backend : queue -> (Frame.t -> unit) -> unit
 (** Installs the backend consumer (vhost): called for every frame the tap
     pushes toward the guest. *)

@@ -4,13 +4,6 @@ let vxlan_header_bytes = 8
 let default_port = 4789
 let overlay_mtu = 1450
 
-(* Composed-verdict entry: the resolved target set for one inner flow,
-   valid while the FDB/flood configuration is unchanged.  The underlay
-   half of the verdict lives in the [Stack.Udp.flow] handles themselves
-   (stamp-validated at each send), so one entry covers the whole
-   inner-lookup + encap + outer-lookup traversal. *)
-type entry = { e_gen : int; e_flows : Stack.Udp.flow list }
-
 type t = {
   vtep_name : string;
   vni : int;
@@ -22,21 +15,10 @@ type t = {
   decap_hop : Hop.t;
   fdb : (Mac.t, Ipv4.t) Hashtbl.t;
   mutable remotes : Ipv4.t list;
-  (* Bumped on any FDB or flood-list change (including member pruning on
-     failover) — invalidates every composed entry at once. *)
-  mutable fdb_gen : int;
-  (* One pinned underlay flow per peer VTEP, shared by cold and warm
-     paths so both produce identical outer datagrams. *)
-  flows : (Ipv4.t, Stack.Udp.flow) Hashtbl.t;
-  ecache : (Mac.t * Conntrack.flow, entry) Hashtbl.t;
-  mutable compose_hits : int;
-  mutable compose_misses : int;
   mutable encapsulated : int;
   mutable decapsulated : int;
   encap_ctr : Nest_sim.Metrics.counter;
   decap_ctr : Nest_sim.Metrics.counter;
-  ov_hit_ctr : Nest_sim.Metrics.counter;
-  ov_miss_ctr : Nest_sim.Metrics.counter;
 }
 
 let decap t (payload : Payload.t) =
@@ -51,60 +33,16 @@ let decap t (payload : Payload.t) =
       ~bytes:(Frame.len inner) (fun () -> Dev.deliver t.overlay_dev inner)
   | Some _ | None -> ()
 
-let flow_to t remote =
-  match Hashtbl.find_opt t.flows remote with
-  | Some uf -> uf
-  | None ->
-    let uf = Stack.Udp.flow t.sock ~dst:remote ~dst_port:t.udp_port in
-    Hashtbl.replace t.flows remote uf;
-    uf
-
-(* Slow resolution: FDB-pinned unicast or flood, as underlay flows. *)
-let resolve t (inner : Frame.t) =
-  let remotes =
-    if Frame.is_broadcast inner then t.remotes
-    else
-      match Hashtbl.find_opt t.fdb inner.Frame.dst with
-      | Some remote -> [ remote ]
-      | None -> t.remotes
-  in
-  List.map (flow_to t) remotes
-
-let flow_key (inner : Frame.t) =
-  if Frame.is_broadcast inner then None
+(* FDB-pinned unicast, or flood to every peer VTEP. *)
+let targets t (inner : Frame.t) =
+  if Frame.is_broadcast inner then t.remotes
   else
-    match inner.Frame.body with
-    | Frame.Arp_body _ -> None
-    | Frame.Ipv4_body p -> Some (inner.Frame.dst, Conntrack.flow_of_packet p)
-
-let ecache_cap = 4096
-
-let targets_for t inner =
-  if not (Stack.flow_cache_enabled t.underlay) then resolve t inner
-  else
-    match flow_key inner with
-    | None ->
-      (* Broadcast / ARP: target set may be payload-dependent, never
-         cached.  Counted as misses so the hit rate stays honest. *)
-      t.compose_misses <- t.compose_misses + 1;
-      Nest_sim.Metrics.bump t.ov_miss_ctr ();
-      resolve t inner
-    | Some key -> (
-      match Hashtbl.find_opt t.ecache key with
-      | Some e when e.e_gen = t.fdb_gen ->
-        t.compose_hits <- t.compose_hits + 1;
-        Nest_sim.Metrics.bump t.ov_hit_ctr ();
-        e.e_flows
-      | Some _ | None ->
-        t.compose_misses <- t.compose_misses + 1;
-        Nest_sim.Metrics.bump t.ov_miss_ctr ();
-        let flows = resolve t inner in
-        if Hashtbl.length t.ecache >= ecache_cap then Hashtbl.reset t.ecache;
-        Hashtbl.replace t.ecache key { e_gen = t.fdb_gen; e_flows = flows };
-        flows)
+    match Hashtbl.find_opt t.fdb inner.Frame.dst with
+    | Some remote -> [ remote ]
+    | None -> t.remotes
 
 let encap t (inner : Frame.t) =
-  let targets = targets_for t inner in
+  let targets = targets t inner in
   if targets <> [] then begin
     Nest_sim.Metrics.bump t.encap_ctr ();
     Frame.record_hop inner (t.vtep_name ^ ":encap");
@@ -118,7 +56,7 @@ let encap t (inner : Frame.t) =
     Hop.service_prov ?prov:(Frame.prov inner) t.encap_hop
       ~bytes:(Frame.len inner) (fun () ->
         List.iter
-          (fun uf ->
+          (fun remote ->
             t.encapsulated <- t.encapsulated + 1;
             (* Thread the inner frame's provenance onto the outer
                datagram so underlay hops attribute to the same record;
@@ -128,7 +66,8 @@ let encap t (inner : Frame.t) =
               | Some p when not single -> Some (Nest_sim.Provenance.branch p)
               | p -> p
             in
-            Stack.Udp.flow_send ?prov uf payload)
+            Stack.Udp.sendto ?prov t.sock ~dst:remote ~dst_port:t.udp_port
+              payload)
           targets)
   end
 
@@ -150,15 +89,9 @@ let create underlay ~name ~vni ~local ?(udp_port = default_port) ~encap_hop
           Stack.Udp.bind underlay ~port:udp_port ~kernel:true
             (fun _ ~src:_ payload -> decap (Lazy.force t) payload);
         overlay_dev; encap_hop; decap_hop; fdb = Hashtbl.create 16;
-        remotes = []; fdb_gen = 0; flows = Hashtbl.create 8;
-        ecache = Hashtbl.create 64; compose_hits = 0; compose_misses = 0;
-        encapsulated = 0; decapsulated = 0;
+        remotes = []; encapsulated = 0; decapsulated = 0;
         encap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".encap");
-        decap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".decap");
-        ov_hit_ctr =
-          Nest_sim.Metrics.counter metrics ("fc.overlay." ^ name ^ ".hits");
-        ov_miss_ctr =
-          Nest_sim.Metrics.counter metrics ("fc.overlay." ^ name ^ ".misses") }
+        decap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".decap") }
   in
   let t = Lazy.force t in
   Dev.set_tx overlay_dev (fun frame -> encap t frame);
@@ -168,30 +101,15 @@ let dev t = t.overlay_dev
 let vni t = t.vni
 
 let add_remote t ip =
-  if not (List.mem ip t.remotes) then begin
-    t.remotes <- t.remotes @ [ ip ];
-    t.fdb_gen <- t.fdb_gen + 1
-  end
+  if not (List.mem ip t.remotes) then t.remotes <- t.remotes @ [ ip ]
 
-let add_fdb t mac ip =
-  if Hashtbl.find_opt t.fdb mac <> Some ip then begin
-    Hashtbl.replace t.fdb mac ip;
-    t.fdb_gen <- t.fdb_gen + 1
-  end
+let add_fdb t mac ip = Hashtbl.replace t.fdb mac ip
 
 let remove_remote t ip =
-  let in_flood = List.mem ip t.remotes in
-  let stale_macs =
-    Hashtbl.fold (fun mac dst acc -> if dst = ip then mac :: acc else acc)
-      t.fdb []
-  in
-  if in_flood || stale_macs <> [] then begin
-    t.remotes <- List.filter (fun r -> r <> ip) t.remotes;
-    List.iter (Hashtbl.remove t.fdb) stale_macs;
-    Hashtbl.remove t.flows ip;
-    t.fdb_gen <- t.fdb_gen + 1
-  end
+  t.remotes <- List.filter (fun r -> r <> ip) t.remotes;
+  Hashtbl.filter_map_inplace
+    (fun _ dst -> if dst = ip then None else Some dst)
+    t.fdb
 
-let compose_stats t = (t.compose_hits, t.compose_misses)
 let encapsulated t = t.encapsulated
 let decapsulated t = t.decapsulated

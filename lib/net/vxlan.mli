@@ -7,19 +7,7 @@
     header) into UDP datagrams sent through the underlay namespace's
     stack; datagrams received on the VTEP's UDP port are decapsulated and
     delivered back through the device.  Both directions pay dedicated
-    encap/decap hops in the underlay kernel — the overlay's CPU tax.
-
-    Egress composes a verdict per inner flow (ONCache-style): the inner
-    MAC/flow tuple maps to the resolved target set as pinned underlay
-    flows, so a steady-state overlay packet costs one lookup instead of
-    inner-lookup + encap + outer-lookup.  Entries are invalidated by an
-    FDB/flood-list generation (bumped by {!add_remote}, {!add_fdb},
-    {!remove_remote}); the underlay half revalidates against the
-    underlay namespace's flow-cache stamp at every send, so route/ARP/
-    netfilter changes under the tunnel are picked up exactly as on the
-    cold path.  Simulated time and frame bytes are identical with the
-    cache on or off; hit/miss counts are exported as
-    [fc.overlay.<name>.hits]/[.misses]. *)
+    encap/decap hops in the underlay kernel — the overlay's CPU tax. *)
 
 type t
 
@@ -51,14 +39,9 @@ val add_fdb : t -> Mac.t -> Ipv4.t -> unit
 
 val remove_remote : t -> Ipv4.t -> unit
 (** Drops a peer VTEP: removes it from the flood list, expires every FDB
-    entry pointing at it, and invalidates composed verdicts that
-    resolved through it.  Called by the overlay CNI when a member node
+    entry pointing at it.  Called by the overlay CNI when a member node
     is pruned, so failover cannot keep encapsulating toward a dead
     VTEP. *)
-
-val compose_stats : t -> int * int
-(** [(hits, misses)] of the composed egress cache (also exported as
-    [fc.overlay.<name>.hits]/[.misses] counters). *)
 
 val encapsulated : t -> int
 val decapsulated : t -> int

@@ -65,9 +65,8 @@ let ensure_member t node =
         t.member_list
     in
     (* Unpeer the dead members from the survivors too: their flood-list
-       and FDB entries (and any composed encap verdicts resolving through
-       them) would otherwise keep pointing at the dead VTEP until the
-       replacement re-announced the address. *)
+       and FDB entries would otherwise keep pointing at the dead VTEP
+       until the replacement re-announced the address. *)
     List.iter
       (fun d ->
         let dead_ip = vm_primary_ip (Node.vm d.m_node) in

@@ -1,36 +1,14 @@
 open Nest_net
 
-type t = { kl_node : Node.t; mutable configured : int; mutable retries : int }
+(* The agent is the node seen through its agent role: its counters live
+   on the node, so no table outlives a testbed. *)
+type t = Node.t
 
-(* Process-global: concurrent experiment cells each deploy onto their
-   own nodes, but they share this table, so guard it.  Keyed by the node
-   value itself (compared physically) — node *names* repeat across
-   testbeds ("node0" everywhere), and under a parallel harness two live
-   testbeds can hold same-named nodes at once. *)
-let registry : t list ref = ref []
-let registry_mu = Mutex.create ()
-
-let locked f =
-  Mutex.lock registry_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mu) f
-
-let create_unlocked node =
-  let t = { kl_node = node; configured = 0; retries = 0 } in
-  registry := t :: !registry;
-  t
-
-let create node = locked (fun () -> create_unlocked node)
-
-let of_node node =
-  locked (fun () ->
-      match List.find_opt (fun t -> t.kl_node == node) !registry with
-      | Some t -> t
-      | None -> create_unlocked node)
-
-let node t = t.kl_node
+let of_node node = node
+let node t = t
 
 let configure_nic t ~netns ~mac ?ip ?subnet ?gateway ?on_dead ~k () =
-  Nest_virt.Vm.wait_nic (Node.vm t.kl_node) ~mac ?on_dead ~k:(fun dev ->
+  Nest_virt.Vm.wait_nic (Node.vm t) ~mac ?on_dead ~k:(fun dev ->
       Stack.attach netns dev;
       (match (ip, subnet) with
       | Some ip, Some subnet -> Stack.add_addr netns dev ip subnet
@@ -41,12 +19,13 @@ let configure_nic t ~netns ~mac ?ip ?subnet ?gateway ?on_dead ~k () =
       (match gateway with
       | Some gw -> Route.add_default (Stack.routes netns) ~gateway:gw ~dev ()
       | None -> ());
-      t.configured <- t.configured + 1;
+      let c = Node.agent_counters t in
+      c.Node.configured <- c.Node.configured + 1;
       k dev)
     ()
 
-let pods_configured t = t.configured
-let hotplug_retries t = t.retries
+let pods_configured t = (Node.agent_counters t).Node.configured
+let hotplug_retries t = (Node.agent_counters t).Node.retries
 
 (* Hot-plug with kubelet semantics: a failed or timed-out QMP round-trip
    is retried with exponential backoff instead of wedging pod setup.
@@ -58,11 +37,12 @@ let hotplug_retries t = t.retries
 let hotplug_with_retry t ?(policy = Backoff.default)
     ~(issue : k:((Mac.t, string) result -> unit) -> unit) ~k () =
   let engine =
-    Nest_virt.Host.engine (Nest_virt.Vm.host (Node.vm t.kl_node))
+    Nest_virt.Host.engine (Nest_virt.Vm.host (Node.vm t))
   in
   Backoff.retry engine policy
     ~on_retry:(fun ~attempt ~delay_ns ->
-      t.retries <- t.retries + 1;
+      let c = Node.agent_counters t in
+      c.Node.retries <- c.Node.retries + 1;
       (* Registered on first retry only: unfaulted runs must not grow a
          zero-valued row in existing metrics dumps. *)
       let metrics = Nest_sim.Engine.metrics engine in
@@ -81,15 +61,15 @@ let hotplug_with_retry t ?(policy = Backoff.default)
         (Nest_sim.Metrics.histogram metrics "fault.retry_delay_ms")
         (float_of_int delay_ns /. 1e6);
       Nest_sim.Engine.trace_instant engine ~cat:"fault" ~name:"hotplug_retry"
-        ~arg:(Node.name t.kl_node) ())
+        ~arg:(Node.name t) ())
     (fun ~attempt:_ ~k -> issue ~k)
     ~k
 
 let status t =
   Printf.sprintf "%s: cpu %.1f/%.1f mem %.1f/%.1f, %d NIC(s) configured"
-    (Node.name t.kl_node)
-    (Node.cpu_requested t.kl_node)
-    (Node.cpu_capacity t.kl_node)
-    (Node.mem_requested t.kl_node)
-    (Node.mem_capacity t.kl_node)
-    t.configured
+    (Node.name t)
+    (Node.cpu_requested t)
+    (Node.cpu_capacity t)
+    (Node.mem_requested t)
+    (Node.mem_capacity t)
+    (pods_configured t)

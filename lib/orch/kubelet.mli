@@ -12,11 +12,9 @@ open Nest_net
 
 type t
 
-val create : Node.t -> t
-(** One agent per node (idempotent per node — see {!of_node}). *)
-
 val of_node : Node.t -> t
-(** The node's agent, creating it on first use. *)
+(** The node's agent.  Idempotent: one agent per node, whose state lives
+    on the node and is collected with it. *)
 
 val node : t -> Node.t
 

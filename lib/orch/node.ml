@@ -1,3 +1,5 @@
+type agent_counters = { mutable configured : int; mutable retries : int }
+
 type t = {
   node_vm : Nest_virt.Vm.t;
   node_docker : Nest_container.Engine.t;
@@ -6,6 +8,7 @@ type t = {
   mutable cpu_req : float;
   mutable mem_req : float;
   mutable node_ready : bool;
+  agent : agent_counters;
 }
 
 let create vm =
@@ -14,7 +17,8 @@ let create vm =
       Nest_container.Engine.create vm ~name:(Nest_virt.Vm.name vm ^ ":docker");
     cpu_cap = float_of_int (Nest_virt.Vm.vcpus vm);
     mem_cap = float_of_int (Nest_virt.Vm.mem_mb vm) /. 1024.0;
-    cpu_req = 0.0; mem_req = 0.0; node_ready = true }
+    cpu_req = 0.0; mem_req = 0.0; node_ready = true;
+    agent = { configured = 0; retries = 0 } }
 
 let vm t = t.node_vm
 let docker t = t.node_docker
@@ -24,6 +28,7 @@ let mem_capacity t = t.mem_cap
 let cpu_requested t = t.cpu_req
 let mem_requested t = t.mem_req
 
+let agent_counters t = t.agent
 let ready t = t.node_ready
 let set_ready t b = t.node_ready <- b
 

@@ -3,12 +3,18 @@
 
 type t
 
+type agent_counters = { mutable configured : int; mutable retries : int }
+(** The node agent's bookkeeping ({!Kubelet}): NICs configured and
+    hot-plug retries.  Kept on the node so it lives and dies with it. *)
+
 val create : Nest_virt.Vm.t -> t
 (** Capacity is the VM's vCPU count and memory. *)
 
 val vm : t -> Nest_virt.Vm.t
 val docker : t -> Nest_container.Engine.t
 val name : t -> string
+
+val agent_counters : t -> agent_counters
 
 val cpu_capacity : t -> float
 val mem_capacity : t -> float

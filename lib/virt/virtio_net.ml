@@ -11,13 +11,7 @@ let create ~vm ~id ~mac ~queue ~vhost ?(l2 = Dev.Normal) () =
   let host = Vm.host vm in
   let cm = Host.cost_model host in
   let engine = Host.engine host in
-  (* Endpoints share the tap's binding-generation ref: claiming or
-     rebinding any queue of a reflector tap must invalidate cached
-     reflector verdicts for the whole tap. *)
-  let guest_dev =
-    Dev.create ~name:(Vm.name vm ^ ":" ^ id) ~mac ~l2
-      ~binding:(Tap.queue_binding queue) ()
-  in
+  let guest_dev = Dev.create ~name:(Vm.name vm ^ ":" ^ id) ~mac ~l2 () in
   let t = { nic_id = id; guest_dev; vhost; plugged = true } in
   (* The vhost worker is a hop like any other, so virtio crossings feed
      the same provenance/histogram machinery as kernel hops. *)

@@ -106,11 +106,7 @@ let nic_arrived t dev =
   let ready, waiting = pop [] t.nic_waiters in
   t.nic_waiters <- waiting;
   match ready with
-  | Some k ->
-    (* The waiter is about to claim [dev]: ownership changes, so any
-       reflector verdicts cached against the old binding must die. *)
-    Dev.bump_binding dev;
-    k dev
+  | Some k -> k dev
   | None -> ()
 
 let wait_nic t ~mac ?(on_dead = fun () -> ()) ~k () =
@@ -121,9 +117,7 @@ let wait_nic t ~mac ?(on_dead = fun () -> ()) ~k () =
         (fun d -> Mac.equal d.Dev.mac mac && unclaimed d)
         t.nic_list
     with
-    | Some dev ->
-      Dev.bump_binding dev;
-      k dev
+    | Some dev -> k dev
     | None -> t.nic_waiters <- t.nic_waiters @ [ (mac, k, on_dead) ]
 
 let nics t = t.nic_list

@@ -305,6 +305,24 @@ let test_kubelet_agent () =
     (String.length (Kubelet.status kl) > 0
     && String.sub (Kubelet.status kl) 0 3 = "vm1")
 
+(* Regression: a process-global agent registry used to keep every node,
+   and through it the whole testbed, alive for the life of the process.
+   The helper allocates in its own frame so the test frame holds no
+   hidden strong reference when the GC runs. *)
+let[@inline never] use_agent_and_track w =
+  let tb = world () in
+  let node = Nestfusion.Testbed.node tb 0 in
+  Alcotest.(check int) "fresh agent" 0
+    (Kubelet.pods_configured (Kubelet.of_node node));
+  Weak.set w 0 (Some node)
+
+let test_kubelet_node_collectable () =
+  let w = Weak.create 1 in
+  use_agent_and_track w;
+  Gc.full_major ();
+  Alcotest.(check bool) "node released with its testbed" true
+    (Weak.get w 0 = None)
+
 let test_overlay_pods_isolated_network () =
   (* Two pods on the same overlay get distinct addresses and can talk. *)
   let tb = world ~num_vms:2 () in
@@ -351,5 +369,7 @@ let () =
           Alcotest.test_case "overlay isolation" `Quick
             test_overlay_pods_isolated_network;
           Alcotest.test_case "kubelet agent" `Quick test_kubelet_agent;
+          Alcotest.test_case "kubelet node collectable" `Quick
+            test_kubelet_node_collectable;
           Alcotest.test_case "nat ip released" `Quick
             test_nat_ip_released_on_stop ] ) ]

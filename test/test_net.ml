@@ -174,15 +174,27 @@ let test_route_lpm () =
   Alcotest.(check string) "on-link next hop" "10.0.5.9"
     (Ipv4.to_string (Route.next_hop e2 (Ipv4.of_string "10.0.5.9")));
   Route.remove_dev rt d2;
-  Alcotest.(check string) "after removal" "wide" (via "10.0.5.9")
+  Alcotest.(check string) "after removal" "wide" (via "10.0.5.9");
+  (* A wider route added last sits first in the table: the narrower one
+     behind it must still win. *)
+  Route.add rt ~dst:(Ipv4.cidr_of_string "8.0.0.0/6") ~dev:(dummy_dev "wider") ();
+  Alcotest.(check string) "/8 beats a later /6" "wide" (via "10.0.5.9");
+  Alcotest.(check string) "/6 beats the default" "wider" (via "9.1.1.1");
+  Alcotest.(check bool) "no match without a default" true
+    (Option.is_none (Route.lookup (Route.create ()) (Ipv4.of_string "8.8.8.8")))
 
 let test_route_recency_ties () =
   let rt = Route.create () in
   let d1 = dummy_dev "old" and d2 = dummy_dev "new" in
   Route.add rt ~dst:(Ipv4.cidr_of_string "10.0.0.0/24") ~dev:d1 ();
   Route.add rt ~dst:(Ipv4.cidr_of_string "10.0.0.0/24") ~dev:d2 ();
-  let e = Option.get (Route.lookup rt (Ipv4.of_string "10.0.0.5")) in
-  Alcotest.(check string) "most recent equal-prefix wins" "new" e.Route.dev.Dev.name
+  let via () =
+    (Option.get (Route.lookup rt (Ipv4.of_string "10.0.0.5"))).Route.dev.Dev.name
+  in
+  Alcotest.(check string) "most recent equal-prefix wins" "new" (via ());
+  Route.remove_dev rt d2;
+  Alcotest.(check string) "older entry resurfaces after remove_dev" "old"
+    (via ())
 
 (* ------------------------------------------------------------------ *)
 (* Netfilter / conntrack *)

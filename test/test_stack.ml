@@ -1,5 +1,6 @@
 (* Tests for the per-namespace IP stack: ARP, local delivery, forwarding,
-   sockets, and TCP edge behaviour. *)
+   table changes mid-flow, Hostlo reflector egress, sockets, and TCP edge
+   behaviour. *)
 
 open Nest_net
 module Engine = Nest_sim.Engine
@@ -101,6 +102,138 @@ let test_firewall_drop_counted () =
   Engine.run e;
   Alcotest.(check bool) "filtered" false !got;
   Alcotest.(check int) "counter" 1 (Stack.counters b).Stack.dropped_filtered
+
+(* ------------------------------------------------------------------ *)
+(* Table changes mid-flow: routes, devices, netfilter and ARP are read
+   for every packet, so a change applies to the flow's next packet. *)
+
+let send_one c dst = Stack.Udp.sendto c ~dst ~dst_port:53 (Payload.raw 32)
+
+(* A flow a -> b:53 that has already delivered three datagrams. *)
+let warm_flow () =
+  let e, a, b, da, db = two_ns () in
+  let _s = Stack.Udp.bind b ~port:53 (fun _ ~src:_ _ -> ()) in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  for _ = 1 to 3 do
+    send_one c (ip "192.168.1.2");
+    Engine.run e
+  done;
+  Alcotest.(check int) "warm flow delivered" 3 (Stack.counters b).Stack.delivered;
+  (e, a, b, da, db, c)
+
+let test_detached_dev_unroutable () =
+  let e, a, b, da, _, c = warm_flow () in
+  Stack.detach a da;
+  send_one c (ip "192.168.1.2");
+  Engine.run e;
+  Alcotest.(check int) "nothing more reaches b" 3
+    (Stack.counters b).Stack.delivered;
+  Alcotest.(check int) "counted as unroutable" 1
+    (Stack.counters a).Stack.dropped_no_route
+
+let test_rearp_after_flush () =
+  let e, a, b, _, _, c = warm_flow () in
+  Stack.arp_flush a;
+  Alcotest.(check int) "neighbour table empty" 0
+    (List.length (Stack.arp_cache a));
+  send_one c (ip "192.168.1.2");
+  Engine.run e;
+  Alcotest.(check int) "still delivered after re-ARP" 4
+    (Stack.counters b).Stack.delivered;
+  Alcotest.(check bool) "neighbour learned again" true
+    (List.mem_assoc (ip "192.168.1.2") (Stack.arp_cache a))
+
+let test_rule_added_mid_flow () =
+  let e, a, b, _, _, c = warm_flow () in
+  Nat.drop_from (Stack.nf a) ~name:"deny" ~hook:Netfilter.Output
+    ~src_subnet:(cidr "192.168.1.0/24");
+  send_one c (ip "192.168.1.2");
+  Engine.run e;
+  Alcotest.(check int) "new rule drops the next packet" 3
+    (Stack.counters b).Stack.delivered;
+  Alcotest.(check int) "drop counted" 1 (Stack.counters a).Stack.dropped_filtered
+
+let test_garp_corrects_moved_neighbour () =
+  let e, a, b, _, db = two_ns () in
+  Stack.add_addr b db (ip "192.168.1.3") (cidr "192.168.1.0/24");
+  let _s = Stack.Udp.bind b ~port:53 (fun _ ~src:_ _ -> ()) in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  for _ = 1 to 3 do
+    send_one c (ip "192.168.1.2");
+    send_one c (ip "192.168.1.3");
+    Engine.run e
+  done;
+  (* The peer NIC is replaced: same addresses, new MAC, and only .2 is
+     re-announced by a burst of gratuitous ARPs. *)
+  db.Dev.mac <- Mac.of_int 0xbb;
+  for _ = 1 to 5 do
+    Stack.garp b db (ip "192.168.1.2")
+  done;
+  Engine.run e;
+  Alcotest.(check bool) "announced neighbour moved" true
+    (List.assoc (ip "192.168.1.2") (Stack.arp_cache a) = Mac.of_int 0xbb);
+  (* .3's entry is stale until it expires: its packet dies at the peer's
+     L2 filter.  The announced .2 reaches the new MAC. *)
+  send_one c (ip "192.168.1.3");
+  Engine.run e;
+  send_one c (ip "192.168.1.2");
+  Engine.run e;
+  Alcotest.(check int) "6 before the move, 1 after" 7
+    (Stack.counters b).Stack.delivered
+
+(* ------------------------------------------------------------------ *)
+(* Reflector (Hostlo) egress: whether localhost traffic is delivered in
+   the sender's own fraction or reflected to its peers depends on the
+   live socket tables. *)
+
+(* Two pod namespaces multiplexed on one Hostlo loopback tap, wired as
+   the VMM does but without the VM layer: the endpoints share the tap's
+   MAC. *)
+let reflector_world () =
+  let e = Engine.create () in
+  let tap =
+    Tap.create e ~name:"hlo" ~mode:Tap.Loopback ~hop:(Hop.free e)
+      ~mac:(Mac.of_int 0x42) ()
+  in
+  let mk name =
+    let ns =
+      Stack.create e ~name ~costs:(cheap_costs e) ~with_loopback:false ()
+    in
+    let q = Tap.add_queue tap ~owner:name in
+    let dev =
+      Dev.create ~name:(name ^ ":hlo0") ~mac:(Tap.mac tap) ~l2:Dev.Reflector ()
+    in
+    Dev.set_tx dev (fun f -> Tap.queue_write q f);
+    Tap.queue_set_backend q (fun f -> Dev.deliver dev f);
+    Stack.attach ns dev;
+    Stack.add_addr ns dev Ipv4.localhost (cidr "127.0.0.0/8");
+    ns
+  in
+  (e, mk "pa", mk "pb")
+
+let test_reflector_socket_transition () =
+  let e, a, b = reflector_world () in
+  let b_got = ref 0 and a_got = ref 0 in
+  let _sb = Stack.Udp.bind b ~port:53 (fun _ ~src:_ _ -> incr b_got) in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  let burst () =
+    for _ = 1 to 3 do
+      send_one c Ipv4.localhost
+    done;
+    Engine.run e
+  in
+  burst ();
+  Alcotest.(check int) "reflected to the peer while a has no server" 3 !b_got;
+  (* A server appears in the sender's own fraction: localhost is local. *)
+  let sa = Stack.Udp.bind a ~port:53 (fun _ ~src:_ _ -> incr a_got) in
+  burst ();
+  Alcotest.(check int) "local server captures localhost" 3 !a_got;
+  Alcotest.(check int) "peer no longer sees the flow" 3 !b_got;
+  Stack.Udp.close sa;
+  burst ();
+  Alcotest.(check int) "reflection resumes after close" 6 !b_got;
+  Alcotest.(check int) "local server is gone" 3 !a_got
+
 
 let test_udp_bind_conflicts () =
   let e = Engine.create () in
@@ -230,6 +363,53 @@ let test_ping_rtt_accounts_hops () =
      costs; must be well under a millisecond with the cheap model. *)
   Alcotest.(check bool) "cheap-model rtt < 5us" true (!rtt < 5_000)
 
+(* Route.lookup on a stack's own table: longest prefix first, and the
+   most recent of equal prefixes. *)
+
+let route_stack () =
+  let e = Engine.create () in
+  let a = Stack.create e ~name:"r" ~costs:(cheap_costs e) () in
+  let hop = Hop.free e in
+  let d1, _ =
+    Veth.pair ~a_name:"d1" ~a_mac:(Mac.of_int 1) ~b_name:"x1"
+      ~b_mac:(Mac.of_int 2) ~ab_hop:hop ~ba_hop:hop ()
+  in
+  let d2, _ =
+    Veth.pair ~a_name:"d2" ~a_mac:(Mac.of_int 3) ~b_name:"x2"
+      ~b_mac:(Mac.of_int 4) ~ab_hop:hop ~ba_hop:hop ()
+  in
+  (Stack.routes a, d1, d2)
+
+let test_route_longest_prefix () =
+  let rt, d1, d2 = route_stack () in
+  Route.add rt ~dst:(cidr "10.0.0.0/8") ~dev:d1 ();
+  Route.add rt ~dst:(cidr "10.1.0.0/16") ~dev:d2 ();
+  Route.add rt ~dst:(cidr "10.1.2.0/24") ~dev:d1 ();
+  let dev_of addr =
+    match Route.lookup rt (ip addr) with
+    | Some en -> en.Route.dev.Dev.name
+    | None -> "none"
+  in
+  Alcotest.(check string) "/24 beats /16 and /8" "d1" (dev_of "10.1.2.3");
+  Alcotest.(check string) "/16 beats /8" "d2" (dev_of "10.1.9.9");
+  Alcotest.(check string) "/8 catches the rest" "d1" (dev_of "10.200.0.1");
+  Alcotest.(check string) "no match" "none" (dev_of "172.16.0.1")
+
+let test_route_most_recent_wins () =
+  let rt, d1, d2 = route_stack () in
+  Route.add rt ~dst:(cidr "10.0.0.0/8") ~dev:d1 ();
+  Route.add rt ~dst:(cidr "10.0.0.0/8") ~dev:d2 ();
+  (match Route.lookup rt (ip "10.1.1.1") with
+  | Some en -> Alcotest.(check string) "most recent of equal prefixes" "d2"
+                 en.Route.dev.Dev.name
+  | None -> Alcotest.fail "expected a route");
+  Route.remove_dev rt d2;
+  match Route.lookup rt (ip "10.1.1.1") with
+  | Some en ->
+    Alcotest.(check string) "older entry resurfaces after remove_dev" "d1"
+      en.Route.dev.Dev.name
+  | None -> Alcotest.fail "expected the surviving route"
+
 let () =
   Alcotest.run "stack"
     [ ( "ip",
@@ -238,7 +418,21 @@ let () =
           Alcotest.test_case "no socket" `Quick test_no_socket_counted;
           Alcotest.test_case "forwarding off" `Quick test_forwarding_disabled_drops;
           Alcotest.test_case "firewall" `Quick test_firewall_drop_counted;
-          Alcotest.test_case "ping" `Quick test_ping_rtt_accounts_hops ] );
+          Alcotest.test_case "ping" `Quick test_ping_rtt_accounts_hops;
+          Alcotest.test_case "detached device is unroutable" `Quick
+            test_detached_dev_unroutable;
+          Alcotest.test_case "re-ARP after flush" `Quick test_rearp_after_flush;
+          Alcotest.test_case "rule added mid-flow" `Quick
+            test_rule_added_mid_flow;
+          Alcotest.test_case "GARP corrects moved neighbour" `Quick
+            test_garp_corrects_moved_neighbour ] );
+      ( "route",
+        [ Alcotest.test_case "longest prefix" `Quick test_route_longest_prefix;
+          Alcotest.test_case "most recent wins" `Quick
+            test_route_most_recent_wins ] );
+      ( "reflector",
+        [ Alcotest.test_case "socket transition" `Quick
+            test_reflector_socket_transition ] );
       ( "udp",
         [ Alcotest.test_case "bind conflicts" `Quick test_udp_bind_conflicts ] );
       ( "tcp",

@@ -150,39 +150,9 @@ let test_no_remotes_drops_silently () =
   Alcotest.(check int) "nothing encapsulated without peers" 0
     (Vxlan.encapsulated v1)
 
-(* ------------------------------------------------------------------ *)
-(* Composed-verdict cache: one lookup per steady-state overlay packet,
-   invalidated by FDB/flood churn, revalidated against the underlay. *)
-
-let test_compose_hits_accumulate () =
-  let e, nodes = world () in
-  let (ns1, a1) = List.nth nodes 0
-  and (_, a2) = List.nth nodes 1
-  and (_, a3) = List.nth nodes 2 in
-  let v1 = vtep e ns1 a1 in
-  Vxlan.add_remote v1 a2;
-  Vxlan.add_remote v1 a3;
-  Vxlan.add_fdb v1 (Mac.of_int 0xbb) a3;
-  let hits = Array.make 3 0 in
-  List.iteri
-    (fun i (ns, addr) ->
-      if i > 0 then begin
-        let v = vtep e ns addr in
-        Dev.set_rx (Vxlan.dev v) (fun _ -> hits.(i) <- hits.(i) + 1)
-      end)
-    nodes;
-  for _ = 1 to 6 do
-    Dev.transmit (Vxlan.dev v1)
-      (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
-    Engine.run e
-  done;
-  let ch, cm = Vxlan.compose_stats v1 in
-  Alcotest.(check int) "one composed miss" 1 cm;
-  Alcotest.(check int) "rest are composed hits" 5 ch;
-  Alcotest.(check int) "all delivered to the pinned node" 6 hits.(2);
-  Alcotest.(check int) "flood node untouched" 0 hits.(1);
-  Alcotest.(check int) "six encapsulations" 6 (Vxlan.encapsulated v1)
-
+(* A peer VTEP pruned mid-flow (the overlay CNI's failover path): the
+   pinned flow falls back to flooding the surviving member instead of
+   encapsulating into the void. *)
 let test_remove_remote_redirects_flood () =
   let e, nodes = world () in
   let (ns1, a1) = List.nth nodes 0
@@ -200,103 +170,49 @@ let test_remove_remote_redirects_flood () =
         Dev.set_rx (Vxlan.dev v) (fun _ -> hits.(i) <- hits.(i) + 1)
       end)
     nodes;
-  (* Warm the composed verdict toward node3... *)
-  for _ = 1 to 3 do
+  let send () =
     Dev.transmit (Vxlan.dev v1)
       (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
     Engine.run e
+  in
+  for _ = 1 to 3 do
+    send ()
   done;
-  Alcotest.(check int) "warm: pinned node receiving" 3 hits.(2);
-  (* ...then node3 dies and is pruned (Cni_overlay failover path).  The
-     warm verdict must die with it: the flow falls back to flooding the
-     surviving member, not encapsulating into the void. *)
+  Alcotest.(check int) "pinned node receiving" 3 hits.(2);
+  Alcotest.(check int) "flood node untouched" 0 hits.(1);
   Vxlan.remove_remote v1 a3;
   for _ = 1 to 2 do
-    Dev.transmit (Vxlan.dev v1)
-      (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
-    Engine.run e
+    send ()
   done;
   Alcotest.(check int) "dead VTEP gets nothing more" 3 hits.(2);
-  Alcotest.(check int) "survivor now floods" 2 hits.(1);
-  let _, cm = Vxlan.compose_stats v1 in
-  Alcotest.(check int) "exactly one re-composition" 2 cm
+  Alcotest.(check int) "survivor now floods" 2 hits.(1)
 
-let test_underlay_rule_not_bypassed () =
+(* A firewall rule lands in the underlay under a flowing tunnel: the next
+   encapsulated datagram meets it. *)
+let test_underlay_rule_drops_encap () =
   let e, nodes = world () in
-  let (ns1, a1) = List.nth nodes 0 and (_, a3) = List.nth nodes 2 in
+  let (ns1, a1) = List.nth nodes 0 and (ns3, a3) = List.nth nodes 2 in
   let v1 = vtep e ns1 a1 in
   Vxlan.add_remote v1 a3;
   Vxlan.add_fdb v1 (Mac.of_int 0xbb) a3;
   let got = ref 0 in
-  let (ns3, _) = List.nth nodes 2 in
   let v3 = vtep e ns3 a3 in
   Dev.set_rx (Vxlan.dev v3) (fun _ -> incr got);
-  for _ = 1 to 3 do
+  let send () =
     Dev.transmit (Vxlan.dev v1)
       (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
     Engine.run e
+  in
+  for _ = 1 to 3 do
+    send ()
   done;
-  Alcotest.(check int) "warm through the underlay" 3 !got;
-  (* A firewall rule lands in the underlay under the warm tunnel: the
-     composed verdict may not bypass it — the underlay half revalidates
-     on every send. *)
+  Alcotest.(check int) "flowing through the underlay" 3 !got;
   Nat.drop_from (Stack.nf ns1) ~name:"deny" ~hook:Netfilter.Output
     ~src_subnet:(cidr "10.5.0.0/24");
-  Dev.transmit (Vxlan.dev v1)
-    (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
-  Engine.run e;
-  Alcotest.(check int) "new underlay rule drops despite warm encap" 3 !got;
-  let ch, _ = Vxlan.compose_stats v1 in
-  Alcotest.(check bool) "composition itself still hits" true (ch >= 3)
-
-let run_overlay_exchange ~cache () =
-  let e, nodes = world () in
-  if not cache then
-    List.iter (fun (ns, _) -> Stack.set_flow_cache ns false) nodes;
-  let (ns1, a1) = List.nth nodes 0
-  and (_, a2) = List.nth nodes 1
-  and (_, a3) = List.nth nodes 2 in
-  let v1 = vtep e ns1 a1 in
-  Vxlan.add_remote v1 a2;
-  Vxlan.add_remote v1 a3;
-  let decaps = Array.make 3 0 in
-  let vteps =
-    List.mapi
-      (fun i (ns, addr) ->
-        if i > 0 then begin
-          let v = vtep e ns addr in
-          Dev.set_rx (Vxlan.dev v) (fun _ -> decaps.(i) <- decaps.(i) + 1);
-          Some v
-        end
-        else None)
-      nodes
-  in
-  (* Flood first (unknown unicast), then pin, then churn the pin. *)
-  for _ = 1 to 3 do
-    Dev.transmit (Vxlan.dev v1)
-      (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
-    Engine.run e
-  done;
-  Vxlan.add_fdb v1 (Mac.of_int 0xbb) a3;
-  for _ = 1 to 3 do
-    Dev.transmit (Vxlan.dev v1)
-      (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
-    Engine.run e
-  done;
-  Vxlan.remove_remote v1 a3;
-  for _ = 1 to 3 do
-    Dev.transmit (Vxlan.dev v1)
-      (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
-    Engine.run e
-  done;
-  ignore vteps;
-  [ decaps.(1); decaps.(2); Vxlan.encapsulated v1; Engine.now e ]
-
-let test_overlay_on_off_equivalent () =
-  Alcotest.(check (list int))
-    "overlay churn identical with cache on/off"
-    (run_overlay_exchange ~cache:false ())
-    (run_overlay_exchange ~cache:true ())
+  send ();
+  Alcotest.(check int) "new underlay rule drops the next datagram" 3 !got;
+  Alcotest.(check int) "drop counted in the underlay" 1
+    (Stack.counters ns1).Stack.dropped_filtered
 
 let () =
   Alcotest.run "vxlan"
@@ -305,14 +221,8 @@ let () =
           Alcotest.test_case "fdb unicast" `Quick test_fdb_unicast;
           Alcotest.test_case "decap intact" `Quick
             test_decap_counter_and_inner_intact;
-          Alcotest.test_case "no remotes" `Quick test_no_remotes_drops_silently ]
-      );
-      ( "compose",
-        [ Alcotest.test_case "hits accumulate" `Quick
-            test_compose_hits_accumulate;
-          Alcotest.test_case "remove_remote churn" `Quick
+          Alcotest.test_case "no remotes" `Quick test_no_remotes_drops_silently;
+          Alcotest.test_case "remove_remote redirects to survivors" `Quick
             test_remove_remote_redirects_flood;
-          Alcotest.test_case "underlay rule not bypassed" `Quick
-            test_underlay_rule_not_bypassed;
-          Alcotest.test_case "on/off identical" `Quick
-            test_overlay_on_off_equivalent ] ) ]
+          Alcotest.test_case "underlay rule drops encap" `Quick
+            test_underlay_rule_drops_encap ] ) ]
