@@ -480,7 +480,7 @@ let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
     exit 1
   end;
   if domains <= 0 then begin
-    Printf.eprintf "nestsim: --jobs must be positive (got %d)\n" domains;
+    Printf.eprintf "nestsim: --domains must be positive (got %d)\n" domains;
     exit 1
   end;
   if fault_rate < 0.0 || fault_rate > 1.0 then begin

@@ -1,17 +1,21 @@
 (* Conservative sharded event loops (null-message synchronization).
 
    Each shard is a plain {!Engine.t}; cross-shard traffic rides
-   per-link timestamped mailboxes whose [lookahead] lower-bounds every
-   message delay.  A shard executes work strictly earlier than
+   timestamped links whose [lookahead] lower-bounds every message delay.
+   A shard executes work strictly earlier than
 
-     safe = min over inbound links (publish(src) + lookahead)
+     safe = min over source shards s (publish(s) + min lookahead of
+            s's links into this shard)
 
-   where [publish(src)] is the source shard's broadcast clock floor — a
+   where [publish(s)] is the source shard's broadcast clock floor — a
    lower bound on the date of anything it will still execute (and hence,
-   + lookahead, on anything it will still send).  A shard with nothing
-   executable under [safe] publishes [min (next candidate, safe)]
-   instead (the null message); with positive lookahead that fixpoint
-   strictly climbs, so the system cannot deadlock.
+   + lookahead, on anything it will still send).  This is the
+   Chandy–Misra–Bryant bound: it needs one term per source shard, not
+   per link, so it costs O(shards) however many links a scenario
+   declares.  A shard with nothing executable under [safe] publishes
+   [min (next candidate, safe)] instead (the null message); with
+   positive lookahead that fixpoint strictly climbs, so the system
+   cannot deadlock.
 
    Determinism does not depend on scheduling: shards own disjoint state,
    a message's delivery date is fixed at send time, and the executable
@@ -23,11 +27,12 @@
 
    Single-writer discipline: a shard is only ever pumped by one domain
    at a time (static assignment in [run]); its publish cell has one
-   writer, so plain read-after-read on the Atomic is race-free.
-   Mailboxes are the only shared mutable state and sit under a mutex;
-   the [l_head] date hint is re-published atomically after every
-   push/pop so peeking the head of all inbound links costs one atomic
-   load each, no locks. *)
+   writer, so plain read-after-read on the Atomic is race-free.  Each
+   shard's inbox — one min-heap of every message bound for it, whatever
+   the link — is the only shared mutable state and sits under a mutex;
+   its [ib_head] date hint is re-published atomically after every
+   push/pop, so peeking the next delivery costs one atomic load, no
+   lock and no allocation. *)
 
 type link = {
   l_src : int;
@@ -35,17 +40,43 @@ type link = {
   l_key : int;                     (* creation order: delivery tie-break *)
   l_lookahead : int;
   l_label : string;
-  l_src_pub : int Atomic.t;        (* the source shard's publish cell *)
-  l_mu : Mutex.t;
-  l_box : (unit -> unit) Heap.t;   (* prio = delivery date; FIFO per link *)
-  l_head : int Atomic.t;           (* earliest pending date; max_int = empty *)
-  mutable l_sent : int;            (* written by the source shard only *)
+}
+
+type msg = {
+  m_at : int;                      (* delivery date *)
+  m_key : int;                     (* the link's creation key *)
+  m_seq : int;                     (* inbox arrival order *)
+  m_label : string;
+  m_fn : unit -> unit;
+}
+
+(* Messages bound for one shard, ordered by (date, link key, arrival).
+   Every send on a link comes from its one source shard, pumped by one
+   domain at a time, so arrival order restricted to a link is that
+   link's send order: the inbox order is (date, link key, per-link send
+   order). *)
+type inbox = {
+  ib_mu : Mutex.t;
+  mutable ib_heap : msg array;     (* binary min-heap, [ib_len] live *)
+  mutable ib_len : int;
+  mutable ib_seq : int;
+  ib_head : int Atomic.t;          (* earliest pending date; max_int = empty *)
+}
+
+(* Every lookahead into a shard from one source shard folds into one
+   term of [safe]: that source's publish cell plus its smallest link
+   lookahead. *)
+type source = {
+  so_shard : int;
+  so_pub : int Atomic.t;
+  mutable so_lookahead : int;
 }
 
 type shard = {
   sh_ix : int;
   sh_engine : Engine.t;
-  mutable sh_inbound : link list;  (* ascending l_key *)
+  mutable sh_sources : source list;
+  sh_inbox : inbox;
   sh_publish : int Atomic.t;
   mutable sh_done : bool;          (* reached the current run's horizon *)
   mutable sh_was_blocked : bool;   (* edge detector: count blocked episodes *)
@@ -75,7 +106,15 @@ let create ?(seed = 0x5EEDL) ~shards () =
     {
       sh_ix = i;
       sh_engine = Engine.create ~seed:s ();
-      sh_inbound = [];
+      sh_sources = [];
+      sh_inbox =
+        {
+          ib_mu = Mutex.create ();
+          ib_heap = [||];
+          ib_len = 0;
+          ib_seq = 0;
+          ib_head = Atomic.make max_int;
+        };
       sh_publish = Atomic.make 0;
       sh_done = false;
       sh_was_blocked = false;
@@ -102,77 +141,116 @@ let link t ~src ~dst ~lookahead ?(label = "") () =
       "Sharded.link: lookahead must be > 0 (a zero-lookahead link cannot \
        be synchronized conservatively and would deadlock)";
   let l =
-    {
-      l_src = src;
-      l_dst = dst;
-      l_key = t.sd_links;
-      l_lookahead = lookahead;
-      l_label = label;
-      l_src_pub = t.sd_shards.(src).sh_publish;
-      l_mu = Mutex.create ();
-      l_box = Heap.create ();
-      l_head = Atomic.make max_int;
-      l_sent = 0;
-    }
+    { l_src = src; l_dst = dst; l_key = t.sd_links; l_lookahead = lookahead;
+      l_label = label }
   in
   t.sd_links <- t.sd_links + 1;
   let d = t.sd_shards.(dst) in
-  (* Keep inbound ascending by creation key so a plain scan breaks
-     equal-date delivery ties toward the oldest link. *)
-  d.sh_inbound <-
-    List.sort (fun a b -> compare a.l_key b.l_key) (l :: d.sh_inbound);
+  (match List.find_opt (fun so -> so.so_shard = src) d.sh_sources with
+  | Some so -> so.so_lookahead <- min so.so_lookahead lookahead
+  | None ->
+    d.sh_sources <-
+      { so_shard = src; so_pub = t.sd_shards.(src).sh_publish;
+        so_lookahead = lookahead }
+      :: d.sh_sources);
   l
 
+(* The inbox heap.  Callers hold [ib_mu].  {!Heap} orders by
+   (prio, insertion) only; the inbox needs the link key in between. *)
+
+let before a b =
+  a.m_at < b.m_at
+  || a.m_at = b.m_at
+     && (a.m_key < b.m_key || (a.m_key = b.m_key && a.m_seq < b.m_seq))
+
+(* Fills vacated slots so a delivered closure becomes unreachable at
+   once instead of pinning its captures until the slot is reused. *)
+let vacant = { m_at = max_int; m_key = 0; m_seq = 0; m_label = ""; m_fn = ignore }
+
+let rec sift_up h i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if before h.(i) h.(parent) then begin
+      let tmp = h.(i) in
+      h.(i) <- h.(parent);
+      h.(parent) <- tmp;
+      sift_up h parent
+    end
+  end
+
+let rec sift_down h len i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let m = if l < len && before h.(l) h.(i) then l else i in
+  let m = if r < len && before h.(r) h.(m) then r else m in
+  if m <> i then begin
+    let tmp = h.(i) in
+    h.(i) <- h.(m);
+    h.(m) <- tmp;
+    sift_down h len m
+  end
+
+let inbox_push ib m =
+  if ib.ib_len = Array.length ib.ib_heap then begin
+    let nh = Array.make (max 16 (2 * ib.ib_len)) vacant in
+    Array.blit ib.ib_heap 0 nh 0 ib.ib_len;
+    ib.ib_heap <- nh
+  end;
+  ib.ib_heap.(ib.ib_len) <- m;
+  ib.ib_len <- ib.ib_len + 1;
+  sift_up ib.ib_heap (ib.ib_len - 1);
+  Atomic.set ib.ib_head ib.ib_heap.(0).m_at
+
+let inbox_pop ib =
+  let h = ib.ib_heap in
+  let top = h.(0) in
+  ib.ib_len <- ib.ib_len - 1;
+  h.(0) <- h.(ib.ib_len);
+  h.(ib.ib_len) <- vacant;
+  sift_down h ib.ib_len 0;
+  Atomic.set ib.ib_head (if ib.ib_len = 0 then max_int else h.(0).m_at);
+  top
+
 (* Why a concurrent send can never undercut a receiver's [safe]: the
-   receiver read [publish(src) = P] and uses [safe = P + lookahead].
+   receiver read [publish(src) = P] and uses [safe <= P + lookahead].
    Any push it can subsequently observe was made while the source's
    clock was >= P (publish trails the clock from below), so its delivery
-   date is >= P + delay >= P + lookahead = safe — and the receiver only
+   date is >= P + delay >= P + lookahead >= safe — and the receiver only
    executes strictly below [safe].  Pushes made before publish reached P
-   are made visible by the SC atomics + mailbox mutex: the receiver
-   reads publishes first, head hints second. *)
+   are made visible by the SC atomics + inbox mutex: the receiver reads
+   publishes first, the head hint second.  The same argument lets the
+   receiver pop after an unlocked head peek: nothing dated below [safe]
+   can slip in ahead of the head it saw. *)
 let send t l ~delay fn =
   if delay < l.l_lookahead then
     invalid_arg "Sharded.send: delay below the link's declared lookahead";
   let at = Engine.now t.sd_shards.(l.l_src).sh_engine + delay in
-  Mutex.lock l.l_mu;
-  Heap.push l.l_box ~prio:at fn;
-  (match Heap.peek_prio l.l_box with
-  | Some p -> Atomic.set l.l_head p
-  | None -> assert false);
-  Mutex.unlock l.l_mu;
-  l.l_sent <- l.l_sent + 1
+  let ib = t.sd_shards.(l.l_dst).sh_inbox in
+  Mutex.lock ib.ib_mu;
+  inbox_push ib
+    { m_at = at; m_key = l.l_key; m_seq = ib.ib_seq; m_label = l.l_label;
+      m_fn = fn };
+  ib.ib_seq <- ib.ib_seq + 1;
+  Mutex.unlock ib.ib_mu
 
-let pop_delivery l =
-  Mutex.lock l.l_mu;
-  let r = Heap.pop l.l_box in
-  (match Heap.peek_prio l.l_box with
-  | Some p -> Atomic.set l.l_head p
-  | None -> Atomic.set l.l_head max_int);
-  Mutex.unlock l.l_mu;
-  match r with Some (_, fn) -> fn | None -> assert false
+(* Executes the earliest delivery on [s]'s own engine. *)
+let deliver s =
+  let ib = s.sh_inbox in
+  Mutex.lock ib.ib_mu;
+  let m = inbox_pop ib in
+  Mutex.unlock ib.ib_mu;
+  Engine.run_external s.sh_engine ~at:m.m_at ~label:m.m_label m.m_fn;
+  s.sh_delivered <- s.sh_delivered + 1
 
 let inbound_safe s =
   List.fold_left
-    (fun acc l ->
-      let v = Atomic.get l.l_src_pub + l.l_lookahead in
+    (fun acc so ->
+      let v = Atomic.get so.so_pub + so.so_lookahead in
       if v < acc then v else acc)
-    max_int s.sh_inbound
+    max_int s.sh_sources
 
-(* Earliest pending delivery: date + link, equal dates resolving to the
-   lowest creation key (the inbound list is key-ascending and the scan
-   uses strict [<]).  [max_int, None] when every mailbox is empty. *)
-let delivery_head s =
-  let best = ref max_int and best_l = ref None in
-  List.iter
-    (fun l ->
-      let h = Atomic.get l.l_head in
-      if h < !best then begin
-        best := h;
-        best_l := Some l
-      end)
-    s.sh_inbound;
-  (!best, !best_l)
+(* Date of the earliest pending delivery; max_int when the inbox is
+   empty. *)
+let delivery_head s = Atomic.get s.sh_inbox.ib_head
 
 (* Only the owning domain writes a shard's publish cell, so the
    read-then-set below is single-writer and needs no CAS. *)
@@ -191,15 +269,12 @@ let pump s ~horizon =
   let running = ref true in
   while !running do
     running := false;
-    let da, dl = delivery_head s in
+    let da = delivery_head s in
     let wa = wheel_next s.sh_engine in
     (* Deliveries beat local events on equal dates. *)
     if da <= wa then begin
       if da < safe && da <= horizon then begin
-        let l = match dl with Some l -> l | None -> assert false in
-        let fn = pop_delivery l in
-        Engine.run_external s.sh_engine ~at:da ~label:l.l_label fn;
-        s.sh_delivered <- s.sh_delivered + 1;
+        deliver s;
         publish_floor s (Engine.now s.sh_engine);
         progress := true;
         running := true
@@ -213,14 +288,13 @@ let pump s ~horizon =
     end
   done;
   (* Nothing executable under [safe]. *)
-  let da, _ = delivery_head s in
-  let cand = min da (wheel_next s.sh_engine) in
+  let cand = min (delivery_head s) (wheel_next s.sh_engine) in
   let bound = min cand safe in
   if bound > horizon then begin
     (* Both the local candidate and every possible future inbound
        delivery lie beyond the horizon: this shard is finished, and
        (because future sends to it arrive at >= safe > horizon) its
-       mailboxes can no longer grow below the horizon either. *)
+       inbox can no longer grow below the horizon either. *)
     Engine.advance_to s.sh_engine horizon;
     publish_floor s (horizon + 1);
     s.sh_done <- true
@@ -309,7 +383,7 @@ let run_horizon_parallel t ~horizon ~domains =
   List.iter Domain.join others
 
 (* Drain mode: execute the globally earliest work item until every wheel
-   and mailbox is empty.  The global merge executes each shard's events
+   and inbox is empty.  The global merge executes each shard's events
    in exactly the order the conservative loop would (the per-shard
    comparator is identical); it exists because "run until empty" has no
    horizon for the publish fixpoint to converge to. *)
@@ -319,8 +393,7 @@ let drain t =
     let best = ref max_int and best_s = ref None in
     Array.iter
       (fun s ->
-        let da, _ = delivery_head s in
-        let c = min da (wheel_next s.sh_engine) in
+        let c = min (delivery_head s) (wheel_next s.sh_engine) in
         if c < !best then begin
           best := c;
           best_s := Some s
@@ -329,13 +402,7 @@ let drain t =
     match !best_s with
     | None -> continue_ := false
     | Some s ->
-      let da, dl = delivery_head s in
-      if da <= wheel_next s.sh_engine then begin
-        let l = match dl with Some l -> l | None -> assert false in
-        let fn = pop_delivery l in
-        Engine.run_external s.sh_engine ~at:da ~label:l.l_label fn;
-        s.sh_delivered <- s.sh_delivered + 1
-      end
+      if delivery_head s <= wheel_next s.sh_engine then deliver s
       else ignore (Engine.step s.sh_engine)
   done
 
@@ -364,15 +431,10 @@ type shard_stats = {
 let stats t =
   Array.map
     (fun s ->
-      let boxed =
-        List.fold_left
-          (fun acc l ->
-            Mutex.lock l.l_mu;
-            let n = Heap.size l.l_box in
-            Mutex.unlock l.l_mu;
-            acc + n)
-          0 s.sh_inbound
-      in
+      let ib = s.sh_inbox in
+      Mutex.lock ib.ib_mu;
+      let boxed = ib.ib_len in
+      Mutex.unlock ib.ib_mu;
       {
         ss_shard = s.sh_ix;
         ss_clock = Engine.now s.sh_engine;

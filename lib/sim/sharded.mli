@@ -6,14 +6,18 @@
     ordinary {!Engine.t} with its own wheel queue, metrics registry and
     (optionally) trace ring.  Within a shard, events execute in exactly
     the engine's [(prio, seq)] order.  Shards interact only through
-    {!link}s: timestamped mailboxes whose [lookahead] is a lower bound on
+    {!link}s: timestamped channels whose [lookahead] is a lower bound on
     the latency of every message sent across them (the simulated
     inter-node link delay — netem/VXLAN underlay latency in this
-    repository's scenarios).
+    repository's scenarios).  Messages for a shard, whatever the link,
+    wait in that shard's one inbox, so the per-event cost of the loop
+    does not depend on how many links a scenario declares.
 
     Synchronization is conservative, in the classic null-message style:
     each shard may execute events strictly earlier than
-    [min over inbound links (publisher clock + lookahead)].  A shard
+    [min over source shards (publisher clock + smallest lookahead of
+    that source's links into the shard)] — one term per source shard,
+    however many links it has.  A shard
     that is blocked (or out of work) broadcasts its clock floor — the
     lower bound on its next event — so neighbours can advance even when
     a link is idle; these broadcasts are counted as null messages in
@@ -23,10 +27,10 @@
 
     Determinism is a hard invariant: a message's delivery date is fixed
     at send time, deliveries at equal dates order by (link creation
-    order, per-link send order) and execute before same-date local
-    events, so results are byte-identical however many shards the
-    scenario is folded onto and however many domains execute them —
-    [shards=1 ≡ shards=N], [domains=1 ≡ domains=D]. *)
+    order across all shards, per-link send order) and execute before
+    same-date local events, so results are byte-identical however many
+    shards the scenario is folded onto and however many domains execute
+    them — [shards=1 ≡ shards=N], [domains=1 ≡ domains=D]. *)
 
 type t
 
@@ -71,7 +75,7 @@ val run : ?until:Time.ns -> ?domains:int -> t -> unit
     every sub-engine clock ends at [>= until]).  [domains] (default 1)
     spreads shards across that many OCaml domains — results are
     identical for any value; only wall-clock time changes.  Omitting
-    [until] drains every queue and mailbox instead, which is only
+    [until] drains every queue and inbox instead, which is only
     supported single-domain (raises [Invalid_argument] with
     [domains > 1]). *)
 
@@ -79,11 +83,17 @@ type shard_stats = {
   ss_shard : int;
   ss_clock : Time.ns;      (** Sub-engine clock after the last run. *)
   ss_events : int;         (** Events executed (local + deliveries). *)
-  ss_delivered : int;      (** Cross-shard mailbox deliveries executed. *)
+  ss_delivered : int;      (** Cross-shard inbox deliveries executed. *)
   ss_blocked : int;        (** Times the loop stalled on lookahead. *)
   ss_null : int;           (** Clock broadcasts sent while blocked. *)
-  ss_pending : int;        (** Events left queued (beyond the horizon). *)
+  ss_pending : int;
+      (** Work left beyond the horizon: queued local events plus inbox
+          messages. *)
 }
 
 val stats : t -> shard_stats array
-(** Per-shard progress/imbalance counters, indexed by shard. *)
+(** Per-shard progress/imbalance counters, indexed by shard.  Every
+    field is deterministic on one domain.  With [domains > 1],
+    [ss_blocked] and [ss_null] count how often a shard found its
+    neighbours behind, which depends on how the domains interleave; the
+    other fields do not. *)
