@@ -376,10 +376,11 @@ let run_jobs_scaling ~jobs () =
     js_identical = identical }
 
 (* ------------------------------------------------------------------ *)
-(* Sharded-engine scaling: the cross-node cluster ring (fig_cluster) at
-   shards=1 against shards=4 pumped by several domains, with the digest
-   identity that makes the comparison meaningful — the partitioned run
-   must be byte-identical, only wall-clock may move. *)
+(* Sharded-engine scaling: the open-loop fleet (fig_fleet) at 40k req/s
+   — enough work (about 300k events) for the wall time to mean
+   something — at shards=1 against shards=4 pumped by several domains,
+   with the digest identity that makes the comparison meaningful: the
+   partitioned run must be byte-identical, only wall-clock may move. *)
 
 type shard_scaling = {
   sh_shards : int;
@@ -392,14 +393,16 @@ type shard_scaling = {
 let run_shard_scaling () =
   print_newline ();
   let cores = Nest_sim.Domain_pool.recommended_jobs () in
+  let params = { Fig_fleet.default_params with Fig_fleet.rate = 40000.0 } in
   let shards = 4 in
   let domains = max 1 (min shards cores) in
   Printf.printf
-    "== Sharded engine (cluster ring, shards=1 vs shards=%d domains=%d) ==\n"
-    shards domains;
+    "== Sharded engine (fleet, %d nodes at %.0f req/s, shards=1 vs \
+     shards=%d domains=%d) ==\n"
+    params.Fig_fleet.nodes params.Fig_fleet.rate shards domains;
   let timed ~shards ~domains =
     let t0 = Unix.gettimeofday () in
-    let d = Fig_cluster.digest ~nodes:4 ~shards ~domains ~quick:true () in
+    let d = Fig_fleet.digest ~params ~shards ~domains ~quick:true () in
     (Unix.gettimeofday () -. t0, d)
   in
   let serial_s, d1 = timed ~shards:1 ~domains:1 in
@@ -420,62 +423,10 @@ let run_shard_scaling () =
     sh_parallel_s = parallel_s; sh_identical = identical }
 
 (* ------------------------------------------------------------------ *)
-(* Fleet throughput: the PR-9 open-loop fleet scenario (fig_fleet —
-   per-node load generators, wire ring, live trace churn) at shards=1
-   against a sharded multi-domain run.  Identity is the gate; the
-   speedup column shows what the conservative parallel engine buys on
-   the heaviest composed scenario in the repo. *)
-
-type fleet_scaling = {
-  fs_nodes : int;
-  fs_pods : int;
-  fs_rate : float;
-  fs_shards : int;
-  fs_domains : int;
-  fs_serial_s : float;
-  fs_parallel_s : float;
-  fs_identical : bool;
-}
-
-let run_fleet_scaling () =
-  print_newline ();
-  let cores = Nest_sim.Domain_pool.recommended_jobs () in
-  let p = Fig_fleet.default_params in
-  let shards = 4 in
-  let domains = max 1 (min shards cores) in
-  Printf.printf
-    "== Open-loop fleet (fig_fleet, %d nodes, shards=1 vs shards=%d \
-     domains=%d) ==\n"
-    p.Fig_fleet.nodes shards domains;
-  let timed ~shards ~domains =
-    let t0 = Unix.gettimeofday () in
-    let d = Fig_fleet.digest ~params:p ~shards ~domains ~quick:true () in
-    (Unix.gettimeofday () -. t0, d)
-  in
-  let serial_s, d1 = timed ~shards:1 ~domains:1 in
-  let parallel_s, dn = timed ~shards ~domains in
-  let identical = String.equal d1 dn in
-  Printf.printf "%-42s %10.2f s\n" "shards=1 domains=1" serial_s;
-  Printf.printf "%-42s %10.2f s  (%.2fx)\n"
-    (Printf.sprintf "shards=%d domains=%d" shards domains)
-    parallel_s
-    (if parallel_s > 0.0 then serial_s /. parallel_s else 0.0);
-  Printf.printf "%-42s %s\n" "digests identical"
-    (if identical then "yes" else "NO — DETERMINISM VIOLATION");
-  if not (speedup_gated ()) then
-    Printf.printf
-      "%-42s (host has %d core(s): speedup recorded but not asserted)\n" ""
-      cores;
-  { fs_nodes = p.Fig_fleet.nodes; fs_pods = p.Fig_fleet.pods;
-    fs_rate = p.Fig_fleet.rate; fs_shards = shards; fs_domains = domains;
-    fs_serial_s = serial_s; fs_parallel_s = parallel_s;
-    fs_identical = identical }
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable output (--json PATH): micro rows, observability
    overhead and fan-out scaling as one BENCH_*.json document. *)
 
-let write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling =
+let write_json ~path ~rows ~overhead ~scaling ~shard_scaling =
   let esc = Nest_sim.Trace.json_escape in
   let b = Buffer.create 4096 in
   let fl v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
@@ -542,22 +493,6 @@ let write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling =
              else 0.0))
          (Nest_sim.Domain_pool.recommended_jobs ())
          s.sh_identical));
-  (match fleet_scaling with
-  | None -> ()
-  | Some s ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"fleet_throughput\": {\"nodes\": %d, \"pods\": %d, \
-          \"rate_per_s\": %s, \"shards\": %d, \"domains\": %d, \
-          \"serial_s\": %s, \"parallel_s\": %s, \"speedup\": %s, \
-          \"host_cores\": %d, \"identical\": %b},\n"
-         s.fs_nodes s.fs_pods (fl s.fs_rate) s.fs_shards s.fs_domains
-         (fl s.fs_serial_s) (fl s.fs_parallel_s)
-         (fl
-            (if s.fs_parallel_s > 0.0 then s.fs_serial_s /. s.fs_parallel_s
-             else 0.0))
-         (Nest_sim.Domain_pool.recommended_jobs ())
-         s.fs_identical));
   Buffer.add_string b
     (Printf.sprintf "  \"host_cores\": %d\n}\n"
        (Nest_sim.Domain_pool.recommended_jobs ()));
@@ -697,8 +632,7 @@ let () =
     (match !json with
     | None -> ()
     | Some path ->
-      write_json ~path ~rows:[] ~overhead ~scaling:None ~shard_scaling:None
-        ~fleet_scaling:None);
+      write_json ~path ~rows:[] ~overhead ~scaling:None ~shard_scaling:None);
     exit 0
   end;
   if not micro_only then begin
@@ -720,13 +654,10 @@ let () =
   let shard_scaling =
     if !no_shards then None else Some (run_shard_scaling ())
   in
-  let fleet_scaling =
-    if !no_shards then None else Some (run_fleet_scaling ())
-  in
   (match !json with
   | None -> ()
   | Some path ->
-    write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling);
+    write_json ~path ~rows ~overhead ~scaling ~shard_scaling);
   let ok = ref true in
   (match !baseline with
   | None -> ()
@@ -748,11 +679,6 @@ let () =
   (match scaling with
   | Some s when not s.js_identical ->
     print_endline "bench: FAIL — jobs fan-out result mismatch";
-    ok := false
-  | _ -> ());
-  (match fleet_scaling with
-  | Some s when not s.fs_identical ->
-    print_endline "bench: FAIL — fleet digest mismatch";
     ok := false
   | _ -> ());
   print_newline ();

@@ -16,6 +16,14 @@ let list_cmd () =
         e.Nest_experiments.Registry.description)
     (Nest_experiments.Registry.all @ Nest_experiments.Registry.ablations)
 
+(* A path that cannot be read or written, or a file that does not
+   parse, ends the command like any other bad input: one line on stderr
+   and exit 1, not an uncaught exception. *)
+let or_exit f =
+  try f () with Sys_error msg | Failure msg ->
+    Printf.eprintf "nestsim: %s\n" msg;
+    exit 1
+
 let run_cmd ids quick jobs shards trace metrics obs_json trace_capacity =
   if trace_capacity <= 0 then begin
     Printf.eprintf "nestsim: --trace-capacity must be positive (got %d)\n"
@@ -76,6 +84,10 @@ let obs_cmd ids quick shards out trace_capacity timeline_period_us prov_sample
       prov_sample;
     exit 1
   end;
+  (* The trace is written only after every experiment has run, so find
+     out now whether --out can be opened. *)
+  or_exit (fun () ->
+      close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 out));
   Nest_experiments.Exp_util.Obs.configure ~trace:true ~metrics:true
     ~provenance:true ~prov_sample ~timeline:true ~trace_capacity
     ~timeline_period:(Nest_sim.Time.us timeline_period_us) ();
@@ -196,7 +208,7 @@ let shards =
                  DESIGN.md).  Results are byte-identical for any value; \
                  single-testbed experiments embed at shard 0, so this \
                  mainly exercises the sharded loop — multi-node scaling \
-                 lives in the $(b,cluster) subcommand.")
+                 lives in the $(b,fleet) subcommand.")
 
 let ids =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
@@ -401,66 +413,6 @@ let profile_arg =
                  for any shard split.  Default: unimpaired fixed-latency \
                  links.")
 
-let cluster_cmd nodes shards domains seed quick check profile =
-  if nodes <= 0 then begin
-    Printf.eprintf "nestsim: --nodes must be positive (got %d)\n" nodes;
-    exit 1
-  end;
-  if shards <= 0 then begin
-    Printf.eprintf "nestsim: --shards must be positive (got %d)\n" shards;
-    exit 1
-  end;
-  if domains <= 0 then begin
-    Printf.eprintf "nestsim: --domains must be positive (got %d)\n" domains;
-    exit 1
-  end;
-  let profile = resolve_profile profile in
-  if check then begin
-    if not (Nest_experiments.Fig_cluster.check ~nodes ~seed ?profile ~quick ())
-    then exit 1
-  end
-  else
-    Nest_experiments.Fig_cluster.run ~nodes ~shards ~domains ~seed ?profile
-      ~quick ()
-
-let cluster_term =
-  let nodes =
-    Arg.(value & opt int 4
-         & info [ "nodes" ] ~docv:"N"
-             ~doc:"Ring size: $(docv) full single-node testbeds, node i's \
-                   client driving node i+1's service across a wire.")
-  in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"D"
-             ~doc:"OS-level parallelism: pump the shards from $(docv) \
-                   domains (capped at the shard count).  The digest is \
-                   identical for any value.")
-  in
-  let seed =
-    Arg.(value & opt int64 42L
-         & info [ "seed" ] ~docv:"SEED"
-             ~doc:"Root seed; each node keys its private streams off it, \
-                   so the outcome is independent of placement.")
-  in
-  let check =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Determinism guard: digest the scenario at shards 1, 2 \
-                   and 4 (the latter two also with 2 domains); exit \
-                   non-zero unless all digests are byte-identical.")
-  in
-  let doc =
-    "Cross-node UDP_RR ring on the sharded parallel engine: one \
-     conservative sub-engine per shard, inter-node links providing the \
-     synchronization lookahead.  The scenario the single sequential \
-     event loop capped — and the determinism witness for --shards."
-  in
-  Cmd.v (Cmd.info "cluster" ~doc)
-    Term.(
-      const cluster_cmd $ nodes $ shards $ domains $ seed $ quick $ check
-      $ profile_arg)
-
 let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
     fault_rate standby admission autoscale service_us pods_max frontier =
   if nodes <= 0 then begin
@@ -578,8 +530,10 @@ let fleet_term =
     Arg.(value & flag
          & info [ "check" ]
              ~doc:"Determinism guard: digest the scenario at (shards, \
-                   domains) = (1,1), (2,1), (4,2) and (4,4); exit non-zero \
-                   unless all digests are byte-identical.")
+                   domains) = (1,1), (2,1), (2,2), (4,2) and (4,4), shards \
+                   capped at the fleet size and domains at the shard count \
+                   (a split that collapses onto an earlier one runs once); \
+                   exit non-zero unless all digests are byte-identical.")
   in
   let fault_rate =
     Arg.(value & opt float 0.0
@@ -667,10 +621,10 @@ let trace_term =
     Term.(
       const (fun action users seed out file ->
           match action with
-          | `Gen -> trace_gen users seed out
+          | `Gen -> or_exit (fun () -> trace_gen users seed out)
           | `Stats -> (
             match file with
-            | Some f -> trace_stats f
+            | Some f -> or_exit (fun () -> trace_stats f)
             | None -> prerr_endline "trace stats: FILE required"; Stdlib.exit 1))
       $ action $ users $ seed $ out $ file)
 
@@ -679,7 +633,7 @@ let main =
   Cmd.group
     (Cmd.info "nestsim" ~version:"1.0.0" ~doc)
     ~default:Term.(const (fun () -> list_cmd ()) $ const ())
-    [ run_term; list_term; obs_term; chaos_term; cluster_term; fleet_term;
+    [ run_term; list_term; obs_term; chaos_term; fleet_term;
       trace_term ]
 
 let () = exit (Cmd.eval main)

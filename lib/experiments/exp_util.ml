@@ -27,6 +27,38 @@ let print_shard_table sd =
         (float_of_int s.Nest_sim.Sharded.ss_clock /. 1e6))
     (Nest_sim.Sharded.stats sd)
 
+let splits = [ (1, 1); (2, 1); (2, 2); (4, 2); (4, 4) ]
+
+(* A scenario clamps shards to its node count and Sharded.run caps
+   domains at the shard count, so on small scenarios several requested
+   splits run the same way: keep the first of each. *)
+let splits_for ~nodes =
+  List.fold_left
+    (fun acc (s, d) ->
+      let s = max 1 (min s nodes) in
+      let sd = (s, max 1 (min d s)) in
+      if List.mem sd acc then acc else sd :: acc)
+    [] splits
+  |> List.rev
+
+let digests_agree ~title cells =
+  let verdicts =
+    List.concat_map
+      (fun (cell, runs) ->
+        let reference = snd (List.hd runs) in
+        List.map
+          (fun (run, dg) ->
+            let same = String.equal dg reference in
+            Printf.printf "%s %s  %s  %s\n" cell run dg
+              (if same then "ok" else "MISMATCH");
+            same)
+          runs)
+      cells
+  in
+  let ok = List.for_all Fun.id verdicts in
+  Printf.printf "%s: %s\n" title (if ok then "bit-identical" else "MISMATCH");
+  ok
+
 module Obs = struct
   (* Presentation-layer switchboard for the CLI's --trace/--metrics
      flags.  The observability *data* lives on each run's engine (and

@@ -15,6 +15,22 @@ val print_shard_table : Nest_sim.Sharded.t -> unit
     events processed, cross-shard deliveries, clock advances blocked on
     lookahead, null messages sent, queue backlog and final clock. *)
 
+val splits : (int * int) list
+(** The (shards, domains) splits every determinism check runs:
+    (1,1) (2,1) (2,2) (4,2) (4,4).  The first is the reference. *)
+
+val splits_for : nodes:int -> (int * int) list
+(** {!splits} as they actually run on a [nodes]-node scenario: shards
+    clamped to [1, nodes], domains to the shard count, duplicates
+    dropped (first kept, so the reference stays first). *)
+
+val digests_agree : title:string -> (string * (string * string) list) list -> bool
+(** [digests_agree ~title cells]: each cell is [(label, runs)], its runs
+    [(label, digest)] executions of the same computation, the first the
+    reference.  Prints one ["<cell> <run>  <digest>  ok|MISMATCH"] line
+    per run, then ["<title>: bit-identical"] (or [MISMATCH]).  True iff
+    every run matches its cell's reference. *)
+
 (** Observability switchboard for the experiment drivers (the CLI's
     [--trace]/[--metrics] flags).  [configure] sets what to collect;
     the [deploy_*_sync] helpers attach each testbed they create; [dump]

@@ -131,31 +131,27 @@ let check ?(seed = 42L) ?(jobs = 4) ?(workload = Chaos.Probe) ?(standby = 0)
   Exp_util.Par.set_jobs 1;
   let repeat = List.map digest_of cs in
   let identical =
-    List.for_all2 String.equal sequential parallel
-    && List.for_all2 String.equal sequential repeat
+    Exp_util.digests_agree
+      ~title:
+        (Printf.sprintf
+           "chaos determinism (%d cells, workload=%s, --jobs 1 vs --jobs %d \
+            vs repeat)"
+           (List.length cs)
+           (Chaos.workload_to_string workload)
+           jobs)
+      (List.mapi
+         (fun i (mode, rate) ->
+           ( Printf.sprintf "%-9s rate %.2f" (Chaos.mode_to_string mode) rate,
+             [ ("jobs=1", List.nth sequential i);
+               (Printf.sprintf "jobs=%d" jobs, List.nth parallel i);
+               ("repeat", List.nth repeat i) ] ))
+         cs)
   in
   let clean =
     List.for_all
       (fun o -> o.Chaos.o_leaked_leases = 0 && o.Chaos.o_invariants = [])
       sequential_o
   in
-  List.iteri
-    (fun i (mode, rate) ->
-      Printf.printf "%-9s rate %.2f  %s  %s\n" (Chaos.mode_to_string mode)
-        rate (List.nth sequential i)
-        (if
-           String.equal (List.nth sequential i) (List.nth parallel i)
-           && String.equal (List.nth sequential i) (List.nth repeat i)
-         then "ok"
-         else "MISMATCH"))
-    cs;
-  Printf.printf
-    "chaos determinism (%d cells, workload=%s, --jobs 1 vs --jobs %d vs \
-     repeat): %s\n"
-    (List.length cs)
-    (Chaos.workload_to_string workload)
-    jobs
-    (if identical then "bit-identical" else "MISMATCH");
   if not clean then
     List.iter
       (fun o ->

@@ -27,7 +27,8 @@ val check :
   bool
 (** Determinism guard: runs a fixed cell set sequentially, fanned across
     [jobs] domains, and sequentially again; compares
-    {!Nest_fault.Chaos.digest} per cell and prints a verdict.  Also
+    {!Nest_fault.Chaos.digest} per cell with {!Exp_util.digests_agree},
+    which prints one line per cell and run, then a verdict.  Also
     fails on any exactly-once violation (leaked IPAM lease, broken
     {!Nest_virt.Vmm} invariant) in the sequential pass.  [true] iff all
     digests match and every cell is clean. *)

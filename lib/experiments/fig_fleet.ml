@@ -1,13 +1,20 @@
 (* Fleet-scale trace replay under open-loop load.  See fig_fleet.mli.
 
-   Determinism follows fig_cluster's disciplines — per-node streams
-   keyed on the root seed (never on placement), all cross-node traffic
-   through Wire relays, setup scheduled rather than driven — plus one
-   more: the live trace replay (placement, lifetimes, departures) runs
-   entirely in events on the control-plane shard (shard 0), the only
-   mutator of scheduler state during the measurement window, so the
-   churn outcome is one shard's deterministic event order regardless of
-   how many domains pump the fleet. *)
+   Determinism across (shards, domains) splits rests on four
+   disciplines the setup below follows:
+   - every node, link-direction and churn random stream is keyed on the
+     root seed plus a fixed index ([node_seed]), never drawn from a
+     sub-engine root, which depends on placement;
+   - all inter-node traffic crosses Wire relays (mailboxes with delivery
+     dates fixed at send time), even when both ends share a shard;
+   - setup work is scheduled, never driven, per node: the sharded loop
+     runs once over each phase, so no node's clock outruns another's
+     during deployment;
+   - the live trace replay (placement, lifetimes, departures) runs
+     entirely in events on the control-plane shard (shard 0), the only
+     mutator of scheduler state during the measurement window, so the
+     churn outcome is one shard's deterministic event order regardless
+     of how many domains pump the fleet. *)
 
 open Nestfusion
 module Sharded = Nest_sim.Sharded
@@ -838,25 +845,15 @@ let frontier ?(params = default_params) ?shards ?(domains = 1) ~quick () =
     cells
 
 let check ?(params = default_params) ~quick () =
-  let configs = [ (1, 1); (2, 1); (4, 2); (4, 4) ] in
-  let digests =
+  let runs =
     List.map
       (fun (shards, domains) ->
-        let shards = max 1 (min shards params.nodes) in
-        let dg = digest ~params ~shards ~domains ~quick () in
-        ((shards, domains), dg))
-      configs
+        ( Printf.sprintf "shards=%d domains=%d" shards domains,
+          digest ~params ~shards ~domains ~quick () ))
+      (Exp_util.splits_for ~nodes:params.nodes)
   in
-  let reference = snd (List.hd digests) in
-  List.iter
-    (fun ((s, d), dg) ->
-      Printf.printf "fleet shards=%d domains=%d  %s  %s\n" s d dg
-        (if String.equal dg reference then "ok" else "MISMATCH"))
-    digests;
-  let identical =
-    List.for_all (fun (_, dg) -> String.equal dg reference) digests
-  in
-  Printf.printf "fleet determinism (%d nodes, %d configs): %s\n" params.nodes
-    (List.length configs)
-    (if identical then "bit-identical" else "MISMATCH");
-  identical
+  Exp_util.digests_agree
+    ~title:
+      (Printf.sprintf "fleet determinism (%d nodes, %d configs)" params.nodes
+         (List.length runs))
+    [ ("fleet", runs) ]

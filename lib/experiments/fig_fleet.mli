@@ -91,6 +91,7 @@ val frontier :
     completions/p99 delivered by the serving mode. *)
 
 val check : ?params:params -> quick:bool -> unit -> bool
-(** Determinism guard: digests at (shards, domains) in
-    {[(1,1); (2,1); (4,2); (4,4)]} (shards clamped to the fleet size)
-    must all match; prints one line per configuration. *)
+(** Determinism guard: the digest at every split of
+    {!Exp_util.splits_for} (the shared split list as it runs on
+    [params.nodes] nodes, duplicates dropped) must match the (1,1) one;
+    prints one line per split that ran ({!Exp_util.digests_agree}). *)

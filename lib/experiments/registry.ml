@@ -73,9 +73,6 @@ let ablations =
     { id = "chaos";
       description = "Fault injection & recovery: availability per mode";
       run = (fun ~quick -> Fig_chaos.run ~quick ()) };
-    { id = "cluster";
-      description = "Cross-node UDP_RR ring on the sharded engine";
-      run = (fun ~quick -> Fig_cluster.run ~quick ()) };
     { id = "fleet";
       description = "Fleet-scale trace replay under open-loop load";
       run = (fun ~quick -> Fig_fleet.run ~quick ()) } ]

@@ -35,7 +35,7 @@ val dropped_overflow : t -> int
     The degraded-network matrix (n3x-style tc profiles): each profile
     bundles one-way delay, jitter, loss probability and a queue limit
     under a stable name, usable both for {!shape} on a device and as
-    per-link wire latencies in the [fleet]/[cluster] scenarios (the
+    per-link wire latencies in the [fleet] scenario (the
     profile's [p_delay] becomes the conservative lookahead; jitter and
     loss are applied per datagram by the wire's impairment stage). *)
 

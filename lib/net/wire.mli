@@ -11,10 +11,10 @@
     and replies retrace the path.
 
     Payloads cross untouched, so request/response tagging (e.g. netperf's
-    [Rr_tagged]) survives the relay.  A wire serves one closed-loop flow:
-    replies return to the most recent client source address, which is
-    exact for the one-outstanding-transaction drivers used in the
-    cluster scenarios. *)
+    [Rr_tagged]) survives the relay.  Replies return to the most recent
+    client source address, which is exact while all of a wire's traffic
+    comes from one client socket, as each node's generator in the fleet
+    scenario does. *)
 
 type t
 

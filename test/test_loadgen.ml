@@ -217,22 +217,47 @@ let test_open_vs_closed_divergence () =
 
 (* --- fleet scenario determinism ----------------------------------- *)
 
+module Fig_fleet = Nest_experiments.Fig_fleet
+module Exp_util = Nest_experiments.Exp_util
+
 (* End-to-end guard at unit-test scale: a 3-node fleet (one node per
-   deployment mode) must produce a byte-identical digest however the
-   event loop is sharded and however many domains drive it. *)
+   deployment mode) must produce a byte-identical digest at every split
+   of the shared list, as it runs on three nodes. *)
 let test_fleet_digest_determinism () =
   let params =
-    { Nest_experiments.Fig_fleet.default_params with
-      Nest_experiments.Fig_fleet.nodes = 3;
-      pods = 30;
+    { Fig_fleet.default_params with Fig_fleet.nodes = 3; pods = 30;
       rate = 600.0 }
   in
-  let d ~shards ~domains =
-    Nest_experiments.Fig_fleet.digest ~params ~shards ~domains ~quick:true ()
+  Alcotest.(check bool) "fleet check" true
+    (Fig_fleet.check ~params ~quick:true ())
+
+(* Splits that collapse onto an earlier one once shards are capped at
+   the fleet size (and domains at the shard count) run once, labelled
+   as they ran: a one-node check is a single (1,1) run. *)
+let test_fleet_check_splits () =
+  let splits = Alcotest.(list (pair int int)) in
+  Alcotest.check splits "one node" [ (1, 1) ] (Exp_util.splits_for ~nodes:1);
+  Alcotest.check splits "three nodes"
+    [ (1, 1); (2, 1); (2, 2); (3, 2); (3, 3) ]
+    (Exp_util.splits_for ~nodes:3);
+  Alcotest.check splits "four nodes run the whole list" Exp_util.splits
+    (Exp_util.splits_for ~nodes:4);
+  Alcotest.(check bool) "one-node check passes" true
+    (Fig_fleet.check
+       ~params:{ Fig_fleet.default_params with Fig_fleet.nodes = 1; pods = 10;
+                 rate = 300.0 }
+       ~quick:true ())
+
+(* The shared compare fails on any run that differs from its cell's
+   first run, wherever it sits. *)
+let test_digests_agree () =
+  let cells last =
+    [ ("a", [ ("r1", "x"); ("r2", "x") ]); ("b", [ ("r1", "y"); ("r2", last) ]) ]
   in
-  let base = d ~shards:1 ~domains:1 in
-  Alcotest.(check string) "shards 2" base (d ~shards:2 ~domains:1);
-  Alcotest.(check string) "shards 3, domains 2" base (d ~shards:3 ~domains:2)
+  Alcotest.(check bool) "all equal" true
+    (Exp_util.digests_agree ~title:"t" (cells "y"));
+  Alcotest.(check bool) "last run of the last cell differs" false
+    (Exp_util.digests_agree ~title:"t" (cells "z"))
 
 let () =
   Alcotest.run "loadgen"
@@ -252,4 +277,8 @@ let () =
             test_open_vs_closed_divergence ] );
       ( "fleet",
         [ Alcotest.test_case "digest across shards/domains" `Slow
-            test_fleet_digest_determinism ] ) ]
+            test_fleet_digest_determinism;
+          Alcotest.test_case "clamped splits run once" `Quick
+            test_fleet_check_splits;
+          Alcotest.test_case "digest mismatch flagged" `Quick
+            test_digests_agree ] ) ]

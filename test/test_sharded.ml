@@ -1,12 +1,13 @@
 (* Conservative sharded engine: primitive ordering contracts, the
    deadlock guard, and the tentpole invariant — shards=1 ≡ shards=N
-   byte-identical on the cross-node scenario and under chaos. *)
+   byte-identical on generated fleet configurations and under chaos. *)
 
 module Sharded = Nest_sim.Sharded
 module Engine = Nest_sim.Engine
 module Time = Nest_sim.Time
 module Chaos = Nest_fault.Chaos
-module Fig_cluster = Nest_experiments.Fig_cluster
+module Fig_fleet = Nest_experiments.Fig_fleet
+module Exp_util = Nest_experiments.Exp_util
 
 (* ------------------------------------------------------------------ *)
 (* Primitives. *)
@@ -269,14 +270,65 @@ let prop_delivery_order =
 (* ------------------------------------------------------------------ *)
 (* The tentpole invariant on the real scenario. *)
 
-let test_cluster_digest_shard_identity () =
-  let digest ?domains shards =
-    Fig_cluster.digest ~nodes:4 ~shards ?domains ~quick:true ()
-  in
-  let d1 = digest 1 in
-  Alcotest.(check string) "shards 1 = 2" d1 (digest 2);
-  Alcotest.(check string) "shards 1 = 4" d1 (digest 4);
-  Alcotest.(check string) "shards 4 over 2 domains" d1 (digest ~domains:2 4)
+(* Generated fleet configurations: the digest at any split of the
+   shared list equals the (1,1) digest, and both runs balance their
+   books (every offered request was shed, lost or completed). *)
+let gen_fleet_config =
+  let open QCheck.Gen in
+  let* nodes = int_range 1 6 in
+  let* pods = int_range 0 60 in
+  let* rate = oneofl [ 300.0; 2000.0; 6000.0 ] in
+  let* profile = oneofl [ "none"; "lossy"; "wan" ] in
+  let* fault_rate = oneofl [ 0.0; 0.3 ] in
+  let* admission = oneofl [ `Fixed; `Burn; `Codel ] in
+  let* autoscale = bool in
+  let* service_us = oneofl [ 0.25; 2000.0 ] in
+  let* standby = int_range 0 2 in
+  let* seed = int_bound 1_000_000 in
+  let+ split = oneofl (List.tl Exp_util.splits) in
+  ( { Fig_fleet.default_params with
+      Fig_fleet.nodes; pods; rate; profile = Nest_net.Netem.profile profile;
+      fault_rate; admission; autoscale; service_us; standby;
+      seed = Int64.of_int seed },
+    split )
+
+let print_fleet_config ((p : Fig_fleet.params), (shards, domains)) =
+  Printf.sprintf
+    "nodes=%d pods=%d rate=%g profile=%s fault-rate=%g admission=%s \
+     autoscale=%b service-us=%g standby=%d seed=%Ld shards=%d domains=%d"
+    p.nodes p.pods p.rate
+    (match p.profile with Some pr -> pr.Nest_net.Netem.p_name | None -> "none")
+    p.fault_rate
+    (Fig_fleet.admission_to_string p.admission)
+    p.autoscale p.service_us p.standby p.seed shards domains
+
+(* Shrink towards the plainest fleet one field at a time, keeping the
+   split, so a failure reports the fewest features that still break. *)
+let shrink_fleet_config ((p : Fig_fleet.params), split) yield =
+  let d = Fig_fleet.default_params in
+  List.iter
+    (fun p' -> if p' <> p then yield (p', split))
+    [ { p with nodes = max 1 (p.nodes - 1) }; { p with pods = p.pods / 2 };
+      { p with rate = 300.0 }; { p with profile = None };
+      { p with fault_rate = 0.0 }; { p with admission = d.admission };
+      { p with autoscale = false }; { p with service_us = d.service_us };
+      { p with standby = 0 } ]
+
+let prop_fleet_digest_identity =
+  QCheck.Test.make ~count:40 ~name:"generated fleet digest identity"
+    (QCheck.make ~print:print_fleet_config ~shrink:shrink_fleet_config
+       gen_fleet_config)
+    (fun (params, (shards, domains)) ->
+      let run ~shards ~domains =
+        Fig_fleet.summarize ~params ~shards ~domains ~quick:true ()
+      in
+      let books (s : Fig_fleet.summary) =
+        s.s_offered = s.s_shed + s.s_lost + s.s_completed
+      in
+      let reference = run ~shards:1 ~domains:1 in
+      let split = run ~shards ~domains in
+      String.equal reference.s_digest split.s_digest
+      && books reference && books split)
 
 (* The chaos digest must survive the CLI's --shards knob: a fused-cell
    run is single-testbed, so folding it onto N shards must be a no-op
@@ -316,8 +368,7 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "cluster digest shard identity" `Slow
-            test_cluster_digest_shard_identity;
+          QCheck_alcotest.to_alcotest prop_fleet_digest_identity;
           Alcotest.test_case "chaos digest with --shards" `Quick
             test_chaos_digest_with_shards;
         ] );
