@@ -335,6 +335,11 @@ let chaos_cmd rates seed jobs shards quick check workload standby =
       | [] -> Nest_experiments.Fig_chaos.default_rates
       | rs -> rs
     in
+    (match Nest_experiments.Fig_chaos.validate_rates rates with
+    | Ok () -> ()
+    | Error msg ->
+      Printf.eprintf "nestsim: --%s\n" msg;
+      exit 1);
     Nest_experiments.Fig_chaos.run ~rates ~seed ~workload ~standby ~quick ()
   end
 
@@ -415,33 +420,12 @@ let profile_arg =
 
 let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
     fault_rate standby admission autoscale service_us pods_max frontier =
-  if nodes <= 0 then begin
-    Printf.eprintf "nestsim: --nodes must be positive (got %d)\n" nodes;
-    exit 1
-  end;
-  if pods < 0 then begin
-    Printf.eprintf "nestsim: --pods must be >= 0 (got %d)\n" pods;
-    exit 1
-  end;
-  if rate <= 0.0 then begin
-    Printf.eprintf "nestsim: --rate must be positive (got %g)\n" rate;
-    exit 1
-  end;
   if shards <= 0 then begin
     Printf.eprintf "nestsim: --shards must be positive (got %d)\n" shards;
     exit 1
   end;
   if domains <= 0 then begin
     Printf.eprintf "nestsim: --domains must be positive (got %d)\n" domains;
-    exit 1
-  end;
-  if fault_rate < 0.0 || fault_rate > 1.0 then begin
-    Printf.eprintf "nestsim: --fault-rate must be in [0,1] (got %g)\n"
-      fault_rate;
-    exit 1
-  end;
-  if standby < 0 then begin
-    Printf.eprintf "nestsim: --standby must be >= 0 (got %d)\n" standby;
     exit 1
   end;
   let arrival =
@@ -453,15 +437,6 @@ let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
         "nestsim: unknown --arrival %S (expected poisson or constant)\n" a;
       exit 1
   in
-  if service_us <= 0.0 then begin
-    Printf.eprintf "nestsim: --service-us must be positive (got %g)\n"
-      service_us;
-    exit 1
-  end;
-  if pods_max < 1 then begin
-    Printf.eprintf "nestsim: --pods-max must be >= 1 (got %d)\n" pods_max;
-    exit 1
-  end;
   let admission =
     match Nest_experiments.Fig_fleet.admission_of_string admission with
     | Some a -> a
@@ -476,6 +451,11 @@ let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
     { Nest_experiments.Fig_fleet.nodes; pods; rate; arrival; profile;
       fault_rate; standby; admission; autoscale; service_us; pods_max; seed }
   in
+  (match Nest_experiments.Fig_fleet.validate params with
+  | Ok () -> ()
+  | Error msg ->
+    Printf.eprintf "nestsim: --%s\n" msg;
+    exit 1);
   if check then begin
     if not (Nest_experiments.Fig_fleet.check ~params ~quick ()) then exit 1
   end

@@ -18,8 +18,17 @@ let cells rates =
     (fun mode -> List.map (fun rate -> (mode, rate)) rates)
     Chaos.all_modes
 
+(* NaN fails the range test, as it must: each rate is a probability. *)
+let validate_rates rates =
+  match List.find_opt (fun r -> not (r >= 0.0 && r <= 1.0)) rates with
+  | Some r -> Error (Printf.sprintf "rates must be in [0,1] (got %g)" r)
+  | None -> Ok ()
+
 let run ?(rates = default_rates) ?(seed = 42L) ?(workload = Chaos.Probe)
     ?(standby = 0) ~quick () =
+  (match validate_rates rates with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("fig_chaos: " ^ msg));
   Exp_util.header
     (Printf.sprintf
        "Chaos: availability & recovery under injected faults (workload=%s%s)"

@@ -8,6 +8,11 @@
 
 val default_rates : float list
 
+val validate_rates : float list -> (unit, string) result
+(** Every rate is a fault probability: [Error] names the first one
+    outside [0, 1] (NaN included).  {!run} raises [Invalid_argument] on
+    an [Error]; the CLI prints it and exits 1. *)
+
 val run :
   ?rates:float list ->
   ?seed:int64 ->

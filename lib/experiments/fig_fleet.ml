@@ -31,6 +31,7 @@ module Arrival = Nest_loadgen.Arrival
 module Size_dist = Nest_loadgen.Size_dist
 module Trace = Nest_traces.Trace
 module Node = Nest_orch.Node
+module Index = Nest_orch.Scheduler.Index
 module Autoscaler = Nest_orch.Autoscaler
 module Netperf = Nest_workloads.Netperf
 
@@ -404,7 +405,8 @@ let arm_churn sd ns ~p ~start ~stop =
     in
     if total >= p.pods || u > 1_000_000 then users else grow (u * 2)
   in
-  let users = grow 64 in
+  (* Zero pods need no trace: the demands below are its first [pods]. *)
+  let users = if p.pods = 0 then [] else grow 64 in
   let pods_all =
     List.concat_map
       (fun u -> List.map (fun pod -> (Trace.pod_cpu pod, Trace.pod_mem pod))
@@ -424,6 +426,10 @@ let arm_churn sd ns ~p ~start ~stop =
   let scale_cpu = if dem_cpu > 0.0 then 1.5 *. cap_cpu /. dem_cpu else 0.0 in
   let scale_mem = if dem_mem > 0.0 then 1.5 *. cap_mem /. dem_mem else 0.0 in
   let ch = { ch_placed = 0; ch_unschedulable = 0; ch_departed = 0 } in
+  (* Placements and departures go through the exact index: the node
+     [Scheduler.most_requested all_nodes] would pick, without a fold
+     over the whole fleet per arrival. *)
+  let index = Index.create all_nodes in
   let crng = Prng.create (node_seed p.seed 30000) in
   let window = stop - start in
   let npods = Array.length demands in
@@ -438,14 +444,13 @@ let arm_churn sd ns ~p ~start ~stop =
                 ~mean:(float_of_int window /. 3.0)))
       in
       Engine.schedule_at ctl ~label:"fleet:pod-arrival" ~at (fun () ->
-          match Nest_orch.Scheduler.most_requested all_nodes ~cpu ~mem with
+          match Index.place index ~cpu ~mem with
           | None -> ch.ch_unschedulable <- ch.ch_unschedulable + 1
-          | Some node ->
-            Node.reserve node ~cpu ~mem;
+          | Some pos ->
             ch.ch_placed <- ch.ch_placed + 1;
             Engine.schedule ctl ~label:"fleet:pod-departure" ~delay:lifetime
               (fun () ->
-                Node.release node ~cpu ~mem;
+                Index.release index pos ~cpu ~mem;
                 ch.ch_departed <- ch.ch_departed + 1)))
     demands;
   (ch, all_nodes)
@@ -496,16 +501,29 @@ let digest_of ns (ch : churn) all_nodes ~flaps =
     all_nodes;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* Every check is written so that NaN fails it: a float comparison
+   with NaN is false, so each one states what a good value satisfies. *)
+let validate p =
+  let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  if not (p.nodes > 0) then bad "nodes must be positive (got %d)" p.nodes
+  else if not (p.pods >= 0) then bad "pods must be >= 0 (got %d)" p.pods
+  else if not (p.rate > 0.0 && Float.is_finite p.rate) then
+    bad "rate must be positive and finite (got %g)" p.rate
+  else if not (p.fault_rate >= 0.0 && p.fault_rate <= 1.0) then
+    bad "fault-rate must be in [0,1] (got %g)" p.fault_rate
+  else if not (p.standby >= 0) then
+    bad "standby must be >= 0 (got %d)" p.standby
+  else if not (p.service_us > 0.0 && Float.is_finite p.service_us) then
+    bad "service-us must be positive and finite (got %g)" p.service_us
+  else if not (p.pods_max >= 1) then
+    bad "pods-max must be >= 1 (got %d)" p.pods_max
+  else Ok ()
+
 let run_scenario ?(params = default_params) ?shards ?(domains = 1) ~quick () =
   let p = params in
-  if p.nodes <= 0 then invalid_arg "fig_fleet: nodes must be > 0";
-  if p.pods < 0 then invalid_arg "fig_fleet: pods must be >= 0";
-  if p.rate <= 0.0 then invalid_arg "fig_fleet: rate must be > 0";
-  if p.fault_rate < 0.0 || p.fault_rate > 1.0 then
-    invalid_arg "fig_fleet: fault-rate in [0,1]";
-  if p.standby < 0 then invalid_arg "fig_fleet: standby must be >= 0";
-  if p.service_us <= 0.0 then invalid_arg "fig_fleet: service-us must be > 0";
-  if p.pods_max < 1 then invalid_arg "fig_fleet: pods-max must be >= 1";
+  (match validate p with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("fig_fleet: " ^ msg));
   let shards =
     match shards with Some s -> s | None -> Testbed.get_default_shards ()
   in

@@ -51,6 +51,12 @@ type params = {
 
 val default_params : params
 
+val validate : params -> (unit, string) result
+(** The one check of a [params] record, NaN-safe: [Error msg] names the
+    first bad field as its CLI flag ("rate must be positive and finite
+    (got nan)").  Every entry point that runs the scenario raises
+    [Invalid_argument] on an [Error]; the CLI prints it and exits 1. *)
+
 val run :
   ?params:params -> ?shards:int -> ?domains:int -> quick:bool -> unit -> unit
 (** Runs the scenario and prints per-node rows, per-mode SLO/HDR

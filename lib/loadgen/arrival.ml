@@ -8,18 +8,32 @@ type t = {
 let next t = t.a_next ()
 let total t = t.a_total
 
+(* Offsets are computed in float; [int_of_float] of a value at or past
+   2^62 is not the value, and an offset that wrapped negative would land
+   in the past forever.  Such an offset is beyond any horizon, so the
+   stream ends there; offsets are monotone, so it stays ended. *)
+let offset x =
+  let r = Float.round x in
+  if r < Float.of_int max_int then Some (int_of_float r) else None
+
+let check_rate what rate_per_s =
+  if rate_per_s <= 0.0 then
+    invalid_arg (Printf.sprintf "Arrival.%s: rate must be > 0" what);
+  if not (Float.is_finite rate_per_s) then
+    invalid_arg (Printf.sprintf "Arrival.%s: rate must be finite" what)
+
 let constant ~rate_per_s =
-  if rate_per_s <= 0.0 then invalid_arg "Arrival.constant: rate must be > 0";
+  check_rate "constant" rate_per_s;
   let period = 1e9 /. rate_per_s in
   let k = ref 0 in
   { a_next =
       (fun () ->
         incr k;
-        Some (int_of_float (Float.round (float_of_int !k *. period))));
+        offset (float_of_int !k *. period));
     a_total = None }
 
 let poisson ~rng ~rate_per_s =
-  if rate_per_s <= 0.0 then invalid_arg "Arrival.poisson: rate must be > 0";
+  check_rate "poisson" rate_per_s;
   let mean = 1e9 /. rate_per_s in
   (* Absolute offsets accumulate in float; rounding a monotone sum keeps
      the offsets monotone (ties are legal). *)
@@ -27,7 +41,7 @@ let poisson ~rng ~rate_per_s =
   { a_next =
       (fun () ->
         acc := !acc +. Nest_sim.Dist.exponential rng ~mean;
-        Some (int_of_float (Float.round !acc)));
+        offset !acc);
     a_total = None }
 
 let of_trace ~users ~over =

@@ -16,17 +16,18 @@ type t
 
 val next : t -> Nest_sim.Time.ns option
 (** Next arrival offset.  Offsets are monotone non-decreasing; [None]
-    once a finite process is exhausted (the rate processes are
-    infinite). *)
+    once a finite process is exhausted, or once a rate process's next
+    offset is too large for an [int] (about 146 years of nanoseconds;
+    only a near-zero rate gets there). *)
 
 val constant : rate_per_s:float -> t
 (** Evenly spaced arrivals: the k-th at [k / rate] seconds.  Raises
-    [Invalid_argument] on a non-positive rate. *)
+    [Invalid_argument] unless the rate is positive and finite. *)
 
 val poisson : rng:Nest_sim.Prng.t -> rate_per_s:float -> t
 (** Poisson process of the given mean rate: exponential inter-arrival
     times drawn from [rng] (one draw per arrival).  Raises
-    [Invalid_argument] on a non-positive rate. *)
+    [Invalid_argument] unless the rate is positive and finite. *)
 
 val of_trace :
   users:Nest_traces.Trace.user list -> over:Nest_sim.Time.ns -> t

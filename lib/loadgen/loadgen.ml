@@ -83,9 +83,10 @@ let rec schedule_next t =
   match Arrival.next t.g_arrival with
   | None -> ()
   | Some off ->
-    let at = t.g_start + off in
-    if at < t.g_stop then
-      Engine.schedule_at t.g_engine ~label:"loadgen:arrival" ~at (fun () ->
+    (* Compared as an offset: [g_start + off] can overflow. *)
+    if off < t.g_stop - t.g_start then
+      Engine.schedule_at t.g_engine ~label:"loadgen:arrival"
+        ~at:(t.g_start + off) (fun () ->
           arrive t;
           schedule_next t)
 

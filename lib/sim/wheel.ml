@@ -23,12 +23,19 @@
 
    Ordering contract (same as {!Heap}): extraction is by (priority,
    sequence), FIFO among equal priorities.  Sequence numbers are
-   assigned at push; a level-0 slot holds exactly one tick, so taking
-   the minimum-sequence entry of the first occupied slot reproduces the
-   heap's deterministic order exactly — including for entries that
-   migrated through cascades or the overflow heap (overflow entries are
-   pushed in sequence order and the heap is itself FIFO on equal
-   priorities, so they drain back in order). *)
+   assigned at push.  A level-0 slot holds exactly one tick, as two
+   lists: the push list, where entries are filed, and a front sorted by
+   sequence, which pop consumes head first.  When the front is empty, a
+   one-entry push list pops directly; a longer one is sorted by
+   sequence once and becomes the front.  Every entry in a slot's push
+   list has a larger sequence than every entry in its front: cascades
+   and overflow drains only fill level 0 while level 0 is empty (no
+   front exists; the drain after a pop moves [base] within one level-0
+   frame, which no overflow entry shares), and a direct push takes the
+   newest sequence.  So a
+   tick holding k entries drains in O(k log k) in total, not O(k^2),
+   and the order is the heap's exactly — including for entries that
+   migrated through cascades or the overflow heap. *)
 
 type 'a entry = { e_prio : int; e_seq : int; e_value : 'a }
 
@@ -40,6 +47,7 @@ let span = 1 lsl (slot_bits * levels) (* 2^30 ticks *)
 
 type 'a t = {
   slots : 'a entry list array array; (* [levels][slots_per_level] *)
+  front : 'a entry list array;       (* level 0 only, ascending seq *)
   masks : int array;                 (* occupancy bitmask per level *)
   overflow : 'a entry Heap.t;        (* beyond base's top-level frame *)
   mutable base : int;                (* lowest undelivered tick *)
@@ -50,6 +58,7 @@ type 'a t = {
 
 let create () =
   { slots = Array.init levels (fun _ -> Array.make slots_per_level []);
+    front = Array.make slots_per_level [];
     masks = Array.make levels 0;
     overflow = Heap.create ();
     base = 0;
@@ -188,19 +197,7 @@ let peek_prio t =
   let m = find_min t in
   if m < 0 then None else Some m
 
-(* Removes the minimum-sequence entry from [l] (non-empty).  Level-0
-   slots hold one tick and are usually singletons — return the static
-   empty list for that case instead of paying a filter pass. *)
-let take_min_seq l =
-  match l with
-  | [ e ] -> (e, [])
-  | l ->
-    let rec best m = function
-      | [] -> m
-      | e :: rest -> best (if e.e_seq < m.e_seq then e else m) rest
-    in
-    let m = best (List.hd l) (List.tl l) in
-    (m, List.filter (fun e -> e != m) l)
+let by_seq a b = compare (a.e_seq : int) b.e_seq
 
 let pop t =
   if t.count = 0 then None
@@ -209,9 +206,24 @@ let pop t =
     let m = ((t.base lsr slot_bits) lsl slot_bits) lor ctz t.masks.(0) in
     let slot = m land slot_mask in
     let lv = t.slots.(0) in
-    let e, rest = take_min_seq lv.(slot) in
-    lv.(slot) <- rest;
-    if rest = [] then begin
+    let e =
+      match t.front.(slot) with
+      | e :: rest ->
+        t.front.(slot) <- rest;
+        e
+      | [] -> (
+        let l = lv.(slot) in
+        lv.(slot) <- [];
+        match l with
+        | [ e ] -> e
+        | l -> (
+          match List.sort by_seq l with
+          | e :: rest ->
+            t.front.(slot) <- rest;
+            e
+          | [] -> assert false (* the mask bit was set *)))
+    in
+    if t.front.(slot) == [] && lv.(slot) == [] then begin
       t.masks.(0) <- t.masks.(0) land lnot (1 lsl slot);
       t.cached_min <- -1
     end;
@@ -239,6 +251,7 @@ let is_empty t = t.count = 0
 
 let clear t =
   Array.iter (fun lv -> Array.fill lv 0 slots_per_level []) t.slots;
+  Array.fill t.front 0 slots_per_level [];
   Array.fill t.masks 0 levels 0;
   Heap.clear t.overflow;
   t.base <- 0;

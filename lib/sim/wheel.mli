@@ -4,7 +4,8 @@
     pop are O(1) for events within ~2^30 ticks of the current minimum
     (six levels of 32 slots, lazily cascaded), and far-future events
     spill to an ordinary binary heap until the wheel advances into
-    their frame.
+    their frame.  Events sharing one tick are sorted by sequence once
+    per batch filed, then popped in O(1) each.
 
     The ordering contract is identical to {!Heap}: [pop] returns
     entries in ascending priority, FIFO among equal priorities (a

@@ -175,6 +175,135 @@ let test_scheduler_policies () =
   Alcotest.(check bool) "nothing fits" true
     (Scheduler.most_requested [ n1; n2 ] ~cpu:99.0 ~mem:1.0 = None)
 
+(* Placement index: the same node as the fold, with a fraction of the
+   work.  The nodes sit on one bare host (no testbed, no datapath) so a
+   case can hold hundreds of them. *)
+let bare_nodes shapes =
+  let host =
+    Nest_virt.Host.create (Engine.create ()) (Nest_sim.Cpu_account.create ())
+      ~name:"h" ()
+  in
+  List.mapi
+    (fun i (vcpus, mem_mb) ->
+      Node.create
+        (Nest_virt.Vm.create host ~name:(Printf.sprintf "vm%d" i) ~vcpus
+           ~mem_mb))
+    shapes
+
+(* Places through the index and checks it chose the fold's node. *)
+let place_checked index nodes ~cpu ~mem =
+  let expect = Scheduler.most_requested nodes ~cpu ~mem in
+  let got = Scheduler.Index.place index ~cpu ~mem in
+  let same =
+    match (expect, got) with
+    | None, None -> true
+    | Some n, Some i -> Scheduler.Index.node index i == n
+    | None, Some _ | Some _, None -> false
+  in
+  (same, got)
+
+let test_index_equals_fold =
+  QCheck.Test.make ~name:"index places exactly where the fold does" ~count:40
+    QCheck.(pair (int_range 1 600) int)
+    (fun (n, seed) ->
+      let rng = Nest_sim.Prng.create (Int64.of_int seed) in
+      let pick l = List.nth l (Nest_sim.Prng.int rng (List.length l)) in
+      let shapes =
+        List.init n (fun _ ->
+            (pick [ 1; 2; 4; 5; 8; 16 ], pick [ 1024; 2048; 4096; 8192 ]))
+      in
+      let nodes = bare_nodes shapes in
+      let index = Scheduler.Index.create nodes in
+      let live = ref [] in
+      (* Quarter-unit requests make exact fraction ties common; the
+         others exercise arbitrary floats. *)
+      let demand () =
+        if Nest_sim.Prng.bool rng then
+          float_of_int (Nest_sim.Prng.int rng 9) *. 0.25
+        else Nest_sim.Prng.range_float rng 0.0 3.0
+      in
+      let ok = ref true in
+      for _ = 1 to 400 do
+        match Nest_sim.Prng.int rng 10 with
+        | 0 ->
+          let nd = pick nodes in
+          Node.set_ready nd (not (Node.ready nd))
+        | 1 | 2 | 3 when !live <> [] ->
+          let ((i, cpu, mem) as p) = pick !live in
+          live := List.filter (fun q -> q != p) !live;
+          Scheduler.Index.release index i ~cpu ~mem
+        | _ -> (
+          let cpu = demand () and mem = demand () in
+          let same, got = place_checked index nodes ~cpu ~mem in
+          if not same then ok := false;
+          match got with
+          | Some i -> live := (i, cpu, mem) :: !live
+          | None -> ())
+      done;
+      !ok)
+
+let test_index_work () =
+  (* Fleet-like churn: fleet-shaped nodes (5 vCPU, 4 GB), trace pods
+     scaled to 1.5x the capacity, exponential lifetimes of a third of
+     the arrival span.  The fold examines all 768 nodes per placement;
+     the index must visit at most an eighth of them on average. *)
+  let n = 768 in
+  let nodes = bare_nodes (List.init n (fun _ -> (5, 4096))) in
+  let index = Scheduler.Index.create nodes in
+  let users = Nest_traces.Trace_gen.generate ~seed:42L ~users:256 in
+  let pods =
+    List.concat_map
+      (fun u ->
+        List.map
+          (fun p -> (Nest_traces.Trace.pod_cpu p, Nest_traces.Trace.pod_mem p))
+          u.Nest_traces.Trace.pods)
+      users
+    |> Array.of_list
+  in
+  let npods = Array.length pods in
+  let sum f = Array.fold_left (fun a p -> a +. f p) 0.0 pods in
+  let scale_cpu = 1.5 *. 5.0 *. float_of_int n /. sum fst in
+  let scale_mem = 1.5 *. 4.0 *. float_of_int n /. sum snd in
+  let rng = Nest_sim.Prng.create 7L in
+  let departures = Nest_sim.Heap.create () in
+  let ok = ref true and placed = ref 0 in
+  Array.iteri
+    (fun t (c, m) ->
+      let rec depart () =
+        match Nest_sim.Heap.peek_prio departures with
+        | Some at when at <= t -> (
+          match Nest_sim.Heap.pop departures with
+          | Some (_, (i, cpu, mem)) ->
+            Scheduler.Index.release index i ~cpu ~mem;
+            depart ()
+          | None -> ())
+        | Some _ | None -> ()
+      in
+      depart ();
+      let cpu = c *. scale_cpu and mem = m *. scale_mem in
+      let same, got = place_checked index nodes ~cpu ~mem in
+      if not same then ok := false;
+      match got with
+      | Some i ->
+        incr placed;
+        let life =
+          Nest_sim.Dist.exponential rng ~mean:(float_of_int npods /. 3.0)
+        in
+        Nest_sim.Heap.push departures ~prio:(t + 1 + int_of_float life)
+          (i, cpu, mem)
+      | None -> ())
+    pods;
+  let per_place =
+    float_of_int (Scheduler.Index.examined index) /. float_of_int npods
+  in
+  Alcotest.(check bool) "index = fold on every arrival" true !ok;
+  Alcotest.(check bool) "the cluster fills and churns" true
+    (!placed > n && !placed < npods);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f nodes examined per placement <= %d" per_place (n / 8))
+    true
+    (per_place <= float_of_int (n / 8))
+
 let test_cni_registry () =
   Cni.reset_registry ();
   let p = Cni_bridge.plugin () in
@@ -363,6 +492,8 @@ let () =
       ( "orchestrator",
         [ Alcotest.test_case "node reservation" `Quick test_node_reservation;
           Alcotest.test_case "scheduler" `Quick test_scheduler_policies;
+          qtest test_index_equals_fold;
+          Alcotest.test_case "index work per placement" `Quick test_index_work;
           Alcotest.test_case "cni registry" `Quick test_cni_registry;
           Alcotest.test_case "kube deploy" `Quick test_kube_deploy_pod;
           Alcotest.test_case "kube no fit" `Quick test_kube_no_fit;

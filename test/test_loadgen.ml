@@ -36,6 +36,32 @@ let test_constant () =
     (Invalid_argument "Arrival.constant: rate must be > 0") (fun () ->
       ignore (Arrival.constant ~rate_per_s:0.0))
 
+let test_tiny_rate_ends () =
+  (* A mean inter-arrival past max_int ns: the first offsets that no
+     longer fit in an int end the stream instead of wrapping negative. *)
+  let c = Arrival.constant ~rate_per_s:1e-10 in
+  Alcotest.(check (list int)) "constant: no representable offset" []
+    (take_offsets c 3);
+  let c = Arrival.constant ~rate_per_s:1e-9 in
+  Alcotest.(check (list int)) "constant: the offsets below 2^62, then none"
+    [ 1_000_000_000_000_000_000; 2_000_000_000_000_000_000;
+      3_000_000_000_000_000_000; 4_000_000_000_000_000_000 ]
+    (take_offsets c 10);
+  let p = Arrival.poisson ~rng:(Prng.create 5L) ~rate_per_s:1e-9 in
+  let xs = take_offsets p 100 in
+  Alcotest.(check bool) "poisson: ends within a few draws" true
+    (List.length xs < 10);
+  Alcotest.(check bool) "poisson: every offset non-negative" true
+    (List.for_all (fun t -> t >= 0) xs);
+  Alcotest.(check (option int)) "poisson: stays ended" None (Arrival.next p);
+  List.iter
+    (fun r ->
+      Alcotest.check_raises
+        (Printf.sprintf "rate %g rejected" r)
+        (Invalid_argument "Arrival.poisson: rate must be finite") (fun () ->
+          ignore (Arrival.poisson ~rng:(Prng.create 1L) ~rate_per_s:r)))
+    [ Float.nan; Float.infinity ]
+
 let test_poisson_deterministic () =
   let offsets seed =
     take_offsets (Arrival.poisson ~rng:(Prng.create seed) ~rate_per_s:5000.0) 500
@@ -265,6 +291,8 @@ let () =
         [ Alcotest.test_case "constant" `Quick test_constant;
           Alcotest.test_case "poisson deterministic" `Quick
             test_poisson_deterministic;
+          Alcotest.test_case "tiny rates end the stream" `Quick
+            test_tiny_rate_ends;
           Alcotest.test_case "trace replay totals" `Quick test_of_trace_totals
         ] );
       ( "sizes",

@@ -150,6 +150,65 @@ let test_wheel_interleaved_monotone =
         ops
       && drain_both w h)
 
+let test_wheel_dense_ties =
+  (* Priorities within two level-0 frames, so slots hold many entries
+     at once: some filed directly, some cascaded from level 1, and some
+     pushed at the current minimum while that slot is being drained. *)
+  QCheck.Test.make ~name:"wheel = heap on dense ties" ~count:300
+    QCheck.(pair (list (int_bound 63)) (list (pair (int_bound 2) (int_bound 63))))
+    (fun (initial, ops) ->
+      let w = Wheel.create () and h = Heap.create () in
+      let next = ref 0 in
+      let push prio =
+        incr next;
+        Wheel.push w ~prio !next;
+        Heap.push h ~prio !next
+      in
+      List.iter push initial;
+      let floor = ref 0 in
+      List.for_all
+        (fun (kind, delta) ->
+          match kind with
+          | 0 -> (
+            match (Wheel.pop w, Heap.pop h) with
+            | None, None -> true
+            | Some (pw, vw), Some (ph, vh) ->
+              floor := pw;
+              pw = ph && vw = vh
+            | None, Some _ | Some _, None -> false)
+          | 1 ->
+            push (Option.value (Heap.peek_prio h) ~default:!floor);
+            true
+          | _ ->
+            push (!floor + delta);
+            true)
+        ops
+      && drain_both w h)
+
+let test_wheel_same_tick_alloc () =
+  (* One tick holding 4096 entries (every fleet node's window tick lands
+     on one): draining it must cost O(1) words per pop, not a rebuilt
+     list per pop.  Half the entries cascade down from level 2, half are
+     filed while the tick is draining. *)
+  let n = 4096 in
+  let w = Wheel.create () in
+  for i = 1 to n / 2 do
+    Wheel.push w ~prio:1000 i
+  done;
+  let before = Gc.minor_words () in
+  let ok = ref true in
+  for i = 1 to n do
+    (match Wheel.pop w with
+    | Some (1000, v) -> if v <> i then ok := false
+    | Some _ | None -> ok := false);
+    if i <= n / 2 then Wheel.push w ~prio:1000 ((n / 2) + i)
+  done;
+  let per_pop = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool) "FIFO order on one tick" true !ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per pop %.1f <= 64" per_pop)
+    true (per_pop <= 64.0)
+
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -463,7 +522,10 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_wheel_fifo_ties;
           Alcotest.test_case "overflow frames" `Quick test_wheel_overflow_frames;
           Alcotest.test_case "past clamp" `Quick test_wheel_past_clamp;
-          qtest test_wheel_interleaved_monotone ] );
+          qtest test_wheel_interleaved_monotone;
+          qtest test_wheel_dense_ties;
+          Alcotest.test_case "same-tick drain allocation" `Quick
+            test_wheel_same_tick_alloc ] );
       ( "engine",
         [ Alcotest.test_case "ordering" `Quick test_engine_ordering;
           Alcotest.test_case "horizon" `Quick test_engine_horizon;
