@@ -146,6 +146,10 @@ let obs_cmd ids quick shards out trace_capacity timeline_period_us prov_sample
     out
 
 let trace_gen users seed out =
+  if users < 0 then begin
+    Printf.eprintf "nestsim: --users must be >= 0 (got %d)\n" users;
+    exit 1
+  end;
   let trace =
     Nest_traces.Trace_gen.generate ~seed:(Int64.of_int seed) ~users
   in

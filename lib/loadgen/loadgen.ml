@@ -8,6 +8,9 @@
 module Engine = Nest_sim.Engine
 module Time = Nest_sim.Time
 
+(* Touched per request: monomorphic equality, generic hash. *)
+module Seq_tbl = Hashtbl.Make (Int)
+
 type counts = {
   offered : int;
   admitted : int;
@@ -29,7 +32,7 @@ type t = {
   g_start : Time.ns;
   g_stop : Time.ns;
   (* seq -> intended start; presence means in flight. *)
-  g_intended : (int, Time.ns) Hashtbl.t;
+  g_intended : Time.ns Seq_tbl.t;
   g_latency : Nest_sim.Hdr.t;
   mutable g_offered : int;
   mutable g_admitted : int;
@@ -66,13 +69,13 @@ let arrive t =
     t.g_seq <- t.g_seq + 1;
     let seq = t.g_seq in
     let size = Size_dist.draw t.g_sizes t.g_rng in
-    Hashtbl.replace t.g_intended seq (Engine.now t.g_engine);
+    Seq_tbl.replace t.g_intended seq (Engine.now t.g_engine);
     t.g_outstanding <- t.g_outstanding + 1;
     t.g_dispatch ~seq ~size;
     Engine.schedule t.g_engine ~label:"loadgen:timeout" ~delay:t.g_timeout
       (fun () ->
-        if Hashtbl.mem t.g_intended seq then begin
-          Hashtbl.remove t.g_intended seq;
+        if Seq_tbl.mem t.g_intended seq then begin
+          Seq_tbl.remove t.g_intended seq;
           t.g_lost <- t.g_lost + 1;
           t.g_outstanding <- t.g_outstanding - 1;
           Admission.on_lost t.g_admission
@@ -110,7 +113,7 @@ let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
     { g_engine = engine; g_label = label; g_arrival = arrival;
       g_sizes = sizes; g_rng = rng; g_admission = admission;
       g_timeout = timeout; g_slo = slo; g_dispatch = dispatch;
-      g_start = start; g_stop = stop; g_intended = Hashtbl.create 128;
+      g_start = start; g_stop = stop; g_intended = Seq_tbl.create 128;
       g_latency = Nest_sim.Hdr.create ~name:(label ^ ":latency_us") ();
       g_offered = 0; g_admitted = 0; g_shed = 0; g_lost = 0;
       g_completed = 0; g_outstanding = 0; g_seq = 0; g_completions = [] }
@@ -119,10 +122,10 @@ let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
   t
 
 let complete t ~seq =
-  match Hashtbl.find_opt t.g_intended seq with
+  match Seq_tbl.find_opt t.g_intended seq with
   | None -> ()  (* stale: timed out already, or a duplicate reply *)
   | Some intended ->
-    Hashtbl.remove t.g_intended seq;
+    Seq_tbl.remove t.g_intended seq;
     t.g_outstanding <- t.g_outstanding - 1;
     t.g_completed <- t.g_completed + 1;
     let now = Engine.now t.g_engine in

@@ -20,7 +20,7 @@ let draw t rng =
       Nest_sim.Dist.bounded_pareto rng ~shape ~lo:(float_of_int lo)
         ~hi:(float_of_int hi)
     in
-    max lo (min hi (int_of_float v))
+    Int.max lo (Int.min hi (int_of_float v))
 
 let pp fmt = function
   | Fixed n -> Format.fprintf fmt "fixed:%d" n

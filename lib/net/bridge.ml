@@ -7,10 +7,38 @@ type t = {
   aging_ns : Nest_sim.Time.ns;
   self : Dev.t;
   mutable port_list : Dev.t list;
-  fdb_tbl : (Mac.t, entry) Hashtbl.t;
+  fdb_tbl : entry Mac.Tbl.t;
   mutable forwarded : int;
   hop_ctr : Nest_sim.Metrics.counter;
 }
+
+let fresh t e = Nest_sim.Engine.now t.engine - e.last_seen <= t.aging_ns
+
+(* Flood/broadcast copies each take their own provenance branch so every
+   egress accumulates only its own downstream hops. *)
+let flood t port frame =
+  List.iter
+    (fun p -> if p != port then Dev.transmit p (Frame.branch_prov frame))
+    t.port_list
+
+(* Top-level, so a frame's hop allocates one continuation and no helper
+   closures. *)
+let forward t port frame () =
+  t.forwarded <- t.forwarded + 1;
+  if Mac.is_broadcast frame.Frame.dst then begin
+    flood t port frame;
+    if port != t.self then Dev.deliver t.self frame
+  end
+  else if Mac.equal frame.Frame.dst t.self.Dev.mac then begin
+    if port != t.self then Dev.deliver t.self frame
+  end
+  else begin
+    match Mac.Tbl.find_opt t.fdb_tbl frame.Frame.dst with
+    | Some e when fresh t e -> if e.port != port then Dev.transmit e.port frame
+    | Some _ | None ->
+      (* Unknown destination: flood. *)
+      flood t port frame
+  end
 
 let input t port frame =
   Frame.record_hop frame t.br_name;
@@ -18,48 +46,21 @@ let input t port frame =
   Nest_sim.Engine.trace_instant t.engine ~cat:"hop" ~name:t.br_name ();
   (* Source learning. *)
   if not (Mac.is_broadcast frame.Frame.src) then begin
-    match Hashtbl.find_opt t.fdb_tbl frame.Frame.src with
+    match Mac.Tbl.find_opt t.fdb_tbl frame.Frame.src with
     | Some e when e.port == port -> e.last_seen <- Nest_sim.Engine.now t.engine
     | Some _ | None ->
-      Hashtbl.replace t.fdb_tbl frame.Frame.src
+      Mac.Tbl.replace t.fdb_tbl frame.Frame.src
         { port; last_seen = Nest_sim.Engine.now t.engine }
   end;
-  let deliver_self () = Dev.deliver t.self frame in
-  let out p = Dev.transmit p frame in
-  (* Flood/broadcast copies each take their own provenance branch so every
-     egress accumulates only its own downstream hops. *)
-  let out_branched p = Dev.transmit p (Frame.branch_prov frame) in
-  let fresh e =
-    Nest_sim.Engine.now t.engine - e.last_seen <= t.aging_ns
-  in
-  let forward () =
-    t.forwarded <- t.forwarded + 1;
-    if Mac.is_broadcast frame.Frame.dst then begin
-      List.iter (fun p -> if p != port then out_branched p) t.port_list;
-      if port != t.self then deliver_self ()
-    end
-    else if Mac.equal frame.Frame.dst t.self.Dev.mac then begin
-      if port != t.self then deliver_self ()
-    end
-    else begin
-      match Hashtbl.find_opt t.fdb_tbl frame.Frame.dst with
-      | Some e when fresh e -> if e.port != port then out e.port
-      | Some _ | None ->
-        (* Unknown destination: flood. *)
-        List.iter (fun p -> if p != port then out_branched p) t.port_list;
-        if port != t.self && not (Mac.equal frame.Frame.dst t.self.Dev.mac)
-        then ()
-    end
-  in
   Hop.service_prov ?prov:(Frame.prov frame) t.hop ~bytes:(Frame.len frame)
-    forward
+    (forward t port frame)
 
 let create engine ~name ~hop ?(aging_ns = Nest_sim.Time.sec 300) ~self_mac () =
   Hop.set_name hop name;
   let self = Dev.create ~name:(name ^ "(self)") ~mac:self_mac () in
   let t =
     { engine; br_name = name; hop; aging_ns; self; port_list = [];
-      fdb_tbl = Hashtbl.create 32; forwarded = 0;
+      fdb_tbl = Mac.Tbl.create 32; forwarded = 0;
       hop_ctr =
         Nest_sim.Metrics.counter (Nest_sim.Engine.metrics engine)
           ("hop." ^ name) }
@@ -80,20 +81,17 @@ let detach t dev =
   Dev.clear_rx dev;
   (* Drop any learning entries that point at the removed port. *)
   let stale =
-    Hashtbl.fold
+    Mac.Tbl.fold
       (fun mac e acc -> if e.port == dev then mac :: acc else acc)
       t.fdb_tbl []
   in
-  List.iter (Hashtbl.remove t.fdb_tbl) stale
+  List.iter (Mac.Tbl.remove t.fdb_tbl) stale
 
 let ports t = t.port_list
 
 let fdb t =
-  Hashtbl.fold
-    (fun mac e acc ->
-      if Nest_sim.Engine.now t.engine - e.last_seen <= t.aging_ns then
-        (mac, e.port.Dev.name) :: acc
-      else acc)
+  Mac.Tbl.fold
+    (fun mac e acc -> if fresh t e then (mac, e.port.Dev.name) :: acc else acc)
     t.fdb_tbl []
   |> List.sort compare
 

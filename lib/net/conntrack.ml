@@ -36,15 +36,29 @@ type rewrite = {
   new_dst : (Ipv4.t * int) option;
 }
 
+(* [hash] is the generic structural hash, so buckets (and therefore
+   [bindings]' order) match a generic table; [equal] is monomorphic, all
+   five fields, proto included. *)
+module Flow_tbl = Hashtbl.Make (struct
+  type t = flow
+
+  let equal a b =
+    a.proto = b.proto && Ipv4.equal a.f_src b.f_src
+    && Int.equal a.f_sport b.f_sport && Ipv4.equal a.f_dst b.f_dst
+    && Int.equal a.f_dport b.f_dport
+
+  let hash (f : flow) = Hashtbl.hash f
+end)
+
 type t = {
-  table : (flow, rewrite) Hashtbl.t;
+  table : rewrite Flow_tbl.t;
   mutable next_port : int;
   mutable capacity : int option;
   mutable ct_drops : int;
 }
 
 let create () =
-  { table = Hashtbl.create 64; next_port = 32768; capacity = None;
+  { table = Flow_tbl.create 64; next_port = 32768; capacity = None;
     ct_drops = 0 }
 
 let set_capacity t c = t.capacity <- c
@@ -59,8 +73,8 @@ let admit t p =
   | None -> true
   | Some cap ->
     let f = flow_of_packet p in
-    if Hashtbl.mem t.table f then true
-    else if Hashtbl.length t.table + 2 <= cap then true
+    if Flow_tbl.mem t.table f then true
+    else if Flow_tbl.length t.table + 2 <= cap then true
     else begin
       t.ct_drops <- t.ct_drops + 1;
       false
@@ -84,14 +98,15 @@ let apply rw (p : Packet.t) =
     Packet.with_ports ~dst_port:port (Packet.with_addrs ~dst:ip p)
 
 let translate t p =
-  let f = flow_of_packet p in
-  match Hashtbl.find_opt t.table f with
-  | Some rw -> (apply rw p, true)
-  | None -> (p, false)
+  if Flow_tbl.length t.table = 0 then (p, false)
+  else
+    match Flow_tbl.find_opt t.table (flow_of_packet p) with
+    | Some rw -> (apply rw p, true)
+    | None -> (p, false)
 
 let snat t p ~to_ip =
   let f = flow_of_packet p in
-  match Hashtbl.find_opt t.table f with
+  match Flow_tbl.find_opt t.table f with
   | Some rw -> apply rw p
   | None ->
     (* ICMP has no ports: the echo identifier must survive translation so
@@ -106,13 +121,13 @@ let snat t p ~to_ip =
         f_dport = nat_port }
     in
     let back = { new_src = None; new_dst = Some (f.f_src, f.f_sport) } in
-    Hashtbl.replace t.table f fwd;
-    Hashtbl.replace t.table reply_flow back;
+    Flow_tbl.replace t.table f fwd;
+    Flow_tbl.replace t.table reply_flow back;
     apply fwd p
 
 let dnat t p ~to_ip ~to_port =
   let f = flow_of_packet p in
-  match Hashtbl.find_opt t.table f with
+  match Flow_tbl.find_opt t.table f with
   | Some rw -> apply rw p
   | None ->
     let fwd = { new_src = None; new_dst = Some (to_ip, to_port) } in
@@ -121,14 +136,14 @@ let dnat t p ~to_ip ~to_port =
         f_dport = f.f_sport }
     in
     let back = { new_src = Some (f.f_dst, f.f_dport); new_dst = None } in
-    Hashtbl.replace t.table f fwd;
-    Hashtbl.replace t.table reply_flow back;
+    Flow_tbl.replace t.table f fwd;
+    Flow_tbl.replace t.table reply_flow back;
     apply fwd p
 
-let entry_count t = Hashtbl.length t.table
+let entry_count t = Flow_tbl.length t.table
 
 let bindings t =
-  Hashtbl.fold
+  Flow_tbl.fold
     (fun f rw acc ->
       let to_flow =
         let src, sport =

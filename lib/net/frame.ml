@@ -62,7 +62,7 @@ let len t =
     | Ipv4_body p -> Packet.len p
     | Arp_body _ -> arp_bytes
   in
-  max min_frame_bytes (eth_header_bytes + body_len)
+  Int.max min_frame_bytes (eth_header_bytes + body_len)
 
 let record_hop t hop =
   match t.trace with None -> () | Some r -> r := hop :: !r

@@ -13,6 +13,10 @@ val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by IPv4 address: monomorphic equality, and the same
+    hash (so the same bucket order) as a generic [Hashtbl]. *)
+
 val localhost : t
 (** 127.0.0.1 *)
 

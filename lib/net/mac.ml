@@ -25,6 +25,13 @@ let to_string t =
 let equal = Int.equal
 let compare = Int.compare
 let hash = Hashtbl.hash
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Alloc = struct

@@ -20,6 +20,10 @@ val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by MAC address: monomorphic equality, and the same
+    hash (so the same bucket order) as a generic [Hashtbl]. *)
+
 (** Deterministic allocator of locally-administered unicast addresses. *)
 module Alloc : sig
   type alloc

@@ -15,9 +15,10 @@ let masquerade nf ct ~name ~src_subnet ?out_dev ~nat_ip () =
     Ipv4.in_subnet src_subnet pkt.Packet.src
     && (not (Ipv4.in_subnet src_subnet pkt.Packet.dst))
     &&
-    match out_dev with
-    | None -> true
-    | Some d -> ctx.Netfilter.out_dev = Some d
+    match out_dev, ctx.Netfilter.out_dev with
+    | None, _ -> true
+    | Some d, Some o -> String.equal o d
+    | Some _, None -> false
   in
   let action _ctx pkt =
     if not (Conntrack.admit ct pkt) then Netfilter.Drop

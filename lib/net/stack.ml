@@ -5,6 +5,20 @@ module Metrics = Nest_sim.Metrics
 
 let log_src = Nest_sim.Log.src "stack"
 
+(* Per-packet lookup tables: monomorphic equality, and the generic
+   structural hash ([Int.hash] is [Hashtbl.hash]), so bucket (hence
+   fold) order is a generic table's. *)
+module Int_tbl = Hashtbl.Make (Int)
+
+module Conn_tbl = Hashtbl.Make (struct
+  type t = int * Ipv4.t * int  (* local port, remote ip, remote port *)
+
+  let equal (lp, ip, rp) (lp', ip', rp') =
+    Int.equal lp lp' && Ipv4.equal ip ip' && Int.equal rp rp'
+
+  let hash (k : t) = Hashtbl.hash k
+end)
+
 type costs = {
   tx : Hop.t;
   rx : Hop.t;
@@ -85,7 +99,7 @@ and tcp_conn = {
   mutable rcv_nxt : int;
   mutable delivered_off : int;
   mutable ooo : (int * int * (int * Payload.app_msg) list) list;  (* sorted *)
-  rcv_pending : (int, Payload.app_msg) Hashtbl.t;  (* end-offset -> msg *)
+  rcv_pending : Payload.app_msg Int_tbl.t;  (* end-offset -> msg *)
   mutable pending_ack_segs : int;
   mutable delack_armed : bool;
   (* Application interface. *)
@@ -108,12 +122,12 @@ and ns = {
   rt : Route.t;
   mutable devs : Dev.t list;
   mutable addr_list : (Dev.t * Ipv4.t * Ipv4.cidr) list;
-  arp_tbl : (Ipv4.t, Mac.t) Hashtbl.t;
-  arp_waiting : (Ipv4.t, (Mac.t -> unit) list ref) Hashtbl.t;
-  udp_binds : (int, udp_sock) Hashtbl.t;
-  listeners : (int, tcp_listener) Hashtbl.t;
-  conns : (int * Ipv4.t * int, tcp_conn) Hashtbl.t;
-  icmp_waiters : (int, Time.ns * (rtt_ns:Time.ns -> unit)) Hashtbl.t;
+  arp_tbl : Mac.t Ipv4.Tbl.t;
+  arp_waiting : (Mac.t -> unit) list ref Ipv4.Tbl.t;
+  udp_binds : udp_sock Int_tbl.t;
+  listeners : tcp_listener Int_tbl.t;
+  conns : tcp_conn Conn_tbl.t;
+  icmp_waiters : (Time.ns * (rtt_ns:Time.ns -> unit)) Int_tbl.t;
   mutable next_eph : int;
   mutable next_icmp_id : int;
   mutable fwd : bool;
@@ -226,25 +240,18 @@ let dev_holding_addr ns ip =
   | None -> if Ipv4.in_subnet lo_subnet ip then ns.lo else None
 
 let arp_cache ns =
-  Hashtbl.fold (fun ip mac acc -> (ip, mac) :: acc) ns.arp_tbl []
+  Ipv4.Tbl.fold (fun ip mac acc -> (ip, mac) :: acc) ns.arp_tbl []
   |> List.sort compare
 
 (* Netfilter is "armed" once any rule exists; armed namespaces pay the
    [nat] hop surcharge on their datapath — a fixed hook cost plus a
    per-rule term (Docker's chains are long) — which is exactly the
-   per-packet work BrFusion eliminates inside the VM. *)
-let all_hooks =
-  [ Netfilter.Prerouting; Netfilter.Input; Netfilter.Forward;
-    Netfilter.Output; Netfilter.Postrouting ]
-
-let total_rules ns =
-  List.fold_left (fun a h -> a + Netfilter.rule_count ns.nf_tbl h) 0 all_hooks
-
-let nf_armed ns = total_rules ns > 0 || Conntrack.entry_count ns.ct_tbl > 0
-
+   per-packet work BrFusion eliminates inside the VM.  Both reads are
+   O(1): the rule total is kept by [Netfilter] itself. *)
 let nat_surcharge ns =
-  if nf_armed ns then
-    ns.cs.nat.Hop.fixed_ns + (ns.cs.nat_per_rule_ns * total_rules ns)
+  let rules = Netfilter.total_rules ns.nf_tbl in
+  if rules > 0 || Conntrack.entry_count ns.ct_tbl > 0 then
+    ns.cs.nat.Hop.fixed_ns + (ns.cs.nat_per_rule_ns * rules)
   else 0
 
 (* ------------------------------------------------------------------ *)
@@ -288,24 +295,24 @@ let arp_max_tries = 3
 let arp_resolve ns dev ip k =
   if dev.Dev.l2 = Dev.Reflector then k Mac.broadcast
   else
-    match Hashtbl.find_opt ns.arp_tbl ip with
+    match Ipv4.Tbl.find_opt ns.arp_tbl ip with
     | Some mac -> k mac
     | None -> (
-      match Hashtbl.find_opt ns.arp_waiting ip with
+      match Ipv4.Tbl.find_opt ns.arp_waiting ip with
       | Some q -> q := k :: !q
       | None ->
-        Hashtbl.add ns.arp_waiting ip (ref [ k ]);
+        Ipv4.Tbl.add ns.arp_waiting ip (ref [ k ]);
         (* Linux-style retry: re-probe a few times, then fail the queued
            transmissions (counted as unroutable). *)
         let rec attempt n =
-          if Hashtbl.mem ns.arp_waiting ip then
+          if Ipv4.Tbl.mem ns.arp_waiting ip then
             if n > arp_max_tries then begin
               let waiters =
-                match Hashtbl.find_opt ns.arp_waiting ip with
+                match Ipv4.Tbl.find_opt ns.arp_waiting ip with
                 | Some q -> List.length !q
                 | None -> 0
               in
-              Hashtbl.remove ns.arp_waiting ip;
+              Ipv4.Tbl.remove ns.arp_waiting ip;
               note_drop ~n:waiters ns `No_route
             end
             else begin
@@ -318,19 +325,19 @@ let arp_resolve ns dev ip k =
 
 let arp_learn ns ip mac =
   if not (Ipv4.equal ip Ipv4.any) then begin
-    Hashtbl.replace ns.arp_tbl ip mac;
-    match Hashtbl.find_opt ns.arp_waiting ip with
+    Ipv4.Tbl.replace ns.arp_tbl ip mac;
+    match Ipv4.Tbl.find_opt ns.arp_waiting ip with
     | None -> ()
     | Some q ->
       let ks = List.rev !q in
-      Hashtbl.remove ns.arp_waiting ip;
+      Ipv4.Tbl.remove ns.arp_waiting ip;
       List.iter (fun k -> k mac) ks
   end
 
 let arp_flush ?ip ns =
   match ip with
-  | Some ip -> Hashtbl.remove ns.arp_tbl ip
-  | None -> Hashtbl.reset ns.arp_tbl
+  | Some ip -> Ipv4.Tbl.remove ns.arp_tbl ip
+  | None -> Ipv4.Tbl.reset ns.arp_tbl
 
 let arp_input ns dev (a : Frame.arp_msg) =
   arp_learn ns a.Frame.sender_ip a.Frame.sender_mac;
@@ -365,15 +372,15 @@ let ip_local_input_ref : (ns -> Packet.t -> unit) ref =
    transmission into the multiplexed loopback. *)
 let local_socket_matches ns (pkt : Packet.t) =
   match pkt.Packet.transport with
-  | Packet.Udp { dst_port; _ } -> Hashtbl.mem ns.udp_binds dst_port
+  | Packet.Udp { dst_port; _ } -> Int_tbl.mem ns.udp_binds dst_port
   | Packet.Tcp { seg; _ } ->
-    Hashtbl.mem ns.conns
+    Conn_tbl.mem ns.conns
       (seg.Tcp_wire.dst_port, pkt.Packet.src, seg.Tcp_wire.src_port)
     || (seg.Tcp_wire.flags.Tcp_wire.syn
        && (not seg.Tcp_wire.flags.Tcp_wire.ack)
-       && Hashtbl.mem ns.listeners seg.Tcp_wire.dst_port)
+       && Int_tbl.mem ns.listeners seg.Tcp_wire.dst_port)
   | Packet.Icmp_echo { id; reply; _ } ->
-    if reply then Hashtbl.mem ns.icmp_waiters id else true
+    if reply then Int_tbl.mem ns.icmp_waiters id else true
 
 let transmit_via ns ~(dev : Dev.t) ~next_hop pkt =
   let ctx = { Netfilter.in_dev = None; out_dev = Some dev.Dev.name } in
@@ -388,7 +395,7 @@ let transmit_via ns ~(dev : Dev.t) ~next_hop pkt =
     if dev.Dev.l2 = Dev.Reflector then
       send_ip_frame ns dev ~dst_mac:Mac.broadcast pkt
     else (
-      match Hashtbl.find_opt ns.arp_tbl next_hop with
+      match Ipv4.Tbl.find_opt ns.arp_tbl next_hop with
       | Some mac -> send_ip_frame ns dev ~dst_mac:mac pkt
       | None ->
         arp_resolve ns dev next_hop (fun mac ->
@@ -429,10 +436,10 @@ let ip_output ns pkt =
 let conn_key_of c = (c.c_local_port, c.c_remote_ip, c.c_remote_port)
 
 let tcp_register c =
-  Hashtbl.replace c.c_ns.conns (conn_key_of c) c
+  Conn_tbl.replace c.c_ns.conns (conn_key_of c) c
 
 let tcp_unregister c =
-  Hashtbl.remove c.c_ns.conns (conn_key_of c)
+  Conn_tbl.remove c.c_ns.conns (conn_key_of c)
 
 let tcp_make_segment c ~flags ~seq ~len ~msgs =
   let seg =
@@ -457,7 +464,7 @@ let rec tcp_arm_rto c =
   if not c.rto_armed then begin
     c.rto_armed <- true;
     c.rto_una_at_arm <- c.snd_una;
-    let delay = rto_initial * (1 lsl min 6 c.rto_backoff) in
+    let delay = rto_initial * (1 lsl Int.min 6 c.rto_backoff) in
     Engine.schedule c.c_ns.eng ~delay (fun () -> tcp_rto_fire c)
   end
 
@@ -489,7 +496,7 @@ and tcp_rto_fire c =
             Printf.sprintf "%s: RTO retransmit #%d (una=%d nxt=%d)"
               c.c_ns.ns_name c.c_retransmits c.snd_una c.snd_nxt);
         c.rto_backoff <- c.rto_backoff + 1;
-        c.ssthresh <- max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
+        c.ssthresh <- Int.max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
         c.cwnd <- init_cwnd_segments * c.c_mss;
         (match c.c_state with
         | Syn_sent ->
@@ -514,11 +521,13 @@ and tcp_rto_fire c =
 
 let rec tcp_pump c =
   if c.c_state = Established then begin
-    let window = min c.cwnd c.peer_wnd in
+    let window = Int.min c.cwnd c.peer_wnd in
     let inflight_bytes = c.snd_nxt - c.snd_una in
     if c.snd_nxt < c.send_off && inflight_bytes < window then begin
       let len =
-        min (min c.c_mss (c.send_off - c.snd_nxt)) (window - inflight_bytes)
+        Int.min
+          (Int.min c.c_mss (c.send_off - c.snd_nxt))
+          (window - inflight_bytes)
       in
       if len > 0 then begin
         let seg_end = c.snd_nxt + len in
@@ -545,12 +554,12 @@ let tcp_deliver c =
     let bytes = c.rcv_nxt - c.delivered_off in
     c.delivered_off <- c.rcv_nxt;
     let ready =
-      Hashtbl.fold
+      Int_tbl.fold
         (fun off msg acc -> if off <= c.rcv_nxt then (off, msg) :: acc else acc)
         c.rcv_pending []
-      |> List.sort compare
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     in
-    List.iter (fun (off, _) -> Hashtbl.remove c.rcv_pending off) ready;
+    List.iter (fun (off, _) -> Int_tbl.remove c.rcv_pending off) ready;
     let msgs = List.map snd ready in
     (* The consuming application must be scheduled before its receive
        callback runs. *)
@@ -572,7 +581,7 @@ let tcp_rx_data c (seg : Tcp_wire.t) =
     let seq = seg.Tcp_wire.seq and len = seg.Tcp_wire.len in
     List.iter
       (fun (off, msg) ->
-        if off > c.delivered_off then Hashtbl.replace c.rcv_pending off msg)
+        if off > c.delivered_off then Int_tbl.replace c.rcv_pending off msg)
       seg.Tcp_wire.msgs;
     if seq <= c.rcv_nxt && seq + len > c.rcv_nxt then begin
       c.rcv_nxt <- seq + len;
@@ -595,7 +604,9 @@ let tcp_rx_data c (seg : Tcp_wire.t) =
       (* Hole: stash and duplicate-ack. *)
       let entry = (seq, len, seg.Tcp_wire.msgs) in
       c.ooo <-
-        List.sort (fun (a, _, _) (b, _, _) -> compare a b) (entry :: c.ooo);
+        List.sort
+          (fun (a, _, _) (b, _, _) -> Int.compare a b)
+          (entry :: c.ooo);
       tcp_send_pure_ack c
     end
     else
@@ -610,8 +621,8 @@ let tcp_fast_retransmit c =
   | [] -> ()
   | (seq, len, msgs) :: _ ->
     c.c_retransmits <- c.c_retransmits + 1;
-    c.ssthresh <- max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
-    c.cwnd <- max (2 * c.c_mss) c.ssthresh;
+    c.ssthresh <- Int.max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
+    c.cwnd <- Int.max (2 * c.c_mss) c.ssthresh;
     tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq ~len ~msgs)
 
 let tcp_rx_ack c (seg : Tcp_wire.t) =
@@ -632,8 +643,8 @@ let tcp_rx_ack c (seg : Tcp_wire.t) =
         List.filter (fun (seq, len, _) -> seq + len > ack) c.inflight;
       (* Slow start below ssthresh, linear growth above, capped at the
          advertised receive window. *)
-      if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + min acked c.c_mss
-      else c.cwnd <- c.cwnd + max 1 (c.c_mss * c.c_mss / c.cwnd);
+      if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + Int.min acked c.c_mss
+      else c.cwnd <- c.cwnd + Int.max 1 (c.c_mss * c.c_mss / c.cwnd);
       if c.cwnd > rcvwnd_default then c.cwnd <- rcvwnd_default;
       if c.writable_waiting && c.send_off - c.snd_una <= c.c_sndbuf / 2
       then begin
@@ -701,9 +712,9 @@ let alloc_ephemeral ns =
     let p = ns.next_eph in
     ns.next_eph <- (if p >= 65_535 then ephemeral_base else p + 1);
     let busy =
-      Hashtbl.mem ns.listeners p
-      || Hashtbl.mem ns.udp_binds p
-      || Hashtbl.fold (fun (lp, _, _) _ acc -> acc || lp = p) ns.conns false
+      Int_tbl.mem ns.listeners p
+      || Int_tbl.mem ns.udp_binds p
+      || Conn_tbl.fold (fun (lp, _, _) _ acc -> acc || lp = p) ns.conns false
     in
     if busy then go (tries + 1) else p
   in
@@ -738,7 +749,7 @@ let tcp_fresh_conn ns ~local_ip ~local_port ~remote_ip ~remote_port ~state =
     peer_wnd = rcvwnd_default; tx_boundaries = Queue.create ();
     inflight = []; rto_armed = false; rto_una_at_arm = 0; rto_backoff = 0;
     dup_acks = 0; c_retransmits = 0; rcv_nxt = 0; delivered_off = 0; ooo = [];
-    rcv_pending = Hashtbl.create 8; pending_ack_segs = 0;
+    rcv_pending = Int_tbl.create 8; pending_ack_segs = 0;
     delack_armed = false;
     on_receive = (fun ~bytes:_ ~msgs:_ -> ());
     on_writable = (fun () -> ());
@@ -763,12 +774,12 @@ let tcp_send_rst ns (pkt : Packet.t) (seg : Tcp_wire.t) =
 
 let tcp_input ns (in_dev : Dev.t option) (pkt : Packet.t) (seg : Tcp_wire.t) =
   let key = (seg.Tcp_wire.dst_port, pkt.Packet.src, seg.Tcp_wire.src_port) in
-  match Hashtbl.find_opt ns.conns key with
+  match Conn_tbl.find_opt ns.conns key with
   | Some c ->
     note_delivered ns;
     tcp_conn_input c pkt seg
   | None -> (
-    match Hashtbl.find_opt ns.listeners seg.Tcp_wire.dst_port with
+    match Int_tbl.find_opt ns.listeners seg.Tcp_wire.dst_port with
     | Some l
       when seg.Tcp_wire.flags.Tcp_wire.syn
            && not seg.Tcp_wire.flags.Tcp_wire.ack ->
@@ -803,10 +814,10 @@ let tcp_input ns (in_dev : Dev.t option) (pkt : Packet.t) (seg : Tcp_wire.t) =
 
 let icmp_input ns (pkt : Packet.t) ~id ~seq ~reply =
   if reply then begin
-    match Hashtbl.find_opt ns.icmp_waiters id with
+    match Int_tbl.find_opt ns.icmp_waiters id with
     | None -> note_drop ns `No_socket
     | Some (t0, k) ->
-      Hashtbl.remove ns.icmp_waiters id;
+      Int_tbl.remove ns.icmp_waiters id;
       note_delivered ns;
       k ~rtt_ns:(Engine.now ns.eng - t0)
   end
@@ -824,7 +835,7 @@ let demux ns (in_dev : Dev.t option) (pkt : Packet.t) =
   (match ns.observer with None -> () | Some f -> f pkt);
   match pkt.Packet.transport with
   | Packet.Udp { src_port; dst_port; payload } -> (
-    match Hashtbl.find_opt ns.udp_binds dst_port with
+    match Int_tbl.find_opt ns.udp_binds dst_port with
     | Some s when not s.u_closed ->
       note_delivered ns;
       let deliver () =
@@ -925,10 +936,10 @@ let create engine ~name ~costs ?(with_loopback = true) ?rng () =
   let ns =
     { ns_name = name; eng = engine; cs = costs; nf_tbl = Netfilter.create ();
       ct_tbl = Conntrack.create (); rt = Route.create (); devs = [];
-      addr_list = []; arp_tbl = Hashtbl.create 16;
-      arp_waiting = Hashtbl.create 4; udp_binds = Hashtbl.create 16;
-      listeners = Hashtbl.create 8; conns = Hashtbl.create 32;
-      icmp_waiters = Hashtbl.create 4; next_eph = ephemeral_base;
+      addr_list = []; arp_tbl = Ipv4.Tbl.create 16;
+      arp_waiting = Ipv4.Tbl.create 4; udp_binds = Int_tbl.create 16;
+      listeners = Int_tbl.create 8; conns = Conn_tbl.create 32;
+      icmp_waiters = Int_tbl.create 4; next_eph = ephemeral_base;
       next_icmp_id = 1; fwd = false; trace_all = false; prov_all = false;
       prov_tick = 0; cnt; lo = None; observer = None;
       ns_rng =
@@ -975,14 +986,14 @@ module Udp = struct
 
   let bind ns ~port ?(kernel = false) recv =
     let port = if port = 0 then alloc_ephemeral ns else port in
-    if Hashtbl.mem ns.udp_binds port then
+    if Int_tbl.mem ns.udp_binds port then
       failwith
         (Printf.sprintf "Stack.Udp.bind: port %d busy in %s" port ns.ns_name);
     let s =
       { u_ns = ns; u_port = port; u_kernel = kernel; u_recv = recv;
         u_closed = false }
     in
-    Hashtbl.replace ns.udp_binds port s;
+    Int_tbl.replace ns.udp_binds port s;
     s
 
   let sendto ?prov s ~dst ~dst_port payload =
@@ -1003,7 +1014,7 @@ module Udp = struct
 
   let close s =
     s.u_closed <- true;
-    Hashtbl.remove s.u_ns.udp_binds s.u_port
+    Int_tbl.remove s.u_ns.udp_binds s.u_port
 
   let port s = s.u_port
   let ns_of s = s.u_ns
@@ -1013,12 +1024,12 @@ module Tcp = struct
   type conn = tcp_conn
 
   let listen ns ~port ~on_accept =
-    if Hashtbl.mem ns.listeners port then
+    if Int_tbl.mem ns.listeners port then
       failwith
         (Printf.sprintf "Stack.Tcp.listen: port %d busy in %s" port ns.ns_name);
-    Hashtbl.replace ns.listeners port { l_on_accept = on_accept }
+    Int_tbl.replace ns.listeners port { l_on_accept = on_accept }
 
-  let unlisten ns ~port = Hashtbl.remove ns.listeners port
+  let unlisten ns ~port = Int_tbl.remove ns.listeners port
 
   let connect ns ~dst ~port ?src ~on_established ?(on_close = fun () -> ()) () =
     let local_ip =
@@ -1087,7 +1098,7 @@ end
 let ping ns ~dst ~on_reply =
   let id = ns.next_icmp_id in
   ns.next_icmp_id <- ns.next_icmp_id + 1;
-  Hashtbl.replace ns.icmp_waiters id (Engine.now ns.eng, on_reply);
+  Int_tbl.replace ns.icmp_waiters id (Engine.now ns.eng, on_reply);
   let pkt =
     Packet.make ~traced:ns.trace_all ?prov:(fresh_prov ns)
       ~src:(src_for ns dst) ~dst

@@ -13,7 +13,7 @@ type t = {
   overlay_dev : Dev.t;
   encap_hop : Hop.t;
   decap_hop : Hop.t;
-  fdb : (Mac.t, Ipv4.t) Hashtbl.t;
+  fdb : Ipv4.t Mac.Tbl.t;
   mutable remotes : Ipv4.t list;
   mutable encapsulated : int;
   mutable decapsulated : int;
@@ -37,13 +37,13 @@ let decap t (payload : Payload.t) =
 let targets t (inner : Frame.t) =
   if Frame.is_broadcast inner then t.remotes
   else
-    match Hashtbl.find_opt t.fdb inner.Frame.dst with
+    match Mac.Tbl.find_opt t.fdb inner.Frame.dst with
     | Some remote -> [ remote ]
     | None -> t.remotes
 
 let encap t (inner : Frame.t) =
   let targets = targets t inner in
-  if targets <> [] then begin
+  if not (List.is_empty targets) then begin
     Nest_sim.Metrics.bump t.encap_ctr ();
     Frame.record_hop inner (t.vtep_name ^ ":encap");
     Nest_sim.Engine.trace_instant (Stack.engine t.underlay) ~cat:"hop"
@@ -88,7 +88,7 @@ let create underlay ~name ~vni ~local ?(udp_port = default_port) ~encap_hop
         sock =
           Stack.Udp.bind underlay ~port:udp_port ~kernel:true
             (fun _ ~src:_ payload -> decap (Lazy.force t) payload);
-        overlay_dev; encap_hop; decap_hop; fdb = Hashtbl.create 16;
+        overlay_dev; encap_hop; decap_hop; fdb = Mac.Tbl.create 16;
         remotes = []; encapsulated = 0; decapsulated = 0;
         encap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".encap");
         decap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".decap") }
@@ -101,14 +101,15 @@ let dev t = t.overlay_dev
 let vni t = t.vni
 
 let add_remote t ip =
-  if not (List.mem ip t.remotes) then t.remotes <- t.remotes @ [ ip ]
+  if not (List.exists (Ipv4.equal ip) t.remotes) then
+    t.remotes <- t.remotes @ [ ip ]
 
-let add_fdb t mac ip = Hashtbl.replace t.fdb mac ip
+let add_fdb t mac ip = Mac.Tbl.replace t.fdb mac ip
 
 let remove_remote t ip =
-  t.remotes <- List.filter (fun r -> r <> ip) t.remotes;
-  Hashtbl.filter_map_inplace
-    (fun _ dst -> if dst = ip then None else Some dst)
+  t.remotes <- List.filter (fun r -> not (Ipv4.equal r ip)) t.remotes;
+  Mac.Tbl.filter_map_inplace
+    (fun _ dst -> if Ipv4.equal dst ip then None else Some dst)
     t.fdb
 
 let encapsulated t = t.encapsulated

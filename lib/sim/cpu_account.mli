@@ -20,6 +20,17 @@ type t
 val create : unit -> t
 val charge : t -> entity:string -> category -> Time.ns -> unit
 
+type handle
+(** One entity's row, for callers that charge it on every event: the
+    name is looked up once, at the first charge, instead of per charge. *)
+
+val handle : t -> entity:string -> handle
+(** Creates no row: the entity appears in {!entities} only once charged. *)
+
+val charge_handle : handle -> category -> Time.ns -> unit
+(** Same effect as {!charge} on the handle's table and entity, also
+    across {!reset}. *)
+
 val get : t -> entity:string -> category -> Time.ns
 (** 0 for unknown entities. *)
 

@@ -8,21 +8,18 @@ let cores t = Array.length t.busy
 let name t = t.set_name
 
 let book t ~ready =
-  (* Best fit among already-free cores; earliest-available otherwise. *)
-  let best_free = ref (-1) in
-  let earliest = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v <= ready then begin
-        match !best_free with
-        | -1 -> best_free := i
-        | j -> if v > t.busy.(j) then best_free := i
-      end;
-      if v < t.busy.(!earliest) then earliest := i)
-    t.busy;
-  match !best_free with
-  | -1 -> (t.busy.(!earliest), !earliest)
-  | i -> (ready, i)
+  (* Best fit among already-free cores; earliest-available otherwise.
+     A plain loop over unboxed refs: this runs on every submission. *)
+  let best_free = ref (-1) and earliest = ref 0 in
+  for i = 0 to Array.length t.busy - 1 do
+    let v = t.busy.(i) in
+    if v <= ready && (!best_free < 0 || v > t.busy.(!best_free)) then
+      best_free := i;
+    if v < t.busy.(!earliest) then earliest := i
+  done;
+  if !best_free >= 0 then !best_free else !earliest
+
+let free_at t core = t.busy.(core)
 
 let commit t core ~finish = t.busy.(core) <- finish
 

@@ -19,9 +19,14 @@ val create : cores:int -> name:string -> t
 val cores : t -> int
 val name : t -> string
 
-val book : t -> ready:Time.ns -> Time.ns * int
-(** [book t ~ready] returns [(start, core)]: the earliest date >= [ready]
-    at which [core] can run the work.  Must be followed by {!commit}. *)
+val book : t -> ready:Time.ns -> int
+(** [book t ~ready] picks the core for work ready at [ready]: the
+    busiest already-free core, or else the one that frees up first.  The
+    work starts at [max ready (free_at t core)].  Must be followed by
+    {!commit}. *)
+
+val free_at : t -> int -> Time.ns
+(** Date the core's current booking ends. *)
 
 val commit : t -> int -> finish:Time.ns -> unit
 (** Marks the booked core busy until [finish]. *)

@@ -31,7 +31,7 @@ let poisson rng ~mean =
   if mean <= 0.0 then 0
   else if mean > 60.0 then
     let v = normal rng ~mu:mean ~sigma:(sqrt mean) in
-    max 0 (int_of_float (Float.round v))
+    Int.max 0 (int_of_float (Float.round v))
   else begin
     let l = exp (-.mean) in
     let k = ref 0 and p = ref 1.0 in
@@ -55,4 +55,4 @@ let zipf rng ~n ~s =
     if v *. x *. (t -. 1.0) /. (b -. 1.0) <= t /. b then int_of_float x
     else draw ()
   in
-  min n (draw ())
+  Int.min n (draw ())

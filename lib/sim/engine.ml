@@ -82,8 +82,10 @@ let profile t =
     Hashtbl.fold (fun label s acc -> (label, s.calls, s.wall) :: acc) tbl []
     |> List.sort (fun (_, _, a) (_, _, b) -> Float.compare b a)
 
+(* [Int.max] rather than [max] on every per-event path: at type int the
+   polymorphic [max] still compares through a C call. *)
 let schedule_at t ?label ~at fn =
-  let at = max at t.clock in
+  let at = Int.max at t.clock in
   match label with
   | None | Some "" -> Wheel.push t.queue ~prio:at (Plain fn)
   | Some label ->
@@ -94,12 +96,12 @@ let schedule_at t ?label ~at fn =
    id was interned once by the caller and rides along, so tracing this
    event costs two ring writes and no hashing. *)
 let schedule_at_interned t ~label ~lbl ~at fn =
-  let at = max at t.clock in
+  let at = Int.max at t.clock in
   Wheel.push t.queue ~prio:at
     (Labeled { label; lbl; lbl_epoch = t.trace_epoch; fn })
 
 let schedule t ?label ~delay fn =
-  schedule_at t ?label ~at:(t.clock + max 0 delay) fn
+  schedule_at t ?label ~at:(t.clock + Int.max 0 delay) fn
 
 (* The unlabeled, untraced, unprofiled path must stay as close to a bare
    [fn ()] as possible: the ≤2%-overhead budget for disabled observability
@@ -142,17 +144,21 @@ let exec_profiled t tbl job at =
   prof_charge tbl label ~t0 ~t1
 
 let step t =
-  match Wheel.pop t.queue with
-  | None -> false
-  | Some (at, job) ->
+  if Wheel.is_empty t.queue then false
+  else begin
+    let e = Wheel.pop_entry t.queue in
+    let at = Wheel.entry_prio e and job = Wheel.entry_value e in
     t.clock <- at;
     t.executed <- t.executed + 1;
     (match t.prof with
     | None -> exec t job at
     | Some tbl -> exec_profiled t tbl job at);
     true
+  end
 
-let next_at t = Wheel.peek_prio t.queue
+let next_at t =
+  let m = Wheel.min_prio t.queue in
+  if m < 0 then max_int else m
 
 let advance_to t horizon = if horizon > t.clock then t.clock <- horizon
 
@@ -162,7 +168,7 @@ let advance_to t horizon = if horizon > t.clock then t.clock <- horizon
    the thunk never sat in this engine's queue.  The conservative shard
    loop guarantees [at >= clock] before calling. *)
 let run_external t ~at ?(label = "") fn =
-  let at = max at t.clock in
+  let at = Int.max at t.clock in
   t.clock <- at;
   t.executed <- t.executed + 1;
   let job =
@@ -179,11 +185,12 @@ let run ?until t =
   | Some horizon ->
     let continue = ref true in
     while !continue do
-      match Wheel.peek_prio t.queue with
-      | Some at when at <= horizon -> ignore (step t)
-      | Some _ | None ->
+      let at = Wheel.min_prio t.queue in
+      if at >= 0 && at <= horizon then ignore (step t)
+      else begin
         continue := false;
-        t.clock <- max t.clock horizon
+        t.clock <- Int.max t.clock horizon
+      end
     done
 
 let pending t = Wheel.size t.queue

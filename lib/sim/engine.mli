@@ -49,9 +49,10 @@ val intern_label : t -> string -> int
 (** The trace-name id of [label] in the installed tracer, or [-1] when
     no tracer is installed or [label] is [""]. *)
 
-val next_at : t -> Time.ns option
-(** Date of the earliest queued event, or [None] when the queue is
-    empty.  The conservative shard loop ({!Sharded}) uses this to decide
+val next_at : t -> Time.ns
+(** Date of the earliest queued event, or [max_int] when the queue is
+    empty (no option, so the shard loop's per-event poll allocates
+    nothing).  The conservative shard loop ({!Sharded}) uses this to decide
     whether the next local event is safe to execute. *)
 
 val advance_to : t -> Time.ns -> unit

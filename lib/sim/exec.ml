@@ -1,8 +1,8 @@
 type t = {
   exec_name : string;
   engine : Engine.t;
-  account : (Cpu_account.t * string * Cpu_account.category) option;
-  also : (Cpu_account.t * string * Cpu_account.category) list;
+  account : (Cpu_account.handle * Cpu_account.category) option;
+  also : (Cpu_account.handle * Cpu_account.category) list;
   slots : Time.ns array;
   cpus : Cpu_set.t option;
   mutable busy_ns : Time.ns;
@@ -15,7 +15,9 @@ type t = {
 
 let create ?account ?(also = []) ?(width = 1) ?cpus engine ~name =
   if width <= 0 then invalid_arg "Exec.create: width must be > 0";
-  { exec_name = name; engine; account; also; slots = Array.make width 0;
+  let resolve (acct, entity, cat) = (Cpu_account.handle acct ~entity, cat) in
+  { exec_name = name; engine; account = Option.map resolve account;
+    also = List.map resolve also; slots = Array.make width 0;
     cpus; busy_ns = 0; lbl = -1; lbl_epoch = -1 }
 
 let name t = t.exec_name
@@ -23,38 +25,42 @@ let width t = Array.length t.slots
 
 let min_slot t =
   let best = ref 0 in
-  Array.iteri (fun i v -> if v < t.slots.(!best) then best := i) t.slots;
+  for i = 1 to Array.length t.slots - 1 do
+    if t.slots.(i) < t.slots.(!best) then best := i
+  done;
   !best
+
+let rec charge_also cost = function
+  | [] -> ()
+  | (h, cat) :: rest ->
+    Cpu_account.charge_handle h cat cost;
+    charge_also cost rest
 
 (* Core submission path.  Returns the completion time so callers that
    need timing (latency provenance) can recover [start = finish - cost]
    without any allocation on the common path. *)
 let submit_timed ?charge_as t ~cost k =
-  let cost = max 0 cost in
+  let cost = Int.max 0 cost in
   let now = Engine.now t.engine in
   let slot = min_slot t in
-  let slot_free = max now t.slots.(slot) in
-  let start, booking =
+  let slot_free = Int.max now t.slots.(slot) in
+  let finish =
     match t.cpus with
-    | None -> (slot_free, None)
+    | None -> slot_free + cost
     | Some set ->
-      let start, core = Cpu_set.book set ~ready:slot_free in
-      (start, Some (set, core))
+      let core = Cpu_set.book set ~ready:slot_free in
+      let finish = Int.max slot_free (Cpu_set.free_at set core) + cost in
+      Cpu_set.commit set core ~finish;
+      finish
   in
-  let finish = start + cost in
   t.slots.(slot) <- finish;
-  (match booking with
-  | None -> ()
-  | Some (set, core) -> Cpu_set.commit set core ~finish);
   t.busy_ns <- t.busy_ns + cost;
   (match t.account with
   | None -> ()
-  | Some (acct, entity, default_cat) ->
-    let cat = Option.value charge_as ~default:default_cat in
-    Cpu_account.charge acct ~entity cat cost);
-  List.iter
-    (fun (acct, entity, cat) -> Cpu_account.charge acct ~entity cat cost)
-    t.also;
+  | Some (h, default_cat) ->
+    let cat = match charge_as with Some c -> c | None -> default_cat in
+    Cpu_account.charge_handle h cat cost);
+  charge_also cost t.also;
   let ep = Engine.trace_epoch t.engine in
   if t.lbl_epoch <> ep then begin
     t.lbl <- Engine.intern_label t.engine t.exec_name;
@@ -74,7 +80,7 @@ let busy_ns t = t.busy_ns
 
 let backlog t =
   let now = Engine.now t.engine in
-  Array.fold_left (fun acc v -> max acc (v - now)) 0 t.slots
+  Array.fold_left (fun acc v -> Int.max acc (v - now)) 0 t.slots
 
 let reset_busy t = t.busy_ns <- 0
 

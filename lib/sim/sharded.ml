@@ -257,8 +257,6 @@ let delivery_head s = Atomic.get s.sh_inbox.ib_head
 let publish_floor s v =
   if v > Atomic.get s.sh_publish then Atomic.set s.sh_publish v
 
-let wheel_next e = match Engine.next_at e with Some a -> a | None -> max_int
-
 (* Executes everything currently provable-safe on [s], then either
    declares the shard done for this horizon or broadcasts its clock
    floor.  Returns true when an event ran or the published floor
@@ -270,7 +268,7 @@ let pump s ~horizon =
   while !running do
     running := false;
     let da = delivery_head s in
-    let wa = wheel_next s.sh_engine in
+    let wa = Engine.next_at s.sh_engine in
     (* Deliveries beat local events on equal dates. *)
     if da <= wa then begin
       if da < safe && da <= horizon then begin
@@ -288,8 +286,8 @@ let pump s ~horizon =
     end
   done;
   (* Nothing executable under [safe]. *)
-  let cand = min (delivery_head s) (wheel_next s.sh_engine) in
-  let bound = min cand safe in
+  let cand = Int.min (delivery_head s) (Engine.next_at s.sh_engine) in
+  let bound = Int.min cand safe in
   if bound > horizon then begin
     (* Both the local candidate and every possible future inbound
        delivery lie beyond the horizon: this shard is finished, and
@@ -393,7 +391,7 @@ let drain t =
     let best = ref max_int and best_s = ref None in
     Array.iter
       (fun s ->
-        let c = min (delivery_head s) (wheel_next s.sh_engine) in
+        let c = Int.min (delivery_head s) (Engine.next_at s.sh_engine) in
         if c < !best then begin
           best := c;
           best_s := Some s
@@ -402,7 +400,7 @@ let drain t =
     match !best_s with
     | None -> continue_ := false
     | Some s ->
-      if delivery_head s <= wheel_next s.sh_engine then deliver s
+      if delivery_head s <= Engine.next_at s.sh_engine then deliver s
       else ignore (Engine.step s.sh_engine)
   done
 

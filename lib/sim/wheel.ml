@@ -144,7 +144,7 @@ let cascade t k slot =
    The result is memoized wherever the minimum lives; [pop] recomputes
    its slot from the level-0 mask after settling, so the memo never
    implies level-0 residence.  -1 when empty. *)
-let find_min t =
+let min_prio t =
   if t.count = 0 then -1
   else if t.cached_min >= 0 then t.cached_min
   else begin
@@ -172,7 +172,7 @@ let find_min t =
     m
   end
 
-(* Pop-time companion of [find_min]: cascades until the minimum lives in
+(* Pop-time companion of [min_prio]: cascades until the minimum lives in
    a level-0 slot (advancing [base] as frames resolve — safe here, the
    caller is about to deliver that tick). *)
 let rec settle t =
@@ -193,14 +193,13 @@ let rec settle t =
     settle t
   end
 
-let peek_prio t =
-  let m = find_min t in
-  if m < 0 then None else Some m
-
 let by_seq a b = compare (a.e_seq : int) b.e_seq
 
-let pop t =
-  if t.count = 0 then None
+let entry_prio e = e.e_prio
+let entry_value e = e.e_value
+
+let pop_entry t =
+  if t.count = 0 then invalid_arg "Wheel.pop_entry: empty"
   else begin
     settle t;
     let m = ((t.base lsr slot_bits) lsl slot_bits) lor ctz t.masks.(0) in
@@ -232,8 +231,14 @@ let pop t =
       t.base <- m;
       drain_overflow t
     end;
-    Some (e.e_prio, e.e_value)
+    e
   end
+
+let pop t =
+  if t.count = 0 then None
+  else
+    let e = pop_entry t in
+    Some (e.e_prio, e.e_value)
 
 let push t ~prio value =
   (* Dates before the current base would already have been delivered;

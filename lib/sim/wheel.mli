@@ -26,8 +26,19 @@ val pop : 'a t -> (int * 'a) option
 (** Extracts the (priority, value) with the smallest priority,
     first-in-first-out among equal priorities. *)
 
-val peek_prio : 'a t -> int option
-(** Priority [pop] would return next, without removing it. *)
+type 'a entry
+
+val entry_prio : 'a entry -> int
+val entry_value : 'a entry -> 'a
+
+val pop_entry : 'a t -> 'a entry
+(** {!pop} for the event loop: returns the stored entry itself, so an
+    extraction allocates nothing.  Raises [Invalid_argument] when the
+    wheel is empty. *)
+
+val min_prio : 'a t -> int
+(** Priority [pop] would return next, without removing it; -1 when the
+    wheel is empty. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

@@ -284,6 +284,109 @@ let test_conntrack_dnat () =
   Alcotest.(check string) "source restored to published address" "10.0.0.2"
     (Ipv4.to_string back.Packet.src)
 
+(* The O(1) rule total must track every [append]/[remove], including
+   removals of a name present several times and of a name never added. *)
+let test_netfilter_total_rules =
+  let hooks =
+    [| Netfilter.Prerouting; Netfilter.Input; Netfilter.Forward;
+       Netfilter.Output; Netfilter.Postrouting |]
+  in
+  QCheck.Test.make ~name:"total_rules = sum of rule_count after any append/remove"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 60) (triple bool (int_bound 4) (int_bound 5)))
+    (fun ops ->
+      let nf = Netfilter.create () in
+      let summed () =
+        Array.fold_left (fun a h -> a + Netfilter.rule_count nf h) 0 hooks
+      in
+      List.for_all
+        (fun (add, h, n) ->
+          (* Names 4 and 5 are only ever removed: always absent. *)
+          let name = Printf.sprintf "r%d" n in
+          if add && n < 4 then
+            Netfilter.append nf hooks.(h)
+              { Netfilter.rule_name = name; matches = (fun _ _ -> true);
+                action = (fun _ _ -> Netfilter.Accept) }
+          else Netfilter.remove nf hooks.(h) name;
+          Netfilter.total_rules nf = summed ())
+        ops)
+
+let tcp_pkt ~src ~dst ~sport ~dport =
+  let seg =
+    { Tcp_wire.src_port = sport; dst_port = dport; seq = 0; ack_seq = 0;
+      flags = Tcp_wire.flags_none; window = 0; len = 0; msgs = [] }
+  in
+  Packet.make ~src ~dst (Packet.Tcp { seg; payload = Payload.raw 0 })
+
+(* The flow key's equality covers the protocol: a UDP and a TCP flow on
+   the same addresses and ports are two connections, each with its own
+   binding pair, and a reply only matches its own protocol's binding.
+   The source port is one at which the two flows' hashes agree in their
+   low 10 bits, so they share a bucket in any table of up to 1024
+   buckets and only the table's equality can tell them apart. *)
+let test_conntrack_proto_distinct () =
+  let ct = Conntrack.create () in
+  let nat_ip = Ipv4.of_string "10.0.0.1" in
+  let src = Ipv4.of_string "172.17.0.2" and dst = Ipv4.of_string "10.9.9.9" in
+  let udp sport =
+    udp_pkt ~src:"172.17.0.2" ~dst:"10.9.9.9" ~sport ~dport:53 ()
+  in
+  let tcp sport = tcp_pkt ~src ~dst ~sport ~dport:53 in
+  let bucket p = Hashtbl.hash (Conntrack.flow_of_packet p) land 1023 in
+  let rec same_bucket sport =
+    if bucket (udp sport) = bucket (tcp sport) then sport
+    else same_bucket (sport + 1)
+  in
+  let sport = same_bucket 1024 in
+  let udp = udp sport and tcp = tcp sport in
+  let udp_out = Conntrack.snat ct udp ~to_ip:nat_ip in
+  let tcp_out = Conntrack.snat ct tcp ~to_ip:nat_ip in
+  Alcotest.(check int) "two binding pairs" 4 (Conntrack.entry_count ct);
+  let nat_port p = fst (Option.get (Packet.ports p)) in
+  Alcotest.(check bool) "distinct NAT ports" true
+    (nat_port udp_out <> nat_port tcp_out);
+  let udp_reply ~to_port =
+    Packet.make ~src:dst ~dst:nat_ip
+      (Packet.Udp { src_port = 53; dst_port = to_port; payload = Payload.raw 10 })
+  in
+  let back, hit =
+    Conntrack.translate ct (udp_reply ~to_port:(nat_port udp_out))
+  in
+  Alcotest.(check bool) "udp reply translated" true hit;
+  Alcotest.(check (option (pair int int)))
+    "udp reply restored" (Some (53, sport)) (Packet.ports back);
+  let tcp_reply = tcp_pkt ~src:dst ~dst:nat_ip ~sport:53 ~dport:(nat_port tcp_out) in
+  let back, hit = Conntrack.translate ct tcp_reply in
+  Alcotest.(check bool) "tcp reply translated" true hit;
+  Alcotest.(check string) "tcp reply to the original source" "172.17.0.2"
+    (Ipv4.to_string back.Packet.dst);
+  let _, hit = Conntrack.translate ct (udp_reply ~to_port:(nat_port tcp_out)) in
+  Alcotest.(check bool) "udp reply on the tcp binding's port misses" false hit
+
+(* ICMP has no ports: SNAT keeps the echo identifier, so the reply is
+   matched by it and delivered back to the original source. *)
+let test_conntrack_icmp_id_survives_snat () =
+  let ct = Conntrack.create () in
+  let nat_ip = Ipv4.of_string "10.0.0.1" in
+  let src = Ipv4.of_string "172.17.0.2" and dst = Ipv4.of_string "10.9.9.9" in
+  let echo reply ~src ~dst =
+    Packet.make ~src ~dst (Packet.Icmp_echo { id = 77; seq = 3; reply })
+  in
+  let id_of p =
+    match p.Packet.transport with
+    | Packet.Icmp_echo { id; _ } -> id
+    | Packet.Udp _ | Packet.Tcp _ -> -1
+  in
+  let out = Conntrack.snat ct (echo false ~src ~dst) ~to_ip:nat_ip in
+  Alcotest.(check string) "source rewritten" "10.0.0.1"
+    (Ipv4.to_string out.Packet.src);
+  Alcotest.(check int) "echo id kept" 77 (id_of out);
+  let back, hit = Conntrack.translate ct (echo true ~src:dst ~dst:nat_ip) in
+  Alcotest.(check bool) "reply translated" true hit;
+  Alcotest.(check string) "reply to the original source" "172.17.0.2"
+    (Ipv4.to_string back.Packet.dst);
+  Alcotest.(check int) "reply id kept" 77 (id_of back)
+
 (* ------------------------------------------------------------------ *)
 (* Devices: bridge, veth, tap *)
 
@@ -430,7 +533,12 @@ let () =
           Alcotest.test_case "drop+remove" `Quick test_netfilter_drop_and_remove;
           qtest test_conntrack_snat_reverse;
           Alcotest.test_case "snat stable" `Quick test_conntrack_snat_stable;
-          Alcotest.test_case "dnat" `Quick test_conntrack_dnat ] );
+          Alcotest.test_case "dnat" `Quick test_conntrack_dnat;
+          qtest test_netfilter_total_rules;
+          Alcotest.test_case "udp and tcp flows bind apart" `Quick
+            test_conntrack_proto_distinct;
+          Alcotest.test_case "icmp echo id survives snat" `Quick
+            test_conntrack_icmp_id_survives_snat ] );
       ( "devices",
         [ Alcotest.test_case "bridge learning" `Quick test_bridge_learning_and_flood;
           Alcotest.test_case "bridge self" `Quick test_bridge_self_delivery;

@@ -112,7 +112,7 @@ let test_wheel_past_clamp () =
      its frames. *)
   let w = Wheel.create () in
   Wheel.push w ~prio:100 "a";
-  Alcotest.(check (option int)) "min" (Some 100) (Wheel.peek_prio w);
+  Alcotest.(check int) "min" 100 (Wheel.min_prio w);
   ignore (Wheel.pop w);
   Wheel.push w ~prio:5 "late";
   (match Wheel.pop w with
@@ -460,6 +460,32 @@ let test_exec_accounting () =
   Alcotest.(check int) "entity total" 800
     (Cpu_account.entity_total acct ~entity:"vm1")
 
+(* An execution context resolves its account rows once; a reset must
+   still send its next charge to a fresh row, and an entity is listed
+   only once something has been charged to it. *)
+let test_exec_accounting_across_reset () =
+  let e = Engine.create () in
+  let acct = Cpu_account.create () in
+  let x =
+    Exec.create ~account:(acct, "vm1", Cpu_account.Soft)
+      ~also:[ (acct, "host", Cpu_account.Guest) ]
+      e ~name:"acc"
+  in
+  Alcotest.(check (list string)) "nothing charged yet" []
+    (Cpu_account.entities acct);
+  Exec.submit x ~cost:500 (fun () -> ());
+  Engine.run e;
+  Cpu_account.reset acct;
+  Alcotest.(check (list string)) "reset empties" [] (Cpu_account.entities acct);
+  Exec.submit x ~cost:70 (fun () -> ());
+  Engine.run e;
+  Alcotest.(check (list string)) "charged again" [ "host"; "vm1" ]
+    (Cpu_account.entities acct);
+  Alcotest.(check int) "primary sees only post-reset work" 70
+    (Cpu_account.get acct ~entity:"vm1" Cpu_account.Soft);
+  Alcotest.(check int) "secondary too" 70
+    (Cpu_account.get acct ~entity:"host" Cpu_account.Guest)
+
 let test_cpuset_caps_parallelism () =
   let e = Engine.create () in
   let set = Cpu_set.create ~cores:2 ~name:"vm" in
@@ -554,6 +580,8 @@ let () =
         [ Alcotest.test_case "serializes" `Quick test_exec_serializes;
           Alcotest.test_case "width parallel" `Quick test_exec_width_parallel;
           Alcotest.test_case "accounting" `Quick test_exec_accounting;
+          Alcotest.test_case "accounting across reset" `Quick
+            test_exec_accounting_across_reset;
           Alcotest.test_case "cpuset caps" `Quick test_cpuset_caps_parallelism;
           Alcotest.test_case "cpuset affinity" `Quick
             test_cpuset_affinity_no_false_contention;
