@@ -89,21 +89,20 @@ let kernel_engine_events () =
   done;
   Nest_sim.Engine.run e
 
-(* Timing-wheel churn shaped like the event loop: seed a batch, then
-   every extraction schedules one near-future follow-up.  Near-future
-   pushes are the wheel's O(1) case. *)
-let kernel_exec_queue_wheel () =
-  let w = Nest_sim.Wheel.create () in
+(* Event-queue churn shaped like the event loop: seed a batch, then
+   every extraction schedules one near-future follow-up. *)
+let kernel_exec_queue_heap () =
+  let w = Nest_sim.Heap.create ~dummy:0 () in
   let pushed = ref 0 in
   let push ~prio v =
     incr pushed;
-    Nest_sim.Wheel.push w ~prio v
+    Nest_sim.Heap.push w ~prio v
   in
   for i = 1 to 256 do
     push ~prio:(i * 13) i
   done;
   let rec loop () =
-    match Nest_sim.Wheel.pop w with
+    match Nest_sim.Heap.pop w with
     | None -> ()
     | Some (p, v) ->
       if !pushed < 5_000 then push ~prio:(p + 1 + ((v * 7) land 1023)) (v + 1);
@@ -214,7 +213,7 @@ let micro_tests =
     Test.make ~name:"fig15:netperf-natx"
       (Staged.stage (kernel_netperf_pair ~mode:`NatX));
     Test.make ~name:"engine:1k-events" (Staged.stage kernel_engine_events);
-    Test.make ~name:"exec_queue:wheel" (Staged.stage kernel_exec_queue_wheel);
+    Test.make ~name:"exec_queue:heap" (Staged.stage kernel_exec_queue_heap);
     Test.make ~name:"net:conntrack-snat" (Staged.stage kernel_conntrack);
     Test.make ~name:"vmm:qmp-dedupe" (Staged.stage kernel_qmp_dedupe);
     Test.make ~name:"admission:fixed" (Staged.stage kernel_admission_fixed);

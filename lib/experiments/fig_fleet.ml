@@ -513,8 +513,14 @@ let validate p =
     bad "fault-rate must be in [0,1] (got %g)" p.fault_rate
   else if not (p.standby >= 0) then
     bad "standby must be >= 0 (got %d)" p.standby
-  else if not (p.service_us > 0.0 && Float.is_finite p.service_us) then
-    bad "service-us must be positive and finite (got %g)" p.service_us
+  else if
+    (* [install_serving] charges [int_of_float (service_us *. 1000.)] ns:
+       at least 1 ns, and no wrap to a negative cost. *)
+    not (p.service_us *. 1000.0 >= 1.0
+         && p.service_us *. 1000.0 < Float.of_int max_int)
+  then
+    bad "service-us must be in [0.001, %g) (got %g)"
+      (Float.of_int max_int /. 1000.0) p.service_us
   else if not (p.pods_max >= 1) then
     bad "pods-max must be >= 1 (got %d)" p.pods_max
   else Ok ()

@@ -16,7 +16,7 @@ type prof_slot = { mutable calls : int; mutable wall : float }
 
 type t = {
   mutable clock : Time.ns;
-  queue : job Wheel.t;
+  queue : job Heap.t;
   root_rng : Prng.t;
   mutable executed : int;
   metrics : Metrics.t;
@@ -31,7 +31,7 @@ let create ?(seed = 0x5EEDL) () =
   let t =
     {
       clock = 0;
-      queue = Wheel.create ();
+      queue = Heap.create ~dummy:(Plain ignore) ();
       root_rng = Prng.create seed;
       executed = 0;
       metrics = Metrics.create ();
@@ -45,7 +45,7 @@ let create ?(seed = 0x5EEDL) () =
   Metrics.gauge_probe t.metrics "engine.events_processed" (fun () ->
       float_of_int t.executed);
   Metrics.gauge_probe t.metrics "engine.pending" (fun () ->
-      float_of_int (Wheel.size t.queue));
+      float_of_int (Heap.size t.queue));
   t
 
 let now t = t.clock
@@ -87,9 +87,9 @@ let profile t =
 let schedule_at t ?label ~at fn =
   let at = Int.max at t.clock in
   match label with
-  | None | Some "" -> Wheel.push t.queue ~prio:at (Plain fn)
+  | None | Some "" -> Heap.push t.queue ~prio:at (Plain fn)
   | Some label ->
-    Wheel.push t.queue ~prio:at
+    Heap.push t.queue ~prio:at
       (Labeled { label; lbl = -1; lbl_epoch = 0; fn })
 
 (* Hot-caller variant (see {!Exec.submit_timed}): the label's trace-name
@@ -97,7 +97,7 @@ let schedule_at t ?label ~at fn =
    event costs two ring writes and no hashing. *)
 let schedule_at_interned t ~label ~lbl ~at fn =
   let at = Int.max at t.clock in
-  Wheel.push t.queue ~prio:at
+  Heap.push t.queue ~prio:at
     (Labeled { label; lbl; lbl_epoch = t.trace_epoch; fn })
 
 let schedule t ?label ~delay fn =
@@ -144,10 +144,10 @@ let exec_profiled t tbl job at =
   prof_charge tbl label ~t0 ~t1
 
 let step t =
-  if Wheel.is_empty t.queue then false
+  let at = Heap.min_prio t.queue in
+  if at < 0 then false
   else begin
-    let e = Wheel.pop_entry t.queue in
-    let at = Wheel.entry_prio e and job = Wheel.entry_value e in
+    let job = Heap.pop_value t.queue in
     t.clock <- at;
     t.executed <- t.executed + 1;
     (match t.prof with
@@ -157,13 +157,13 @@ let step t =
   end
 
 let next_at t =
-  let m = Wheel.min_prio t.queue in
+  let m = Heap.min_prio t.queue in
   if m < 0 then max_int else m
 
 let advance_to t horizon = if horizon > t.clock then t.clock <- horizon
 
 (* External-event execution (cross-shard mailbox deliveries): behaves
-   like popping a wheel event at [at] — advances the clock, counts it,
+   like popping a queued event at [at] — advances the clock, counts it,
    brackets it with a span when labeled and a tracer is installed — but
    the thunk never sat in this engine's queue.  The conservative shard
    loop guarantees [at >= clock] before calling. *)
@@ -185,7 +185,7 @@ let run ?until t =
   | Some horizon ->
     let continue = ref true in
     while !continue do
-      let at = Wheel.min_prio t.queue in
+      let at = Heap.min_prio t.queue in
       if at >= 0 && at <= horizon then ignore (step t)
       else begin
         continue := false;
@@ -193,5 +193,5 @@ let run ?until t =
       end
     done
 
-let pending t = Wheel.size t.queue
+let pending t = Heap.size t.queue
 let events_processed t = t.executed

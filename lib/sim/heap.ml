@@ -1,88 +1,228 @@
-(* Slots are a variant rather than a bare entry record so vacated cells can
-   be reset to [Empty]: a popped value must become unreachable from the heap
-   immediately, or the backing array pins arbitrarily large closures (the
-   engine stores event thunks here) until the slot happens to be
-   overwritten.  [Empty] is an immediate, so the per-push allocation profile
-   is the same as with a plain record. *)
-type 'a slot = Empty | Entry of { prio : int; seq : int; value : 'a }
+(* The engine's event queue: an implicit 4-ary min-heap on (prio, seq)
+   beside an append-only sorted run.
+
+   A heap entry is three ints: its priority, its sequence number and the
+   index of the cell that holds its value.  The heap stores its entries
+   flat in one [int array], so sifting moves ints only (no write
+   barrier) and a node's four children sit on two cache lines.  Heap
+   values stay in one pool of cells while queued, and a free stack
+   recycles the cells.
+
+   The run takes every push whose priority is at or above its tail's,
+   in O(1), and keeps priorities and values in two parallel arrays; the
+   rest sift into the heap.  A pop takes the smaller head by
+   (prio, seq).  The run needs no sequence numbers for that: at equal
+   priorities every run entry precedes every heap entry.  (A heap entry
+   went in while the run's tail was above its priority, and the run
+   accepts that priority again only after emptying, which means popping
+   that tail, which cannot happen while the heap entry waits.)
+   Ascending schedules (a batch of timers, a far-future horizon event)
+   thus never touch the heap.
+
+   A vacated value cell is overwritten with the caller's [dummy] at
+   once: a popped or cleared value must become unreachable from the
+   queue immediately, or the arrays pin arbitrarily large closures (the
+   engine stores event thunks here) until the cell happens to be reused.
+   Once the arrays are sized, neither push nor pop allocates.
+
+   Ordering contract: extraction is by (prio, seq), FIFO among equal
+   priorities.  A push below the last popped priority (or below 0) is
+   clamped up to it, so nothing is ever filed into the delivered past. *)
 
 type 'a t = {
-  mutable data : 'a slot array;
+  dummy : 'a;
+  mutable heap : int array;  (* children of entry i: 4i+1 .. 4i+4 *)
   mutable len : int;
+  mutable cells : 'a array;  (* values of heap entries *)
+  mutable free : int array;  (* free cell indices, [n_free] live *)
+  mutable n_free : int;
+  mutable r_prio : int array;  (* the run: live entries [r_head, r_tail) *)
+  mutable r_value : 'a array;
+  mutable r_head : int;
+  mutable r_tail : int;
   mutable next_seq : int;
+  mutable floor : int;       (* last popped priority *)
 }
 
-let create () = { data = [||]; len = 0; next_seq = 0 }
+(* Capacities in entries (or cells).  The first arrays are small: most
+   queues stay short, and a short queue dies young with its engine.
+   Once outgrown, they jump past [Max_young_wosize] (256 words), so
+   every later array goes straight to the major heap and growth never
+   shows in a minor-words budget. *)
+let next_capacity n = if n = 0 then 64 else Int.max 1024 (2 * n)
 
-let less a b =
-  match (a, b) with
-  | Entry a, Entry b -> a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
-  | _ -> assert false (* slots below [len] are always [Entry] *)
+let create ~dummy () =
+  { dummy; heap = [||]; len = 0; cells = [||]; free = [||]; n_free = 0;
+    r_prio = [||]; r_value = [||]; r_head = 0; r_tail = 0; next_seq = 0;
+    floor = 0 }
 
-let grow t =
-  let cap = Array.length t.data in
-  if t.len = cap then begin
-    let nd = Array.make (max 16 (cap * 2)) Empty in
-    Array.blit t.data 0 nd 0 t.len;
-    t.data <- nd
+(* --- entries ------------------------------------------------------- *)
+
+let[@inline] set (a : int array) i p s c =
+  a.(3 * i) <- p;
+  a.((3 * i) + 1) <- s;
+  a.((3 * i) + 2) <- c
+
+let[@inline] move a ~src ~dst =
+  set a dst a.(3 * src) a.((3 * src) + 1) a.((3 * src) + 2)
+
+let[@inline] before (p : int) (s : int) p' s' = p < p' || (p = p' && s < s')
+
+(* Entry [i] of [a] orders before (p, s). *)
+let[@inline] entry_before a i p s = before a.(3 * i) a.((3 * i) + 1) p s
+
+(* Moves parents down until (p, s) fits the hole at [i], then fills it. *)
+let rec sift_up a p s c i =
+  let j = (i - 1) lsr 2 in
+  if i > 0 && before p s a.(3 * j) a.((3 * j) + 1) then begin
+    move a ~src:j ~dst:i;
+    sift_up a p s c j
   end
+  else set a i p s c
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t.data.(i) t.data.(parent) then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
+(* Moves the least child up until (p, s) fits the hole at [i]. *)
+let rec sift_down a len p s c i =
+  let first = (4 * i) + 1 in
+  if first >= len then set a i p s c
+  else begin
+    let m = ref first in
+    for k = first + 1 to Int.min (first + 3) (len - 1) do
+      if entry_before a k a.(3 * !m) a.((3 * !m) + 1) then m := k
+    done;
+    let m = !m in
+    if entry_before a m p s then begin
+      move a ~src:m ~dst:i;
+      sift_down a len p s c m
     end
+    else set a i p s c
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && less t.data.(l) t.data.(!smallest) then smallest := l;
-  if r < t.len && less t.data.(r) t.data.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
+(* The heap is full: a larger copy. *)
+let grow_heap t =
+  let a = Array.make (3 * next_capacity t.len) 0 in
+  Array.blit t.heap 0 a 0 (3 * t.len);
+  t.heap <- a
+
+(* The run is full at its tail: slide the live entries down to 0, or
+   grow it when more than half of it is live. *)
+let make_room_run t =
+  let n = t.r_tail - t.r_head in
+  if t.r_head > 0 && 2 * n <= t.r_tail then begin
+    Array.blit t.r_prio t.r_head t.r_prio 0 n;
+    Array.blit t.r_value t.r_head t.r_value 0 n;
+    Array.fill t.r_value n (t.r_tail - n) t.dummy
   end
+  else begin
+    let cap = next_capacity t.r_tail in
+    let p = Array.make cap 0 and v = Array.make cap t.dummy in
+    Array.blit t.r_prio t.r_head p 0 n;
+    Array.blit t.r_value t.r_head v 0 n;
+    t.r_prio <- p;
+    t.r_value <- v
+  end;
+  t.r_head <- 0;
+  t.r_tail <- n
+
+(* --- cells --------------------------------------------------------- *)
+
+(* Marks cells [from, capacity) free, the lowest on top. *)
+let free_from t from =
+  let cap = Array.length t.cells in
+  for k = 0 to cap - from - 1 do
+    t.free.(k) <- cap - 1 - k
+  done;
+  t.n_free <- cap - from
+
+let store t v =
+  if t.n_free = 0 then begin
+    (* Every cell is in use. *)
+    let n = Array.length t.cells in
+    let cells = Array.make (next_capacity n) t.dummy in
+    Array.blit t.cells 0 cells 0 n;
+    t.cells <- cells;
+    t.free <- Array.make (Array.length cells) 0;
+    free_from t n
+  end;
+  let k = t.n_free - 1 in
+  let c = t.free.(k) in
+  t.n_free <- k;
+  t.cells.(c) <- v;
+  c
+
+let take t c =
+  let v = t.cells.(c) in
+  t.cells.(c) <- t.dummy;
+  t.free.(t.n_free) <- c;
+  t.n_free <- t.n_free + 1;
+  v
+
+(* --- the queue ----------------------------------------------------- *)
 
 let push t ~prio value =
-  let e = Entry { prio; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
-  grow t;
-  t.data.(t.len) <- e;
-  t.len <- t.len + 1;
-  sift_up t (t.len - 1)
-
-let pop t =
-  if t.len = 0 then None
+  let prio = Int.max prio t.floor in
+  if t.r_head = t.r_tail || prio >= t.r_prio.(t.r_tail - 1) then begin
+    if t.r_tail = Array.length t.r_prio then make_room_run t;
+    t.r_prio.(t.r_tail) <- prio;
+    t.r_value.(t.r_tail) <- value;
+    t.r_tail <- t.r_tail + 1
+  end
   else begin
-    match t.data.(0) with
-    | Empty -> assert false
-    | Entry top ->
-      t.len <- t.len - 1;
-      if t.len > 0 then begin
-        t.data.(0) <- t.data.(t.len);
-        sift_down t 0
-      end;
-      t.data.(t.len) <- Empty;
-      Some (top.prio, top.value)
+    let s = t.next_seq in
+    t.next_seq <- s + 1;
+    let c = store t value in
+    if 3 * t.len = Array.length t.heap then grow_heap t;
+    t.len <- t.len + 1;
+    sift_up t.heap prio s c (t.len - 1)
   end
 
-let peek_prio t =
-  if t.len = 0 then None
-  else
-    match t.data.(0) with
-    | Entry e -> Some e.prio
-    | Empty -> assert false
+let size t = t.len + t.r_tail - t.r_head
+let is_empty t = t.len = 0 && t.r_head = t.r_tail
 
-let size t = t.len
-let is_empty t = t.len = 0
+let min_prio t =
+  if t.r_head = t.r_tail then if t.len = 0 then -1 else t.heap.(0)
+  else if t.len = 0 then t.r_prio.(t.r_head)
+  else Int.min t.heap.(0) t.r_prio.(t.r_head)
+
+let pop_run t =
+  let h = t.r_head in
+  let v = t.r_value.(h) in
+  t.r_value.(h) <- t.dummy;
+  t.floor <- t.r_prio.(h);
+  if h + 1 = t.r_tail then begin
+    t.r_head <- 0;
+    t.r_tail <- 0
+  end
+  else t.r_head <- h + 1;
+  v
+
+let pop_heap t =
+  let a = t.heap in
+  t.floor <- a.(0);
+  let c = a.(2) in
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then sift_down a n a.(3 * n) a.((3 * n) + 1) a.((3 * n) + 2) 0;
+  take t c
+
+(* At equal priorities the run's head comes first (see the top). *)
+let pop_value t =
+  let h = t.r_head in
+  if h = t.r_tail then
+    if t.len = 0 then invalid_arg "Heap.pop_value: empty" else pop_heap t
+  else if t.len = 0 || t.r_prio.(h) <= t.heap.(0) then pop_run t
+  else pop_heap t
+
+let pop t =
+  if is_empty t then None
+  else
+    let p = min_prio t in
+    Some (p, pop_value t)
 
 let clear t =
-  Array.fill t.data 0 t.len Empty;
-  t.len <- 0
+  Array.fill t.cells 0 (Array.length t.cells) t.dummy;
+  free_from t 0;
+  Array.fill t.r_value t.r_head (t.r_tail - t.r_head) t.dummy;
+  t.len <- 0;
+  t.r_head <- 0;
+  t.r_tail <- 0;
+  t.floor <- 0

@@ -1,22 +1,39 @@
-(** Array-backed binary min-heap keyed by [(priority, sequence)].
+(** The engine's event queue: a min-priority queue keyed by
+    [(priority, sequence)].
 
-    The sequence number makes extraction FIFO among equal priorities, which
-    keeps the event loop deterministic: two events scheduled for the same
-    instant fire in scheduling order. *)
+    An implicit 4-ary heap plus an append-only sorted run that takes, in
+    O(1), every push at or above the run's tail.  Once its arrays are
+    sized, neither push nor {!pop_value} allocates.
+
+    The sequence number, assigned at push, makes extraction FIFO among
+    equal priorities, which keeps the event loop deterministic: two
+    events scheduled for the same instant fire in scheduling order.
+    Priorities are non-negative: a push below the last popped priority
+    (or below 0) is clamped up to it, i.e. nothing can be scheduled into
+    the already-delivered past.  A popped or cleared value is
+    unreachable from the queue at once. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
+(** [dummy] fills vacated value cells; it is never returned. *)
 
 val push : 'a t -> prio:int -> 'a -> unit
 (** Inserts with the next sequence number. *)
 
+val min_prio : 'a t -> int
+(** Priority of the minimum without removing it; -1 when empty. *)
+
+val pop_value : 'a t -> 'a
+(** Removes the minimum and returns its value, allocating nothing; read
+    its priority with {!min_prio} first.  Raises [Invalid_argument] when
+    the queue is empty. *)
+
 val pop : 'a t -> (int * 'a) option
 (** Removes and returns the minimum [(priority, value)]. *)
 
-val peek_prio : 'a t -> int option
-(** Priority of the minimum without removing it. *)
-
 val size : 'a t -> int
 val is_empty : 'a t -> bool
+
 val clear : 'a t -> unit
+(** Drops every entry and resets the clamp floor to 0. *)

@@ -22,7 +22,7 @@
    set below [safe] is stable (any concurrent send lands at or beyond
    [safe] — see the ordering argument at [send]).  Per shard, work
    executes in (date, deliveries-before-local, link key, per-link send
-   order / wheel seq) order no matter how many domains pump, so
+   order / queue seq) order no matter how many domains pump, so
    [shards=N, domains=D] is byte-identical to [shards=N, domains=1].
 
    Single-writer discipline: a shard is only ever pumped by one domain
@@ -380,11 +380,11 @@ let run_horizon_parallel t ~horizon ~domains =
   worker 0 ();
   List.iter Domain.join others
 
-(* Drain mode: execute the globally earliest work item until every wheel
-   and inbox is empty.  The global merge executes each shard's events
-   in exactly the order the conservative loop would (the per-shard
-   comparator is identical); it exists because "run until empty" has no
-   horizon for the publish fixpoint to converge to. *)
+(* Drain mode: execute the globally earliest work item until every
+   event queue and inbox is empty.  The global merge executes each
+   shard's events in exactly the order the conservative loop would (the
+   per-shard comparator is identical); it exists because "run until
+   empty" has no horizon for the publish fixpoint to converge to. *)
 let drain t =
   let continue_ = ref true in
   while !continue_ do

@@ -3,7 +3,7 @@
 
     A sharded run partitions a scenario's state (hosts, namespaces,
     devices, VMs, workload endpoints) into [shards] sub-engines — each an
-    ordinary {!Engine.t} with its own wheel queue, metrics registry and
+    ordinary {!Engine.t} with its own event queue, metrics registry and
     (optionally) trace ring.  Within a shard, events execute in exactly
     the engine's [(prio, seq)] order.  Shards interact only through
     {!link}s: timestamped channels whose [lookahead] is a lower bound on

@@ -182,6 +182,20 @@ let overload_params admission autoscale rate =
     autoscale;
     service_us = 2000.0 }
 
+(* --service-us is charged as whole nanoseconds: anything below 1 ns
+   or past max_int ns (where [int_of_float] wraps negative) is an
+   error, NaN included. *)
+let test_service_us_validate () =
+  List.iter
+    (fun (us, ok) ->
+      let got =
+        Fig_fleet.validate { Fig_fleet.default_params with service_us = us }
+      in
+      Alcotest.(check bool) (Printf.sprintf "service-us %g" us) ok
+        (Result.is_ok got))
+    [ (1e300, false); (1e16, false); (1e-4, false); (Float.nan, false);
+      (0.25, true); (2000.0, true) ]
+
 (* The ISSUE's acceptance criterion, verbatim: at 2x saturating offered
    load, burn admission (+ autoscaling) keeps the worst availability
    window burn below 1.0 and the completed-RTT p99 within 2x of the
@@ -255,5 +269,10 @@ let () =
             test_graceful_degradation;
           Alcotest.test_case "digest determinism" `Quick
             test_control_loop_digest_determinism;
+        ] );
+      ( "fleet params",
+        [
+          Alcotest.test_case "service-us validation" `Quick
+            test_service_us_validate;
         ] );
     ]

@@ -265,19 +265,17 @@ let test_index_work () =
   let scale_cpu = 1.5 *. 5.0 *. float_of_int n /. sum fst in
   let scale_mem = 1.5 *. 4.0 *. float_of_int n /. sum snd in
   let rng = Nest_sim.Prng.create 7L in
-  let departures = Nest_sim.Heap.create () in
+  let departures = Nest_sim.Heap.create ~dummy:(0, 0.0, 0.0) () in
   let ok = ref true and placed = ref 0 in
   Array.iteri
     (fun t (c, m) ->
       let rec depart () =
-        match Nest_sim.Heap.peek_prio departures with
-        | Some at when at <= t -> (
-          match Nest_sim.Heap.pop departures with
-          | Some (_, (i, cpu, mem)) ->
-            Scheduler.Index.release index i ~cpu ~mem;
-            depart ()
-          | None -> ())
-        | Some _ | None -> ()
+        let at = Nest_sim.Heap.min_prio departures in
+        if at >= 0 && at <= t then begin
+          let i, cpu, mem = Nest_sim.Heap.pop_value departures in
+          Scheduler.Index.release index i ~cpu ~mem;
+          depart ()
+        end
       in
       depart ();
       let cpu = c *. scale_cpu and mem = m *. scale_mem in

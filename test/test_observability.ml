@@ -163,7 +163,7 @@ let[@inline never] drain h = while Heap.pop h <> None do () done
 let weak_cleared w i = Weak.get w i = None
 
 let test_heap_pop_releases () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:Bytes.empty () in
   let w = Weak.create 2 in
   push_tracked h w 0;
   push_tracked h w 1;
@@ -176,7 +176,7 @@ let test_heap_pop_releases () =
   Alcotest.(check int) "reusable" 1 (Heap.size h)
 
 let test_heap_clear_releases () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:Bytes.empty () in
   let w = Weak.create 3 in
   for i = 0 to 2 do
     push_tracked h w i

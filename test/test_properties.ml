@@ -10,14 +10,16 @@ module Heap = Nest_sim.Heap
 let qtest = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
-(* Heap vs sorted-list oracle under interleaved push/pop. *)
+(* Heap (the engine's event queue) vs sorted-list oracle under
+   interleaved push/pop.  The queue clamps a push below the last popped
+   priority up to it, and so does the model. *)
 
 let test_heap_oracle =
   QCheck.Test.make ~name:"heap behaves like a sorted multiset" ~count:200
     QCheck.(list (pair bool small_int))
     (fun ops ->
-      let h = Heap.create () in
-      let model = ref [] in
+      let h = Heap.create ~dummy:0 () in
+      let model = ref [] and floor = ref 0 in
       List.for_all
         (fun (is_pop, v) ->
           if is_pop then
@@ -25,11 +27,12 @@ let test_heap_oracle =
             | None, [] -> true
             | Some (p, _), m :: rest ->
               model := rest;
+              floor := m;
               p = m
             | None, _ :: _ | Some _, [] -> false
           else begin
             Heap.push h ~prio:v v;
-            model := List.sort compare (v :: !model);
+            model := List.sort compare (Int.max v !floor :: !model);
             true
           end)
         ops

@@ -20,7 +20,7 @@ let test_heap_ordering =
     ~count:200
     QCheck.(list small_int)
     (fun prios ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:0 () in
       List.iter (fun p -> Heap.push h ~prio:p p) prios;
       let rec drain acc =
         match Heap.pop h with
@@ -30,7 +30,7 @@ let test_heap_ordering =
       drain [] = List.sort compare prios)
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:"" () in
   List.iter (fun v -> Heap.push h ~prio:7 v) [ "a"; "b"; "c" ];
   let popped =
     List.init 3 (fun _ ->
@@ -40,129 +40,159 @@ let test_heap_fifo_ties () =
     [ "a"; "b"; "c" ] popped
 
 let test_heap_interleaved () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 () in
   Heap.push h ~prio:5 5;
   Heap.push h ~prio:1 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek_prio h);
+  Alcotest.(check int) "min" 1 (Heap.min_prio h);
   ignore (Heap.pop h);
   Heap.push h ~prio:3 3;
-  Alcotest.(check (option int)) "peek after mix" (Some 3) (Heap.peek_prio h);
+  Alcotest.(check int) "min after mix" 3 (Heap.min_prio h);
   Alcotest.(check int) "size" 2 (Heap.size h);
   Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
+  Alcotest.(check bool) "cleared" true (Heap.is_empty h);
+  Alcotest.(check int) "min when empty" (-1) (Heap.min_prio h)
 
 (* ------------------------------------------------------------------ *)
-(* Timing wheel: the engine's queue, contractually identical to Heap
-   for the engine's monotone usage pattern. *)
+(* The heap as the engine's event queue, against a reference model: the
+   pending values grouped by priority, each group in push order, so a
+   pop takes the head of their stable sort by priority.  The model
+   clamps a push below the last popped priority up to it, as the queue
+   does. *)
 
-module Wheel = Nest_sim.Wheel
+module Model = struct
+  module M = Map.Make (Int)
 
-let drain_both w h =
-  let rec go () =
-    match (Wheel.pop w, Heap.pop h) with
-    | None, None -> true
-    | Some (pw, vw), Some (ph, vh) -> pw = ph && vw = vh && go ()
-    | None, Some _ | Some _, None -> false
-  in
-  go ()
+  type 'a t = { mutable pending : 'a Queue.t M.t; mutable floor : int }
 
-let test_wheel_matches_heap =
-  QCheck.Test.make ~name:"wheel pops exactly like the heap (order + FIFO ties)"
+  let create () = { pending = M.empty; floor = 0 }
+
+  let push m ~prio v =
+    let prio = Int.max prio m.floor in
+    match M.find_opt prio m.pending with
+    | Some q -> Queue.push v q
+    | None ->
+      let q = Queue.create () in
+      Queue.push v q;
+      m.pending <- M.add prio q m.pending
+
+  let pop m =
+    match M.min_binding_opt m.pending with
+    | None -> None
+    | Some (p, q) ->
+      let v = Queue.pop q in
+      if Queue.is_empty q then m.pending <- M.remove p m.pending;
+      m.floor <- p;
+      Some (p, v)
+end
+
+let push_both q m ~prio v =
+  Heap.push q ~prio v;
+  Model.push m ~prio v
+
+(* Pops both once; [None] when they disagree. *)
+let pop_both q m =
+  match (Heap.pop q, Model.pop m) with
+  | None, None -> Some None
+  | Some e, Some e' when e = e' -> Some (Some e)
+  | _ -> None
+
+let rec drain_both q m =
+  match pop_both q m with
+  | Some None -> true
+  | Some (Some _) -> drain_both q m
+  | None -> false
+
+let test_queue_matches_model =
+  QCheck.Test.make
+    ~name:"matches a stable sort by priority"
     ~count:300
     QCheck.(list (int_bound 5000))
     (fun prios ->
-      let w = Wheel.create () and h = Heap.create () in
-      List.iteri
-        (fun i p ->
-          Wheel.push w ~prio:p i;
-          Heap.push h ~prio:p i)
-        prios;
-      drain_both w h)
+      let q = Heap.create ~dummy:0 () in
+      List.iteri (fun i p -> Heap.push q ~prio:p i) prios;
+      let rec drain acc =
+        match Heap.pop q with None -> List.rev acc | Some e -> drain (e :: acc)
+      in
+      drain []
+      = List.stable_sort
+          (fun (a, _) (b, _) -> Int.compare a b)
+          (List.mapi (fun i p -> (p, i)) prios))
 
-let test_wheel_fifo_ties () =
-  let w = Wheel.create () in
-  List.iter (fun v -> Wheel.push w ~prio:7 v) [ "a"; "b"; "c" ];
-  Wheel.push w ~prio:3 "first";
+let test_queue_fifo_ties () =
+  let q = Heap.create ~dummy:"" () in
+  List.iter (fun v -> Heap.push q ~prio:7 v) [ "a"; "b"; "c" ];
+  Heap.push q ~prio:3 "first";
   let popped =
     List.init 4 (fun _ ->
-        match Wheel.pop w with Some (_, v) -> v | None -> assert false)
+        match Heap.pop q with Some (_, v) -> v | None -> assert false)
   in
   Alcotest.(check (list string)) "insertion order among equal priorities"
     [ "first"; "a"; "b"; "c" ] popped
 
-let test_wheel_overflow_frames () =
-  (* Priorities spanning far more than one 2^30 frame: entries park in
-     the overflow heap and drain back as the base advances. *)
-  let w = Wheel.create () and h = Heap.create () in
+let test_queue_far_apart () =
+  (* Priorities from one tick to max_int / 2, repeated and out of
+     order. *)
+  let q = Heap.create ~dummy:0 () and m = Model.create () in
   let prios =
     [ 0; 1; 31; 32; 1 lsl 20; (1 lsl 30) + 5; (1 lsl 30) + 5; 3 lsl 30;
-      (3 lsl 30) + 7; 7 lsl 30; max_int / 2 ]
+      (3 lsl 30) + 7; 7 lsl 30; max_int / 2; 5; 1 lsl 20 ]
   in
-  List.iteri
-    (fun i p ->
-      Wheel.push w ~prio:p i;
-      Heap.push h ~prio:p i)
-    prios;
-  Alcotest.(check bool) "drains in heap order across frames" true
-    (drain_both w h)
+  List.iteri (fun i p -> push_both q m ~prio:p i) prios;
+  Alcotest.(check bool) "drains in model order" true (drain_both q m)
 
-let test_wheel_past_clamp () =
-  (* The engine never schedules below its clock, but the wheel still
-     clamps a below-base priority to the base rather than corrupting
-     its frames. *)
-  let w = Wheel.create () in
-  Wheel.push w ~prio:100 "a";
-  Alcotest.(check int) "min" 100 (Wheel.min_prio w);
-  ignore (Wheel.pop w);
-  Wheel.push w ~prio:5 "late";
-  (match Wheel.pop w with
+let test_queue_past_clamp () =
+  (* The engine never schedules below its clock, but the queue still
+     clamps a push below the last popped priority up to it. *)
+  let q = Heap.create ~dummy:"" () in
+  Heap.push q ~prio:100 "a";
+  Alcotest.(check int) "min" 100 (Heap.min_prio q);
+  ignore (Heap.pop q);
+  Heap.push q ~prio:5 "late";
+  (match Heap.pop q with
   | Some (p, v) ->
     Alcotest.(check string) "late entry pops" "late" v;
-    Alcotest.(check bool) "clamped to >= base" true (p >= 100)
+    Alcotest.(check int) "clamped to the last popped priority" 100 p
   | None -> Alcotest.fail "expected an entry");
-  Alcotest.(check bool) "empty" true (Wheel.is_empty w)
+  Alcotest.(check bool) "empty" true (Heap.is_empty q)
 
-let test_wheel_interleaved_monotone =
+let test_queue_interleaved_monotone =
   (* The engine's actual pattern: pushes always at or above the last
-     popped priority.  The wheel must match the heap pop-for-pop. *)
-  QCheck.Test.make ~name:"wheel = heap under monotone interleaving"
+     popped priority. *)
+  QCheck.Test.make ~name:"monotone interleaving matches the model"
     ~count:200
     QCheck.(list (pair bool (int_bound 100_000)))
     (fun ops ->
-      let w = Wheel.create () and h = Heap.create () in
+      let q = Heap.create ~dummy:0 () and m = Model.create () in
       let floor = ref 0 and next = ref 0 in
       List.for_all
         (fun (is_pop, delta) ->
-          if is_pop then
-            match (Wheel.pop w, Heap.pop h) with
-            | None, None -> true
-            | Some (pw, vw), Some (ph, vh) ->
-              floor := pw;
-              pw = ph && vw = vh
-            | None, Some _ | Some _, None -> false
+          if is_pop then (
+            match pop_both q m with
+            | Some (Some (p, _)) ->
+              floor := p;
+              true
+            | Some None -> true
+            | None -> false)
           else begin
-            let prio = !floor + delta in
             incr next;
-            Wheel.push w ~prio !next;
-            Heap.push h ~prio !next;
+            push_both q m ~prio:(!floor + delta) !next;
             true
           end)
         ops
-      && drain_both w h)
+      && drain_both q m)
 
-let test_wheel_dense_ties =
-  (* Priorities within two level-0 frames, so slots hold many entries
-     at once: some filed directly, some cascaded from level 1, and some
-     pushed at the current minimum while that slot is being drained. *)
-  QCheck.Test.make ~name:"wheel = heap on dense ties" ~count:300
+let test_queue_dense_ties =
+  (* Priorities within 64 ticks, so many entries share one: some pushed
+     up front, some at the current minimum while it is being drained,
+     some above it. *)
+  QCheck.Test.make ~name:"dense ties match the model" ~count:300
     QCheck.(pair (list (int_bound 63)) (list (pair (int_bound 2) (int_bound 63))))
     (fun (initial, ops) ->
-      let w = Wheel.create () and h = Heap.create () in
+      let q = Heap.create ~dummy:0 () and m = Model.create () in
       let next = ref 0 in
       let push prio =
         incr next;
-        Wheel.push w ~prio !next;
-        Heap.push h ~prio !next
+        push_both q m ~prio !next
       in
       List.iter push initial;
       let floor = ref 0 in
@@ -170,38 +200,81 @@ let test_wheel_dense_ties =
         (fun (kind, delta) ->
           match kind with
           | 0 -> (
-            match (Wheel.pop w, Heap.pop h) with
-            | None, None -> true
-            | Some (pw, vw), Some (ph, vh) ->
-              floor := pw;
-              pw = ph && vw = vh
-            | None, Some _ | Some _, None -> false)
+            match pop_both q m with
+            | Some (Some (p, _)) ->
+              floor := p;
+              true
+            | Some None -> true
+            | None -> false)
           | 1 ->
-            push (Option.value (Heap.peek_prio h) ~default:!floor);
+            let at = Heap.min_prio q in
+            push (if at < 0 then !floor else at);
             true
           | _ ->
             push (!floor + delta);
             true)
         ops
-      && drain_both w h)
+      && drain_both q m)
 
-let test_wheel_same_tick_alloc () =
+let test_queue_run_and_heap_ties =
+  (* An ascending prefix fills the sorted run up to priority 3; later
+     pushes at 0..3 land in the run when at or above its tail and in the
+     heap otherwise, so equal priorities sit in both halves and a pop
+     must order them by sequence across the two. *)
+  QCheck.Test.make ~name:"run/heap ties match the model"
+    ~count:300
+    QCheck.(list (pair bool (int_bound 3)))
+    (fun ops ->
+      let q = Heap.create ~dummy:0 () and m = Model.create () in
+      let next = ref 0 in
+      let push prio =
+        incr next;
+        push_both q m ~prio !next
+      in
+      List.iter push [ 0; 1; 1; 2; 3 ];
+      List.for_all
+        (fun (is_pop, p) ->
+          if is_pop then pop_both q m <> None
+          else begin
+            push p;
+            true
+          end)
+        ops
+      && drain_both q m)
+
+let test_queue_run_bounded () =
+  (* A run that never empties (every pop follows a push at a later
+     priority) slides its live entries down instead of growing. *)
+  let q = Heap.create ~dummy:0 () in
+  Heap.push q ~prio:0 0;
+  for i = 1 to 100_000 do
+    Heap.push q ~prio:i i;
+    ignore (Heap.pop_value q : int)
+  done;
+  let words = Obj.reachable_words (Obj.repr q) in
+  Alcotest.(check bool)
+    (Printf.sprintf "queue of 1 holds %d words <= 4096" words)
+    true (words <= 4096)
+
+let test_queue_same_tick_alloc () =
   (* One tick holding 4096 entries (every fleet node's window tick lands
-     on one): draining it must cost O(1) words per pop, not a rebuilt
-     list per pop.  Half the entries cascade down from level 2, half are
-     filed while the tick is draining. *)
+     on one): draining it must cost O(1) words per pop.  A later entry
+     pushed first keeps the tick out of the sorted run, so every tie
+     sifts through the heap; half the entries are pushed while the tick
+     is draining. *)
   let n = 4096 in
-  let w = Wheel.create () in
+  let q = Heap.create ~dummy:0 () in
+  Heap.push q ~prio:2000 0;
   for i = 1 to n / 2 do
-    Wheel.push w ~prio:1000 i
+    Heap.push q ~prio:1000 i
   done;
   let before = Gc.minor_words () in
   let ok = ref true in
   for i = 1 to n do
-    (match Wheel.pop w with
+    (match Heap.pop q with
     | Some (1000, v) -> if v <> i then ok := false
     | Some _ | None -> ok := false);
-    if i <= n / 2 then Wheel.push w ~prio:1000 ((n / 2) + i)
+    if i <= n / 2 then Heap.push q ~prio:1000 ((n / 2) + i)
   done;
   let per_pop = (Gc.minor_words () -. before) /. float_of_int n in
   Alcotest.(check bool) "FIFO order on one tick" true !ok;
@@ -254,6 +327,42 @@ let test_engine_past_schedule () =
       Engine.schedule_at e ~at:3 (fun () -> at := Engine.now e));
   Engine.run e;
   Alcotest.(check int) "past dates fire now, never rewind the clock" 10 !at
+
+let test_engine_event_alloc () =
+  (* Eight self-rescheduling chains with 0.5-20.5 us delays beside one
+     event 5 s out: the engine's steady state.  Minor words per event
+     are exact, so the bound holds on any host.  Only the 2-word [Plain]
+     job allocates; one more block per event (2 words at least) fails. *)
+  let e = Engine.create () in
+  let budget = ref 0 in
+  let chains =
+    Array.init 8 (fun i ->
+        let delay = 500 + (i * 20_000 / 7) in
+        let rec fire () =
+          if !budget > 0 then begin
+            decr budget;
+            Engine.schedule e ~delay fire
+          end
+        in
+        fire)
+  in
+  Engine.schedule e ~delay:(Time.sec 5) ignore;
+  let run n =
+    budget := n;
+    Array.iter (fun f -> Engine.schedule e ~delay:0 f) chains;
+    Engine.run ~until:(Engine.now e + Time.sec 1) e
+  in
+  run 10_000;
+  let before = Gc.minor_words () and events = Engine.events_processed e in
+  run 100_000;
+  let per_event =
+    (Gc.minor_words () -. before)
+    /. float_of_int (Engine.events_processed e - events)
+  in
+  Alcotest.(check int) "the far event is still pending" 1 (Engine.pending e);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per event %.1f <= 3" per_event)
+    true (per_event <= 3.0)
 
 (* ------------------------------------------------------------------ *)
 (* Prng / Dist *)
@@ -543,20 +652,23 @@ let () =
         [ qtest test_heap_ordering;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "interleaved" `Quick test_heap_interleaved ] );
-      ( "wheel",
-        [ qtest test_wheel_matches_heap;
-          Alcotest.test_case "fifo ties" `Quick test_wheel_fifo_ties;
-          Alcotest.test_case "overflow frames" `Quick test_wheel_overflow_frames;
-          Alcotest.test_case "past clamp" `Quick test_wheel_past_clamp;
-          qtest test_wheel_interleaved_monotone;
-          qtest test_wheel_dense_ties;
+      ( "queue",
+        [ qtest test_queue_matches_model;
+          Alcotest.test_case "fifo ties" `Quick test_queue_fifo_ties;
+          Alcotest.test_case "far-apart priorities" `Quick test_queue_far_apart;
+          Alcotest.test_case "past clamp" `Quick test_queue_past_clamp;
+          qtest test_queue_interleaved_monotone;
+          qtest test_queue_dense_ties;
+          qtest test_queue_run_and_heap_ties;
+          Alcotest.test_case "run stays bounded" `Quick test_queue_run_bounded;
           Alcotest.test_case "same-tick drain allocation" `Quick
-            test_wheel_same_tick_alloc ] );
+            test_queue_same_tick_alloc ] );
       ( "engine",
         [ Alcotest.test_case "ordering" `Quick test_engine_ordering;
           Alcotest.test_case "horizon" `Quick test_engine_horizon;
           Alcotest.test_case "cascade" `Quick test_engine_cascade;
-          Alcotest.test_case "past schedule" `Quick test_engine_past_schedule ]
+          Alcotest.test_case "past schedule" `Quick test_engine_past_schedule;
+          Alcotest.test_case "event allocation" `Quick test_engine_event_alloc ]
       );
       ( "prng",
         [ Alcotest.test_case "determinism" `Quick test_prng_determinism;
