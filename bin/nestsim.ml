@@ -24,20 +24,20 @@ let or_exit f =
     Printf.eprintf "nestsim: %s\n" msg;
     exit 1
 
+(* A count below its floor ends the command like any other bad input:
+   one line on stderr and exit 1. *)
+let at_least floor flag v =
+  if v < floor then begin
+    Printf.eprintf "nestsim: --%s must be %s (got %d)\n" flag
+      (if floor = 1 then "positive" else ">= " ^ string_of_int floor)
+      v;
+    exit 1
+  end
+
 let run_cmd ids quick jobs shards trace metrics obs_json trace_capacity =
-  if trace_capacity <= 0 then begin
-    Printf.eprintf "nestsim: --trace-capacity must be positive (got %d)\n"
-      trace_capacity;
-    exit 1
-  end;
-  if jobs <= 0 then begin
-    Printf.eprintf "nestsim: --jobs must be positive (got %d)\n" jobs;
-    exit 1
-  end;
-  if shards <= 0 then begin
-    Printf.eprintf "nestsim: --shards must be positive (got %d)\n" shards;
-    exit 1
-  end;
+  at_least 1 "trace-capacity" trace_capacity;
+  at_least 1 "jobs" jobs;
+  at_least 1 "shards" shards;
   Nestfusion.Testbed.set_default_shards shards;
   Nest_experiments.Exp_util.Obs.configure ~trace ~metrics ~json:obs_json
     ~trace_capacity ();
@@ -64,26 +64,11 @@ let run_cmd ids quick jobs shards trace metrics obs_json trace_capacity =
    per-hop latency-attribution table comparing the deployment modes. *)
 let obs_cmd ids quick shards out trace_capacity timeline_period_us prov_sample
     slo =
-  if trace_capacity <= 0 then begin
-    Printf.eprintf "nestsim: --trace-capacity must be positive (got %d)\n"
-      trace_capacity;
-    exit 1
-  end;
-  if shards <= 0 then begin
-    Printf.eprintf "nestsim: --shards must be positive (got %d)\n" shards;
-    exit 1
-  end;
+  at_least 1 "trace-capacity" trace_capacity;
+  at_least 1 "shards" shards;
   Nestfusion.Testbed.set_default_shards shards;
-  if timeline_period_us <= 0 then begin
-    Printf.eprintf "nestsim: --timeline-period must be positive (got %d)\n"
-      timeline_period_us;
-    exit 1
-  end;
-  if prov_sample <= 0 then begin
-    Printf.eprintf "nestsim: --prov-sample must be positive (got %d)\n"
-      prov_sample;
-    exit 1
-  end;
+  at_least 1 "timeline-period" timeline_period_us;
+  at_least 1 "prov-sample" prov_sample;
   (* The trace is written only after every experiment has run, so find
      out now whether --out can be opened. *)
   or_exit (fun () ->
@@ -146,10 +131,7 @@ let obs_cmd ids quick shards out trace_capacity timeline_period_us prov_sample
     out
 
 let trace_gen users seed out =
-  if users < 0 then begin
-    Printf.eprintf "nestsim: --users must be >= 0 (got %d)\n" users;
-    exit 1
-  end;
+  at_least 0 "users" users;
   let trace =
     Nest_traces.Trace_gen.generate ~seed:(Int64.of_int seed) ~users
   in
@@ -303,19 +285,10 @@ let obs_term =
   Cmd.group (Cmd.info "obs" ~doc) [ run ]
 
 let chaos_cmd rates seed jobs shards quick check workload standby =
-  if jobs <= 0 then begin
-    Printf.eprintf "nestsim: --jobs must be positive (got %d)\n" jobs;
-    exit 1
-  end;
-  if shards <= 0 then begin
-    Printf.eprintf "nestsim: --shards must be positive (got %d)\n" shards;
-    exit 1
-  end;
+  at_least 1 "jobs" jobs;
+  at_least 1 "shards" shards;
   Nestfusion.Testbed.set_default_shards shards;
-  if standby < 0 then begin
-    Printf.eprintf "nestsim: --standby must be >= 0 (got %d)\n" standby;
-    exit 1
-  end;
+  at_least 0 "standby" standby;
   let workload =
     match Nest_fault.Chaos.workload_of_string workload with
     | Some w -> w
@@ -325,6 +298,13 @@ let chaos_cmd rates seed jobs shards quick check workload standby =
         workload;
       exit 1
   in
+  (* --check runs its own fixed cells, but a bad --rates is still an
+     error there. *)
+  (match Nest_experiments.Fig_chaos.validate_rates rates with
+  | Ok () -> ()
+  | Error msg ->
+    Printf.eprintf "nestsim: --%s\n" msg;
+    exit 1);
   if check then begin
     if
       not
@@ -339,11 +319,6 @@ let chaos_cmd rates seed jobs shards quick check workload standby =
       | [] -> Nest_experiments.Fig_chaos.default_rates
       | rs -> rs
     in
-    (match Nest_experiments.Fig_chaos.validate_rates rates with
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "nestsim: --%s\n" msg;
-      exit 1);
     Nest_experiments.Fig_chaos.run ~rates ~seed ~workload ~standby ~quick ()
   end
 
@@ -424,14 +399,8 @@ let profile_arg =
 
 let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
     fault_rate standby admission autoscale service_us pods_max frontier =
-  if shards <= 0 then begin
-    Printf.eprintf "nestsim: --shards must be positive (got %d)\n" shards;
-    exit 1
-  end;
-  if domains <= 0 then begin
-    Printf.eprintf "nestsim: --domains must be positive (got %d)\n" domains;
-    exit 1
-  end;
+  at_least 1 "shards" shards;
+  at_least 1 "domains" domains;
   let arrival =
     match arrival with
     | "poisson" -> `Poisson

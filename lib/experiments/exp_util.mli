@@ -95,7 +95,7 @@ end
     An experiment "cell" is one fresh testbed plus its workload —
     self-contained and deterministic, so independent cells can run on
     separate domains.  Figures fan their cells through {!Par.map};
-    [run --jobs N] / [bench --jobs N] set the width. *)
+    [run --jobs N] sets the width. *)
 module Par : sig
   val set_jobs : int -> unit
   (** Clamps to ≥ 1.  Default 1 (fully sequential). *)

@@ -101,6 +101,71 @@ let test_codel_episode () =
   Engine.run engine;
   Alcotest.(check bool) "good completion reopens admission" true !reopened
 
+(* Exact cost of the admission decision.  The same open-loop generator
+   (200 k/s constant arrivals over 1-21 ms, a 10 us dispatcher, burn
+   source 0.5) runs under each policy; engine events and minor words per
+   offered arrival are deterministic work counters, so the bounds hold
+   on any host.  They are pinned to OCaml 5.1.1, whose compiler and
+   runtime decide the block sizes.  A decision must be O(1) and
+   allocation-free: burn adds only its window ticks, codel only a clock
+   read, so neither may cost more than the fixed bound on either
+   counter. *)
+let admission_kernel admission =
+  let engine = Engine.create () in
+  let g = ref None in
+  let w0 = Gc.minor_words () in
+  let gen =
+    Loadgen.create ~engine
+      ~arrival:(Arrival.constant ~rate_per_s:200_000.0)
+      ~sizes:(Size_dist.Fixed 64) ~rng:(Prng.create 7L) ?admission
+      ~burn_source:(fun () -> 0.5)
+      ~dispatch:(fun ~seq ~size:_ ->
+        Engine.schedule engine ~delay:(Time.us 10) (fun () ->
+            Loadgen.complete (Option.get !g) ~seq))
+      ~start:(Time.ms 1) ~stop:(Time.ms 21) ()
+  in
+  g := Some gen;
+  Engine.run engine;
+  let words = Gc.minor_words () -. w0 in
+  (Loadgen.counts gen, Engine.events_processed engine, words)
+
+(* (policy, engine events, minor-word bound per offered arrival).  The
+   words were 47.2 (fixed, codel) and 31.2 (burn, which sheds half the
+   arrivals) when the bounds were set, about 1 % below them; raise a
+   bound only together with the change that needs the words. *)
+let decision_costs =
+  [ ("fixed", None, 11_997, 47.7);
+    ("burn", Some (Admission.burn ~window:(Time.ms 1) ()), 8_120, 31.5);
+    ("codel",
+      Some (Admission.codel ~target_us:5000.0 ~interval:(Time.ms 1) ()),
+      11_997, 47.7) ]
+
+let test_decision_cost () =
+  let per_arrival =
+    List.map
+      (fun (name, admission, events, words_bound) ->
+        let c, ev, words = admission_kernel admission in
+        Alcotest.(check int) (name ^ ": every arrival fired") 3999
+          c.Loadgen.offered;
+        Alcotest.(check int) (name ^ ": engine events") events ev;
+        let offered = float_of_int c.Loadgen.offered in
+        let w = words /. offered in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.1f minor words per arrival <= %.1f" name w
+             words_bound)
+          true (w <= words_bound);
+        (name, (float_of_int ev /. offered, w)))
+      decision_costs
+  in
+  let fixed_ev, fixed_w = List.assoc "fixed" per_arrival in
+  List.iter
+    (fun (name, (ev, w)) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s costs no more than fixed" name)
+        true
+        (ev <= fixed_ev && w <= fixed_w))
+    (List.remove_assoc "fixed" per_arrival)
+
 (* --- autoscaler --------------------------------------------------- *)
 
 (* Scripted burn trajectory: a burst of burn 3.0 must produce one
@@ -257,6 +322,7 @@ let () =
           Alcotest.test_case "hysteresis no-flap" `Quick
             test_burn_hysteresis_no_flap;
           Alcotest.test_case "codel episode" `Quick test_codel_episode;
+          Alcotest.test_case "decision cost" `Quick test_decision_cost;
         ] );
       ( "autoscaler",
         [

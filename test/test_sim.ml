@@ -362,6 +362,22 @@ let test_engine_event_alloc () =
   Alcotest.(check int) "the far event is still pending" 1 (Engine.pending e);
   Alcotest.(check bool)
     (Printf.sprintf "minor words per event %.1f <= 3" per_event)
+    true (per_event <= 3.0);
+  (* Second input, the queue's sorted-run path: 1000 events scheduled
+     at ascending delays into a fresh engine, then drained.  The count
+     includes the schedule calls and the run's growth (2.1 words per
+     event when the bound was set). *)
+  let e = Engine.create () in
+  let before = Gc.minor_words () in
+  for i = 1 to 1_000 do
+    Engine.schedule e ~delay:i (fun () -> ())
+  done;
+  Engine.run e;
+  let per_event = (Gc.minor_words () -. before) /. 1000.0 in
+  Alcotest.(check int) "ascending: every event ran once" 1000
+    (Engine.events_processed e);
+  Alcotest.(check bool)
+    (Printf.sprintf "ascending: minor words per event %.1f <= 3" per_event)
     true (per_event <= 3.0)
 
 (* ------------------------------------------------------------------ *)

@@ -417,32 +417,75 @@ let test_route_most_recent_wins () =
    transaction crosses bridge, netfilter, conntrack and virtio on both
    ends, so every per-hop allocation shows here.  The count was 846.5
    words per transaction when the bound was set (about 1 % headroom);
-   raise it only together with the change that needs the words. *)
-let minor_words_per_tx_bound = 855.0
+   raise it only together with the change that needs the words.
 
-let test_udp_rr_minor_words () =
+   The same run is repeated at the CLI's collection levels.  Tracing
+   and metrics must be free: the same events and the same words per
+   transaction as with collection off, and the trace ring must really
+   have recorded.  Provenance sampled 1/16 gets its own bound (871.2
+   words when set).  Full provenance (about 1242 words) is not gated. *)
+let minor_words_per_tx_bound = 855.0
+let sampled_provenance_words_bound = 880.0
+
+module Obs = Nest_experiments.Exp_util.Obs
+
+(* Words and engine events per transaction of 100 ms of 64 B UDP_RR
+   after a 50 ms warm-up, and the testbed's tracer, at the collection
+   level [Obs] is configured to. *)
+let udp_rr_cost () =
   let open Nest_workloads in
   let tb, site =
     Nest_experiments.Exp_util.deploy_single_sync ~seed:1L ~mode:`Nat
       ~port:12865 ()
   in
   let ep = App.of_single tb site in
+  let engine = tb.Nestfusion.Testbed.engine in
   ignore
     (Netperf.udp_rr tb ep ~msg_size:64 ~warmup:0 ~duration:(Time.ms 50) ()
       : Netperf.rr_result);
-  let w0 = Gc.minor_words () in
+  let w0 = Gc.minor_words () and e0 = Engine.events_processed engine in
   let r =
     Netperf.udp_rr tb ep ~msg_size:64 ~warmup:(Time.ms 1)
       ~duration:(Time.ms 100) ()
   in
   let words = Gc.minor_words () -. w0 in
+  let events = Engine.events_processed engine - e0 in
   let tx = r.Netperf.transactions in
   Alcotest.(check bool) "transactions ran" true (tx > 1000);
-  let per_tx = words /. float_of_int tx in
-  if per_tx > minor_words_per_tx_bound then
+  let per_tx v = v /. float_of_int tx in
+  (per_tx words, per_tx (float_of_int events), Engine.tracer engine)
+
+let with_collection ~trace ~provenance ~prov_sample f =
+  Obs.configure ~trace ~metrics:trace ~provenance ~prov_sample ();
+  Fun.protect f ~finally:(fun () ->
+      Obs.configure ~trace:false ~metrics:false ~provenance:false
+        ~prov_sample:1 ();
+      Obs.discard ())
+
+let test_udp_rr_minor_words () =
+  let off_words, off_events, _ = udp_rr_cost () in
+  if off_words > minor_words_per_tx_bound then
+    Alcotest.failf "%.1f minor words per transaction, bound %.0f" off_words
+      minor_words_per_tx_bound;
+  let tm_words, tm_events, tracer =
+    with_collection ~trace:true ~provenance:false ~prov_sample:1 udp_rr_cost
+  in
+  (match tracer with
+  | Some tr ->
+    Alcotest.(check bool) "trace+metrics: the ring recorded events" true
+      (Nest_sim.Trace.recorded tr > 0)
+  | None -> Alcotest.fail "trace+metrics: no tracer was installed");
+  Alcotest.(check (float 0.0)) "trace+metrics: events per transaction"
+    off_events tm_events;
+  Alcotest.(check (float 0.5)) "trace+metrics: minor words per transaction"
+    off_words tm_words;
+  let sampled_words, _, _ =
+    with_collection ~trace:true ~provenance:true ~prov_sample:16 udp_rr_cost
+  in
+  if sampled_words > sampled_provenance_words_bound then
     Alcotest.failf
-      "%.1f minor words per transaction (%d transactions), bound %.0f" per_tx
-      tx minor_words_per_tx_bound
+      "provenance 1/16: %.1f minor words per transaction, bound %.0f"
+      sampled_words sampled_provenance_words_bound
 
 let () =
   Alcotest.run "stack"
