@@ -17,6 +17,17 @@
    positive lookahead that fixpoint strictly climbs, so the system
    cannot deadlock.
 
+   Publishing is on demand while a shard runs: a blocked shard posts,
+   in each source's [want] cell, the floor that would unblock it, and
+   the source publishes its clock after an event only once the clock
+   has reached that floor.  The end-of-pump null message does not
+   depend on [want], so liveness does not either; [want] only lets a
+   waiting neighbour resume before the source's pump ends, without the
+   source writing a cell its neighbour polls after every event.  On one
+   domain, a sweep that executes nothing jumps every publish to the
+   earliest pending work item (see [idle_jump]), so idle stretches do
+   not cost one null round per lookahead.
+
    Determinism does not depend on scheduling: shards own disjoint state,
    a message's delivery date is fixed at send time, and the executable
    set below [safe] is stable (any concurrent send lands at or beyond
@@ -26,9 +37,11 @@
    [shards=N, domains=D] is byte-identical to [shards=N, domains=1].
 
    Single-writer discipline: a shard is only ever pumped by one domain
-   at a time (static assignment in [run]); its publish cell has one
-   writer, so plain read-after-read on the Atomic is race-free.  Each
-   shard's inbox — one min-heap of every message bound for it, whatever
+   at a time (static assignment in [sweep]); its publish cell has one
+   writer, so plain read-after-read on the Atomic is race-free.  Its
+   [want] cell has many writers, all lowering it by CAS; only the owner
+   raises it, back to [max_int], by CAS from the value it satisfied.
+   Each shard's inbox — one min-heap of every message bound for it, whatever
    the link — is the only shared mutable state and sits under a mutex;
    its [ib_head] date hint is re-published atomically after every
    push/pop, so peeking the next delivery costs one atomic load, no
@@ -69,6 +82,7 @@ type inbox = {
 type source = {
   so_shard : int;
   so_pub : int Atomic.t;
+  so_want : int Atomic.t;          (* the source's [sh_want] *)
   mutable so_lookahead : int;
 }
 
@@ -78,6 +92,7 @@ type shard = {
   mutable sh_sources : source list;
   sh_inbox : inbox;
   sh_publish : int Atomic.t;
+  sh_want : int Atomic.t;          (* lowest floor a neighbour waits on *)
   mutable sh_done : bool;          (* reached the current run's horizon *)
   mutable sh_was_blocked : bool;   (* edge detector: count blocked episodes *)
   (* Cumulative imbalance counters (see {!stats}). *)
@@ -116,6 +131,7 @@ let create ?(seed = 0x5EEDL) ~shards () =
           ib_head = Atomic.make max_int;
         };
       sh_publish = Atomic.make 0;
+      sh_want = Atomic.make max_int;
       sh_done = false;
       sh_was_blocked = false;
       sh_delivered = 0;
@@ -151,7 +167,7 @@ let link t ~src ~dst ~lookahead ?(label = "") () =
   | None ->
     d.sh_sources <-
       { so_shard = src; so_pub = t.sd_shards.(src).sh_publish;
-        so_lookahead = lookahead }
+        so_want = t.sd_shards.(src).sh_want; so_lookahead = lookahead }
       :: d.sh_sources);
   l
 
@@ -252,17 +268,60 @@ let inbound_safe s =
    empty. *)
 let delivery_head s = Atomic.get s.sh_inbox.ib_head
 
+(* Date of [s]'s earliest pending work item, delivery or local event;
+   max_int when there is none. *)
+let candidate s = Int.min (delivery_head s) (Engine.next_at s.sh_engine)
+
 (* Only the owning domain writes a shard's publish cell, so the
    read-then-set below is single-writer and needs no CAS. *)
 let publish_floor s v =
   if v > Atomic.get s.sh_publish then Atomic.set s.sh_publish v
 
+(* After an event: publish the clock only once it has reached the floor
+   a blocked neighbour asked for, then withdraw that request.  The CAS
+   keeps a lower request posted meanwhile; this publish already meets
+   it, and the next event withdraws it. *)
+let publish_on_demand s =
+  let w = Atomic.get s.sh_want in
+  let now = Engine.now s.sh_engine in
+  if now >= w then begin
+    publish_floor s now;
+    ignore (Atomic.compare_and_set s.sh_want w max_int)
+  end
+
+(* CAS-min: lowers [cell] to [v] unless it already holds less. *)
+let rec lower cell v =
+  let cur = Atomic.get cell in
+  if v < cur && not (Atomic.compare_and_set cell cur v) then lower cell v
+
+(* A shard runs [need] once every source publishes at least
+   [need - lookahead + 1]; ask the sources still short of it. *)
+let rec post_wants need = function
+  | [] -> ()
+  | so :: rest ->
+    let floor = need - so.so_lookahead + 1 in
+    if Atomic.get so.so_pub < floor then lower so.so_want floor;
+    post_wants need rest
+
+(* What a pump or a sweep reports, as bits of an int so that the
+   polling loops allocate nothing. *)
+let ran = 1                        (* an event executed *)
+let advanced = 2                   (* a publish cell rose or a shard finished *)
+let pending = 4                    (* a shard has not reached the horizon *)
+
+(* Both [s]'s next candidate and every possible future inbound delivery
+   lie beyond the horizon: the shard is finished, and (because future
+   sends to it arrive at >= safe > horizon) its inbox can no longer grow
+   below the horizon either. *)
+let finish s ~horizon =
+  Engine.advance_to s.sh_engine horizon;
+  publish_floor s (horizon + 1);
+  s.sh_done <- true
+
 (* Executes everything currently provable-safe on [s], then either
-   declares the shard done for this horizon or broadcasts its clock
-   floor.  Returns true when an event ran or the published floor
-   advanced (progress another shard can observe). *)
+   finishes the shard for this horizon or broadcasts its clock floor. *)
 let pump s ~horizon =
-  let progress = ref false in
+  let r = ref 0 in
   let safe = inbound_safe s in
   let running = ref true in
   while !running do
@@ -273,97 +332,120 @@ let pump s ~horizon =
     if da <= wa then begin
       if da < safe && da <= horizon then begin
         deliver s;
-        publish_floor s (Engine.now s.sh_engine);
-        progress := true;
         running := true
       end
     end
     else if wa < safe && wa <= horizon then begin
       ignore (Engine.step s.sh_engine);
-      publish_floor s (Engine.now s.sh_engine);
-      progress := true;
       running := true
+    end;
+    if !running then begin
+      publish_on_demand s;
+      r := ran
     end
   done;
   (* Nothing executable under [safe]. *)
-  let cand = Int.min (delivery_head s) (Engine.next_at s.sh_engine) in
+  let cand = candidate s in
   let bound = Int.min cand safe in
   if bound > horizon then begin
-    (* Both the local candidate and every possible future inbound
-       delivery lie beyond the horizon: this shard is finished, and
-       (because future sends to it arrive at >= safe > horizon) its
-       inbox can no longer grow below the horizon either. *)
-    Engine.advance_to s.sh_engine horizon;
-    publish_floor s (horizon + 1);
-    s.sh_done <- true
+    finish s ~horizon;
+    !r lor advanced
   end
   else begin
+    post_wants (Int.min cand horizon) s.sh_sources;
     (* Blocked on lookahead: broadcast the clock floor (null message) so
        neighbours waiting on us can advance past our idle links. *)
     if bound > Atomic.get s.sh_publish then begin
       Atomic.set s.sh_publish bound;
       s.sh_null <- s.sh_null + 1;
       s.sh_was_blocked <- false;
-      progress := true
+      r := !r lor advanced
     end
     else begin
       (* Counted per episode, not per poll: a parallel pump spins here
          via [cpu_relax] until a neighbour publishes. *)
       if not s.sh_was_blocked then s.sh_blocked <- s.sh_blocked + 1;
       s.sh_was_blocked <- true
-    end
-  end;
-  !progress
+    end;
+    !r lor pending
+  end
 
 let reset_run t =
   Array.iter
     (fun s ->
       s.sh_done <- false;
+      Atomic.set s.sh_want max_int;
       Atomic.set s.sh_publish (Engine.now s.sh_engine))
     t.sd_shards
 
+(* Pumps shards [first], [first + stride], ... once each and ORs their
+   bits.  One domain sweeps them all; domain [d] of [n] sweeps the
+   shards [i] with [i mod n = d], so each shard keeps one writer. *)
+let sweep t ~horizon ~first ~stride =
+  let sh = t.sd_shards in
+  let r = ref 0 and i = ref first in
+  while !i < Array.length sh do
+    let s = sh.(!i) in
+    if not s.sh_done then r := !r lor pump s ~horizon;
+    i := !i + stride
+  done;
+  !r
+
+(* One domain, and a whole sweep ran no event: every shard waits on
+   lookahead alone, and another null round would lift each bound by one
+   lookahead however far off the next work item is.  Nothing runs
+   concurrently, so nothing anywhere executes before [g], the earliest
+   pending work item, and nothing sent from then on lands before [g]
+   plus a lookahead: [g] is a valid clock floor for every shard at once.
+   Returns whether any shard moved. *)
+let idle_jump t ~horizon =
+  let sh = t.sd_shards in
+  let g = ref max_int in
+  for i = 0 to Array.length sh - 1 do
+    g := Int.min !g (candidate sh.(i))
+  done;
+  let g = !g and moved = ref false in
+  for i = 0 to Array.length sh - 1 do
+    let s = sh.(i) in
+    if s.sh_done then ()
+    else if g > horizon then begin
+      finish s ~horizon;
+      moved := true
+    end
+    else if g > Atomic.get s.sh_publish then begin
+      Atomic.set s.sh_publish g;
+      moved := true
+    end
+  done;
+  !moved
+
 let run_horizon_single t ~horizon =
-  let all_done = ref false in
-  while not !all_done do
-    let progress = ref false and d = ref true in
-    Array.iter
-      (fun s ->
-        if not s.sh_done then begin
-          if pump s ~horizon then progress := true;
-          if not s.sh_done then d := false
-        end)
-      t.sd_shards;
-    all_done := !d;
-    if (not !all_done) && not !progress then
-      (* Unreachable with positive lookahead: the minimal blocked bound
-         always advances some publish.  Fail loudly rather than spin. *)
-      failwith "Sharded.run: no shard can make progress (deadlock)"
+  let fin = ref false in
+  while not !fin do
+    let r = sweep t ~horizon ~first:0 ~stride:1 in
+    if r land pending = 0 then fin := true
+    else if r land ran = 0 then begin
+      let moved = idle_jump t ~horizon in
+      if (not moved) && r land advanced = 0 then
+        (* Unreachable with positive lookahead: the earliest pending work
+           item always lifts some publish.  Fail loudly rather than spin. *)
+        failwith "Sharded.run: no shard can make progress (deadlock)"
+    end
   done
 
 let run_horizon_parallel t ~horizon ~domains =
-  let nshards = Array.length t.sd_shards in
-  let domains = min domains nshards in
+  let domains = min domains (Array.length t.sd_shards) in
+  (* Sleep lengths for a waiting domain, boxed up front so that napping
+     allocates nothing.  Built per run, not at module initialisation,
+     which would shift the GC timing of every program linking this. *)
+  let naps = Array.init 100 (fun k -> ref (float_of_int (k + 1) *. 1e-6)) in
   let worker d () =
-    (* Static shard assignment: shard i is pumped only by domain
-       [i mod domains], preserving the single-writer discipline. *)
-    let mine = ref [] in
-    for i = nshards - 1 downto 0 do
-      if i mod domains = d then mine := t.sd_shards.(i) :: !mine
-    done;
-    let mine = !mine in
-    let all_done = ref false in
-    let idle = ref 0 in
-    while not !all_done do
-      let progress = ref false and dn = ref true in
-      List.iter
-        (fun s ->
-          if not s.sh_done then begin
-            if pump s ~horizon then progress := true;
-            if not s.sh_done then dn := false
-          end)
-        mine;
-      all_done := !dn;
-      if (not !all_done) && not !progress then begin
+    let fin = ref false and idle = ref 0 in
+    while not !fin do
+      let r = sweep t ~horizon ~first:d ~stride:domains in
+      if r land pending = 0 then fin := true
+      else if r land (ran lor advanced) <> 0 then idle := 0
+      else begin
         (* Our shards are waiting on another domain's publishes.  Spin
            briefly — a working neighbour usually publishes within a few
            polls — then back off to real sleeps so oversubscribed hosts
@@ -371,9 +453,8 @@ let run_horizon_parallel t ~horizon ~domains =
            on instead of burning its timeslice busy-polling. *)
         incr idle;
         if !idle <= 200 then Domain.cpu_relax ()
-        else Unix.sleepf (Float.min 1e-4 (float_of_int (!idle - 200) *. 1e-6))
+        else Unix.sleepf !(naps.(Int.min 100 (!idle - 200) - 1))
       end
-      else idle := 0
     done
   in
   let others = List.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1))) in
@@ -391,7 +472,7 @@ let drain t =
     let best = ref max_int and best_s = ref None in
     Array.iter
       (fun s ->
-        let c = Int.min (delivery_head s) (Engine.next_at s.sh_engine) in
+        let c = candidate s in
         if c < !best then begin
           best := c;
           best_s := Some s

@@ -23,7 +23,17 @@
     a link is idle; these broadcasts are counted as null messages in
     {!stats}.  Because lookahead is required to be positive, the
     broadcast fixpoint always makes progress and the system cannot
-    deadlock.
+    deadlock.  While a shard is executing events it publishes its clock
+    only on demand: a blocked neighbour posts the floor it waits for,
+    and the shard publishes once its clock reaches that floor.
+
+    On one domain, a sweep over all shards that executes no event jumps
+    every shard's floor to the earliest pending work item in the whole
+    system, so idle stretches cost a fixed number of rounds however long
+    they are.  With several domains there is no such jump: while every
+    shard is idle, each null round lifts a floor by one lookahead, so an
+    idle stretch costs rounds in proportion to its simulated length
+    divided by the smallest lookahead.
 
     Determinism is a hard invariant: a message's delivery date is fixed
     at send time, deliveries at equal dates order by (link creation
@@ -85,7 +95,10 @@ type shard_stats = {
   ss_events : int;         (** Events executed (local + deliveries). *)
   ss_delivered : int;      (** Cross-shard inbox deliveries executed. *)
   ss_blocked : int;        (** Times the loop stalled on lookahead. *)
-  ss_null : int;           (** Clock broadcasts sent while blocked. *)
+  ss_null : int;
+      (** Null messages: clock floors this shard broadcast when it found
+          nothing it could execute.  Publishes made on demand after an
+          event and the one-domain idle jump are not counted. *)
   ss_pending : int;
       (** Work left beyond the horizon: queued local events plus inbox
           messages. *)

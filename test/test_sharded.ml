@@ -67,6 +67,88 @@ let test_stats_counters () =
       same "clock" (fun s -> s.Sharded.ss_clock))
     st
 
+(* Idle shards must not creep one lookahead per null round: with one
+   message in flight and nothing else to do, the null-message count is
+   fixed by the work, not by how far off the horizon is.  On one domain
+   the loop jumps every publish to the earliest pending work item (with
+   several there is no such jump; see [Sharded]). *)
+let idle_pair ~until =
+  let sd = Sharded.create ~shards:2 () in
+  let fwd = Sharded.link sd ~src:0 ~dst:1 ~lookahead:(Time.us 10) () in
+  ignore (Sharded.link sd ~src:1 ~dst:0 ~lookahead:(Time.us 10) ());
+  let got = ref 0 in
+  Engine.schedule_at (Sharded.engine sd 0) ~label:"emit" ~at:(Time.us 1)
+    (fun () -> Sharded.send sd fwd ~delay:(Time.us 15) (fun () -> incr got));
+  Sharded.run ~until sd;
+  (!got, Sharded.stats sd)
+
+let test_idle_no_creep () =
+  List.iter
+    (fun until ->
+      let got, st = idle_pair ~until in
+      Alcotest.(check int) "delivered" 1 got;
+      Array.iter
+        (fun (s : Sharded.shard_stats) ->
+          let name what =
+            Printf.sprintf "shard %d %s, until %d" s.ss_shard what until
+          in
+          Alcotest.(check int) (name "null messages") 2 s.ss_null;
+          Alcotest.(check int) (name "clock") until s.ss_clock)
+        st)
+    [ Time.sec 3600; max_int / 2 ]
+
+(* Waiting allocates nothing.  Shard 0 runs an event every 100 ns,
+   shard 1 one every 50 us, so on two domains the sparse shard catches
+   up with its bound and waits on the dense one thousands of times.
+   Minor words are read once the spawned domain has joined (its counts
+   then fold into [Gc.quick_stat]); the work is the same on any domain
+   count, so two domains may exceed one only by a fixed cost per run
+   (spawning the domain and boxing the table of sleep lengths), however
+   often the loop polled.  Exact counts, so any host; pinned to OCaml
+   5.1.1 like [test_stack]'s allocation gate.  Two domains read 748
+   words more than one when the allowance was set (246 to spawn, 502
+   for the table), while the sparse shard blocked about 4100 times. *)
+let per_run_words_allowance = 1500.0
+
+let skewed_pair ~domains =
+  let sd = Sharded.create ~shards:2 () in
+  let e0 = Sharded.engine sd 0 and e1 = Sharded.engine sd 1 in
+  let la = Time.us 10 in
+  let fwd = Sharded.link sd ~src:0 ~dst:1 ~lookahead:la () in
+  let rev = Sharded.link sd ~src:1 ~dst:0 ~lookahead:la () in
+  (* [ticks] is shard 0's, [got] shard 1's: one writer each. *)
+  let ticks = ref 0 and got = ref 0 in
+  let receive () = incr got in
+  let rec dense () =
+    incr ticks;
+    if !ticks mod 50 = 0 then Sharded.send sd fwd ~delay:la receive;
+    Engine.schedule e0 ~label:"dense" ~delay:100 dense
+  in
+  let rec sparse () =
+    Sharded.send sd rev ~delay:la ignore;
+    Engine.schedule e1 ~label:"sparse" ~delay:(Time.us 50) sparse
+  in
+  Engine.schedule_at e0 ~label:"dense" ~at:1 dense;
+  Engine.schedule_at e1 ~label:"sparse" ~at:1 sparse;
+  Gc.minor ();
+  let w0 = (Gc.quick_stat ()).Gc.minor_words in
+  Sharded.run ~until:(Time.ms 20) ~domains sd;
+  Gc.minor ();
+  let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
+  (words, !got, Sharded.stats sd)
+
+let test_waiting_allocates_nothing () =
+  let w1, got1, _ = skewed_pair ~domains:1 in
+  let w2, got2, st = skewed_pair ~domains:2 in
+  Alcotest.(check int) "same deliveries" got1 got2;
+  Alcotest.(check bool) "the sparse shard waited" true
+    (st.(1).Sharded.ss_blocked > 0);
+  if w2 -. w1 > per_run_words_allowance then
+    Alcotest.failf
+      "two domains allocated %.0f minor words more than one (%.0f vs %.0f; \
+       allowance %.0f, sparse shard blocked %d times)"
+      (w2 -. w1) w2 w1 per_run_words_allowance st.(1).Sharded.ss_blocked
+
 (* Same-date ordering: deliveries beat local events, and among
    same-date deliveries link creation order wins regardless of which
    link sent first. *)
@@ -173,12 +255,16 @@ let test_undersized_delay_rejected () =
 
 (* A random wiring: links with random endpoints and lookaheads, sends
    fired from source-shard events on a coarse date grid (so delivery
-   dates collide often), and local events on the same grid. *)
+   dates collide often), and local events on the same grid.  Each shard
+   also runs a ticker of its own period (none for some), so shards run
+   at skewed event densities: on two domains a sparse shard waits on a
+   dense one and asks it for its clock. *)
 type scenario = {
   sc_shards : int;
   sc_links : (int * int * int) array;      (* src, dst, lookahead *)
   sc_sends : (int * int * int) list;       (* date, link index, extra delay *)
   sc_locals : (int * int) list;            (* shard, date *)
+  sc_ticks : int array;                    (* per-shard period; 0 = none *)
 }
 
 let gen_scenario =
@@ -193,23 +279,29 @@ let gen_scenario =
     (triple (grid 1 10) (int_bound (nl - 1)) (grid 0 2))
   >>= fun sends ->
   list_size (int_range 0 20) (pair (int_bound (n - 1)) (grid 1 16))
-  >|= fun locals ->
-  { sc_shards = n; sc_links = links; sc_sends = sends; sc_locals = locals }
+  >>= fun locals ->
+  array_repeat n (oneofl [ 0; 0; 1; 4; 25 ])
+  >|= fun ticks ->
+  { sc_shards = n; sc_links = links; sc_sends = sends; sc_locals = locals;
+    sc_ticks = ticks }
 
 let print_scenario sc =
   let triples l =
     String.concat ";"
       (List.map (fun (a, b, c) -> Printf.sprintf "(%d,%d,%d)" a b c) l)
   in
-  Printf.sprintf "shards=%d links=[%s] sends=[%s] locals=[%s]" sc.sc_shards
+  Printf.sprintf "shards=%d links=[%s] sends=[%s] locals=[%s] ticks=[%s]"
+    sc.sc_shards
     (triples (Array.to_list sc.sc_links))
     (triples sc.sc_sends)
     (String.concat ";"
        (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) sc.sc_locals))
+    (String.concat ";" (Array.to_list (Array.map string_of_int sc.sc_ticks)))
 
 (* What one destination saw, in execution order.  A delivery carries
    (date, link key, per-link send order); a local event its date and
-   scheduling index. *)
+   scheduling index (ticks number on after the listed locals: each is
+   scheduled after all of them, so it follows every same-date one). *)
 type seen = Deliv of int * int * int | Local of int * int
 
 let order_key = function
@@ -242,6 +334,19 @@ let run_scenario sc ~domains =
       Engine.schedule_at (eng sh) ~label:"local" ~at (fun () ->
           logs.(sh) <- Local (Engine.now (eng sh), i) :: logs.(sh)))
     sc.sc_locals;
+  let nlocals = List.length sc.sc_locals in
+  Array.iteri
+    (fun sh period ->
+      if period > 0 then begin
+        let e = eng sh and k = ref 0 in
+        let rec tick () =
+          logs.(sh) <- Local (Engine.now e, nlocals + !k) :: logs.(sh);
+          incr k;
+          Engine.schedule e ~label:"tick" ~delay:period tick
+        in
+        Engine.schedule_at e ~label:"tick" ~at:period tick
+      end)
+    sc.sc_ticks;
   Sharded.run ~until:(Time.us 1) ~domains sd;
   Array.map List.rev logs
 
@@ -358,6 +463,10 @@ let () =
           Alcotest.test_case "pending counts the inbox" `Quick
             test_stats_pending;
           QCheck_alcotest.to_alcotest prop_delivery_order;
+          Alcotest.test_case "idle shards do not creep" `Quick
+            test_idle_no_creep;
+          Alcotest.test_case "waiting allocates nothing" `Quick
+            test_waiting_allocates_nothing;
         ] );
       ( "guards",
         [
