@@ -34,11 +34,9 @@ let at_least floor flag v =
     exit 1
   end
 
-let run_cmd ids quick jobs shards trace metrics obs_json trace_capacity =
+let run_cmd ids quick jobs trace metrics obs_json trace_capacity =
   at_least 1 "trace-capacity" trace_capacity;
   at_least 1 "jobs" jobs;
-  at_least 1 "shards" shards;
-  Nestfusion.Testbed.set_default_shards shards;
   Nest_experiments.Exp_util.Obs.configure ~trace ~metrics ~json:obs_json
     ~trace_capacity ();
   Nest_experiments.Exp_util.Par.set_jobs jobs;
@@ -62,11 +60,8 @@ let run_cmd ids quick jobs shards trace metrics obs_json trace_capacity =
 (* Observability-first run: full collection on, any registered experiment
    (or none), a Perfetto-loadable Chrome trace written to --out, and a
    per-hop latency-attribution table comparing the deployment modes. *)
-let obs_cmd ids quick shards out trace_capacity timeline_period_us prov_sample
-    slo =
+let obs_cmd ids quick out trace_capacity timeline_period_us prov_sample slo =
   at_least 1 "trace-capacity" trace_capacity;
-  at_least 1 "shards" shards;
-  Nestfusion.Testbed.set_default_shards shards;
   at_least 1 "timeline-period" timeline_period_us;
   at_least 1 "prov-sample" prov_sample;
   (* The trace is written only after every experiment has run, so find
@@ -98,7 +93,6 @@ let obs_cmd ids quick shards out trace_capacity timeline_period_us prov_sample
     probes;
   Nest_sim.Trace_export.to_file ex out;
   List.iter Nest_experiments.Exp_util.print_attribution probes;
-  Nest_experiments.Exp_util.Obs.print_shard_tables ();
   Nest_experiments.Exp_util.Obs.discard ();
   (* Live SLO monitoring demo: one fault-free served cell per deployment
      mode carrying netperf UDP_RR with the standard chaos objectives
@@ -186,16 +180,6 @@ let jobs =
                  each) across $(docv) domains.  Results are identical for \
                  any value; only wall-clock time changes.")
 
-let shards =
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Partition every testbed's event loop into $(docv) \
-                 conservative sub-engines (null-message synchronized; see \
-                 DESIGN.md).  Results are byte-identical for any value; \
-                 single-testbed experiments embed at shard 0, so this \
-                 mainly exercises the sharded loop — multi-node scaling \
-                 lives in the $(b,fleet) subcommand.")
-
 let ids =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
          ~doc:"Experiment ids (fig2..fig15, table1, table2) or 'all'.")
@@ -226,7 +210,7 @@ let run_term =
   let doc = "Run experiments (default: all)." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run_cmd $ ids $ quick $ jobs $ shards $ trace_flag $ metrics_flag
+      const run_cmd $ ids $ quick $ jobs $ trace_flag $ metrics_flag
       $ obs_json $ trace_capacity)
 
 let list_term =
@@ -278,16 +262,14 @@ let obs_term =
     in
     Cmd.v (Cmd.info "run" ~doc)
       Term.(
-        const obs_cmd $ obs_ids $ quick $ shards $ out $ trace_capacity
+        const obs_cmd $ obs_ids $ quick $ out $ trace_capacity
         $ timeline_period $ prov_sample $ slo_flag)
   in
   let doc = "Observability workflows (Perfetto export, latency attribution)." in
   Cmd.group (Cmd.info "obs" ~doc) [ run ]
 
-let chaos_cmd rates seed jobs shards quick check workload standby =
+let chaos_cmd rates seed jobs quick check workload standby =
   at_least 1 "jobs" jobs;
-  at_least 1 "shards" shards;
-  Nestfusion.Testbed.set_default_shards shards;
   at_least 0 "standby" standby;
   let workload =
     match Nest_fault.Chaos.workload_of_string workload with
@@ -369,7 +351,7 @@ let chaos_term =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const chaos_cmd $ rates $ seed $ jobs $ shards $ quick $ check
+      const chaos_cmd $ rates $ seed $ jobs $ quick $ check
       $ workload $ standby)
 
 (* Resolve a --profile name ("none" or absent means unimpaired links). *)
@@ -465,6 +447,15 @@ let fleet_term =
          & info [ "arrival" ] ~docv:"A"
              ~doc:"Arrival process: $(b,poisson) (default) or \
                    $(b,constant).")
+  in
+  let shards =
+    Arg.(value & opt int 1
+         & info [ "shards" ] ~docv:"N"
+             ~doc:"Fold the fleet's nodes onto $(docv) conservative \
+                   sub-engines (node i on shard i mod $(docv), capped at \
+                   the fleet size), synchronised in lookahead windows; \
+                   see DESIGN.md.  The digest is identical for any \
+                   value.")
   in
   let domains =
     Arg.(value & opt int 1

@@ -10,35 +10,16 @@ type t = {
   client_subnet : Ipv4.cidr;
   mutable vms : Nest_virt.Vm.t list;
   mutable nodes : Nest_orch.Node.t list;
-  sharded : Nest_sim.Sharded.t option;
   prefix : string;
 }
 
 let client_entity = "client"
-
-(* The CLI's --shards N: testbeds created without an explicit [?sharded]
-   embed themselves at shard 0 of a private N-shard group.  Shard 0
-   keeps the root seed (see {!Nest_sim.Sharded.create}), so figures run
-   byte-identically at any width — the flag exercises the conservative
-   loop (idle-shard null broadcasts included) under every scenario.
-   Read from worker domains during cell fan-out, hence atomic. *)
-let default_shards = Atomic.make 1
-let set_default_shards n = Atomic.set default_shards (max 1 n)
-let get_default_shards () = Atomic.get default_shards
 
 let ip = Ipv4.of_string
 let cidr = Ipv4.cidr_of_string
 
 let create ?(seed = 42L) ?(cost_model = Nest_virt.Cost_model.default)
     ?(num_vms = 1) ?sharded ?(prefix = "") ?rng () =
-  let sharded =
-    match sharded with
-    | Some _ -> sharded
-    | None ->
-      let n = Atomic.get default_shards in
-      if n <= 1 then None
-      else Some (Nest_sim.Sharded.create ~seed ~shards:n (), 0)
-  in
   let engine =
     match sharded with
     | Some (sd, shard) -> Nest_sim.Sharded.engine sd shard
@@ -66,10 +47,7 @@ let create ?(seed = 42L) ?(cost_model = Nest_virt.Cost_model.default)
     ~nat_ip:(ip "10.0.0.1");
   let t =
     { engine; acct; host; vmm; bridge; client_ns; client_subnet; vms = [];
-      nodes = []; sharded = (match sharded with
-                             | Some (sd, _) -> Some sd
-                             | None -> None);
-      prefix }
+      nodes = []; prefix }
   in
   for i = 0 to num_vms - 1 do
     let vm =
@@ -93,13 +71,7 @@ let node t i =
   | Some n -> n
   | None -> failwith (Printf.sprintf "Testbed.node: no node %d" i)
 
-(* A testbed embedded in a sharded group must advance through the
-   conservative loop (so cross-shard mailboxes drain); a lone testbed
-   drives its engine directly — identical semantics either way. *)
-let run_until t horizon =
-  match t.sharded with
-  | Some sd -> Nest_sim.Sharded.run ~until:horizon sd
-  | None -> Nest_sim.Engine.run ~until:horizon t.engine
+let run_until t horizon = Nest_sim.Engine.run ~until:horizon t.engine
 
 let client_app_exec t ~name =
   Nest_virt.Host.new_app_exec t.host ~name ~entity:client_entity

@@ -15,7 +15,6 @@ type t = {
   client_subnet : Ipv4.cidr;
   mutable vms : Nest_virt.Vm.t list;
   mutable nodes : Nest_orch.Node.t list;
-  sharded : Nest_sim.Sharded.t option;
   prefix : string;
 }
 
@@ -34,20 +33,13 @@ val create :
 
     [sharded] embeds the testbed in shard [i] of an existing
     {!Nest_sim.Sharded} group instead of creating a private engine
-    ([seed] is then unused — seed the group, or pass [rng]);
-    {!run_until} drives the whole group in that case.  [prefix]
+    ([seed] is then unused — seed the group, or pass [rng]); the group's
+    owner advances it with {!Nest_sim.Sharded.run}, not {!run_until}.
+    [prefix]
     prepends every entity/device/namespace name (multi-node scenarios
     use ["n<i>:"] so metrics and traces from cohabiting testbeds stay
     distinguishable).  [rng] keys the node's random streams on a
     caller-owned stream so they are independent of engine placement. *)
-
-val set_default_shards : int -> unit
-(** The CLI's [--shards N] (clamped to ≥ 1): testbeds created without an
-    explicit [?sharded] embed themselves at shard 0 of a private N-shard
-    group, so every scenario runs through the conservative sharded loop
-    — byte-identically, since shard 0 keeps the root seed. *)
-
-val get_default_shards : unit -> int
 
 val vm : t -> int -> Nest_virt.Vm.t
 (** 0-based. Raises [Failure] when out of range. *)
@@ -55,6 +47,7 @@ val vm : t -> int -> Nest_virt.Vm.t
 val node : t -> int -> Nest_orch.Node.t
 val client_entity : string
 val run_until : t -> Nest_sim.Time.ns -> unit
+(** Runs the testbed's own engine to the given date. *)
 
 val client_app_exec : t -> name:string -> Nest_sim.Exec.t
 (** Application context for a benchmark client process on the host. *)

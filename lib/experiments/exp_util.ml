@@ -10,21 +10,19 @@ let durations ~quick =
   if quick then { warmup = Time.ms 50; measure = Time.ms 250 }
   else { warmup = Time.ms 100; measure = Time.sec 1 }
 
-(* Shard-imbalance table for a conservative sharded run: how much each
-   sub-engine actually did, how often its clock stalled on lookahead,
-   and how many null messages (clock broadcasts while blocked) it cost
-   to keep the neighbours moving. *)
+(* Shard-imbalance table for a sharded run: how much each sub-engine
+   actually did, how many lookahead windows the group synchronised at,
+   and the events of the windows each shard was the busiest in (their
+   sum is the run's length if every window cost its busiest shard). *)
 let print_shard_table sd =
   print_endline "per-shard progress:";
   print_endline
-    "  shard    events  delivered  blocked  null-msgs  pending  clock-ms";
+    "  shard    events  delivered  windows   critical  pending  clock-ms";
   Array.iter
-    (fun s ->
-      Printf.printf "  %5d  %8d  %9d  %7d  %9d  %7d  %8.1f\n"
-        s.Nest_sim.Sharded.ss_shard s.Nest_sim.Sharded.ss_events
-        s.Nest_sim.Sharded.ss_delivered s.Nest_sim.Sharded.ss_blocked
-        s.Nest_sim.Sharded.ss_null s.Nest_sim.Sharded.ss_pending
-        (float_of_int s.Nest_sim.Sharded.ss_clock /. 1e6))
+    (fun (s : Nest_sim.Sharded.shard_stats) ->
+      Printf.printf "  %5d  %8d  %9d  %7d  %9d  %7d  %8.1f\n" s.ss_shard
+        s.ss_events s.ss_delivered s.ss_windows s.ss_critical s.ss_pending
+        (float_of_int s.ss_clock /. 1e6))
     (Nest_sim.Sharded.stats sd)
 
 let splits = [ (1, 1); (2, 1); (2, 2); (4, 2); (4, 4) ]
@@ -84,11 +82,10 @@ module Obs = struct
     at_label : string;
     at_engine : Engine.t;
     at_timeline : Nest_sim.Timeline.t option;
-    at_sharded : Nest_sim.Sharded.t option;
   }
 
   (* Newest-first; reversed to attachment order wherever it is
-     presented.  Prepending keeps [attach_engine] O(1) — the old
+     presented.  Prepending keeps [attach] O(1) — the old
      append-per-attach made a long experiment batch quadratic in the
      number of runs. *)
   let attached : attachment list ref = ref []
@@ -118,7 +115,8 @@ module Obs = struct
   let enabled () = cfg.trace || cfg.metrics || cfg.provenance || cfg.timeline
   let provenance_on () = cfg.provenance
 
-  let attach_engine ?acct ?sharded engine ~label =
+  let attach tb ~label =
+    let engine = tb.Testbed.engine in
     if enabled () then begin
       if cfg.trace && Engine.tracer engine = None then
         Engine.set_tracer engine
@@ -127,36 +125,21 @@ module Obs = struct
           if not (List.exists (fun a -> a.at_engine == engine) !attached)
           then begin
             let at_timeline =
-              match acct with
-              | Some acct when cfg.timeline ->
+              if cfg.timeline then begin
                 let tl =
                   Nest_sim.Timeline.create ~period:cfg.timeline_period engine
-                    acct
+                    tb.Testbed.acct
                 in
                 Nest_sim.Timeline.start tl;
                 Some tl
-              | Some _ | None -> None
+              end
+              else None
             in
             attached :=
-              { at_label = label; at_engine = engine; at_timeline;
-                at_sharded = sharded }
+              { at_label = label; at_engine = engine; at_timeline }
               :: !attached
           end)
     end
-
-  let attach tb ~label =
-    attach_engine ~acct:tb.Testbed.acct ?sharded:tb.Testbed.sharded
-      tb.Testbed.engine ~label
-
-  let print_shard_tables () =
-    List.iter
-      (fun a ->
-        match a.at_sharded with
-        | None -> ()
-        | Some sd ->
-          Printf.printf "\n--- shards: %s ---\n" a.at_label;
-          print_shard_table sd)
-      (locked (fun () -> List.rev !attached))
 
   let discard () =
     locked (fun () ->
@@ -167,16 +150,12 @@ module Obs = struct
 
   let dump_text () =
     List.iter
-      (fun { at_label = label; at_engine = engine; at_timeline; at_sharded }
-           ->
+      (fun { at_label = label; at_engine = engine; at_timeline } ->
         Printf.printf "\n--- observability: %s ---\n" label;
         if cfg.metrics then begin
           print_endline "metrics:";
           Format.printf "%a@?" Metrics.pp_text (Engine.metrics engine)
         end;
-        (match at_sharded with
-        | None -> ()
-        | Some sd -> print_shard_table sd);
         (match at_timeline with
         | None -> ()
         | Some tl -> Format.printf "%a@?" Nest_sim.Timeline.pp tl);
@@ -195,8 +174,7 @@ module Obs = struct
     Buffer.add_string b "{\"runs\":[";
     List.iteri
       (fun i
-           { at_label = label; at_engine = engine; at_timeline = _;
-             at_sharded = _ } ->
+           { at_label = label; at_engine = engine; at_timeline = _ } ->
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_string b
           (Printf.sprintf "{\"label\":\"%s\"" (Trace.json_escape label));

@@ -12,8 +12,9 @@ val durations : quick:bool -> durations
 
 val print_shard_table : Nest_sim.Sharded.t -> unit
 (** Per-shard progress/imbalance table ({!Nest_sim.Sharded.stats}):
-    events processed, cross-shard deliveries, clock advances blocked on
-    lookahead, null messages sent, queue backlog and final clock. *)
+    events processed, cross-shard deliveries, the group's lookahead
+    windows, events of the windows the shard was the busiest in, queue
+    backlog and final clock. *)
 
 val splits : (int * int) list
 (** The (shards, domains) splits every determinism check runs:
@@ -62,15 +63,6 @@ module Obs : sig
       tracer on it when tracing is on, and starts a CPU timeline when
       timelines are on.  No-op when nothing is enabled. *)
 
-  val attach_engine :
-    ?acct:Nest_sim.Cpu_account.t ->
-    ?sharded:Nest_sim.Sharded.t ->
-    Nest_sim.Engine.t ->
-    label:string ->
-    unit
-  (** [sharded] additionally prints the group's per-shard progress table
-      on [dump] (events, deliveries, lookahead stalls, null messages). *)
-
   val export_chrome : unit -> Nest_sim.Trace_export.t
   (** Everything attached so far as one Chrome trace: each run becomes a
       trace process carrying its engine spans/instants and, when
@@ -80,11 +72,6 @@ module Obs : sig
   val dump : unit -> unit
   (** Prints collected metrics/traces (text, or JSON with [json:true])
       for every attached engine, then discards the attachments. *)
-
-  val print_shard_tables : unit -> unit
-  (** Per-shard progress tables for every attached sharded group,
-      without dumping (or discarding) anything else — the shard
-      imbalance view for runs that export rather than [dump]. *)
 
   val discard : unit -> unit
   (** Forgets attached engines without printing. *)

@@ -525,14 +525,12 @@ let validate p =
     bad "pods-max must be >= 1 (got %d)" p.pods_max
   else Ok ()
 
-let run_scenario ?(params = default_params) ?shards ?(domains = 1) ~quick () =
+let run_scenario ?(params = default_params) ?(shards = 1) ?(domains = 1)
+    ~quick () =
   let p = params in
   (match validate p with
   | Ok () -> ()
   | Error msg -> invalid_arg ("fig_fleet: " ^ msg));
-  let shards =
-    match shards with Some s -> s | None -> Testbed.get_default_shards ()
-  in
   let shards = max 1 (min shards p.nodes) in
   let d = Exp_util.durations ~quick in
   let sd, ns = build ~p ~shards () in
@@ -568,6 +566,8 @@ type summary = {
   s_avail_worst_burn : float;
   s_pods : int;
   s_scale_events : int;
+  s_windows : int;
+  s_critical : int;
   s_digest : string;
 }
 
@@ -575,9 +575,10 @@ type summary = {
    (graceful-degradation dynamics) without scraping the rendered
    tables. *)
 let summarize ?params ?shards ?domains ~quick () =
-  let _, ns, ch, all_nodes, flaps =
+  let sd, ns, ch, all_nodes, flaps =
     run_scenario ?params ?shards ?domains ~quick ()
   in
+  let st = Sharded.stats sd in
   let merged = Hdr.create ~name:"fleet:latency_us" () in
   let off = ref 0 and shed = ref 0 and lost = ref 0 and comp = ref 0 in
   let avail = ref 0.0 and pods = ref 0 and scale = ref 0 in
@@ -614,6 +615,8 @@ let summarize ?params ?shards ?domains ~quick () =
     s_avail_worst_burn = !avail;
     s_pods = !pods;
     s_scale_events = !scale;
+    s_windows = st.(0).Sharded.ss_windows;
+    s_critical = Array.fold_left (fun a s -> a + s.Sharded.ss_critical) 0 st;
     s_digest = digest_of ns ch all_nodes ~flaps;
   }
 

@@ -60,7 +60,9 @@ val validate : params -> (unit, string) result
 val run :
   ?params:params -> ?shards:int -> ?domains:int -> quick:bool -> unit -> unit
 (** Runs the scenario and prints per-node rows, per-mode SLO/HDR
-    tables, the churn outcome, the digest and the shard table. *)
+    tables, the churn outcome, the digest and the shard table.  In every
+    entry point, [shards] (default 1) is capped at the node count and
+    [domains] (default 1) at the shard count. *)
 
 val digest :
   ?params:params -> ?shards:int -> ?domains:int -> quick:bool -> unit ->
@@ -79,6 +81,10 @@ type summary = {
           < 1.0 means no window ever exhausted its error budget. *)
   s_pods : int;             (** Final active serving pods, fleet-wide. *)
   s_scale_events : int;     (** Autoscaler transitions, fleet-wide. *)
+  s_windows : int;          (** Lookahead windows ({!Nest_sim.Sharded}). *)
+  s_critical : int;
+      (** Critical events summed over the shards: the run's length in
+          events if every window cost its busiest shard. *)
   s_digest : string;
 }
 

@@ -9,38 +9,28 @@
     {!link}s: timestamped channels whose [lookahead] is a lower bound on
     the latency of every message sent across them (the simulated
     inter-node link delay — netem/VXLAN underlay latency in this
-    repository's scenarios).  Messages for a shard, whatever the link,
-    wait in that shard's one inbox, so the per-event cost of the loop
-    does not depend on how many links a scenario declares.
+    repository's scenarios).
 
-    Synchronization is conservative, in the classic null-message style:
-    each shard may execute events strictly earlier than
-    [min over source shards (publisher clock + smallest lookahead of
-    that source's links into the shard)] — one term per source shard,
-    however many links it has.  A shard
-    that is blocked (or out of work) broadcasts its clock floor — the
-    lower bound on its next event — so neighbours can advance even when
-    a link is idle; these broadcasts are counted as null messages in
-    {!stats}.  Because lookahead is required to be positive, the
-    broadcast fixpoint always makes progress and the system cannot
-    deadlock.  While a shard is executing events it publishes its clock
-    only on demand: a blocked neighbour posts the floor it waits for,
-    and the shard publishes once its clock reaches that floor.
-
-    On one domain, a sweep over all shards that executes no event jumps
-    every shard's floor to the earliest pending work item in the whole
-    system, so idle stretches cost a fixed number of rounds however long
-    they are.  With several domains there is no such jump: while every
-    shard is idle, each null round lifts a floor by one lookahead, so an
-    idle stretch costs rounds in proportion to its simulated length
-    divided by the smallest lookahead.
+    Synchronization is conservative, in lookahead windows (the
+    bounded-lag rule): with L the smallest lookahead over links between
+    two different shards, each window starts at T, the earliest pending
+    work item on any shard, and every shard executes its work dated
+    below [T + L] and not past the horizon.  Nothing sent in a window
+    can land inside it, so the shards of one window run independently;
+    at the barrier that ends it, messages in flight join their
+    destination's inbox and the next window starts at the earliest
+    pending work item again, so an idle stretch costs no window however
+    long it is.  A link whose source is its destination needs no
+    barrier: a group without cross-shard links (one shard, say) runs
+    each engine straight to the horizon in one window.
 
     Determinism is a hard invariant: a message's delivery date is fixed
     at send time, deliveries at equal dates order by (link creation
     order across all shards, per-link send order) and execute before
-    same-date local events, so results are byte-identical however many
-    shards the scenario is folded onto and however many domains execute
-    them — [shards=1 ≡ shards=N], [domains=1 ≡ domains=D]. *)
+    same-date local events, and windows depend on event dates alone, so
+    results are byte-identical however many shards the scenario is
+    folded onto and however many domains execute them — [shards=1 ≡
+    shards=N], [domains=1 ≡ domains=D]. *)
 
 type t
 
@@ -80,33 +70,34 @@ val send : t -> link -> delay:Time.ns -> (unit -> unit) -> unit
     [source now + delay].  [delay] must be [>= lookahead] (the link's
     conservative promise); raises [Invalid_argument] otherwise. *)
 
-val run : ?until:Time.ns -> ?domains:int -> t -> unit
+val run : until:Time.ns -> ?domains:int -> t -> unit
 (** Advances every shard to [until] (events dated [<= until] execute;
     every sub-engine clock ends at [>= until]).  [domains] (default 1)
-    spreads shards across that many OCaml domains — results are
-    identical for any value; only wall-clock time changes.  Omitting
-    [until] drains every queue and inbox instead, which is only
-    supported single-domain (raises [Invalid_argument] with
-    [domains > 1]). *)
+    spreads shards across that many OCaml domains, capped at the shard
+    count — results are identical for any value; only wall-clock time
+    changes.  A domain waiting at a window's barrier spins briefly, then
+    blocks, so domains beyond the host's cores yield them.  An exception
+    raised by an event ends the run at the end of its window, on every
+    domain, and [run] re-raises it. *)
 
 type shard_stats = {
   ss_shard : int;
   ss_clock : Time.ns;      (** Sub-engine clock after the last run. *)
   ss_events : int;         (** Events executed (local + deliveries). *)
   ss_delivered : int;      (** Cross-shard inbox deliveries executed. *)
-  ss_blocked : int;        (** Times the loop stalled on lookahead. *)
-  ss_null : int;
-      (** Null messages: clock floors this shard broadcast when it found
-          nothing it could execute.  Publishes made on demand after an
-          event and the one-domain idle jump are not counted. *)
+  ss_windows : int;
+      (** Barrier rounds of the whole group, the same on every shard. *)
+  ss_critical : int;
+      (** Events run in the windows where this shard was the busiest
+          (the lowest index on ties).  Summed over the shards, the
+          length of the run in events if every window cost its busiest
+          shard's events. *)
   ss_pending : int;
       (** Work left beyond the horizon: queued local events plus inbox
           messages. *)
 }
 
 val stats : t -> shard_stats array
-(** Per-shard progress/imbalance counters, indexed by shard.  Every
-    field is deterministic on one domain.  With [domains > 1],
-    [ss_blocked] and [ss_null] count how often a shard found its
-    neighbours behind, which depends on how the domains interleave; the
-    other fields do not. *)
+(** Per-shard progress/imbalance counters, indexed by shard, cumulative
+    over runs.  Every field follows from event dates alone, so it is the
+    same on any host and for any [domains]. *)

@@ -1,11 +1,11 @@
 (* Conservative sharded engine: primitive ordering contracts, the
-   deadlock guard, and the tentpole invariant — shards=1 ≡ shards=N
-   byte-identical on generated fleet configurations and under chaos. *)
+   window counters, the link guards, and the tentpole invariant —
+   shards=1 ≡ shards=N byte-identical on generated fleet
+   configurations. *)
 
 module Sharded = Nest_sim.Sharded
 module Engine = Nest_sim.Engine
 module Time = Nest_sim.Time
-module Chaos = Nest_fault.Chaos
 module Fig_fleet = Nest_experiments.Fig_fleet
 module Exp_util = Nest_experiments.Exp_util
 
@@ -40,75 +40,80 @@ let test_ping_pong_domains_identical () =
   Alcotest.(check (list int)) "shard 1 trace, domains 1 = 2" l1 l1';
   Alcotest.(check int) "all pings landed" 21 (List.length l0)
 
-(* Work counters are part of the determinism contract; the sync
-   counters ([ss_null], [ss_blocked]) are too on one domain, but with
-   several they count how often a shard caught its neighbour mid-run,
-   which depends on the interleaving. *)
+(* Every counter is part of the determinism contract, the window
+   counters included: they follow from event dates alone, so domains 1
+   and 2 read the same. *)
 let test_stats_counters () =
   let _, _, st = ping_pong ~domains:1 in
-  let _, _, again = ping_pong ~domains:1 in
   let _, _, st2 = ping_pong ~domains:2 in
   Alcotest.(check int) "two shards" 2 (Array.length st);
   Alcotest.(check int) "shard 1 deliveries = pings" 20 st.(1).Sharded.ss_delivered;
   Alcotest.(check bool) "events counted" true (st.(0).Sharded.ss_events > 0);
+  Alcotest.(check bool) "windows counted" true (st.(0).Sharded.ss_windows > 0);
+  let events = Array.fold_left (fun a s -> a + s.Sharded.ss_events) 0 st in
+  let critical = Array.fold_left (fun a s -> a + s.Sharded.ss_critical) 0 st in
+  (* One bounce at a time: no window runs both shards. *)
+  Alcotest.(check int) "critical events = events" events critical;
   Array.iteri
     (fun i (a : Sharded.shard_stats) ->
-      let name what run = Printf.sprintf "shard %d %s, %s" i what run in
-      let b = again.(i) and c = st2.(i) in
-      Alcotest.(check int) (name "null" "domains 1 twice") a.ss_null b.ss_null;
-      Alcotest.(check int) (name "blocked" "domains 1 twice") a.ss_blocked
-        b.ss_blocked;
-      Alcotest.(check bool) (name "null" "broadcast at least once") true
-        (a.ss_null > 0 && c.ss_null > 0);
-      let same what f = Alcotest.(check int) (name what "domains 1 = 2") (f a) (f c) in
+      let c = st2.(i) in
+      let same what f =
+        Alcotest.(check int)
+          (Printf.sprintf "shard %d %s, domains 1 = 2" i what)
+          (f a) (f c)
+      in
       same "delivered" (fun s -> s.Sharded.ss_delivered);
       same "events" (fun s -> s.Sharded.ss_events);
+      same "windows" (fun s -> s.Sharded.ss_windows);
+      same "critical" (fun s -> s.Sharded.ss_critical);
       same "pending" (fun s -> s.Sharded.ss_pending);
       same "clock" (fun s -> s.Sharded.ss_clock))
     st
 
-(* Idle shards must not creep one lookahead per null round: with one
-   message in flight and nothing else to do, the null-message count is
-   fixed by the work, not by how far off the horizon is.  On one domain
-   the loop jumps every publish to the earliest pending work item (with
-   several there is no such jump; see [Sharded]). *)
-let idle_pair ~until =
+(* Idle shards do not creep one lookahead at a time: with one message
+   in flight and nothing else to do, the window count is fixed by the
+   work, not by how far off the horizon is — each window starts at the
+   earliest pending work item, on any domain count. *)
+let idle_pair ~until ~domains =
   let sd = Sharded.create ~shards:2 () in
   let fwd = Sharded.link sd ~src:0 ~dst:1 ~lookahead:(Time.us 10) () in
   ignore (Sharded.link sd ~src:1 ~dst:0 ~lookahead:(Time.us 10) ());
   let got = ref 0 in
   Engine.schedule_at (Sharded.engine sd 0) ~label:"emit" ~at:(Time.us 1)
     (fun () -> Sharded.send sd fwd ~delay:(Time.us 15) (fun () -> incr got));
-  Sharded.run ~until sd;
+  Sharded.run ~until ~domains sd;
   (!got, Sharded.stats sd)
 
 let test_idle_no_creep () =
   List.iter
-    (fun until ->
-      let got, st = idle_pair ~until in
+    (fun (until, domains) ->
+      let got, st = idle_pair ~until ~domains in
       Alcotest.(check int) "delivered" 1 got;
       Array.iter
         (fun (s : Sharded.shard_stats) ->
           let name what =
-            Printf.sprintf "shard %d %s, until %d" s.ss_shard what until
+            Printf.sprintf "shard %d %s, until %d, domains %d" s.ss_shard what
+              until domains
           in
-          Alcotest.(check int) (name "null messages") 2 s.ss_null;
+          Alcotest.(check int) (name "windows") 2 s.ss_windows;
+          Alcotest.(check int) (name "critical events") 1 s.ss_critical;
           Alcotest.(check int) (name "clock") until s.ss_clock)
         st)
-    [ Time.sec 3600; max_int / 2 ]
+    [ (Time.sec 3600, 1); (Time.sec 3600, 2); (max_int / 2, 1);
+      (max_int / 2, 2) ]
 
 (* Waiting allocates nothing.  Shard 0 runs an event every 100 ns,
-   shard 1 one every 50 us, so on two domains the sparse shard catches
-   up with its bound and waits on the dense one thousands of times.
-   Minor words are read once the spawned domain has joined (its counts
-   then fold into [Gc.quick_stat]); the work is the same on any domain
-   count, so two domains may exceed one only by a fixed cost per run
-   (spawning the domain and boxing the table of sleep lengths), however
-   often the loop polled.  Exact counts, so any host; pinned to OCaml
-   5.1.1 like [test_stack]'s allocation gate.  Two domains read 748
-   words more than one when the allowance was set (246 to spawn, 502
-   for the table), while the sparse shard blocked about 4100 times. *)
-let per_run_words_allowance = 1500.0
+   shard 1 one every 50 us, and both have work in every 10 us window of
+   the 20 ms run, so on two domains one domain waits at the barrier in
+   each of the 2000 windows (mostly the sparse one).  Minor words are
+   read once the spawned domain has joined (its counts then fold into
+   [Gc.quick_stat]); the work and the windows are the same on any
+   domain count, so two domains may exceed one only by the fixed cost
+   of spawning the domain, however many windows the run took.  Exact
+   counts, so any host; pinned to OCaml 5.1.1 like [test_stack]'s
+   allocation gate.  Two domains read 238 words more than one when the
+   allowance was set. *)
+let spawn_words_allowance = 400.0
 
 let skewed_pair ~domains =
   let sd = Sharded.create ~shards:2 () in
@@ -138,16 +143,44 @@ let skewed_pair ~domains =
   (words, !got, Sharded.stats sd)
 
 let test_waiting_allocates_nothing () =
-  let w1, got1, _ = skewed_pair ~domains:1 in
+  let w1, got1, st1 = skewed_pair ~domains:1 in
   let w2, got2, st = skewed_pair ~domains:2 in
   Alcotest.(check int) "same deliveries" got1 got2;
-  Alcotest.(check bool) "the sparse shard waited" true
-    (st.(1).Sharded.ss_blocked > 0);
-  if w2 -. w1 > per_run_words_allowance then
+  Alcotest.(check int) "windows, 1 domain" 2000 st1.(0).Sharded.ss_windows;
+  Alcotest.(check int) "windows, 2 domains" 2000 st.(0).Sharded.ss_windows;
+  if w2 -. w1 > spawn_words_allowance then
     Alcotest.failf
       "two domains allocated %.0f minor words more than one (%.0f vs %.0f; \
-       allowance %.0f, sparse shard blocked %d times)"
-      (w2 -. w1) w2 w1 per_run_words_allowance st.(1).Sharded.ss_blocked
+       allowance %.0f, %d windows)"
+      (w2 -. w1) w2 w1 spawn_words_allowance st.(0).Sharded.ss_windows
+
+(* A 1-shard group whose links all start and end on its one shard has
+   nothing to synchronise: it runs straight to the horizon in no window,
+   and its deliveries still follow (date, link key, send order), before
+   a same-date local event. *)
+let test_self_links () =
+  let sd = Sharded.create ~shards:1 () in
+  let e = Sharded.engine sd 0 in
+  let la = Sharded.link sd ~src:0 ~dst:0 ~lookahead:(Time.us 10) () in
+  let lb = Sharded.link sd ~src:0 ~dst:0 ~lookahead:(Time.us 10) () in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  Engine.schedule_at e ~label:"local" ~at:(Time.us 30) (note "local");
+  Engine.schedule_at e ~label:"emit" ~at:(Time.us 10) (fun () ->
+      Sharded.send sd lb ~delay:(Time.us 20) (note "b1");
+      Sharded.send sd la ~delay:(Time.us 25) (note "a-late");
+      Sharded.send sd lb ~delay:(Time.us 20) (note "b2");
+      Sharded.send sd la ~delay:(Time.us 20) (note "a"));
+  Sharded.run ~until:(Time.us 100) sd;
+  Alcotest.(check (list string))
+    "date, then link key, then send order; deliveries before locals"
+    [ "a"; "b1"; "b2"; "local"; "a-late" ] (List.rev !log);
+  let st = Sharded.stats sd in
+  Alcotest.(check int) "no window" 0 st.(0).Sharded.ss_windows;
+  Alcotest.(check int) "critical events = events" st.(0).Sharded.ss_events
+    st.(0).Sharded.ss_critical;
+  Alcotest.(check int) "clock at the horizon" (Time.us 100)
+    st.(0).Sharded.ss_clock
 
 (* Same-date ordering: deliveries beat local events, and among
    same-date deliveries link creation order wins regardless of which
@@ -250,6 +283,24 @@ let test_undersized_delay_rejected () =
   Sharded.run ~until:(Time.us 50) sd;
   Alcotest.(check bool) "delay < lookahead refused at send" true !saw
 
+(* An event that raises on a spawned domain's shard ends the run there
+   and then: [run] re-raises it instead of leaving the other domain
+   waiting at the barrier for good. *)
+let test_event_exception () =
+  List.iter
+    (fun domains ->
+      let sd = Sharded.create ~shards:2 () in
+      ignore (Sharded.link sd ~src:0 ~dst:1 ~lookahead:(Time.us 10) ());
+      Engine.schedule_at (Sharded.engine sd 1) ~label:"boom" ~at:(Time.us 5)
+        (fun () -> failwith "boom");
+      Engine.schedule_at (Sharded.engine sd 0) ~label:"later" ~at:(Time.us 50)
+        ignore;
+      Alcotest.check_raises
+        (Printf.sprintf "re-raised on %d domains" domains)
+        (Failure "boom")
+        (fun () -> Sharded.run ~until:(Time.us 100) ~domains sd))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Generated ordering property. *)
 
@@ -257,8 +308,8 @@ let test_undersized_delay_rejected () =
    fired from source-shard events on a coarse date grid (so delivery
    dates collide often), and local events on the same grid.  Each shard
    also runs a ticker of its own period (none for some), so shards run
-   at skewed event densities: on two domains a sparse shard waits on a
-   dense one and asks it for its clock. *)
+   at skewed event densities: on two domains a sparse shard waits at the
+   barrier for a dense one. *)
 type scenario = {
   sc_shards : int;
   sc_links : (int * int * int) array;      (* src, dst, lookahead *)
@@ -435,19 +486,27 @@ let prop_fleet_digest_identity =
       String.equal reference.s_digest split.s_digest
       && books reference && books split)
 
-(* The chaos digest must survive the CLI's --shards knob: a fused-cell
-   run is single-testbed, so folding it onto N shards must be a no-op
-   for results. *)
-let test_chaos_digest_with_shards () =
-  let digest () =
-    Chaos.digest (Chaos.run_cell ~quick:true ~mode:`Brfusion ~rate:0.5 ~seed:7L ())
+(* The window counters of one small fleet, pinned at equality: they
+   follow from event dates alone, so both 2-shard splits read the same
+   pair on any host.  A change to the scenario's event dates, or to how
+   windows are cut, moves them. *)
+let fleet_windows = 1570
+let fleet_critical = 16402
+
+let test_fleet_window_counters () =
+  let params =
+    { Fig_fleet.default_params with Fig_fleet.nodes = 4; pods = 20 }
   in
-  let d1 = digest () in
-  Nestfusion.Testbed.set_default_shards 2;
-  Fun.protect
-    ~finally:(fun () -> Nestfusion.Testbed.set_default_shards 1)
-    (fun () ->
-      Alcotest.(check string) "chaos digest, shards 1 = 2" d1 (digest ()))
+  List.iter
+    (fun domains ->
+      let s = Fig_fleet.summarize ~params ~shards:2 ~domains ~quick:true () in
+      let name what =
+        Printf.sprintf "%s, 2 shards on %d domains" what domains
+      in
+      Alcotest.(check int) (name "windows") fleet_windows s.Fig_fleet.s_windows;
+      Alcotest.(check int) (name "critical events") fleet_critical
+        s.Fig_fleet.s_critical)
+    [ 1; 2 ]
 
 let () =
   Alcotest.run "sharded"
@@ -467,6 +526,8 @@ let () =
             test_idle_no_creep;
           Alcotest.test_case "waiting allocates nothing" `Quick
             test_waiting_allocates_nothing;
+          Alcotest.test_case "self-links need no window" `Quick
+            test_self_links;
         ] );
       ( "guards",
         [
@@ -474,11 +535,13 @@ let () =
             test_zero_lookahead_rejected;
           Alcotest.test_case "undersized delay rejected" `Quick
             test_undersized_delay_rejected;
+          Alcotest.test_case "an event's exception ends the run" `Quick
+            test_event_exception;
         ] );
       ( "determinism",
         [
           QCheck_alcotest.to_alcotest prop_fleet_digest_identity;
-          Alcotest.test_case "chaos digest with --shards" `Quick
-            test_chaos_digest_with_shards;
+          Alcotest.test_case "fleet window counters" `Quick
+            test_fleet_window_counters;
         ] );
     ]
