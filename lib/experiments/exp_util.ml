@@ -10,31 +10,18 @@ let durations ~quick =
   if quick then { warmup = Time.ms 50; measure = Time.ms 250 }
   else { warmup = Time.ms 100; measure = Time.sec 1 }
 
-(* Shard-imbalance table for a sharded run: how much each sub-engine
-   actually did, how many lookahead windows the group synchronised at,
-   and the events of the windows each shard was the busiest in (their
-   sum is the run's length if every window cost its busiest shard). *)
-let print_shard_table sd =
-  print_endline "per-shard progress:";
-  print_endline
-    "  shard    events  delivered  windows   critical  pending  clock-ms";
-  Array.iter
-    (fun (s : Nest_sim.Sharded.shard_stats) ->
-      Printf.printf "  %5d  %8d  %9d  %7d  %9d  %7d  %8.1f\n" s.ss_shard
-        s.ss_events s.ss_delivered s.ss_windows s.ss_critical s.ss_pending
-        (float_of_int s.ss_clock /. 1e6))
-    (Nest_sim.Sharded.stats sd)
-
 let splits = [ (1, 1); (2, 1); (2, 2); (4, 2); (4, 4) ]
 
-(* A scenario clamps shards to its node count and Sharded.run caps
-   domains at the shard count, so on small scenarios several requested
-   splits run the same way: keep the first of each. *)
+let clamp_split ~nodes (s, d) =
+  let s = max 1 (min s nodes) in
+  (s, max 1 (min d s))
+
+(* On small scenarios several requested splits run the same way: keep
+   the first of each. *)
 let splits_for ~nodes =
   List.fold_left
-    (fun acc (s, d) ->
-      let s = max 1 (min s nodes) in
-      let sd = (s, max 1 (min d s)) in
+    (fun acc sd ->
+      let sd = clamp_split ~nodes sd in
       if List.mem sd acc then acc else sd :: acc)
     [] splits
   |> List.rev

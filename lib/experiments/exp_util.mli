@@ -10,20 +10,17 @@ type durations = {
 val durations : quick:bool -> durations
 (** quick: 50 ms / 250 ms; full: 100 ms / 1 s. *)
 
-val print_shard_table : Nest_sim.Sharded.t -> unit
-(** Per-shard progress/imbalance table ({!Nest_sim.Sharded.stats}):
-    events processed, cross-shard deliveries, the group's lookahead
-    windows, events of the windows the shard was the busiest in, queue
-    backlog and final clock. *)
-
 val splits : (int * int) list
 (** The (shards, domains) splits every determinism check runs:
     (1,1) (2,1) (2,2) (4,2) (4,4).  The first is the reference. *)
 
+val clamp_split : nodes:int -> int * int -> int * int
+(** A (shards, domains) split as it runs on a [nodes]-node scenario:
+    shards clamped to [1, nodes], domains to [1, shards]. *)
+
 val splits_for : nodes:int -> (int * int) list
-(** {!splits} as they actually run on a [nodes]-node scenario: shards
-    clamped to [1, nodes], domains to the shard count, duplicates
-    dropped (first kept, so the reference stays first). *)
+(** {!splits} after {!clamp_split}, duplicates dropped (first kept, so
+    the reference stays first). *)
 
 val digests_agree : title:string -> (string * (string * string) list) list -> bool
 (** [digests_agree ~title cells]: each cell is [(label, runs)], its runs

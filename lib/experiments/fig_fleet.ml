@@ -1,7 +1,14 @@
 (* Fleet-scale trace replay under open-loop load.  See fig_fleet.mli.
 
+   Every entry point reads one [scenario]: [build] validates the
+   params, clamps the split, deploys every node, wires the ring, starts
+   the generators and arms the churn; [play] runs it to its horizon;
+   [tally] folds a node list's request books, latency, pods, scale
+   events and availability burn, and [per_mode] splits the fleet for
+   the per-mode tables.
+
    Determinism across (shards, domains) splits rests on four
-   disciplines the setup below follows:
+   disciplines [build] follows:
    - every node, link-direction and churn random stream is keyed on the
      root seed plus a fixed index ([node_seed]), never drawn from a
      sub-engine root, which depends on placement;
@@ -93,24 +100,23 @@ let mode_of_ix i =
 
 let is_wire_served m = not (String.equal m "hostlo")
 
+(* Where a deployed node's service listens: a wire-served node's site,
+   which its ring predecessor's generator drives through a relay, or a
+   Hostlo pair, which the node's own generator drives. *)
+type site = Single of Deploy.server_site | Pair of Deploy.pair_site
+
 type node = {
   f_ix : int;
-  f_tb : Testbed.t;
   f_mode : string;
   (* Mode of the service this node's generator drives: a wire-served
      node drives its ring peer's service, a Hostlo node its own pair —
      latency percentiles are attributed to the mode that served them. *)
-  mutable f_serves : string;
-  f_site : Deploy.server_site option ref;  (* wire-served service *)
-  f_pair : Deploy.pair_site option ref;    (* hostlo pair *)
-  mutable f_gen : Lg.t option;
-  mutable f_slo : Slo.t option;            (* client-side, on the generator *)
-  (* Serving side: the pod pool, its server-side SLO monitor (queueing +
-     service latency on this node), and the autoscaler driving the pool
-     from that monitor's burn.  All three live on this node's engine. *)
-  mutable f_pool : Netperf.echo_pool option;
-  mutable f_srv_slo : Slo.t option;
-  mutable f_scaler : Autoscaler.t option;
+  f_serves : string;
+  f_gen : Lg.t;
+  f_slo : Slo.t;                (* client-side, on the generator *)
+  f_pool : Netperf.echo_pool;   (* serving side, on this node *)
+  f_scale_events : unit -> (Time.ns * int) list;
+      (* the pool autoscaler's trajectory; [] without autoscaling *)
 }
 
 type churn = {
@@ -119,31 +125,16 @@ type churn = {
   mutable ch_departed : int;
 }
 
-let build ~p ~shards () =
-  let sd = Sharded.create ~seed:p.seed ~shards:(max 1 shards) () in
-  let mk i =
-    let mode = mode_of_ix i in
-    let tb =
-      Testbed.create
-        ~sharded:(sd, i mod shards)
-        ~prefix:(Printf.sprintf "n%d:" i)
-        ~rng:(Prng.create (node_seed p.seed i))
-        ~num_vms:(if is_wire_served mode then 1 else 2)
-        ()
-    in
-    { f_ix = i; f_tb = tb; f_mode = mode; f_serves = mode; f_site = ref None;
-      f_pair = ref None; f_gen = None; f_slo = None; f_pool = None;
-      f_srv_slo = None; f_scaler = None }
-  in
-  let ns = Array.init p.nodes mk in
-  let ws =
-    Array.of_list
-      (List.filter (fun n -> is_wire_served n.f_mode) (Array.to_list ns))
-  in
-  Array.iteri
-    (fun j n -> n.f_serves <- ws.((j + 1) mod Array.length ws).f_mode)
-    ws;
-  (sd, ns)
+type scenario = {
+  sc_sd : Sharded.t;
+  sc_nodes : node list;
+  sc_sched : Node.t list;       (* every scheduler node, in fleet order *)
+  sc_shards : int;              (* clamped to [1, nodes] *)
+  sc_domains : int;             (* clamped to [1, shards] *)
+  sc_horizon : Time.ns;
+  sc_flaps : int;
+  sc_churn : churn;
+}
 
 (* Serving side of one node: a pod pool behind the service socket, a
    server-side SLO monitor fed queueing + service latency, and — when
@@ -151,9 +142,10 @@ let build ~p ~shards () =
    burn.  Everything is created inside the deployment callback, on the
    node's own engine; the pool ceiling is planned statically from the
    node's remaining capacity (Autopilot placement arithmetic), never
-   reserved at runtime. *)
-let install_serving n ~p ~start ~stop ~ns ~port ~new_exec ~cap_node =
-  let engine = n.f_tb.Testbed.engine in
+   reserved at runtime.  Returns [site] with the pool and the
+   scale-event reader. *)
+let install_serving site ~ix engine ~p ~start ~stop ~ns ~port ~new_exec
+    ~cap_node =
   let service_cost = int_of_float (p.service_us *. 1000.0) in
   let pool_max =
     max 1
@@ -179,78 +171,74 @@ let install_serving n ~p ~start ~stop ~ns ~port ~new_exec ~cap_node =
     Netperf.udp_echo_pool ~ns ~port ~new_exec ~service_cost ~initial:1
       ~max:pool_max ~standby ~slo:srv_slo ()
   in
-  n.f_srv_slo <- Some srv_slo;
-  n.f_pool <- Some pool;
   if p.autoscale then
-    n.f_scaler <-
-      Some
-        (Autoscaler.create ~engine
-           ~label:(Printf.sprintf "n%d:scaler" n.f_ix)
-           ~min:1 ~max:pool_max ~window:slo_window
-           ~burn_source:(fun () -> Slo.worst_last_burn srv_slo)
-           ~apply:pool.Netperf.epool_set_active ~start ~stop ())
+    let a =
+      Autoscaler.create ~engine
+        ~label:(Printf.sprintf "n%d:scaler" ix)
+        ~min:1 ~max:pool_max ~window:slo_window
+        ~burn_source:(fun () -> Slo.worst_last_burn srv_slo)
+        ~apply:pool.Netperf.epool_set_active ~start ~stop ()
+    in
+    (site, pool, fun () -> Autoscaler.events a)
+  else (site, pool, fun () -> [])
 
-let setup sd ns ~p ~start ~stop =
-  Array.iter
-    (fun n ->
-      if is_wire_served n.f_mode then
-        Deploy.deploy_single n.f_tb
-          ~mode:(if String.equal n.f_mode "nat" then `Nat else `Brfusion)
-          ~name:(Printf.sprintf "n%d:pod" n.f_ix)
-          ~entity:"server" ~port:service_port
-          ~k:(fun site ->
-            let cap_node = List.hd n.f_tb.Testbed.nodes in
-            install_serving n ~p ~start ~stop ~ns:site.Deploy.site_ns
-              ~port:site.Deploy.site_port ~new_exec:site.Deploy.site_new_exec
-              ~cap_node;
-            n.f_site := Some site)
+(* Deploys every node and its serving side, runs the deployment phase
+   to 1 s, and returns each node's site with its serving side; a node
+   whose deployment never finished is an error. *)
+let deploy sd tbs ~p ~start ~stop =
+  let slots = Array.make (Array.length tbs) None in
+  Array.iteri
+    (fun i tb ->
+      let name = Printf.sprintf "n%d:pod" i in
+      let mode = mode_of_ix i in
+      if is_wire_served mode then
+        Deploy.deploy_single tb
+          ~mode:(if String.equal mode "nat" then `Nat else `Brfusion)
+          ~name ~entity:"server" ~port:service_port
+          ~k:(fun s ->
+            slots.(i) <-
+              Some
+                (install_serving (Single s) ~ix:i tb.Testbed.engine ~p
+                   ~start ~stop ~ns:s.Deploy.site_ns ~port:s.Deploy.site_port
+                   ~new_exec:s.Deploy.site_new_exec
+                   ~cap_node:(List.hd tb.Testbed.nodes)))
       else
-        Deploy.deploy_pair ~standby:p.standby n.f_tb ~mode:`Hostlo
-          ~name:(Printf.sprintf "n%d:pod" n.f_ix)
+        Deploy.deploy_pair ~standby:p.standby tb ~mode:`Hostlo ~name
           ~a_entity:"client" ~b_entity:"server" ~port:service_port
           ~k:(fun pair ->
             (* The server fraction (b) lives on the pair's second VM. *)
             let cap_node =
-              match n.f_tb.Testbed.nodes with
-              | [ _; b ] -> b
-              | l -> List.hd l
+              match tb.Testbed.nodes with [ _; b ] -> b | l -> List.hd l
             in
-            install_serving n ~p ~start ~stop ~ns:pair.Deploy.b_ns
-              ~port:pair.Deploy.b_port ~new_exec:pair.Deploy.b_new_exec
-              ~cap_node;
-            n.f_pair := Some pair))
-    ns;
+            slots.(i) <-
+              Some
+                (install_serving (Pair pair) ~ix:i tb.Testbed.engine ~p
+                   ~start ~stop ~ns:pair.Deploy.b_ns ~port:pair.Deploy.b_port
+                   ~new_exec:pair.Deploy.b_new_exec ~cap_node)))
+    tbs;
   Sharded.run ~until:(Time.sec 1) sd;
-  Array.iter
-    (fun n ->
-      let stuck =
-        if is_wire_served n.f_mode then !(n.f_site) = None
-        else !(n.f_pair) = None
-      in
-      if stuck then
-        failwith (Printf.sprintf "fig_fleet: node %d deployment stuck" n.f_ix))
-    ns
+  Array.mapi
+    (fun i -> function
+      | Some d -> d
+      | None -> failwith (Printf.sprintf "fig_fleet: node %d deployment stuck" i))
+    slots
 
-(* Ring over the wire-served nodes only.  Each direction's impairment
-   stream is keyed on (root seed, ring position, direction); flap plans
-   schedule set_down events on that direction's source shard.  Returns
-   the number of planned flaps (digest material). *)
-let wire_ring sd ns ~shards ~p ~start ~stop =
-  let ws = Array.of_list (List.filter (fun n -> is_wire_served n.f_mode)
-                            (Array.to_list ns)) in
-  let k = Array.length ws in
+(* Ring over the wire-served nodes only, given as (node index, site) in
+   fleet order.  Each direction's impairment stream is keyed on (root
+   seed, ring position, direction); flap plans schedule set_down events
+   on that direction's source shard.  Returns the number of planned
+   flaps (digest material). *)
+let wire_ring sd tbs ring ~shards ~p ~start ~stop =
+  let k = Array.length ring in
   let flaps = ref 0 in
+  let latency =
+    match p.profile with
+    | None -> default_link_latency
+    | Some pr -> pr.Netem.p_delay
+  in
   Array.iteri
-    (fun j n ->
-      let peer = ws.((j + 1) mod k) in
-      let site =
-        match !(peer.f_site) with Some s -> s | None -> assert false
-      in
-      let latency =
-        match p.profile with
-        | None -> default_link_latency
-        | Some pr -> pr.Netem.p_delay
-      in
+    (fun j (i, _) ->
+      let peer, site = ring.((j + 1) mod k) in
       let dir d =
         (* One impair per direction even without a profile: the flap
            plan needs the down flag. *)
@@ -263,7 +251,6 @@ let wire_ring sd ns ~shards ~p ~start ~stop =
           if p.fault_rate > 0.0 then Some (Wire.impair ~rng ()) else None
       in
       let fwd_impair = dir 0 and rev_impair = dir 1 in
-      let src_shard n = n.f_ix mod shards in
       (* Flap plan: a per-direction draw at setup decides whether this
          direction goes down once during the window; the flap events run
          on the impair's owner shard. *)
@@ -285,30 +272,27 @@ let wire_ring sd ns ~shards ~p ~start ~stop =
                 (fun () -> Wire.set_down im false)
             end
         in
-        plan 0 fwd_impair (src_shard n);
-        plan 1 rev_impair (src_shard peer)
+        plan 0 fwd_impair (i mod shards);
+        plan 1 rev_impair (peer mod shards)
       end;
       ignore
         (Wire.udp_relay sd
-           ~client_side:(src_shard n, Nest_virt.Host.ns n.f_tb.Testbed.host)
+           ~client_side:(i mod shards, Nest_virt.Host.ns tbs.(i).Testbed.host)
            ~server_side:
-             (src_shard peer, Nest_virt.Host.ns peer.f_tb.Testbed.host)
+             (peer mod shards, Nest_virt.Host.ns tbs.(peer).Testbed.host)
            ~client_port:gw_client_port ~server_port:gw_server_port
            ~target:(site.Deploy.site_addr, site.Deploy.site_port)
            ~latency ?fwd_impair ?rev_impair ()))
-    ws;
+    ring;
   !flaps
 
 (* Per-node open-loop generator + SLO monitor, both on the node's own
-   engine.  Latency ceilings and request timeouts scale with the link
-   profile so a WAN fleet is judged against WAN physics. *)
-let start_generators ns ~p ~start ~stop =
-  let per_node_rate = p.rate /. float_of_int (Array.length ns) in
-  let prof_ns =
-    match p.profile with
-    | None -> default_link_latency
-    | Some pr -> pr.Netem.p_delay + pr.Netem.p_jitter
-  in
+   engine.  Latency ceilings scale with the link physics [prof_ns] so a
+   WAN fleet is judged against WAN physics.  Returns the fleet's nodes,
+   in order. *)
+let start_generators tbs deployed ~serves ~p ~prof_ns ~timeout ~start ~stop
+    =
+  let per_node_rate = p.rate /. float_of_int (Array.length tbs) in
   (* The latency budget covers both the wire (profile physics) and the
      service itself: a 2 ms service can never meet a 2 ms end-to-end
      ceiling, and a ceiling below the service time pins a Burn policy at
@@ -318,11 +302,10 @@ let start_generators ns ~p ~start ~stop =
       (Float.max 2000.0 (Time.to_us_f (6 * prof_ns)))
       (8.0 *. p.service_us)
   in
-  let timeout = max (Time.ms 100) (8 * prof_ns) in
   let gw = Nest_net.Ipv4.of_string "192.168.100.1" in
-  Array.iter
-    (fun n ->
-      let tb = n.f_tb in
+  List.init (Array.length tbs) (fun i ->
+      let site, pool, scale_events = deployed.(i) in
+      let tb = tbs.(i) in
       let engine = tb.Testbed.engine in
       let slo =
         Slo.create ~start
@@ -333,16 +316,15 @@ let start_generators ns ~p ~start ~stop =
                 ~floor_per_s:(0.2 *. per_node_rate) () ]
           ~stop engine
       in
-      n.f_slo <- Some slo;
       let arrival =
-        let rng = Prng.create (node_seed p.seed (20000 + n.f_ix)) in
+        let rng = Prng.create (node_seed p.seed (20000 + i)) in
         match p.arrival with
         | `Poisson -> Arrival.poisson ~rng ~rate_per_s:per_node_rate
         | `Constant -> Arrival.constant ~rate_per_s:per_node_rate
       in
       let sizes = Size_dist.Pareto { shape = 1.2; lo = 64; hi = 1400 } in
-      let rng = Prng.create (node_seed p.seed (10000 + n.f_ix)) in
-      let label = Printf.sprintf "n%d:%s" n.f_ix n.f_mode in
+      let rng = Prng.create (node_seed p.seed (10000 + i)) in
+      let label = Printf.sprintf "n%d:%s" i (mode_of_ix i) in
       (* Client-side admission: the Burn policy protects this node's own
          latency objective — shedding on availability burn would be
          self-defeating (sheds burn availability, which sheds more).
@@ -367,37 +349,32 @@ let start_generators ns ~p ~start ~stop =
         | `Fixed | `Codel -> None
       in
       let gen =
-        if is_wire_served n.f_mode then
+        match site with
+        | Single _ ->
           Lg.udp ~engine ~label ~arrival ~sizes ~rng ?admission ?burn_source
-            ~timeout ~slo ~gen_id:n.f_ix ~ns:tb.Testbed.client_ns
+            ~timeout ~slo ~gen_id:i ~ns:tb.Testbed.client_ns
             ~exec:
               (Testbed.client_app_exec tb
-                 ~name:(Printf.sprintf "n%d:loadgen" n.f_ix))
+                 ~name:(Printf.sprintf "n%d:loadgen" i))
             ~target:(fun () -> Some (gw, gw_client_port))
             ~start ~stop ()
-        else
-          let pair =
-            match !(n.f_pair) with Some pr -> pr | None -> assert false
-          in
+        | Pair pair ->
           Lg.udp ~engine ~label ~arrival ~sizes ~rng ?admission ?burn_source
-            ~timeout ~slo ~gen_id:n.f_ix ~ns:pair.Deploy.a_ns
+            ~timeout ~slo ~gen_id:i ~ns:pair.Deploy.a_ns
             ~exec:pair.Deploy.a_exec
             ~target:(fun () -> Some (pair.Deploy.b_addr, pair.Deploy.b_port))
             ~start ~stop ()
       in
-      n.f_gen <- Some gen)
-    ns
+      { f_ix = i; f_mode = mode_of_ix i; f_serves = serves.(i); f_gen = gen;
+        f_slo = slo; f_pool = pool; f_scale_events = scale_events })
 
 (* Live trace replay: grow a synthetic cluster trace until it holds
    [pods] pods, scale its relative demands so the whole population wants
    ~1.5x the fleet's schedulable capacity (departures make room; the
    overflow is what exercises unschedulable accounting), then replay it
    as a continuous arrival stream through most-requested placement. *)
-let arm_churn sd ns ~p ~start ~stop =
+let arm_churn sd all_nodes ~p ~start ~stop =
   let ctl = Sharded.engine sd 0 in
-  let all_nodes =
-    List.concat_map (fun n -> n.f_tb.Testbed.nodes) (Array.to_list ns)
-  in
   let rec grow u =
     let users = Nest_traces.Trace_gen.generate ~seed:p.seed ~users:u in
     let total =
@@ -453,53 +430,7 @@ let arm_churn sd ns ~p ~start ~stop =
                 Index.release index pos ~cpu ~mem;
                 ch.ch_departed <- ch.ch_departed + 1)))
     demands;
-  (ch, all_nodes)
-
-let digest_of ns (ch : churn) all_nodes ~flaps =
-  let b = Buffer.create 8192 in
-  Array.iter
-    (fun n ->
-      let g = match n.f_gen with Some g -> g | None -> assert false in
-      let c = Lg.counts g in
-      Buffer.add_string b
-        (Printf.sprintf "node%d %s offered=%d admitted=%d shed=%d lost=%d \
-                         completed=%d adm_limit=%d\n"
-           n.f_ix n.f_mode c.Lg.offered c.Lg.admitted c.Lg.shed c.Lg.lost
-           c.Lg.completed (Lg.admission_limit g));
-      List.iter
-        (fun (at, us) -> Buffer.add_string b (Printf.sprintf "%d %.6f\n" at us))
-        (Lg.completions g);
-      (* Serving side: pool traffic and the autoscaler trajectory are
-         digest material too — a scaling decision happening one window
-         late under a different shard split must be caught. *)
-      (match n.f_pool with
-      | Some pl ->
-        Buffer.add_string b
-          (Printf.sprintf "pool%d served=%d cold=%d active=%d ready=%d\n"
-             n.f_ix (pl.Netperf.epool_served ())
-             (pl.Netperf.epool_cold_starts ())
-             (pl.Netperf.epool_active ())
-             (pl.Netperf.epool_ready ()))
-      | None -> ());
-      match n.f_scaler with
-      | Some a ->
-        List.iter
-          (fun (at, d) ->
-            Buffer.add_string b
-              (Printf.sprintf "scale%d %d %d\n" n.f_ix at d))
-          (Autoscaler.events a)
-      | None -> ())
-    ns;
-  Buffer.add_string b
-    (Printf.sprintf "churn placed=%d unschedulable=%d departed=%d flaps=%d\n"
-       ch.ch_placed ch.ch_unschedulable ch.ch_departed flaps);
-  List.iteri
-    (fun i n ->
-      Buffer.add_string b
-        (Printf.sprintf "sched%d %.6f %.6f\n" i (Node.cpu_requested n)
-           (Node.mem_requested n)))
-    all_nodes;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  ch
 
 (* Every check is written so that NaN fails it: a float comparison
    with NaN is false, so each one states what a good value satisfies. *)
@@ -525,37 +456,158 @@ let validate p =
     bad "pods-max must be >= 1 (got %d)" p.pods_max
   else Ok ()
 
-let run_scenario ?(params = default_params) ?(shards = 1) ?(domains = 1)
-    ~quick () =
-  let p = params in
+(* The one setup: everything is scheduled, nothing past the deployment
+   phase has run yet. *)
+let build ~p ~shards ~domains ~quick =
   (match validate p with
   | Ok () -> ()
   | Error msg -> invalid_arg ("fig_fleet: " ^ msg));
-  let shards = max 1 (min shards p.nodes) in
+  let shards, domains = Exp_util.clamp_split ~nodes:p.nodes (shards, domains) in
   let d = Exp_util.durations ~quick in
-  let sd, ns = build ~p ~shards () in
   let start = Time.sec 1 + d.Exp_util.warmup in
   let stop = start + d.Exp_util.measure in
-  setup sd ns ~p ~start ~stop;
-  let flaps = wire_ring sd ns ~shards ~p ~start ~stop in
-  start_generators ns ~p ~start ~stop;
-  let ch, all_nodes = arm_churn sd ns ~p ~start ~stop in
+  let sd = Sharded.create ~seed:p.seed ~shards () in
+  let tbs =
+    Array.init p.nodes (fun i ->
+        Testbed.create ~sharded:(sd, i mod shards)
+          ~prefix:(Printf.sprintf "n%d:" i)
+          ~rng:(Prng.create (node_seed p.seed i))
+          ~num_vms:(if is_wire_served (mode_of_ix i) then 1 else 2)
+          ())
+  in
+  let deployed = deploy sd tbs ~p ~start ~stop in
+  let ring =
+    let rec wired i =
+      if i = p.nodes then []
+      else
+        match deployed.(i) with
+        | Single s, _, _ -> (i, s) :: wired (i + 1)
+        | Pair _, _, _ -> wired (i + 1)
+    in
+    Array.of_list (wired 0)
+  in
+  let serves = Array.init p.nodes mode_of_ix in
+  Array.iteri
+    (fun j (i, _) ->
+      serves.(i) <- mode_of_ix (fst ring.((j + 1) mod Array.length ring)))
+    ring;
+  let flaps = wire_ring sd tbs ring ~shards ~p ~start ~stop in
   let prof_ns =
     match p.profile with
     | None -> default_link_latency
     | Some pr -> pr.Netem.p_delay + pr.Netem.p_jitter
   in
-  (* The margin must let every admitted request resolve — complete or
-     hit its timeout — so the digest never races the horizon. *)
-  let margin = max (Time.ms 100) (8 * prof_ns) + Time.ms 5 in
-  Sharded.run ~until:(stop + margin) ~domains sd;
-  (sd, ns, ch, all_nodes, flaps)
-
-let digest ?params ?shards ?domains ~quick () =
-  let _, ns, ch, all_nodes, flaps =
-    run_scenario ?params ?shards ?domains ~quick ()
+  (* The one request timeout.  The horizon lets every admitted request
+     resolve — complete or hit it — so the digest never races the
+     horizon. *)
+  let timeout = max (Time.ms 100) (8 * prof_ns) in
+  let nodes =
+    start_generators tbs deployed ~serves ~p ~prof_ns ~timeout ~start ~stop
   in
-  digest_of ns ch all_nodes ~flaps
+  let sched = Array.fold_right (fun tb l -> tb.Testbed.nodes @ l) tbs [] in
+  let churn = arm_churn sd sched ~p ~start ~stop in
+  { sc_sd = sd; sc_nodes = nodes; sc_sched = sched; sc_shards = shards;
+    sc_domains = domains; sc_horizon = stop + timeout + Time.ms 5;
+    sc_flaps = flaps; sc_churn = churn }
+
+let play sc =
+  Sharded.run ~until:sc.sc_horizon ~domains:sc.sc_domains sc.sc_sd;
+  sc
+
+type tally = {
+  t_offered : int;
+  t_shed : int;
+  t_lost : int;
+  t_completed : int;
+  t_latency : Hdr.t;            (* merged completed-RTT sketch *)
+  t_pods : int;                 (* final active serving pods *)
+  t_scale_events : int;
+  t_avail_burn : float;         (* worst availability-window burn *)
+}
+
+let tally nodes =
+  let latency = Hdr.create ~name:"fleet:latency_us" () in
+  let off = ref 0 and shed = ref 0 and lost = ref 0 and comp = ref 0 in
+  let pods = ref 0 and scale = ref 0 and avail = ref 0.0 in
+  List.iter
+    (fun n ->
+      let c = Lg.counts n.f_gen in
+      off := !off + c.Lg.offered;
+      shed := !shed + c.Lg.shed;
+      lost := !lost + c.Lg.lost;
+      comp := !comp + c.Lg.completed;
+      Hdr.merge_into ~into:latency (Lg.latency n.f_gen);
+      pods := !pods + n.f_pool.Netperf.epool_active ();
+      scale := !scale + List.length (n.f_scale_events ());
+      List.iter
+        (fun cc ->
+          if String.equal cc.Slo.c_name "availability" then
+            avail := Float.max !avail cc.Slo.c_worst_burn)
+        (Slo.report n.f_slo))
+    nodes;
+  { t_offered = !off; t_shed = !shed; t_lost = !lost; t_completed = !comp;
+    t_latency = latency; t_pods = !pods; t_scale_events = !scale;
+    t_avail_burn = !avail }
+
+(* The per-mode split, one (mode, generating members, serving members)
+   per mode present.  A generator sheds before its request touches any
+   service, so offered and shed belong to the generating node's mode;
+   in-flight losses, completions, latency and pods belong to the serving
+   mode. *)
+let per_mode nodes =
+  List.filter_map
+    (fun mode ->
+      match
+        ( List.filter (fun n -> String.equal n.f_mode mode) nodes,
+          List.filter (fun n -> String.equal n.f_serves mode) nodes )
+      with
+      | [], [] -> None
+      | gen, srv -> Some (mode, gen, srv))
+    [ "nat"; "brfusion"; "hostlo" ]
+
+let digest_of sc =
+  let b = Buffer.create 8192 in
+  List.iter
+    (fun n ->
+      let g = n.f_gen in
+      let c = Lg.counts g in
+      Buffer.add_string b
+        (Printf.sprintf "node%d %s offered=%d admitted=%d shed=%d lost=%d \
+                         completed=%d adm_limit=%d\n"
+           n.f_ix n.f_mode c.Lg.offered c.Lg.admitted c.Lg.shed c.Lg.lost
+           c.Lg.completed (Lg.admission_limit g));
+      List.iter
+        (fun (at, us) -> Buffer.add_string b (Printf.sprintf "%d %.6f\n" at us))
+        (Lg.completions g);
+      (* Serving side: pool traffic and the autoscaler trajectory are
+         digest material too — a scaling decision happening one window
+         late under a different shard split must be caught. *)
+      let pl = n.f_pool in
+      Buffer.add_string b
+        (Printf.sprintf "pool%d served=%d cold=%d active=%d ready=%d\n"
+           n.f_ix (pl.Netperf.epool_served ())
+           (pl.Netperf.epool_cold_starts ())
+           (pl.Netperf.epool_active ())
+           (pl.Netperf.epool_ready ()));
+      List.iter
+        (fun (at, d) ->
+          Buffer.add_string b (Printf.sprintf "scale%d %d %d\n" n.f_ix at d))
+        (n.f_scale_events ()))
+    sc.sc_nodes;
+  let ch = sc.sc_churn in
+  Buffer.add_string b
+    (Printf.sprintf "churn placed=%d unschedulable=%d departed=%d flaps=%d\n"
+       ch.ch_placed ch.ch_unschedulable ch.ch_departed sc.sc_flaps);
+  List.iteri
+    (fun i n ->
+      Buffer.add_string b
+        (Printf.sprintf "sched%d %.6f %.6f\n" i (Node.cpu_requested n)
+           (Node.mem_requested n)))
+    sc.sc_sched;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let digest ?(params = default_params) ?(shards = 1) ?(domains = 1) ~quick () =
+  digest_of (play (build ~p:params ~shards ~domains ~quick))
 
 type summary = {
   s_offered : int;
@@ -574,105 +626,101 @@ type summary = {
 (* Machine-readable fleet outcome: what the acceptance tests assert on
    (graceful-degradation dynamics) without scraping the rendered
    tables. *)
-let summarize ?params ?shards ?domains ~quick () =
-  let sd, ns, ch, all_nodes, flaps =
-    run_scenario ?params ?shards ?domains ~quick ()
-  in
-  let st = Sharded.stats sd in
-  let merged = Hdr.create ~name:"fleet:latency_us" () in
-  let off = ref 0 and shed = ref 0 and lost = ref 0 and comp = ref 0 in
-  let avail = ref 0.0 and pods = ref 0 and scale = ref 0 in
-  Array.iter
-    (fun n ->
-      let g = match n.f_gen with Some g -> g | None -> assert false in
-      let c = Lg.counts g in
-      off := !off + c.Lg.offered;
-      shed := !shed + c.Lg.shed;
-      lost := !lost + c.Lg.lost;
-      comp := !comp + c.Lg.completed;
-      Hdr.merge_into ~into:merged (Lg.latency g);
-      (match n.f_slo with
-      | Some s ->
-        List.iter
-          (fun cc ->
-            if String.equal cc.Slo.c_name "availability" then
-              avail := Float.max !avail cc.Slo.c_worst_burn)
-          (Slo.report s)
-      | None -> ());
-      (match n.f_pool with
-      | Some pl -> pods := !pods + pl.Netperf.epool_active ()
-      | None -> ());
-      match n.f_scaler with
-      | Some a -> scale := !scale + Autoscaler.transitions a
-      | None -> ())
-    ns;
+let summarize ?(params = default_params) ?(shards = 1) ?(domains = 1) ~quick
+    () =
+  let sc = play (build ~p:params ~shards ~domains ~quick) in
+  let t = tally sc.sc_nodes in
+  let st = Sharded.stats sc.sc_sd in
   {
-    s_offered = !off;
-    s_shed = !shed;
-    s_lost = !lost;
-    s_completed = !comp;
-    s_p99_us = Hdr.percentile merged 99.0;
-    s_avail_worst_burn = !avail;
-    s_pods = !pods;
-    s_scale_events = !scale;
+    s_offered = t.t_offered;
+    s_shed = t.t_shed;
+    s_lost = t.t_lost;
+    s_completed = t.t_completed;
+    s_p99_us = Hdr.percentile t.t_latency 99.0;
+    s_avail_worst_burn = t.t_avail_burn;
+    s_pods = t.t_pods;
+    s_scale_events = t.t_scale_events;
     s_windows = st.(0).Sharded.ss_windows;
     s_critical = Array.fold_left (fun a s -> a + s.Sharded.ss_critical) 0 st;
-    s_digest = digest_of ns ch all_nodes ~flaps;
+    s_digest = digest_of sc;
   }
 
-let modes_present ns =
-  List.filter
-    (fun m ->
-      Array.exists
-        (fun n -> String.equal n.f_serves m || String.equal n.f_mode m)
-        ns)
-    [ "nat"; "brfusion"; "hostlo" ]
+(* Shard-imbalance table: how much each sub-engine actually did, how
+   many lookahead windows the group synchronised at, and the events of
+   the windows each shard was the busiest in (their sum is the run's
+   length if every window cost its busiest shard). *)
+let print_shard_table sd =
+  print_endline "per-shard progress:";
+  print_endline
+    "  shard    events  delivered  windows   critical  pending  clock-ms";
+  Array.iter
+    (fun (s : Sharded.shard_stats) ->
+      Printf.printf "  %5d  %8d  %9d  %7d  %9d  %7d  %8.1f\n" s.ss_shard
+        s.ss_events s.ss_delivered s.ss_windows s.ss_critical s.ss_pending
+        (float_of_int s.ss_clock /. 1e6))
+    (Sharded.stats sd)
 
-let run ?(params = default_params) ?shards ?(domains = 1) ~quick () =
+(* Windowed SLO compliance summed spec-wise across monitors that share
+   one spec list. *)
+let compliance_rows slos =
+  match List.map Slo.report slos with
+  | [] -> ()
+  | first :: _ as reports ->
+    List.iteri
+      (fun i (c0 : Slo.compliance) ->
+        let windows, viol =
+          List.fold_left
+            (fun (w, v) rep ->
+              let c = List.nth rep i in
+              (w + c.Slo.c_windows, v + c.Slo.c_violations))
+            (0, 0) reports
+        in
+        let ratio =
+          if windows = 0 then 1.0
+          else 1.0 -. (float_of_int viol /. float_of_int windows)
+        in
+        Exp_util.row
+          (Printf.sprintf "            %-16s %3d/%3d windows ok  (%.1f%%)"
+             c0.Slo.c_name (windows - viol) windows (100.0 *. ratio)))
+      first
+
+let run ?(params = default_params) ?(shards = 1) ?(domains = 1) ~quick () =
   let p = params in
-  let sd, ns, ch, all_nodes, flaps =
-    run_scenario ~params ?shards ~domains ~quick ()
-  in
+  let sc = play (build ~p ~shards ~domains ~quick) in
   Exp_util.header
     (Printf.sprintf
        "Fleet: %d nodes, %d shards, %d domains, %.0f req/s %s arrivals%s%s, \
         admission %s%s"
-       (Array.length ns) (Sharded.shards sd) domains p.rate
+       p.nodes sc.sc_shards sc.sc_domains p.rate
        (match p.arrival with `Poisson -> "poisson" | `Constant -> "constant")
        (match p.profile with
        | None -> ""
        | Some pr -> ", link " ^ pr.Netem.p_name)
        (if p.fault_rate > 0.0 then
-          Printf.sprintf ", fault-rate %.2f (%d flaps)" p.fault_rate flaps
+          Printf.sprintf ", fault-rate %.2f (%d flaps)" p.fault_rate
+            sc.sc_flaps
         else "")
        (admission_to_string p.admission)
        (if p.autoscale then
           Printf.sprintf ", autoscale (pods <= %d)" p.pods_max
         else ""));
-  Array.iter
+  List.iter
     (fun n ->
-      let g = match n.f_gen with Some g -> g | None -> assert false in
-      let c = Lg.counts g in
-      let h = Lg.latency g in
-      let pods =
-        match n.f_pool with
-        | Some pl ->
-          Printf.sprintf "  pods %d (ready %d)%s"
-            (pl.Netperf.epool_active ())
-            (pl.Netperf.epool_ready ())
-            (match n.f_scaler with
-            | Some a ->
-              Printf.sprintf " (%d scale events)" (Autoscaler.transitions a)
-            | None -> "")
-        | None -> ""
-      in
+      let c = Lg.counts n.f_gen in
+      let pl = n.f_pool in
       Exp_util.row
         (Printf.sprintf
            "  node %3d %-9s -> %-9s offered %6d shed %4d lost %4d done %6d  \
-            p99 %8.1f us%s"
+            p99 %8.1f us  pods %d (ready %d)%s"
            n.f_ix n.f_mode n.f_serves c.Lg.offered c.Lg.shed c.Lg.lost
-           c.Lg.completed (Hdr.percentile h 99.0) pods))
-    ns;
+           c.Lg.completed
+           (Hdr.percentile (Lg.latency n.f_gen) 99.0)
+           (pl.Netperf.epool_active ()) (pl.Netperf.epool_ready ())
+           (if p.autoscale then
+              Printf.sprintf " (%d scale events)"
+                (List.length (n.f_scale_events ()))
+            else "")))
+    sc.sc_nodes;
   Exp_util.row "";
   Exp_util.row
     "  per-mode fleet SLO compliance and merged latency percentiles";
@@ -682,101 +730,36 @@ let run ?(params = default_params) ?shards ?(domains = 1) ~quick () =
     "   happens at admission, before any mode serves; lost/done/latency";
   Exp_util.row "   attributed to the mode that served the requests):";
   List.iter
-    (fun mode ->
-      (* Satellite fix: a generator sheds before its request touches any
-         service, so shed (and offered) belong to the generating node's
-         mode; in-flight losses and completion latency belong to the
-         serving mode. *)
-      let gen_members =
-        List.filter (fun n -> String.equal n.f_mode mode) (Array.to_list ns)
-      in
-      let members =
-        List.filter (fun n -> String.equal n.f_serves mode) (Array.to_list ns)
-      in
-      let merged = Hdr.create ~name:(mode ^ ":latency_us") () in
-      let c_off = ref 0 and c_shed = ref 0 and c_lost = ref 0 in
-      let c_done = ref 0 in
-      List.iter
-        (fun n ->
-          let g = match n.f_gen with Some g -> g | None -> assert false in
-          let c = Lg.counts g in
-          c_off := !c_off + c.Lg.offered;
-          c_shed := !c_shed + c.Lg.shed)
-        gen_members;
-      List.iter
-        (fun n ->
-          let g = match n.f_gen with Some g -> g | None -> assert false in
-          let c = Lg.counts g in
-          c_lost := !c_lost + c.Lg.lost;
-          c_done := !c_done + c.Lg.completed;
-          Hdr.merge_into ~into:merged (Lg.latency g))
-        members;
+    (fun (mode, gen, srv) ->
+      let g = tally gen and s = tally srv in
       Exp_util.row
         (Printf.sprintf
            "  %-9s gen %2d/serve %2d  offered %7d shed %5d | lost %5d done \
             %7d"
-           mode (List.length gen_members) (List.length members) !c_off !c_shed
-           !c_lost !c_done);
+           mode (List.length gen) (List.length srv) g.t_offered g.t_shed
+           s.t_lost s.t_completed);
+      let h = s.t_latency in
       Exp_util.row
         (Printf.sprintf
            "            latency n=%d  p50 %8.1f  p99 %8.1f  p99.9 %8.1f us"
-           (Hdr.count merged) (Hdr.percentile merged 50.0)
-           (Hdr.percentile merged 99.0) (Hdr.percentile merged 99.9));
-      (* Sum windowed compliance spec-wise across the mode's monitors. *)
-      let reports =
-        List.map
-          (fun n ->
-            match n.f_slo with Some s -> Slo.report s | None -> [])
-          members
-      in
-      (match reports with
-      | [] | [] :: _ -> ()
-      | (first :: _) :: _ as _all ->
-        ignore first;
-        let nspecs = List.length (List.hd reports) in
-        for i = 0 to nspecs - 1 do
-          let name = ref "" and windows = ref 0 and viol = ref 0 in
-          List.iter
-            (fun rep ->
-              match List.nth_opt rep i with
-              | Some c ->
-                name := c.Slo.c_name;
-                windows := !windows + c.Slo.c_windows;
-                viol := !viol + c.Slo.c_violations
-              | None -> ())
-            reports;
-          let ratio =
-            if !windows = 0 then 1.0
-            else 1.0 -. (float_of_int !viol /. float_of_int !windows)
-          in
-          Exp_util.row
-            (Printf.sprintf "            %-16s %3d/%3d windows ok  (%.1f%%)"
-               !name (!windows - !viol) !windows (100.0 *. ratio))
-        done))
-    (modes_present ns);
+           (Hdr.count h) (Hdr.percentile h 50.0) (Hdr.percentile h 99.0)
+           (Hdr.percentile h 99.9));
+      compliance_rows (List.map (fun n -> n.f_slo) srv))
+    (per_mode sc.sc_nodes);
   Exp_util.row "";
   (* Greppable one-line totals (CI asserts on these). *)
-  let t_off = ref 0 and t_shed = ref 0 and t_lost = ref 0 and t_done = ref 0 in
-  Array.iter
-    (fun n ->
-      let g = match n.f_gen with Some g -> g | None -> assert false in
-      let c = Lg.counts g in
-      t_off := !t_off + c.Lg.offered;
-      t_shed := !t_shed + c.Lg.shed;
-      t_lost := !t_lost + c.Lg.lost;
-      t_done := !t_done + c.Lg.completed)
-    ns;
+  let t = tally sc.sc_nodes in
   Exp_util.row
-    (Printf.sprintf
-       "  fleet total: offered %d shed %d lost %d done %d"
-       !t_off !t_shed !t_lost !t_done);
+    (Printf.sprintf "  fleet total: offered %d shed %d lost %d done %d"
+       t.t_offered t.t_shed t.t_lost t.t_completed);
+  let ch = sc.sc_churn in
   Exp_util.row
     (Printf.sprintf
        "  trace churn: placed %d  unschedulable %d  departed %d  (%d pods)"
        ch.ch_placed ch.ch_unschedulable ch.ch_departed p.pods);
-  Exp_util.kv "digest" (digest_of ns ch all_nodes ~flaps);
+  Exp_util.kv "digest" (digest_of sc);
   Exp_util.row "";
-  Exp_util.print_shard_table sd
+  print_shard_table sc.sc_sd
 
 (* Shedding-vs-scaling frontier: the same fleet swept over degraded link
    profiles and the admission x autoscaling grid.  Each cell reports,
@@ -785,7 +768,8 @@ let run ?(params = default_params) ?shards ?(domains = 1) ~quick () =
    count and p99 the serving mode delivered — the trade the control
    loop navigates: shed early and keep the tail flat, or scale out and
    absorb. *)
-let frontier ?(params = default_params) ?shards ?(domains = 1) ~quick () =
+let frontier ?(params = default_params) ?(shards = 1) ?(domains = 1) ~quick
+    () =
   let p0 = params in
   let profile name =
     match Netem.profile name with
@@ -802,11 +786,11 @@ let frontier ?(params = default_params) ?shards ?(domains = 1) ~quick () =
   in
   Exp_util.header
     (Printf.sprintf
-       "Fleet frontier: %d nodes, %.0f req/s, service %.0f us, pods <= %d \
+       "Fleet frontier: %d nodes, %.0f req/s, service %g us, pods <= %d \
         — shedding vs scaling per link profile"
        p0.nodes p0.rate p0.service_us p0.pods_max);
   Exp_util.row
-    (Printf.sprintf "  %-7s %-10s %-9s %9s %7s %8s %9s %12s" "link" "control"
+    (Printf.sprintf "  %-7s %-11s %-9s %9s %7s %8s %9s %12s" "link" "control"
        "mode" "offered" "shed%" "done%" "p99(us)" "pods(final)");
   List.iter
     (fun (pname, prof, fault_rate) ->
@@ -815,59 +799,25 @@ let frontier ?(params = default_params) ?shards ?(domains = 1) ~quick () =
           let p =
             { p0 with profile = Some prof; fault_rate; admission; autoscale }
           in
-          let _sd, ns, _ch, _all, _flaps =
-            run_scenario ~params:p ?shards ~domains ~quick ()
-          in
+          let sc = play (build ~p ~shards ~domains ~quick) in
           let control =
             admission_to_string admission ^ if autoscale then "+scale" else ""
           in
           List.iter
-            (fun mode ->
-              let gen_members =
-                List.filter
-                  (fun n -> String.equal n.f_mode mode)
-                  (Array.to_list ns)
-              in
-              let members =
-                List.filter
-                  (fun n -> String.equal n.f_serves mode)
-                  (Array.to_list ns)
-              in
-              let off = ref 0 and shed = ref 0 and don = ref 0 in
-              let pods = ref 0 in
-              let merged = Hdr.create ~name:"frontier" () in
-              List.iter
-                (fun n ->
-                  let g =
-                    match n.f_gen with Some g -> g | None -> assert false
-                  in
-                  let c = Lg.counts g in
-                  off := !off + c.Lg.offered;
-                  shed := !shed + c.Lg.shed)
-                gen_members;
-              List.iter
-                (fun n ->
-                  let g =
-                    match n.f_gen with Some g -> g | None -> assert false
-                  in
-                  let c = Lg.counts g in
-                  don := !don + c.Lg.completed;
-                  Hdr.merge_into ~into:merged (Lg.latency g);
-                  match n.f_pool with
-                  | Some pl -> pods := !pods + pl.Netperf.epool_active ()
-                  | None -> ())
-                members;
+            (fun (mode, gen, srv) ->
+              let g = tally gen and s = tally srv in
               let pct a b =
                 if b = 0 then 0.0
                 else 100.0 *. float_of_int a /. float_of_int b
               in
               Exp_util.row
                 (Printf.sprintf
-                   "  %-7s %-10s %-9s %9d %6.1f%% %7.1f%% %9.1f %12d" pname
-                   control mode !off (pct !shed !off) (pct !don !off)
-                   (Hdr.percentile merged 99.0)
-                   !pods))
-            (modes_present ns))
+                   "  %-7s %-11s %-9s %9d %6.1f%% %7.1f%% %9.1f %12d" pname
+                   control mode g.t_offered (pct g.t_shed g.t_offered)
+                   (pct s.t_completed g.t_offered)
+                   (Hdr.percentile s.t_latency 99.0)
+                   s.t_pods))
+            (per_mode sc.sc_nodes))
         controls)
     cells
 

@@ -16,10 +16,17 @@
     most-requested priority fleet-wide, live out exponential lifetimes
     and depart — churn under load, with unschedulable arrivals counted.
 
-    Reports per-mode fleet SLO compliance and merged HDR latency
-    percentiles (p50/p99/p999); the digest over every node's counts and
-    completion trace plus the churn outcome is byte-identical for any
-    [--shards]/[--domains] split. *)
+    Every entry point goes through one private scenario: a [build] step
+    validates the params, clamps the split ({!Exp_util.clamp_split}),
+    deploys, wires the ring, starts the generators with the one request
+    timeout and arms the churn; a [play] step runs the sharded group to
+    the horizon that timeout fixes; and one [tally] folds any node list
+    into request books (offered, shed, lost, completed), merged HDR
+    latency, pods, scale events and the worst availability burn.
+    [summarize] tallies the whole fleet, [run] and [frontier] also
+    tally each mode's generating and serving members, and [digest]
+    hashes every node's counts and completion trace plus the churn
+    outcome — byte-identical for any [--shards]/[--domains] split. *)
 
 type admission_policy = [ `Fixed | `Burn | `Codel ]
 (** Client-side shed policy of every generator (see
@@ -59,10 +66,12 @@ val validate : params -> (unit, string) result
 
 val run :
   ?params:params -> ?shards:int -> ?domains:int -> quick:bool -> unit -> unit
-(** Runs the scenario and prints per-node rows, per-mode SLO/HDR
-    tables, the churn outcome, the digest and the shard table.  In every
-    entry point, [shards] (default 1) is capped at the node count and
-    [domains] (default 1) at the shard count. *)
+(** Runs the scenario and prints a header naming the split that ran,
+    per-node rows, per-mode SLO/HDR tables, the [fleet total:] line
+    (the same tally as {!summarize}), the churn outcome, the digest and
+    the shard table.  In every entry point, [shards] (default 1) is
+    capped at the node count and [domains] (default 1) at the shard
+    count. *)
 
 val digest :
   ?params:params -> ?shards:int -> ?domains:int -> quick:bool -> unit ->

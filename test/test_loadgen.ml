@@ -274,6 +274,40 @@ let test_fleet_check_splits () =
                  rate = 300.0 }
        ~quick:true ())
 
+(* The rendered run reads the scenario it ran: on 3 nodes, 8 shards
+   and 6 domains clamp to 3 and 3, and the header names the split that
+   ran.  Its totals line is the same fold [summarize] returns. *)
+let test_fleet_run_reads_scenario () =
+  let params =
+    { Fig_fleet.default_params with Fig_fleet.nodes = 3; pods = 30;
+      rate = 600.0 }
+  in
+  let path = Filename.temp_file "fleet-run-" ".out" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    (fun () -> Fig_fleet.run ~params ~shards:8 ~domains:6 ~quick:true ());
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  let lines = List.map String.trim (String.split_on_char '\n' text) in
+  let has sub l = Astring.String.is_infix ~affix:sub l in
+  Alcotest.(check bool) "header names the clamped split" true
+    (List.exists (has "Fleet: 3 nodes, 3 shards, 3 domains,") lines);
+  let s = Fig_fleet.summarize ~params ~shards:8 ~domains:6 ~quick:true () in
+  Alcotest.(check (option string)) "fleet total equals summarize"
+    (Some
+       (Printf.sprintf "fleet total: offered %d shed %d lost %d done %d"
+          s.Fig_fleet.s_offered s.Fig_fleet.s_shed s.Fig_fleet.s_lost
+          s.Fig_fleet.s_completed))
+    (List.find_opt (has "fleet total:") lines)
+
 (* The shared compare fails on any run that differs from its cell's
    first run, wherever it sits. *)
 let test_digests_agree () =
@@ -308,5 +342,7 @@ let () =
             test_fleet_digest_determinism;
           Alcotest.test_case "clamped splits run once" `Quick
             test_fleet_check_splits;
+          Alcotest.test_case "run reads the scenario" `Quick
+            test_fleet_run_reads_scenario;
           Alcotest.test_case "digest mismatch flagged" `Quick
             test_digests_agree ] ) ]
