@@ -34,8 +34,17 @@ let at_least floor flag v =
     exit 1
   end
 
+(* The ring is allocated up front, so its size has a ceiling too. *)
+let check_trace_capacity v =
+  at_least 1 "trace-capacity" v;
+  if v > Nest_sim.Trace.max_capacity then begin
+    Printf.eprintf "nestsim: --trace-capacity must be <= %d (got %d)\n"
+      Nest_sim.Trace.max_capacity v;
+    exit 1
+  end
+
 let run_cmd ids quick jobs trace metrics obs_json trace_capacity =
-  at_least 1 "trace-capacity" trace_capacity;
+  check_trace_capacity trace_capacity;
   at_least 1 "jobs" jobs;
   Nest_experiments.Exp_util.Obs.configure ~trace ~metrics ~json:obs_json
     ~trace_capacity ();
@@ -61,7 +70,7 @@ let run_cmd ids quick jobs trace metrics obs_json trace_capacity =
    (or none), a Perfetto-loadable Chrome trace written to --out, and a
    per-hop latency-attribution table comparing the deployment modes. *)
 let obs_cmd ids quick out trace_capacity timeline_period_us prov_sample slo =
-  at_least 1 "trace-capacity" trace_capacity;
+  check_trace_capacity trace_capacity;
   at_least 1 "timeline-period" timeline_period_us;
   at_least 1 "prov-sample" prov_sample;
   (* The trace is written only after every experiment has run, so find
@@ -204,7 +213,8 @@ let obs_json =
 let trace_capacity =
   Arg.(value & opt int 8192
        & info [ "trace-capacity" ] ~docv:"N"
-           ~doc:"Trace ring capacity in events (oldest are dropped).")
+           ~doc:"Trace ring capacity in events (oldest are dropped; at \
+                 most 16777216).")
 
 let run_term =
   let doc = "Run experiments (default: all)." in

@@ -30,11 +30,13 @@ let () =
       Printf.printf "ping: reply from pod in %.1f us\n" (Time.to_us_f rtt_ns));
   Testbed.run_until tb (Time.sec 2);
 
-  (* The packet path, hop by hop: note there is no in-VM bridge. *)
-  Path_probe.udp_path ~src:tb.Testbed.client_ns ~dst:site.Deploy.site_ns
-    ~dst_addr:site.Deploy.site_addr ~port:7000
-    ~k:(fun hops ->
-      Format.printf "datapath: %a@." Path_probe.pp_hops hops)
+  (* The packet path, hop by hop, from a datagram's provenance record:
+     note there is no in-VM bridge. *)
+  Path_probe.udp_timed_path ~src:tb.Testbed.client_ns
+    ~dst:site.Deploy.site_ns ~dst_addr:site.Deploy.site_addr ~port:7000
+    ~k:(fun entries ->
+      Format.printf "datapath: %a@." Path_probe.pp_hops
+        (List.map (fun e -> e.Nest_sim.Provenance.hop) entries))
     ();
   Testbed.run_until tb (Time.sec 3);
 

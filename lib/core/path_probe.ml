@@ -1,24 +1,6 @@
 open Nest_net
 
-let udp_path ~src ~dst ~dst_addr ~port ?(size = 64) ~k () =
-  Stack.set_trace_all src true;
-  let server = Stack.Udp.bind dst ~port (fun _ ~src:_ _ -> ()) in
-  Stack.set_observer dst
-    (Some
-       (fun pkt ->
-         match Packet.ports pkt with
-         | Some (_, p) when p = port ->
-           Stack.set_observer dst None;
-           Stack.set_trace_all src false;
-           Stack.Udp.close server;
-           k (Packet.hops pkt)
-         | Some _ | None -> ()));
-  let probe = Stack.Udp.bind src ~port:0 (fun _ ~src:_ _ -> ()) in
-  Stack.Udp.sendto probe ~dst:dst_addr ~dst_port:port (Payload.raw size)
-
-(* Timed generalization of [udp_path]: hop timings, not just names.
-
-   Two datagrams are sent; the first warms the path (ARP resolution and
+(* Two datagrams are sent; the first warms the path (ARP resolution and
    unknown-destination floods would otherwise leave queue-time artifacts
    and branched records), and the second — measured on a warm path —
    carries the provenance record handed to [k].  Its entries decompose

@@ -41,7 +41,6 @@ let forward t port frame () =
   end
 
 let input t port frame =
-  Frame.record_hop frame t.br_name;
   Nest_sim.Metrics.bump t.hop_ctr ();
   Nest_sim.Engine.trace_instant t.engine ~cat:"hop" ~name:t.br_name ();
   (* Source learning. *)

@@ -55,7 +55,6 @@ let deliver t frame =
        discarded before anything above the device sees it. *)
     t.stats.drops <- t.stats.drops + 1
   else begin
-    Frame.record_hop frame t.name;
     match t.rx_fn with
     | None -> t.stats.drops <- t.stats.drops + 1
     | Some f ->

@@ -63,8 +63,7 @@ val transmit : t -> Frame.t -> unit
 (** Owner -> medium.  Counts tx; drops when the device is down. *)
 
 val deliver : t -> Frame.t -> unit
-(** Medium -> owner.  Records the device name in the frame's hop trace,
-    counts rx; drops when down or unattached. *)
+(** Medium -> owner.  Counts rx; drops when down or unattached. *)
 
 val mss : t -> int
 (** MTU minus IP+TCP headers. *)

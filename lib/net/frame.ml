@@ -14,24 +14,18 @@ type t = {
   src : Mac.t;
   dst : Mac.t;
   body : body;
-  trace : string list ref option;
   prov : Nest_sim.Provenance.t option;
 }
 
-let make ?(traced = false) ?prov ~src ~dst body =
-  (* IP frames share the packet's trace (and provenance record) so the
-     path survives NAT rewrites and re-framing at every L3 hop. *)
-  let trace =
-    match body with
-    | Ipv4_body p when p.Packet.trace <> None -> p.Packet.trace
-    | Ipv4_body _ | Arp_body _ -> if traced then Some (ref []) else None
-  in
+let make ?prov ~src ~dst body =
+  (* IP frames share the packet's provenance record so the path survives
+     NAT rewrites and re-framing at every L3 hop. *)
   let prov =
     match body with
     | Ipv4_body p when p.Packet.prov <> None -> p.Packet.prov
     | Ipv4_body _ | Arp_body _ -> prov
   in
-  { src; dst; body; trace; prov }
+  { src; dst; body; prov }
 
 let prov t = t.prov
 
@@ -64,10 +58,6 @@ let len t =
   in
   Int.max min_frame_bytes (eth_header_bytes + body_len)
 
-let record_hop t hop =
-  match t.trace with None -> () | Some r -> r := hop :: !r
-
-let hops t = match t.trace with None -> [] | Some r -> List.rev !r
 let is_broadcast t = Mac.is_broadcast t.dst
 
 let pp fmt t =

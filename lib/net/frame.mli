@@ -1,8 +1,9 @@
 (** Ethernet frames.
 
-    Frames optionally carry a hop trace: every device that processes a
-    traced frame appends its name, which lets integration tests assert the
-    exact virtualization path a packet crossed (Fig. 1 of the paper). *)
+    Frames optionally carry a latency-provenance record: every hop that
+    services a recorded frame appends its name and timing, which lets
+    integration tests assert the exact virtualization path a packet
+    crossed (Fig. 1 of the paper). *)
 
 type arp_op = Request | Reply
 
@@ -22,19 +23,15 @@ type t = {
   src : Mac.t;
   dst : Mac.t;
   body : body;
-  trace : string list ref option;
-      (** Hop names in reverse order of traversal when tracing. *)
   prov : Nest_sim.Provenance.t option;
       (** Latency-provenance record; shared with the inner packet's for
           IPv4 bodies so it survives NAT rewrites and re-framing. *)
 }
 
 val make :
-  ?traced:bool -> ?prov:Nest_sim.Provenance.t -> src:Mac.t -> dst:Mac.t ->
-  body -> t
-(** [traced] defaults to false.  For IPv4 bodies whose packet already
-    carries a trace or provenance record, the frame shares it and the
-    corresponding argument is ignored. *)
+  ?prov:Nest_sim.Provenance.t -> src:Mac.t -> dst:Mac.t -> body -> t
+(** For IPv4 bodies whose packet already carries a provenance record,
+    the frame shares it and [prov] is ignored. *)
 
 val prov : t -> Nest_sim.Provenance.t option
 
@@ -45,12 +42,6 @@ val branch_prov : t -> t
 
 val len : t -> int
 (** 14-byte Ethernet header + body, padded to the 60-byte minimum. *)
-
-val record_hop : t -> string -> unit
-(** No-op on untraced frames. *)
-
-val hops : t -> string list
-(** Hops in traversal order; [] when untraced. *)
 
 val is_broadcast : t -> bool
 val pp : Format.formatter -> t -> unit

@@ -5,7 +5,6 @@ let dst_port_of pkt = match Packet.ports pkt with Some (_, d) -> d | None -> -1
    — it names the rewrite without claiming time (the hook's CPU cost is
    the nat surcharge already folded into the rx/tx hop). *)
 let note_rewrite (pkt : Packet.t) name =
-  Packet.record_hop pkt ("nat:" ^ name);
   match pkt.Packet.prov with
   | Some p -> Nest_sim.Provenance.mark_after p ~hop:("nat:" ^ name)
   | None -> ()

@@ -8,18 +8,10 @@ type t = {
   dst : Ipv4.t;
   ttl : int;
   transport : transport;
-  trace : string list ref option;
   prov : Nest_sim.Provenance.t option;
 }
 
-let make ?(traced = false) ?prov ~src ~dst transport =
-  { src; dst; ttl = 64; transport;
-    trace = (if traced then Some (ref []) else None); prov }
-
-let hops t = match t.trace with None -> [] | Some r -> List.rev !r
-
-let record_hop t hop =
-  match t.trace with None -> () | Some r -> r := hop :: !r
+let make ?prov ~src ~dst transport = { src; dst; ttl = 64; transport; prov }
 
 let prov t = t.prov
 

@@ -131,7 +131,6 @@ and ns = {
   mutable next_eph : int;
   mutable next_icmp_id : int;
   mutable fwd : bool;
-  mutable trace_all : bool;
   mutable prov_all : bool;
   mutable prov_tick : int;  (* 1-in-N sampling countdown, see fresh_prov *)
   cnt : ns_counters;
@@ -190,7 +189,6 @@ let devices ns = ns.devs
 let find_dev ns n = List.find_opt (fun d -> d.Dev.name = n) ns.devs
 let addrs ns = ns.addr_list
 let set_ip_forward ns b = ns.fwd <- b
-let set_trace_all ns b = ns.trace_all <- b
 let set_provenance_all ns b = ns.prov_all <- b
 
 (* Latency-provenance record for a packet originating in this namespace;
@@ -257,12 +255,9 @@ let nat_surcharge ns =
 (* ------------------------------------------------------------------ *)
 (* ARP                                                                 *)
 
-let send_ip_frame ns dev ~dst_mac pkt =
-  let frame =
-    Frame.make ~traced:ns.trace_all ~src:dev.Dev.mac ~dst:dst_mac
-      (Frame.Ipv4_body pkt)
-  in
-  Dev.transmit dev frame
+let send_ip_frame dev ~dst_mac pkt =
+  Dev.transmit dev
+    (Frame.make ~src:dev.Dev.mac ~dst:dst_mac (Frame.Ipv4_body pkt))
 
 let arp_request ns dev target_ip =
   let sender_ip = Option.value (addr_of_dev ns dev) ~default:Ipv4.any in
@@ -271,8 +266,7 @@ let arp_request ns dev target_ip =
       target_mac = Mac.of_int 0; target_ip }
   in
   Dev.transmit dev
-    (Frame.make ~traced:ns.trace_all ~src:dev.Dev.mac ~dst:Mac.broadcast
-       (Frame.Arp_body msg))
+    (Frame.make ~src:dev.Dev.mac ~dst:Mac.broadcast (Frame.Arp_body msg))
 
 (* Gratuitous ARP: broadcast announce of [ip] at [dev]'s MAC, as
    `arping -A` after an address assignment.  Every listener's
@@ -280,14 +274,13 @@ let arp_request ns dev target_ip =
    for a reused address (freed lease, re-allocated to a new pod with a
    new MAC) is corrected instead of blackholing until its entry ages
    out. *)
-let garp ns dev ip =
+let garp (_ : ns) dev ip =
   let msg =
     { Frame.op = Frame.Request; sender_mac = dev.Dev.mac; sender_ip = ip;
       target_mac = Mac.of_int 0; target_ip = ip }
   in
   Dev.transmit dev
-    (Frame.make ~traced:ns.trace_all ~src:dev.Dev.mac ~dst:Mac.broadcast
-       (Frame.Arp_body msg))
+    (Frame.make ~src:dev.Dev.mac ~dst:Mac.broadcast (Frame.Arp_body msg))
 
 let arp_retry_delay = Time.sec 1
 let arp_max_tries = 3
@@ -355,8 +348,8 @@ let arp_input ns dev (a : Frame.arp_msg) =
           target_ip = a.Frame.sender_ip }
       in
       Dev.transmit dev
-        (Frame.make ~traced:ns.trace_all ~src:dev.Dev.mac
-           ~dst:a.Frame.sender_mac (Frame.Arp_body reply))
+        (Frame.make ~src:dev.Dev.mac ~dst:a.Frame.sender_mac
+           (Frame.Arp_body reply))
     end
   | Frame.Reply -> ()
 
@@ -393,21 +386,19 @@ let transmit_via ns ~(dev : Dev.t) ~next_hop pkt =
   | None -> note_drop ns `Filtered
   | Some pkt ->
     if dev.Dev.l2 = Dev.Reflector then
-      send_ip_frame ns dev ~dst_mac:Mac.broadcast pkt
+      send_ip_frame dev ~dst_mac:Mac.broadcast pkt
     else (
       match Ipv4.Tbl.find_opt ns.arp_tbl next_hop with
-      | Some mac -> send_ip_frame ns dev ~dst_mac:mac pkt
+      | Some mac -> send_ip_frame dev ~dst_mac:mac pkt
       | None ->
         arp_resolve ns dev next_hop (fun mac ->
-            send_ip_frame ns dev ~dst_mac:mac pkt))
+            send_ip_frame dev ~dst_mac:mac pkt))
 
 let deliver_locally ns pkt =
   Hop.service_prov ?prov:(Packet.prov pkt) ns.cs.local
     ~bytes:(Packet.len pkt) (fun () ->
       (match ns.lo with
-      | Some lo ->
-        Packet.record_hop pkt lo.Dev.name;
-        Engine.trace_instant ns.eng ~cat:"hop" ~name:lo.Dev.name ()
+      | Some lo -> Engine.trace_instant ns.eng ~cat:"hop" ~name:lo.Dev.name ()
       | None -> ());
       !ip_local_input_ref ns pkt)
 
@@ -446,7 +437,7 @@ let tcp_make_segment c ~flags ~seq ~len ~msgs =
     { Tcp_wire.src_port = c.c_local_port; dst_port = c.c_remote_port; seq;
       ack_seq = c.rcv_nxt; flags; window = rcvwnd_default; len; msgs }
   in
-  Packet.make ~traced:c.c_ns.trace_all ?prov:(fresh_prov c.c_ns)
+  Packet.make ?prov:(fresh_prov c.c_ns)
     ~src:c.c_local_ip ~dst:c.c_remote_ip
     (Packet.Tcp { seg; payload = Payload.raw len })
 
@@ -768,7 +759,7 @@ let tcp_send_rst ns (pkt : Packet.t) (seg : Tcp_wire.t) =
       window = 0; len = 0; msgs = [] }
   in
   ip_output ns
-    (Packet.make ~traced:ns.trace_all ?prov:(fresh_prov ns)
+    (Packet.make ?prov:(fresh_prov ns)
        ~src:pkt.Packet.dst ~dst:pkt.Packet.src
        (Packet.Tcp { seg = rst; payload = Payload.raw 0 }))
 
@@ -824,7 +815,7 @@ let icmp_input ns (pkt : Packet.t) ~id ~seq ~reply =
   else begin
     note_delivered ns;
     let echo =
-      Packet.make ~traced:ns.trace_all ?prov:(fresh_prov ns)
+      Packet.make ?prov:(fresh_prov ns)
         ~src:pkt.Packet.dst ~dst:pkt.Packet.src
         (Packet.Icmp_echo { id; seq; reply = true })
     in
@@ -940,7 +931,7 @@ let create engine ~name ~costs ?(with_loopback = true) ?rng () =
       arp_waiting = Ipv4.Tbl.create 4; udp_binds = Int_tbl.create 16;
       listeners = Int_tbl.create 8; conns = Conn_tbl.create 32;
       icmp_waiters = Int_tbl.create 4; next_eph = ephemeral_base;
-      next_icmp_id = 1; fwd = false; trace_all = false; prov_all = false;
+      next_icmp_id = 1; fwd = false; prov_all = false;
       prov_tick = 0; cnt; lo = None; observer = None;
       ns_rng =
         Nest_sim.Prng.split
@@ -1004,7 +995,7 @@ module Udp = struct
        namespace has provenance enabled. *)
     let prov = match prov with Some _ as p -> p | None -> fresh_prov ns in
     let pkt =
-      Packet.make ~traced:ns.trace_all ?prov ~src ~dst
+      Packet.make ?prov ~src ~dst
         (Packet.Udp { src_port = s.u_port; dst_port; payload })
     in
     Hop.service_prov ?prov:(Packet.prov pkt)
@@ -1100,7 +1091,7 @@ let ping ns ~dst ~on_reply =
   ns.next_icmp_id <- ns.next_icmp_id + 1;
   Int_tbl.replace ns.icmp_waiters id (Engine.now ns.eng, on_reply);
   let pkt =
-    Packet.make ~traced:ns.trace_all ?prov:(fresh_prov ns)
+    Packet.make ?prov:(fresh_prov ns)
       ~src:(src_for ns dst) ~dst
       (Packet.Icmp_echo { id; seq = 1; reply = false })
   in

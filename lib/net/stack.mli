@@ -78,10 +78,6 @@ val addr_of_dev : ns -> Dev.t -> Ipv4.t option
 val is_local_addr : ns -> Ipv4.t -> bool
 
 val set_ip_forward : ns -> bool -> unit
-val set_trace_all : ns -> bool -> unit
-(** When set, every frame originated by this namespace carries a hop
-    trace (see {!Frame.hops}). *)
-
 val set_provenance_all : ns -> bool -> unit
 (** When set, every packet originated by this namespace carries a
     latency-provenance record (see {!Nest_sim.Provenance}): each hop on
@@ -104,7 +100,7 @@ val garp : ns -> Dev.t -> Ipv4.t -> unit
 
 val set_observer : ns -> (Packet.t -> unit) option -> unit
 (** Debug tap invoked for every packet delivered to a local socket in
-    this namespace (after NAT reversal), e.g. to read {!Packet.hops}. *)
+    this namespace (after NAT reversal), e.g. to read {!Packet.prov}. *)
 
 val loopback_dev : ns -> Dev.t option
 

@@ -20,8 +20,7 @@ and t = {
   hop_ctr : Nest_sim.Metrics.counter;
 }
 
-let note_hop t frame =
-  Frame.record_hop frame t.tap_name;
+let note_hop t =
   Nest_sim.Metrics.bump t.hop_ctr ();
   Nest_sim.Engine.trace_instant t.engine ~cat:"hop" ~name:t.tap_name ()
 
@@ -30,7 +29,7 @@ let host_input t frame =
      we deliver to the first queue, which matches single-queue virtio. *)
   if t.exhausted then t.tap_drops <- t.tap_drops + 1
   else begin
-  note_hop t frame;
+  note_hop t;
   match t.queue_list with
   | [] -> ()
   | q :: _ -> (
@@ -90,7 +89,7 @@ let queue_write q frame =
   if t.exhausted || not (queue_attached q) then
     t.tap_drops <- t.tap_drops + 1
   else begin
-  note_hop t frame;
+  note_hop t;
   match t.tap_mode with
   | Normal ->
     (* Guest -> host side: the frame enters whatever the host attached

@@ -26,7 +26,6 @@ let decap t (payload : Payload.t) =
   | Some (Vxlan_encap inner) ->
     t.decapsulated <- t.decapsulated + 1;
     Nest_sim.Metrics.bump t.decap_ctr ();
-    Frame.record_hop inner (t.vtep_name ^ ":decap");
     Nest_sim.Engine.trace_instant (Stack.engine t.underlay) ~cat:"hop"
       ~name:(t.vtep_name ^ ":decap") ();
     Hop.service_prov ?prov:(Frame.prov inner) t.decap_hop
@@ -45,7 +44,6 @@ let encap t (inner : Frame.t) =
   let targets = targets t inner in
   if not (List.is_empty targets) then begin
     Nest_sim.Metrics.bump t.encap_ctr ();
-    Frame.record_hop inner (t.vtep_name ^ ":encap");
     Nest_sim.Engine.trace_instant (Stack.engine t.underlay) ~cat:"hop"
       ~name:(t.vtep_name ^ ":encap") ();
     let payload =

@@ -116,10 +116,10 @@ let exec t job at =
         if lbl >= 0 && lbl_epoch = t.trace_epoch then lbl
         else Trace.intern_name tr label
       in
-      Trace.record_i tr ~shard:0 ~prio:0 ~ts:at Trace.Span_begin
+      Trace.record_i tr ~ts:at Trace.Span_begin
         ~cat:t.engine_cat ~name ~arg:"";
       fn ();
-      Trace.record_i tr ~shard:0 ~prio:0 ~ts:t.clock Trace.Span_end
+      Trace.record_i tr ~ts:t.clock Trace.Span_end
         ~cat:t.engine_cat ~name ~arg:""
     | None -> fn ())
 

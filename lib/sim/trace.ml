@@ -1,22 +1,20 @@
-(* Sharded fixed-layout event-tracing rings.
+(* Fixed-layout event-tracing ring.
 
-   Each shard is a preallocated binary ring: two native ints per slot in
-   a Bigarray (timestamp + a packed kind/prio/cat/name word) plus a
-   parallel string slot for the free-form arg.  Recording writes those
-   three slots and bumps a counter — no event record, no boxing, no
-   growth; category and subject strings are interned once into bounded
+   The ring is preallocated and binary: two native ints per slot in a
+   Bigarray (timestamp + a packed kind/cat/name word) plus a parallel
+   string slot for the free-form arg.  Recording writes those three
+   slots and bumps a counter — no event record, no boxing, no growth;
+   category and subject strings are interned once into bounded
    per-trace pools and referenced by id thereafter.
 
-   Readers see one merged stream: a k-way merge over the shards keyed by
-   (ts, prio, shard, seq), so the view is deterministic regardless of
-   how writers were laid out — the contract the future sharded engine
-   needs, and already what lets [--jobs] cells compare traces.
+   Readers walk the ring from the oldest retained slot to the newest,
+   which is recording order.  Each engine owns its tracer (a sharded
+   run gives every shard its own engine), so there is nothing to merge.
 
-   Packed word layout (62 usable bits):
+   Packed word layout:
      bits 0-1   kind        (begin / end / instant)
-     bits 2-17  prio        (clamped to 16 bits)
-     bits 18-29 cat id      (≤ 4096 distinct categories)
-     bits 30-45 name id     (≤ 65536 distinct subjects) *)
+     bits 2-13  cat id      (≤ 4096 distinct categories)
+     bits 14-29 name id     (≤ 65536 distinct subjects) *)
 
 type kind = Span_begin | Span_end | Instant
 
@@ -26,9 +24,6 @@ type event = {
   cat : string;
   name : string;
   arg : string;
-  prio : int;
-  shard : int;
-  seq : int;
 }
 
 (* Bounded intern pool: id -> string and back.  Categories and names are
@@ -81,20 +76,22 @@ let pool_intern_slow p s =
 let[@inline] pool_intern p s =
   if s == p.last_s then p.last_id else pool_intern_slow p s
 
-type ring = {
+type t = {
   words : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
   args : string array;
-  scap : int;   (* always a power of two *)
-  mask : int;   (* scap - 1: slot = stotal land mask *)
-  mutable stotal : int;  (* events ever recorded; next write at stotal land mask *)
+  cap : int;   (* always a power of two *)
+  mask : int;  (* cap - 1: slot = total land mask *)
+  mutable total : int;  (* events ever recorded; next write at total land mask *)
+  cats : pool;
+  names : pool;
 }
 
-type t = { rings : ring array; cats : pool; names : pool }
-
-let max_shards = 256
+(* 24 bytes a slot: 384 MiB of ring at the ceiling. *)
+let max_capacity = 1 lsl 24
 
 (* Capacities are rounded up to a power of two so the ring index is a
-   mask, not a division — [record_i] runs on every simulated event. *)
+   mask, not a division — [record_i] runs on every simulated event.
+   Bounded by [max_capacity], so the doubling cannot overflow. *)
 let pow2_ceil n =
   let c = ref 1 in
   while !c < n do
@@ -102,38 +99,27 @@ let pow2_ceil n =
   done;
   !c
 
-let create ?(capacity = 8192) ?(shards = 1) () =
+let create ?(capacity = 8192) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be > 0";
-  if shards <= 0 || shards > max_shards then
-    invalid_arg "Trace.create: shards must be in 1..256";
-  let capacity = pow2_ceil capacity in
-  let mk _ =
-    let words =
-      Bigarray.Array1.create Bigarray.int Bigarray.c_layout (2 * capacity)
-    in
-    Bigarray.Array1.fill words 0;
-    {
-      words;
-      args = Array.make capacity "";
-      scap = capacity;
-      mask = capacity - 1;
-      stotal = 0;
-    }
-  in
+  if capacity > max_capacity then
+    invalid_arg "Trace.create: capacity must be <= 2^24";
+  let cap = pow2_ceil capacity in
+  let words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (2 * cap) in
+  Bigarray.Array1.fill words 0;
   {
-    rings = Array.init shards mk;
+    words;
+    args = Array.make cap "";
+    cap;
+    mask = cap - 1;
+    total = 0;
     cats = pool_create 4096;
     names = pool_create 65536;
   }
 
-let shards t = Array.length t.rings
-let shard_capacity t = t.rings.(0).scap
-let capacity t = t.rings.(0).scap * Array.length t.rings
-
-let recorded t = Array.fold_left (fun a r -> a + r.stotal) 0 t.rings
-
-let dropped t =
-  Array.fold_left (fun a r -> a + Stdlib.max 0 (r.stotal - r.scap)) 0 t.rings
+let capacity t = t.cap
+let recorded t = t.total
+let dropped t = Stdlib.max 0 (t.total - t.cap)
+let retained t = Stdlib.min t.total t.cap
 
 let intern_cat t s = pool_intern t.cats s
 let intern_name t s = pool_intern t.names s
@@ -142,125 +128,52 @@ let[@inline] kind_code = function Span_begin -> 0 | Span_end -> 1 | Instant -> 2
 let kind_of_code = [| Span_begin; Span_end; Instant |]
 
 (* The zero-allocation hot entry: ids pre-interned, nothing optional. *)
-let record_i t ~shard ~prio ~ts kind ~cat ~name ~arg =
-  let nr = Array.length t.rings in
-  let r = Array.unsafe_get t.rings (if shard < nr then shard else shard mod nr) in
-  let slot = r.stotal land r.mask in
-  let prio = if prio < 0 then 0 else if prio > 0xFFFF then 0xFFFF else prio in
-  let w = kind_code kind lor (prio lsl 2) lor (cat lsl 18) lor (name lsl 30) in
-  Bigarray.Array1.unsafe_set r.words (2 * slot) ts;
-  Bigarray.Array1.unsafe_set r.words ((2 * slot) + 1) w;
+let record_i t ~ts kind ~cat ~name ~arg =
+  let slot = t.total land t.mask in
+  let w = kind_code kind lor (cat lsl 2) lor (name lsl 14) in
+  Bigarray.Array1.unsafe_set t.words (2 * slot) ts;
+  Bigarray.Array1.unsafe_set t.words ((2 * slot) + 1) w;
   (* Most events carry no arg; skipping the redundant "" -> "" store
      skips its write barrier too. *)
-  if not (arg == Array.unsafe_get r.args slot) then
-    Array.unsafe_set r.args slot arg;
-  r.stotal <- r.stotal + 1
+  if not (arg == Array.unsafe_get t.args slot) then
+    Array.unsafe_set t.args slot arg;
+  t.total <- t.total + 1
 
-let record t ?(shard = 0) ?(prio = 0) ~ts kind ~cat ~name ?(arg = "") () =
-  record_i t ~shard ~prio ~ts kind ~cat:(pool_intern t.cats cat)
+let record t ~ts kind ~cat ~name ?(arg = "") () =
+  record_i t ~ts kind ~cat:(pool_intern t.cats cat)
     ~name:(pool_intern t.names name) ~arg
 
-let instant t ?shard ?prio ~ts ~cat ~name ?arg () =
-  record t ?shard ?prio ~ts Instant ~cat ~name ?arg ()
+let instant t ~ts ~cat ~name ?arg () = record t ~ts Instant ~cat ~name ?arg ()
 
-let span_begin t ?shard ?prio ~ts ~cat ~name ?arg () =
-  record t ?shard ?prio ~ts Span_begin ~cat ~name ?arg ()
+let span_begin t ~ts ~cat ~name ?arg () =
+  record t ~ts Span_begin ~cat ~name ?arg ()
 
-let span_end t ?shard ?prio ~ts ~cat ~name ?arg () =
-  record t ?shard ?prio ~ts Span_end ~cat ~name ?arg ()
+let span_end t ~ts ~cat ~name ?arg () =
+  record t ~ts Span_end ~cat ~name ?arg ()
 
 let clear t =
-  Array.iter
-    (fun r ->
-      Array.fill r.args 0 r.scap "";
-      r.stotal <- 0)
-    t.rings
+  Array.fill t.args 0 t.cap "";
+  t.total <- 0
 
-(* --- merged read view --- *)
+(* --- read view: oldest retained slot to newest --- *)
 
-(* One cursor per (trace, shard); [tkey] breaks ties between traces when
-   several are merged ([iter_merged]), 0 for a single trace. *)
-type cursor = {
-  src : t;
-  ring : ring;
-  tkey : int;
-  skey : int;
-  mutable pos : int;  (* absolute seq of the next unread event *)
-  pend : int;         (* absolute seq one past the last event *)
-}
-
-let cursor_ts c = Bigarray.Array1.unsafe_get c.ring.words (2 * (c.pos land c.ring.mask))
-
-let cursor_prio c =
-  let w = Bigarray.Array1.unsafe_get c.ring.words ((2 * (c.pos land c.ring.mask)) + 1) in
-  (w lsr 2) land 0xFFFF
-
-(* Strict (ts, prio, trace, shard, seq) order: [a] before [b]? *)
-let cursor_lt a b =
-  let ta = cursor_ts a and tb = cursor_ts b in
-  if ta <> tb then ta < tb
-  else begin
-    let pa = cursor_prio a and pb = cursor_prio b in
-    if pa <> pb then pa < pb
-    else if a.tkey <> b.tkey then a.tkey < b.tkey
-    else if a.skey <> b.skey then a.skey < b.skey
-    else a.pos < b.pos
-  end
-
-let cursor_event c =
-  let slot = c.pos land c.ring.mask in
-  let ts = Bigarray.Array1.unsafe_get c.ring.words (2 * slot) in
-  let w = Bigarray.Array1.unsafe_get c.ring.words ((2 * slot) + 1) in
-  {
-    ts;
-    kind = kind_of_code.(w land 0x3);
-    prio = (w lsr 2) land 0xFFFF;
-    cat = c.src.cats.strs.((w lsr 18) land 0xFFF);
-    name = c.src.names.strs.((w lsr 30) land 0xFFFF);
-    arg = c.ring.args.(slot);
-    shard = c.skey;
-    seq = c.pos;
-  }
-
-let iter_cursors cursors f =
-  let live = Array.of_list (List.filter (fun c -> c.pos < c.pend) cursors) in
-  let nlive = ref (Array.length live) in
-  while !nlive > 0 do
-    (* k is tiny (shards × traces), so a linear scan beats a heap. *)
-    let best = ref 0 in
-    for i = 1 to !nlive - 1 do
-      if cursor_lt live.(i) live.(!best) then best := i
-    done;
-    let c = live.(!best) in
-    f (cursor_event c);
-    c.pos <- c.pos + 1;
-    if c.pos >= c.pend then begin
-      live.(!best) <- live.(!nlive - 1);
-      decr nlive
-    end
+let iter t f =
+  for pos = t.total - retained t to t.total - 1 do
+    let slot = pos land t.mask in
+    let w = Bigarray.Array1.unsafe_get t.words ((2 * slot) + 1) in
+    f
+      {
+        ts = Bigarray.Array1.unsafe_get t.words (2 * slot);
+        kind = kind_of_code.(w land 0x3);
+        cat = t.cats.strs.((w lsr 2) land 0xFFF);
+        name = t.names.strs.((w lsr 14) land 0xFFFF);
+        arg = t.args.(slot);
+      }
   done
-
-let cursors_of ?(tkey = 0) t =
-  Array.to_list
-    (Array.mapi
-       (fun i r ->
-         let n = Stdlib.min r.stotal r.scap in
-         { src = t; ring = r; tkey; skey = i; pos = r.stotal - n; pend = r.stotal })
-       t.rings)
-
-let iter t f = iter_cursors (cursors_of t) f
-
-let iter_merged ts f =
-  iter_cursors (List.concat (List.mapi (fun i t -> cursors_of ~tkey:i t) ts)) f
 
 let events t =
   let acc = ref [] in
   iter t (fun e -> acc := e :: !acc);
-  List.rev !acc
-
-let merged_events ts =
-  let acc = ref [] in
-  iter_merged ts (fun e -> acc := e :: !acc);
   List.rev !acc
 
 let by_name t =
@@ -281,9 +194,6 @@ let pp_event fmt e =
   Format.fprintf fmt "[%a] %-7s %s:%s%s" Time.pp e.ts (kind_string e.kind)
     e.cat e.name
     (if e.arg = "" then "" else " " ^ e.arg)
-
-let retained t =
-  Array.fold_left (fun a r -> a + Stdlib.min r.stotal r.scap) 0 t.rings
 
 let pp_text ?limit fmt t =
   let n = retained t in
@@ -318,8 +228,8 @@ let to_json t =
   let b = Buffer.create 4096 in
   Buffer.add_string b
     (Printf.sprintf
-       "{\"capacity\":%d,\"shards\":%d,\"recorded\":%d,\"dropped\":%d,\"events\":["
-       (capacity t) (shards t) (recorded t) (dropped t));
+       "{\"capacity\":%d,\"recorded\":%d,\"dropped\":%d,\"events\":["
+       (capacity t) (recorded t) (dropped t));
   let i = ref 0 in
   iter t (fun e ->
       if !i > 0 then Buffer.add_char b ',';

@@ -51,6 +51,13 @@ let tcp_stream tb (ep : App.endpoints) ~msg_size ?(warmup = Time.ms 100)
 
 type rr_result = { latency : Nest_sim.Stats.t; transactions : int }
 
+let udp_echo_server ns ~port ~exec =
+  Stack.Udp.bind ns ~port (fun s ~src payload ->
+      let ip, p = src in
+      (* Echo after the server's per-transaction application work. *)
+      Nest_sim.Exec.submit exec ~cost:app_recv_cost_ns (fun () ->
+          Stack.Udp.sendto s ~dst:ip ~dst_port:p payload))
+
 let udp_rr tb (ep : App.endpoints) ~msg_size ?(warmup = Time.ms 50)
     ?(duration = Time.sec 1) () =
   let engine = tb.Testbed.engine in
@@ -59,12 +66,7 @@ let udp_rr tb (ep : App.endpoints) ~msg_size ?(warmup = Time.ms 50)
   let measuring = ref false in
   let stop_at = ref max_int in
   let server =
-    Stack.Udp.bind ep.App.sv_ns ~port:ep.App.sv_port
-      (fun s ~src payload ->
-        let ip, p = src in
-        (* Echo after the server's per-transaction application work. *)
-        Nest_sim.Exec.submit ep.App.sv_exec ~cost:app_recv_cost_ns (fun () ->
-            Stack.Udp.sendto s ~dst:ip ~dst_port:p payload))
+    udp_echo_server ep.App.sv_ns ~port:ep.App.sv_port ~exec:ep.App.sv_exec
   in
   let sent_at = ref 0 in
   let client_sock = ref None in
@@ -171,12 +173,6 @@ let default_sizes = [ 64; 128; 256; 512; 1024; 1280; 2048; 4096; 8192; 16384 ]
    latency into during-fault and post-recovery windows. *)
 
 type Nest_net.Payload.app_msg += Rr_tagged of { seq : int; t0 : Time.ns }
-
-let udp_echo_server ns ~port ~exec =
-  Stack.Udp.bind ns ~port (fun s ~src payload ->
-      let ip, p = src in
-      Nest_sim.Exec.submit exec ~cost:app_recv_cost_ns (fun () ->
-          Stack.Udp.sendto s ~dst:ip ~dst_port:p payload))
 
 type rr_driver = {
   rrd_sent : unit -> int;

@@ -68,9 +68,9 @@ val default_sizes : int list
 val udp_echo_server :
   Nest_net.Stack.ns -> port:int -> exec:Nest_sim.Exec.t ->
   Nest_net.Stack.Udp.sock
-(** The UDP_RR server half on its own: echo after the per-transaction
-    application cost on [exec].  Re-deployable into a fresh pod namespace
-    after a crash. *)
+(** The UDP_RR server half on its own (the one {!udp_rr} binds): echo
+    after the per-transaction application cost on [exec].  Re-deployable
+    into a fresh pod namespace after a crash. *)
 
 type rr_driver = {
   rrd_sent : unit -> int;        (** transactions attempted so far *)

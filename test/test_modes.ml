@@ -55,44 +55,59 @@ let test_single_mode mode () =
     (udp_echo_works site.Deploy.site_ns tb.Testbed.client_ns
        ~addr:site.Deploy.site_addr ~port:site.Deploy.site_port tb)
 
-let path_of_single mode =
-  let tb, site = deploy_single_sync ~mode in
+(* Hop names of one warm UDP datagram's provenance record: the hops the
+   measured copy took, branching off at every fan-out. *)
+let probe_path tb ~src ~dst ~dst_addr ~port =
   let hops = ref None in
-  Path_probe.udp_path ~src:tb.Testbed.client_ns ~dst:site.Deploy.site_ns
-    ~dst_addr:site.Deploy.site_addr ~port:site.Deploy.site_port
-    ~k:(fun h -> hops := Some h)
+  Path_probe.udp_timed_path ~src ~dst ~dst_addr ~port
+    ~k:(fun es ->
+      hops := Some (List.map (fun e -> e.Nest_sim.Provenance.hop) es))
     ();
   until tb (Time.sec 2);
   match !hops with
   | Some h -> h
   | None -> Alcotest.fail "probe never delivered"
 
+let path_of_single mode =
+  let tb, site = deploy_single_sync ~mode in
+  probe_path tb ~src:tb.Testbed.client_ns ~dst:site.Deploy.site_ns
+    ~dst_addr:site.Deploy.site_addr ~port:site.Deploy.site_port
+
 let test_path_nocont () =
   let hops = path_of_single `NoCont in
   (* client veth -> host bridge -> vm tap -> guest eth0; no docker0. *)
-  Alcotest.(check bool) "passes host bridge" true
-    (Path_probe.contains_seq hops [ "virbr0"; "tap-vm1"; "vm1:eth0" ]);
+  Alcotest.(check bool)
+    (Format.asprintf "passes host bridge %a" Path_probe.pp_hops hops)
+    true
+    (Path_probe.contains_seq hops
+       [ "virbr0"; "tap-vm1"; "vm1:eth0:virtio-rx" ]);
   Alcotest.(check bool) "no in-VM bridge" true
-    (not (List.exists (fun h -> h = "vm1:docker0") hops))
+    (not (List.mem "vm1:docker0" hops))
 
 let test_path_nat () =
   let hops = path_of_single `Nat in
-  (* The duplicated layer: guest eth0 then docker0 then the pod veth. *)
+  (* The duplicated layer: the guest's own rx, forward and docker0 bridge
+     between the VM NIC and the pod veth. *)
   Alcotest.(check bool)
     (Format.asprintf "nested path %a" Path_probe.pp_hops hops)
     true
     (Path_probe.contains_seq hops
-       [ "virbr0"; "tap-vm1"; "vm1:eth0"; "vm1:docker0"; "pod:eth0" ])
+       [ "virbr0"; "tap-vm1"; "vm1:eth0:virtio-rx"; "vm1:rx"; "vm1:fwd";
+         "vm1:docker0"; "pod:rx" ])
 
 let test_path_brfusion () =
   let hops = path_of_single `Brfusion in
-  (* Host bridge straight into the pod's own NIC: no vm1:eth0, no docker0. *)
+  (* Host bridge straight into the pod's own NIC: the guest kernel never
+     receives, forwards or bridges the packet. *)
   Alcotest.(check bool)
     (Format.asprintf "fused path %a" Path_probe.pp_hops hops)
     true
-    (Path_probe.contains_seq hops [ "virbr0"; "vm1:brf-pod" ]);
-  Alcotest.(check bool) "in-VM bridge removed" true
-    (not (List.exists (fun h -> h = "vm1:docker0" || h = "vm1:eth0") hops))
+    (Path_probe.contains_seq hops
+       [ "virbr0"; "vm1:brf-pod-nd"; "vm1:brf-pod:virtio-rx"; "pod:rx" ]);
+  List.iter
+    (fun h ->
+      Alcotest.(check bool) (h ^ " removed") false (List.mem h hops))
+    [ "vm1:rx"; "vm1:fwd"; "vm1:docker0"; "vm1:eth0:virtio-rx" ]
 
 (* --- pod-pair modes --- *)
 
@@ -104,42 +119,33 @@ let test_pair_mode mode () =
     (udp_echo_works site.Deploy.b_ns site.Deploy.a_ns ~addr:site.Deploy.b_addr
        ~port:site.Deploy.b_port tb)
 
-let test_path_hostlo () =
-  let tb, site = deploy_pair_sync ~mode:`Hostlo in
-  let hops = ref None in
-  Path_probe.udp_path ~src:site.Deploy.a_ns ~dst:site.Deploy.b_ns
+let path_of_pair mode =
+  let tb, site = deploy_pair_sync ~mode in
+  probe_path tb ~src:site.Deploy.a_ns ~dst:site.Deploy.b_ns
     ~dst_addr:site.Deploy.b_addr ~port:site.Deploy.b_port
-    ~k:(fun h -> hops := Some h)
-    ();
-  until tb (Time.sec 2);
-  match !hops with
-  | None -> Alcotest.fail "hostlo probe never delivered"
-  | Some hops ->
-    (* Endpoint in VM1 -> loopback tap -> endpoint in VM2; never the host
-       bridge or any in-VM bridge. *)
-    Alcotest.(check bool)
-      (Format.asprintf "hostlo path %a" Path_probe.pp_hops hops)
-      true
-      (Path_probe.contains_seq hops [ "hostlo-pod"; "vm2:hlo-pod-1" ]);
-    Alcotest.(check bool) "no host bridge on path" true
-      (not (List.exists (fun h -> h = "virbr0") hops))
+
+let test_path_hostlo () =
+  let hops = path_of_pair `Hostlo in
+  (* Endpoint in VM1 -> loopback tap -> endpoint in VM2; never the host
+     bridge or any in-VM bridge.  The tap reflects the frame to the
+     writer's own queue too, but that copy branches off the record: the
+     path never shows a receive on vm1:hlo-pod-0. *)
+  Alcotest.(check (list string))
+    "hostlo path"
+    [ "pod@vm1:tx"; "vm1:hlo-pod-0:virtio-tx"; "hostlo-pod";
+      "vm2:hlo-pod-1:virtio-rx"; "pod@vm2:rx" ]
+    hops
 
 let test_path_overlay () =
-  let tb, site = deploy_pair_sync ~mode:`Overlay in
-  let hops = ref None in
-  Path_probe.udp_path ~src:site.Deploy.a_ns ~dst:site.Deploy.b_ns
-    ~dst_addr:site.Deploy.b_addr ~port:site.Deploy.b_port
-    ~k:(fun h -> hops := Some h)
-    ();
-  until tb (Time.sec 2);
-  match !hops with
-  | None -> Alcotest.fail "overlay probe never delivered"
-  | Some hops ->
-    Alcotest.(check bool)
-      (Format.asprintf "encap+decap %a" Path_probe.pp_hops hops)
-      true
-      (List.exists (fun h -> h = "vm1:pod-ov.vtep:encap" || h = "vm1:pod-ov:encap") hops
-      && List.exists (fun h -> h = "vm2:pod-ov.vtep:decap" || h = "vm2:pod-ov:decap") hops)
+  let hops = path_of_pair `Overlay in
+  (* The VXLAN packet crosses the whole underlay between the two VTEPs:
+     out through VM1's tap, across the host bridge, into VM2's tap. *)
+  Alcotest.(check bool)
+    (Format.asprintf "encap, underlay, decap %a" Path_probe.pp_hops hops)
+    true
+    (Path_probe.contains_seq hops
+       [ "vm1:pod-ov:encap"; "tap-vm1"; "virbr0"; "tap-vm2";
+         "vm2:pod-ov:decap" ])
 
 let test_hostlo_reflection_counts () =
   (* Every frame written to the loopback tap is reflected to all queues,

@@ -101,17 +101,26 @@ let test_frame_len_minimum () =
   Alcotest.(check int) "runt padded to 60" 60 (Frame.len f)
 
 let test_trace_shared_across_reframe () =
-  let p = Packet.make ~traced:true ~src:Ipv4.localhost ~dst:Ipv4.localhost
+  let module P = Nest_sim.Provenance in
+  let prov = P.create () in
+  let p = Packet.make ~prov ~src:Ipv4.localhost ~dst:Ipv4.localhost
       (Packet.Icmp_echo { id = 1; seq = 1; reply = false })
   in
+  let mark f hop = Option.iter (fun r -> P.mark_after r ~hop) (Frame.prov f) in
   let f1 = Frame.make ~src:(Mac.of_int 1) ~dst:(Mac.of_int 2) (Frame.Ipv4_body p) in
-  Frame.record_hop f1 "a";
-  (* NAT rewrite + new frame at the next hop. *)
+  mark f1 "a";
+  (* NAT rewrite + new frame at the next hop.  The frame takes the
+     packet's record, not the one offered to it. *)
   let p2 = Packet.with_addrs ~dst:(Ipv4.of_string "9.9.9.9") p in
-  let f2 = Frame.make ~src:(Mac.of_int 3) ~dst:(Mac.of_int 4) (Frame.Ipv4_body p2) in
-  Frame.record_hop f2 "b";
-  Alcotest.(check (list string)) "trace survives rewrite and reframe"
-    [ "a"; "b" ] (Packet.hops p)
+  let f2 =
+    Frame.make ~prov:(P.create ()) ~src:(Mac.of_int 3) ~dst:(Mac.of_int 4)
+      (Frame.Ipv4_body p2)
+  in
+  mark f2 "b";
+  Alcotest.(check bool) "frame shares the rewritten packet's record" true
+    (match Frame.prov f2 with Some r -> r == prov | None -> false);
+  Alcotest.(check (list string)) "provenance survives rewrite and reframe"
+    [ "a"; "b" ] (P.hops prov)
 
 (* ------------------------------------------------------------------ *)
 (* Ipam *)

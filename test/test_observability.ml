@@ -32,6 +32,22 @@ let test_trace_ring () =
   Alcotest.(check (list string)) "no events" []
     (List.map (fun e -> e.Trace.name) (Trace.events tr))
 
+let test_trace_capacity_ceiling () =
+  let rejects capacity =
+    match Trace.create ~capacity () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check int) "rounded up to a power of two" 8
+    (Trace.capacity (Trace.create ~capacity:5 ()));
+  (* Above the ceiling no ring is allocated and no rounding loop runs:
+     near max_int the doubling would overflow to 0 and never end. *)
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (Printf.sprintf "capacity %d rejected" c) true
+        (rejects c))
+    [ 0; -1; Trace.max_capacity + 1; 1 lsl 40; 4611686018427387903; max_int ]
+
 let test_trace_by_name () =
   let tr = Trace.create ~capacity:16 () in
   Trace.instant tr ~ts:1 ~cat:"hop" ~name:"br0" ();
@@ -394,6 +410,8 @@ let () =
   Alcotest.run "observability"
     [ ( "trace",
         [ Alcotest.test_case "ring" `Quick test_trace_ring;
+          Alcotest.test_case "capacity ceiling" `Quick
+            test_trace_capacity_ceiling;
           Alcotest.test_case "by-name" `Quick test_trace_by_name;
           Alcotest.test_case "engine spans + profile" `Quick
             test_engine_spans_and_profile ] );

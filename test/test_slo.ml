@@ -1,9 +1,8 @@
-(* The PR-7 observability additions: bounded-error mergeable histograms
-   (Hdr), sharded binary trace rings' merged read view, and the live SLO
-   monitor's windowed burn-rate accounting.  The merge tests double as
-   the --jobs determinism guard at the data-structure level: the same
-   samples/events must yield bit-identical digests however they were
-   sharded or which domain produced them. *)
+(* Observability data structures: bounded-error mergeable histograms
+   (Hdr) and the live SLO monitor's windowed burn-rate accounting.  The
+   merge tests double as the --jobs determinism guard at the
+   data-structure level: the same samples must yield bit-identical
+   digests however they were sharded or which domain produced them. *)
 
 module Time = Nest_sim.Time
 module Engine = Nest_sim.Engine
@@ -103,66 +102,6 @@ let test_hdr_merge_error_mismatch () =
        Hdr.merge_into ~into:a b;
        false
      with Invalid_argument _ -> true)
-
-(* --- Trace: sharded rings, one merged order ----------------------- *)
-
-let shape tr =
-  List.map (fun e -> (e.Trace.ts, e.Trace.name, e.Trace.arg)) (Trace.events tr)
-
-let test_trace_shards_merge_like_one () =
-  (* The same strictly-increasing event stream written round-robin over
-     4 shards must read back exactly like the single-shard trace. *)
-  let one = Trace.create ~capacity:64 ~shards:1 () in
-  let four = Trace.create ~capacity:16 ~shards:4 () in
-  for i = 1 to 40 do
-    let name = "ev" ^ string_of_int i in
-    Trace.instant one ~ts:i ~cat:"t" ~name ();
-    Trace.instant four ~shard:(i mod 4) ~ts:i ~cat:"t" ~name ()
-  done;
-  Alcotest.(check (list (triple int string string)))
-    "sharded = unsharded" (shape one) (shape four);
-  Alcotest.(check int) "recorded over shards" 40 (Trace.recorded four);
-  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped four)
-
-let test_trace_merge_tiebreak () =
-  let tr = Trace.create ~capacity:16 ~shards:2 () in
-  (* Record in an order the merge must NOT preserve: same ts, shard 1
-     before shard 0; and a lower prio arriving last. *)
-  Trace.instant tr ~shard:1 ~ts:5 ~cat:"t" ~name:"s1" ();
-  Trace.instant tr ~shard:0 ~ts:5 ~cat:"t" ~name:"s0" ();
-  Trace.instant tr ~shard:0 ~prio:1 ~ts:9 ~cat:"t" ~name:"late" ();
-  Trace.instant tr ~shard:1 ~prio:0 ~ts:9 ~cat:"t" ~name:"early" ();
-  Alcotest.(check (list string))
-    "(ts, prio, shard, seq) order"
-    [ "s0"; "s1"; "early"; "late" ]
-    (List.map (fun e -> e.Trace.name) (Trace.events tr))
-
-let test_trace_shard_wrap () =
-  (* Wrap-around is per shard: flooding one shard must not evict the
-     other shard's history. *)
-  let tr = Trace.create ~capacity:4 ~shards:2 () in
-  Trace.instant tr ~shard:1 ~ts:0 ~cat:"t" ~name:"keep" ();
-  for i = 1 to 10 do
-    Trace.instant tr ~shard:0 ~ts:i ~cat:"t" ~name:"flood" ()
-  done;
-  Alcotest.(check int) "dropped only from the flooded shard" 6
-    (Trace.dropped tr);
-  Alcotest.(check bool) "other shard intact" true
-    (List.exists (fun e -> e.Trace.name = "keep") (Trace.events tr))
-
-let test_trace_iter_merged () =
-  let a = Trace.create ~capacity:16 () and b = Trace.create ~capacity:16 () in
-  Trace.instant a ~ts:1 ~cat:"t" ~name:"a1" ();
-  Trace.instant a ~ts:3 ~cat:"t" ~name:"a3" ();
-  Trace.instant b ~ts:2 ~cat:"t" ~name:"b2" ();
-  Trace.instant b ~ts:3 ~cat:"t" ~name:"b3" ();
-  let names ts = List.map (fun e -> e.Trace.name) (Trace.merged_events ts) in
-  (* Time-sorted across traces; ties broken by list position. *)
-  Alcotest.(check (list string))
-    "merged across traces" [ "a1"; "b2"; "a3"; "b3" ]
-    (names [ a; b ]);
-  Alcotest.(check (list string))
-    "repeatable" (names [ a; b ]) (names [ a; b ])
 
 (* --- Slo: windowed burn rates ------------------------------------- *)
 
@@ -292,32 +231,19 @@ let test_slo_no_counter_when_compliant () =
 
 (* --- --jobs determinism of the merged views ----------------------- *)
 
-(* One "cell": a private sketch + trace built deterministically from the
-   cell index.  Fanning cells across domains and merging must be
+(* One "cell": a private sketch built deterministically from the cell
+   index.  Fanning cells across domains and merging must be
    bit-identical to the sequential run — this is the data-structure half
    of the chaos --check guarantee. *)
 let cell i =
   let h = Hdr.create ~name:(Printf.sprintf "cell%d" i) () in
   List.iter (Hdr.add h) (samples i 2000);
-  let tr = Trace.create ~capacity:256 ~shards:4 () in
-  for j = 0 to 99 do
-    Trace.instant tr ~shard:(j mod 4) ~ts:((j * 7) + i) ~cat:"c"
-      ~name:(Printf.sprintf "%d.%d" i j) ()
-  done;
-  (h, tr)
+  h
 
 let merged_digest cells =
   let m = Hdr.create () in
-  List.iter (fun (h, _) -> Hdr.merge_into ~into:m h) cells;
-  let evs =
-    List.map
-      (fun e -> Printf.sprintf "%d:%s" e.Trace.ts e.Trace.name)
-      (Trace.merged_events (List.map snd cells))
-  in
-  ( Hdr.percentile m 50.0,
-    Hdr.percentile m 99.0,
-    Hdr.count m,
-    Digest.to_hex (Digest.string (String.concat "," evs)) )
+  List.iter (fun h -> Hdr.merge_into ~into:m h) cells;
+  (Hdr.percentile m 50.0, Hdr.percentile m 99.0, Hdr.count m)
 
 (* --- observability is pure observation ---------------------------- *)
 
@@ -353,11 +279,10 @@ let test_jobs_merge_determinism () =
   let idx = [ 0; 1; 2; 3 ] in
   let seq = merged_digest (Domain_pool.map ~jobs:1 cell idx) in
   let par = merged_digest (Domain_pool.map ~jobs:4 cell idx) in
-  let p50a, p99a, na, da = seq and p50b, p99b, nb, db = par in
+  let p50a, p99a, na = seq and p50b, p99b, nb = par in
   Alcotest.(check (float 0.0)) "merged p50 bit-identical" p50a p50b;
   Alcotest.(check (float 0.0)) "merged p99 bit-identical" p99a p99b;
-  Alcotest.(check int) "merged count" na nb;
-  Alcotest.(check string) "merged trace order bit-identical" da db
+  Alcotest.(check int) "merged count" na nb
 
 let () =
   Alcotest.run "slo"
@@ -367,12 +292,6 @@ let () =
           Alcotest.test_case "merge = sharding" `Quick test_hdr_merge_identity;
           Alcotest.test_case "merge error mismatch" `Quick
             test_hdr_merge_error_mismatch ] );
-      ( "trace-shards",
-        [ Alcotest.test_case "sharded reads like one" `Quick
-            test_trace_shards_merge_like_one;
-          Alcotest.test_case "tie-break order" `Quick test_trace_merge_tiebreak;
-          Alcotest.test_case "per-shard wrap" `Quick test_trace_shard_wrap;
-          Alcotest.test_case "iter_merged" `Quick test_trace_iter_merged ] );
       ( "slo",
         [ Alcotest.test_case "availability windows" `Quick
             test_slo_availability_windows;

@@ -149,7 +149,6 @@ let test_hotplug_nic () =
 
 let test_trace_path () =
   let w = make_world () in
-  Stack.set_trace_all w.client_ns true;
   let vm_ns = Nest_virt.Vm.ns w.vm in
   let _server =
     Stack.Udp.bind vm_ns ~port:7 (fun _ ~src:_ _ -> ())
