@@ -54,6 +54,7 @@ type codel_state = {
 
 type t = {
   a_engine : Engine.t;
+  a_burn_lbl : Engine.label;
   a_policy : policy;
   a_burn_source : (unit -> float) option;
   mutable a_limit : int;
@@ -83,7 +84,7 @@ let validate = function
    between "fine" and "merely warm" does not flap the limit. *)
 let rec arm_burn t ~floor ~ceiling ~high ~low ~window ~stop ~at =
   if at <= stop then
-    Engine.schedule_at t.a_engine ~label:"admission:burn" ~at (fun () ->
+    Engine.schedule_labeled t.a_engine t.a_burn_lbl ~at (fun () ->
         let b = match t.a_burn_source with Some f -> f () | None -> 0.0 in
         let next =
           if b >= high then Stdlib.max floor (t.a_limit / 2)
@@ -102,6 +103,7 @@ let create ~engine ?burn_source ?stop policy =
   let t =
     {
       a_engine = engine;
+      a_burn_lbl = Engine.label engine "admission:burn";
       a_policy = policy;
       a_burn_source = burn_source;
       a_limit =

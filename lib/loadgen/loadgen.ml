@@ -22,6 +22,8 @@ type counts = {
 type t = {
   g_engine : Engine.t;
   g_label : string;
+  g_arrival_lbl : Engine.label;  (* resolved once: two events per request *)
+  g_timeout_lbl : Engine.label;
   g_arrival : Arrival.t;
   g_sizes : Size_dist.t;
   g_rng : Nest_sim.Prng.t;
@@ -72,8 +74,8 @@ let arrive t =
     Seq_tbl.replace t.g_intended seq (Engine.now t.g_engine);
     t.g_outstanding <- t.g_outstanding + 1;
     t.g_dispatch ~seq ~size;
-    Engine.schedule t.g_engine ~label:"loadgen:timeout" ~delay:t.g_timeout
-      (fun () ->
+    Engine.schedule_labeled t.g_engine t.g_timeout_lbl
+      ~at:(Engine.now t.g_engine + t.g_timeout) (fun () ->
         if Seq_tbl.mem t.g_intended seq then begin
           Seq_tbl.remove t.g_intended seq;
           t.g_lost <- t.g_lost + 1;
@@ -88,7 +90,7 @@ let rec schedule_next t =
   | Some off ->
     (* Compared as an offset: [g_start + off] can overflow. *)
     if off < t.g_stop - t.g_start then
-      Engine.schedule_at t.g_engine ~label:"loadgen:arrival"
+      Engine.schedule_labeled t.g_engine t.g_arrival_lbl
         ~at:(t.g_start + off) (fun () ->
           arrive t;
           schedule_next t)
@@ -110,10 +112,12 @@ let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
       | None -> Admission.fixed max_outstanding)
   in
   let t =
-    { g_engine = engine; g_label = label; g_arrival = arrival;
-      g_sizes = sizes; g_rng = rng; g_admission = admission;
-      g_timeout = timeout; g_slo = slo; g_dispatch = dispatch;
-      g_start = start; g_stop = stop; g_intended = Seq_tbl.create 128;
+    { g_engine = engine; g_label = label;
+      g_arrival_lbl = Engine.label engine "loadgen:arrival";
+      g_timeout_lbl = Engine.label engine "loadgen:timeout";
+      g_arrival = arrival; g_sizes = sizes; g_rng = rng;
+      g_admission = admission; g_timeout = timeout; g_slo = slo;
+      g_dispatch = dispatch; g_start = start; g_stop = stop; g_intended = Seq_tbl.create 128;
       g_latency = Nest_sim.Hdr.create ~name:(label ^ ":latency_us") ();
       g_offered = 0; g_admitted = 0; g_shed = 0; g_lost = 0;
       g_completed = 0; g_outstanding = 0; g_seq = 0; g_completions = [] }

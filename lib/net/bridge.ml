@@ -33,9 +33,9 @@ let forward t port frame () =
     if port != t.self then Dev.deliver t.self frame
   end
   else begin
-    match Mac.Tbl.find_opt t.fdb_tbl frame.Frame.dst with
-    | Some e when fresh t e -> if e.port != port then Dev.transmit e.port frame
-    | Some _ | None ->
+    match Mac.Tbl.find t.fdb_tbl frame.Frame.dst with
+    | e when fresh t e -> if e.port != port then Dev.transmit e.port frame
+    | _ | (exception Not_found) ->
       (* Unknown destination: flood. *)
       flood t port frame
   end
@@ -45,14 +45,14 @@ let input t port frame =
   Nest_sim.Engine.trace_instant t.engine ~cat:"hop" ~name:t.br_name ();
   (* Source learning. *)
   if not (Mac.is_broadcast frame.Frame.src) then begin
-    match Mac.Tbl.find_opt t.fdb_tbl frame.Frame.src with
-    | Some e when e.port == port -> e.last_seen <- Nest_sim.Engine.now t.engine
-    | Some _ | None ->
+    match Mac.Tbl.find t.fdb_tbl frame.Frame.src with
+    | e when e.port == port -> e.last_seen <- Nest_sim.Engine.now t.engine
+    | _ | (exception Not_found) ->
       Mac.Tbl.replace t.fdb_tbl frame.Frame.src
         { port; last_seen = Nest_sim.Engine.now t.engine }
   end;
-  Hop.service_prov ?prov:(Frame.prov frame) t.hop ~bytes:(Frame.len frame)
-    (forward t port frame)
+  Hop.service_prov ?prov:(Frame.prov frame) t.hop ~extra_ns:0
+    ~bytes:(Frame.len frame) (forward t port frame)
 
 let create engine ~name ~hop ?(aging_ns = Nest_sim.Time.sec 300) ~self_mac () =
   Hop.set_name hop name;

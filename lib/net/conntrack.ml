@@ -85,30 +85,20 @@ let alloc_port t =
   t.next_port <- (if p >= 60999 then 32768 else p + 1);
   p
 
-let apply rw (p : Packet.t) =
-  let p =
-    match rw.new_src with
-    | None -> p
-    | Some (ip, port) ->
-      Packet.with_ports ~src_port:port (Packet.with_addrs ~src:ip p)
-  in
-  match rw.new_dst with
-  | None -> p
-  | Some (ip, port) ->
-    Packet.with_ports ~dst_port:port (Packet.with_addrs ~dst:ip p)
+let apply rw p = Packet.rewrite p ~src:rw.new_src ~dst:rw.new_dst
 
 let translate t p =
-  if Flow_tbl.length t.table = 0 then (p, false)
+  if Flow_tbl.length t.table = 0 then p
   else
-    match Flow_tbl.find_opt t.table (flow_of_packet p) with
-    | Some rw -> (apply rw p, true)
-    | None -> (p, false)
+    match Flow_tbl.find t.table (flow_of_packet p) with
+    | rw -> apply rw p
+    | exception Not_found -> p
 
 let snat t p ~to_ip =
   let f = flow_of_packet p in
-  match Flow_tbl.find_opt t.table f with
-  | Some rw -> apply rw p
-  | None ->
+  match Flow_tbl.find t.table f with
+  | rw -> apply rw p
+  | exception Not_found ->
     (* ICMP has no ports: the echo identifier must survive translation so
        the reply can be matched. *)
     let nat_port =
@@ -127,9 +117,9 @@ let snat t p ~to_ip =
 
 let dnat t p ~to_ip ~to_port =
   let f = flow_of_packet p in
-  match Flow_tbl.find_opt t.table f with
-  | Some rw -> apply rw p
-  | None ->
+  match Flow_tbl.find t.table f with
+  | rw -> apply rw p
+  | exception Not_found ->
     let fwd = { new_src = None; new_dst = Some (to_ip, to_port) } in
     let reply_flow =
       { proto = f.proto; f_src = to_ip; f_sport = to_port; f_dst = f.f_src;

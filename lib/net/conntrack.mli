@@ -32,10 +32,11 @@ val snat : t -> Packet.t -> to_ip:Ipv4.t -> Packet.t
 val dnat : t -> Packet.t -> to_ip:Ipv4.t -> to_port:int -> Packet.t
 (** Destination-NAT (port publishing). *)
 
-val translate : t -> Packet.t -> Packet.t * bool
-(** Table-only translation for established flows; the boolean reports
-    whether a binding applied (in which case NAT rules must be skipped,
-    matching Linux semantics). *)
+val translate : t -> Packet.t -> Packet.t
+(** Table-only translation for established flows.  Returns [p] itself
+    (physically) exactly when no binding matches; a binding always
+    yields a fresh packet, so [translate t p != p] says it applied (in
+    which case NAT rules must be skipped, matching Linux semantics). *)
 
 val entry_count : t -> int
 

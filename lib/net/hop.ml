@@ -13,13 +13,17 @@ type t = {
   fixed_ns : int;
   per_byte_ns : float;
   charge_as : Nest_sim.Cpu_account.category option;
+  lead_ns : int;
+  tail_ns : int;
   mutable hop_name : string;  (* "" = anonymous: falls back to exec name *)
   mutable hists : (Nest_sim.Hdr.t * Nest_sim.Hdr.t) option;
       (* lazily resolved (queue_ns, service_ns) histograms *)
 }
 
-let make ?charge_as ?(per_byte_ns = 0.0) ?(name = "") exec ~fixed_ns =
-  { exec; fixed_ns; per_byte_ns; charge_as; hop_name = name; hists = None }
+let make ?charge_as ?(per_byte_ns = 0.0) ?(lead_ns = 0) ?(tail_ns = 0)
+    ?(name = "") exec ~fixed_ns =
+  { exec; fixed_ns; per_byte_ns; charge_as; lead_ns; tail_ns;
+    hop_name = name; hists = None }
 
 let name t =
   if t.hop_name <> "" then t.hop_name else Nest_sim.Exec.name t.exec
@@ -47,14 +51,15 @@ let cost_ns t ~bytes =
 let service t ~bytes k =
   Nest_sim.Exec.submit ?charge_as:t.charge_as t.exec ~cost:(cost_ns t ~bytes) k
 
-(* Timed service.  [enq] overrides the enqueue timestamp when the packet
-   was handed off strictly before this call runs (e.g. a virtio kick
-   delay); [extra_ns] adds cost not in the hop's rate (syscall overhead,
-   NAT surcharges); [tail_ns] extends the recorded completion past the
-   CPU finish (e.g. an interrupt-notify delay) without charging CPU.
-   The continuation still runs at CPU finish — callers that model a tail
-   delay schedule it themselves, and the record accounts for it. *)
-let service_prov ?prov ?enq ?(extra_ns = 0) ?(tail_ns = 0) t ~bytes k =
+(* Timed service.  [extra_ns] adds cost not in the hop's rate (syscall
+   overhead, NAT surcharges).  The hop's [lead_ns] dates the enqueue
+   that much before this call (e.g. a virtio kick delay), and its
+   [tail_ns] extends the recorded completion past the CPU finish (e.g.
+   an interrupt-notify delay) without charging CPU.  The continuation
+   still runs at CPU finish — callers that model a tail delay schedule
+   it themselves, and the record accounts for it.  Every argument is
+   plain or passed through, so the no-record path boxes nothing. *)
+let service_prov ?prov t ~extra_ns ~bytes k =
   let cost = cost_ns t ~bytes + extra_ns in
   match prov with
   | None -> Nest_sim.Exec.submit ?charge_as:t.charge_as t.exec ~cost k
@@ -65,8 +70,8 @@ let service_prov ?prov ?enq ?(extra_ns = 0) ?(tail_ns = 0) t ~bytes k =
       Nest_sim.Exec.submit_timed ?charge_as:t.charge_as t.exec ~cost k
     in
     let start_ns = finish - cost in
-    let enqueue_ns = Option.value enq ~default:now in
-    let end_ns = finish + tail_ns in
+    let enqueue_ns = now - t.lead_ns in
+    let end_ns = finish + t.tail_ns in
     Nest_sim.Provenance.add p ~hop:(name t) ~enqueue_ns ~start_ns ~end_ns;
     let qh, sh = hists t in
     Nest_sim.Hdr.add qh (float_of_int (start_ns - enqueue_ns));

@@ -17,6 +17,12 @@ type t = {
   per_byte_ns : float;
   charge_as : Nest_sim.Cpu_account.category option;
       (** Overrides the context's default accounting category. *)
+  lead_ns : int;
+      (** How long before a service call the packet was handed off (a
+          virtio kick delay): recorded as queueing on this hop. *)
+  tail_ns : int;
+      (** Delay after the CPU finish that the record attributes to this
+          hop without charging CPU (an interrupt-notify delay). *)
   mutable hop_name : string;
       (** [""] = anonymous: attribution falls back to the exec name. *)
   mutable hists : (Nest_sim.Hdr.t * Nest_sim.Hdr.t) option;
@@ -26,6 +32,8 @@ type t = {
 val make :
   ?charge_as:Nest_sim.Cpu_account.category ->
   ?per_byte_ns:float ->
+  ?lead_ns:int ->
+  ?tail_ns:int ->
   ?name:string ->
   Nest_sim.Exec.t ->
   fixed_ns:int ->
@@ -45,22 +53,19 @@ val service : t -> bytes:int -> (unit -> unit) -> unit
 
 val service_prov :
   ?prov:Nest_sim.Provenance.t ->
-  ?enq:Nest_sim.Time.ns ->
-  ?extra_ns:int ->
-  ?tail_ns:int ->
   t ->
+  extra_ns:int ->
   bytes:int ->
   (unit -> unit) ->
   unit
-(** Timed {!service}.  With [prov = None] this is exactly [service] plus
-    [extra_ns] of cost — no allocation, no clock reads.  With a record:
-    [enq] overrides the enqueue timestamp when the packet was handed off
-    strictly before this call runs (e.g. after a virtio kick delay);
-    [extra_ns] adds cost outside the hop's rate (syscall overhead, NAT
-    surcharges); [tail_ns] extends the recorded completion past the CPU
-    finish (e.g. an interrupt-notify delay) without charging CPU — the
-    continuation still runs at CPU finish, and callers scheduling a tail
-    delay themselves get it attributed here. *)
+(** Timed {!service}: [extra_ns] adds cost outside the hop's rate
+    (syscall overhead, NAT surcharges).  With [prov = None] this is
+    exactly [service] plus [extra_ns] of cost — no allocation, no clock
+    reads.  With a record, the crossing is stamped enqueued [lead_ns]
+    before the call and completed [tail_ns] after the CPU finish (the
+    continuation still runs at CPU finish; callers scheduling a tail
+    delay themselves get it attributed here), and the hop's histograms
+    are fed. *)
 
 val free : Nest_sim.Engine.t -> t
 (** A zero-cost hop on a private context — useful in unit tests. *)

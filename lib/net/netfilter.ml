@@ -44,23 +44,34 @@ let remove t hook name =
   t.total <- t.total - (List.length before - List.length after)
 
 (* Top-level so a traversal allocates no closure: it runs at every hook
-   of every packet, mostly over empty chains. *)
-let rec traverse t ctx pkt = function
-  | [] -> Some pkt
+   of every packet.  [v] is the verdict so far: [Accept], or the last
+   rule's [Mangle] carrying the packet the next rules see. *)
+let rec traverse t ctx pkt v = function
+  | [] -> v
   | r :: rest ->
     t.hits <- t.hits + 1;
     if r.matches ctx pkt then
       match r.action ctx pkt with
-      | Accept -> traverse t ctx pkt rest
-      | Drop -> None
-      | Mangle pkt' -> traverse t ctx pkt' rest
-    else traverse t ctx pkt rest
+      | Accept -> traverse t ctx pkt v rest
+      | Drop -> Drop
+      | Mangle pkt' as m -> traverse t ctx pkt' m rest
+    else traverse t ctx pkt v rest
 
-let run t hook ctx pkt = traverse t ctx pkt t.chains.(hook_index hook)
+let dev_opt = function "" -> None | d -> Some d
+
+(* Most hooks of most namespaces are empty: they return at once, and
+   only a hook with rules pays for the [ctx] its rules read. *)
+let run t hook ~in_dev ~out_dev pkt =
+  match t.chains.(hook_index hook) with
+  | [] -> Accept
+  | rules ->
+    let ctx = { in_dev = dev_opt in_dev; out_dev = dev_opt out_dev } in
+    traverse t ctx pkt Accept rules
+
+let passed pkt = function Mangle p -> p | Accept | Drop -> pkt
 
 let rule_count t hook = List.length t.chains.(hook_index hook)
 let total_rules t = t.total
 let rule_names t hook =
   List.map (fun r -> r.rule_name) t.chains.(hook_index hook)
 let hits t = t.hits
-let no_ctx = { in_dev = None; out_dev = None }

@@ -32,9 +32,17 @@ val append : t -> hook -> rule -> unit
 val remove : t -> hook -> string -> unit
 (** Removes all rules with the given name on that hook. *)
 
-val run : t -> hook -> ctx -> Packet.t -> Packet.t option
-(** [None] means the packet was dropped.  Rules run in insertion order;
-    [Mangle] rewrites and continues with subsequent rules. *)
+val run : t -> hook -> in_dev:string -> out_dev:string -> Packet.t -> verdict
+(** Runs the hook's rules in insertion order on a packet crossing
+    [in_dev]/[out_dev] ([""] when unknown; the rules see [None]).  The
+    verdict is [Drop] when a rule dropped the packet, [Accept] when it
+    passed unchanged, and [Mangle p] when it passed rewritten, [p] being
+    the last rule's rewrite ([Mangle] continues with the subsequent
+    rules).  An empty hook returns [Accept] and allocates nothing. *)
+
+val passed : Packet.t -> verdict -> Packet.t
+(** [passed pkt v] is the packet a non-[Drop] verdict of {!run} on
+    [pkt] lets through: the rewrite of a [Mangle], else [pkt]. *)
 
 val rule_count : t -> hook -> int
 
@@ -45,5 +53,3 @@ val total_rules : t -> int
 val rule_names : t -> hook -> string list
 val hits : t -> int
 (** Total rule evaluations (diagnostics; a proxy for hook work). *)
-
-val no_ctx : ctx

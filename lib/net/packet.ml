@@ -33,30 +33,30 @@ let ports t =
   | Tcp { seg; _ } -> Some (seg.Tcp_wire.src_port, seg.Tcp_wire.dst_port)
   | Icmp_echo _ -> None
 
-let with_addrs ?src ?dst t =
-  { t with
-    src = Option.value src ~default:t.src;
-    dst = Option.value dst ~default:t.dst }
+let[@inline] ip_of o default = match o with Some (ip, _) -> ip | None -> default
+let[@inline] port_of o default = match o with Some (_, p) -> p | None -> default
 
-let with_ports ?src_port ?dst_port t =
-  match t.transport with
-  | Icmp_echo _ -> t
-  | Udp u ->
-    { t with
-      transport =
-        Udp
-          { u with
-            src_port = Option.value src_port ~default:u.src_port;
-            dst_port = Option.value dst_port ~default:u.dst_port } }
-  | Tcp { seg; payload } ->
-    let seg =
-      { seg with
-        Tcp_wire.src_port = Option.value src_port ~default:seg.Tcp_wire.src_port;
-        dst_port = Option.value dst_port ~default:seg.Tcp_wire.dst_port }
-    in
-    { t with transport = Tcp { seg; payload } }
+let rewrite t ~src ~dst =
+  let transport =
+    match t.transport with
+    | Icmp_echo _ as icmp -> icmp
+    | Udp u ->
+      Udp
+        { u with
+          src_port = port_of src u.src_port;
+          dst_port = port_of dst u.dst_port }
+    | Tcp { seg; payload } ->
+      let seg =
+        { seg with
+          Tcp_wire.src_port = port_of src seg.Tcp_wire.src_port;
+          dst_port = port_of dst seg.Tcp_wire.dst_port }
+      in
+      Tcp { seg; payload }
+  in
+  { t with src = ip_of src t.src; dst = ip_of dst t.dst; transport }
 
-let decrement_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1 }
+let ttl_expired t = t.ttl <= 1
+let decrement_ttl t = { t with ttl = t.ttl - 1 }
 
 let proto_name t =
   match t.transport with

@@ -30,12 +30,17 @@ val len : t -> int
 val ports : t -> (int * int) option
 (** (src_port, dst_port) for UDP/TCP, [None] for ICMP. *)
 
-val with_addrs : ?src:Ipv4.t -> ?dst:Ipv4.t -> t -> t
-val with_ports : ?src_port:int -> ?dst_port:int -> t -> t
-(** Rewrites transport ports (NAT); ICMP packets are returned unchanged. *)
+val rewrite : t -> src:(Ipv4.t * int) option -> dst:(Ipv4.t * int) option -> t
+(** NAT rewrite in one rebuild: [Some (ip, port)] replaces that end's
+    address and transport port ([None] keeps it).  ICMP packets take the
+    address only.  Always a fresh packet, never [t] itself. *)
 
-val decrement_ttl : t -> t option
-(** [None] once the TTL would reach 0 (packet must be dropped). *)
+val ttl_expired : t -> bool
+(** [true] once a forward would bring the TTL to 0: the packet must be
+    dropped, not passed to {!decrement_ttl}. *)
+
+val decrement_ttl : t -> t
+(** The packet one forwarding hop later; test {!ttl_expired} first. *)
 
 val proto_name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -16,20 +16,22 @@ let add_default t ~gateway ~dev ?src () =
   add t ~dst:(Ipv4.cidr_of_string "0.0.0.0/0") ~dev ~gateway ?src ()
 
 (* [routes] is most-recent-first; keeping the incumbent on equal
-   prefixes therefore makes the most recent entry win.  A top-level loop
-   rather than [List.iter]: it runs for every packet and allocates no
-   closure. *)
+   prefixes therefore makes the most recent entry win.  Top-level loops
+   rather than [List.iter]: they run for every packet, and allocate
+   neither a closure nor an option per candidate. *)
 let rec longest ip best = function
   | [] -> best
   | e :: rest ->
-    if Ipv4.in_subnet e.dst ip
-       && (match best with
-          | Some b -> e.dst.Ipv4.prefix > b.dst.Ipv4.prefix
-          | None -> true)
-    then longest ip (Some e) rest
+    if e.dst.Ipv4.prefix > best.dst.Ipv4.prefix && Ipv4.in_subnet e.dst ip
+    then longest ip e rest
     else longest ip best rest
 
-let lookup t ip = longest ip None t.routes
+let rec first_match ip = function
+  | [] -> raise Not_found
+  | e :: rest ->
+    if Ipv4.in_subnet e.dst ip then longest ip e rest else first_match ip rest
+
+let lookup t ip = first_match ip t.routes
 
 let next_hop e ip = match e.gateway with Some gw -> gw | None -> ip
 

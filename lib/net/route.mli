@@ -15,9 +15,9 @@ val add : t -> dst:Ipv4.cidr -> dev:Dev.t -> ?gateway:Ipv4.t -> ?src:Ipv4.t -> u
 val add_default : t -> gateway:Ipv4.t -> dev:Dev.t -> ?src:Ipv4.t -> unit -> unit
 (** 0.0.0.0/0 via [gateway]. *)
 
-val lookup : t -> Ipv4.t -> entry option
+val lookup : t -> Ipv4.t -> entry
 (** Longest matching prefix; among equal prefixes the most recently added
-    entry wins. *)
+    entry wins.  Raises [Not_found] when no route matches. *)
 
 val next_hop : entry -> Ipv4.t -> Ipv4.t
 (** Gateway if set, otherwise the destination itself (on-link). *)

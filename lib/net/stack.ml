@@ -288,9 +288,9 @@ let arp_max_tries = 3
 let arp_resolve ns dev ip k =
   if dev.Dev.l2 = Dev.Reflector then k Mac.broadcast
   else
-    match Ipv4.Tbl.find_opt ns.arp_tbl ip with
-    | Some mac -> k mac
-    | None -> (
+    match Ipv4.Tbl.find ns.arp_tbl ip with
+    | mac -> k mac
+    | exception Not_found -> (
       match Ipv4.Tbl.find_opt ns.arp_waiting ip with
       | Some q -> q := k :: !q
       | None ->
@@ -375,27 +375,31 @@ let local_socket_matches ns (pkt : Packet.t) =
   | Packet.Icmp_echo { id; reply; _ } ->
     if reply then Int_tbl.mem ns.icmp_waiters id else true
 
+(* Frames a packet that POSTROUTING passed for the wire. *)
+let emit ns ~(dev : Dev.t) ~next_hop pkt =
+  if dev.Dev.l2 = Dev.Reflector then
+    send_ip_frame dev ~dst_mac:Mac.broadcast pkt
+  else
+    match Ipv4.Tbl.find ns.arp_tbl next_hop with
+    | mac -> send_ip_frame dev ~dst_mac:mac pkt
+    | exception Not_found ->
+      arp_resolve ns dev next_hop (fun mac ->
+          send_ip_frame dev ~dst_mac:mac pkt)
+
+(* A conntrack binding skips the NAT rules (Linux semantics). *)
 let transmit_via ns ~(dev : Dev.t) ~next_hop pkt =
-  let ctx = { Netfilter.in_dev = None; out_dev = Some dev.Dev.name } in
-  let pkt, translated = Conntrack.translate ns.ct_tbl pkt in
-  let post =
-    if translated then Some pkt
-    else Netfilter.run ns.nf_tbl Netfilter.Postrouting ctx pkt
-  in
-  match post with
-  | None -> note_drop ns `Filtered
-  | Some pkt ->
-    if dev.Dev.l2 = Dev.Reflector then
-      send_ip_frame dev ~dst_mac:Mac.broadcast pkt
-    else (
-      match Ipv4.Tbl.find_opt ns.arp_tbl next_hop with
-      | Some mac -> send_ip_frame dev ~dst_mac:mac pkt
-      | None ->
-        arp_resolve ns dev next_hop (fun mac ->
-            send_ip_frame dev ~dst_mac:mac pkt))
+  let nat = Conntrack.translate ns.ct_tbl pkt in
+  if nat != pkt then emit ns ~dev ~next_hop nat
+  else
+    match
+      Netfilter.run ns.nf_tbl Netfilter.Postrouting ~in_dev:""
+        ~out_dev:dev.Dev.name pkt
+    with
+    | Netfilter.Drop -> note_drop ns `Filtered
+    | v -> emit ns ~dev ~next_hop (Netfilter.passed pkt v)
 
 let deliver_locally ns pkt =
-  Hop.service_prov ?prov:(Packet.prov pkt) ns.cs.local
+  Hop.service_prov ?prov:(Packet.prov pkt) ns.cs.local ~extra_ns:0
     ~bytes:(Packet.len pkt) (fun () ->
       (match ns.lo with
       | Some lo -> Engine.trace_instant ns.eng ~cat:"hop" ~name:lo.Dev.name ()
@@ -403,9 +407,10 @@ let deliver_locally ns pkt =
       !ip_local_input_ref ns pkt)
 
 let ip_output ns pkt =
-  match Netfilter.run ns.nf_tbl Netfilter.Output Netfilter.no_ctx pkt with
-  | None -> note_drop ns `Filtered
-  | Some pkt -> (
+  match Netfilter.run ns.nf_tbl Netfilter.Output ~in_dev:"" ~out_dev:"" pkt with
+  | Netfilter.Drop -> note_drop ns `Filtered
+  | v -> (
+    let pkt = Netfilter.passed pkt v in
     match dev_holding_addr ns pkt.Packet.dst with
     | Some dev when dev.Dev.l2 = Dev.Reflector ->
       (* Hostlo: the destination is the pod's localhost; it is delivered
@@ -416,8 +421,8 @@ let ip_output ns pkt =
     | Some _ -> deliver_locally ns pkt
     | None -> (
       match Route.lookup ns.rt pkt.Packet.dst with
-      | None -> note_drop ns `No_route
-      | Some e ->
+      | exception Not_found -> note_drop ns `No_route
+      | e ->
         transmit_via ns ~dev:e.Route.dev
           ~next_hop:(Route.next_hop e pkt.Packet.dst) pkt))
 
@@ -443,8 +448,8 @@ let tcp_make_segment c ~flags ~seq ~len ~msgs =
 
 let tcp_xmit c pkt =
   c.pending_ack_segs <- 0;
-  Hop.service_prov ?prov:(Packet.prov pkt)
-    ~extra_ns:(nat_surcharge c.c_ns) c.c_ns.cs.tx ~bytes:(Packet.len pkt)
+  Hop.service_prov ?prov:(Packet.prov pkt) c.c_ns.cs.tx
+    ~extra_ns:(nat_surcharge c.c_ns) ~bytes:(Packet.len pkt)
     (fun () -> ip_output c.c_ns pkt)
 
 let flags_ack = { Tcp_wire.flags_none with Tcp_wire.ack = true }
@@ -718,15 +723,15 @@ let mss_for ns dst =
     | None -> loopback_mtu - 40
   else
     match Route.lookup ns.rt dst with
-    | Some e -> Dev.mss e.Route.dev
-    | None -> 1460
+    | e -> Dev.mss e.Route.dev
+    | exception Not_found -> 1460
 
 let src_for ns dst =
   if is_local_addr ns dst then dst
   else
     match Route.lookup ns.rt dst with
-    | None -> Ipv4.any
-    | Some e -> (
+    | exception Not_found -> Ipv4.any
+    | e -> (
       match e.Route.src with
       | Some s -> s
       | None -> Option.value (addr_of_dev ns e.Route.dev) ~default:Ipv4.any)
@@ -763,15 +768,16 @@ let tcp_send_rst ns (pkt : Packet.t) (seg : Tcp_wire.t) =
        ~src:pkt.Packet.dst ~dst:pkt.Packet.src
        (Packet.Tcp { seg = rst; payload = Payload.raw 0 }))
 
-let tcp_input ns (in_dev : Dev.t option) (pkt : Packet.t) (seg : Tcp_wire.t) =
+(* [on_reflector]: the segment came in on a reflector (Hostlo) device. *)
+let tcp_input ns ~on_reflector (pkt : Packet.t) (seg : Tcp_wire.t) =
   let key = (seg.Tcp_wire.dst_port, pkt.Packet.src, seg.Tcp_wire.src_port) in
-  match Conn_tbl.find_opt ns.conns key with
-  | Some c ->
+  match Conn_tbl.find ns.conns key with
+  | c ->
     note_delivered ns;
     tcp_conn_input c pkt seg
-  | None -> (
-    match Int_tbl.find_opt ns.listeners seg.Tcp_wire.dst_port with
-    | Some l
+  | exception Not_found -> (
+    match Int_tbl.find ns.listeners seg.Tcp_wire.dst_port with
+    | l
       when seg.Tcp_wire.flags.Tcp_wire.syn
            && not seg.Tcp_wire.flags.Tcp_wire.ack ->
       note_delivered ns;
@@ -788,15 +794,10 @@ let tcp_input ns (in_dev : Dev.t option) (pkt : Packet.t) (seg : Tcp_wire.t) =
            ~flags:{ flags_ack with Tcp_wire.syn = true }
            ~seq:0 ~len:0 ~msgs:[]);
       tcp_arm_rto c
-    | Some _ | None ->
+    | _ | (exception Not_found) ->
       note_drop ns `No_socket;
       (* Reflector endpoints see every frame of the multiplexed loopback;
          fractions that don't own the flow must stay silent (§4.2). *)
-      let on_reflector =
-        match in_dev with
-        | Some d -> d.Dev.l2 = Dev.Reflector
-        | None -> false
-      in
       if (not on_reflector) && not seg.Tcp_wire.flags.Tcp_wire.rst then
         tcp_send_rst ns pkt seg)
 
@@ -822,66 +823,73 @@ let icmp_input ns (pkt : Packet.t) ~id ~seq ~reply =
     ip_output ns echo
   end
 
-let demux ns (in_dev : Dev.t option) (pkt : Packet.t) =
+let demux ns ~on_reflector (pkt : Packet.t) =
   (match ns.observer with None -> () | Some f -> f pkt);
   match pkt.Packet.transport with
   | Packet.Udp { src_port; dst_port; payload } -> (
-    match Int_tbl.find_opt ns.udp_binds dst_port with
-    | Some s when not s.u_closed ->
+    match Int_tbl.find ns.udp_binds dst_port with
+    | s when not s.u_closed ->
       note_delivered ns;
-      let deliver () =
-        if not s.u_closed then s.u_recv s ~src:(pkt.Packet.src, src_port) payload
-      in
-      if s.u_kernel then deliver ()
-      else Engine.schedule ns.eng ~delay:(wakeup_delay ns) deliver
-    | Some _ | None ->
+      if s.u_kernel then s.u_recv s ~src:(pkt.Packet.src, src_port) payload
+      else
+        Engine.schedule ns.eng ~delay:(wakeup_delay ns) (fun () ->
+            if not s.u_closed then
+              s.u_recv s ~src:(pkt.Packet.src, src_port) payload)
+    | _ | (exception Not_found) ->
       note_drop ns `No_socket;
       Nest_sim.Log.debug ~engine:ns.eng log_src (fun () ->
           Format.asprintf "%s: no UDP socket for %a" ns.ns_name Packet.pp pkt))
-  | Packet.Tcp { seg; _ } -> tcp_input ns in_dev pkt seg
+  | Packet.Tcp { seg; _ } -> tcp_input ns ~on_reflector pkt seg
   | Packet.Icmp_echo { id; seq; reply } -> icmp_input ns pkt ~id ~seq ~reply
 
 let ip_local_input ns pkt =
-  let ctx = Netfilter.no_ctx in
-  match Netfilter.run ns.nf_tbl Netfilter.Input ctx pkt with
-  | None -> note_drop ns `Filtered
-  | Some pkt -> demux ns None pkt
+  match Netfilter.run ns.nf_tbl Netfilter.Input ~in_dev:"" ~out_dev:"" pkt with
+  | Netfilter.Drop -> note_drop ns `Filtered
+  | v -> demux ns ~on_reflector:false (Netfilter.passed pkt v)
 
 let () = ip_local_input_ref := ip_local_input
 
-(* Input from a device, after the rx hop has been paid. *)
+(* After PREROUTING: local delivery or forwarding. *)
+let routed_input ns (dev : Dev.t) (pkt : Packet.t) =
+  let in_dev = dev.Dev.name in
+  if is_local_addr ns pkt.Packet.dst then begin
+    match Netfilter.run ns.nf_tbl Netfilter.Input ~in_dev ~out_dev:"" pkt with
+    | Netfilter.Drop -> note_drop ns `Filtered
+    | v ->
+      demux ns ~on_reflector:(dev.Dev.l2 = Dev.Reflector)
+        (Netfilter.passed pkt v)
+  end
+  else if ns.fwd then begin
+    match Netfilter.run ns.nf_tbl Netfilter.Forward ~in_dev ~out_dev:"" pkt with
+    | Netfilter.Drop -> note_drop ns `Filtered
+    | v -> (
+      let pkt = Netfilter.passed pkt v in
+      if Packet.ttl_expired pkt then note_drop ns `Ttl
+      else
+        let pkt = Packet.decrement_ttl pkt in
+        match Route.lookup ns.rt pkt.Packet.dst with
+        | exception Not_found -> note_drop ns `No_route
+        | e ->
+          ns.cnt.forwarded_pkts <- ns.cnt.forwarded_pkts + 1;
+          Hop.service_prov ?prov:(Packet.prov pkt) ns.cs.forward ~extra_ns:0
+            ~bytes:(Packet.len pkt) (fun () ->
+              transmit_via ns ~dev:e.Route.dev
+                ~next_hop:(Route.next_hop e pkt.Packet.dst) pkt))
+  end
+  else note_drop ns `No_route
+
+(* Input from a device, after the rx hop has been paid.  A conntrack
+   binding skips the NAT rules (Linux semantics). *)
 let ip_input ns (dev : Dev.t) (pkt : Packet.t) =
-  let ctx = { Netfilter.in_dev = Some dev.Dev.name; out_dev = None } in
-  let pkt, translated = Conntrack.translate ns.ct_tbl pkt in
-  let pre =
-    if translated then Some pkt
-    else Netfilter.run ns.nf_tbl Netfilter.Prerouting ctx pkt
-  in
-  match pre with
-  | None -> note_drop ns `Filtered
-  | Some pkt ->
-    if is_local_addr ns pkt.Packet.dst then begin
-      match Netfilter.run ns.nf_tbl Netfilter.Input ctx pkt with
-      | None -> note_drop ns `Filtered
-      | Some pkt -> demux ns (Some dev) pkt
-    end
-    else if ns.fwd then begin
-      match Netfilter.run ns.nf_tbl Netfilter.Forward ctx pkt with
-      | None -> note_drop ns `Filtered
-      | Some pkt -> (
-        match Packet.decrement_ttl pkt with
-        | None -> note_drop ns `Ttl
-        | Some pkt -> (
-          match Route.lookup ns.rt pkt.Packet.dst with
-          | None -> note_drop ns `No_route
-          | Some e ->
-            ns.cnt.forwarded_pkts <- ns.cnt.forwarded_pkts + 1;
-            Hop.service_prov ?prov:(Packet.prov pkt) ns.cs.forward
-              ~bytes:(Packet.len pkt) (fun () ->
-                transmit_via ns ~dev:e.Route.dev
-                  ~next_hop:(Route.next_hop e pkt.Packet.dst) pkt)))
-    end
-    else note_drop ns `No_route
+  let nat = Conntrack.translate ns.ct_tbl pkt in
+  if nat != pkt then routed_input ns dev nat
+  else
+    match
+      Netfilter.run ns.nf_tbl Netfilter.Prerouting ~in_dev:dev.Dev.name
+        ~out_dev:"" pkt
+    with
+    | Netfilter.Drop -> note_drop ns `Filtered
+    | v -> routed_input ns dev (Netfilter.passed pkt v)
 
 let dev_rx ns dev frame =
   (* L2 address filter. *)
@@ -896,8 +904,8 @@ let dev_rx ns dev frame =
       Hop.service ns.cs.rx ~bytes:(Frame.len frame) (fun () ->
           arp_input ns dev a)
     | Frame.Ipv4_body pkt ->
-      Hop.service_prov ?prov:(Frame.prov frame) ~extra_ns:(nat_surcharge ns)
-        ns.cs.rx ~bytes:(Frame.len frame)
+      Hop.service_prov ?prov:(Frame.prov frame) ns.cs.rx
+        ~extra_ns:(nat_surcharge ns) ~bytes:(Frame.len frame)
         (fun () -> ip_input ns dev pkt)
   end
 
@@ -998,8 +1006,8 @@ module Udp = struct
       Packet.make ?prov ~src ~dst
         (Packet.Udp { src_port = s.u_port; dst_port; payload })
     in
-    Hop.service_prov ?prov:(Packet.prov pkt)
-      ~extra_ns:(ns.cs.syscall.Hop.fixed_ns + nat_surcharge ns) ns.cs.tx
+    Hop.service_prov ?prov:(Packet.prov pkt) ns.cs.tx
+      ~extra_ns:(ns.cs.syscall.Hop.fixed_ns + nat_surcharge ns)
       ~bytes:(Packet.len pkt)
       (fun () -> ip_output ns pkt)
 
@@ -1095,5 +1103,5 @@ let ping ns ~dst ~on_reply =
       ~src:(src_for ns dst) ~dst
       (Packet.Icmp_echo { id; seq = 1; reply = false })
   in
-  Hop.service_prov ?prov:(Packet.prov pkt) ns.cs.tx ~bytes:(Packet.len pkt)
-    (fun () -> ip_output ns pkt)
+  Hop.service_prov ?prov:(Packet.prov pkt) ns.cs.tx ~extra_ns:0
+    ~bytes:(Packet.len pkt) (fun () -> ip_output ns pkt)

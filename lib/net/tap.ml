@@ -36,7 +36,7 @@ let host_input t frame =
     match q.backend with
     | None -> ()
     | Some backend ->
-      Hop.service_prov ?prov:(Frame.prov frame) t.hop
+      Hop.service_prov ?prov:(Frame.prov frame) t.hop ~extra_ns:0
         ~bytes:(Frame.len frame) (fun () -> backend frame))
   end
 
@@ -94,8 +94,8 @@ let queue_write q frame =
   | Normal ->
     (* Guest -> host side: the frame enters whatever the host attached
        (bridge port input), after the tap's processing cost. *)
-    Hop.service_prov ?prov:(Frame.prov frame) t.hop ~bytes:(Frame.len frame)
-      (fun () -> Dev.deliver t.host_side frame)
+    Hop.service_prov ?prov:(Frame.prov frame) t.hop ~extra_ns:0
+      ~bytes:(Frame.len frame) (fun () -> Dev.deliver t.host_side frame)
   | Loopback ->
     (* §4.2: "it sends back any received Ethernet frame to all of its
        queues" — including the originating one.  Each reflected copy takes
@@ -110,8 +110,8 @@ let queue_write q frame =
             backend (Frame.branch_prov frame))
         t.queue_list
     in
-    Hop.service_prov ?prov:(Frame.prov frame)
-      ~extra_ns:(t.per_queue_ns * List.length t.queue_list) t.hop
+    Hop.service_prov ?prov:(Frame.prov frame) t.hop
+      ~extra_ns:(t.per_queue_ns * List.length t.queue_list)
       ~bytes:(Frame.len frame) deliver_all
   end
 

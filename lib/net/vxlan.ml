@@ -5,7 +5,8 @@ let default_port = 4789
 let overlay_mtu = 1450
 
 type t = {
-  vtep_name : string;
+  encap_name : string;  (* trace names, built once: see [create] *)
+  decap_name : string;
   vni : int;
   underlay : Stack.ns;
   udp_port : int;
@@ -27,8 +28,8 @@ let decap t (payload : Payload.t) =
     t.decapsulated <- t.decapsulated + 1;
     Nest_sim.Metrics.bump t.decap_ctr ();
     Nest_sim.Engine.trace_instant (Stack.engine t.underlay) ~cat:"hop"
-      ~name:(t.vtep_name ^ ":decap") ();
-    Hop.service_prov ?prov:(Frame.prov inner) t.decap_hop
+      ~name:t.decap_name ();
+    Hop.service_prov ?prov:(Frame.prov inner) t.decap_hop ~extra_ns:0
       ~bytes:(Frame.len inner) (fun () -> Dev.deliver t.overlay_dev inner)
   | Some _ | None -> ()
 
@@ -36,22 +37,22 @@ let decap t (payload : Payload.t) =
 let targets t (inner : Frame.t) =
   if Frame.is_broadcast inner then t.remotes
   else
-    match Mac.Tbl.find_opt t.fdb inner.Frame.dst with
-    | Some remote -> [ remote ]
-    | None -> t.remotes
+    match Mac.Tbl.find t.fdb inner.Frame.dst with
+    | remote -> [ remote ]
+    | exception Not_found -> t.remotes
 
 let encap t (inner : Frame.t) =
   let targets = targets t inner in
   if not (List.is_empty targets) then begin
     Nest_sim.Metrics.bump t.encap_ctr ();
     Nest_sim.Engine.trace_instant (Stack.engine t.underlay) ~cat:"hop"
-      ~name:(t.vtep_name ^ ":encap") ();
+      ~name:t.encap_name ();
     let payload =
       Payload.make ~size:(Frame.len inner + vxlan_header_bytes)
         (Vxlan_encap inner)
     in
     let single = match targets with [ _ ] -> true | _ -> false in
-    Hop.service_prov ?prov:(Frame.prov inner) t.encap_hop
+    Hop.service_prov ?prov:(Frame.prov inner) t.encap_hop ~extra_ns:0
       ~bytes:(Frame.len inner) (fun () ->
         List.iter
           (fun remote ->
@@ -72,8 +73,11 @@ let encap t (inner : Frame.t) =
 let create underlay ~name ~vni ~local ?(udp_port = default_port) ~encap_hop
     ~decap_hop () =
   ignore local;
-  Hop.set_name encap_hop (name ^ ":encap");
-  Hop.set_name decap_hop (name ^ ":decap");
+  (* Built once: a per-packet concatenation would allocate, and miss the
+     trace pool's physical-equality memo. *)
+  let encap_name = name ^ ":encap" and decap_name = name ^ ":decap" in
+  Hop.set_name encap_hop encap_name;
+  Hop.set_name decap_hop decap_name;
   let overlay_dev =
     Dev.create ~mtu:overlay_mtu ~name:(name ^ ".vtep")
       ~mac:(Mac.of_int (0x0242000000 lor (vni land 0xffffff)))
@@ -82,7 +86,7 @@ let create underlay ~name ~vni ~local ?(udp_port = default_port) ~encap_hop
   let metrics = Nest_sim.Engine.metrics (Stack.engine underlay) in
   let rec t =
     lazy
-      { vtep_name = name; vni; underlay; udp_port;
+      { encap_name; decap_name; vni; underlay; udp_port;
         sock =
           Stack.Udp.bind underlay ~port:udp_port ~kernel:true
             (fun _ ~src:_ payload -> decap (Lazy.force t) payload);

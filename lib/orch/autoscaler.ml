@@ -11,7 +11,7 @@ module Time = Nest_sim.Time
 
 type t = {
   as_engine : Engine.t;
-  as_label : string;
+  as_tick : Engine.label;  (* "<label>:tick", resolved once *)
   as_min : int;
   as_max : int;
   as_up : float;
@@ -64,8 +64,7 @@ let tick t () =
 
 let rec arm t ~window ~stop ~at =
   if at <= stop then
-    Engine.schedule_at t.as_engine ~label:(t.as_label ^ ":tick") ~at
-      (fun () ->
+    Engine.schedule_labeled t.as_engine t.as_tick ~at (fun () ->
         tick t ();
         arm t ~window ~stop ~at:(at + window))
 
@@ -83,7 +82,7 @@ let create ~engine ?(label = "autoscaler") ~min ~max ?(up = 1.0)
   let t =
     {
       as_engine = engine;
-      as_label = label;
+      as_tick = Engine.label engine (label ^ ":tick");
       as_min = min;
       as_max = max;
       as_up = up;

@@ -1,29 +1,34 @@
-(* [lbl]/[lbl_epoch]: an optional pre-interned trace-name id for [label],
-   valid only while [trace_epoch] still equals [lbl_epoch] (the tracer has
-   not been swapped since the id was minted).  Lets the per-event hot path
-   skip the intern-pool hash lookup.
+(* Event labels are ints.  Each engine keeps a label table (string <->
+   id, id 0 = unlabeled), and the queue stores an event's id as the
+   heap entry's tag beside its bare thunk, so scheduling allocates no
+   wrapper record.  Hot callers ({!Exec}) resolve their id once; the
+   string-labeled [schedule]/[schedule_at] look it up per call.
 
-   Unlabeled events — the bulk of every run — are carried as a bare
-   [Plain] closure: no metadata record, no tracer check at execution
-   (an unlabeled event is never bracketed by spans).  The labeled
-   variant pays for its record only when a label was supplied. *)
-type job =
-  | Plain of (unit -> unit)
-  | Labeled of { label : string; lbl : int; lbl_epoch : int;
-                 fn : unit -> unit }
+   Per-label state lives in arrays indexed by id: the trace-name id of
+   each label in the current tracer ([-1] until first traced, refilled
+   on [set_tracer]) and the profile's events, host seconds and minor
+   words (zero unless profiling). *)
 
-type prof_slot = { mutable calls : int; mutable wall : float }
+type label = int
+
+let unlabeled = 0
 
 type t = {
   mutable clock : Time.ns;
-  queue : job Heap.t;
+  queue : (unit -> unit) Heap.t;
   root_rng : Prng.t;
   mutable executed : int;
   metrics : Metrics.t;
   mutable tracer : Trace.t option;
   mutable engine_cat : int;  (* interned "engine" cat of the current tracer *)
-  mutable trace_epoch : int;  (* bumped by [set_tracer]; guards cached ids *)
-  mutable prof : (string, prof_slot) Hashtbl.t option;
+  label_ids : (string, int) Hashtbl.t;
+  mutable label_names : string array;  (* id -> label; [n_labels] live *)
+  mutable n_labels : int;
+  mutable trace_names : int array;  (* id -> trace-name id, or -1 *)
+  mutable profiling : bool;
+  mutable prof_calls : int array;
+  mutable prof_secs : float array;
+  mutable prof_words : float array;
   mutable prof_clock : unit -> float;
 }
 
@@ -31,14 +36,20 @@ let create ?(seed = 0x5EEDL) () =
   let t =
     {
       clock = 0;
-      queue = Heap.create ~dummy:(Plain ignore) ();
+      queue = Heap.create ~dummy:ignore ();
       root_rng = Prng.create seed;
       executed = 0;
       metrics = Metrics.create ();
       tracer = None;
       engine_cat = 0;
-      trace_epoch = 0;
-      prof = None;
+      label_ids = Hashtbl.create 16;
+      label_names = Array.make 16 "";
+      n_labels = 1;
+      trace_names = Array.make 16 (-1);
+      profiling = false;
+      prof_calls = Array.make 16 0;
+      prof_secs = Array.make 16 0.0;
+      prof_words = Array.make 16 0.0;
       prof_clock = Sys.time;
     }
   in
@@ -52,19 +63,41 @@ let now t = t.clock
 let rng t = t.root_rng
 let metrics t = t.metrics
 
+(* [a] extended to [n] slots filled with [fill]. *)
+let extend a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let register t name =
+  let id = t.n_labels in
+  if id = Array.length t.label_names then begin
+    let n = 2 * id in
+    t.label_names <- extend t.label_names n "";
+    t.trace_names <- extend t.trace_names n (-1);
+    t.prof_calls <- extend t.prof_calls n 0;
+    t.prof_secs <- extend t.prof_secs n 0.0;
+    t.prof_words <- extend t.prof_words n 0.0
+  end;
+  t.label_names.(id) <- name;
+  t.n_labels <- id + 1;
+  Hashtbl.add t.label_ids name id;
+  id
+
+let label t name =
+  if String.length name = 0 then unlabeled
+  else
+    match Hashtbl.find t.label_ids name with
+    | id -> id
+    | exception Not_found -> register t name
+
 let set_tracer t tr =
   t.tracer <- tr;
-  t.trace_epoch <- t.trace_epoch + 1;
+  Array.fill t.trace_names 0 (Array.length t.trace_names) (-1);
   match tr with
   | Some trace -> t.engine_cat <- Trace.intern_cat trace "engine"
   | None -> ()
 let tracer t = t.tracer
-let trace_epoch t = t.trace_epoch
-
-let intern_label t label =
-  match t.tracer with
-  | Some tr when label <> "" -> Trace.intern_name tr label
-  | Some _ | None -> -1
 
 let trace_instant t ~cat ~name ?arg () =
   match t.tracer with
@@ -73,86 +106,89 @@ let trace_instant t ~cat ~name ?arg () =
 
 let enable_profiling ?clock t =
   (match clock with Some c -> t.prof_clock <- c | None -> ());
-  if t.prof = None then t.prof <- Some (Hashtbl.create 32)
+  t.profiling <- true
 
-let profile t =
-  match t.prof with
-  | None -> []
-  | Some tbl ->
-    Hashtbl.fold (fun label s acc -> (label, s.calls, s.wall) :: acc) tbl []
-    |> List.sort (fun (_, _, a) (_, _, b) -> Float.compare b a)
+(* [(label, events, v)] for every label that ran, [v] read by [pick],
+   largest first. *)
+let prof_rows t pick =
+  if not t.profiling then []
+  else begin
+    let rows = ref [] in
+    for id = t.n_labels - 1 downto 0 do
+      let n = t.prof_calls.(id) in
+      if n > 0 then
+        let name =
+          if id = unlabeled then "<unlabeled>" else t.label_names.(id)
+        in
+        rows := (name, n, pick id) :: !rows
+    done;
+    List.stable_sort (fun (_, _, a) (_, _, b) -> Float.compare b a) !rows
+  end
+
+let profile t = prof_rows t (fun id -> t.prof_secs.(id))
+let alloc_profile t = prof_rows t (fun id -> t.prof_words.(id))
 
 (* [Int.max] rather than [max] on every per-event path: at type int the
    polymorphic [max] still compares through a C call. *)
-let schedule_at t ?label ~at fn =
-  let at = Int.max at t.clock in
-  match label with
-  | None | Some "" -> Heap.push t.queue ~prio:at (Plain fn)
-  | Some label ->
-    Heap.push t.queue ~prio:at
-      (Labeled { label; lbl = -1; lbl_epoch = 0; fn })
+let schedule_labeled t lbl ~at fn =
+  Heap.push t.queue ~prio:(Int.max at t.clock) ~tag:lbl fn
 
-(* Hot-caller variant (see {!Exec.submit_timed}): the label's trace-name
-   id was interned once by the caller and rides along, so tracing this
-   event costs two ring writes and no hashing. *)
-let schedule_at_interned t ~label ~lbl ~at fn =
-  let at = Int.max at t.clock in
-  Heap.push t.queue ~prio:at
-    (Labeled { label; lbl; lbl_epoch = t.trace_epoch; fn })
+let schedule_at t ?label:name ~at fn =
+  let lbl = match name with None -> unlabeled | Some n -> label t n in
+  schedule_labeled t lbl ~at fn
 
 let schedule t ?label ~delay fn =
   schedule_at t ?label ~at:(t.clock + Int.max 0 delay) fn
 
+let trace_name t tr lbl =
+  let n = t.trace_names.(lbl) in
+  if n >= 0 then n
+  else begin
+    let n = Trace.intern_name tr t.label_names.(lbl) in
+    t.trace_names.(lbl) <- n;
+    n
+  end
+
 (* The unlabeled, untraced, unprofiled path must stay as close to a bare
    [fn ()] as possible: the ≤2%-overhead budget for disabled observability
    is burned here, once per simulated event. *)
-let exec t job at =
-  match job with
-  | Plain fn -> fn ()
-  | Labeled { label; lbl; lbl_epoch; fn } -> (
+let exec t lbl fn at =
+  if lbl = unlabeled then fn ()
+  else
     match t.tracer with
+    | None -> fn ()
     | Some tr ->
-      let name =
-        if lbl >= 0 && lbl_epoch = t.trace_epoch then lbl
-        else Trace.intern_name tr label
-      in
+      let name = trace_name t tr lbl in
       Trace.record_i tr ~ts:at Trace.Span_begin
         ~cat:t.engine_cat ~name ~arg:"";
       fn ();
       Trace.record_i tr ~ts:t.clock Trace.Span_end
         ~cat:t.engine_cat ~name ~arg:""
-    | None -> fn ())
 
-let prof_charge tbl label ~t0 ~t1 =
-  let dt = t1 -. t0 in
-  match Hashtbl.find_opt tbl label with
-  | Some s ->
-    s.calls <- s.calls + 1;
-    s.wall <- s.wall +. dt
-  | None -> Hashtbl.add tbl label { calls = 1; wall = dt }
-
-let exec_profiled t tbl job at =
+(* The clock is read exactly twice per event, and the minor-words
+   reads (unboxed, allocation-free) sit inside those two, so the ledger
+   holds the event's own words and nothing of the profiler's. *)
+let exec_profiled t lbl fn at =
   let t0 = t.prof_clock () in
-  exec t job at;
+  let w0 = Gc.minor_words () in
+  exec t lbl fn at;
+  let w1 = Gc.minor_words () in
   let t1 = t.prof_clock () in
-  let label =
-    match job with
-    | Plain _ -> "<unlabeled>"
-    | Labeled { label = ""; _ } -> "<unlabeled>"
-    | Labeled { label; _ } -> label
-  in
-  prof_charge tbl label ~t0 ~t1
+  t.prof_calls.(lbl) <- t.prof_calls.(lbl) + 1;
+  t.prof_secs.(lbl) <- t.prof_secs.(lbl) +. (t1 -. t0);
+  t.prof_words.(lbl) <- t.prof_words.(lbl) +. (w1 -. w0)
+
+let dispatch t lbl fn at =
+  if t.profiling then exec_profiled t lbl fn at else exec t lbl fn at
 
 let step t =
   let at = Heap.min_prio t.queue in
   if at < 0 then false
   else begin
-    let job = Heap.pop_value t.queue in
+    let fn = Heap.pop_value t.queue in
     t.clock <- at;
     t.executed <- t.executed + 1;
-    (match t.prof with
-    | None -> exec t job at
-    | Some tbl -> exec_profiled t tbl job at);
+    dispatch t (Heap.popped_tag t.queue) fn at;
     true
   end
 
@@ -167,17 +203,11 @@ let advance_to t horizon = if horizon > t.clock then t.clock <- horizon
    brackets it with a span when labeled and a tracer is installed — but
    the thunk never sat in this engine's queue.  The conservative shard
    loop guarantees [at >= clock] before calling. *)
-let run_external t ~at ?(label = "") fn =
+let run_external t ~at lbl fn =
   let at = Int.max at t.clock in
   t.clock <- at;
   t.executed <- t.executed + 1;
-  let job =
-    if label = "" then Plain fn
-    else Labeled { label; lbl = -1; lbl_epoch = 0; fn }
-  in
-  match t.prof with
-  | None -> exec t job at
-  | Some tbl -> exec_profiled t tbl job at
+  dispatch t lbl fn at
 
 let run ?until t =
   match until with

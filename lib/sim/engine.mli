@@ -25,6 +25,20 @@ val now : t -> Time.ns
 val rng : t -> Prng.t
 (** Root random stream of this engine. *)
 
+type label
+(** An event class, as an int id in this engine's label table: labels
+    ride in the event queue as ints, so scheduling a labeled event
+    allocates nothing beyond its thunk. *)
+
+val unlabeled : label
+(** The id of [""]: such events are not bracketed by trace spans and
+    profile as ["<unlabeled>"]. *)
+
+val label : t -> string -> label
+(** The id of a label string in this engine, registered on first use
+    ([""] is {!unlabeled}).  Hot callers resolve their id once and
+    schedule through {!schedule_labeled}. *)
+
 val schedule : t -> ?label:string -> delay:Time.ns -> (unit -> unit) -> unit
 (** [schedule t ~delay f] fires [f] at [now t + max 0 delay].  [label]
     names the event class (e.g. the executing context) for tracing and
@@ -33,21 +47,9 @@ val schedule : t -> ?label:string -> delay:Time.ns -> (unit -> unit) -> unit
 val schedule_at : t -> ?label:string -> at:Time.ns -> (unit -> unit) -> unit
 (** Absolute-date variant; dates in the past fire immediately (at [now]). *)
 
-val schedule_at_interned :
-  t -> label:string -> lbl:int -> at:Time.ns -> (unit -> unit) -> unit
-(** {!schedule_at} for per-event hot callers ({!Exec}): [lbl] is the
-    label's trace-name id from {!intern_label}, minted under the current
-    {!trace_epoch}.  Tracing the event then skips the intern-pool hash
-    lookup; a stale or absent id ([-1], or the tracer was swapped before
-    the event fired) silently falls back to interning [label]. *)
-
-val trace_epoch : t -> int
-(** Bumped on every {!set_tracer}; cache interned label ids keyed on
-    this to know when they went stale. *)
-
-val intern_label : t -> string -> int
-(** The trace-name id of [label] in the installed tracer, or [-1] when
-    no tracer is installed or [label] is [""]. *)
+val schedule_labeled : t -> label -> at:Time.ns -> (unit -> unit) -> unit
+(** {!schedule_at} with a pre-resolved label: no table lookup, and no
+    allocation once the queue's arrays are sized. *)
 
 val next_at : t -> Time.ns
 (** Date of the earliest queued event, or [max_int] when the queue is
@@ -60,7 +62,7 @@ val advance_to : t -> Time.ns -> unit
     executing anything — the end-of-horizon clamp [run ~until] applies,
     exposed for external drivers. *)
 
-val run_external : t -> at:Time.ns -> ?label:string -> (unit -> unit) -> unit
+val run_external : t -> at:Time.ns -> label -> (unit -> unit) -> unit
 (** Executes one event that never sat in this engine's queue (a
     cross-shard mailbox delivery): advances the clock to [at] (clamped
     to [now]), counts it in {!events_processed}, and brackets it with an
@@ -99,11 +101,20 @@ val trace_instant :
     option check) when tracing is disabled. *)
 
 val enable_profiling : ?clock:(unit -> float) -> t -> unit
-(** Starts accumulating per-label event counts and host wall time.
-    [clock] defaults to [Sys.time]; tests inject a deterministic one.
-    Idempotent (a second call only replaces the clock). *)
+(** Starts accumulating per-label event counts, host wall time and
+    minor words.  [clock] defaults to [Sys.time]; tests inject a
+    deterministic one.  It is read exactly twice per event, around the
+    event's body.  Idempotent (a second call only replaces the clock). *)
 
 val profile : t -> (string * int * float) list
 (** [(label, events, host_seconds)] per event class, most expensive first;
     events scheduled without a label appear as ["<unlabeled>"].  Empty
     when profiling was never enabled. *)
+
+val alloc_profile : t -> (string * int * float) list
+(** [(label, events, minor_words)] per event class, most words first:
+    the allocation ledger.  Each event's words are the [Gc.minor_words]
+    delta across its body, read inside the profiling clock's readings
+    (the reads themselves allocate nothing), so the rows hold the
+    events' own allocation and none of the profiler's.  Exact when the
+    engine runs alone on its domain. *)

@@ -6,11 +6,7 @@ type t = {
   slots : Time.ns array;
   cpus : Cpu_set.t option;
   mutable busy_ns : Time.ns;
-  (* Cached trace-name id for [exec_name], valid while the engine's
-     trace epoch matches — every submission is labeled with the exec
-     name, so interning it per event would dominate tracing cost. *)
-  mutable lbl : int;
-  mutable lbl_epoch : int;
+  label : Engine.label;  (* [exec_name]'s id, resolved once *)
 }
 
 let create ?account ?(also = []) ?(width = 1) ?cpus engine ~name =
@@ -18,7 +14,7 @@ let create ?account ?(also = []) ?(width = 1) ?cpus engine ~name =
   let resolve (acct, entity, cat) = (Cpu_account.handle acct ~entity, cat) in
   { exec_name = name; engine; account = Option.map resolve account;
     also = List.map resolve also; slots = Array.make width 0;
-    cpus; busy_ns = 0; lbl = -1; lbl_epoch = -1 }
+    cpus; busy_ns = 0; label = Engine.label engine name }
 
 let name t = t.exec_name
 let width t = Array.length t.slots
@@ -61,13 +57,7 @@ let submit_timed ?charge_as t ~cost k =
     let cat = match charge_as with Some c -> c | None -> default_cat in
     Cpu_account.charge_handle h cat cost);
   charge_also cost t.also;
-  let ep = Engine.trace_epoch t.engine in
-  if t.lbl_epoch <> ep then begin
-    t.lbl <- Engine.intern_label t.engine t.exec_name;
-    t.lbl_epoch <- ep
-  end;
-  Engine.schedule_at_interned t.engine ~label:t.exec_name ~lbl:t.lbl ~at:finish
-    k;
+  Engine.schedule_labeled t.engine t.label ~at:finish k;
   finish
 
 let submit ?charge_as t ~cost k =

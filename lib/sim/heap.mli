@@ -2,8 +2,11 @@
     [(priority, sequence)].
 
     An implicit 4-ary heap plus an append-only sorted run that takes, in
-    O(1), every push at or above the run's tail.  Once its arrays are
-    sized, neither push nor {!pop_value} allocates.
+    O(1), every push at or above the run's tail.  Each entry carries an
+    int tag beside its value (the engine keeps its event's label id
+    there).  Once its arrays are sized, neither push nor {!pop_value}
+    allocates, and neither does the tag: it is stored and read back as
+    an immediate int.
 
     The sequence number, assigned at push, makes extraction FIFO among
     equal priorities, which keeps the event loop deterministic: two
@@ -18,7 +21,7 @@ type 'a t
 val create : dummy:'a -> unit -> 'a t
 (** [dummy] fills vacated value cells; it is never returned. *)
 
-val push : 'a t -> prio:int -> 'a -> unit
+val push : 'a t -> prio:int -> tag:int -> 'a -> unit
 (** Inserts with the next sequence number. *)
 
 val min_prio : 'a t -> int
@@ -28,6 +31,10 @@ val pop_value : 'a t -> 'a
 (** Removes the minimum and returns its value, allocating nothing; read
     its priority with {!min_prio} first.  Raises [Invalid_argument] when
     the queue is empty. *)
+
+val popped_tag : 'a t -> int
+(** The tag pushed with the value the last {!pop_value} or {!pop}
+    returned; 0 before any pop. *)
 
 val pop : 'a t -> (int * 'a) option
 (** Removes and returns the minimum [(priority, value)]. *)

@@ -36,7 +36,7 @@ type msg = {
   m_at : int;                      (* delivery date *)
   m_key : int;                     (* the link's creation key *)
   m_seq : int;                     (* per-link send order *)
-  m_label : string;
+  m_label : Engine.label;          (* resolved in the destination engine *)
   m_fn : unit -> unit;
 }
 
@@ -49,7 +49,7 @@ type link = {
   l_dst : int;
   l_key : int;                     (* creation order: delivery tie-break *)
   l_lookahead : int;
-  l_label : string;
+  l_label : Engine.label;
   l_out : buf option;              (* the pair's outbox; None on a self-link *)
   mutable l_sent : int;
 }
@@ -129,14 +129,17 @@ let link t ~src ~dst ~lookahead ?(label = "") () =
   in
   let l =
     { l_src = src; l_dst = dst; l_key = t.sd_links; l_lookahead = lookahead;
-      l_label = label; l_out = out; l_sent = 0 }
+      l_label = Engine.label t.sd_shards.(dst).sh_engine label; l_out = out;
+      l_sent = 0 }
   in
   t.sd_links <- t.sd_links + 1;
   l
 
 (* Fills vacated slots so a delivered closure becomes unreachable at
    once instead of pinning its captures until the slot is reused. *)
-let vacant = { m_at = max_int; m_key = 0; m_seq = 0; m_label = ""; m_fn = ignore }
+let vacant =
+  { m_at = max_int; m_key = 0; m_seq = 0; m_label = Engine.unlabeled;
+    m_fn = ignore }
 
 let append b m =
   if b.b_len = Array.length b.b_msgs then begin
@@ -213,7 +216,7 @@ let rec pump s ~last =
   if da <= wa then begin
     if da <= last then begin
       let m = heap_pop ib in
-      Engine.run_external s.sh_engine ~at:m.m_at ~label:m.m_label m.m_fn;
+      Engine.run_external s.sh_engine ~at:m.m_at m.m_label m.m_fn;
       s.sh_delivered <- s.sh_delivered + 1;
       pump s ~last
     end

@@ -55,7 +55,8 @@ val link :
   link
 (** Declares a channel from shard [src] to shard [dst] on which every
     send is delayed by at least [lookahead].  [label] names delivery
-    events for tracing/profiling on the destination engine.
+    events for tracing/profiling on the destination engine, whose label
+    table resolves it once, here.
 
     [lookahead] must be strictly positive: a zero-lookahead link would
     let a neighbour's event at date [t] schedule work here at the same

@@ -17,34 +17,34 @@ let create ~vm ~id ~mac ~queue ~vhost ?(l2 = Dev.Normal) () =
      the same provenance/histogram machinery as kernel hops. *)
   let tx_hop =
     Hop.make vhost ~per_byte_ns:cm.Cost_model.vhost_per_byte_ns
+      ~lead_ns:cm.Cost_model.virtio_kick_delay_ns
       ~name:(Vm.name vm ^ ":" ^ id ^ ":virtio-tx")
       ~fixed_ns:cm.Cost_model.vhost_fixed_ns
   in
   let rx_hop =
     Hop.make vhost ~per_byte_ns:cm.Cost_model.vhost_per_byte_ns
+      ~tail_ns:cm.Cost_model.virtio_notify_delay_ns
       ~name:(Vm.name vm ^ ":" ^ id ^ ":virtio-rx")
       ~fixed_ns:cm.Cost_model.vhost_fixed_ns
   in
   (* Guest -> host: doorbell kick wakes the vhost worker, which dequeues
      from the TX vring and writes the tap.  The kick delay counts as
-     queueing on the virtio-tx hop (enqueue predates the worker). *)
+     queueing on the virtio-tx hop (its [lead_ns]: the enqueue predates
+     the worker). *)
   Dev.set_tx guest_dev (fun frame ->
-      if t.plugged then begin
-        let enq = Nest_sim.Engine.now engine in
+      if t.plugged then
         Nest_sim.Engine.schedule engine ~delay:cm.Cost_model.virtio_kick_delay_ns
           (fun () ->
             if t.plugged then
-              Hop.service_prov ?prov:(Frame.prov frame) ~enq tx_hop
+              Hop.service_prov ?prov:(Frame.prov frame) tx_hop ~extra_ns:0
                 ~bytes:(Frame.len frame)
-                (fun () -> if t.plugged then Tap.queue_write queue frame))
-      end);
+                (fun () -> if t.plugged then Tap.queue_write queue frame)));
   (* Host -> guest: vhost fills the RX vring, then injects an interrupt;
      the injection latency is pure delay (no context occupied), recorded
      as the virtio-rx hop's tail. *)
   Tap.queue_set_backend queue (fun frame ->
       if t.plugged then
-        Hop.service_prov ?prov:(Frame.prov frame)
-          ~tail_ns:cm.Cost_model.virtio_notify_delay_ns rx_hop
+        Hop.service_prov ?prov:(Frame.prov frame) rx_hop ~extra_ns:0
           ~bytes:(Frame.len frame)
           (fun () ->
             if t.plugged then

@@ -287,7 +287,7 @@ let test_index_work () =
         let life =
           Nest_sim.Dist.exponential rng ~mean:(float_of_int npods /. 3.0)
         in
-        Nest_sim.Heap.push departures ~prio:(t + 1 + int_of_float life)
+        Nest_sim.Heap.push departures ~tag:0 ~prio:(t + 1 + int_of_float life)
           (i, cpu, mem)
       | None -> ())
     pods;

@@ -78,18 +78,15 @@ let test_packet_len () =
 
 let test_packet_rewrites () =
   let p = udp_pkt () in
-  let p' =
-    Packet.with_ports ~src_port:9 (Packet.with_addrs ~src:(Ipv4.of_string "1.2.3.4") p)
-  in
+  let p' = Packet.rewrite p ~src:(Some (Ipv4.of_string "1.2.3.4", 9)) ~dst:None in
+  Alcotest.(check bool) "a fresh packet" true (p' != p);
   Alcotest.(check (option (pair int int))) "ports" (Some (9, 2222)) (Packet.ports p');
   Alcotest.(check string) "src" "1.2.3.4" (Ipv4.to_string p'.Packet.src);
   Alcotest.(check string) "dst unchanged" "10.0.0.2" (Ipv4.to_string p'.Packet.dst)
 
 let test_ttl () =
   let rec burn p n =
-    match Packet.decrement_ttl p with
-    | None -> n
-    | Some p' -> burn p' (n + 1)
+    if Packet.ttl_expired p then n else burn (Packet.decrement_ttl p) (n + 1)
   in
   Alcotest.(check int) "default ttl allows 63 hops" 63 (burn (udp_pkt ()) 0)
 
@@ -111,7 +108,7 @@ let test_trace_shared_across_reframe () =
   mark f1 "a";
   (* NAT rewrite + new frame at the next hop.  The frame takes the
      packet's record, not the one offered to it. *)
-  let p2 = Packet.with_addrs ~dst:(Ipv4.of_string "9.9.9.9") p in
+  let p2 = Packet.rewrite p ~src:None ~dst:(Some (Ipv4.of_string "9.9.9.9", 0)) in
   let f2 =
     Frame.make ~prov:(P.create ()) ~src:(Mac.of_int 3) ~dst:(Mac.of_int 4)
       (Frame.Ipv4_body p2)
@@ -170,16 +167,16 @@ let test_route_lpm () =
   Route.add rt ~dst:(Ipv4.cidr_of_string "10.0.5.0/24") ~dev:d2 ();
   let via ip =
     match Route.lookup rt (Ipv4.of_string ip) with
-    | Some e -> e.Route.dev.Dev.name
-    | None -> "none"
+    | e -> e.Route.dev.Dev.name
+    | exception Not_found -> "none"
   in
   Alcotest.(check string) "longest prefix" "narrow" (via "10.0.5.9");
   Alcotest.(check string) "wider" "wide" (via "10.9.0.1");
   Alcotest.(check string) "default" "default" (via "8.8.8.8");
-  let e = Option.get (Route.lookup rt (Ipv4.of_string "8.8.8.8")) in
+  let e = Route.lookup rt (Ipv4.of_string "8.8.8.8") in
   Alcotest.(check string) "gateway next hop" "192.168.0.1"
     (Ipv4.to_string (Route.next_hop e (Ipv4.of_string "8.8.8.8")));
-  let e2 = Option.get (Route.lookup rt (Ipv4.of_string "10.0.5.9")) in
+  let e2 = Route.lookup rt (Ipv4.of_string "10.0.5.9") in
   Alcotest.(check string) "on-link next hop" "10.0.5.9"
     (Ipv4.to_string (Route.next_hop e2 (Ipv4.of_string "10.0.5.9")));
   Route.remove_dev rt d2;
@@ -189,8 +186,8 @@ let test_route_lpm () =
   Route.add rt ~dst:(Ipv4.cidr_of_string "8.0.0.0/6") ~dev:(dummy_dev "wider") ();
   Alcotest.(check string) "/8 beats a later /6" "wide" (via "10.0.5.9");
   Alcotest.(check string) "/6 beats the default" "wider" (via "9.1.1.1");
-  Alcotest.(check bool) "no match without a default" true
-    (Option.is_none (Route.lookup (Route.create ()) (Ipv4.of_string "8.8.8.8")))
+  Alcotest.check_raises "no match without a default" Not_found (fun () ->
+      ignore (Route.lookup (Route.create ()) (Ipv4.of_string "8.8.8.8")))
 
 let test_route_recency_ties () =
   let rt = Route.create () in
@@ -198,7 +195,7 @@ let test_route_recency_ties () =
   Route.add rt ~dst:(Ipv4.cidr_of_string "10.0.0.0/24") ~dev:d1 ();
   Route.add rt ~dst:(Ipv4.cidr_of_string "10.0.0.0/24") ~dev:d2 ();
   let via () =
-    (Option.get (Route.lookup rt (Ipv4.of_string "10.0.0.5"))).Route.dev.Dev.name
+    (Route.lookup rt (Ipv4.of_string "10.0.0.5")).Route.dev.Dev.name
   in
   Alcotest.(check string) "most recent equal-prefix wins" "new" (via ());
   Route.remove_dev rt d2;
@@ -220,13 +217,15 @@ let test_netfilter_order_and_mangle () =
           verdict p) }
   in
   Netfilter.append nf Netfilter.Input (mk "first" (fun p ->
-      Netfilter.Mangle (Packet.with_addrs ~src:(Ipv4.of_string "7.7.7.7") p)));
+      Netfilter.Mangle
+        (Packet.rewrite p ~src:(Some (Ipv4.of_string "7.7.7.7", 1111)) ~dst:None)));
   Netfilter.append nf Netfilter.Input (mk "second" (fun _ -> Netfilter.Accept));
-  (match Netfilter.run nf Netfilter.Input Netfilter.no_ctx (udp_pkt ()) with
-  | Some p ->
+  let pkt = udp_pkt () in
+  (match Netfilter.run nf Netfilter.Input ~in_dev:"" ~out_dev:"" pkt with
+  | Netfilter.Drop -> Alcotest.fail "dropped"
+  | v ->
     Alcotest.(check string) "mangled src visible downstream" "7.7.7.7"
-      (Ipv4.to_string p.Packet.src)
-  | None -> Alcotest.fail "dropped");
+      (Ipv4.to_string (Netfilter.passed pkt v).Packet.src));
   Alcotest.(check (list string)) "rule order" [ "first"; "second" ]
     (List.rev !order);
   Alcotest.(check int) "rule count" 2 (Netfilter.rule_count nf Netfilter.Input)
@@ -235,11 +234,12 @@ let test_netfilter_drop_and_remove () =
   let nf = Netfilter.create () in
   Nat.drop_from nf ~name:"deny" ~hook:Netfilter.Forward
     ~src_subnet:(Ipv4.cidr_of_string "10.0.0.0/8");
-  Alcotest.(check bool) "dropped" true
-    (Netfilter.run nf Netfilter.Forward Netfilter.no_ctx (udp_pkt ()) = None);
+  let run () =
+    Netfilter.run nf Netfilter.Forward ~in_dev:"" ~out_dev:"" (udp_pkt ())
+  in
+  Alcotest.(check bool) "dropped" true (run () = Netfilter.Drop);
   Netfilter.remove nf Netfilter.Forward "deny";
-  Alcotest.(check bool) "accepted after removal" true
-    (Netfilter.run nf Netfilter.Forward Netfilter.no_ctx (udp_pkt ()) <> None)
+  Alcotest.(check bool) "accepted after removal" true (run () = Netfilter.Accept)
 
 let test_conntrack_snat_reverse =
   QCheck.Test.make ~name:"snat then reply-translate restores the original flow"
@@ -261,9 +261,9 @@ let test_conntrack_snat_reverse =
         Packet.make ~src:out.Packet.dst ~dst:out.Packet.src
           (Packet.Udp { src_port = out_dp; dst_port = out_sp; payload = Payload.raw 10 })
       in
-      let back, translated = Conntrack.translate ct reply in
+      let back = Conntrack.translate ct reply in
       let back_sp, back_dp = Option.get (Packet.ports back) in
-      translated
+      back != reply
       && Ipv4.equal back.Packet.dst pkt.Packet.src
       && back_dp = sp && back_sp = dp)
 
@@ -288,8 +288,8 @@ let test_conntrack_dnat () =
     Packet.make ~src:(Ipv4.of_string "172.17.0.5") ~dst:p.Packet.src
       (Packet.Udp { src_port = 80; dst_port = 1111; payload = Payload.raw 10 })
   in
-  let back, translated = Conntrack.translate ct reply in
-  Alcotest.(check bool) "reply translated" true translated;
+  let back = Conntrack.translate ct reply in
+  Alcotest.(check bool) "reply translated" true (back != reply);
   Alcotest.(check string) "source restored to published address" "10.0.0.2"
     (Ipv4.to_string back.Packet.src)
 
@@ -358,19 +358,19 @@ let test_conntrack_proto_distinct () =
     Packet.make ~src:dst ~dst:nat_ip
       (Packet.Udp { src_port = 53; dst_port = to_port; payload = Payload.raw 10 })
   in
-  let back, hit =
-    Conntrack.translate ct (udp_reply ~to_port:(nat_port udp_out))
-  in
-  Alcotest.(check bool) "udp reply translated" true hit;
+  let reply = udp_reply ~to_port:(nat_port udp_out) in
+  let back = Conntrack.translate ct reply in
+  Alcotest.(check bool) "udp reply translated" true (back != reply);
   Alcotest.(check (option (pair int int)))
     "udp reply restored" (Some (53, sport)) (Packet.ports back);
   let tcp_reply = tcp_pkt ~src:dst ~dst:nat_ip ~sport:53 ~dport:(nat_port tcp_out) in
-  let back, hit = Conntrack.translate ct tcp_reply in
-  Alcotest.(check bool) "tcp reply translated" true hit;
+  let back = Conntrack.translate ct tcp_reply in
+  Alcotest.(check bool) "tcp reply translated" true (back != tcp_reply);
   Alcotest.(check string) "tcp reply to the original source" "172.17.0.2"
     (Ipv4.to_string back.Packet.dst);
-  let _, hit = Conntrack.translate ct (udp_reply ~to_port:(nat_port tcp_out)) in
-  Alcotest.(check bool) "udp reply on the tcp binding's port misses" false hit
+  let stray = udp_reply ~to_port:(nat_port tcp_out) in
+  Alcotest.(check bool) "udp reply on the tcp binding's port misses" true
+    (Conntrack.translate ct stray == stray)
 
 (* ICMP has no ports: SNAT keeps the echo identifier, so the reply is
    matched by it and delivered back to the original source. *)
@@ -390,8 +390,9 @@ let test_conntrack_icmp_id_survives_snat () =
   Alcotest.(check string) "source rewritten" "10.0.0.1"
     (Ipv4.to_string out.Packet.src);
   Alcotest.(check int) "echo id kept" 77 (id_of out);
-  let back, hit = Conntrack.translate ct (echo true ~src:dst ~dst:nat_ip) in
-  Alcotest.(check bool) "reply translated" true hit;
+  let reply = echo true ~src:dst ~dst:nat_ip in
+  let back = Conntrack.translate ct reply in
+  Alcotest.(check bool) "reply translated" true (back != reply);
   Alcotest.(check string) "reply to the original source" "172.17.0.2"
     (Ipv4.to_string back.Packet.dst);
   Alcotest.(check int) "reply id kept" 77 (id_of back)

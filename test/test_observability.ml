@@ -102,6 +102,28 @@ let test_engine_spans_and_profile () =
       Alcotest.(check (float 1e-9)) "injected clock" 0.5 wall)
     prof
 
+(* The ledger charges each event's body and nothing else: a labeled
+   event allocating one 10-word block reads exactly 10 words, the
+   unlabeled events that allocate nothing read 0, and a tracer adds
+   nothing to either once the label's trace name is interned (by a
+   first event, before profiling starts). *)
+let test_engine_alloc_ledger () =
+  let e = Engine.create () in
+  Engine.set_tracer e (Some (Trace.create ~capacity:64 ()));
+  let lbl = Engine.label e "boxes" in
+  Engine.schedule_labeled e lbl ~at:0 ignore;
+  Engine.run e;
+  Engine.enable_profiling e;
+  for i = 1 to 100 do
+    Engine.schedule_labeled e lbl ~at:i (fun () ->
+        ignore (Sys.opaque_identity (Array.make 9 0)));
+    Engine.schedule e ~delay:i ignore
+  done;
+  Engine.run e;
+  Alcotest.(check (list (triple string int (float 0.0))))
+    "rows" [ ("boxes", 100, 1000.0); ("<unlabeled>", 100, 0.0) ]
+    (Engine.alloc_profile e)
+
 (* --- Metrics registry --- *)
 
 let test_metrics_roundtrip () =
@@ -172,7 +194,7 @@ let test_metrics_json () =
 let[@inline never] push_tracked h w i =
   let v = Bytes.make 32 'x' in
   Weak.set w i (Some v);
-  Heap.push h ~prio:(i + 1) v
+  Heap.push h ~tag:0 ~prio:(i + 1) v
 
 let[@inline never] drain h = while Heap.pop h <> None do () done
 
@@ -188,7 +210,7 @@ let test_heap_pop_releases () =
   Alcotest.(check bool) "slot 0 released after pop" true (weak_cleared w 0);
   Alcotest.(check bool) "slot 1 released after pop" true (weak_cleared w 1);
   (* The heap stays usable afterwards. *)
-  Heap.push h ~prio:1 (Bytes.make 1 'y');
+  Heap.push h ~tag:0 ~prio:1 (Bytes.make 1 'y');
   Alcotest.(check int) "reusable" 1 (Heap.size h)
 
 let test_heap_clear_releases () =
@@ -414,7 +436,9 @@ let () =
             test_trace_capacity_ceiling;
           Alcotest.test_case "by-name" `Quick test_trace_by_name;
           Alcotest.test_case "engine spans + profile" `Quick
-            test_engine_spans_and_profile ] );
+            test_engine_spans_and_profile;
+          Alcotest.test_case "allocation ledger" `Quick
+            test_engine_alloc_ledger ] );
       ( "metrics",
         [ Alcotest.test_case "roundtrip + reset" `Quick test_metrics_roundtrip;
           Alcotest.test_case "json" `Quick test_metrics_json ] );

@@ -165,7 +165,7 @@ let test_prov_disabled_is_free () =
   let exec = Exec.create e ~name:"ctx" in
   let hop = Hop.make exec ~name:"h" ~fixed_ns:100 in
   let service () = Hop.service hop ~bytes:64 knop in
-  let service_prov () = Hop.service_prov hop ~bytes:64 knop in
+  let service_prov () = Hop.service_prov hop ~extra_ns:0 ~bytes:64 knop in
   (* Warm both paths (first calls may allocate caches), then measure. *)
   service ();
   service_prov ();
