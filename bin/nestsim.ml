@@ -43,27 +43,37 @@ let check_trace_capacity v =
     exit 1
   end
 
+(* Every id is resolved before any experiment runs, so a typo late in
+   the list costs no output and still exits 1. *)
+let experiments ids =
+  List.map
+    (fun id ->
+      match Nest_experiments.Registry.find id with
+      | Some e -> e
+      | None ->
+        Printf.eprintf "nestsim: unknown experiment %S; try `nestsim list'\n"
+          id;
+        exit 1)
+    ids
+
+let run_experiments ~quick =
+  List.iter (fun e -> e.Nest_experiments.Registry.run ~quick)
+
 let run_cmd ids quick jobs trace metrics obs_json trace_capacity =
   check_trace_capacity trace_capacity;
   at_least 1 "jobs" jobs;
+  let chosen =
+    match ids with
+    | [ "all" ] | [] -> None
+    | [ "ablations" ] -> Some Nest_experiments.Registry.ablations
+    | ids -> Some (experiments ids)
+  in
   Nest_experiments.Exp_util.Obs.configure ~trace ~metrics ~json:obs_json
     ~trace_capacity ();
   Nest_experiments.Exp_util.Par.set_jobs jobs;
-  (match ids with
-  | [ "all" ] | [] -> Nest_experiments.Registry.run_all ~jobs ~quick ()
-  | [ "ablations" ] ->
-    List.iter
-      (fun e -> e.Nest_experiments.Registry.run ~quick)
-      Nest_experiments.Registry.ablations
-  | ids ->
-    List.iter
-      (fun id ->
-        match Nest_experiments.Registry.find id with
-        | Some e -> e.Nest_experiments.Registry.run ~quick
-        | None ->
-          Printf.eprintf "unknown experiment %S; try `nestsim list'\n" id;
-          exit 1)
-      ids);
+  (match chosen with
+  | None -> Nest_experiments.Registry.run_all ~jobs ~quick ()
+  | Some es -> run_experiments ~quick es);
   Nest_experiments.Exp_util.Obs.dump ()
 
 (* Observability-first run: full collection on, any registered experiment
@@ -73,6 +83,7 @@ let obs_cmd ids quick out trace_capacity timeline_period_us prov_sample slo =
   check_trace_capacity trace_capacity;
   at_least 1 "timeline-period" timeline_period_us;
   at_least 1 "prov-sample" prov_sample;
+  let chosen = experiments ids in
   (* The trace is written only after every experiment has run, so find
      out now whether --out can be opened. *)
   or_exit (fun () ->
@@ -80,14 +91,7 @@ let obs_cmd ids quick out trace_capacity timeline_period_us prov_sample slo =
   Nest_experiments.Exp_util.Obs.configure ~trace:true ~metrics:true
     ~provenance:true ~prov_sample ~timeline:true ~trace_capacity
     ~timeline_period:(Nest_sim.Time.us timeline_period_us) ();
-  List.iter
-    (fun id ->
-      match Nest_experiments.Registry.find id with
-      | Some e -> e.Nest_experiments.Registry.run ~quick
-      | None ->
-        Printf.eprintf "unknown experiment %S; try `nestsim list'\n" id;
-        exit 1)
-    ids;
+  run_experiments ~quick chosen;
   (* Timed per-mode probes: each deploys its own testbed (attached above
      through the sync helpers), so their spans land in the export too.
      The probes decompose one datagram exactly, so they are never
@@ -579,7 +583,9 @@ let trace_term =
           | `Stats -> (
             match file with
             | Some f -> or_exit (fun () -> trace_stats f)
-            | None -> prerr_endline "trace stats: FILE required"; Stdlib.exit 1))
+            | None ->
+              prerr_endline "nestsim: trace stats: FILE required";
+              Stdlib.exit 1))
       $ action $ users $ seed $ out $ file)
 
 let main =

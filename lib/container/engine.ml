@@ -183,7 +183,6 @@ let containers t = t.d_containers
 let name c = c.c_name
 let entity c = c.c_entity
 let netns c = c.c_netns
-let app_exec c = c.c_app_exec
 let state c = c.c_state
 let cpu_req c = c.c_cpu_req
 let mem_req c = c.c_mem_req

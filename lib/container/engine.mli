@@ -24,9 +24,6 @@ val ensure_bridge : t -> Bridge.t
 (** Creates docker0 (in-guest bridge + gateway address + masquerade via
     the VM's primary address) on first call. *)
 
-val primary_vm_ip : t -> Ipv4.t
-(** The VM's eth0 address (NAT target for published ports). *)
-
 val nat_net_setup :
   t -> netns:Stack.ns -> publish:(int * int) list -> (unit -> unit) -> unit
 (** Default container networking: veth into docker0, address from the
@@ -60,7 +57,6 @@ val containers : t -> container list
 val name : container -> string
 val entity : container -> string
 val netns : container -> Stack.ns
-val app_exec : container -> Nest_sim.Exec.t
 val state : container -> [ `Creating | `Running | `Stopped ]
 val cpu_req : container -> float
 val mem_req : container -> float

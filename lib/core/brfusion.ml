@@ -11,7 +11,6 @@ type config = {
   ipam : Ipam.t;
   garp : bool;
   mutable assignments : (Stack.ns * Ipv4.t) list;
-  mutable hotplugs : int;
 }
 
 let host_bridge config = config.bridge_name
@@ -34,7 +33,7 @@ let make_config ?(garp = false) vmm ~host_bridge =
     in
     { vmm; bridge_name = host_bridge; garp;
       ipam = Ipam.create ~reserved:(gw :: vm_addrs) subnet;
-      assignments = []; hotplugs = 0 }
+      assignments = [] }
 
 let plugin config =
   let add ~pod_name ~node ~publish:_ ~k =
@@ -45,7 +44,6 @@ let plugin config =
       | None -> failwith "Brfusion: bridge disappeared"
     in
     let netns = Nest_virt.Vm.new_netns vm ~name:pod_name () in
-    config.hotplugs <- config.hotplugs + 1;
     let kubelet = Nest_orch.Kubelet.of_node node in
     (* Steps 1-3: ask the VMM for a NIC on the host bridge; it answers
        with the new device's MAC.  A refused/timed-out round-trip is
@@ -122,5 +120,4 @@ let pod_ip config ns =
     (fun (n, ip) -> if n == ns then Some ip else None)
     config.assignments
 
-let hotplug_count config = config.hotplugs
 let live_assignments config = List.length config.assignments

@@ -55,9 +55,6 @@ val release_vm : config -> vm:Nest_virt.Vm.t -> int
     crash hook — replacement pods allocate fresh leases, so a dead VM's
     leases would otherwise leak forever. *)
 
-val hotplug_count : config -> int
-(** NICs provisioned so far (diagnostics). *)
-
 val live_assignments : config -> int
 (** Pod addresses currently assigned.  The no-leak invariant chaos cells
     assert is [Ipam.in_use (pod_ipam c) = live_assignments c] once the

@@ -41,9 +41,6 @@ val preprovision : config -> node:Nest_orch.Node.t -> pod_name:string -> unit
     crash voids the banked endpoints (they died with the QEMU process;
     stale entries are recognised by incarnation handle and dropped). *)
 
-val standby_ready : config -> vm_name:string -> pod_name:string -> int
-(** Endpoints currently banked for (vm, pod) (diagnostics/tests). *)
-
 val plugin : config -> Nest_orch.Cni.t
 (** CNI plugin named "hostlo".  [add] treats each call for the same pod
     name as one more fraction: the first creates the loopback tap, later

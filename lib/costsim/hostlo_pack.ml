@@ -198,6 +198,7 @@ let try_downsize (v : Kube_pack.vm) =
     Some { v with Kube_pack.vm_model = model }
   | Some _ | None -> None
 
+(* Mutates the plan in place; terminates when no action reduces cost. *)
 let improve (plan : Kube_pack.plan) =
   let removed = ref 0 and downsized = ref 0 and moved = ref 0 in
   let progress = ref true in
@@ -275,13 +276,6 @@ let improve (plan : Kube_pack.plan) =
   ignore fits;
   { vms_removed = !removed; vms_downsized = !downsized;
     containers_moved = !moved }
-
-let pack_and_improve user =
-  let plan = Kube_pack.pack_user user in
-  Kube_pack.check_invariants plan;
-  let stats = improve plan in
-  Kube_pack.check_invariants plan;
-  (plan, stats)
 
 let improve_copy base =
   let plan = Kube_pack.copy_plan base in

@@ -16,11 +16,5 @@ type stats = {
   containers_moved : int;
 }
 
-val improve : Kube_pack.plan -> stats
-(** Mutates the plan in place; terminates when no action reduces cost. *)
-
-val pack_and_improve : Nest_traces.Trace.user -> Kube_pack.plan * stats
-(** Baseline pack followed by the Hostlo pass, invariants checked. *)
-
 val improve_copy : Kube_pack.plan -> Kube_pack.plan * stats
 (** Improves a deep copy, leaving the baseline plan untouched. *)

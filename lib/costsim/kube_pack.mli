@@ -22,7 +22,6 @@ type plan = {
 
 val vm_free_cpu : vm -> float
 val vm_free_mem : vm -> float
-val vm_requested_fraction : vm -> float
 
 type policy = Most_requested | Least_requested | First_fit
 

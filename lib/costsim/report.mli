@@ -31,10 +31,6 @@ type summary = {
   total_split_pods : int;
 }
 
-val default_ep_mem : float
-(** 4 MiB per pooled endpoint, in the trace's relative memory units
-    (fractions of the 24xlarge's 384 GB). *)
-
 val evaluate_user :
   ?standby_depth:int -> ?standby_ep_mem:float -> Nest_traces.Trace.user ->
   outcome

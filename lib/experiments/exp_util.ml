@@ -203,7 +203,6 @@ end
 module Par = struct
   let jobs = ref 1
   let set_jobs n = jobs := max 1 n
-  let get_jobs () = !jobs
 
   (* Observability attachments are dumped in attachment order, and that
      order is what run scripts diff against — so an observed batch runs

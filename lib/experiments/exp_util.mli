@@ -50,8 +50,6 @@ module Obs : sig
   (** True when any collection (trace, metrics, provenance, timeline)
       is on. *)
 
-  val provenance_on : unit -> bool
-
   val prov_sample : unit -> int
   (** Current provenance sampling period as set through [configure]. *)
 
@@ -84,10 +82,8 @@ module Par : sig
   val set_jobs : int -> unit
   (** Clamps to ≥ 1.  Default 1 (fully sequential). *)
 
-  val get_jobs : unit -> int
-
   val map : ('a -> 'b) -> 'a list -> 'b list
-  (** [List.map] over up to [get_jobs ()] domains (order-preserving; see
+  (** [List.map] over up to {!set_jobs} domains (order-preserving; see
       {!Nest_sim.Domain_pool.map}).  Falls back to sequential while
       {!Obs.enabled} — observability dumps are ordered by attachment,
       which scripted runs diff against. *)
@@ -101,16 +97,6 @@ val deploy_single_sync :
 val deploy_pair_sync :
   ?seed:int64 -> mode:Modes.pair -> port:int -> unit ->
   Testbed.t * Deploy.pair_site
-
-val provenance_probe_single :
-  ?seed:int64 -> mode:Modes.single -> unit -> Nest_sim.Provenance.entry list
-(** Deploys [mode] on a fresh testbed and sends one timed UDP datagram
-    from the host client to the server site (after an ARP-warming
-    datagram), returning the per-hop latency attribution of the measured
-    one.  Raises [Failure] if the probe is never delivered. *)
-
-val provenance_probe_pair :
-  ?seed:int64 -> mode:Modes.pair -> unit -> Nest_sim.Provenance.entry list
 
 val provenance_probes :
   unit -> (string * Nest_sim.Provenance.entry list) list

@@ -12,9 +12,6 @@ val sweep_single :
 (** One fresh testbed per mode, throughput and UDP_RR latency per
     message size. *)
 
-val sweep_pair :
-  quick:bool -> mode:Nestfusion.Modes.pair -> sizes:int list -> point list
-
 val fig2 : quick:bool -> unit
 (** NAT vs NoCont at 1280 B — the motivation excerpt. *)
 

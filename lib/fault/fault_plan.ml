@@ -71,14 +71,6 @@ let event_at = function
   | Conntrack_clamp { at; _ }
   | Corrupt_burst { at; _ } -> at
 
-let event_name = function
-  | Vm_crash _ -> "vm_crash"
-  | Link_down _ -> "link_down"
-  | Link_flap _ -> "link_flap"
-  | Tap_exhaust _ -> "tap_exhaust"
-  | Conntrack_clamp _ -> "conntrack_clamp"
-  | Corrupt_burst _ -> "corrupt_burst"
-
 let pp_event fmt e =
   match e with
   | Vm_crash { at; vm; restart_after } ->

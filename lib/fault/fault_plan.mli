@@ -70,6 +70,5 @@ val make : ?seed:int64 -> ?qmp:qmp_rule -> ?events:event list -> unit -> t
 val is_empty : t -> bool
 
 val event_at : event -> Time.ns
-val event_name : event -> string
 val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit

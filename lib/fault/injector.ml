@@ -40,11 +40,6 @@ let note t ~kind msg =
   Metrics.bump (Metrics.counter (Engine.metrics engine) ("fault." ^ kind)) ();
   Engine.trace_instant engine ~cat:"fault" ~name:kind ~arg:msg ()
 
-let pp_timeline fmt t =
-  List.iter
-    (fun (at, msg) -> Format.fprintf fmt "  %a %s@." Time.pp at msg)
-    (timeline t)
-
 (* Root-namespace NICs of a VM, loopback excluded: the fault models cable
    pulls and virtio carrier loss, which never touch lo. *)
 let vm_nics vm =

@@ -28,5 +28,3 @@ val timeline : t -> (Nest_sim.Time.ns * string) list
 (** Every fault that fired (and every skip), in virtual-time order.  Each
     entry is also recorded as a ["fault.<kind>"] metrics bump and a
     [cat:"fault"] trace instant. *)
-
-val pp_timeline : Format.formatter -> t -> unit

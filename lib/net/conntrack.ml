@@ -36,8 +36,7 @@ type rewrite = {
   new_dst : (Ipv4.t * int) option;
 }
 
-(* [hash] is the generic structural hash, so buckets (and therefore
-   [bindings]' order) match a generic table; [equal] is monomorphic, all
+(* [hash] is the generic structural hash; [equal] is monomorphic, all
    five fields, proto included. *)
 module Flow_tbl = Hashtbl.Make (struct
   type t = flow
@@ -131,18 +130,3 @@ let dnat t p ~to_ip ~to_port =
     apply fwd p
 
 let entry_count t = Flow_tbl.length t.table
-
-let bindings t =
-  Flow_tbl.fold
-    (fun f rw acc ->
-      let to_flow =
-        let src, sport =
-          match rw.new_src with Some (ip, p) -> (ip, p) | None -> (f.f_src, f.f_sport)
-        in
-        let dst, dport =
-          match rw.new_dst with Some (ip, p) -> (ip, p) | None -> (f.f_dst, f.f_dport)
-        in
-        { f with f_src = src; f_sport = sport; f_dst = dst; f_dport = dport }
-      in
-      (f, to_flow) :: acc)
-    t.table []

@@ -56,6 +56,3 @@ val admit : t -> Packet.t -> bool
 
 val drops : t -> int
 (** Packets refused by {!admit} because the table was full. *)
-
-val bindings : t -> (flow * flow) list
-(** [(matched flow, rewritten-to flow)] pairs, unordered. *)

@@ -62,5 +62,3 @@ let host c i =
   let size = 1 lsl (32 - c.prefix) in
   if i < 0 || i >= size then invalid_arg "Ipv4.host: out of range";
   of_int (c.base + i)
-
-let pp_cidr fmt c = Format.pp_print_string fmt (cidr_to_string c)

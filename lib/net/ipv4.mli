@@ -40,5 +40,3 @@ val host : cidr -> int -> t
 val host_count : cidr -> int
 (** Number of usable host addresses (excludes network and broadcast for
     prefixes < 31). *)
-
-val pp_cidr : Format.formatter -> cidr -> unit

@@ -76,10 +76,6 @@ let profiles =
 let profile name = List.find_opt (fun p -> String.equal p.p_name name) profiles
 let profile_names () = List.map (fun p -> p.p_name) profiles
 
-let shape_profile engine dev p ~rng =
-  shape engine dev ~loss:p.p_loss ~delay_ns:p.p_delay ~jitter_ns:p.p_jitter
-    ?limit:p.p_limit ~rng ()
-
 let passed t = t.passed
 let dropped_loss t = t.dropped_loss
 let dropped_overflow t = t.dropped_overflow

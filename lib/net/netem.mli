@@ -53,7 +53,3 @@ val profiles : profile list
 
 val profile : string -> profile option
 val profile_names : unit -> string list
-
-val shape_profile :
-  Nest_sim.Engine.t -> Dev.t -> profile -> rng:Nest_sim.Prng.t -> t
-(** {!shape} with the profile's parameters. *)

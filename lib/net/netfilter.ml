@@ -17,7 +17,6 @@ type rule = {
 type t = {
   chains : rule list array;
   mutable total : int;
-  mutable hits : int;
 }
 
 let hook_index = function
@@ -27,7 +26,7 @@ let hook_index = function
   | Output -> 3
   | Postrouting -> 4
 
-let create () = { chains = Array.make 5 []; total = 0; hits = 0 }
+let create () = { chains = Array.make 5 []; total = 0 }
 
 let append t hook rule =
   let i = hook_index hook in
@@ -46,16 +45,15 @@ let remove t hook name =
 (* Top-level so a traversal allocates no closure: it runs at every hook
    of every packet.  [v] is the verdict so far: [Accept], or the last
    rule's [Mangle] carrying the packet the next rules see. *)
-let rec traverse t ctx pkt v = function
+let rec traverse ctx pkt v = function
   | [] -> v
   | r :: rest ->
-    t.hits <- t.hits + 1;
     if r.matches ctx pkt then
       match r.action ctx pkt with
-      | Accept -> traverse t ctx pkt v rest
+      | Accept -> traverse ctx pkt v rest
       | Drop -> Drop
-      | Mangle pkt' as m -> traverse t ctx pkt' m rest
-    else traverse t ctx pkt v rest
+      | Mangle pkt' as m -> traverse ctx pkt' m rest
+    else traverse ctx pkt v rest
 
 let dev_opt = function "" -> None | d -> Some d
 
@@ -66,12 +64,9 @@ let run t hook ~in_dev ~out_dev pkt =
   | [] -> Accept
   | rules ->
     let ctx = { in_dev = dev_opt in_dev; out_dev = dev_opt out_dev } in
-    traverse t ctx pkt Accept rules
+    traverse ctx pkt Accept rules
 
 let passed pkt = function Mangle p -> p | Accept | Drop -> pkt
 
 let rule_count t hook = List.length t.chains.(hook_index hook)
 let total_rules t = t.total
-let rule_names t hook =
-  List.map (fun r -> r.rule_name) t.chains.(hook_index hook)
-let hits t = t.hits

@@ -49,7 +49,3 @@ val rule_count : t -> hook -> int
 val total_rules : t -> int
 (** Sum of {!rule_count} over the five hooks, in O(1): kept up to date
     by {!append} and {!remove}. *)
-
-val rule_names : t -> hook -> string list
-val hits : t -> int
-(** Total rule evaluations (diagnostics; a proxy for hook work). *)

@@ -42,5 +42,4 @@ val ttl_expired : t -> bool
 val decrement_ttl : t -> t
 (** The packet one forwarding hop later; test {!ttl_expired} first. *)
 
-val proto_name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -386,17 +386,15 @@ let emit ns ~(dev : Dev.t) ~next_hop pkt =
       arp_resolve ns dev next_hop (fun mac ->
           send_ip_frame dev ~dst_mac:mac pkt)
 
-(* A conntrack binding skips the NAT rules (Linux semantics). *)
+(* POSTROUTING only: the packet met conntrack where it entered the
+   namespace ([ip_input] or [ip_output]). *)
 let transmit_via ns ~(dev : Dev.t) ~next_hop pkt =
-  let nat = Conntrack.translate ns.ct_tbl pkt in
-  if nat != pkt then emit ns ~dev ~next_hop nat
-  else
-    match
-      Netfilter.run ns.nf_tbl Netfilter.Postrouting ~in_dev:""
-        ~out_dev:dev.Dev.name pkt
-    with
-    | Netfilter.Drop -> note_drop ns `Filtered
-    | v -> emit ns ~dev ~next_hop (Netfilter.passed pkt v)
+  match
+    Netfilter.run ns.nf_tbl Netfilter.Postrouting ~in_dev:""
+      ~out_dev:dev.Dev.name pkt
+  with
+  | Netfilter.Drop -> note_drop ns `Filtered
+  | v -> emit ns ~dev ~next_hop (Netfilter.passed pkt v)
 
 let deliver_locally ns pkt =
   Hop.service_prov ?prov:(Packet.prov pkt) ns.cs.local ~extra_ns:0
@@ -406,7 +404,10 @@ let deliver_locally ns pkt =
       | None -> ());
       !ip_local_input_ref ns pkt)
 
+(* A local packet meets conntrack once, before OUTPUT, so a bound flow
+   is filtered and routed by its translated addresses (Linux semantics). *)
 let ip_output ns pkt =
+  let pkt = Conntrack.translate ns.ct_tbl pkt in
   match Netfilter.run ns.nf_tbl Netfilter.Output ~in_dev:"" ~out_dev:"" pkt with
   | Netfilter.Drop -> note_drop ns `Filtered
   | v -> (
@@ -1016,7 +1017,6 @@ module Udp = struct
     Int_tbl.remove s.u_ns.udp_binds s.u_port
 
   let port s = s.u_port
-  let ns_of s = s.u_ns
 end
 
 module Tcp = struct
@@ -1082,14 +1082,11 @@ module Tcp = struct
            ~seq:c.snd_nxt ~len:0 ~msgs:[])
     | Fin_wait | Last_ack -> ()
 
-  let sendq_bytes c = c.send_off - c.snd_una
   let sndbuf_limit c = c.c_sndbuf
   let is_established c = c.c_state = Established
   let is_closed c = c.c_state = Closed
   let local_endpoint c = (c.c_local_ip, c.c_local_port)
   let remote_endpoint c = (c.c_remote_ip, c.c_remote_port)
-  let ns_of c = c.c_ns
-  let bytes_received c = c.delivered_off
   let bytes_acked c = c.snd_una
   let retransmits c = c.c_retransmits
 end

@@ -74,7 +74,6 @@ val add_addr : ns -> Dev.t -> Ipv4.t -> Ipv4.cidr -> unit
 (** Assigns an address and installs the connected (on-link) route. *)
 
 val addrs : ns -> (Dev.t * Ipv4.t * Ipv4.cidr) list
-val addr_of_dev : ns -> Dev.t -> Ipv4.t option
 val is_local_addr : ns -> Ipv4.t -> bool
 
 val set_ip_forward : ns -> bool -> unit
@@ -128,7 +127,6 @@ module Udp : sig
 
   val close : sock -> unit
   val port : sock -> int
-  val ns_of : sock -> ns
 end
 
 (** Stream sockets. *)
@@ -158,16 +156,11 @@ module Tcp : sig
   val set_on_close : conn -> (unit -> unit) -> unit
   val close : conn -> unit
 
-  val sendq_bytes : conn -> int
-  (** Bytes accepted from the application and not yet acknowledged. *)
-
   val sndbuf_limit : conn -> int
   val is_established : conn -> bool
   val is_closed : conn -> bool
   val local_endpoint : conn -> Ipv4.t * int
   val remote_endpoint : conn -> Ipv4.t * int
-  val ns_of : conn -> ns
-  val bytes_received : conn -> int
   val bytes_acked : conn -> int
   val retransmits : conn -> int
 end

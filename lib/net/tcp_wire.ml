@@ -2,11 +2,6 @@ type flags = { syn : bool; ack : bool; fin : bool; rst : bool }
 
 let flags_none = { syn = false; ack = false; fin = false; rst = false }
 
-let pp_flags fmt f =
-  let tag b s = if b then s else "" in
-  Format.fprintf fmt "%s%s%s%s"
-    (tag f.syn "S") (tag f.ack "A") (tag f.fin "F") (tag f.rst "R")
-
 type t = {
   src_port : int;
   dst_port : int;

@@ -11,7 +11,6 @@
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool }
 
 val flags_none : flags
-val pp_flags : Format.formatter -> flags -> unit
 
 type t = {
   src_port : int;

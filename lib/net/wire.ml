@@ -19,20 +19,17 @@ type impair = {
   im_jitter : Nest_sim.Time.ns;
   im_rng : Nest_sim.Prng.t;
   mutable im_down : bool;
-  mutable im_dropped : int;
 }
 
 let impair ?(loss = 0.0) ?(jitter = 0) ~rng () =
   if loss < 0.0 || loss > 1.0 then invalid_arg "Wire.impair: loss in [0,1]";
   if jitter < 0 then invalid_arg "Wire.impair: jitter >= 0";
-  { im_loss = loss; im_jitter = jitter; im_rng = rng; im_down = false;
-    im_dropped = 0 }
+  { im_loss = loss; im_jitter = jitter; im_rng = rng; im_down = false }
 
 let impair_of_profile (p : Netem.profile) ~rng =
   impair ~loss:p.Netem.p_loss ~jitter:p.Netem.p_jitter ~rng ()
 
 let set_down im down = im.im_down <- down
-let impair_dropped im = im.im_dropped
 
 (* Decide one datagram's fate in the sending gateway's event: [None] to
    drop, [Some extra] to deliver with that much jitter on top of the
@@ -40,15 +37,9 @@ let impair_dropped im = im.im_dropped
 let impair_verdict = function
   | None -> Some 0
   | Some im ->
-    if im.im_down then begin
-      im.im_dropped <- im.im_dropped + 1;
-      None
-    end
+    if im.im_down then None
     else if im.im_loss > 0.0 && Nest_sim.Prng.float im.im_rng < im.im_loss
-    then begin
-      im.im_dropped <- im.im_dropped + 1;
-      None
-    end
+    then None
     else
       Some
         (if im.im_jitter > 0 then Nest_sim.Prng.int im.im_rng (im.im_jitter + 1)

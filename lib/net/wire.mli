@@ -44,9 +44,6 @@ val set_down : impair -> bool -> unit
     direction is dropped.  Call only from events on the direction's
     source shard. *)
 
-val impair_dropped : impair -> int
-(** Datagrams dropped by loss or down state in this direction. *)
-
 val udp_relay :
   Nest_sim.Sharded.t ->
   client_side:int * Stack.ns ->

@@ -41,9 +41,6 @@ let schedule p =
       let attempt = i + 1 in
       (attempt, delay_ns p ~attempt))
 
-let total_delay_ns p =
-  List.fold_left (fun acc (_, d) -> acc + d) 0 (schedule p)
-
 (* Run [op] until it succeeds or the policy is exhausted.  [op] receives
    the 1-based attempt number and must call its continuation exactly
    once; [on_retry] (diagnostics, metrics) fires before each re-issue. *)

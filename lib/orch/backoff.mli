@@ -24,10 +24,6 @@ val schedule : policy -> (int * Nest_sim.Time.ns) list
     to the caller, not slept on).  Lets chaos reporting quantify
     retry-storm intensity without re-deriving the policy arithmetic. *)
 
-val total_delay_ns : policy -> Nest_sim.Time.ns
-(** Sum of {!schedule} delays: the wall time a caller sinks into waiting
-    when the policy runs to exhaustion. *)
-
 val retry :
   Nest_sim.Engine.t ->
   policy ->

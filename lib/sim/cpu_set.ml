@@ -23,7 +23,5 @@ let free_at t core = t.busy.(core)
 
 let commit t core ~finish = t.busy.(core) <- finish
 
-let busy_until_min t = Array.fold_left min t.busy.(0) t.busy
-
 let busy_cores t ~now =
   Array.fold_left (fun acc v -> if v > now then acc + 1 else acc) 0 t.busy

@@ -31,5 +31,4 @@ val free_at : t -> int -> Time.ns
 val commit : t -> int -> finish:Time.ns -> unit
 (** Marks the booked core busy until [finish]. *)
 
-val busy_until_min : t -> Time.ns
 val busy_cores : t -> now:Time.ns -> int

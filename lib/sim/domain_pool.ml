@@ -38,5 +38,3 @@ let map ~jobs f xs =
            | None -> assert false)
          out)
   end
-
-let recommended_jobs () = Domain.recommended_domain_count ()

@@ -1,11 +1,11 @@
 (** Fixed-size domain pool for embarrassingly parallel fan-out.
 
-    The simulator itself is strictly single-threaded — an {!Engine} and
-    everything scheduled on it must stay on one domain.  What {e is}
-    parallel is the experiment harness: independent cells (one testbed +
-    workload each) share no mutable state and can run on separate
-    domains.  This module is the only place the repository spawns
-    domains. *)
+    An {!Engine} and everything scheduled on it must stay on one domain.
+    What this module parallelizes is the experiment harness: independent
+    cells (one testbed + workload each) share no mutable state and can
+    run on separate domains.  The only other place the repository spawns
+    domains is {!Sharded.run}, whose shard engines each stay on the
+    domain that runs them. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed by up to [jobs] domains
@@ -18,6 +18,3 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     [f] must not touch domain-unsafe shared state; engines, testbeds and
     workloads created {e inside} [f] are safe because each cell owns its
     world. *)
-
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]: a sensible [~jobs] default. *)

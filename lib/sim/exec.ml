@@ -68,11 +68,5 @@ let engine t = t.engine
 let busy_until t = t.slots.(min_slot t)
 let busy_ns t = t.busy_ns
 
-let backlog t =
-  let now = Engine.now t.engine in
-  Array.fold_left (fun acc v -> Int.max acc (v - now)) 0 t.slots
-
-let reset_busy t = t.busy_ns <- 0
-
 let utilization t ~window =
   if window <= 0 then 0.0 else float_of_int t.busy_ns /. float_of_int window

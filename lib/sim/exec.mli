@@ -52,12 +52,7 @@ val busy_until : t -> Time.ns
 (** Earliest date a slot of this context frees up. *)
 
 val busy_ns : t -> Time.ns
-(** Total service time accumulated since creation (or {!reset_busy}). *)
+(** Total service time accumulated since creation. *)
 
-val backlog : t -> Time.ns
-(** Committed-but-not-elapsed service on the most loaded slot (0 when
-    idle).  A persistently growing backlog means saturation. *)
-
-val reset_busy : t -> unit
 val utilization : t -> window:Time.ns -> float
 (** [busy_ns / window] — may exceed 1.0 for widths > 1. *)

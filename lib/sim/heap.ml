@@ -1,5 +1,4 @@
-(* The engine's event queue: an implicit 4-ary min-heap on (prio, seq)
-   beside an append-only sorted run.
+(* The engine's event queue: an implicit 4-ary min-heap on (prio, seq).
 
    Every entry carries an int tag beside its value (the engine's label
    id), so a caller that needs a small integer per entry pays no boxing
@@ -8,20 +7,9 @@
    A heap entry is three ints: its priority, its sequence number and the
    index of the cell that holds its value.  The heap stores its entries
    flat in one [int array], so sifting moves ints only (no write
-   barrier) and a node's four children sit on two cache lines.  Heap
-   values and their tags stay in one pool of cells (two parallel
-   arrays) while queued, and a free stack recycles the cells.
-
-   The run takes every push whose priority is at or above its tail's,
-   in O(1), and keeps priorities, tags and values in three parallel
-   arrays; the rest sift into the heap.  A pop takes the smaller head by
-   (prio, seq).  The run needs no sequence numbers for that: at equal
-   priorities every run entry precedes every heap entry.  (A heap entry
-   went in while the run's tail was above its priority, and the run
-   accepts that priority again only after emptying, which means popping
-   that tail, which cannot happen while the heap entry waits.)
-   Ascending schedules (a batch of timers, a far-future horizon event)
-   thus never touch the heap.
+   barrier) and a node's four children sit on two cache lines.  Values
+   and their tags stay in one pool of cells (two parallel arrays) while
+   queued, and a free stack recycles the cells.
 
    A vacated value cell is overwritten with the caller's [dummy] at
    once: a popped or cleared value must become unreachable from the
@@ -42,11 +30,6 @@ type 'a t = {
   mutable cell_tags : int array;  (* their tags *)
   mutable free : int array;  (* free cell indices, [n_free] live *)
   mutable n_free : int;
-  mutable r_prio : int array;  (* the run: live entries [r_head, r_tail) *)
-  mutable r_tag : int array;
-  mutable r_value : 'a array;
-  mutable r_head : int;
-  mutable r_tail : int;
   mutable next_seq : int;
   mutable floor : int;       (* last popped priority *)
   mutable popped_tag : int;  (* tag of the last popped entry *)
@@ -61,8 +44,7 @@ let next_capacity n = if n = 0 then 64 else Int.max 1024 (2 * n)
 
 let create ~dummy () =
   { dummy; heap = [||]; len = 0; cells = [||]; cell_tags = [||];
-    free = [||]; n_free = 0; r_prio = [||]; r_tag = [||]; r_value = [||];
-    r_head = 0; r_tail = 0; next_seq = 0; floor = 0; popped_tag = 0 }
+    free = [||]; n_free = 0; next_seq = 0; floor = 0; popped_tag = 0 }
 
 (* --- entries ------------------------------------------------------- *)
 
@@ -111,30 +93,6 @@ let grow_heap t =
   Array.blit t.heap 0 a 0 (3 * t.len);
   t.heap <- a
 
-(* The run is full at its tail: slide the live entries down to 0, or
-   grow it when more than half of it is live. *)
-let make_room_run t =
-  let n = t.r_tail - t.r_head in
-  if t.r_head > 0 && 2 * n <= t.r_tail then begin
-    Array.blit t.r_prio t.r_head t.r_prio 0 n;
-    Array.blit t.r_tag t.r_head t.r_tag 0 n;
-    Array.blit t.r_value t.r_head t.r_value 0 n;
-    Array.fill t.r_value n (t.r_tail - n) t.dummy
-  end
-  else begin
-    let cap = next_capacity t.r_tail in
-    let p = Array.make cap 0 and g = Array.make cap 0
-    and v = Array.make cap t.dummy in
-    Array.blit t.r_prio t.r_head p 0 n;
-    Array.blit t.r_tag t.r_head g 0 n;
-    Array.blit t.r_value t.r_head v 0 n;
-    t.r_prio <- p;
-    t.r_tag <- g;
-    t.r_value <- v
-  end;
-  t.r_head <- 0;
-  t.r_tail <- n
-
 (* --- cells --------------------------------------------------------- *)
 
 (* Marks cells [from, capacity) free, the lowest on top. *)
@@ -177,44 +135,19 @@ let take t c =
 
 let push t ~prio ~tag value =
   let prio = Int.max prio t.floor in
-  if t.r_head = t.r_tail || prio >= t.r_prio.(t.r_tail - 1) then begin
-    if t.r_tail = Array.length t.r_prio then make_room_run t;
-    t.r_prio.(t.r_tail) <- prio;
-    t.r_tag.(t.r_tail) <- tag;
-    t.r_value.(t.r_tail) <- value;
-    t.r_tail <- t.r_tail + 1
-  end
-  else begin
-    let s = t.next_seq in
-    t.next_seq <- s + 1;
-    let c = store t tag value in
-    if 3 * t.len = Array.length t.heap then grow_heap t;
-    t.len <- t.len + 1;
-    sift_up t.heap prio s c (t.len - 1)
-  end
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  let c = store t tag value in
+  if 3 * t.len = Array.length t.heap then grow_heap t;
+  t.len <- t.len + 1;
+  sift_up t.heap prio s c (t.len - 1)
 
-let size t = t.len + t.r_tail - t.r_head
-let is_empty t = t.len = 0 && t.r_head = t.r_tail
+let size t = t.len
+let is_empty t = t.len = 0
+let min_prio t = if t.len = 0 then -1 else t.heap.(0)
 
-let min_prio t =
-  if t.r_head = t.r_tail then if t.len = 0 then -1 else t.heap.(0)
-  else if t.len = 0 then t.r_prio.(t.r_head)
-  else Int.min t.heap.(0) t.r_prio.(t.r_head)
-
-let pop_run t =
-  let h = t.r_head in
-  let v = t.r_value.(h) in
-  t.r_value.(h) <- t.dummy;
-  t.popped_tag <- t.r_tag.(h);
-  t.floor <- t.r_prio.(h);
-  if h + 1 = t.r_tail then begin
-    t.r_head <- 0;
-    t.r_tail <- 0
-  end
-  else t.r_head <- h + 1;
-  v
-
-let pop_heap t =
+let pop_value t =
+  if t.len = 0 then invalid_arg "Heap.pop_value: empty";
   let a = t.heap in
   t.floor <- a.(0);
   let c = a.(2) in
@@ -222,14 +155,6 @@ let pop_heap t =
   t.len <- n;
   if n > 0 then sift_down a n a.(3 * n) a.((3 * n) + 1) a.((3 * n) + 2) 0;
   take t c
-
-(* At equal priorities the run's head comes first (see the top). *)
-let pop_value t =
-  let h = t.r_head in
-  if h = t.r_tail then
-    if t.len = 0 then invalid_arg "Heap.pop_value: empty" else pop_heap t
-  else if t.len = 0 || t.r_prio.(h) <= t.heap.(0) then pop_run t
-  else pop_heap t
 
 let popped_tag t = t.popped_tag
 
@@ -242,8 +167,5 @@ let pop t =
 let clear t =
   Array.fill t.cells 0 (Array.length t.cells) t.dummy;
   free_from t 0;
-  Array.fill t.r_value t.r_head (t.r_tail - t.r_head) t.dummy;
   t.len <- 0;
-  t.r_head <- 0;
-  t.r_tail <- 0;
   t.floor <- 0

@@ -1,12 +1,12 @@
 (** The engine's event queue: a min-priority queue keyed by
     [(priority, sequence)].
 
-    An implicit 4-ary heap plus an append-only sorted run that takes, in
-    O(1), every push at or above the run's tail.  Each entry carries an
-    int tag beside its value (the engine keeps its event's label id
-    there).  Once its arrays are sized, neither push nor {!pop_value}
-    allocates, and neither does the tag: it is stored and read back as
-    an immediate int.
+    One implicit 4-ary heap; a push and a pop each cost O(log n) sift
+    steps over flat int triples.  Each entry carries an int tag beside
+    its value (the engine keeps its event's label id there).  Once its
+    arrays are sized, neither push nor {!pop_value} allocates, and
+    neither does the tag: it is stored and read back as an immediate
+    int.
 
     The sequence number, assigned at push, makes extraction FIFO among
     equal priorities, which keeps the event loop deterministic: two

@@ -46,4 +46,3 @@ let msg level ?engine src thunk =
 
 let debug ?engine src thunk = msg Logs.Debug ?engine src thunk
 let info ?engine src thunk = msg Logs.Info ?engine src thunk
-let warn ?engine src thunk = msg Logs.Warning ?engine src thunk

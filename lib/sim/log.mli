@@ -20,4 +20,3 @@ val debug : ?engine:Engine.t -> Logs.src -> (unit -> string) -> unit
 (** The thunk is only evaluated when the source is enabled. *)
 
 val info : ?engine:Engine.t -> Logs.src -> (unit -> string) -> unit
-val warn : ?engine:Engine.t -> Logs.src -> (unit -> string) -> unit

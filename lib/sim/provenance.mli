@@ -69,5 +69,4 @@ val gap_ns : t -> Time.ns
 val hops : t -> string list
 (** Hop names, oldest first. *)
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

@@ -229,6 +229,3 @@ let pp_compliance fmt c =
     (Format.asprintf "%a" pp_objective c.c_objective)
     c.c_windows c.c_violations c.c_worst_burn
     (if compliant c then "OK" else "VIOLATED")
-
-let pp_report fmt t =
-  List.iter (fun c -> Format.fprintf fmt "%a@." pp_compliance c) (report t)

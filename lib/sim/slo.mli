@@ -90,6 +90,4 @@ val compliance_ratio : compliance -> float
 (** Fraction of windows without violation; 1.0 when no window
     completed. *)
 
-val pp_objective : Format.formatter -> objective -> unit
 val pp_compliance : Format.formatter -> compliance -> unit
-val pp_report : Format.formatter -> t -> unit

@@ -105,13 +105,6 @@ let merge a b =
   Array.iter (add m) (samples b);
   m
 
-let to_hdr ?error t =
-  let h = Hdr.create ?error ~name:t.stat_name () in
-  for i = 0 to t.len - 1 do
-    Hdr.add h t.data.(i)
-  done;
-  h
-
 let pp_summary fmt t =
   if t.len = 0 then Format.fprintf fmt "%s: (no samples)" t.stat_name
   else

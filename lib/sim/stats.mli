@@ -9,8 +9,7 @@
     tables) are byte-compared across commits, so their percentiles must
     not move by a bucket width.  Where a digest only needs to be
     *mergeable* — per-hop metrics, SLO windows, fleet-wide aggregation
-    across [--jobs] cells — use {!Hdr} instead (or {!to_hdr} to bridge
-    an exact accumulator into that world). *)
+    across [--jobs] cells — use {!Hdr} instead. *)
 
 type t
 
@@ -50,11 +49,6 @@ val samples : t -> float array
 
 val merge : t -> t -> t
 (** New accumulator holding both sample sets. *)
-
-val to_hdr : ?error:float -> t -> Hdr.t
-(** Folds the retained samples into a fresh mergeable sketch (error
-    bound as {!Hdr.create}).  The bridge from exact per-cell results to
-    fleet-wide percentile aggregation. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line [name: n=… mean=… sd=… p50=… p99=…] rendering. *)

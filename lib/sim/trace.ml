@@ -145,12 +145,6 @@ let record t ~ts kind ~cat ~name ?(arg = "") () =
 
 let instant t ~ts ~cat ~name ?arg () = record t ~ts Instant ~cat ~name ?arg ()
 
-let span_begin t ~ts ~cat ~name ?arg () =
-  record t ~ts Span_begin ~cat ~name ?arg ()
-
-let span_end t ~ts ~cat ~name ?arg () =
-  record t ~ts Span_end ~cat ~name ?arg ()
-
 let clear t =
   Array.fill t.args 0 t.cap "";
   t.total <- 0

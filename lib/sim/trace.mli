@@ -53,12 +53,6 @@ val record :
 val instant :
   t -> ts:Time.ns -> cat:string -> name:string -> ?arg:string -> unit -> unit
 
-val span_begin :
-  t -> ts:Time.ns -> cat:string -> name:string -> ?arg:string -> unit -> unit
-
-val span_end :
-  t -> ts:Time.ns -> cat:string -> name:string -> ?arg:string -> unit -> unit
-
 val intern_cat : t -> string -> int
 (** Interns a category (≤ 4096 distinct per trace; raises
     [Invalid_argument] beyond).  The returned id is stable for the

@@ -74,7 +74,3 @@ let of_csv s =
               { p_id = p; p_containers = List.rev (Hashtbl.find pods p) })
             pod_ids })
     !order
-
-let pp_user fmt u =
-  Format.fprintf fmt "user %d: %d pods, %d containers" u.u_id (user_pods u)
-    (user_containers u)

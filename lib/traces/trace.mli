@@ -29,5 +29,3 @@ val to_csv : user list -> string
 
 val of_csv : string -> user list
 (** Inverse of {!to_csv}.  Raises [Failure] on malformed rows. *)
-
-val pp_user : Format.formatter -> user -> unit

@@ -54,7 +54,6 @@ let create ~vm ~id ~mac ~queue ~vhost ?(l2 = Dev.Normal) () =
   t
 
 let dev t = t.guest_dev
-let vhost_exec t = t.vhost
 let id t = t.nic_id
 
 let unplug t =

@@ -26,7 +26,6 @@ val create :
 val dev : t -> Dev.t
 (** The guest-visible device; attach it to a guest namespace. *)
 
-val vhost_exec : t -> Nest_sim.Exec.t
 val id : t -> string
 
 val unplug : t -> unit

@@ -45,8 +45,6 @@ type fault_decision =
     (teardown is atomic in virtual time). *)
 type lifecycle = Running | Crashing | Down | Restarting
 
-val lifecycle_name : lifecycle -> string
-
 val create : Host.t -> t
 val host : t -> Host.t
 

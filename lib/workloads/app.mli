@@ -41,9 +41,6 @@ module Cpu_snap : sig
 
   val take : Nest_sim.Cpu_account.t -> t
 
-  val diff_ns :
-    before:t -> after:t -> entity:string -> Nest_sim.Cpu_account.category -> int
-
   val diff_cores :
     before:t ->
     after:t ->

@@ -86,7 +86,7 @@ module Model = struct
 end
 
 (* Each value rides with a tag derived from it, so a tag that strays
-   from its value (a cell or run slot mixed up) shows as a mismatch. *)
+   from its value (a cell mixed up) shows as a mismatch. *)
 let tag_of v = -v
 
 let push_both q m ~prio v =
@@ -221,12 +221,11 @@ let test_queue_dense_ties =
         ops
       && drain_both q m)
 
-let test_queue_run_and_heap_ties =
-  (* An ascending prefix fills the sorted run up to priority 3; later
-     pushes at 0..3 land in the run when at or above its tail and in the
-     heap otherwise, so equal priorities sit in both halves and a pop
-     must order them by sequence across the two. *)
-  QCheck.Test.make ~name:"run/heap ties match the model"
+let test_queue_prefix_ties =
+  (* An ascending prefix up to priority 3, then pushes at 0..3 mixed
+     with pops: equal priorities go in on both sides of pops and must
+     still come out by sequence. *)
+  QCheck.Test.make ~name:"prefix ties match the model"
     ~count:300
     QCheck.(list (pair bool (int_bound 3)))
     (fun ops ->
@@ -247,9 +246,9 @@ let test_queue_run_and_heap_ties =
         ops
       && drain_both q m)
 
-let test_queue_run_bounded () =
-  (* A run that never empties (every pop follows a push at a later
-     priority) slides its live entries down instead of growing. *)
+let test_queue_bounded () =
+  (* A queue that never empties (every pop follows a push at a later
+     priority) recycles its cells instead of growing. *)
   let q = Heap.create ~dummy:0 () in
   Heap.push q ~tag:0 ~prio:0 0;
   for i = 1 to 100_000 do
@@ -264,8 +263,7 @@ let test_queue_run_bounded () =
 let test_queue_same_tick_alloc () =
   (* One tick holding 4096 entries (every fleet node's window tick lands
      on one): draining it must cost O(1) words per pop.  A later entry
-     pushed first keeps the tick out of the sorted run, so every tie
-     sifts through the heap; half the entries are pushed while the tick
+     sits below the tick, and half the entries are pushed while the tick
      is draining. *)
   let n = 4096 in
   let q = Heap.create ~dummy:0 () in
@@ -372,10 +370,10 @@ let test_engine_event_alloc () =
   Alcotest.(check bool)
     (Printf.sprintf "minor words per event %.1f <= 1" per_event)
     true (per_event <= 1.0);
-  (* Second input, the queue's sorted-run path: 1000 events scheduled
-     at ascending delays into a fresh engine, then drained.  The count
-     includes the schedule calls and the run's growth (0.2 words per
-     event when the bound was set). *)
+  (* Second input: 1000 events scheduled at ascending delays into a
+     fresh engine, then drained.  The count includes the schedule calls
+     and the queue's first, minor-heap arrays (0.4 words per event
+     measured). *)
   let e = Engine.create () in
   let before = Gc.minor_words () in
   for i = 1 to 1_000 do
@@ -684,8 +682,9 @@ let () =
           Alcotest.test_case "past clamp" `Quick test_queue_past_clamp;
           qtest test_queue_interleaved_monotone;
           qtest test_queue_dense_ties;
-          qtest test_queue_run_and_heap_ties;
-          Alcotest.test_case "run stays bounded" `Quick test_queue_run_bounded;
+          qtest test_queue_prefix_ties;
+          Alcotest.test_case "stays bounded under churn" `Quick
+            test_queue_bounded;
           Alcotest.test_case "same-tick drain allocation" `Quick
             test_queue_same_tick_alloc ] );
       ( "engine",
