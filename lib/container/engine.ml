@@ -8,7 +8,6 @@ type container = {
   c_entity : string;
   c_image : Image.t;
   c_netns : Stack.ns;
-  c_app_exec : Nest_sim.Exec.t;
   c_ordered_at : Time.ns;
   mutable c_ready_at : Time.ns option;
   mutable c_state : [ `Creating | `Running | `Stopped ];
@@ -138,11 +137,12 @@ let run t ~name ~entity ~image ~netns ~net_setup ?(cpu_req = 1.0)
   let engine = Nest_virt.Host.engine host in
   let cached = List.mem image.Image.img_name t.image_cache in
   if not cached then t.image_cache <- image.Image.img_name :: t.image_cache;
+  (* Workloads build their own execution contexts; the VM only needs
+     the entity, to aggregate its CPU figures. *)
+  Nest_virt.Vm.add_entity t.d_vm entity;
   let c =
     { cid = t.next_cid; c_name = name; c_entity = entity; c_image = image;
-      c_netns = netns;
-      c_app_exec = Nest_virt.Vm.new_app_exec t.d_vm ~name:(name ^ ":app") ~entity;
-      c_ordered_at = Sim_engine.now engine; c_ready_at = None;
+      c_netns = netns; c_ordered_at = Sim_engine.now engine; c_ready_at = None;
       c_state = `Creating; c_cpu_req = cpu_req; c_mem_req = mem_req }
   in
   t.next_cid <- t.next_cid + 1;

@@ -7,8 +7,8 @@ open Nest_net
    the datagram's one-way latency into per-hop queue/service time. *)
 let udp_timed_path ~src ~dst ~dst_addr ~port ?(size = 64) ~k () =
   Stack.set_provenance_all src true;
-  let server = Stack.Udp.bind dst ~port (fun _ ~src:_ _ -> ()) in
-  let probe = Stack.Udp.bind src ~port:0 (fun _ ~src:_ _ -> ()) in
+  let server = Stack.Udp.bind dst ~port (fun _ ~src:_ ~src_port:_ _ -> ()) in
+  let probe = Stack.Udp.bind src ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   let send () =
     Stack.Udp.sendto probe ~dst:dst_addr ~dst_port:port (Payload.raw size)
   in

@@ -368,30 +368,23 @@ let start_generators tbs deployed ~serves ~p ~prof_ns ~timeout ~start ~stop
       { f_ix = i; f_mode = mode_of_ix i; f_serves = serves.(i); f_gen = gen;
         f_slo = slo; f_pool = pool; f_scale_events = scale_events })
 
-(* Live trace replay: grow a synthetic cluster trace until it holds
-   [pods] pods, scale its relative demands so the whole population wants
+(* Live trace replay: the first [pods] pods of a synthetic cluster
+   trace, their relative demands scaled so the whole population wants
    ~1.5x the fleet's schedulable capacity (departures make room; the
-   overflow is what exercises unschedulable accounting), then replay it
-   as a continuous arrival stream through most-requested placement. *)
+   overflow is what exercises unschedulable accounting), replayed as a
+   continuous arrival stream through most-requested placement.  A trace
+   whose first [churn_max_users] users hold fewer pods is replayed
+   whole. *)
+let churn_max_users = 1 lsl 20
+
 let arm_churn sd all_nodes ~p ~start ~stop =
   let ctl = Sharded.engine sd 0 in
-  let rec grow u =
-    let users = Nest_traces.Trace_gen.generate ~seed:p.seed ~users:u in
-    let total =
-      List.fold_left (fun a us -> a + Trace.user_pods us) 0 users
-    in
-    if total >= p.pods || u > 1_000_000 then users else grow (u * 2)
+  let demands =
+    Array.map
+      (fun pod -> (Trace.pod_cpu pod, Trace.pod_mem pod))
+      (Nest_traces.Trace_gen.first_pods ~seed:p.seed
+         ~max_users:churn_max_users p.pods)
   in
-  (* Zero pods need no trace: the demands below are its first [pods]. *)
-  let users = if p.pods = 0 then [] else grow 64 in
-  let pods_all =
-    List.concat_map
-      (fun u -> List.map (fun pod -> (Trace.pod_cpu pod, Trace.pod_mem pod))
-                  u.Trace.pods)
-      users
-  in
-  let demands = Array.of_list pods_all in
-  let demands = Array.sub demands 0 (min p.pods (Array.length demands)) in
   let cap_cpu =
     List.fold_left (fun a n -> a +. Node.cpu_capacity n) 0.0 all_nodes
   in
@@ -565,6 +558,10 @@ let per_mode nodes =
       | gen, srv -> Some (mode, gen, srv))
     [ "nat"; "brfusion"; "hostlo" ]
 
+(* The primitive [Printf]'s ["%.6f"] ends in: the same bytes, without
+   the format interpreter's garbage on every completion line. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let digest_of sc =
   let b = Buffer.create 8192 in
   List.iter
@@ -576,9 +573,11 @@ let digest_of sc =
                          completed=%d adm_limit=%d\n"
            n.f_ix n.f_mode c.Lg.offered c.Lg.admitted c.Lg.shed c.Lg.lost
            c.Lg.completed (Lg.admission_limit g));
-      List.iter
-        (fun (at, us) -> Buffer.add_string b (Printf.sprintf "%d %.6f\n" at us))
-        (Lg.completions g);
+      Lg.iter_completions g (fun at us ->
+          Buffer.add_string b (string_of_int at);
+          Buffer.add_char b ' ';
+          Buffer.add_string b (format_float "%.6f" us);
+          Buffer.add_char b '\n');
       (* Serving side: pool traffic and the autoscaler trajectory are
          digest material too — a scaling decision happening one window
          late under a different shard split must be caught. *)

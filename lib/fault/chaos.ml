@@ -183,7 +183,7 @@ let run_cell ?(quick = false) ?pods ?(workload = Probe) ?(standby = 0)
     | None -> ());
     srv_sock :=
       Some
-        (Stack.Udp.bind ns ~port (fun sock ~src:(sip, sp) payload ->
+        (Stack.Udp.bind ns ~port (fun sock ~src:sip ~src_port:sp payload ->
              Stack.Udp.sendto sock ~dst:sip ~dst_port:sp payload))
   in
   let gen = ref 0 in
@@ -227,7 +227,7 @@ let run_cell ?(quick = false) ?pods ?(workload = Probe) ?(standby = 0)
     | None ->
       probe_sock :=
         Some
-          (Stack.Udp.bind ns ~port:0 (fun _ ~src:_ _ ->
+          (Stack.Udp.bind ns ~port:0 (fun _ ~src:_ ~src_port:_ _ ->
                recv_times := Engine.now engine :: !recv_times;
                Slo.observe_ok slo))
   in

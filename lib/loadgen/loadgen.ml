@@ -43,7 +43,11 @@ type t = {
   mutable g_completed : int;
   mutable g_outstanding : int;
   mutable g_seq : int;
-  mutable g_completions : (Time.ns * float) list;
+  (* Completion trace, flat and growable: entry k is the k-th
+     completion's time and latency (µs); [g_completed] entries are in
+     use. *)
+  mutable g_done_at : Time.ns array;
+  mutable g_done_us : Float.Array.t;
 }
 
 let slo_sent t =
@@ -120,10 +124,25 @@ let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
       g_dispatch = dispatch; g_start = start; g_stop = stop; g_intended = Seq_tbl.create 128;
       g_latency = Nest_sim.Hdr.create ~name:(label ^ ":latency_us") ();
       g_offered = 0; g_admitted = 0; g_shed = 0; g_lost = 0;
-      g_completed = 0; g_outstanding = 0; g_seq = 0; g_completions = [] }
+      g_completed = 0; g_outstanding = 0; g_seq = 0; g_done_at = [||];
+      g_done_us = Float.Array.create 0 }
   in
   schedule_next t;
   t
+
+let record_completion t at us =
+  let n = t.g_completed in
+  if n = Array.length t.g_done_at then begin
+    let cap = max 64 (2 * n) in
+    let done_at = Array.make cap 0 and done_us = Float.Array.create cap in
+    Array.blit t.g_done_at 0 done_at 0 n;
+    Float.Array.blit t.g_done_us 0 done_us 0 n;
+    t.g_done_at <- done_at;
+    t.g_done_us <- done_us
+  end;
+  t.g_done_at.(n) <- at;
+  Float.Array.set t.g_done_us n us;
+  t.g_completed <- n + 1
 
 let complete t ~seq =
   match Seq_tbl.find_opt t.g_intended seq with
@@ -131,11 +150,10 @@ let complete t ~seq =
   | Some intended ->
     Seq_tbl.remove t.g_intended seq;
     t.g_outstanding <- t.g_outstanding - 1;
-    t.g_completed <- t.g_completed + 1;
     let now = Engine.now t.g_engine in
     let us = Time.to_us_f (now - intended) in
     Nest_sim.Hdr.add t.g_latency us;
-    t.g_completions <- (now, us) :: t.g_completions;
+    record_completion t now us;
     Admission.on_complete t.g_admission ~latency_us:us;
     slo_done t us
 
@@ -144,7 +162,10 @@ let counts t =
     lost = t.g_lost; completed = t.g_completed }
 
 let latency t = t.g_latency
-let completions t = List.rev t.g_completions
+let iter_completions t f =
+  for k = 0 to t.g_completed - 1 do
+    f t.g_done_at.(k) (Float.Array.get t.g_done_us k)
+  done
 let label t = t.g_label
 let admission_limit t = Admission.limit t.g_admission
 
@@ -172,7 +193,7 @@ let udp ~engine ?label ~arrival ~sizes ~rng ?max_outstanding ?admission
       ?burn_source ?timeout ?slo ~dispatch ~start ~stop ()
   in
   let sk =
-    Nest_net.Stack.Udp.bind ns ~port:0 (fun _ ~src:_ payload ->
+    Nest_net.Stack.Udp.bind ns ~port:0 (fun _ ~src:_ ~src_port:_ payload ->
         match payload.Nest_net.Payload.msg with
         | Some (Lg_req { gen; seq }) when gen = gen_id ->
           complete t ~seq;

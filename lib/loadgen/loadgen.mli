@@ -82,9 +82,10 @@ val latency : t -> Nest_sim.Hdr.t
     percentiles come from {!Nest_sim.Hdr.merge_into} across
     generators. *)
 
-val completions : t -> (Nest_sim.Time.ns * float) list
-(** Completion trace [(when, latency_us)] in completion order — digest
-    material for determinism checks. *)
+val iter_completions : t -> (Nest_sim.Time.ns -> float -> unit) -> unit
+(** [iter_completions t f] calls [f at latency_us] for each completion,
+    in completion order — digest material for determinism checks.  The
+    trace is kept in flat arrays, not one record per request. *)
 
 val label : t -> string
 

@@ -68,7 +68,7 @@ type udp_sock = {
   u_ns : ns;
   u_port : int;
   u_kernel : bool;
-  mutable u_recv : udp_sock -> src:Ipv4.t * int -> Payload.t -> unit;
+  mutable u_recv : udp_sock -> src:Ipv4.t -> src_port:int -> Payload.t -> unit;
   mutable u_closed : bool;
 }
 
@@ -229,13 +229,16 @@ let is_local_addr ns ip =
   addr_held ip ns.addr_list || (ns.lo <> None && Ipv4.in_subnet lo_subnet ip)
 
 let rec dev_of_addr ip = function
-  | [] -> None
-  | (d, a, _) :: rest -> if Ipv4.equal a ip then Some d else dev_of_addr ip rest
+  | [] -> raise_notrace Not_found
+  | (d, a, _) :: rest -> if Ipv4.equal a ip then d else dev_of_addr ip rest
 
+(* The device holding [ip], which must pass [is_local_addr]: the one it
+   is assigned to, or loopback for the rest of its subnet.  Callers
+   test first, so no option is built per local packet. *)
 let dev_holding_addr ns ip =
   match dev_of_addr ip ns.addr_list with
-  | Some _ as d -> d
-  | None -> if Ipv4.in_subnet lo_subnet ip then ns.lo else None
+  | d -> d
+  | exception Not_found -> Option.get ns.lo
 
 let arp_cache ns =
   Ipv4.Tbl.fold (fun ip mac acc -> (ip, mac) :: acc) ns.arp_tbl []
@@ -412,20 +415,21 @@ let ip_output ns pkt =
   | Netfilter.Drop -> note_drop ns `Filtered
   | v -> (
     let pkt = Netfilter.passed pkt v in
-    match dev_holding_addr ns pkt.Packet.dst with
-    | Some dev when dev.Dev.l2 = Dev.Reflector ->
+    if is_local_addr ns pkt.Packet.dst then begin
+      let dev = dev_holding_addr ns pkt.Packet.dst in
+      if dev.Dev.l2 <> Dev.Reflector then deliver_locally ns pkt
       (* Hostlo: the destination is the pod's localhost; it is delivered
          here when a local socket would take it, and otherwise leaves
          through the reflector to the pod's other fractions. *)
-      if local_socket_matches ns pkt then deliver_locally ns pkt
+      else if local_socket_matches ns pkt then deliver_locally ns pkt
       else transmit_via ns ~dev ~next_hop:pkt.Packet.dst pkt
-    | Some _ -> deliver_locally ns pkt
-    | None -> (
+    end
+    else
       match Route.lookup ns.rt pkt.Packet.dst with
       | exception Not_found -> note_drop ns `No_route
       | e ->
         transmit_via ns ~dev:e.Route.dev
-          ~next_hop:(Route.next_hop e pkt.Packet.dst) pkt))
+          ~next_hop:(Route.next_hop e pkt.Packet.dst) pkt)
 
 (* ------------------------------------------------------------------ *)
 (* TCP                                                                 *)
@@ -718,10 +722,7 @@ let alloc_ephemeral ns =
   go 0
 
 let mss_for ns dst =
-  if is_local_addr ns dst then
-    match dev_holding_addr ns dst with
-    | Some d -> Dev.mss d
-    | None -> loopback_mtu - 40
+  if is_local_addr ns dst then Dev.mss (dev_holding_addr ns dst)
   else
     match Route.lookup ns.rt dst with
     | e -> Dev.mss e.Route.dev
@@ -831,11 +832,11 @@ let demux ns ~on_reflector (pkt : Packet.t) =
     match Int_tbl.find ns.udp_binds dst_port with
     | s when not s.u_closed ->
       note_delivered ns;
-      if s.u_kernel then s.u_recv s ~src:(pkt.Packet.src, src_port) payload
+      if s.u_kernel then s.u_recv s ~src:pkt.Packet.src ~src_port payload
       else
         Engine.schedule ns.eng ~delay:(wakeup_delay ns) (fun () ->
             if not s.u_closed then
-              s.u_recv s ~src:(pkt.Packet.src, src_port) payload)
+              s.u_recv s ~src:pkt.Packet.src ~src_port payload)
     | _ | (exception Not_found) ->
       note_drop ns `No_socket;
       Nest_sim.Log.debug ~engine:ns.eng log_src (fun () ->

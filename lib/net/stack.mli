@@ -111,7 +111,7 @@ module Udp : sig
     ns ->
     port:int ->
     ?kernel:bool ->
-    (sock -> src:Ipv4.t * int -> Payload.t -> unit) ->
+    (sock -> src:Ipv4.t -> src_port:int -> Payload.t -> unit) ->
     sock
   (** Raises [Failure] if the port is taken in this namespace.
       [kernel] (default false) marks in-kernel consumers (e.g. a VXLAN

@@ -89,7 +89,7 @@ let create underlay ~name ~vni ~local ?(udp_port = default_port) ~encap_hop
       { encap_name; decap_name; vni; underlay; udp_port;
         sock =
           Stack.Udp.bind underlay ~port:udp_port ~kernel:true
-            (fun _ ~src:_ payload -> decap (Lazy.force t) payload);
+            (fun _ ~src:_ ~src_port:_ payload -> decap (Lazy.force t) payload);
         overlay_dev; encap_hop; decap_hop; fdb = Mac.Tbl.create 16;
         remotes = []; encapsulated = 0; decapsulated = 0;
         encap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".encap");

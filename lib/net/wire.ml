@@ -63,7 +63,7 @@ let udp_relay sd ~client_side:(cshard, cns) ~server_side:(sshard, sns)
      for the return path, and both sockets capture [t]. *)
   let client_sock = ref None in
   let server_sock =
-    Stack.Udp.bind sns ~port:server_port (fun sk ~src:_ payload ->
+    Stack.Udp.bind sns ~port:server_port (fun sk ~src:_ ~src_port:_ payload ->
         (* A reply from the server: ship it home.  [w_client] is read on
            the client shard at delivery time — single-flow wires only
            ever hold one value by then. *)
@@ -79,8 +79,10 @@ let udp_relay sd ~client_side:(cshard, cns) ~server_side:(sshard, sns)
               | _ -> ()))
   in
   let csock =
-    Stack.Udp.bind cns ~port:client_port (fun _ ~src payload ->
-        t.w_client <- Some src;
+    Stack.Udp.bind cns ~port:client_port (fun _ ~src ~src_port payload ->
+        (match t.w_client with
+        | Some (ip, p) when Ipv4.equal ip src && p = src_port -> ()
+        | _ -> t.w_client <- Some (src, src_port));
         match impair_verdict fwd_impair with
         | None -> ()
         | Some extra ->

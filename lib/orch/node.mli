@@ -16,6 +16,22 @@ val name : t -> string
 
 val agent_counters : t -> agent_counters
 
+type resources = private {
+  cpu_cap : float;
+  mem_cap : float;
+  mutable cpu_req : float;
+  mutable mem_req : float;
+  mutable fraction : float;  (** {!requested_fraction}, kept current *)
+}
+(** Capacity and requests, in the units of the accessors below.  The
+    record holds only floats, so it is stored flat: reading a field
+    allocates nothing, where the accessors return their float boxed
+    to a caller in another module. *)
+
+val resources : t -> resources
+(** The node's own record, read-only; {!reserve} and {!release} update
+    it in place. *)
+
 val cpu_capacity : t -> float
 val mem_capacity : t -> float
 val cpu_requested : t -> float

@@ -33,8 +33,13 @@ let least_requested nodes ~cpu ~mem = pick (fun a b -> a < b) nodes ~cpu ~mem
    1e-6 * (1 + largest capacity).  Readiness is not part of the bounds;
    the exact [fits] call on each candidate handles it.
 
-   All arrays are indexed by position and -1 is the empty tree, so
-   reserve, release and place allocate nothing but the result. *)
+   All arrays are indexed by position and -1 is the empty tree.  What
+   allocates: [release] nothing and [place] only its [Some] result, 2
+   words (test_container_orch's "index allocation" gate).  Without
+   flambda a float is boxed when a branch yields it into a [let] or a
+   call returns it, and no accessor of {!Node} is inlined here; so
+   floats are compared and stored straight between the [Float.Array]s
+   and {!Node.resources}, whose all-float record reads unboxed. *)
 module Index = struct
   type t = {
     nodes : Node.t array;
@@ -59,22 +64,31 @@ module Index = struct
 
   let[@inline] fmax a b = if a > b then a else b
 
+  (* [a.(r) <- fmax a.(r) a.(c)], compared and stored in place: a
+     let-bound float that comes out of a branch is boxed. *)
+  let[@inline] raise_to a r c =
+    if not (Float.Array.get a r > Float.Array.get a c) then
+      Float.Array.set a r (Float.Array.get a c)
+
   let pull t r =
+    Float.Array.set t.max_cpu r (Float.Array.get t.free_cpu r);
+    Float.Array.set t.max_mem r (Float.Array.get t.free_mem r);
     let l = t.left.(r) and rr = t.right.(r) in
-    let c = Float.Array.get t.free_cpu r and m = Float.Array.get t.free_mem r in
-    let c = if l < 0 then c else fmax c (Float.Array.get t.max_cpu l) in
-    let m = if l < 0 then m else fmax m (Float.Array.get t.max_mem l) in
-    let c = if rr < 0 then c else fmax c (Float.Array.get t.max_cpu rr) in
-    let m = if rr < 0 then m else fmax m (Float.Array.get t.max_mem rr) in
-    Float.Array.set t.max_cpu r c;
-    Float.Array.set t.max_mem r m
+    if l >= 0 then begin
+      raise_to t.max_cpu r l;
+      raise_to t.max_mem r l
+    end;
+    if rr >= 0 then begin
+      raise_to t.max_cpu r rr;
+      raise_to t.max_mem r rr
+    end
 
   (* Re-reads node [i]'s key and free capacity; [i] must be detached. *)
   let refresh t i =
-    let n = t.nodes.(i) in
-    Float.Array.set t.frac i (Node.requested_fraction n);
-    Float.Array.set t.free_cpu i (Node.cpu_capacity n -. Node.cpu_requested n);
-    Float.Array.set t.free_mem i (Node.mem_capacity n -. Node.mem_requested n);
+    let r = Node.resources t.nodes.(i) in
+    Float.Array.set t.frac i r.Node.fraction;
+    Float.Array.set t.free_cpu i (r.Node.cpu_cap -. r.Node.cpu_req);
+    Float.Array.set t.free_mem i (r.Node.mem_cap -. r.Node.mem_req);
     t.left.(i) <- -1;
     t.right.(i) <- -1
 
@@ -173,25 +187,22 @@ module Index = struct
   let examined t = t.examined
 
   (* First node in preference order that fits, or -1. *)
-  let rec first t r ~cpu ~mem ~lo_cpu ~lo_mem =
+  let rec first t r ~cpu ~mem =
     if r < 0 then -1
     else begin
       t.examined <- t.examined + 1;
-      if Float.Array.get t.max_cpu r < lo_cpu
-         || Float.Array.get t.max_mem r < lo_mem
+      if Float.Array.get t.max_cpu r < cpu -. t.slack
+         || Float.Array.get t.max_mem r < mem -. t.slack
       then -1
       else
-        let a = first t t.left.(r) ~cpu ~mem ~lo_cpu ~lo_mem in
+        let a = first t t.left.(r) ~cpu ~mem in
         if a >= 0 then a
         else if Node.fits t.nodes.(r) ~cpu ~mem then r
-        else first t t.right.(r) ~cpu ~mem ~lo_cpu ~lo_mem
+        else first t t.right.(r) ~cpu ~mem
     end
 
   let place t ~cpu ~mem =
-    let i =
-      first t t.root ~cpu ~mem ~lo_cpu:(cpu -. t.slack)
-        ~lo_mem:(mem -. t.slack)
-    in
+    let i = first t t.root ~cpu ~mem in
     if i < 0 then None
     else begin
       t.root <- remove t t.root i;

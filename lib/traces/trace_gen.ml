@@ -39,17 +39,34 @@ let clamp_pod containers =
   in
   keep [] 0.0 0.0 containers
 
+(* One user: its pod count, then each pod's containers, all drawn from
+   [rng] in order.  [generate] and [first_pods] both draw users through
+   it, one after another from one stream, so the first users of a seed
+   are the same whatever the count. *)
+let user rng u =
+  let pods = sample_pod_count rng in
+  { Trace.u_id = u;
+    pods =
+      List.init pods (fun p ->
+          let n = sample_container_count rng in
+          { Trace.p_id = p;
+            p_containers =
+              clamp_pod
+                (List.init n (fun _ ->
+                     let cpu = sample_cpu rng in
+                     { Trace.c_cpu = cpu; c_mem = sample_mem rng cpu })) }) }
+
 let generate ~seed ~users =
   let rng = Prng.create seed in
-  List.init users (fun u ->
-      let pods = sample_pod_count rng in
-      { Trace.u_id = u;
-        pods =
-          List.init pods (fun p ->
-              let n = sample_container_count rng in
-              { Trace.p_id = p;
-                p_containers =
-                  clamp_pod
-                    (List.init n (fun _ ->
-                         let cpu = sample_cpu rng in
-                         { Trace.c_cpu = cpu; c_mem = sample_mem rng cpu })) }) })
+  List.init users (user rng)
+
+let first_pods ~seed ~max_users n =
+  let rng = Prng.create seed in
+  let rec draw u have acc =
+    if have >= n || u >= max_users then acc
+    else
+      let pods = (user rng u).Trace.pods in
+      draw (u + 1) (have + List.length pods) (List.rev_append pods acc)
+  in
+  let all = Array.of_list (List.rev (draw 0 0 [])) in
+  if Array.length all <= n then all else Array.sub all 0 n

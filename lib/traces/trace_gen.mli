@@ -9,7 +9,15 @@
     substitution table in DESIGN.md). *)
 
 val generate : seed:int64 -> users:int -> Trace.user list
-(** Deterministic for a given seed.  The paper evaluates 492 users. *)
+(** Deterministic for a given seed.  The paper evaluates 492 users.
+    Users are drawn one after another from one stream, so
+    [generate ~seed ~users:k] is a prefix of [generate ~seed ~users:m]
+    for [k <= m]. *)
+
+val first_pods : seed:int64 -> max_users:int -> int -> Trace.pod array
+(** [first_pods ~seed ~max_users n] is the first [n] pods, in order, of
+    [generate ~seed ~users:max_users], or all of them when those users
+    hold fewer.  It draws only the users that hold them. *)
 
 val default_users : int
 (** 492. *)

@@ -66,10 +66,13 @@ let new_netns t ~name ?(with_loopback = true) () =
   t.netns_list <- t.netns_list @ [ ns ];
   ns
 
+let add_entity t entity =
+  if not (List.mem entity t.entity_list) then
+    t.entity_list <- t.entity_list @ [ entity ]
+
 let new_app_exec t ~name ~entity =
   let acct = Host.account t.vm_host in
-  if not (List.mem entity t.entity_list) then
-    t.entity_list <- t.entity_list @ [ entity ];
+  add_entity t entity;
   Exec.create
     ~account:(acct, entity, Cpu_account.Usr)
     ~also:[ (acct, Host.entity t.vm_host, Cpu_account.Guest) ]

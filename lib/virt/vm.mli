@@ -41,9 +41,14 @@ val guest_hops : t -> veth:unit -> Hop.t * Hop.t
 (** [(guest-soft veth hop, guest-soft bridge hop)] for building in-guest
     plumbing (Docker's veth pairs and docker0). *)
 
+val add_entity : t -> string -> unit
+(** Registers an app entity with this VM (once; later calls are no-ops)
+    without creating an execution context for it. *)
+
 val entities : t -> string list
 (** This VM's entity plus every app entity registered through
-    {!new_app_exec}; used to aggregate per-VM CPU figures. *)
+    {!add_entity} or {!new_app_exec}, in registration order; used to
+    aggregate per-VM CPU figures. *)
 
 (* Hot-plug arrival: the VMM inserts NICs; the in-guest agent waits for
    them by MAC (virtio probe + udev having completed). *)

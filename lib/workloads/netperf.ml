@@ -52,8 +52,7 @@ let tcp_stream tb (ep : App.endpoints) ~msg_size ?(warmup = Time.ms 100)
 type rr_result = { latency : Nest_sim.Stats.t; transactions : int }
 
 let udp_echo_server ns ~port ~exec =
-  Stack.Udp.bind ns ~port (fun s ~src payload ->
-      let ip, p = src in
+  Stack.Udp.bind ns ~port (fun s ~src:ip ~src_port:p payload ->
       (* Echo after the server's per-transaction application work. *)
       Nest_sim.Exec.submit exec ~cost:app_recv_cost_ns (fun () ->
           Stack.Udp.sendto s ~dst:ip ~dst_port:p payload))
@@ -79,7 +78,7 @@ let udp_rr tb (ep : App.endpoints) ~msg_size ?(warmup = Time.ms 50)
         (Payload.raw msg_size)
   in
   let sock =
-    Stack.Udp.bind ep.App.cl_ns ~port:0 (fun _ ~src:_ _ ->
+    Stack.Udp.bind ep.App.cl_ns ~port:0 (fun _ ~src:_ ~src_port:_ _ ->
         let rtt = Engine.now engine - !sent_at in
         if !measuring then begin
           Nest_sim.Stats.add latency (Time.to_us_f rtt);
@@ -248,7 +247,7 @@ let udp_rr_driver tb ~cl_ns ~cl_exec ~target ~msg_size
     end
   in
   let sk =
-    Stack.Udp.bind cl_ns ~port:0 (fun _ ~src:_ payload ->
+    Stack.Udp.bind cl_ns ~port:0 (fun _ ~src:_ ~src_port:_ payload ->
         match payload.Payload.msg with
         | Some (Rr_tagged { seq = s; t0 }) when !outstanding = s ->
           outstanding := 0;
@@ -342,8 +341,7 @@ let udp_echo_pool ~ns ~port ~new_exec ?(service_cost = app_recv_cost_ns)
     scan n
   in
   let sock =
-    Stack.Udp.bind ns ~port (fun s ~src payload ->
-        let ip, p = src in
+    Stack.Udp.bind ns ~port (fun s ~src:ip ~src_port:p payload ->
         incr served;
         slo_sent ();
         let arrived = Engine.now engine in

@@ -70,8 +70,10 @@ let test_splits_with_hostlo () =
     (* Fractions talk over the pod's localhost (the Hostlo tap). *)
     let (_, ns_a), (_, ns_b) = (List.nth fractions 0, List.nth fractions 1) in
     let got = ref false in
-    let _srv = Stack.Udp.bind ns_b ~port:7777 (fun _ ~src:_ _ -> got := true) in
-    let cl = Stack.Udp.bind ns_a ~port:0 (fun _ ~src:_ _ -> ()) in
+    let _srv =
+      Stack.Udp.bind ns_b ~port:7777 (fun _ ~src:_ ~src_port:_ _ -> got := true)
+    in
+    let cl = Stack.Udp.bind ns_a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
     Stack.Udp.sendto cl ~dst:Ipv4.localhost ~dst_port:7777 (Payload.raw 64);
     Testbed.run_until tb (Nest_sim.Engine.now tb.Testbed.engine + Time.sec 2);
     Alcotest.(check bool) "cross-fraction localhost works" true !got);

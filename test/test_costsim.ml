@@ -76,6 +76,42 @@ let test_trace_csv_roundtrip () =
         (Trace.user_containers b))
     users back
 
+(* The fleet's churn replay takes its demands from [first_pods].  The
+   reference rebuilds them the long way: whole traces at 64, 128, 256 …
+   users until one holds [pods] pods (or passes a million users), then
+   its first [pods] pods.  Cases per seed: no pod, one, the first user's
+   pod count and either side of it, and the benchmark fleet's 6400. *)
+let doubled_prefix ~seed pods =
+  let rec grow u =
+    let users = Trace_gen.generate ~seed ~users:u in
+    let total = List.fold_left (fun a us -> a + Trace.user_pods us) 0 users in
+    if total >= pods || u > 1_000_000 then users else grow (u * 2)
+  in
+  if pods = 0 then []
+  else
+    List.filteri (fun i _ -> i < pods)
+      (List.concat_map (fun u -> u.Trace.pods) (grow 64))
+
+let test_first_pods_is_prefix () =
+  List.iter
+    (fun seed ->
+      let first_user =
+        Trace.user_pods (List.hd (Trace_gen.generate ~seed ~users:1))
+      in
+      List.iter
+        (fun pods ->
+          let got = Trace_gen.first_pods ~seed ~max_users:(1 lsl 20) pods in
+          Alcotest.(check int)
+            (Printf.sprintf "seed %Ld, %d pods: count" seed pods)
+            pods (Array.length got);
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %Ld, %d pods: same pods" seed pods)
+            true
+            (Array.to_list got = doubled_prefix ~seed pods))
+        (List.sort_uniq compare
+           [ 0; 1; max 1 (first_user - 1); first_user; first_user + 1; 6400 ]))
+    [ 1L; 7L; 42L; 2026L; 99991L ]
+
 (* ------------------------------------------------------------------ *)
 (* Packing *)
 
@@ -168,6 +204,8 @@ let () =
       ( "trace",
         [ Alcotest.test_case "deterministic" `Quick test_trace_gen_deterministic;
           qtest test_trace_gen_bounds;
+          Alcotest.test_case "churn pods are the doubled trace's prefix" `Quick
+            test_first_pods_is_prefix;
           Alcotest.test_case "csv roundtrip" `Quick test_trace_csv_roundtrip ] );
       ( "packing",
         [ Alcotest.test_case "kube invariants" `Quick test_kube_pack_invariants;

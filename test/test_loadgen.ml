@@ -164,8 +164,14 @@ let test_all_completed () =
   Alcotest.(check int) "all completed" 99 c.Loadgen.completed;
   Alcotest.(check int) "nothing shed" 0 c.Loadgen.shed;
   Alcotest.(check int) "nothing lost" 0 c.Loadgen.lost;
-  Alcotest.(check int) "one completion record per request" 99
-    (List.length (Loadgen.completions gen));
+  (* Every reply takes the dispatch's 100 µs, one request per 500 µs. *)
+  let records = ref 0 and last = ref min_int and all_100us = ref true in
+  Loadgen.iter_completions gen (fun at us ->
+      incr records;
+      if at <= !last || us <> 100.0 then all_100us := false;
+      last := at);
+  Alcotest.(check int) "one completion record per request" 99 !records;
+  Alcotest.(check bool) "records in order, 100 us each" true !all_100us;
   (* Duplicate and never-issued completions must be ignored. *)
   Loadgen.complete gen ~seq:1;
   Loadgen.complete gen ~seq:100000;
@@ -308,6 +314,30 @@ let test_fleet_run_reads_scenario () =
           s.Fig_fleet.s_completed))
     (List.find_opt (has "fleet total:") lines)
 
+(* Allocation gate for the whole fleet pipeline at unit-test scale:
+   build (testbeds, deployment, the churn trace), play and the digest,
+   as [summarize] runs them on one shard.  Minor words per completed
+   request are exact on one domain.  [Gc.quick_stat]'s and
+   [Gc.counters]'s sums move from run to run on OCaml 5.1 (they lag by
+   up to a minor heap), so the gate reads [Gc.minor_words].  It was
+   546.0 when the bound was set, the measured value + 1 %. *)
+let fleet_words_per_request_bound = 551.0
+
+let test_fleet_allocation () =
+  let params =
+    { Fig_fleet.default_params with Fig_fleet.nodes = 6; pods = 300;
+      rate = 6000.0 }
+  in
+  let w0 = Gc.minor_words () in
+  let s = Fig_fleet.summarize ~params ~quick:true () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "requests completed" true
+    (s.Fig_fleet.s_completed > 1000);
+  let per_request = words /. float_of_int s.Fig_fleet.s_completed in
+  if per_request > fleet_words_per_request_bound then
+    Alcotest.failf "%.1f minor words per completed request, bound %.0f"
+      per_request fleet_words_per_request_bound
+
 (* The shared compare fails on any run that differs from its cell's
    first run, wherever it sits. *)
 let test_digests_agree () =
@@ -344,5 +374,7 @@ let () =
             test_fleet_check_splits;
           Alcotest.test_case "run reads the scenario" `Quick
             test_fleet_run_reads_scenario;
+          Alcotest.test_case "words per completed request" `Quick
+            test_fleet_allocation;
           Alcotest.test_case "digest mismatch flagged" `Quick
             test_digests_agree ] ) ]

@@ -32,12 +32,12 @@ let deploy_pair_sync ~mode =
 let udp_echo_works ns_server ns_client ~addr ~port tb =
   let echoed = ref false in
   let server =
-    Stack.Udp.bind ns_server ~port (fun s ~src payload ->
-        let ip, p = src in
+    Stack.Udp.bind ns_server ~port (fun s ~src:ip ~src_port:p payload ->
         Stack.Udp.sendto s ~dst:ip ~dst_port:p payload)
   in
   let client =
-    Stack.Udp.bind ns_client ~port:0 (fun _ ~src:_ _ -> echoed := true)
+    Stack.Udp.bind ns_client ~port:0 (fun _ ~src:_ ~src_port:_ _ ->
+        echoed := true)
   in
   Stack.Udp.sendto client ~dst:addr ~dst_port:port (Payload.raw 256);
   until tb (Time.sec 3);

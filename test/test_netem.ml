@@ -42,8 +42,8 @@ let test_netem_loss_counts () =
   let rng = Nest_sim.Prng.create 5L in
   let nm = Netem.shape e da ~loss:1.0 ~rng () in
   let got = ref 0 in
-  let _s = Stack.Udp.bind b ~port:9 (fun _ ~src:_ _ -> incr got) in
-  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  let _s = Stack.Udp.bind b ~port:9 (fun _ ~src:_ ~src_port:_ _ -> incr got) in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   for _ = 1 to 10 do
     Stack.Udp.sendto c ~dst:(ip "192.168.1.2") ~dst_port:9 (Payload.raw 16)
   done;

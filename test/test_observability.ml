@@ -330,12 +330,12 @@ let echo_traffic_traced mode n =
   let cli_before = (Stack.counters cli).Stack.delivered in
   let echoed = ref 0 in
   let server =
-    Stack.Udp.bind srv ~port:site.Deploy.site_port (fun s ~src payload ->
-        let ip, p = src in
+    Stack.Udp.bind srv ~port:site.Deploy.site_port
+      (fun s ~src:ip ~src_port:p payload ->
         Stack.Udp.sendto s ~dst:ip ~dst_port:p payload)
   in
   let client =
-    Stack.Udp.bind cli ~port:0 (fun _ ~src:_ _ -> incr echoed)
+    Stack.Udp.bind cli ~port:0 (fun _ ~src:_ ~src_port:_ _ -> incr echoed)
   in
   for _ = 1 to n do
     Stack.Udp.sendto client ~dst:site.Deploy.site_addr
@@ -399,12 +399,12 @@ let test_reconcile_hostlo_pair () =
   let echoed = ref false in
   let server =
     Stack.Udp.bind site.Deploy.b_ns ~port:site.Deploy.b_port
-      (fun s ~src payload ->
-        let ip, p = src in
+      (fun s ~src:ip ~src_port:p payload ->
         Stack.Udp.sendto s ~dst:ip ~dst_port:p payload)
   in
   let client =
-    Stack.Udp.bind site.Deploy.a_ns ~port:0 (fun _ ~src:_ _ -> echoed := true)
+    Stack.Udp.bind site.Deploy.a_ns ~port:0 (fun _ ~src:_ ~src_port:_ _ ->
+        echoed := true)
   in
   Stack.Udp.sendto client ~dst:site.Deploy.b_addr ~dst_port:site.Deploy.b_port
     (Payload.raw 128);

@@ -62,12 +62,11 @@ let test_udp_round_trip () =
   let vm_ns = Nest_virt.Vm.ns w.vm in
   let echoed = ref 0 in
   let _server =
-    Stack.Udp.bind vm_ns ~port:7 (fun s ~src payload ->
-        let src_ip, src_port = src in
+    Stack.Udp.bind vm_ns ~port:7 (fun s ~src:src_ip ~src_port payload ->
         Stack.Udp.sendto s ~dst:src_ip ~dst_port:src_port payload)
   in
   let client =
-    Stack.Udp.bind w.client_ns ~port:0 (fun _ ~src:_ _ ->
+    Stack.Udp.bind w.client_ns ~port:0 (fun _ ~src:_ ~src_port:_ _ ->
         incr echoed)
   in
   Stack.Udp.sendto client ~dst:(ip "10.0.0.2") ~dst_port:7
@@ -112,16 +111,17 @@ let test_nat_hides_client () =
   let vm_ns = Nest_virt.Vm.ns w.vm in
   let seen_src = ref None in
   let _server =
-    Stack.Udp.bind vm_ns ~port:9 (fun _ ~src _ -> seen_src := Some src)
+    Stack.Udp.bind vm_ns ~port:9 (fun _ ~src ~src_port:_ _ ->
+        seen_src := Some src)
   in
   let client =
-    Stack.Udp.bind w.client_ns ~port:0 (fun _ ~src:_ _ -> ())
+    Stack.Udp.bind w.client_ns ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ())
   in
   Stack.Udp.sendto client ~dst:(ip "10.0.0.2") ~dst_port:9 (Payload.raw 32);
   run_until w (Nest_sim.Time.ms 100);
   match !seen_src with
   | None -> Alcotest.fail "no datagram at server"
-  | Some (src_ip, _) ->
+  | Some src_ip ->
     Alcotest.(check string) "source masqueraded to host bridge address"
       "10.0.0.1" (Ipv4.to_string src_ip)
 
@@ -151,10 +151,10 @@ let test_trace_path () =
   let w = make_world () in
   let vm_ns = Nest_virt.Vm.ns w.vm in
   let _server =
-    Stack.Udp.bind vm_ns ~port:7 (fun _ ~src:_ _ -> ())
+    Stack.Udp.bind vm_ns ~port:7 (fun _ ~src:_ ~src_port:_ _ -> ())
   in
   let client =
-    Stack.Udp.bind w.client_ns ~port:0 (fun _ ~src:_ _ -> ())
+    Stack.Udp.bind w.client_ns ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ())
   in
   Stack.Udp.sendto client ~dst:(ip "10.0.0.2") ~dst_port:7 (Payload.raw 64);
   run_until w (Nest_sim.Time.ms 100);

@@ -41,8 +41,10 @@ let two_ns () =
 let test_arp_resolution () =
   let e, a, b, _, _ = two_ns () in
   let got = ref false in
-  let _s = Stack.Udp.bind b ~port:53 (fun _ ~src:_ _ -> got := true) in
-  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  let _s =
+    Stack.Udp.bind b ~port:53 (fun _ ~src:_ ~src_port:_ _ -> got := true)
+  in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   Stack.Udp.sendto c ~dst:(ip "192.168.1.2") ~dst_port:53 (Payload.raw 32);
   Engine.run e;
   Alcotest.(check bool) "delivered after ARP" true !got;
@@ -61,8 +63,10 @@ let test_local_delivery_over_lo () =
   let e = Engine.create () in
   let a = Stack.create e ~name:"solo" ~costs:(cheap_costs e) () in
   let got = ref 0 in
-  let _s = Stack.Udp.bind a ~port:9000 (fun _ ~src:_ _ -> incr got) in
-  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  let _s =
+    Stack.Udp.bind a ~port:9000 (fun _ ~src:_ ~src_port:_ _ -> incr got)
+  in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   Stack.Udp.sendto c ~dst:Ipv4.localhost ~dst_port:9000 (Payload.raw 16);
   Stack.Udp.sendto c ~dst:(ip "127.0.0.42") ~dst_port:9000 (Payload.raw 16);
   Engine.run e;
@@ -70,7 +74,7 @@ let test_local_delivery_over_lo () =
 
 let test_no_socket_counted () =
   let e, a, b, _, _ = two_ns () in
-  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   Stack.Udp.sendto c ~dst:(ip "192.168.1.2") ~dst_port:9999 (Payload.raw 16);
   Engine.run e;
   Alcotest.(check int) "dropped_no_socket" 1
@@ -80,7 +84,7 @@ let test_forwarding_disabled_drops () =
   (* b is not a router: a packet not addressed to it must die there. *)
   let e, a, b, _, _ = two_ns () in
   Stack.set_ip_forward b false;
-  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   (* Static route pushes an off-subnet destination via the veth. *)
   Route.add (Stack.routes a) ~dst:(cidr "10.50.0.0/16")
     ~dev:(Option.get (Stack.find_dev a "a0"))
@@ -96,8 +100,10 @@ let test_firewall_drop_counted () =
   Nat.drop_from (Stack.nf b) ~name:"deny-a" ~hook:Netfilter.Input
     ~src_subnet:(cidr "192.168.1.0/24");
   let got = ref false in
-  let _s = Stack.Udp.bind b ~port:53 (fun _ ~src:_ _ -> got := true) in
-  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  let _s =
+    Stack.Udp.bind b ~port:53 (fun _ ~src:_ ~src_port:_ _ -> got := true)
+  in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   Stack.Udp.sendto c ~dst:(ip "192.168.1.2") ~dst_port:53 (Payload.raw 16);
   Engine.run e;
   Alcotest.(check bool) "filtered" false !got;
@@ -112,8 +118,8 @@ let send_one c dst = Stack.Udp.sendto c ~dst ~dst_port:53 (Payload.raw 32)
 (* A flow a -> b:53 that has already delivered three datagrams. *)
 let warm_flow () =
   let e, a, b, da, db = two_ns () in
-  let _s = Stack.Udp.bind b ~port:53 (fun _ ~src:_ _ -> ()) in
-  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  let _s = Stack.Udp.bind b ~port:53 (fun _ ~src:_ ~src_port:_ _ -> ()) in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   for _ = 1 to 3 do
     send_one c (ip "192.168.1.2");
     Engine.run e
@@ -169,9 +175,13 @@ let test_local_dnat_routes_translated () =
   Stack.attach c dc;
   Stack.add_addr c dc (ip "192.168.2.2") (cidr "192.168.2.0/24");
   let at_b = ref 0 and at_c = ref 0 in
-  let _sb = Stack.Udp.bind b ~port:53 (fun _ ~src:_ _ -> incr at_b) in
-  let _sc = Stack.Udp.bind c ~port:5353 (fun _ ~src:_ _ -> incr at_c) in
-  let s = Stack.Udp.bind a ~port:4000 (fun _ ~src:_ _ -> ()) in
+  let _sb =
+    Stack.Udp.bind b ~port:53 (fun _ ~src:_ ~src_port:_ _ -> incr at_b)
+  in
+  let _sc =
+    Stack.Udp.bind c ~port:5353 (fun _ ~src:_ ~src_port:_ _ -> incr at_c)
+  in
+  let s = Stack.Udp.bind a ~port:4000 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   let flow =
     Packet.make ~src:(ip "192.168.1.1") ~dst:(ip "192.168.1.2")
       (Packet.Udp { src_port = 4000; dst_port = 53; payload = Payload.raw 32 })
@@ -189,8 +199,8 @@ let test_local_dnat_routes_translated () =
 let test_garp_corrects_moved_neighbour () =
   let e, a, b, _, db = two_ns () in
   Stack.add_addr b db (ip "192.168.1.3") (cidr "192.168.1.0/24");
-  let _s = Stack.Udp.bind b ~port:53 (fun _ ~src:_ _ -> ()) in
-  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  let _s = Stack.Udp.bind b ~port:53 (fun _ ~src:_ ~src_port:_ _ -> ()) in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   for _ = 1 to 3 do
     send_one c (ip "192.168.1.2");
     send_one c (ip "192.168.1.3");
@@ -247,8 +257,10 @@ let reflector_world () =
 let test_reflector_socket_transition () =
   let e, a, b = reflector_world () in
   let b_got = ref 0 and a_got = ref 0 in
-  let _sb = Stack.Udp.bind b ~port:53 (fun _ ~src:_ _ -> incr b_got) in
-  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  let _sb =
+    Stack.Udp.bind b ~port:53 (fun _ ~src:_ ~src_port:_ _ -> incr b_got)
+  in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   let burst () =
     for _ = 1 to 3 do
       send_one c Ipv4.localhost
@@ -258,7 +270,9 @@ let test_reflector_socket_transition () =
   burst ();
   Alcotest.(check int) "reflected to the peer while a has no server" 3 !b_got;
   (* A server appears in the sender's own fraction: localhost is local. *)
-  let sa = Stack.Udp.bind a ~port:53 (fun _ ~src:_ _ -> incr a_got) in
+  let sa =
+    Stack.Udp.bind a ~port:53 (fun _ ~src:_ ~src_port:_ _ -> incr a_got)
+  in
   burst ();
   Alcotest.(check int) "local server captures localhost" 3 !a_got;
   Alcotest.(check int) "peer no longer sees the flow" 3 !b_got;
@@ -271,12 +285,12 @@ let test_reflector_socket_transition () =
 let test_udp_bind_conflicts () =
   let e = Engine.create () in
   let a = Stack.create e ~name:"x" ~costs:(cheap_costs e) () in
-  let _s = Stack.Udp.bind a ~port:5000 (fun _ ~src:_ _ -> ()) in
+  let _s = Stack.Udp.bind a ~port:5000 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   Alcotest.check_raises "port busy"
     (Failure "Stack.Udp.bind: port 5000 busy in x") (fun () ->
-      ignore (Stack.Udp.bind a ~port:5000 (fun _ ~src:_ _ -> ())));
-  let eph1 = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
-  let eph2 = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+      ignore (Stack.Udp.bind a ~port:5000 (fun _ ~src:_ ~src_port:_ _ -> ())));
+  let eph1 = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
+  let eph2 = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   Alcotest.(check bool) "distinct ephemerals" true
     (Stack.Udp.port eph1 <> Stack.Udp.port eph2);
   Stack.Udp.close eph1;
@@ -448,17 +462,17 @@ let test_route_most_recent_wins () =
    so the bound holds on any host; it is pinned to OCaml 5.1.1, whose
    compiler and runtime decide the block sizes.  The nested-NAT UDP_RR
    transaction crosses bridge, netfilter, conntrack and virtio on both
-   ends, so every per-hop allocation shows here.  The count was 411.3
+   ends, so every per-hop allocation shows here.  The count was 405.2
    words per transaction when the bound was set (about 1 % headroom);
    raise it only together with the change that needs the words.
 
    The same run is repeated at the CLI's collection levels.  Tracing
    and metrics must be free: the same events and the same words per
    transaction as with collection off, and the trace ring must really
-   have recorded.  Provenance sampled 1/16 gets its own bound (436.0
+   have recorded.  Provenance sampled 1/16 gets its own bound (429.9
    words when set).  Full provenance is not gated. *)
-let minor_words_per_tx_bound = 415.0
-let sampled_provenance_words_bound = 440.0
+let minor_words_per_tx_bound = 410.0
+let sampled_provenance_words_bound = 434.0
 
 module Obs = Nest_experiments.Exp_util.Obs
 
@@ -552,8 +566,8 @@ let test_udp_rr_alloc_ledger () =
    a Docker Overlay pod pair (memtier's 4 x 50 TCP connections through
    veth, VXLAN encap/decap and the underlay's bridge and virtio), 50 ms
    after a 20 ms warm-up.  Words per completed request are exact; the
-   count was 700.5 when the bound was set (about 1 % headroom). *)
-let overlay_words_per_request_bound = 707.0
+   count was 693.9 when the bound was set (about 1 % headroom). *)
+let overlay_words_per_request_bound = 701.0
 
 let test_memcached_overlay_minor_words () =
   let open Nest_workloads in
