@@ -348,21 +348,24 @@ let start_generators tbs deployed ~serves ~p ~prof_ns ~timeout ~start ~stop
               Option.value (Slo.last_burn slo ~name:"lat_p99") ~default:0.0)
         | `Fixed | `Codel -> None
       in
+      (* [target] runs per request: its answer is built once. *)
       let gen =
         match site with
         | Single _ ->
+          let target = Some (gw, gw_client_port) in
           Lg.udp ~engine ~label ~arrival ~sizes ~rng ?admission ?burn_source
             ~timeout ~slo ~gen_id:i ~ns:tb.Testbed.client_ns
             ~exec:
               (Testbed.client_app_exec tb
                  ~name:(Printf.sprintf "n%d:loadgen" i))
-            ~target:(fun () -> Some (gw, gw_client_port))
+            ~target:(fun () -> target)
             ~start ~stop ()
         | Pair pair ->
+          let target = Some (pair.Deploy.b_addr, pair.Deploy.b_port) in
           Lg.udp ~engine ~label ~arrival ~sizes ~rng ?admission ?burn_source
             ~timeout ~slo ~gen_id:i ~ns:pair.Deploy.a_ns
             ~exec:pair.Deploy.a_exec
-            ~target:(fun () -> Some (pair.Deploy.b_addr, pair.Deploy.b_port))
+            ~target:(fun () -> target)
             ~start ~stop ()
       in
       { f_ix = i; f_mode = mode_of_ix i; f_serves = serves.(i); f_gen = gen;
@@ -403,26 +406,47 @@ let arm_churn sd all_nodes ~p ~start ~stop =
   let crng = Prng.create (node_seed p.seed 30000) in
   let window = stop - start in
   let npods = Array.length demands in
-  Array.iteri
-    (fun i (c, m) ->
+  let due i = start + ((i + 1) * window / max 1 npods) in
+  let departure_lbl = Engine.label ctl "fleet:pod-departure" in
+  let arrival_lbl = Engine.label ctl "fleet:pod-arrival" in
+  (* Pods [0, next) have arrived.  One arrival event is pending at a
+     time, armed at the next pod's due date, so the queue holds no
+     entry per pod still to come. *)
+  let next = ref 0 in
+  let rec place_due () =
+    let now = Engine.now ctl in
+    while !next < npods && due !next <= now do
+      let c, m = demands.(!next) in
+      incr next;
       let cpu = c *. scale_cpu and mem = m *. scale_mem in
-      let at = start + ((i + 1) * window / max 1 npods) in
+      (* Drawn for every pod in trace order, placed or not, so a pod's
+         lifetime never depends on placement. *)
       let lifetime =
         max 1
           (int_of_float
              (Nest_sim.Dist.exponential crng
                 ~mean:(float_of_int window /. 3.0)))
       in
-      Engine.schedule_at ctl ~label:"fleet:pod-arrival" ~at (fun () ->
-          match Index.place index ~cpu ~mem with
-          | None -> ch.ch_unschedulable <- ch.ch_unschedulable + 1
-          | Some pos ->
-            ch.ch_placed <- ch.ch_placed + 1;
-            Engine.schedule ctl ~label:"fleet:pod-departure" ~delay:lifetime
-              (fun () ->
-                Index.release index pos ~cpu ~mem;
-                ch.ch_departed <- ch.ch_departed + 1)))
-    demands;
+      match Index.place index ~cpu ~mem with
+      | None -> ch.ch_unschedulable <- ch.ch_unschedulable + 1
+      | Some pos ->
+        ch.ch_placed <- ch.ch_placed + 1;
+        Engine.schedule_labeled ctl departure_lbl ~at:(now + lifetime)
+          (fun () ->
+            (* At one instant, arrivals go before departures: a pod
+               due now is placed before this one is released. *)
+            place_due ();
+            Index.release index pos ~cpu ~mem;
+            ch.ch_departed <- ch.ch_departed + 1)
+    done
+  in
+  let rec on_arrival () =
+    place_due ();
+    if !next < npods then
+      Engine.schedule_labeled ctl arrival_lbl ~at:(due !next) on_arrival
+  in
+  if npods > 0 then
+    Engine.schedule_labeled ctl arrival_lbl ~at:(due 0) on_arrival;
   ch
 
 (* Every check is written so that NaN fails it: a float comparison

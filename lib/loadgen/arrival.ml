@@ -12,7 +12,7 @@ let total t = t.a_total
    2^62 is not the value, and an offset that wrapped negative would land
    in the past forever.  Such an offset is beyond any horizon, so the
    stream ends there; offsets are monotone, so it stays ended. *)
-let offset x =
+let[@inline] offset x =
   let r = Float.round x in
   if r < Float.of_int max_int then Some (int_of_float r) else None
 
@@ -36,12 +36,16 @@ let poisson ~rng ~rate_per_s =
   check_rate "poisson" rate_per_s;
   let mean = 1e9 /. rate_per_s in
   (* Absolute offsets accumulate in float; rounding a monotone sum keeps
-     the offsets monotone (ties are legal). *)
-  let acc = ref 0.0 in
+     the offsets monotone (ties are legal).  The sum sits in a flat
+     float array: a captured [float ref] would box every new sum. *)
+  let acc = Float.Array.make 1 0.0 in
   { a_next =
       (fun () ->
-        acc := !acc +. Nest_sim.Dist.exponential rng ~mean;
-        offset !acc);
+        let sum =
+          Float.Array.get acc 0 +. Nest_sim.Dist.exponential rng ~mean
+        in
+        Float.Array.set acc 0 sum;
+        offset sum);
     a_total = None }
 
 let of_trace ~users ~over =

@@ -1,15 +1,23 @@
 (* Open-loop load generator.  See loadgen.mli.
 
-   The arrival chain is lazy: exactly one arrival event is pending at a
-   time, and firing it pulls the next offset from the process.  Nothing
-   is materialized up front, so an infinite rate process costs one heap
-   entry, and a schedule ending past [stop] stops pulling. *)
+   Each generator keeps one pending event per process.  The arrival
+   chain is lazy: exactly one arrival event is pending at a time, and
+   firing it pulls the next offset from the process, so an infinite
+   rate process costs one heap entry and a schedule ending past [stop]
+   stops pulling.  Timeouts are one deadline timer: in-flight requests
+   sit in a ring of intended starts indexed by [seq], and a single
+   [loadgen:timeout] event waits for the oldest unresolved deadline,
+   re-armed each time it fires (the way TCP keeps one RTO timer per
+   connection, not one per segment).
+
+   Deadline rule: at any instant, the generator first retires every
+   request whose deadline (intended start + timeout) is <= now, and
+   only then takes an arrival or a reply — [arrive] and [complete]
+   sweep first.  The timer fires at the oldest deadline itself, so a
+   loss always reaches admission at its deadline's own instant. *)
 
 module Engine = Nest_sim.Engine
 module Time = Nest_sim.Time
-
-(* Touched per request: monomorphic equality, generic hash. *)
-module Seq_tbl = Hashtbl.Make (Int)
 
 type counts = {
   offered : int;
@@ -22,7 +30,7 @@ type counts = {
 type t = {
   g_engine : Engine.t;
   g_label : string;
-  g_arrival_lbl : Engine.label;  (* resolved once: two events per request *)
+  g_arrival_lbl : Engine.label;  (* resolved once: one event per arrival *)
   g_timeout_lbl : Engine.label;
   g_arrival : Arrival.t;
   g_sizes : Size_dist.t;
@@ -33,8 +41,17 @@ type t = {
   g_dispatch : seq:int -> size:int -> unit;
   g_start : Time.ns;
   g_stop : Time.ns;
-  (* seq -> intended start; presence means in flight. *)
-  g_intended : Time.ns Seq_tbl.t;
+  (* In flight: slot [seq land (length - 1)] holds request [seq]'s
+     intended start, or -1 once it is resolved.  Requests [g_oldest] to
+     [g_seq] are the window; everything below [g_oldest] is resolved.
+     The length is a power of two, doubled when the window outgrows
+     it. *)
+  mutable g_ring : Time.ns array;
+  mutable g_oldest : int;
+  mutable g_timer_armed : bool;
+  (* The two event bodies, built once per generator. *)
+  mutable g_on_arrival : unit -> unit;
+  mutable g_on_timer : unit -> unit;
   g_latency : Nest_sim.Hdr.t;
   mutable g_offered : int;
   mutable g_admitted : int;
@@ -60,7 +77,55 @@ let slo_done t us =
     Nest_sim.Slo.observe_latency s us
   | None -> ()
 
+(* Retires the window's resolved prefix and every request whose
+   deadline is <= now, in [seq] order.  Intended starts grow with
+   [seq], so the first unresolved request still inside its deadline
+   ends the sweep. *)
+let sweep t =
+  let now = Engine.now t.g_engine in
+  let mask = Array.length t.g_ring - 1 in
+  let continue = ref true in
+  while !continue && t.g_oldest <= t.g_seq do
+    let i = t.g_oldest land mask in
+    let intended = t.g_ring.(i) in
+    if intended < 0 then t.g_oldest <- t.g_oldest + 1
+    else if intended + t.g_timeout <= now then begin
+      t.g_ring.(i) <- -1;
+      t.g_oldest <- t.g_oldest + 1;
+      t.g_lost <- t.g_lost + 1;
+      t.g_outstanding <- t.g_outstanding - 1;
+      Admission.on_lost t.g_admission
+    end
+    else continue := false
+  done
+
+let arm_timer t ~at =
+  t.g_timer_armed <- true;
+  Engine.schedule_labeled t.g_engine t.g_timeout_lbl ~at t.g_on_timer
+
+(* The timer's body: sweep, then wait for the new oldest deadline. *)
+let on_timer t =
+  t.g_timer_armed <- false;
+  sweep t;
+  if t.g_oldest <= t.g_seq then
+    arm_timer t
+      ~at:(t.g_ring.(t.g_oldest land (Array.length t.g_ring - 1)) + t.g_timeout)
+
+(* Files [seq] (= [g_seq], the window's new end) as in flight from
+   [now]. *)
+let push_in_flight t seq now =
+  let len = Array.length t.g_ring in
+  if seq - t.g_oldest >= len then begin
+    let ring = Array.make (2 * len) (-1) in
+    for s = t.g_oldest to seq - 1 do
+      ring.(s land ((2 * len) - 1)) <- t.g_ring.(s land (len - 1))
+    done;
+    t.g_ring <- ring
+  end;
+  t.g_ring.(seq land (Array.length t.g_ring - 1)) <- now
+
 let arrive t =
+  sweep t;
   t.g_offered <- t.g_offered + 1;
   (* A shed is a deliberate fast-fail answered at admission — graceful
      degradation, not an outage — so it must not burn the availability
@@ -75,29 +140,21 @@ let arrive t =
     t.g_seq <- t.g_seq + 1;
     let seq = t.g_seq in
     let size = Size_dist.draw t.g_sizes t.g_rng in
-    Seq_tbl.replace t.g_intended seq (Engine.now t.g_engine);
+    let now = Engine.now t.g_engine in
+    push_in_flight t seq now;
     t.g_outstanding <- t.g_outstanding + 1;
     t.g_dispatch ~seq ~size;
-    Engine.schedule_labeled t.g_engine t.g_timeout_lbl
-      ~at:(Engine.now t.g_engine + t.g_timeout) (fun () ->
-        if Seq_tbl.mem t.g_intended seq then begin
-          Seq_tbl.remove t.g_intended seq;
-          t.g_lost <- t.g_lost + 1;
-          t.g_outstanding <- t.g_outstanding - 1;
-          Admission.on_lost t.g_admission
-        end)
+    if not t.g_timer_armed then arm_timer t ~at:(now + t.g_timeout)
   end
 
-let rec schedule_next t =
+let schedule_next t =
   match Arrival.next t.g_arrival with
   | None -> ()
   | Some off ->
     (* Compared as an offset: [g_start + off] can overflow. *)
     if off < t.g_stop - t.g_start then
       Engine.schedule_labeled t.g_engine t.g_arrival_lbl
-        ~at:(t.g_start + off) (fun () ->
-          arrive t;
-          schedule_next t)
+        ~at:(t.g_start + off) t.g_on_arrival
 
 let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
     ?(max_outstanding = 64) ?admission ?burn_source ?(timeout = Time.ms 100)
@@ -121,12 +178,16 @@ let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
       g_timeout_lbl = Engine.label engine "loadgen:timeout";
       g_arrival = arrival; g_sizes = sizes; g_rng = rng;
       g_admission = admission; g_timeout = timeout; g_slo = slo;
-      g_dispatch = dispatch; g_start = start; g_stop = stop; g_intended = Seq_tbl.create 128;
+      g_dispatch = dispatch; g_start = start; g_stop = stop;
+      g_ring = Array.make 64 (-1); g_oldest = 1; g_timer_armed = false;
+      g_on_arrival = ignore; g_on_timer = ignore;
       g_latency = Nest_sim.Hdr.create ~name:(label ^ ":latency_us") ();
       g_offered = 0; g_admitted = 0; g_shed = 0; g_lost = 0;
       g_completed = 0; g_outstanding = 0; g_seq = 0; g_done_at = [||];
       g_done_us = Float.Array.create 0 }
   in
+  t.g_on_arrival <- (fun () -> arrive t; schedule_next t);
+  t.g_on_timer <- (fun () -> on_timer t);
   schedule_next t;
   t
 
@@ -145,17 +206,23 @@ let record_completion t at us =
   t.g_completed <- n + 1
 
 let complete t ~seq =
-  match Seq_tbl.find_opt t.g_intended seq with
-  | None -> ()  (* stale: timed out already, or a duplicate reply *)
-  | Some intended ->
-    Seq_tbl.remove t.g_intended seq;
-    t.g_outstanding <- t.g_outstanding - 1;
-    let now = Engine.now t.g_engine in
-    let us = Time.to_us_f (now - intended) in
-    Nest_sim.Hdr.add t.g_latency us;
-    record_completion t now us;
-    Admission.on_complete t.g_admission ~latency_us:us;
-    slo_done t us
+  sweep t;
+  (* Below the window, or resolved inside it: stale (timed out already,
+     or a duplicate reply); past its end: never issued. *)
+  if seq >= t.g_oldest && seq <= t.g_seq then begin
+    let i = seq land (Array.length t.g_ring - 1) in
+    let intended = t.g_ring.(i) in
+    if intended >= 0 then begin
+      t.g_ring.(i) <- -1;
+      t.g_outstanding <- t.g_outstanding - 1;
+      let now = Engine.now t.g_engine in
+      let us = Time.to_us_f (now - intended) in
+      Nest_sim.Hdr.add t.g_latency us;
+      record_completion t now us;
+      Admission.on_complete t.g_admission ~latency_us:us;
+      slo_done t us
+    end
+  end
 
 let counts t =
   { offered = t.g_offered; admitted = t.g_admitted; shed = t.g_shed;
@@ -168,6 +235,7 @@ let iter_completions t f =
   done
 let label t = t.g_label
 let admission_limit t = Admission.limit t.g_admission
+let admission_transitions t = Admission.transitions t.g_admission
 
 (* ---- UDP frontend ---- *)
 

@@ -22,6 +22,19 @@
     {e lost}, their slot reclaimed — that is the error that burns the
     availability budget.
 
+    Timeouts cost one event per timeout, not one per request: a
+    generator keeps a single [loadgen:timeout] timer armed at its
+    oldest unresolved deadline (intended start + [timeout]) and re-arms
+    it each time it fires.  The deadline rule: at any instant, the
+    generator first retires every request whose deadline is [<=] now,
+    and only then takes an arrival or a reply.  So a reply landing
+    exactly on its request's deadline finds it lost, and an arrival at
+    that instant sees its slot already free.  {!Admission.on_lost} runs
+    at the deadline's own instant.  This is the order one timeout event
+    per request gave whenever the reply's delivering event was
+    scheduled after the request's arrival event — true of any
+    transport, whose reply leaves at least one event later.
+
     Determinism: a generator belongs to one engine (one shard in a
     {!Nest_sim.Sharded} scenario); every PRNG draw happens inside that
     engine's events, from a stream the caller keys off the root seed.
@@ -71,9 +84,11 @@ val create :
 
 val complete : t -> seq:int -> unit
 (** Marks [seq] complete now: latency (µs, from intended start) goes to
-    the sketch, the completion trace, and the SLO monitor.  Stale
-    completions — a [seq] already timed out, or never issued — are
-    ignored, so transports may deliver duplicates safely. *)
+    the sketch, the completion trace, and the SLO monitor.  Deadlines
+    due now are retired first, so a [seq] whose deadline is now is
+    already lost.  Stale completions — a [seq] already timed out, or
+    never issued — are ignored, so transports may deliver duplicates
+    safely. *)
 
 val counts : t -> counts
 
@@ -92,6 +107,10 @@ val label : t -> string
 val admission_limit : t -> int
 (** Current effective concurrency limit of the admission controller
     (see {!Admission.limit}). *)
+
+val admission_transitions : t -> int
+(** State changes of the admission controller so far (see
+    {!Admission.transitions}). *)
 
 (** {2 UDP frontend}
 

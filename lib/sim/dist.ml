@@ -1,28 +1,36 @@
-let exponential rng ~mean =
-  let u = 1.0 -. Prng.float rng in
+(* Uniforms come from {!Prng.bits53}, scaled here, and every draw is
+   [@inline]: inside this module the float arithmetic between draws
+   stays unboxed, so a draw boxes only the float it returns.  The
+   scaling is {!Prng.float}'s, so the streams are unchanged. *)
+
+let[@inline] uniform rng =
+  Float.of_int (Prng.bits53 rng) *. (1.0 /. 9007199254740992.0)
+
+let[@inline] exponential rng ~mean =
+  let u = 1.0 -. uniform rng in
   -.mean *. log u
 
-let normal rng ~mu ~sigma =
-  let u1 = 1.0 -. Prng.float rng in
-  let u2 = Prng.float rng in
+let[@inline] normal rng ~mu ~sigma =
+  let u1 = 1.0 -. uniform rng in
+  let u2 = uniform rng in
   let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
   mu +. (sigma *. z)
 
-let lognormal rng ~mu ~sigma = exp (normal rng ~mu ~sigma)
+let[@inline] lognormal rng ~mu ~sigma = exp (normal rng ~mu ~sigma)
 
-let lognormal_mean_cv rng ~mean ~cv =
+let[@inline] lognormal_mean_cv rng ~mean ~cv =
   (* mean = exp(mu + sigma^2/2); cv^2 = exp(sigma^2) - 1 *)
   let sigma2 = log (1.0 +. (cv *. cv)) in
   let mu = log mean -. (sigma2 /. 2.0) in
   lognormal rng ~mu ~sigma:(sqrt sigma2)
 
-let pareto rng ~shape ~scale =
-  let u = 1.0 -. Prng.float rng in
+let[@inline] pareto rng ~shape ~scale =
+  let u = 1.0 -. uniform rng in
   scale /. (u ** (1.0 /. shape))
 
-let bounded_pareto rng ~shape ~lo ~hi =
+let[@inline] bounded_pareto rng ~shape ~lo ~hi =
   (* Inverse CDF of the truncated Pareto. *)
-  let u = Prng.float rng in
+  let u = uniform rng in
   let la = lo ** shape and ha = hi ** shape in
   let x = -.((u *. ha) -. u *. la -. ha) /. (ha *. la) in
   x ** (-1.0 /. shape)
@@ -38,7 +46,7 @@ let poisson rng ~mean =
     let continue = ref true in
     while !continue do
       incr k;
-      p := !p *. Prng.float rng;
+      p := !p *. uniform rng;
       if !p <= l then continue := false
     done;
     !k - 1
@@ -49,7 +57,7 @@ let zipf rng ~n ~s =
   (* Rejection method of Devroye (1986, ch. X.6). *)
   let b = 2.0 ** (s -. 1.0) in
   let rec draw () =
-    let u = Prng.float rng and v = Prng.float rng in
+    let u = uniform rng and v = uniform rng in
     let x = Float.of_int (int_of_float (float_of_int n ** u)) +. 1.0 in
     let t = (1.0 +. (1.0 /. x)) ** (s -. 1.0) in
     if v *. x *. (t -. 1.0) /. (b -. 1.0) <= t /. b then int_of_float x

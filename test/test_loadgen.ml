@@ -178,6 +178,283 @@ let test_all_completed () =
   Alcotest.(check int) "stale completions ignored" 99
     (Loadgen.counts gen).Loadgen.completed
 
+(* --- one deadline timer against per-request timeouts ---------------- *)
+
+module Admission = Nest_loadgen.Admission
+
+(* A generator with one timeout event per admitted request, scheduled
+   right after the dispatch: the reference the single deadline timer
+   must reproduce.  It shares only [Arrival] and
+   [Admission] with [Loadgen]. *)
+module Per_request = struct
+  type t = {
+    engine : Engine.t;
+    admission : Admission.t;
+    intended : (int, Time.ns) Hashtbl.t;  (* in flight *)
+    mutable offered : int;
+    mutable admitted : int;
+    mutable shed : int;
+    mutable lost : int;
+    mutable completed : int;
+    mutable outstanding : int;
+    mutable seq : int;
+    mutable trace : (Time.ns * float) list;  (* newest first *)
+  }
+
+  let complete t ~seq =
+    match Hashtbl.find_opt t.intended seq with
+    | None -> ()
+    | Some intended ->
+      Hashtbl.remove t.intended seq;
+      t.outstanding <- t.outstanding - 1;
+      let now = Engine.now t.engine in
+      let us = Time.to_us_f (now - intended) in
+      t.completed <- t.completed + 1;
+      t.trace <- (now, us) :: t.trace;
+      Admission.on_complete t.admission ~latency_us:us
+
+  let create ~engine ~arrival ~policy ~burn_source ~timeout ~dispatch ~start
+      ~stop =
+    let t =
+      { engine;
+        admission =
+          Admission.create ~engine ~burn_source ~stop:(stop + timeout) policy;
+        intended = Hashtbl.create 16; offered = 0; admitted = 0; shed = 0;
+        lost = 0; completed = 0; outstanding = 0; seq = 0; trace = [] }
+    in
+    let arrive () =
+      t.offered <- t.offered + 1;
+      if not (Admission.decide t.admission ~outstanding:t.outstanding) then
+        t.shed <- t.shed + 1
+      else begin
+        t.admitted <- t.admitted + 1;
+        t.seq <- t.seq + 1;
+        let seq = t.seq in
+        Hashtbl.replace t.intended seq (Engine.now engine);
+        t.outstanding <- t.outstanding + 1;
+        dispatch ~seq;
+        Engine.schedule_at engine ~at:(Engine.now engine + timeout) (fun () ->
+            if Hashtbl.mem t.intended seq then begin
+              Hashtbl.remove t.intended seq;
+              t.lost <- t.lost + 1;
+              t.outstanding <- t.outstanding - 1;
+              Admission.on_lost t.admission
+            end)
+      end
+    in
+    let rec next () =
+      match Arrival.next arrival with
+      | Some off when off < stop - start ->
+        Engine.schedule_at engine ~at:(start + off) (fun () ->
+            arrive ();
+            next ())
+      | Some _ | None -> ()
+    in
+    next ();
+    t
+end
+
+(* One generated open-loop run, in nanoseconds: arrivals (Poisson,
+   constant, or a trace replay dense enough to tie), a timeout, the
+   admission policy, the burn readings a Burn policy sees in turn, and
+   one reply plan per [seq] (used cyclically): [None] never answers,
+   [Some (d, dup)] answers at intended start + [d], twice when [dup].
+   Delays cluster on the timeout so replies land exactly on deadlines,
+   and constant arrivals put arrivals there too. *)
+type timer_case = {
+  tc_arrival : [ `Poisson of int * float | `Constant of float
+               | `Trace of int * int ];
+  tc_timeout : int;
+  tc_policy : [ `Fixed of int | `Burn of int | `Codel of int * int ];
+  tc_burns : float list;
+  tc_replies : (int * bool) option list;
+}
+
+let gen_timer_case =
+  let open QCheck.Gen in
+  let* tc_timeout = int_range 5 60 in
+  let* tc_arrival =
+    oneof
+      [ map2 (fun s r -> `Poisson (s, r)) (int_bound 1000)
+          (float_range 1e7 2e8);
+        map (fun p -> `Constant (1e9 /. float_of_int p)) (int_range 1 20);
+        map2 (fun s o -> `Trace (s, o)) (int_bound 1000) (int_range 10 400) ]
+  in
+  let* tc_policy =
+    oneof
+      [ map (fun k -> `Fixed k) (int_range 1 8);
+        map (fun w -> `Burn w) (int_range 3 40);
+        map2 (fun tg iv -> `Codel (tg, iv)) (int_range 1 60) (int_range 3 40) ]
+  in
+  let* tc_burns = list_size (int_range 1 8) (float_range 0.0 2.0) in
+  let delay =
+    frequency
+      [ (3, return tc_timeout); (1, return (tc_timeout - 1));
+        (1, return (tc_timeout + 1)); (4, int_bound (2 * tc_timeout)) ]
+  in
+  let* tc_replies =
+    list_size (int_range 1 64)
+      (frequency
+         [ (1, return None);
+           (6, map2 (fun d dup -> Some (d, dup)) delay
+                 (frequency [ (4, return false); (1, return true) ])) ])
+  in
+  return { tc_arrival; tc_timeout; tc_policy; tc_burns; tc_replies }
+
+let print_timer_case c =
+  Printf.sprintf "arrival %s, timeout %d, %s, burns [%s], replies [%s]"
+    (match c.tc_arrival with
+    | `Poisson (s, r) -> Printf.sprintf "poisson(seed %d, %g/s)" s r
+    | `Constant r -> Printf.sprintf "constant(%g/s)" r
+    | `Trace (s, o) -> Printf.sprintf "trace(seed %d, over %d)" s o)
+    c.tc_timeout
+    (match c.tc_policy with
+    | `Fixed k -> Printf.sprintf "fixed %d" k
+    | `Burn w -> Printf.sprintf "burn window %d" w
+    | `Codel (tg, iv) -> Printf.sprintf "codel target %dns interval %d" tg iv)
+    (String.concat "; " (List.map string_of_float c.tc_burns))
+    (String.concat "; "
+       (List.map
+          (function
+            | None -> "never"
+            | Some (d, dup) -> string_of_int d ^ if dup then "x2" else "")
+          c.tc_replies))
+
+(* Runs [c] on a fresh engine through [make], which builds a generator
+   from the case's arrival process, policy, burn source and dispatch.
+   Replies leave from a send event one hop after the arrival, the way a
+   transport's do. *)
+let run_timer_case c make =
+  let engine = Engine.create () in
+  let start = 100 and stop = 2100 in
+  let arrival =
+    match c.tc_arrival with
+    | `Poisson (s, r) ->
+      Arrival.poisson ~rng:(Prng.create (Int64.of_int s)) ~rate_per_s:r
+    | `Constant r -> Arrival.constant ~rate_per_s:r
+    | `Trace (s, over) ->
+      Arrival.of_trace
+        ~users:(Nest_traces.Trace_gen.generate ~seed:(Int64.of_int s) ~users:5)
+        ~over
+  in
+  let policy =
+    match c.tc_policy with
+    | `Fixed k -> Admission.fixed k
+    | `Burn w -> Admission.burn ~floor:1 ~init:4 ~ceiling:8 ~window:w ()
+    | `Codel (tg, iv) ->
+      Admission.codel ~target_us:(float_of_int tg /. 1000.0) ~interval:iv
+        ~ceiling:8 ()
+  in
+  let burns = Array.of_list c.tc_burns and reads = ref 0 in
+  let burn_source () =
+    let b = burns.(!reads mod Array.length burns) in
+    incr reads;
+    b
+  in
+  let replies = Array.of_list c.tc_replies in
+  let complete = ref (fun ~seq:_ -> ()) in
+  let dispatch ~seq =
+    let intended = Engine.now engine in
+    Engine.schedule engine ~delay:0 (fun () ->
+        match replies.(seq mod Array.length replies) with
+        | None -> ()
+        | Some (d, dup) ->
+          let reply () = !complete ~seq in
+          Engine.schedule_at engine ~at:(intended + d) reply;
+          if dup then Engine.schedule_at engine ~at:(intended + d + 7) reply)
+  in
+  let result =
+    make ~engine ~arrival ~policy ~burn_source ~timeout:c.tc_timeout ~dispatch
+      ~start ~stop complete
+  in
+  Engine.run engine;
+  result ()
+
+let prop_deadline_timer_matches_per_request =
+  QCheck.Test.make ~count:500
+    ~name:"deadline timer matches per-request timeouts"
+    (QCheck.make ~print:print_timer_case gen_timer_case)
+    (fun c ->
+      let timer =
+        run_timer_case c
+          (fun ~engine ~arrival ~policy ~burn_source ~timeout ~dispatch
+               ~start ~stop complete ->
+            let g =
+              Loadgen.create ~engine ~arrival ~sizes:(Size_dist.Fixed 64)
+                ~rng:(Prng.create 1L) ~admission:policy ~burn_source ~timeout
+                ~dispatch:(fun ~seq ~size:_ -> dispatch ~seq)
+                ~start ~stop ()
+            in
+            (complete := fun ~seq -> Loadgen.complete g ~seq);
+            fun () ->
+              let trace = ref [] in
+              Loadgen.iter_completions g (fun at us ->
+                  trace := (at, us) :: !trace);
+              let k = Loadgen.counts g in
+              ( (k.Loadgen.offered, k.Loadgen.admitted, k.Loadgen.shed,
+                 k.Loadgen.lost, k.Loadgen.completed),
+                List.rev !trace,
+                (Loadgen.admission_transitions g, Loadgen.admission_limit g) ))
+      in
+      let reference =
+        run_timer_case c
+          (fun ~engine ~arrival ~policy ~burn_source ~timeout ~dispatch
+               ~start ~stop complete ->
+            let r =
+              Per_request.create ~engine ~arrival ~policy ~burn_source
+                ~timeout ~dispatch ~start ~stop
+            in
+            (complete := fun ~seq -> Per_request.complete r ~seq);
+            fun () ->
+              ( Per_request.
+                  (r.offered, r.admitted, r.shed, r.lost, r.completed),
+                List.rev r.Per_request.trace,
+                ( Admission.transitions r.Per_request.admission,
+                  Admission.limit r.Per_request.admission ) ))
+      in
+      timer = reference)
+
+(* The timer costs events per timeout, not per request: three generators
+   at 20 k/s each, every reply back in 20 us, fire [loadgen:timeout] at
+   most [horizon / timeout + 2] times each (one event per admitted
+   request, about 30 000, before the timer). *)
+let test_timer_count () =
+  let engine = Engine.create () in
+  Engine.enable_profiling engine;
+  let timeout = Time.ms 10 in
+  let gens =
+    List.init 3 (fun i ->
+        let g = ref None in
+        let gen =
+          Loadgen.create ~engine ~label:(Printf.sprintf "g%d" i)
+            ~arrival:
+              (Arrival.poisson ~rng:(Prng.create (Int64.of_int i))
+                 ~rate_per_s:20_000.0)
+            ~sizes:(Size_dist.Fixed 64) ~rng:(Prng.create 9L) ~timeout
+            ~dispatch:(fun ~seq ~size:_ ->
+              Engine.schedule engine ~delay:(Time.us 20) (fun () ->
+                  Loadgen.complete (Option.get !g) ~seq))
+            ~start:(Time.ms 1) ~stop:(Time.ms 501) ()
+        in
+        g := Some gen;
+        gen)
+  in
+  Engine.run engine;
+  List.iter
+    (fun g ->
+      let c = Loadgen.counts g in
+      Alcotest.(check int) "every admitted request completed"
+        c.Loadgen.admitted c.Loadgen.completed)
+    gens;
+  let timers =
+    List.fold_left
+      (fun a (label, n, _) -> if label = "loadgen:timeout" then a + n else a)
+      0 (Engine.profile engine)
+  in
+  let bound = List.length gens * ((Engine.now engine / timeout) + 2) in
+  if timers > bound then
+    Alcotest.failf "%d loadgen:timeout events, bound %d" timers bound
+
 (* --- open vs closed loop under a stalled server -------------------- *)
 
 (* One server model, two measurement disciplines.  The server answers in
@@ -320,8 +597,8 @@ let test_fleet_run_reads_scenario () =
    request are exact on one domain.  [Gc.quick_stat]'s and
    [Gc.counters]'s sums move from run to run on OCaml 5.1 (they lag by
    up to a minor heap), so the gate reads [Gc.minor_words].  It was
-   546.0 when the bound was set, the measured value + 1 %. *)
-let fleet_words_per_request_bound = 551.0
+   436.2 when the bound was set, the measured value + 1 %. *)
+let fleet_words_per_request_bound = 441.0
 
 let test_fleet_allocation () =
   let params =
@@ -364,6 +641,10 @@ let () =
       ( "accounting",
         [ Alcotest.test_case "shed and lost" `Quick test_shed_and_lost;
           Alcotest.test_case "all completed" `Quick test_all_completed ] );
+      ( "deadline timer",
+        [ QCheck_alcotest.to_alcotest prop_deadline_timer_matches_per_request;
+          Alcotest.test_case "one timer per generator" `Quick
+            test_timer_count ] );
       ( "coordinated omission",
         [ Alcotest.test_case "open vs closed divergence" `Quick
             test_open_vs_closed_divergence ] );

@@ -403,6 +403,54 @@ let test_prng_split_independent () =
   let ys = List.init 20 (fun _ -> Prng.next_int64 a) in
   Alcotest.(check bool) "split stream differs from parent" true (xs <> ys)
 
+(* splitmix64's published outputs for seed 0 (the reference
+   implementation's first three draws); [float] is the first draw's 53
+   high bits over 2^53. *)
+let test_prng_reference_stream () =
+  let r = Prng.create 0L in
+  List.iter
+    (fun want ->
+      Alcotest.(check string) "splitmix64 seed 0"
+        (Printf.sprintf "%016Lx" want)
+        (Printf.sprintf "%016Lx" (Prng.next_int64 r)))
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ];
+  Alcotest.(check (float 0.0)) "float is the first draw's 53 high bits"
+    (Int64.to_float (Int64.shift_right_logical 0xe220a8397b1dcdafL 11)
+     /. 9007199254740992.0)
+    (Prng.float (Prng.create 0L));
+  Alcotest.(check int) "bits53 is the same 53 bits"
+    (Int64.to_int (Int64.shift_right_logical 0xe220a8397b1dcdafL 11))
+    (Prng.bits53 (Prng.create 0L))
+
+(* Minor words per draw, exact on one domain.  The state is unboxed
+   bytes, so [int] and [bits53] allocate nothing; a float draw boxes
+   only the float it returns (2 words), which no caller in another
+   module avoids. *)
+let test_prng_draws_allocate_nothing () =
+  let r = Prng.create 5L in
+  let n = 10_000 in
+  let sink = ref 0 and fsink = Float.Array.make 1 0.0 in
+  let per_draw f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  List.iter
+    (fun (name, words, f) ->
+      Alcotest.(check (float 0.0)) (name ^ ": minor words per draw") words
+        (per_draw f))
+    [ ("Prng.int", 0.0, fun () -> sink := !sink + Prng.int r 1000);
+      ("Prng.bits53", 0.0, fun () -> sink := !sink lxor Prng.bits53 r);
+      ("Prng.float", 2.0, fun () -> Float.Array.set fsink 0 (Prng.float r));
+      ("Dist.exponential", 2.0,
+        fun () -> Float.Array.set fsink 0 (Dist.exponential r ~mean:3.0));
+      ("Dist.lognormal_mean_cv", 2.0,
+        fun () ->
+          Float.Array.set fsink 0 (Dist.lognormal_mean_cv r ~mean:3.0 ~cv:0.5))
+    ]
+
 let test_prng_float_range =
   QCheck.Test.make ~name:"Prng.float in [0,1)" ~count:500
     QCheck.(int64)
@@ -697,6 +745,10 @@ let () =
       ( "prng",
         [ Alcotest.test_case "determinism" `Quick test_prng_determinism;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
+          Alcotest.test_case "splitmix64 reference" `Quick
+            test_prng_reference_stream;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_prng_draws_allocate_nothing;
           qtest test_prng_float_range;
           qtest test_prng_int_range;
           qtest test_prng_shuffle_permutation ] );

@@ -462,17 +462,17 @@ let test_route_most_recent_wins () =
    so the bound holds on any host; it is pinned to OCaml 5.1.1, whose
    compiler and runtime decide the block sizes.  The nested-NAT UDP_RR
    transaction crosses bridge, netfilter, conntrack and virtio on both
-   ends, so every per-hop allocation shows here.  The count was 405.2
+   ends, so every per-hop allocation shows here.  The count was 389.0
    words per transaction when the bound was set (about 1 % headroom);
    raise it only together with the change that needs the words.
 
    The same run is repeated at the CLI's collection levels.  Tracing
    and metrics must be free: the same events and the same words per
    transaction as with collection off, and the trace ring must really
-   have recorded.  Provenance sampled 1/16 gets its own bound (429.9
+   have recorded.  Provenance sampled 1/16 gets its own bound (413.8
    words when set).  Full provenance is not gated. *)
-let minor_words_per_tx_bound = 410.0
-let sampled_provenance_words_bound = 434.0
+let minor_words_per_tx_bound = 393.0
+let sampled_provenance_words_bound = 418.0
 
 module Obs = Nest_experiments.Exp_util.Obs
 
@@ -544,7 +544,7 @@ let test_udp_rr_minor_words () =
    the two softirq contexts of the nested-NAT path, pinned (exact, like
    the gate above), and the rows summing to the unprofiled total, so the
    ledger attributes every word the run allocates and adds none. *)
-let vm1_softirq_words_per_tx = 148.48
+let vm1_softirq_words_per_tx = 140.40
 let host_softirq_words_per_tx = 124.23
 
 let test_udp_rr_alloc_ledger () =
@@ -566,8 +566,8 @@ let test_udp_rr_alloc_ledger () =
    a Docker Overlay pod pair (memtier's 4 x 50 TCP connections through
    veth, VXLAN encap/decap and the underlay's bridge and virtio), 50 ms
    after a 20 ms warm-up.  Words per completed request are exact; the
-   count was 693.9 when the bound was set (about 1 % headroom). *)
-let overlay_words_per_request_bound = 701.0
+   count was 648.9 when the bound was set (about 1 % headroom). *)
+let overlay_words_per_request_bound = 655.0
 
 let test_memcached_overlay_minor_words () =
   let open Nest_workloads in
