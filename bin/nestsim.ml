@@ -373,12 +373,12 @@ let resolve_profile = function
   | None -> None
   | Some "none" -> None
   | Some name -> (
-    match Nest_net.Netem.profile name with
+    match Nest_net.Wire.profile name with
     | Some p -> Some p
     | None ->
       Printf.eprintf "nestsim: unknown --profile %S (expected %s or none)\n"
         name
-        (String.concat ", " (Nest_net.Netem.profile_names ()));
+        (String.concat ", " (Nest_net.Wire.profile_names ()));
       exit 1)
 
 let profile_arg =
@@ -386,12 +386,12 @@ let profile_arg =
   Arg.(value & opt (some string) None
        & info [ "profile" ] ~docv:"P"
            ~doc:"Named link profile for the inter-node wires: \
-                 $(b,datacenter), $(b,wan), $(b,edge) or $(b,lossy) (see \
-                 lib/net/netem).  The profile's one-way delay becomes each \
+                 $(b,datacenter), $(b,wan), $(b,edge), $(b,lossy) or \
+                 $(b,none).  The profile's one-way delay becomes each \
                  wire's latency and lookahead; its loss and jitter are \
                  applied per datagram, per direction, deterministically \
-                 for any shard split.  Default: unimpaired fixed-latency \
-                 links.")
+                 for any shard split.  Default ($(b,none)): unimpaired \
+                 fixed-latency links.")
 
 let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
     fault_rate standby admission autoscale service_us pods_max frontier =

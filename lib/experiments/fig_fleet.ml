@@ -30,7 +30,6 @@ module Prng = Nest_sim.Prng
 module Engine = Nest_sim.Engine
 module Slo = Nest_sim.Slo
 module Hdr = Nest_sim.Hdr
-module Netem = Nest_net.Netem
 module Wire = Nest_net.Wire
 module Lg = Nest_loadgen.Loadgen
 module Admission = Nest_loadgen.Admission
@@ -69,7 +68,7 @@ type params = {
   pods : int;
   rate : float;
   arrival : [ `Poisson | `Constant ];
-  profile : Netem.profile option;
+  profile : Wire.profile option;
   fault_rate : float;
   standby : int;
   admission : admission_policy;
@@ -234,7 +233,7 @@ let wire_ring sd tbs ring ~shards ~p ~start ~stop =
   let latency =
     match p.profile with
     | None -> default_link_latency
-    | Some pr -> pr.Netem.p_delay
+    | Some pr -> pr.Wire.p_delay
   in
   Array.iteri
     (fun j (i, _) ->
@@ -244,9 +243,9 @@ let wire_ring sd tbs ring ~shards ~p ~start ~stop =
            plan needs the down flag. *)
         let rng = Prng.create (node_seed p.seed (40000 + (2 * j) + d)) in
         match p.profile with
-        | Some pr when p.fault_rate > 0.0 || pr.Netem.p_loss > 0.0
-                       || pr.Netem.p_jitter > 0 ->
-          Some (Wire.impair_of_profile pr ~rng)
+        | Some pr when p.fault_rate > 0.0 || pr.Wire.p_loss > 0.0
+                       || pr.Wire.p_jitter > 0 ->
+          Some (Wire.impair ~profile:pr ~rng ())
         | Some _ | None ->
           if p.fault_rate > 0.0 then Some (Wire.impair ~rng ()) else None
       in
@@ -512,7 +511,7 @@ let build ~p ~shards ~domains ~quick =
   let prof_ns =
     match p.profile with
     | None -> default_link_latency
-    | Some pr -> pr.Netem.p_delay + pr.Netem.p_jitter
+    | Some pr -> pr.Wire.p_delay + pr.Wire.p_jitter
   in
   (* The one request timeout.  The horizon lets every admitted request
      resolve — complete or hit it — so the digest never races the
@@ -718,7 +717,7 @@ let run ?(params = default_params) ?(shards = 1) ?(domains = 1) ~quick () =
        (match p.arrival with `Poisson -> "poisson" | `Constant -> "constant")
        (match p.profile with
        | None -> ""
-       | Some pr -> ", link " ^ pr.Netem.p_name)
+       | Some pr -> ", link " ^ pr.Wire.p_name)
        (if p.fault_rate > 0.0 then
           Printf.sprintf ", fault-rate %.2f (%d flaps)" p.fault_rate
             sc.sc_flaps
@@ -795,9 +794,9 @@ let frontier ?(params = default_params) ?(shards = 1) ?(domains = 1) ~quick
     () =
   let p0 = params in
   let profile name =
-    match Netem.profile name with
+    match Wire.profile name with
     | Some pr -> pr
-    | None -> failwith ("fig_fleet: unknown netem profile " ^ name)
+    | None -> failwith ("fig_fleet: unknown link profile " ^ name)
   in
   let cells =
     [ ("wan", profile "wan", 0.0);

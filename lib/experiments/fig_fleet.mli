@@ -7,7 +7,7 @@
     {!Nest_loadgen.Loadgen} — Poisson or constant arrivals, heavy-tailed
     sizes, intended-start timestamping — against its service: NAT and
     BrFusion nodes are wired in a ring through {!Nest_net.Wire} relays
-    (optionally under a named {!Nest_net.Netem.profile} with per-link
+    (optionally under a named {!Nest_net.Wire.profile} with per-link
     loss/jitter, and optional link-flap fault plans); Hostlo nodes drive
     their pod-local service over the multiplexed host loopback.
     Meanwhile a {!Nest_traces.Trace_gen} cluster trace is replayed
@@ -42,7 +42,7 @@ type params = {
   pods : int;         (** Trace pods replayed through the scheduler (default 200). *)
   rate : float;       (** Fleet-wide open-loop arrival rate, req/s (default 2000). *)
   arrival : [ `Poisson | `Constant ];  (** Arrival process (default Poisson). *)
-  profile : Nest_net.Netem.profile option;  (** Inter-node link profile. *)
+  profile : Nest_net.Wire.profile option;  (** Inter-node link profile. *)
   fault_rate : float; (** Per-link-direction flap probability (default 0). *)
   standby : int;      (** Hostlo standby pool depth; also warm workers per
                           serving pool (default 0). *)

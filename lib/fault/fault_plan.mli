@@ -29,15 +29,6 @@ val qmp_rule :
 type event =
   | Vm_crash of { at : Time.ns; vm : string; restart_after : Time.ns option }
       (** QEMU process death; optionally supervised restart. *)
-  | Link_down of { at : Time.ns; vm : string; duration : Time.ns }
-      (** Administrative down on every NIC of the VM's root namespace. *)
-  | Link_flap of {
-      at : Time.ns;
-      vm : string;
-      down_ns : Time.ns;
-      up_ns : Time.ns;
-      cycles : int;
-    }
   | Tap_exhaust of { at : Time.ns; tap : string; duration : Time.ns }
       (** Full vhost rings: the named tap drops everything for a while. *)
   | Conntrack_clamp of {
@@ -53,7 +44,8 @@ type event =
       prob : float;
       duration : Time.ns;
     }
-      (** Receive-side FCS failures, beyond what Netem's loss models. *)
+      (** Receive-side FCS failures: each frame a NIC of the VM's root
+          namespace receives is dropped with probability [prob]. *)
 
 type t = {
   seed : int64;           (** seeds the injector's private Prng stream *)
@@ -70,5 +62,3 @@ val make : ?seed:int64 -> ?qmp:qmp_rule -> ?events:event list -> unit -> t
 val is_empty : t -> bool
 
 val event_at : event -> Time.ns
-val pp_event : Format.formatter -> event -> unit
-val pp : Format.formatter -> t -> unit

@@ -8,8 +8,8 @@
    is free: no hooks, no scheduled events, no draws.
 
    Event targets (VMs, taps, namespaces) are resolved at fire time, not
-   at install time, because a VM crash invalidates handles: a link-flap
-   cycle aimed at a VM that died in the meantime is skipped and noted on
+   at install time, because a VM crash invalidates handles: a corruption
+   burst aimed at a VM that died in the meantime is skipped and noted on
    the timeline rather than poking a dead device. *)
 
 open Nest_net
@@ -40,8 +40,8 @@ let note t ~kind msg =
   Metrics.bump (Metrics.counter (Engine.metrics engine) ("fault." ^ kind)) ();
   Engine.trace_instant engine ~cat:"fault" ~name:kind ~arg:msg ()
 
-(* Root-namespace NICs of a VM, loopback excluded: the fault models cable
-   pulls and virtio carrier loss, which never touch lo. *)
+(* Root-namespace NICs of a VM, loopback excluded: a corruption burst
+   models FCS failures on the wire, which never touch lo. *)
 let vm_nics vm =
   let ns = Vm.ns vm in
   let lo = Stack.loopback_dev ns in
@@ -53,12 +53,6 @@ let with_vm t vm_name ~kind k =
   match Vmm.find_vm t.tb.Nestfusion.Testbed.vmm vm_name with
   | Some vm -> k vm
   | None -> note t ~kind (Printf.sprintf "%s skipped: %s not running" kind vm_name)
-
-let set_links t vm_name up ~kind =
-  with_vm t vm_name ~kind (fun vm ->
-      List.iter (fun d -> Dev.set_up d up) (vm_nics vm);
-      note t ~kind
-        (Printf.sprintf "%s %s" vm_name (if up then "links up" else "links down")))
 
 let schedule_event t ev =
   let engine = t.tb.Nestfusion.Testbed.engine in
@@ -96,18 +90,6 @@ let schedule_event t ev =
           if not started then
             note t ~kind:"vm_restart"
               (Printf.sprintf "vm_restart skipped: %s not restartable" vm)))
-  | Link_down { at = t0; vm; duration } ->
-    at "link_down" t0 (fun () -> set_links t vm false ~kind:"link_down");
-    at "link_up" (t0 + duration) (fun () ->
-        set_links t vm true ~kind:"link_down")
-  | Link_flap { at = t0; vm; down_ns; up_ns; cycles } ->
-    let period = down_ns + up_ns in
-    for c = 0 to cycles - 1 do
-      let start = t0 + (c * period) in
-      at "link_flap" start (fun () -> set_links t vm false ~kind:"link_flap");
-      at "link_flap" (start + down_ns) (fun () ->
-          set_links t vm true ~kind:"link_flap")
-    done
   | Tap_exhaust { at = t0; tap; duration } ->
     let set b verb =
       match Vmm.find_tap vmm tap with

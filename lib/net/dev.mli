@@ -50,8 +50,7 @@ val clear_rx : t -> unit
 
 val set_up : t -> bool -> unit
 (** Administrative link state.  A down device counts every transmit and
-    delivery as a drop — the hook fault injection uses for link-down and
-    link-flap events. *)
+    delivery as a drop — how a crashed VM's devices go dark. *)
 
 val set_corrupt : t -> (Frame.t -> bool) option -> unit
 (** Optional receive-side corruption oracle (fault injection).  When

@@ -14,6 +14,25 @@ type t = {
   mutable w_returned : int;
 }
 
+type profile = {
+  p_name : string;
+  p_delay : Nest_sim.Time.ns;
+  p_jitter : Nest_sim.Time.ns;
+  p_loss : float;
+}
+
+let us = Nest_sim.Time.us
+let ms = Nest_sim.Time.ms
+
+let profiles =
+  [ { p_name = "datacenter"; p_delay = us 25; p_jitter = us 5; p_loss = 0.0 };
+    { p_name = "wan"; p_delay = ms 10; p_jitter = ms 1; p_loss = 0.001 };
+    { p_name = "edge"; p_delay = ms 30; p_jitter = ms 5; p_loss = 0.005 };
+    { p_name = "lossy"; p_delay = ms 5; p_jitter = ms 2; p_loss = 0.02 } ]
+
+let profile name = List.find_opt (fun p -> String.equal p.p_name name) profiles
+let profile_names () = List.map (fun p -> p.p_name) profiles
+
 type impair = {
   im_loss : float;
   im_jitter : Nest_sim.Time.ns;
@@ -21,13 +40,13 @@ type impair = {
   mutable im_down : bool;
 }
 
-let impair ?(loss = 0.0) ?(jitter = 0) ~rng () =
+let impair ?profile ~rng () =
+  let loss, jitter =
+    match profile with None -> (0.0, 0) | Some p -> (p.p_loss, p.p_jitter)
+  in
   if loss < 0.0 || loss > 1.0 then invalid_arg "Wire.impair: loss in [0,1]";
   if jitter < 0 then invalid_arg "Wire.impair: jitter >= 0";
   { im_loss = loss; im_jitter = jitter; im_rng = rng; im_down = false }
-
-let impair_of_profile (p : Netem.profile) ~rng =
-  impair ~loss:p.Netem.p_loss ~jitter:p.Netem.p_jitter ~rng ()
 
 let set_down im down = im.im_down <- down
 

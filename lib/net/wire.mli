@@ -6,9 +6,11 @@
     that gap at L4, the way a load-balancer VIP or node-port does: the
     client sends to a gateway socket on its own node; the gateway ships
     the payload over a {!Nest_sim.Sharded.link} whose lookahead is the
-    wire's latency (the inter-node RTT/2 — the netem/VXLAN underlay
-    delay); the remote gateway re-emits it toward the server address,
-    and replies retrace the path.
+    wire's latency (the inter-node RTT/2 — the underlay delay, a named
+    {!profile}'s [p_delay] when one applies); the remote gateway re-emits
+    it toward the server address, and replies retrace the path.  The
+    wire is the one place a link degrades: a profile's loss and jitter
+    and the fleet's link flaps are all per-direction {!impair} values.
 
     Payloads cross untouched, so request/response tagging (e.g. netperf's
     [Rr_tagged]) survives the relay.  Replies return to the most recent
@@ -17,6 +19,28 @@
     scenario does. *)
 
 type t
+
+(** {2 Named link profiles}
+
+    The degraded-network matrix (n3x-style tc profiles): each profile
+    bundles one-way delay, jitter and loss probability under a stable
+    name.  The fleet scenario uses [p_delay] as the wire's base latency
+    (its conservative lookahead) and {!impair} applies the jitter and
+    loss per datagram. *)
+
+type profile = {
+  p_name : string;
+  p_delay : Nest_sim.Time.ns;   (** One-way added delay. *)
+  p_jitter : Nest_sim.Time.ns;  (** Uniform extra jitter on top. *)
+  p_loss : float;               (** Per-datagram drop probability. *)
+}
+
+val profiles : profile list
+(** [datacenter] (25 µs ± 5 µs, lossless), [wan] (10 ms ± 1 ms, 0.1 %),
+    [edge] (30 ms ± 5 ms, 0.5 %), [lossy] (5 ms ± 2 ms, 2 %). *)
+
+val profile : string -> profile option
+val profile_names : unit -> string list
 
 type impair
 (** Per-direction wire impairment: probabilistic loss and uniform extra
@@ -27,17 +51,14 @@ type impair
     value must only ever be used by one direction for the same reason:
     its PRNG stream and down flag are owned by that shard. *)
 
-val impair :
-  ?loss:float -> ?jitter:Nest_sim.Time.ns -> rng:Nest_sim.Prng.t -> unit ->
-  impair
-(** [loss] (default 0) per-datagram drop probability; [jitter] (default
-    0) uniform extra delay in [0, jitter] added to the base latency —
-    delivery stays [>= lookahead], so the conservative promise holds. *)
-
-val impair_of_profile :
-  Netem.profile -> rng:Nest_sim.Prng.t -> impair
-(** Loss and jitter from a named link profile (the profile's delay is
-    the wire's base [latency], chosen by the caller). *)
+val impair : ?profile:profile -> rng:Nest_sim.Prng.t -> unit -> impair
+(** Loss and jitter from [profile] (both zero without one): each datagram
+    is dropped with probability [p_loss], else delayed by a uniform extra
+    [0, p_jitter] on top of the base latency — delivery stays
+    [>= lookahead], so the conservative promise holds.  The profile's
+    delay is not read here: it is the wire's base [latency], chosen by
+    the caller.  Raises [Invalid_argument] on a loss outside [0, 1] or a
+    negative jitter. *)
 
 val set_down : impair -> bool -> unit
 (** Administrative link flap: while down, every datagram in this

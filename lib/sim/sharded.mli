@@ -8,8 +8,8 @@
     the engine's [(prio, seq)] order.  Shards interact only through
     {!link}s: timestamped channels whose [lookahead] is a lower bound on
     the latency of every message sent across them (the simulated
-    inter-node link delay — netem/VXLAN underlay latency in this
-    repository's scenarios).
+    inter-node link delay — the underlay latency of a wire's named link
+    profile in this repository's scenarios).
 
     Synchronization is conservative, in lookahead windows (the
     bounded-lag rule): with L the smallest lookahead over links between

@@ -100,64 +100,6 @@ let udp_rr tb (ep : App.endpoints) ~msg_size ?(warmup = Time.ms 50)
   Stack.Udp.close sock;
   { latency; transactions = !transactions }
 
-type Nest_net.Payload.app_msg +=
-  | Rr_req of { t0 : Time.ns }
-  | Rr_resp of { t0 : Time.ns }
-
-let tcp_rr tb (ep : App.endpoints) ~msg_size ?(warmup = Time.ms 50)
-    ?(duration = Time.sec 1) () =
-  let engine = tb.Testbed.engine in
-  let latency = Nest_sim.Stats.create ~name:"tcp_rr_us" () in
-  let transactions = ref 0 in
-  let measuring = ref false in
-  let stop_at = ref max_int in
-  Stack.Tcp.listen ep.App.sv_ns ~port:ep.App.sv_port ~on_accept:(fun conn ->
-      Stack.Tcp.set_on_receive conn (fun ~bytes:_ ~msgs ->
-          List.iter
-            (fun msg ->
-              match msg with
-              | Rr_req { t0 } ->
-                Nest_sim.Exec.submit ep.App.sv_exec ~cost:app_recv_cost_ns
-                  (fun () ->
-                    if not (Stack.Tcp.is_closed conn) then
-                      App.send_all conn ~size:msg_size ~msg:(Rr_resp { t0 }) ())
-              | _ -> ())
-            msgs));
-  let send_next conn =
-    App.send_all conn ~size:msg_size
-      ~msg:(Rr_req { t0 = Engine.now engine })
-      ()
-  in
-  ignore
-    (Stack.Tcp.connect ep.App.cl_ns ~dst:ep.App.sv_addr ~port:ep.App.sv_port
-       ~on_established:(fun conn ->
-         Stack.Tcp.set_on_receive conn (fun ~bytes:_ ~msgs ->
-             List.iter
-               (fun msg ->
-                 match msg with
-                 | Rr_resp { t0 } ->
-                   if !measuring then begin
-                     Nest_sim.Stats.add latency
-                       (Time.to_us_f (Engine.now engine - t0));
-                     incr transactions
-                   end;
-                   if Engine.now engine < !stop_at then
-                     Nest_sim.Exec.submit ep.App.cl_exec
-                       ~cost:app_send_cost_ns (fun () ->
-                         if not (Stack.Tcp.is_closed conn) then send_next conn)
-                 | _ -> ())
-               msgs);
-         send_next conn)
-       ());
-  let t0 = Engine.now engine in
-  stop_at := t0 + warmup + duration;
-  Engine.run ~until:(t0 + warmup) engine;
-  measuring := true;
-  Engine.run ~until:!stop_at engine;
-  Engine.run ~until:(!stop_at + Time.ms 10) engine;
-  Stack.Tcp.unlisten ep.App.sv_ns ~port:ep.App.sv_port;
-  { latency; transactions = !transactions }
-
 let default_sizes = [ 64; 128; 256; 512; 1024; 1280; 2048; 4096; 8192; 16384 ]
 
 (* ---- fault-tolerant UDP_RR driver (chaos cells) ----

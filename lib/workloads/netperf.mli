@@ -43,17 +43,6 @@ val udp_rr :
   unit ->
   rr_result
 
-val tcp_rr :
-  Testbed.t ->
-  App.endpoints ->
-  msg_size:int ->
-  ?warmup:Nest_sim.Time.ns ->
-  ?duration:Nest_sim.Time.ns ->
-  unit ->
-  rr_result
-(** Netperf's TCP_RR mode: synchronous transactions over one persistent
-    connection. *)
-
 val default_sizes : int list
 (** The message-size sweep of Figs. 4 and 10: 64 B .. 16 KiB. *)
 

@@ -1,7 +1,8 @@
 (* Tests for the fault-injection subsystem (lib/fault): schedule
    determinism — same seed means the same fault timeline and the same
-   outcome digest, sequentially and under domain fan-out — and the
-   recovery invariants around Hostlo reflector queues. *)
+   outcome digest, sequentially and under domain fan-out — the recovery
+   invariants around Hostlo reflector queues, and the audits every
+   generated chaos cell must pass. *)
 
 module Time = Nest_sim.Time
 module Testbed = Nestfusion.Testbed
@@ -9,6 +10,8 @@ module Chaos = Nest_fault.Chaos
 module Fault_plan = Nest_fault.Fault_plan
 module Tap = Nest_net.Tap
 module Vmm = Nest_virt.Vmm
+
+let qtest = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
 (* Fault-plan basics *)
@@ -20,8 +23,8 @@ let test_plan_events () =
       ~events:
         [ Fault_plan.Vm_crash
             { vm = "vm1"; at = Time.ms 10; restart_after = Some (Time.ms 5) };
-          Fault_plan.Link_down
-            { vm = "vm1"; at = Time.ms 2; duration = Time.ms 1 } ]
+          Fault_plan.Tap_exhaust
+            { tap = "tap-vm1"; at = Time.ms 2; duration = Time.ms 1 } ]
       ()
   in
   Alcotest.(check bool) "not empty" false (Fault_plan.is_empty plan);
@@ -180,6 +183,55 @@ let test_partial_faults_no_leak () =
   Alcotest.(check int) "no leaked IPAM leases" 0 o.Chaos.o_leaked_leases;
   Alcotest.(check (list string)) "vmm invariants hold" [] o.Chaos.o_invariants
 
+(* ------------------------------------------------------------------ *)
+(* Generated chaos cells: whatever the (mode, rate, seed, workload,
+   standby), a drained cell keeps the exactly-once audits clean and never
+   completes more than it sent.  Probe cells cost about 5 ms each, live
+   workloads 0.2-0.35 s, so the draw leans on [Probe]. *)
+
+let gen_chaos_cell =
+  let open QCheck.Gen in
+  let* mode = oneofl Chaos.all_modes in
+  let* rate = float_bound_inclusive 1.0 in
+  let* seed = int_bound 1_000_000 in
+  let* workload = frequencyl [ (8, Chaos.Probe); (1, Chaos.Rr); (1, Chaos.Mc) ] in
+  let+ standby = int_range 0 2 in
+  (mode, rate, seed, workload, standby)
+
+let print_chaos_cell (mode, rate, seed, workload, standby) =
+  Printf.sprintf "mode=%s rate=%g seed=%d workload=%s standby=%d"
+    (Chaos.mode_to_string mode) rate seed
+    (Chaos.workload_to_string workload) standby
+
+(* Shrink towards the plainest cell one field at a time. *)
+let shrink_chaos_cell (mode, rate, seed, workload, standby) yield =
+  List.iter
+    (fun c -> if c <> (mode, rate, seed, workload, standby) then yield c)
+    [ (mode, 0.0, seed, workload, standby);
+      (mode, rate /. 2.0, seed, workload, standby);
+      (mode, rate, seed, Chaos.Probe, standby);
+      (mode, rate, seed, workload, 0) ]
+
+let prop_chaos_cell_audits =
+  QCheck.Test.make ~count:24 ~name:"chaos cells keep the audits clean"
+    (QCheck.make ~print:print_chaos_cell ~shrink:shrink_chaos_cell
+       gen_chaos_cell)
+    (fun (mode, rate, seed, workload, standby) ->
+      let o =
+        Chaos.run_cell ~quick:true ~workload ~standby ~mode ~rate
+          ~seed:(Int64.of_int seed) ()
+      in
+      if o.Chaos.o_invariants <> [] then
+        QCheck.Test.fail_reportf "vmm invariants: %s"
+          (String.concat "; " o.Chaos.o_invariants);
+      if o.Chaos.o_leaked_leases <> 0 then
+        QCheck.Test.fail_reportf "%d leaked IPAM leases"
+          o.Chaos.o_leaked_leases;
+      if o.Chaos.o_recv > o.Chaos.o_sent then
+        QCheck.Test.fail_reportf "recv %d > sent %d" o.Chaos.o_recv
+          o.Chaos.o_sent;
+      true)
+
 let () =
   Alcotest.run "fault"
     [ ( "plan",
@@ -198,4 +250,5 @@ let () =
         [ Alcotest.test_case "partial timeout dedupes on retry" `Quick
             test_partial_timeout_dedupe;
           Alcotest.test_case "partial faults leak nothing" `Slow
-            test_partial_faults_no_leak ] ) ]
+            test_partial_faults_no_leak ] );
+      ("generated", [ qtest prop_chaos_cell_audits ]) ]

@@ -434,7 +434,7 @@ let gen_fleet_config =
   let* nodes = int_range 1 6 in
   let* pods = int_range 0 60 in
   let* rate = oneofl [ 300.0; 2000.0; 6000.0 ] in
-  let* profile = oneofl [ "none"; "lossy"; "wan" ] in
+  let* profile = oneofl ("none" :: Nest_net.Wire.profile_names ()) in
   let* fault_rate = oneofl [ 0.0; 0.3 ] in
   let* admission = oneofl [ `Fixed; `Burn; `Codel ] in
   let* autoscale = bool in
@@ -443,7 +443,7 @@ let gen_fleet_config =
   let* seed = int_bound 1_000_000 in
   let+ split = oneofl (List.tl Exp_util.splits) in
   ( { Fig_fleet.default_params with
-      Fig_fleet.nodes; pods; rate; profile = Nest_net.Netem.profile profile;
+      Fig_fleet.nodes; pods; rate; profile = Nest_net.Wire.profile profile;
       fault_rate; admission; autoscale; service_us; standby;
       seed = Int64.of_int seed },
     split )
@@ -453,7 +453,7 @@ let print_fleet_config ((p : Fig_fleet.params), (shards, domains)) =
     "nodes=%d pods=%d rate=%g profile=%s fault-rate=%g admission=%s \
      autoscale=%b service-us=%g standby=%d seed=%Ld shards=%d domains=%d"
     p.nodes p.pods p.rate
-    (match p.profile with Some pr -> pr.Nest_net.Netem.p_name | None -> "none")
+    (match p.profile with Some pr -> pr.Nest_net.Wire.p_name | None -> "none")
     p.fault_rate
     (Fig_fleet.admission_to_string p.admission)
     p.autoscale p.service_us p.standby p.seed shards domains
