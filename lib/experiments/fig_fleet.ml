@@ -285,6 +285,9 @@ let wire_ring sd tbs ring ~shards ~p ~start ~stop =
     ring;
   !flaps
 
+(* Each node's goodput SLO floor: a fifth of its share of the rate. *)
+let goodput_floor_per_s p = 0.2 *. (p.rate /. float_of_int p.nodes)
+
 (* Per-node open-loop generator + SLO monitor, both on the node's own
    engine.  Latency ceilings scale with the link physics [prof_ns] so a
    WAN fleet is judged against WAN physics.  Returns the fleet's nodes,
@@ -312,7 +315,7 @@ let start_generators tbs deployed ~serves ~p ~prof_ns ~timeout ~start ~stop
             [ Slo.availability ~window:slo_window ~target:0.9 ();
               Slo.latency_p ~window:slo_window ~p:99.0 ~limit_us ();
               Slo.goodput ~window:slo_window
-                ~floor_per_s:(0.2 *. per_node_rate) () ]
+                ~floor_per_s:(goodput_floor_per_s p) () ]
           ~stop engine
       in
       let arrival =
@@ -456,6 +459,9 @@ let validate p =
   else if not (p.pods >= 0) then bad "pods must be >= 0 (got %d)" p.pods
   else if not (p.rate > 0.0 && Float.is_finite p.rate) then
     bad "rate must be positive and finite (got %g)" p.rate
+  else if not (goodput_floor_per_s p > 0.0) then
+    (* A denormal rate's floor underflows to 0, which [Slo] refuses. *)
+    bad "rate %g is too small: its per-node goodput floor is 0" p.rate
   else if not (p.fault_rate >= 0.0 && p.fault_rate <= 1.0) then
     bad "fault-rate must be in [0,1] (got %g)" p.fault_rate
   else if not (p.standby >= 0) then

@@ -1,6 +1,6 @@
 type transport =
   | Udp of { src_port : int; dst_port : int; payload : Payload.t }
-  | Tcp of { seg : Tcp_wire.t; payload : Payload.t }
+  | Tcp of { seg : Tcp_wire.t }
   | Icmp_echo of { id : int; seq : int; reply : bool }
 
 type t = {
@@ -45,13 +45,13 @@ let rewrite t ~src ~dst =
         { u with
           src_port = port_of src u.src_port;
           dst_port = port_of dst u.dst_port }
-    | Tcp { seg; payload } ->
+    | Tcp { seg } ->
       let seg =
         { seg with
           Tcp_wire.src_port = port_of src seg.Tcp_wire.src_port;
           dst_port = port_of dst seg.Tcp_wire.dst_port }
       in
-      Tcp { seg; payload }
+      Tcp { seg }
   in
   { t with src = ip_of src t.src; dst = ip_of dst t.dst; transport }
 

@@ -2,8 +2,7 @@
 
 type transport =
   | Udp of { src_port : int; dst_port : int; payload : Payload.t }
-  | Tcp of { seg : Tcp_wire.t; payload : Payload.t }
-      (** [payload.size] must equal [seg.len]. *)
+  | Tcp of { seg : Tcp_wire.t }  (** Stream bytes are [seg.len]. *)
   | Icmp_echo of { id : int; seq : int; reply : bool }
 
 type t = {

@@ -56,6 +56,45 @@ let ack_every_segments = 2
 let ephemeral_base = 49_152
 let loopback_mtu = 65_536
 
+(* A connection's in-flight segments as [(seq, len)] pairs in one
+   growable int ring, ascending seq: retransmission reads the head and an
+   ACK pops the acknowledged prefix.  Slot [k] holds its pair at
+   [a.(2k)] and [a.(2k+1)]; the capacity in slots is 0 or a power of
+   two. *)
+module Seg_ring = struct
+  type t = { mutable a : int array; mutable head : int; mutable count : int }
+
+  let create () = { a = [||]; head = 0; count = 0 }
+  let is_empty t = t.count = 0
+  let head_seq t = t.a.(2 * t.head)
+  let head_len t = t.a.((2 * t.head) + 1)
+
+  let push t ~seq ~len =
+    let cap = Array.length t.a / 2 in
+    if t.count = cap then begin
+      let ncap = if cap = 0 then 8 else 2 * cap in
+      let a = Array.make (2 * ncap) 0 in
+      for i = 0 to t.count - 1 do
+        let j = (t.head + i) land (cap - 1) in
+        a.(2 * i) <- t.a.(2 * j);
+        a.((2 * i) + 1) <- t.a.((2 * j) + 1)
+      done;
+      t.a <- a;
+      t.head <- 0
+    end;
+    let i = (t.head + t.count) land ((Array.length t.a / 2) - 1) in
+    t.a.(2 * i) <- seq;
+    t.a.((2 * i) + 1) <- len;
+    t.count <- t.count + 1
+
+  (* Drop every segment that ends at or below [ack]. *)
+  let pop_acked t ~ack =
+    while t.count > 0 && head_seq t + head_len t <= ack do
+      t.head <- (t.head + 1) land ((Array.length t.a / 2) - 1);
+      t.count <- t.count - 1
+    done
+end
+
 type tcp_state =
   | Syn_sent
   | Syn_rcvd
@@ -87,9 +126,8 @@ and tcp_conn = {
   mutable cwnd : int;
   mutable ssthresh : int;
   mutable peer_wnd : int;
-  tx_boundaries : (int * Payload.app_msg) Queue.t;  (* untransmitted *)
-  mutable inflight : (int * int * (int * Payload.app_msg) list) list;
-      (* (seq, len, msgs), ascending seq; for retransmission *)
+  tx_framing : Tcp_wire.Framing.t;  (* our messages' end offsets *)
+  inflight : Seg_ring.t;  (* sent, unacknowledged; for retransmission *)
   mutable rto_armed : bool;
   mutable rto_una_at_arm : int;
   mutable rto_backoff : int;
@@ -98,10 +136,14 @@ and tcp_conn = {
   (* Receive side. *)
   mutable rcv_nxt : int;
   mutable delivered_off : int;
-  mutable ooo : (int * int * (int * Payload.app_msg) list) list;  (* sorted *)
-  rcv_pending : Payload.app_msg Int_tbl.t;  (* end-offset -> msg *)
+  mutable ooo : (int * int) list;  (* (seq, len), sorted by seq *)
+  mutable rx_framing : Tcp_wire.Framing.t;  (* the peer's, from its SYN(-ACK) *)
   mutable pending_ack_segs : int;
   mutable delack_armed : bool;
+  (* Continuations built once per connection. *)
+  mutable pump_k : unit -> unit;  (* after the send syscall *)
+  mutable delack_k : unit -> unit;
+  mutable rto_k : unit -> unit;
   (* Application interface. *)
   mutable on_receive : bytes:int -> msgs:Payload.app_msg list -> unit;
   mutable on_writable : unit -> unit;
@@ -442,14 +484,13 @@ let tcp_register c =
 let tcp_unregister c =
   Conn_tbl.remove c.c_ns.conns (conn_key_of c)
 
-let tcp_make_segment c ~flags ~seq ~len ~msgs =
+let tcp_make_segment ?framing c ~flags ~seq ~len =
   let seg =
     { Tcp_wire.src_port = c.c_local_port; dst_port = c.c_remote_port; seq;
-      ack_seq = c.rcv_nxt; flags; window = rcvwnd_default; len; msgs }
+      ack_seq = c.rcv_nxt; flags; window = rcvwnd_default; len; framing }
   in
   Packet.make ?prov:(fresh_prov c.c_ns)
-    ~src:c.c_local_ip ~dst:c.c_remote_ip
-    (Packet.Tcp { seg; payload = Payload.raw len })
+    ~src:c.c_local_ip ~dst:c.c_remote_ip (Packet.Tcp { seg })
 
 let tcp_xmit c pkt =
   c.pending_ack_segs <- 0;
@@ -459,14 +500,36 @@ let tcp_xmit c pkt =
 
 let flags_ack = { Tcp_wire.flags_none with Tcp_wire.ack = true }
 
-let tcp_send_pure_ack c = tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq:c.snd_nxt ~len:0 ~msgs:[])
+let tcp_send_pure_ack c =
+  tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq:c.snd_nxt ~len:0)
+
+let flags_syn = { Tcp_wire.flags_none with Tcp_wire.syn = true }
+let flags_syn_ack = { flags_ack with Tcp_wire.syn = true }
+
+(* The handshake hands each end its peer's framing ring: the SYN carries
+   the client's, the SYN-ACK the server's. *)
+let tcp_send_syn c ~flags =
+  tcp_xmit c
+    (tcp_make_segment ~framing:c.tx_framing c ~flags ~seq:0 ~len:0)
+
+let tcp_learn_framing c (seg : Tcp_wire.t) =
+  match seg.Tcp_wire.framing with
+  | Some f -> c.rx_framing <- f
+  | None -> ()
+
+(* Resend the oldest unacknowledged segment, with its original bounds. *)
+let tcp_resend_head c =
+  if not (Seg_ring.is_empty c.inflight) then
+    tcp_xmit c
+      (tcp_make_segment c ~flags:flags_ack ~seq:(Seg_ring.head_seq c.inflight)
+         ~len:(Seg_ring.head_len c.inflight))
 
 let rec tcp_arm_rto c =
   if not c.rto_armed then begin
     c.rto_armed <- true;
     c.rto_una_at_arm <- c.snd_una;
     let delay = rto_initial * (1 lsl Int.min 6 c.rto_backoff) in
-    Engine.schedule c.c_ns.eng ~delay (fun () -> tcp_rto_fire c)
+    Engine.schedule c.c_ns.eng ~delay c.rto_k
   end
 
 and tcp_rto_fire c =
@@ -500,21 +563,9 @@ and tcp_rto_fire c =
         c.ssthresh <- Int.max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
         c.cwnd <- init_cwnd_segments * c.c_mss;
         (match c.c_state with
-        | Syn_sent ->
-          tcp_xmit c
-            (tcp_make_segment c
-               ~flags:{ Tcp_wire.flags_none with Tcp_wire.syn = true }
-               ~seq:0 ~len:0 ~msgs:[])
-        | Syn_rcvd ->
-          tcp_xmit c
-            (tcp_make_segment c
-               ~flags:{ flags_ack with Tcp_wire.syn = true }
-               ~seq:0 ~len:0 ~msgs:[])
-        | _ -> (
-          match c.inflight with
-          | [] -> ()
-          | (seq, len, msgs) :: _ ->
-            tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq ~len ~msgs)));
+        | Syn_sent -> tcp_send_syn c ~flags:flags_syn
+        | Syn_rcvd -> tcp_send_syn c ~flags:flags_syn_ack
+        | _ -> tcp_resend_head c);
         tcp_arm_rto c
       end
       else tcp_arm_rto c
@@ -531,20 +582,11 @@ let rec tcp_pump c =
           (window - inflight_bytes)
       in
       if len > 0 then begin
-        let seg_end = c.snd_nxt + len in
-        let msgs = ref [] in
-        let continue = ref true in
-        while !continue && not (Queue.is_empty c.tx_boundaries) do
-          let off, _ = Queue.peek c.tx_boundaries in
-          if off <= seg_end then msgs := Queue.pop c.tx_boundaries :: !msgs
-          else continue := false
-        done;
-        let msgs = List.rev !msgs in
         let seq = c.snd_nxt in
-        c.snd_nxt <- seg_end;
-        c.inflight <- c.inflight @ [ (seq, len, msgs) ];
+        c.snd_nxt <- seq + len;
+        Seg_ring.push c.inflight ~seq ~len;
         tcp_arm_rto c;
-        tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq ~len ~msgs);
+        tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq ~len);
         tcp_pump c
       end
     end
@@ -554,42 +596,34 @@ let tcp_deliver c =
   if c.rcv_nxt > c.delivered_off then begin
     let bytes = c.rcv_nxt - c.delivered_off in
     c.delivered_off <- c.rcv_nxt;
-    let ready =
-      Int_tbl.fold
-        (fun off msg acc -> if off <= c.rcv_nxt then (off, msg) :: acc else acc)
-        c.rcv_pending []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
-    List.iter (fun (off, _) -> Int_tbl.remove c.rcv_pending off) ready;
-    let msgs = List.map snd ready in
+    (* Every message ending at or below [rcv_nxt] is complete: the
+       segment holding its last byte has arrived in order. *)
+    let msgs = Tcp_wire.Framing.pop_upto c.rx_framing c.rcv_nxt in
     (* The consuming application must be scheduled before its receive
        callback runs. *)
     Engine.schedule c.c_ns.eng ~delay:(wakeup_delay c.c_ns) (fun () ->
         c.on_receive ~bytes ~msgs)
   end
 
+let tcp_delack_fire c () =
+  c.delack_armed <- false;
+  if c.c_state <> Closed && c.pending_ack_segs > 0 then tcp_send_pure_ack c
+
 let tcp_schedule_delack c =
   if not c.delack_armed then begin
     c.delack_armed <- true;
-    Engine.schedule c.c_ns.eng ~delay:delack_delay (fun () ->
-        c.delack_armed <- false;
-        if c.c_state <> Closed && c.pending_ack_segs > 0 then
-          tcp_send_pure_ack c)
+    Engine.schedule c.c_ns.eng ~delay:delack_delay c.delack_k
   end
 
 let tcp_rx_data c (seg : Tcp_wire.t) =
   if seg.Tcp_wire.len > 0 then begin
     let seq = seg.Tcp_wire.seq and len = seg.Tcp_wire.len in
-    List.iter
-      (fun (off, msg) ->
-        if off > c.delivered_off then Int_tbl.replace c.rcv_pending off msg)
-      seg.Tcp_wire.msgs;
     if seq <= c.rcv_nxt && seq + len > c.rcv_nxt then begin
       c.rcv_nxt <- seq + len;
       (* Absorb any now-contiguous out-of-order segments. *)
       let rec drain () =
         match c.ooo with
-        | (s, l, _) :: rest when s <= c.rcv_nxt ->
+        | (s, l) :: rest when s <= c.rcv_nxt ->
           if s + l > c.rcv_nxt then c.rcv_nxt <- s + l;
           c.ooo <- rest;
           drain ()
@@ -603,11 +637,8 @@ let tcp_rx_data c (seg : Tcp_wire.t) =
     end
     else if seq > c.rcv_nxt then begin
       (* Hole: stash and duplicate-ack. *)
-      let entry = (seq, len, seg.Tcp_wire.msgs) in
       c.ooo <-
-        List.sort
-          (fun (a, _, _) (b, _, _) -> Int.compare a b)
-          (entry :: c.ooo);
+        List.sort (fun (a, _) (b, _) -> Int.compare a b) ((seq, len) :: c.ooo);
       tcp_send_pure_ack c
     end
     else
@@ -618,13 +649,12 @@ let tcp_rx_data c (seg : Tcp_wire.t) =
 let tcp_fast_retransmit c =
   (* RFC 5681-style: three duplicate ACKs signal a lost segment; resend
      the first unacknowledged one and halve the congestion window. *)
-  match c.inflight with
-  | [] -> ()
-  | (seq, len, msgs) :: _ ->
+  if not (Seg_ring.is_empty c.inflight) then begin
     c.c_retransmits <- c.c_retransmits + 1;
     c.ssthresh <- Int.max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
     c.cwnd <- Int.max (2 * c.c_mss) c.ssthresh;
-    tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq ~len ~msgs)
+    tcp_resend_head c
+  end
 
 let tcp_rx_ack c (seg : Tcp_wire.t) =
   if seg.Tcp_wire.flags.Tcp_wire.ack then begin
@@ -640,8 +670,9 @@ let tcp_rx_ack c (seg : Tcp_wire.t) =
       c.snd_una <- ack;
       c.rto_backoff <- 0;
       c.dup_acks <- 0;
-      c.inflight <-
-        List.filter (fun (seq, len, _) -> seq + len > ack) c.inflight;
+      (* ACKs fall on segment boundaries: the acked segments are a
+         prefix. *)
+      Seg_ring.pop_acked c.inflight ~ack;
       (* Slow start below ssthresh, linear growth above, capped at the
          advertised receive window. *)
       if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + Int.min acked c.c_mss
@@ -673,6 +704,7 @@ let tcp_conn_input c (pkt : Packet.t) (seg : Tcp_wire.t) =
       then begin
         c.c_state <- Established;
         c.peer_wnd <- seg.Tcp_wire.window;
+        tcp_learn_framing c seg;
         tcp_send_pure_ack c;
         c.on_established_cb c;
         tcp_pump c
@@ -694,7 +726,7 @@ let tcp_conn_input c (pkt : Packet.t) (seg : Tcp_wire.t) =
         tcp_xmit c
           (tcp_make_segment c
              ~flags:{ flags_ack with Tcp_wire.fin = true }
-             ~seq:c.snd_nxt ~len:0 ~msgs:[])
+             ~seq:c.snd_nxt ~len:0)
       end
     | Fin_wait ->
       tcp_rx_ack c seg;
@@ -740,21 +772,29 @@ let src_for ns dst =
 
 let tcp_fresh_conn ns ~local_ip ~local_port ~remote_ip ~remote_port ~state =
   let mss = mss_for ns remote_ip in
-  { c_ns = ns; c_local_ip = local_ip; c_local_port = local_port;
-    c_remote_ip = remote_ip; c_remote_port = remote_port; c_mss = mss;
-    c_state = state; snd_una = 0; snd_nxt = 0; send_off = 0;
-    cwnd = init_cwnd_segments * mss; ssthresh = rcvwnd_default;
-    peer_wnd = rcvwnd_default; tx_boundaries = Queue.create ();
-    inflight = []; rto_armed = false; rto_una_at_arm = 0; rto_backoff = 0;
-    dup_acks = 0; c_retransmits = 0; rcv_nxt = 0; delivered_off = 0; ooo = [];
-    rcv_pending = Int_tbl.create 8; pending_ack_segs = 0;
-    delack_armed = false;
-    on_receive = (fun ~bytes:_ ~msgs:_ -> ());
-    on_writable = (fun () -> ());
-    writable_waiting = false;
-    on_established_cb = (fun _ -> ());
-    on_close_cb = (fun () -> ());
-    c_sndbuf = sndbuf_default }
+  let c =
+    { c_ns = ns; c_local_ip = local_ip; c_local_port = local_port;
+      c_remote_ip = remote_ip; c_remote_port = remote_port; c_mss = mss;
+      c_state = state; snd_una = 0; snd_nxt = 0; send_off = 0;
+      cwnd = init_cwnd_segments * mss; ssthresh = rcvwnd_default;
+      peer_wnd = rcvwnd_default; tx_framing = Tcp_wire.Framing.create ();
+      inflight = Seg_ring.create (); rto_armed = false; rto_una_at_arm = 0;
+      rto_backoff = 0; dup_acks = 0; c_retransmits = 0; rcv_nxt = 0;
+      delivered_off = 0; ooo = []; rx_framing = Tcp_wire.Framing.create ();
+      pending_ack_segs = 0;
+      delack_armed = false; pump_k = ignore; delack_k = ignore;
+      rto_k = ignore;
+      on_receive = (fun ~bytes:_ ~msgs:_ -> ());
+      on_writable = (fun () -> ());
+      writable_waiting = false;
+      on_established_cb = (fun _ -> ());
+      on_close_cb = (fun () -> ());
+      c_sndbuf = sndbuf_default }
+  in
+  c.pump_k <- (fun () -> tcp_pump c);
+  c.delack_k <- tcp_delack_fire c;
+  c.rto_k <- (fun () -> tcp_rto_fire c);
+  c
 
 let tcp_send_rst ns (pkt : Packet.t) (seg : Tcp_wire.t) =
   ns.cnt.rst_sent <- ns.cnt.rst_sent + 1;
@@ -763,12 +803,11 @@ let tcp_send_rst ns (pkt : Packet.t) (seg : Tcp_wire.t) =
       dst_port = seg.Tcp_wire.src_port; seq = seg.Tcp_wire.ack_seq;
       ack_seq = seg.Tcp_wire.seq + seg.Tcp_wire.len;
       flags = { Tcp_wire.flags_none with Tcp_wire.rst = true; ack = true };
-      window = 0; len = 0; msgs = [] }
+      window = 0; len = 0; framing = None }
   in
   ip_output ns
     (Packet.make ?prov:(fresh_prov ns)
-       ~src:pkt.Packet.dst ~dst:pkt.Packet.src
-       (Packet.Tcp { seg = rst; payload = Payload.raw 0 }))
+       ~src:pkt.Packet.dst ~dst:pkt.Packet.src (Packet.Tcp { seg = rst }))
 
 (* [on_reflector]: the segment came in on a reflector (Hostlo) device. *)
 let tcp_input ns ~on_reflector (pkt : Packet.t) (seg : Tcp_wire.t) =
@@ -789,12 +828,10 @@ let tcp_input ns ~on_reflector (pkt : Packet.t) (seg : Tcp_wire.t) =
           ~remote_port:seg.Tcp_wire.src_port ~state:Syn_rcvd
       in
       c.peer_wnd <- seg.Tcp_wire.window;
+      tcp_learn_framing c seg;
       c.on_established_cb <- l.l_on_accept;
       tcp_register c;
-      tcp_xmit c
-        (tcp_make_segment c
-           ~flags:{ flags_ack with Tcp_wire.syn = true }
-           ~seq:0 ~len:0 ~msgs:[]);
+      tcp_send_syn c ~flags:flags_syn_ack;
       tcp_arm_rto c
     | _ | (exception Not_found) ->
       note_drop ns `No_socket;
@@ -1043,14 +1080,12 @@ module Tcp = struct
     c.on_established_cb <- on_established;
     c.on_close_cb <- on_close;
     tcp_register c;
-    tcp_xmit c
-      (tcp_make_segment c
-         ~flags:{ Tcp_wire.flags_none with Tcp_wire.syn = true }
-         ~seq:0 ~len:0 ~msgs:[]);
+    tcp_send_syn c ~flags:flags_syn;
     tcp_arm_rto c;
     c
 
   let send c ~size ?msg () =
+    if size <= 0 then invalid_arg "Stack.Tcp.send: size must be > 0";
     if c.c_state = Closed then false
     else if c.send_off - c.snd_una + size > c.c_sndbuf then begin
       c.writable_waiting <- true;
@@ -1059,9 +1094,9 @@ module Tcp = struct
     else begin
       c.send_off <- c.send_off + size;
       (match msg with
-      | Some m -> Queue.push (c.send_off, m) c.tx_boundaries
+      | Some m -> Tcp_wire.Framing.push c.tx_framing ~off:c.send_off m
       | None -> ());
-      Hop.service c.c_ns.cs.syscall ~bytes:size (fun () -> tcp_pump c);
+      Hop.service c.c_ns.cs.syscall ~bytes:size c.pump_k;
       true
     end
 
@@ -1080,7 +1115,7 @@ module Tcp = struct
       tcp_xmit c
         (tcp_make_segment c
            ~flags:{ flags_ack with Tcp_wire.fin = true }
-           ~seq:c.snd_nxt ~len:0 ~msgs:[])
+           ~seq:c.snd_nxt ~len:0)
     | Fin_wait | Last_ack -> ()
 
   let sndbuf_limit c = c.c_sndbuf

@@ -263,6 +263,20 @@ let test_service_us_validate () =
     [ (1e300, false); (1e16, false); (1e-4, false); (Float.nan, false);
       (0.25, true); (2000.0, true) ]
 
+(* A rate so small that a node's goodput floor (a fifth of its share)
+   underflows to 0 is an error, not an uncaught [Slo] exception; the
+   smallest rate whose floor survives still runs. *)
+let test_rate_floor_validate () =
+  List.iter
+    (fun (nodes, rate, ok) ->
+      let got =
+        Fig_fleet.validate { Fig_fleet.default_params with nodes; rate }
+      in
+      Alcotest.(check bool) (Printf.sprintf "%d nodes, rate %g" nodes rate)
+        ok (Result.is_ok got))
+    [ (4, 5e-324, false); (1, 5e-324, false); (4, 1e-320, true);
+      (4, 40000.0, true) ]
+
 (* The ISSUE's acceptance criterion, verbatim: at 2x saturating offered
    load, burn admission (+ autoscaling) keeps the worst availability
    window burn below 1.0 and the completed-RTT p99 within 2x of the
@@ -342,5 +356,7 @@ let () =
         [
           Alcotest.test_case "service-us validation" `Quick
             test_service_us_validate;
+          Alcotest.test_case "rate floor validation" `Quick
+            test_rate_floor_validate;
         ] );
     ]

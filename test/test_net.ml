@@ -71,8 +71,8 @@ let test_packet_len () =
       (Packet.Tcp
          { seg =
              { Tcp_wire.src_port = 1; dst_port = 2; seq = 0; ack_seq = 0;
-               flags = Tcp_wire.flags_none; window = 0; len = 500; msgs = [] };
-           payload = Payload.raw 500 })
+               flags = Tcp_wire.flags_none; window = 0; len = 500;
+               framing = None } })
   in
   Alcotest.(check int) "tcp len = 20 + 20 + payload" 540 (Packet.len tcp)
 
@@ -323,9 +323,9 @@ let test_netfilter_total_rules =
 let tcp_pkt ~src ~dst ~sport ~dport =
   let seg =
     { Tcp_wire.src_port = sport; dst_port = dport; seq = 0; ack_seq = 0;
-      flags = Tcp_wire.flags_none; window = 0; len = 0; msgs = [] }
+      flags = Tcp_wire.flags_none; window = 0; len = 0; framing = None }
   in
-  Packet.make ~src ~dst (Packet.Tcp { seg; payload = Payload.raw 0 })
+  Packet.make ~src ~dst (Packet.Tcp { seg })
 
 (* The flow key's equality covers the protocol: a UDP and a TCP flow on
    the same addresses and ports are two connections, each with its own
