@@ -284,7 +284,6 @@ let obs_term =
 
 let chaos_cmd rates seed jobs quick check workload standby =
   at_least 1 "jobs" jobs;
-  at_least 0 "standby" standby;
   let workload =
     match Nest_fault.Chaos.workload_of_string workload with
     | Some w -> w
@@ -296,7 +295,7 @@ let chaos_cmd rates seed jobs quick check workload standby =
   in
   (* --check runs its own fixed cells, but a bad --rates is still an
      error there. *)
-  (match Nest_experiments.Fig_chaos.validate_rates rates with
+  (match Nest_experiments.Fig_chaos.validate ~rates ~standby with
   | Ok () -> ()
   | Error msg ->
     Printf.eprintf "nestsim: --%s\n" msg;

@@ -76,8 +76,8 @@ let ensure_bridge t =
     let filler hook name =
       Netfilter.append (Stack.nf vns) hook
         { Netfilter.rule_name = name;
-          matches = (fun _ _ -> false);
-          action = (fun _ _ -> Netfilter.Accept) }
+          matches = (fun ~in_dev:_ ~out_dev:_ _ -> false);
+          action = (fun _ -> Netfilter.Accept) }
     in
     filler Netfilter.Prerouting "docker-prerouting-jump";
     filler Netfilter.Forward "docker-isolation-stage-1";

@@ -48,8 +48,8 @@ let chain_length ~quick =
         for i = 1 to extra do
           Netfilter.append nf Netfilter.Forward
             { Netfilter.rule_name = Printf.sprintf "filler-%d" i;
-              matches = (fun _ _ -> false);
-              action = (fun _ _ -> Netfilter.Accept) }
+              matches = (fun ~in_dev:_ ~out_dev:_ _ -> false);
+              action = (fun _ -> Netfilter.Accept) }
         done;
         (Netperf.tcp_stream tb ep ~msg_size:1280 ~duration:(dur ~quick) ())
           .Netperf.mbps

@@ -10,6 +10,11 @@ let durations ~quick =
   if quick then { warmup = Time.ms 50; measure = Time.ms 250 }
   else { warmup = Time.ms 100; measure = Time.sec 1 }
 
+(* A standby pool deeper than this is refused: every endpoint is a
+   plugged TAP, and [chaos --quick --workload memcached --standby 1024]
+   already takes about 12 s on a 2-core host. *)
+let max_standby = 1024
+
 let splits = [ (1, 1); (2, 1); (2, 2); (4, 2); (4, 4) ]
 
 let clamp_split ~nodes (s, d) =

@@ -10,6 +10,11 @@ type durations = {
 val durations : quick:bool -> durations
 (** quick: 50 ms / 250 ms; full: 100 ms / 1 s. *)
 
+val max_standby : int
+(** The deepest Hostlo standby pool a fleet or chaos run accepts
+    (1024): each endpoint is a plugged device, so the run's cost grows
+    with the depth. *)
+
 val splits : (int * int) list
 (** The (shards, domains) splits every determinism check runs:
     (1,1) (2,1) (2,2) (4,2) (4,4).  The first is the reference. *)

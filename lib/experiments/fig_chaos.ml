@@ -19,16 +19,24 @@ let cells rates =
     Chaos.all_modes
 
 (* NaN fails the range test, as it must: each rate is a probability. *)
-let validate_rates rates =
+let validate ~rates ~standby =
   match List.find_opt (fun r -> not (r >= 0.0 && r <= 1.0)) rates with
   | Some r -> Error (Printf.sprintf "rates must be in [0,1] (got %g)" r)
-  | None -> Ok ()
+  | None ->
+    if standby >= 0 && standby <= Exp_util.max_standby then Ok ()
+    else
+      Error
+        (Printf.sprintf "standby must be in [0, %d] (got %d)"
+           Exp_util.max_standby standby)
+
+let validated ~rates ~standby =
+  match validate ~rates ~standby with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("fig_chaos: " ^ msg)
 
 let run ?(rates = default_rates) ?(seed = 42L) ?(workload = Chaos.Probe)
     ?(standby = 0) ~quick () =
-  (match validate_rates rates with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("fig_chaos: " ^ msg));
+  validated ~rates ~standby;
   Exp_util.header
     (Printf.sprintf
        "Chaos: availability & recovery under injected faults (workload=%s%s)"
@@ -128,7 +136,9 @@ let run ?(rates = default_rates) ?(seed = 42L) ?(workload = Chaos.Probe)
    the no-dangling-resource gate. *)
 let check ?(seed = 42L) ?(jobs = 4) ?(workload = Chaos.Probe) ?(standby = 0)
     ~quick () =
-  let cs = cells [ 0.0; 0.3 ] in
+  let rates = [ 0.0; 0.3 ] in
+  validated ~rates ~standby;
+  let cs = cells rates in
   let run_cell (mode, rate) =
     Chaos.run_cell ~quick ~workload ~standby ~mode ~rate ~seed ()
   in

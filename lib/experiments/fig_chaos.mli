@@ -8,10 +8,11 @@
 
 val default_rates : float list
 
-val validate_rates : float list -> (unit, string) result
+val validate : rates:float list -> standby:int -> (unit, string) result
 (** Every rate is a fault probability: [Error] names the first one
-    outside [0, 1] (NaN included).  {!run} raises [Invalid_argument] on
-    an [Error]; the CLI prints it and exits 1. *)
+    outside [0, 1] (NaN included), or a standby depth outside
+    [0, {!Exp_util.max_standby}].  {!run} and {!check} raise
+    [Invalid_argument] on an [Error]; the CLI prints it and exits 1. *)
 
 val run :
   ?rates:float list ->

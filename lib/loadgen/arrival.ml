@@ -1,10 +1,11 @@
 module Time = Nest_sim.Time
 
 type t = {
-  a_next : unit -> Time.ns option;
+  a_next : unit -> Time.ns;  (* an offset, or [ended] *)
   a_total : int option;
 }
 
+let ended = -1
 let next t = t.a_next ()
 let total t = t.a_total
 
@@ -14,7 +15,7 @@ let total t = t.a_total
    stream ends there; offsets are monotone, so it stays ended. *)
 let[@inline] offset x =
   let r = Float.round x in
-  if r < Float.of_int max_int then Some (int_of_float r) else None
+  if r < Float.of_int max_int then int_of_float r else ended
 
 let check_rate what rate_per_s =
   if rate_per_s <= 0.0 then
@@ -37,13 +38,18 @@ let poisson ~rng ~rate_per_s =
   let mean = 1e9 /. rate_per_s in
   (* Absolute offsets accumulate in float; rounding a monotone sum keeps
      the offsets monotone (ties are legal).  The sum sits in a flat
-     float array: a captured [float ref] would box every new sum. *)
+     float array: a captured [float ref] would box every new sum.  The
+     gap is [Dist.exponential]'s draw written out over [Prng.bits53]:
+     returned from [Dist], it would come back boxed. *)
   let acc = Float.Array.make 1 0.0 in
   { a_next =
       (fun () ->
-        let sum =
-          Float.Array.get acc 0 +. Nest_sim.Dist.exponential rng ~mean
+        let u =
+          1.0
+          -. (Float.of_int (Nest_sim.Prng.bits53 rng)
+             *. (1.0 /. 9007199254740992.0))
         in
+        let sum = Float.Array.get acc 0 +. (-.mean *. log u) in
         Float.Array.set acc 0 sum;
         offset sum);
     a_total = None }
@@ -56,9 +62,9 @@ let of_trace ~users ~over =
   let i = ref 0 in
   { a_next =
       (fun () ->
-        if !i >= n then None
+        if !i >= n then ended
         else begin
           incr i;
-          Some (!i * over / n)
+          !i * over / n
         end);
     a_total = Some n }

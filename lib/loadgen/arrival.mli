@@ -14,11 +14,15 @@
 
 type t
 
-val next : t -> Nest_sim.Time.ns option
-(** Next arrival offset.  Offsets are monotone non-decreasing; [None]
-    once a finite process is exhausted, or once a rate process's next
-    offset is too large for an [int] (about 146 years of nanoseconds;
-    only a near-zero rate gets there). *)
+val ended : Nest_sim.Time.ns
+(** [-1], the end sentinel: below every offset, which are all [>= 0]. *)
+
+val next : t -> Nest_sim.Time.ns
+(** Next arrival offset, unboxed.  Offsets are [>= 0] and monotone
+    non-decreasing; {!ended} once a finite process is exhausted, or once
+    a rate process's next offset is too large for an [int] (about 146
+    years of nanoseconds; only a near-zero rate gets there), and on
+    every call after that. *)
 
 val constant : rate_per_s:float -> t
 (** Evenly spaced arrivals: the k-th at [k / rate] seconds.  Raises

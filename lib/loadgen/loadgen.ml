@@ -148,13 +148,11 @@ let arrive t =
   end
 
 let schedule_next t =
-  match Arrival.next t.g_arrival with
-  | None -> ()
-  | Some off ->
-    (* Compared as an offset: [g_start + off] can overflow. *)
-    if off < t.g_stop - t.g_start then
-      Engine.schedule_labeled t.g_engine t.g_arrival_lbl
-        ~at:(t.g_start + off) t.g_on_arrival
+  let off = Arrival.next t.g_arrival in
+  (* Compared as an offset: [g_start + off] can overflow. *)
+  if off <> Arrival.ended && off < t.g_stop - t.g_start then
+    Engine.schedule_labeled t.g_engine t.g_arrival_lbl ~at:(t.g_start + off)
+      t.g_on_arrival
 
 let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
     ?(max_outstanding = 64) ?admission ?burn_source ?(timeout = Time.ms 100)

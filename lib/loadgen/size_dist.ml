@@ -16,11 +16,8 @@ let draw t rng =
     if lo < 1 || hi < lo then
       invalid_arg "Size_dist.draw: Pareto needs 1 <= lo <= hi";
     if shape <= 0.0 then invalid_arg "Size_dist.draw: Pareto shape must be > 0";
-    let v =
-      Nest_sim.Dist.bounded_pareto rng ~shape ~lo:(float_of_int lo)
-        ~hi:(float_of_int hi)
-    in
-    Int.max lo (Int.min hi (int_of_float v))
+    let v = Nest_sim.Dist.bounded_pareto_int rng ~shape ~lo ~hi in
+    Int.max lo (Int.min hi v)
 
 let pp fmt = function
   | Fixed n -> Format.fprintf fmt "fixed:%d" n

@@ -4,7 +4,11 @@
     VMM's on the host) are built on this: a flow's first packet through a
     SNAT/DNAT rule creates a binding, and every subsequent packet of the
     flow — in either direction — is translated from the table without
-    consulting the rules again. *)
+    consulting the rules again.
+
+    Lookups allocate nothing: each table keeps one lookup key that
+    every {!translate}, {!admit}, {!snat} and {!dnat} fills from the
+    packet; only a new binding stores keys, fresh ones. *)
 
 type proto = Proto_udp | Proto_tcp | Proto_icmp
 
@@ -19,6 +23,10 @@ type flow = {
 
 val flow_of_packet : Packet.t -> flow
 val pp_flow : Format.formatter -> flow -> unit
+
+val flow_hash : flow -> int
+(** The binding table's hash of a flow: an integer mix of its five
+    fields, not [Hashtbl.hash]. *)
 
 type t
 

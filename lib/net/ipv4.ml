@@ -21,7 +21,14 @@ let to_string t =
 
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
+
+(* Two multiply-xorshift rounds, so every input bit reaches the low
+   bits that pick a bucket: the packet path hashes addresses per packet,
+   and this stays inline arithmetic where [Hashtbl.hash] is a C call. *)
+let[@inline] hash t =
+  let h = t * 0x2545F4914F6CDD1D in
+  let h = (h lxor (h lsr 32)) * 0x3C79AC492BA7B653 in
+  (h lxor (h lsr 29)) land max_int
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

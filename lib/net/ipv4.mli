@@ -1,6 +1,6 @@
 (** IPv4 addresses and CIDR prefixes (stored in an [int], 32 bits). *)
 
-type t
+type t [@@immediate]
 
 val of_string : string -> t
 (** Parses dotted-quad notation.  Raises [Invalid_argument] on bad input. *)
@@ -11,11 +11,14 @@ val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+(** An integer mix of the address, not [Hashtbl.hash]. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Tbl : Hashtbl.S with type key = t
-(** Tables keyed by IPv4 address: monomorphic equality, and the same
-    hash (so the same bucket order) as a generic [Hashtbl]. *)
+(** Tables keyed by IPv4 address: monomorphic equality and {!hash}.
+    Their bucket order is not a generic [Hashtbl]'s, so a fold whose
+    result depends on it must sort. *)
 
 val localhost : t
 (** 127.0.0.1 *)

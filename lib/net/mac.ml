@@ -24,7 +24,13 @@ let to_string t =
 
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
+
+(* [Ipv4.hash]'s mix, kept in this module so the table's hash
+   inlines. *)
+let[@inline] hash t =
+  let h = t * 0x2545F4914F6CDD1D in
+  let h = (h lxor (h lsr 32)) * 0x3C79AC492BA7B653 in
+  (h lxor (h lsr 29)) land max_int
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

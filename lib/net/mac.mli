@@ -1,6 +1,6 @@
 (** Ethernet MAC addresses (48 bits, stored in an [int]). *)
 
-type t
+type t [@@immediate]
 
 val broadcast : t
 val is_broadcast : t -> bool
@@ -18,11 +18,14 @@ val to_string : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+(** An integer mix of the address, not [Hashtbl.hash]. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Tbl : Hashtbl.S with type key = t
-(** Tables keyed by MAC address: monomorphic equality, and the same
-    hash (so the same bucket order) as a generic [Hashtbl]. *)
+(** Tables keyed by MAC address: monomorphic equality and {!hash}.
+    Their bucket order is not a generic [Hashtbl]'s, so a fold whose
+    result depends on it must sort. *)
 
 (** Deterministic allocator of locally-administered unicast addresses. *)
 module Alloc : sig

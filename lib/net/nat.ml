@@ -1,4 +1,9 @@
-let dst_port_of pkt = match Packet.ports pkt with Some (_, d) -> d | None -> -1
+(* Read in place: [Packet.ports] would box a pair per matched packet. *)
+let dst_port_of (pkt : Packet.t) =
+  match pkt.Packet.transport with
+  | Packet.Udp { dst_port; _ } -> dst_port
+  | Packet.Tcp { seg } -> seg.Tcp_wire.dst_port
+  | Packet.Icmp_echo _ -> -1
 
 (* A NAT rewrite runs inside the hop that invoked the netfilter hook, so
    its provenance mark is a zero-duration entry pinned to that hop's end
@@ -10,16 +15,12 @@ let note_rewrite (pkt : Packet.t) name =
   | None -> ()
 
 let masquerade nf ct ~name ~src_subnet ?out_dev ~nat_ip () =
-  let matches (ctx : Netfilter.ctx) (pkt : Packet.t) =
+  let matches ~in_dev:_ ~out_dev:o (pkt : Packet.t) =
     Ipv4.in_subnet src_subnet pkt.Packet.src
     && (not (Ipv4.in_subnet src_subnet pkt.Packet.dst))
-    &&
-    match out_dev, ctx.Netfilter.out_dev with
-    | None, _ -> true
-    | Some d, Some o -> String.equal o d
-    | Some _, None -> false
+    && match out_dev with None -> true | Some d -> String.equal o d
   in
-  let action _ctx pkt =
+  let action pkt =
     if not (Conntrack.admit ct pkt) then Netfilter.Drop
     else begin
       note_rewrite pkt name;
@@ -29,10 +30,10 @@ let masquerade nf ct ~name ~src_subnet ?out_dev ~nat_ip () =
   Netfilter.append nf Netfilter.Postrouting { rule_name = name; matches; action }
 
 let publish nf ct ~name ~dst_ip ~dst_port ~to_ip ~to_port =
-  let matches _ctx (pkt : Packet.t) =
+  let matches ~in_dev:_ ~out_dev:_ (pkt : Packet.t) =
     Ipv4.equal pkt.Packet.dst dst_ip && dst_port_of pkt = dst_port
   in
-  let action _ctx pkt =
+  let action pkt =
     if not (Conntrack.admit ct pkt) then Netfilter.Drop
     else begin
       note_rewrite pkt name;
@@ -42,6 +43,8 @@ let publish nf ct ~name ~dst_ip ~dst_port ~to_ip ~to_port =
   Netfilter.append nf Netfilter.Prerouting { rule_name = name; matches; action }
 
 let drop_from nf ~name ~hook ~src_subnet =
-  let matches _ctx (pkt : Packet.t) = Ipv4.in_subnet src_subnet pkt.Packet.src in
-  let action _ctx _pkt = Netfilter.Drop in
+  let matches ~in_dev:_ ~out_dev:_ (pkt : Packet.t) =
+    Ipv4.in_subnet src_subnet pkt.Packet.src
+  in
+  let action _pkt = Netfilter.Drop in
   Netfilter.append nf hook { rule_name = name; matches; action }

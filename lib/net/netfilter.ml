@@ -1,13 +1,11 @@
 type hook = Prerouting | Input | Forward | Output | Postrouting
 
-type ctx = { in_dev : string option; out_dev : string option }
-
 type verdict = Accept | Drop | Mangle of Packet.t
 
 type rule = {
   rule_name : string;
-  matches : ctx -> Packet.t -> bool;
-  action : ctx -> Packet.t -> verdict;
+  matches : in_dev:string -> out_dev:string -> Packet.t -> bool;
+  action : Packet.t -> verdict;
 }
 
 (* One chain per hook, indexed by [hook_index], plus the running sum of
@@ -44,27 +42,21 @@ let remove t hook name =
 
 (* Top-level so a traversal allocates no closure: it runs at every hook
    of every packet.  [v] is the verdict so far: [Accept], or the last
-   rule's [Mangle] carrying the packet the next rules see. *)
-let rec traverse ctx pkt v = function
+   rule's [Mangle] carrying the packet the next rules see.  The device
+   names are passed through as they are, so an armed hook allocates
+   nothing beyond what its rules build. *)
+let rec traverse ~in_dev ~out_dev pkt v = function
   | [] -> v
   | r :: rest ->
-    if r.matches ctx pkt then
-      match r.action ctx pkt with
-      | Accept -> traverse ctx pkt v rest
+    if r.matches ~in_dev ~out_dev pkt then
+      match r.action pkt with
+      | Accept -> traverse ~in_dev ~out_dev pkt v rest
       | Drop -> Drop
-      | Mangle pkt' as m -> traverse ctx pkt' m rest
-    else traverse ctx pkt v rest
+      | Mangle pkt' as m -> traverse ~in_dev ~out_dev pkt' m rest
+    else traverse ~in_dev ~out_dev pkt v rest
 
-let dev_opt = function "" -> None | d -> Some d
-
-(* Most hooks of most namespaces are empty: they return at once, and
-   only a hook with rules pays for the [ctx] its rules read. *)
 let run t hook ~in_dev ~out_dev pkt =
-  match t.chains.(hook_index hook) with
-  | [] -> Accept
-  | rules ->
-    let ctx = { in_dev = dev_opt in_dev; out_dev = dev_opt out_dev } in
-    traverse ctx pkt Accept rules
+  traverse ~in_dev ~out_dev pkt Accept t.chains.(hook_index hook)
 
 let passed pkt = function Mangle p -> p | Accept | Drop -> pkt
 

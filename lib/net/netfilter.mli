@@ -9,11 +9,6 @@
 
 type hook = Prerouting | Input | Forward | Output | Postrouting
 
-type ctx = {
-  in_dev : string option;   (** Ingress device name, when known. *)
-  out_dev : string option;  (** Egress device name, when known. *)
-}
-
 type verdict =
   | Accept
   | Drop
@@ -21,8 +16,10 @@ type verdict =
 
 type rule = {
   rule_name : string;
-  matches : ctx -> Packet.t -> bool;
-  action : ctx -> Packet.t -> verdict;
+  matches : in_dev:string -> out_dev:string -> Packet.t -> bool;
+      (** [in_dev]/[out_dev] are the ingress and egress device names,
+          [""] when unknown at this hook. *)
+  action : Packet.t -> verdict;
 }
 
 type t
@@ -34,11 +31,12 @@ val remove : t -> hook -> string -> unit
 
 val run : t -> hook -> in_dev:string -> out_dev:string -> Packet.t -> verdict
 (** Runs the hook's rules in insertion order on a packet crossing
-    [in_dev]/[out_dev] ([""] when unknown; the rules see [None]).  The
-    verdict is [Drop] when a rule dropped the packet, [Accept] when it
-    passed unchanged, and [Mangle p] when it passed rewritten, [p] being
-    the last rule's rewrite ([Mangle] continues with the subsequent
-    rules).  An empty hook returns [Accept] and allocates nothing. *)
+    [in_dev]/[out_dev] ([""] when unknown), which the rules receive as
+    they are.  The verdict is [Drop] when a rule dropped the packet,
+    [Accept] when it passed unchanged, and [Mangle p] when it passed
+    rewritten, [p] being the last rule's rewrite ([Mangle] continues
+    with the subsequent rules).  The traversal itself allocates nothing:
+    only a rule's own [action] (a NAT rewrite) may. *)
 
 val passed : Packet.t -> verdict -> Packet.t
 (** [passed pkt v] is the packet a non-[Drop] verdict of {!run} on

@@ -36,22 +36,24 @@ let ports t =
 let[@inline] ip_of o default = match o with Some (ip, _) -> ip | None -> default
 let[@inline] port_of o default = match o with Some (_, p) -> p | None -> default
 
+(* A transport block whose ports stay as they are is shared, not
+   rebuilt: blocks are immutable, and an address-only rewrite (DNAT to
+   the same port, the reply of a port-keeping NAT) is common. *)
 let rewrite t ~src ~dst =
   let transport =
     match t.transport with
     | Icmp_echo _ as icmp -> icmp
-    | Udp u ->
-      Udp
-        { u with
-          src_port = port_of src u.src_port;
-          dst_port = port_of dst u.dst_port }
-    | Tcp { seg } ->
-      let seg =
-        { seg with
-          Tcp_wire.src_port = port_of src seg.Tcp_wire.src_port;
-          dst_port = port_of dst seg.Tcp_wire.dst_port }
-      in
-      Tcp { seg }
+    | Udp u as udp ->
+      let src_port = port_of src u.src_port
+      and dst_port = port_of dst u.dst_port in
+      if src_port = u.src_port && dst_port = u.dst_port then udp
+      else Udp { u with src_port; dst_port }
+    | Tcp { seg } as tcp ->
+      let src_port = port_of src seg.Tcp_wire.src_port
+      and dst_port = port_of dst seg.Tcp_wire.dst_port in
+      if src_port = seg.Tcp_wire.src_port && dst_port = seg.Tcp_wire.dst_port
+      then tcp
+      else Tcp { seg = { seg with Tcp_wire.src_port; dst_port } }
   in
   { t with src = ip_of src t.src; dst = ip_of dst t.dst; transport }
 

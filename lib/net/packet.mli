@@ -32,7 +32,8 @@ val ports : t -> (int * int) option
 val rewrite : t -> src:(Ipv4.t * int) option -> dst:(Ipv4.t * int) option -> t
 (** NAT rewrite in one rebuild: [Some (ip, port)] replaces that end's
     address and transport port ([None] keeps it).  ICMP packets take the
-    address only.  Always a fresh packet, never [t] itself. *)
+    address only.  Always a fresh packet, never [t] itself; its
+    transport block is [t]'s own when both ports stay unchanged. *)
 
 val ttl_expired : t -> bool
 (** [true] once a forward would bring the TTL to 0: the packet must be

@@ -5,19 +5,71 @@ module Metrics = Nest_sim.Metrics
 
 let log_src = Nest_sim.Log.src "stack"
 
-(* Per-packet lookup tables: monomorphic equality, and the generic
-   structural hash ([Int.hash] is [Hashtbl.hash]), so bucket (hence
-   fold) order is a generic table's. *)
-module Int_tbl = Hashtbl.Make (Int)
+(* Per-packet lookup tables: monomorphic equality and an inline integer
+   mix for a hash (the mix of [Ipv4.hash], kept here so it inlines), not
+   the C [Hashtbl.hash].  No result depends on their bucket order: the
+   one fold, [Conn_table.uses_port], is a boolean OR. *)
+let[@inline] mix x =
+  let h = x * 0x2545F4914F6CDD1D in
+  let h = (h lxor (h lsr 32)) * 0x3C79AC492BA7B653 in
+  (h lxor (h lsr 29)) land max_int
 
-module Conn_tbl = Hashtbl.Make (struct
-  type t = int * Ipv4.t * int  (* local port, remote ip, remote port *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
 
-  let equal (lp, ip, rp) (lp', ip', rp') =
-    Int.equal lp lp' && Ipv4.equal ip ip' && Int.equal rp rp'
-
-  let hash (k : t) = Hashtbl.hash k
+  let equal = Int.equal
+  let hash = mix
 end)
+
+(* TCP connections by (local port, remote address, remote port).  The
+   key sits in mutable immediate fields, and each table fills one
+   reused [lookup] key for every find, mem and remove: only [add] stores
+   a key, a fresh one ([Hashtbl.replace] keeps the key it is given). *)
+module Conn_table = struct
+  type key = {
+    mutable k_lport : int;
+    mutable k_rip : Ipv4.t;
+    mutable k_rport : int;
+  }
+
+  module Tbl = Hashtbl.Make (struct
+    type t = key
+
+    let equal a b =
+      Int.equal a.k_lport b.k_lport && Ipv4.equal a.k_rip b.k_rip
+      && Int.equal a.k_rport b.k_rport
+
+    let hash k =
+      mix (Ipv4.to_int k.k_rip lxor (k.k_lport lsl 32) lxor (k.k_rport lsl 46))
+  end)
+
+  type 'a t = { tbl : 'a Tbl.t; lookup : key }
+
+  let create n =
+    { tbl = Tbl.create n;
+      lookup = { k_lport = 0; k_rip = Ipv4.any; k_rport = 0 } }
+
+  let key t ~lport ~rip ~rport =
+    let k = t.lookup in
+    k.k_lport <- lport;
+    k.k_rip <- rip;
+    k.k_rport <- rport;
+    k
+
+  let add t ~lport ~rip ~rport v =
+    Tbl.replace t.tbl { k_lport = lport; k_rip = rip; k_rport = rport } v
+
+  let remove t ~lport ~rip ~rport =
+    Tbl.remove t.tbl (key t ~lport ~rip ~rport)
+
+  let find t ~lport ~rip ~rport = Tbl.find t.tbl (key t ~lport ~rip ~rport)
+  let mem t ~lport ~rip ~rport = Tbl.mem t.tbl (key t ~lport ~rip ~rport)
+  let length t = Tbl.length t.tbl
+
+  (* Bucket order cannot show: a boolean OR. *)
+  let uses_port t p =
+    Tbl.fold (fun k _ acc -> acc || k.k_lport = p) t.tbl false
+end
 
 type costs = {
   tx : Hop.t;
@@ -168,7 +220,7 @@ and ns = {
   arp_waiting : (Mac.t -> unit) list ref Ipv4.Tbl.t;
   udp_binds : udp_sock Int_tbl.t;
   listeners : tcp_listener Int_tbl.t;
-  conns : tcp_conn Conn_tbl.t;
+  conns : tcp_conn Conn_table.t;
   icmp_waiters : (Time.ns * (rtt_ns:Time.ns -> unit)) Int_tbl.t;
   mutable next_eph : int;
   mutable next_icmp_id : int;
@@ -176,6 +228,7 @@ and ns = {
   mutable prov_all : bool;
   mutable prov_tick : int;  (* 1-in-N sampling countdown, see fresh_prov *)
   cnt : ns_counters;
+  timer_lbls : Engine.label option array;  (* by kind, see [schedule_in] *)
   mutable lo : Dev.t option;
   mutable observer : (Packet.t -> unit) option;
   ns_rng : Nest_sim.Prng.t;
@@ -219,6 +272,26 @@ let note_drop ?(n = 1) ns reason =
       Trace.instant tr ~ts:(Engine.now ns.eng) ~cat:"pkt" ~name:ns.ns_name
         ~arg ()
     done
+
+(* The per-packet timers' event labels, by kind, as "<ns>:<kind>".  Each
+   is registered on the kind's first event in the namespace: a fleet
+   has thousands of namespaces, and most never arm most kinds. *)
+let tcp_wakeup = 0
+let tcp_delack = 1
+let tcp_rto = 2
+let udp_wakeup = 3
+let timer_kinds = [| ":tcp-wakeup"; ":tcp-delack"; ":tcp-rto"; ":udp-wakeup" |]
+
+let schedule_in ns kind ~delay k =
+  let lbl =
+    match ns.timer_lbls.(kind) with
+    | Some l -> l
+    | None ->
+      let l = Engine.label ns.eng (ns.ns_name ^ timer_kinds.(kind)) in
+      ns.timer_lbls.(kind) <- Some l;
+      l
+  in
+  Engine.schedule_labeled ns.eng lbl ~at:(Engine.now ns.eng + delay) k
 
 let name ns = ns.ns_name
 let engine ns = ns.eng
@@ -412,8 +485,8 @@ let local_socket_matches ns (pkt : Packet.t) =
   match pkt.Packet.transport with
   | Packet.Udp { dst_port; _ } -> Int_tbl.mem ns.udp_binds dst_port
   | Packet.Tcp { seg; _ } ->
-    Conn_tbl.mem ns.conns
-      (seg.Tcp_wire.dst_port, pkt.Packet.src, seg.Tcp_wire.src_port)
+    Conn_table.mem ns.conns ~lport:seg.Tcp_wire.dst_port ~rip:pkt.Packet.src
+      ~rport:seg.Tcp_wire.src_port
     || (seg.Tcp_wire.flags.Tcp_wire.syn
        && (not seg.Tcp_wire.flags.Tcp_wire.ack)
        && Int_tbl.mem ns.listeners seg.Tcp_wire.dst_port)
@@ -476,13 +549,13 @@ let ip_output ns pkt =
 (* ------------------------------------------------------------------ *)
 (* TCP                                                                 *)
 
-let conn_key_of c = (c.c_local_port, c.c_remote_ip, c.c_remote_port)
-
 let tcp_register c =
-  Conn_tbl.replace c.c_ns.conns (conn_key_of c) c
+  Conn_table.add c.c_ns.conns ~lport:c.c_local_port ~rip:c.c_remote_ip
+    ~rport:c.c_remote_port c
 
 let tcp_unregister c =
-  Conn_tbl.remove c.c_ns.conns (conn_key_of c)
+  Conn_table.remove c.c_ns.conns ~lport:c.c_local_port ~rip:c.c_remote_ip
+    ~rport:c.c_remote_port
 
 let tcp_make_segment ?framing c ~flags ~seq ~len =
   let seg =
@@ -529,7 +602,7 @@ let rec tcp_arm_rto c =
     c.rto_armed <- true;
     c.rto_una_at_arm <- c.snd_una;
     let delay = rto_initial * (1 lsl Int.min 6 c.rto_backoff) in
-    Engine.schedule c.c_ns.eng ~delay c.rto_k
+    schedule_in c.c_ns tcp_rto ~delay c.rto_k
   end
 
 and tcp_rto_fire c =
@@ -601,8 +674,8 @@ let tcp_deliver c =
     let msgs = Tcp_wire.Framing.pop_upto c.rx_framing c.rcv_nxt in
     (* The consuming application must be scheduled before its receive
        callback runs. *)
-    Engine.schedule c.c_ns.eng ~delay:(wakeup_delay c.c_ns) (fun () ->
-        c.on_receive ~bytes ~msgs)
+    schedule_in c.c_ns tcp_wakeup ~delay:(wakeup_delay c.c_ns)
+      (fun () -> c.on_receive ~bytes ~msgs)
   end
 
 let tcp_delack_fire c () =
@@ -612,7 +685,7 @@ let tcp_delack_fire c () =
 let tcp_schedule_delack c =
   if not c.delack_armed then begin
     c.delack_armed <- true;
-    Engine.schedule c.c_ns.eng ~delay:delack_delay c.delack_k
+    schedule_in c.c_ns tcp_delack ~delay:delack_delay c.delack_k
   end
 
 let tcp_rx_data c (seg : Tcp_wire.t) =
@@ -747,7 +820,7 @@ let alloc_ephemeral ns =
     let busy =
       Int_tbl.mem ns.listeners p
       || Int_tbl.mem ns.udp_binds p
-      || Conn_tbl.fold (fun (lp, _, _) _ acc -> acc || lp = p) ns.conns false
+      || Conn_table.uses_port ns.conns p
     in
     if busy then go (tries + 1) else p
   in
@@ -811,8 +884,10 @@ let tcp_send_rst ns (pkt : Packet.t) (seg : Tcp_wire.t) =
 
 (* [on_reflector]: the segment came in on a reflector (Hostlo) device. *)
 let tcp_input ns ~on_reflector (pkt : Packet.t) (seg : Tcp_wire.t) =
-  let key = (seg.Tcp_wire.dst_port, pkt.Packet.src, seg.Tcp_wire.src_port) in
-  match Conn_tbl.find ns.conns key with
+  match
+    Conn_table.find ns.conns ~lport:seg.Tcp_wire.dst_port ~rip:pkt.Packet.src
+      ~rport:seg.Tcp_wire.src_port
+  with
   | c ->
     note_delivered ns;
     tcp_conn_input c pkt seg
@@ -871,7 +946,7 @@ let demux ns ~on_reflector (pkt : Packet.t) =
       note_delivered ns;
       if s.u_kernel then s.u_recv s ~src:pkt.Packet.src ~src_port payload
       else
-        Engine.schedule ns.eng ~delay:(wakeup_delay ns) (fun () ->
+        schedule_in ns udp_wakeup ~delay:(wakeup_delay ns) (fun () ->
             if not s.u_closed then
               s.u_recv s ~src:pkt.Packet.src ~src_port payload)
     | _ | (exception Not_found) ->
@@ -976,10 +1051,12 @@ let create engine ~name ~costs ?(with_loopback = true) ?rng () =
       ct_tbl = Conntrack.create (); rt = Route.create (); devs = [];
       addr_list = []; arp_tbl = Ipv4.Tbl.create 16;
       arp_waiting = Ipv4.Tbl.create 4; udp_binds = Int_tbl.create 16;
-      listeners = Int_tbl.create 8; conns = Conn_tbl.create 32;
+      listeners = Int_tbl.create 8; conns = Conn_table.create 32;
       icmp_waiters = Int_tbl.create 4; next_eph = ephemeral_base;
       next_icmp_id = 1; fwd = false; prov_all = false;
-      prov_tick = 0; cnt; lo = None; observer = None;
+      prov_tick = 0; cnt;
+      timer_lbls = Array.make (Array.length timer_kinds) None;
+      lo = None; observer = None;
       ns_rng =
         Nest_sim.Prng.split
           (match rng with Some r -> r | None -> Engine.rng engine) }

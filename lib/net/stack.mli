@@ -30,6 +30,26 @@ type costs = {
 
 type ns
 
+(** TCP connections by (local port, remote address, remote port), as
+    each namespace keeps them.  Lookups allocate nothing: the table
+    fills one lookup key for {!find}, {!mem} and {!remove}, and only
+    {!add} stores a key, a fresh one. *)
+module Conn_table : sig
+  type 'a t
+
+  val create : int -> 'a t
+  val add : 'a t -> lport:int -> rip:Ipv4.t -> rport:int -> 'a -> unit
+  (** Binds the key, replacing an earlier binding of the same key. *)
+
+  val remove : 'a t -> lport:int -> rip:Ipv4.t -> rport:int -> unit
+
+  val find : 'a t -> lport:int -> rip:Ipv4.t -> rport:int -> 'a
+  (** Raises [Not_found] when the key is unbound. *)
+
+  val mem : 'a t -> lport:int -> rip:Ipv4.t -> rport:int -> bool
+  val length : 'a t -> int
+end
+
 type ns_counters = {
   mutable delivered : int;       (** Packets handed to local sockets. *)
   mutable forwarded_pkts : int;

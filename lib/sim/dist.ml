@@ -35,6 +35,11 @@ let[@inline] bounded_pareto rng ~shape ~lo ~hi =
   let x = -.((u *. ha) -. u *. la -. ha) /. (ha *. la) in
   x ** (-1.0 /. shape)
 
+(* The truncation stays in this module, so the variate is never boxed. *)
+let bounded_pareto_int rng ~shape ~lo ~hi =
+  int_of_float
+    (bounded_pareto rng ~shape ~lo:(float_of_int lo) ~hi:(float_of_int hi))
+
 let poisson rng ~mean =
   if mean <= 0.0 then 0
   else if mean > 60.0 then

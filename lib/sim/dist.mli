@@ -23,6 +23,10 @@ val pareto : Prng.t -> shape:float -> scale:float -> float
 val bounded_pareto : Prng.t -> shape:float -> lo:float -> hi:float -> float
 (** Pareto truncated to [lo, hi]; used for heavy-tailed trace demands. *)
 
+val bounded_pareto_int : Prng.t -> shape:float -> lo:int -> hi:int -> int
+(** [int_of_float] of {!bounded_pareto} on [lo, hi], the same draw, with
+    no float boxed on the way out. *)
+
 val poisson : Prng.t -> mean:float -> int
 (** Poisson variate (Knuth for small means, normal approximation above 60). *)
 

@@ -69,13 +69,15 @@ let udp_rr tb (ep : App.endpoints) ~msg_size ?(warmup = Time.ms 50)
   in
   let sent_at = ref 0 in
   let client_sock = ref None in
+  (* Every request is the same immutable payload: built once. *)
+  let request = Payload.raw msg_size in
   let send_next () =
     match !client_sock with
     | None -> ()
     | Some sock ->
       sent_at := Engine.now engine;
       Stack.Udp.sendto sock ~dst:ep.App.sv_addr ~dst_port:ep.App.sv_port
-        (Payload.raw msg_size)
+        request
   in
   let sock =
     Stack.Udp.bind ep.App.cl_ns ~port:0 (fun _ ~src:_ ~src_port:_ _ ->

@@ -132,15 +132,16 @@ let admission_kernel admission =
 (* (policy, engine events, minor-word bound per offered arrival).  The
    events are one per arrival, one per reply and the one deadline timer,
    which here fires once at the end (every reply beats it).  The words
-   were 13.4 (fixed, codel) and 9.3 (burn, which sheds half the
-   arrivals) when the bounds were set, about 1 % below them; raise a
-   bound only together with the change that needs the words. *)
+   were 9.4 (fixed, codel) and 5.2 (burn, which sheds half the
+   arrivals) when the bounds were set, about 1 % below them (13.4 and
+   9.3 while [Arrival.next] returned an option); raise a bound only
+   together with the change that needs the words. *)
 let decision_costs =
-  [ ("fixed", None, 7_999, 13.5);
-    ("burn", Some (Admission.burn ~window:(Time.ms 1) ()), 6_121, 9.4);
+  [ ("fixed", None, 7_999, 9.5);
+    ("burn", Some (Admission.burn ~window:(Time.ms 1) ()), 6_121, 5.3);
     ("codel",
       Some (Admission.codel ~target_us:5000.0 ~interval:(Time.ms 1) ()),
-      7_999, 13.5) ]
+      7_999, 9.5) ]
 
 let test_decision_cost () =
   let per_arrival =
@@ -277,6 +278,30 @@ let test_rate_floor_validate () =
     [ (4, 5e-324, false); (1, 5e-324, false); (4, 1e-320, true);
       (4, 40000.0, true) ]
 
+(* Values that used to run without bound are refused, and each bound
+   itself is accepted: rate, pods and standby on the fleet, standby on
+   chaos. *)
+let test_upper_bounds_validate () =
+  let fleet name p ok =
+    Alcotest.(check bool) name ok (Result.is_ok (Fig_fleet.validate p))
+  in
+  let d = { Fig_fleet.default_params with nodes = 4 } in
+  fleet "rate 1e12" { d with rate = 1e12 } false;
+  fleet "rate 1e300" { d with rate = 1e300 } false;
+  fleet "rate 1e7" { d with rate = 1e7 } true;
+  fleet "standby 1000000" { d with standby = 1_000_000 } false;
+  fleet "standby 1025" { d with standby = 1025 } false;
+  fleet "standby 1024" { d with standby = 1024 } true;
+  fleet "pods 1000000000" { d with pods = 1_000_000_000 } false;
+  fleet "pods 1000001" { d with pods = 1_000_001 } false;
+  fleet "pods 1000000" { d with pods = 1_000_000 } true;
+  List.iter
+    (fun (standby, ok) ->
+      Alcotest.(check bool) (Printf.sprintf "chaos standby %d" standby) ok
+        (Result.is_ok
+           (Nest_experiments.Fig_chaos.validate ~rates:[ 0.3 ] ~standby)))
+    [ (100_000, false); (1025, false); (-1, false); (1024, true); (0, true) ]
+
 (* The ISSUE's acceptance criterion, verbatim: at 2x saturating offered
    load, burn admission (+ autoscaling) keeps the worst availability
    window burn below 1.0 and the completed-RTT p99 within 2x of the
@@ -358,5 +383,7 @@ let () =
             test_service_us_validate;
           Alcotest.test_case "rate floor validation" `Quick
             test_rate_floor_validate;
+          Alcotest.test_case "upper bounds validation" `Quick
+            test_upper_bounds_validate;
         ] );
     ]

@@ -17,9 +17,8 @@ let take_offsets a n =
   let rec go acc k =
     if k = 0 then List.rev acc
     else
-      match Arrival.next a with
-      | None -> List.rev acc
-      | Some t -> go (t :: acc) (k - 1)
+      let t = Arrival.next a in
+      if t = Arrival.ended then List.rev acc else go (t :: acc) (k - 1)
   in
   go [] n
 
@@ -53,7 +52,7 @@ let test_tiny_rate_ends () =
     (List.length xs < 10);
   Alcotest.(check bool) "poisson: every offset non-negative" true
     (List.for_all (fun t -> t >= 0) xs);
-  Alcotest.(check (option int)) "poisson: stays ended" None (Arrival.next p);
+  Alcotest.(check int) "poisson: stays ended" Arrival.ended (Arrival.next p);
   List.iter
     (fun r ->
       Alcotest.check_raises
@@ -82,7 +81,16 @@ let test_poisson_deterministic () =
   Alcotest.(check bool)
     (Printf.sprintf "mean inter-arrival ~200us (got %.1fus)" (mean /. 1e3))
     true
-    (mean > 150e3 && mean < 250e3)
+    (mean > 150e3 && mean < 250e3);
+  (* The process writes [Dist.exponential]'s draw out in place: its
+     offsets are the rounded running sums of those draws, bit for bit. *)
+  let rng = Prng.create 42L and sum = ref 0.0 in
+  let reference =
+    List.init 500 (fun _ ->
+        sum := !sum +. Nest_sim.Dist.exponential rng ~mean:200_000.0;
+        int_of_float (Float.round !sum))
+  in
+  Alcotest.(check (list int)) "the gaps are Dist.exponential's" reference xs
 
 let test_of_trace_totals () =
   let users = Nest_traces.Trace_gen.generate ~seed:7L ~users:5 in
@@ -108,6 +116,12 @@ let test_sizes () =
     (List.for_all (fun s -> s >= 64 && s <= 1400) draws);
   Alcotest.(check bool) "heavy tail reaches past 4x the floor" true
     (List.exists (fun s -> s > 256) draws);
+  let rng' = Prng.create 11L in
+  Alcotest.(check (list int)) "the draws are Dist.bounded_pareto's, truncated"
+    (List.init 2000 (fun _ ->
+         let v = Nest_sim.Dist.bounded_pareto rng' ~shape:1.2 ~lo:64.0 ~hi:1400.0 in
+         Int.max 64 (Int.min 1400 (int_of_float v))))
+    draws;
   Alcotest.(check int) "fixed is fixed" 512
     (Size_dist.draw (Size_dist.Fixed 512) rng);
   Alcotest.check_raises "inverted uniform bounds rejected"
@@ -243,12 +257,11 @@ module Per_request = struct
       end
     in
     let rec next () =
-      match Arrival.next arrival with
-      | Some off when off < stop - start ->
+      let off = Arrival.next arrival in
+      if off <> Arrival.ended && off < stop - start then
         Engine.schedule_at engine ~at:(start + off) (fun () ->
             arrive ();
             next ())
-      | Some _ | None -> ()
     in
     next ();
     t
@@ -597,8 +610,9 @@ let test_fleet_run_reads_scenario () =
    request are exact on one domain.  [Gc.quick_stat]'s and
    [Gc.counters]'s sums move from run to run on OCaml 5.1 (they lag by
    up to a minor heap), so the gate reads [Gc.minor_words].  It was
-   436.2 when the bound was set, the measured value + 1 %. *)
-let fleet_words_per_request_bound = 441.0
+   402.0 when the bound was set (436.2 before packet classification and
+   the arrival stream stopped allocating), and the bound is that + 1 %. *)
+let fleet_words_per_request_bound = 406.0
 
 let test_fleet_allocation () =
   let params =

@@ -210,9 +210,9 @@ let test_netfilter_order_and_mangle () =
   let order = ref [] in
   let mk name verdict =
     { Netfilter.rule_name = name;
-      matches = (fun _ _ -> true);
+      matches = (fun ~in_dev:_ ~out_dev:_ _ -> true);
       action =
-        (fun _ p ->
+        (fun p ->
           order := name :: !order;
           verdict p) }
   in
@@ -314,8 +314,8 @@ let test_netfilter_total_rules =
           let name = Printf.sprintf "r%d" n in
           if add && n < 4 then
             Netfilter.append nf hooks.(h)
-              { Netfilter.rule_name = name; matches = (fun _ _ -> true);
-                action = (fun _ _ -> Netfilter.Accept) }
+              { Netfilter.rule_name = name; matches = (fun ~in_dev:_ ~out_dev:_ _ -> true);
+                action = (fun _ -> Netfilter.Accept) }
           else Netfilter.remove nf hooks.(h) name;
           Netfilter.total_rules nf = summed ())
         ops)
@@ -330,9 +330,10 @@ let tcp_pkt ~src ~dst ~sport ~dport =
 (* The flow key's equality covers the protocol: a UDP and a TCP flow on
    the same addresses and ports are two connections, each with its own
    binding pair, and a reply only matches its own protocol's binding.
-   The source port is one at which the two flows' hashes agree in their
-   low 10 bits, so they share a bucket in any table of up to 1024
-   buckets and only the table's equality can tell them apart. *)
+   The source port is one at which the two flows' hashes under the
+   binding table's own hash agree in their low 10 bits, so they share a
+   bucket in any table of up to 1024 buckets and only the table's
+   equality can tell them apart. *)
 let test_conntrack_proto_distinct () =
   let ct = Conntrack.create () in
   let nat_ip = Ipv4.of_string "10.0.0.1" in
@@ -341,7 +342,7 @@ let test_conntrack_proto_distinct () =
     udp_pkt ~src:"172.17.0.2" ~dst:"10.9.9.9" ~sport ~dport:53 ()
   in
   let tcp sport = tcp_pkt ~src ~dst ~sport ~dport:53 in
-  let bucket p = Hashtbl.hash (Conntrack.flow_of_packet p) land 1023 in
+  let bucket p = Conntrack.flow_hash (Conntrack.flow_of_packet p) land 1023 in
   let rec same_bucket sport =
     if bucket (udp sport) = bucket (tcp sport) then sport
     else same_bucket (sport + 1)
@@ -396,6 +397,137 @@ let test_conntrack_icmp_id_survives_snat () =
   Alcotest.(check string) "reply to the original source" "172.17.0.2"
     (Ipv4.to_string back.Packet.dst);
   Alcotest.(check int) "reply id kept" 77 (id_of back)
+
+(* The two tables with one lookup key against association-list models, over
+   random sequences on a small pool of addresses and ports, so flows
+   share endpoints and NAT bindings collide with later packets' flows.
+   A lookup key that leaked into a table would be rewritten by the next
+   lookup, and the table would stop answering like its model. *)
+let pool_ip = Array.map Ipv4.of_string [| "10.0.0.1"; "10.0.0.2"; "10.0.0.3" |]
+let pool_port = [| 1; 2; 32768; 32769 |]
+
+(* (proto, src, sport, dst, dport), ICMP's echo id as both ports. *)
+let flow_view (p : Packet.t) =
+  let s = Ipv4.to_int p.Packet.src and d = Ipv4.to_int p.Packet.dst in
+  match p.Packet.transport with
+  | Packet.Udp { src_port; dst_port; _ } -> (0, s, src_port, d, dst_port)
+  | Packet.Tcp { seg } ->
+    (1, s, seg.Tcp_wire.src_port, d, seg.Tcp_wire.dst_port)
+  | Packet.Icmp_echo { id; _ } -> (2, s, id, d, id)
+
+let pool_packet (proto, (src, sport, dst, dport)) =
+  let src = pool_ip.(src) and dst = pool_ip.(dst) in
+  let sport = pool_port.(sport) and dport = pool_port.(dport) in
+  match proto with
+  | 0 ->
+    Packet.make ~src ~dst
+      (Packet.Udp
+         { src_port = sport; dst_port = dport; payload = Payload.raw 8 })
+  | 1 -> tcp_pkt ~src ~dst ~sport ~dport
+  | _ ->
+    Packet.make ~src ~dst
+      (Packet.Icmp_echo { id = sport; seq = 1; reply = false })
+
+(* A binding's rewrite in the model: new (ip, port) of either end; ICMP
+   keeps its id. *)
+let model_apply (new_src, new_dst) (proto, s, sp, d, dp) =
+  let move (ip, port) = function
+    | Some (ip', port') -> (ip', if proto = 2 then port else port')
+    | None -> (ip, port)
+  in
+  let s, sp = move (s, sp) new_src and d, dp = move (d, dp) new_dst in
+  (proto, s, sp, d, dp)
+
+let test_conntrack_matches_model =
+  let b = QCheck.int_bound in
+  let flow = QCheck.(pair (b 2) (quad (b 2) (b 3) (b 2) (b 3))) in
+  let op = QCheck.(triple (b 2) flow (pair (b 2) (b 3))) in
+  QCheck.Test.make
+    ~name:"conntrack with one lookup key answers like an assoc-list model"
+    ~count:300 QCheck.(list_of_size Gen.(1 -- 80) op)
+    (fun ops ->
+      let ct = Conntrack.create () in
+      let model = ref [] and next_port = ref 32768 in
+      let alloc () =
+        let p = !next_port in
+        next_port := if p >= 60999 then 32768 else p + 1;
+        p
+      in
+      let bind k v = model := (k, v) :: List.remove_assoc k !model in
+      List.for_all
+        (fun (kind, flow, (to_ip, to_port)) ->
+          let p = pool_packet flow in
+          let ((proto, s, sp, d, dp) as f) = flow_view p in
+          let to_ip = pool_ip.(to_ip) and to_port = pool_port.(to_port) in
+          let ip = Ipv4.to_int to_ip in
+          let nat () =
+            if kind = 1 then Conntrack.snat ct p ~to_ip
+            else Conntrack.dnat ct p ~to_ip ~to_port
+          in
+          let ok =
+            match (kind, List.assoc_opt f !model) with
+            | 0, None -> Conntrack.translate ct p == p
+            | 0, Some rw ->
+              let out = Conntrack.translate ct p in
+              out != p && flow_view out = model_apply rw f
+            | _, Some rw -> flow_view (nat ()) = model_apply rw f
+            | 1, None ->
+              let nat_port = if proto = 2 then sp else alloc () in
+              let fwd = (Some (ip, nat_port), None) in
+              bind f fwd;
+              bind (proto, d, dp, ip, nat_port) (None, Some (s, sp));
+              flow_view (nat ()) = model_apply fwd f
+            | _, None ->
+              let fwd = (None, Some (ip, to_port)) in
+              bind f fwd;
+              bind (proto, ip, to_port, s, sp) (Some (d, dp), None);
+              flow_view (nat ()) = model_apply fwd f
+          in
+          ok && Conntrack.entry_count ct = List.length !model)
+        ops)
+
+let test_conn_table_matches_model =
+  let b = QCheck.int_bound in
+  let keys =
+    List.concat_map
+      (fun l ->
+        List.concat_map (fun r -> List.map (fun p -> (l, r, p)) [ 0; 1; 2 ])
+          [ 0; 1; 2 ])
+      [ 0; 1; 2 ]
+  in
+  QCheck.Test.make
+    ~name:"TCP connection table with one lookup key answers like a model"
+    ~count:300
+    QCheck.(list_of_size Gen.(1 -- 80) (pair (b 2) (triple (b 2) (b 2) (b 2))))
+    (fun ops ->
+      let t = Stack.Conn_table.create 4 in
+      let model = ref [] in
+      (* Every key of the pool answers as the model does. *)
+      let agrees ((lport, rip, rport) as k) =
+        let rip = pool_ip.(rip) in
+        let found =
+          match Stack.Conn_table.find t ~lport ~rip ~rport with
+          | v -> Some v
+          | exception Not_found -> None
+        in
+        found = List.assoc_opt k !model
+        && Stack.Conn_table.mem t ~lport ~rip ~rport = Option.is_some found
+      in
+      List.for_all
+        (fun (kind, ((lport, rip, rport) as k)) ->
+          let rip = pool_ip.(rip) in
+          (match kind with
+          | 0 ->
+            let v = List.length !model in
+            Stack.Conn_table.add t ~lport ~rip ~rport v;
+            model := (k, v) :: List.remove_assoc k !model
+          | 1 ->
+            Stack.Conn_table.remove t ~lport ~rip ~rport;
+            model := List.remove_assoc k !model
+          | _ -> ());
+          List.for_all agrees keys
+          && Stack.Conn_table.length t = List.length !model)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Devices: bridge, veth, tap *)
@@ -548,7 +680,9 @@ let () =
           Alcotest.test_case "udp and tcp flows bind apart" `Quick
             test_conntrack_proto_distinct;
           Alcotest.test_case "icmp echo id survives snat" `Quick
-            test_conntrack_icmp_id_survives_snat ] );
+            test_conntrack_icmp_id_survives_snat;
+          qtest test_conntrack_matches_model;
+          qtest test_conn_table_matches_model ] );
       ( "devices",
         [ Alcotest.test_case "bridge learning" `Quick test_bridge_learning_and_flood;
           Alcotest.test_case "bridge self" `Quick test_bridge_self_delivery;
