@@ -214,7 +214,9 @@ let complete t ~seq =
       t.g_ring.(i) <- -1;
       t.g_outstanding <- t.g_outstanding - 1;
       let now = Engine.now t.g_engine in
-      let us = Time.to_us_f (now - intended) in
+      (* Boxed once here: each of the four calls below takes the float
+         boxed, and an unboxed [us] would be boxed again for each. *)
+      let us = Sys.opaque_identity (Time.to_us_f (now - intended)) in
       Nest_sim.Hdr.add t.g_latency us;
       record_completion t now us;
       Admission.on_complete t.g_admission ~latency_us:us;

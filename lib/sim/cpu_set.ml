@@ -1,3 +1,7 @@
+(* The cores' busy dates, kept sorted ascending.  Cores are
+   interchangeable: a caller sees one only through [book], [free_at] and
+   [commit], so which position holds which date is never observable,
+   only the multiset of dates, and every start date follows from it. *)
 type t = { set_name : string; busy : Time.ns array }
 
 let create ~cores ~name =
@@ -8,20 +12,38 @@ let cores t = Array.length t.busy
 let name t = t.set_name
 
 let book t ~ready =
-  (* Best fit among already-free cores; earliest-available otherwise.
-     A plain loop over unboxed refs: this runs on every submission. *)
-  let best_free = ref (-1) and earliest = ref 0 in
-  for i = 0 to Array.length t.busy - 1 do
-    let v = t.busy.(i) in
-    if v <= ready && (!best_free < 0 || v > t.busy.(!best_free)) then
-      best_free := i;
-    if v < t.busy.(!earliest) then earliest := i
+  (* Best fit: the latest date <= [ready]; else the earliest date, at 0.
+     The walk down passes only the cores busy beyond [ready]. *)
+  let busy = t.busy in
+  let i = ref (Array.length busy - 1) in
+  while !i >= 0 && busy.(!i) > ready do
+    decr i
   done;
-  if !best_free >= 0 then !best_free else !earliest
+  Int.max 0 !i
 
 let free_at t core = t.busy.(core)
 
-let commit t core ~finish = t.busy.(core) <- finish
+(* Replaces the date at [core] with [finish] and moves it into place.
+   [Exec] never commits a date below the booked one, so only the first
+   loop runs there. *)
+let commit t core ~finish =
+  let busy = t.busy in
+  let n = Array.length busy in
+  let i = ref core in
+  while !i + 1 < n && busy.(!i + 1) < finish do
+    busy.(!i) <- busy.(!i + 1);
+    incr i
+  done;
+  while !i > 0 && busy.(!i - 1) > finish do
+    busy.(!i) <- busy.(!i - 1);
+    decr i
+  done;
+  busy.(!i) <- finish
 
 let busy_cores t ~now =
-  Array.fold_left (fun acc v -> if v > now then acc + 1 else acc) 0 t.busy
+  let busy = t.busy in
+  let i = ref (Array.length busy - 1) in
+  while !i >= 0 && busy.(!i) > now do
+    decr i
+  done;
+  Array.length busy - 1 - !i

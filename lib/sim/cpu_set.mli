@@ -11,7 +11,12 @@
     time, the one that became free *last* is chosen (so a busy context
     keeps re-using "its" core back-to-back instead of strewing
     reservations with dead gaps across the pool); when no core is free,
-    the earliest-available one is used and the work waits. *)
+    the earliest-available one is used and the work waits.
+
+    Cores are interchangeable, so the set keeps only their busy dates,
+    sorted: a core id names a position in that order, valid from
+    {!book} to its {!commit}.  Booking walks down past the cores busy
+    beyond the ready date, and a commit moves one date into place. *)
 
 type t
 
@@ -32,3 +37,4 @@ val commit : t -> int -> finish:Time.ns -> unit
 (** Marks the booked core busy until [finish]. *)
 
 val busy_cores : t -> now:Time.ns -> int
+(** Number of cores booked beyond [now]. *)

@@ -58,9 +58,6 @@ let[@inline] move a ~src ~dst =
 
 let[@inline] before (p : int) (s : int) p' s' = p < p' || (p = p' && s < s')
 
-(* Entry [i] of [a] orders before (p, s). *)
-let[@inline] entry_before a i p s = before a.(3 * i) a.((3 * i) + 1) p s
-
 (* Moves parents down until (p, s) fits the hole at [i], then fills it. *)
 let rec sift_up a p s c i =
   let j = (i - 1) lsr 2 in
@@ -70,17 +67,28 @@ let rec sift_up a p s c i =
   end
   else set a i p s c
 
-(* Moves the least child up until (p, s) fits the hole at [i]. *)
+(* Moves the least child up until (p, s) fits the hole at [i].  The
+   least child's (prio, seq) stays in locals while the others are
+   compared with it; every child read is below [len], which never
+   exceeds the array's entries, so those reads skip the bounds check. *)
 let rec sift_down a len p s c i =
   let first = (4 * i) + 1 in
   if first >= len then set a i p s c
   else begin
     let m = ref first in
+    let mp = ref (Array.unsafe_get a (3 * first)) in
+    let ms = ref (Array.unsafe_get a ((3 * first) + 1)) in
     for k = first + 1 to Int.min (first + 3) (len - 1) do
-      if entry_before a k a.(3 * !m) a.((3 * !m) + 1) then m := k
+      let kp = Array.unsafe_get a (3 * k) in
+      let ks = Array.unsafe_get a ((3 * k) + 1) in
+      if before kp ks !mp !ms then begin
+        m := k;
+        mp := kp;
+        ms := ks
+      end
     done;
     let m = !m in
-    if entry_before a m p s then begin
+    if before !mp !ms p s then begin
       move a ~src:m ~dst:i;
       sift_down a len p s c m
     end

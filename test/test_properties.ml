@@ -12,27 +12,34 @@ let qtest = QCheck_alcotest.to_alcotest
 (* ------------------------------------------------------------------ *)
 (* Heap (the engine's event queue) vs sorted-list oracle under
    interleaved push/pop.  The queue clamps a push below the last popped
-   priority up to it, and so does the model. *)
+   priority up to it, and so does the model.  Each value is its push
+   index, so a pop must return the exact (prio, seq) minimum, ties
+   included; half the inputs draw from 4 priorities to make ties
+   dense. *)
 
 let test_heap_oracle =
-  QCheck.Test.make ~name:"heap behaves like a sorted multiset" ~count:200
-    QCheck.(list (pair bool small_int))
+  QCheck.Test.make ~name:"heap behaves like a sorted multiset" ~count:400
+    QCheck.(
+      oneof
+        [ list (pair bool small_int);
+          list (pair (map (fun k -> k = 0) (int_range 0 2)) (int_range 0 3)) ])
     (fun ops ->
       let h = Heap.create ~dummy:0 () in
-      let model = ref [] and floor = ref 0 in
+      let model = ref [] and floor = ref 0 and pushed = ref 0 in
       List.for_all
         (fun (is_pop, v) ->
           if is_pop then
             match (Heap.pop h, !model) with
             | None, [] -> true
-            | Some (p, _), m :: rest ->
+            | Some (p, seq), (m, mseq) :: rest ->
               model := rest;
               floor := m;
-              p = m
+              p = m && seq = mseq
             | None, _ :: _ | Some _, [] -> false
           else begin
-            Heap.push h ~tag:0 ~prio:v v;
-            model := List.sort compare (Int.max v !floor :: !model);
+            Heap.push h ~tag:0 ~prio:v !pushed;
+            model := List.sort compare ((Int.max v !floor, !pushed) :: !model);
+            incr pushed;
             true
           end)
         ops
@@ -135,6 +142,63 @@ let test_cpuset_work_conservation =
       let total = List.fold_left ( + ) 0 costs in
       let lower = total / cores and upper = total in
       !finish >= lower && !finish <= upper)
+
+(* [Cpu_set] keeps its cores' busy dates sorted.  The model is the
+   linear scan it replaced, each core at a fixed index: best fit among
+   the cores free by [ready], else the earliest to free up.  Cores are
+   interchangeable, so every step must book the same date and count the
+   same busy cores.  A step books and commits the way [Exec] does
+   (finish at the start plus a cost), books and commits below the
+   booked date (which the interface allows), or books nothing; each
+   then counts the cores busy at its date. *)
+
+module Linear_cpu_set = struct
+  let book busy ~ready =
+    let best_free = ref (-1) and earliest = ref 0 in
+    for i = 0 to Array.length busy - 1 do
+      let v = busy.(i) in
+      if v <= ready && (!best_free < 0 || v > busy.(!best_free)) then
+        best_free := i;
+      if v < busy.(!earliest) then earliest := i
+    done;
+    if !best_free >= 0 then !best_free else !earliest
+
+  let busy_cores busy ~now =
+    Array.fold_left (fun acc v -> if v > now then acc + 1 else acc) 0 busy
+end
+
+let test_cpuset_matches_linear_scan =
+  QCheck.Test.make ~name:"sorted cpu set books like a linear scan" ~count:500
+    QCheck.(
+      pair (int_range 1 16)
+        (list (triple (int_range 0 5) (int_range 0 400) (int_range 0 300))))
+    (fun (cores, steps) ->
+      let set = Nest_sim.Cpu_set.create ~cores ~name:"m" in
+      let model = Array.make cores 0 in
+      let clock = ref 0 in
+      List.for_all
+        (fun (kind, dt, cost) ->
+          let at = !clock + dt in
+          clock := !clock + (dt / 8);
+          let same_date =
+            kind = 0
+            ||
+            let core = Nest_sim.Cpu_set.book set ~ready:at in
+            let m = Linear_cpu_set.book model ~ready:at in
+            let free = Nest_sim.Cpu_set.free_at set core in
+            let same = free = model.(m) in
+            let finish =
+              if kind = 1 then Int.max 0 (free - cost)
+              else Int.max at free + cost
+            in
+            Nest_sim.Cpu_set.commit set core ~finish;
+            model.(m) <- finish;
+            same
+          in
+          same_date
+          && Nest_sim.Cpu_set.busy_cores set ~now:at
+             = Linear_cpu_set.busy_cores model ~now:at)
+        steps)
 
 let test_exec_fifo_order =
   QCheck.Test.make ~name:"width-1 exec completes strictly in order" ~count:100
@@ -308,7 +372,8 @@ let () =
       ( "scheduling",
         [ qtest test_cpuset_work_conservation;
           qtest test_exec_fifo_order;
-          qtest test_scheduler_soundness ] );
+          qtest test_scheduler_soundness;
+          qtest test_cpuset_matches_linear_scan ] );
       ( "transport",
         [ qtest test_tcp_stream_framing;
           qtest test_hostlo_reflection_conservation;
