@@ -34,14 +34,21 @@ let at_least floor flag v =
     exit 1
   end
 
+let at_most ceiling flag v =
+  if v > ceiling then begin
+    Printf.eprintf "nestsim: --%s must be <= %d (got %d)\n" flag ceiling v;
+    exit 1
+  end
+
+(* Past the runtime's domain limit a parallel run could not start. *)
+let check_domains flag v =
+  at_least 1 flag v;
+  at_most Nest_sim.Domain_pool.max_domains flag v
+
 (* The ring is allocated up front, so its size has a ceiling too. *)
 let check_trace_capacity v =
   at_least 1 "trace-capacity" v;
-  if v > Nest_sim.Trace.max_capacity then begin
-    Printf.eprintf "nestsim: --trace-capacity must be <= %d (got %d)\n"
-      Nest_sim.Trace.max_capacity v;
-    exit 1
-  end
+  at_most Nest_sim.Trace.max_capacity "trace-capacity" v
 
 (* Every id is resolved before any experiment runs, so a typo late in
    the list costs no output and still exits 1. *)
@@ -61,7 +68,7 @@ let run_experiments ~quick =
 
 let run_cmd ids quick jobs trace metrics obs_json trace_capacity =
   check_trace_capacity trace_capacity;
-  at_least 1 "jobs" jobs;
+  check_domains "jobs" jobs;
   let chosen =
     match ids with
     | [ "all" ] | [] -> None
@@ -139,6 +146,7 @@ let obs_cmd ids quick out trace_capacity timeline_period_us prov_sample slo =
 
 let trace_gen users seed out =
   at_least 0 "users" users;
+  at_most Nest_traces.Trace_gen.max_users "users" users;
   let trace =
     Nest_traces.Trace_gen.generate ~seed:(Int64.of_int seed) ~users
   in
@@ -190,8 +198,8 @@ let jobs =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Fan independent experiment cells (one testbed + workload \
-                 each) across $(docv) domains.  Results are identical for \
-                 any value; only wall-clock time changes.")
+                 each) across $(docv) domains, at most 128.  Results are \
+                 identical for any value; only wall-clock time changes.")
 
 let ids =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
@@ -283,7 +291,7 @@ let obs_term =
   Cmd.group (Cmd.info "obs" ~doc) [ run ]
 
 let chaos_cmd rates seed jobs quick check workload standby =
-  at_least 1 "jobs" jobs;
+  check_domains "jobs" jobs;
   let workload =
     match Nest_fault.Chaos.workload_of_string workload with
     | Some w -> w
@@ -395,7 +403,7 @@ let profile_arg =
 let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
     fault_rate standby admission autoscale service_us pods_max frontier =
   at_least 1 "shards" shards;
-  at_least 1 "domains" domains;
+  check_domains "domains" domains;
   let arrival =
     match arrival with
     | "poisson" -> `Poisson
@@ -437,7 +445,7 @@ let fleet_term =
          & info [ "nodes" ] ~docv:"N"
              ~doc:"Fleet size: $(docv) full single-node testbeds with \
                    heterogeneous deployment modes (NAT, BrFusion, Hostlo \
-                   round-robin).")
+                   round-robin), at most 16384.")
   in
   let pods =
     Arg.(value & opt int 200
@@ -474,8 +482,8 @@ let fleet_term =
     Arg.(value & opt int 1
          & info [ "jobs"; "domains" ] ~docv:"D"
              ~doc:"OS-level parallelism: pump the shards from $(docv) \
-                   domains (capped at the shard count).  The digest is \
-                   identical for any value.")
+                   domains (capped at the shard count), at most 128.  The \
+                   digest is identical for any value.")
   in
   let seed =
     Arg.(value & opt int64 42L
@@ -560,7 +568,8 @@ let fleet_term =
 
 let trace_term =
   let users =
-    Arg.(value & opt int 492 & info [ "users" ] ~doc:"Number of users.")
+    Arg.(value & opt int 492
+         & info [ "users" ] ~doc:"Number of users, at most 100000.")
   in
   let seed = Arg.(value & opt int 2026 & info [ "seed" ] ~doc:"PRNG seed.") in
   let out =

@@ -61,7 +61,6 @@ let ensure_bridge t =
         ~name:(Nest_virt.Vm.name vmachine ^ ":docker0")
         ~hop:bridge_hop
         ~self_mac:(Nest_virt.Host.fresh_mac host)
-        ()
     in
     let self = Bridge.self_dev br in
     Stack.attach vns self;

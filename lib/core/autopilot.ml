@@ -21,8 +21,6 @@ type deployment = {
 
 type t = {
   tb : Testbed.t;
-  vm_vcpus : int;
-  vm_mem_mb : int;
   provision_delay : Time.ns;
   allow_split : bool;
   brf : Brfusion.config;
@@ -38,9 +36,12 @@ type t = {
   mutable reservations : (deployment * (Node.t * float * float) list) list;
 }
 
-let create tb ?(vm_vcpus = 5) ?(vm_mem_mb = 4096)
-    ?(provision_delay = Time.sec 45) ?(allow_split = true) () =
-  { tb; vm_vcpus; vm_mem_mb; provision_delay; allow_split;
+(* Every VM the autopilot buys has the paper's shape. *)
+let vm_vcpus = 5
+let vm_mem_mb = 4096
+
+let create tb ?(provision_delay = Time.sec 45) ?(allow_split = true) () =
+  { tb; provision_delay; allow_split;
     brf = Brfusion.make_config tb.Testbed.vmm ~host_bridge:"virbr0";
     hlo = Hostlo.make_config tb.Testbed.vmm;
     fleet = tb.Testbed.nodes; bought = 0; split_count = 0; serial = 0;
@@ -53,7 +54,7 @@ let vms_bought t = t.bought
 let pods_split t = t.split_count
 let deployments t = t.dep_list
 
-let vm_capacity t = (float_of_int t.vm_vcpus, float_of_int t.vm_mem_mb /. 1024.0)
+let vm_capacity = (float_of_int vm_vcpus, float_of_int vm_mem_mb /. 1024.0)
 
 let buy_vm t k =
   t.vm_serial <- t.vm_serial + 1;
@@ -62,8 +63,8 @@ let buy_vm t k =
     (fun () ->
       let ip = Ipam.alloc (Brfusion.pod_ipam t.brf) in
       let vm =
-        Nest_virt.Vmm.create_vm t.tb.Testbed.vmm ~name ~vcpus:t.vm_vcpus
-          ~mem_mb:t.vm_mem_mb ~bridge:(Brfusion.host_bridge t.brf) ~ip
+        Nest_virt.Vmm.create_vm t.tb.Testbed.vmm ~name ~vcpus:vm_vcpus
+          ~mem_mb:vm_mem_mb ~bridge:(Brfusion.host_bridge t.brf) ~ip
       in
       let node = Node.create vm in
       t.fleet <- t.fleet @ [ node ];
@@ -163,9 +164,7 @@ let deploy_whole t pod node ~on_ready =
   t.serial <- t.serial + 1;
   let tag = Printf.sprintf "%s-%d" pod.Pod.pod_name t.serial in
   let plugin = Brfusion.plugin t.brf in
-  plugin.Nest_orch.Cni.add ~pod_name:tag ~node
-    ~publish:(List.concat_map (fun c -> c.Pod.ports) pod.Pod.containers)
-    ~k:(fun netns ->
+  plugin.Nest_orch.Cni.add ~pod_name:tag ~node ~publish:[] ~k:(fun netns ->
       start_containers t ~tag ~pod
         ~netns_of:(fun _ -> (node, netns))
         ~placement:(Whole (node, netns))
@@ -216,7 +215,7 @@ let deploy_split t pod assignment ~on_ready =
 
 let rec deploy t pod ~on_ready =
   let cpu = Pod.cpu_total pod and mem = Pod.mem_total pod in
-  let cap_cpu, cap_mem = vm_capacity t in
+  let cap_cpu, cap_mem = vm_capacity in
   if
     List.exists
       (fun (c : Pod.container_spec) -> c.Pod.cpu > cap_cpu || c.Pod.mem > cap_mem)

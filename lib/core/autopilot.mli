@@ -33,16 +33,14 @@ type deployment = {
 
 val create :
   Testbed.t ->
-  ?vm_vcpus:int ->
-  ?vm_mem_mb:int ->
   ?provision_delay:Nest_sim.Time.ns ->
   ?allow_split:bool ->
   unit ->
   t
-(** Starts with the testbed's existing nodes (if any).  Defaults: VMs of
-    5 vCPUs / 4 GB (the paper's shape), 45 s provisioning (cloud VM boot),
-    splitting allowed.  [allow_split:false] gives the pre-Hostlo world
-    (whole-pod only) for comparison. *)
+(** Starts with the testbed's existing nodes (if any).  New VMs have
+    5 vCPUs / 4 GB (the paper's shape).  Defaults: 45 s provisioning
+    (cloud VM boot), splitting allowed.  [allow_split:false] gives the
+    pre-Hostlo world (whole-pod only) for comparison. *)
 
 val deploy :
   t -> Nest_orch.Pod.t -> on_ready:(deployment -> unit) -> unit

@@ -60,8 +60,7 @@ let plugin config =
           Nest_sim.Metrics.bump
             (Nest_sim.Metrics.counter
                (Nest_sim.Engine.metrics engine)
-               "fault.pod_setup_failed")
-            ();
+               "fault.pod_setup_failed");
           Nest_sim.Engine.trace_instant engine ~cat:"fault"
             ~name:"pod_setup_failed" ~arg:(pod_name ^ ": " ^ e) ()
         | Ok mac ->
@@ -83,8 +82,7 @@ let plugin config =
               Nest_sim.Metrics.bump
                 (Nest_sim.Metrics.counter
                    (Nest_sim.Engine.metrics engine)
-                   "recovery.lease_released")
-                ();
+                   "recovery.lease_released");
               Nest_sim.Engine.trace_instant engine ~cat:"fault"
                 ~name:"lease_released" ~arg:pod_name ())
             ~k:(fun dev ->

@@ -70,8 +70,7 @@ let provision_one config ~node ~pod_name =
         Nest_sim.Metrics.bump
           (Nest_sim.Metrics.counter
              (Nest_sim.Engine.metrics engine)
-             "fault.standby_provision_failed")
-          ();
+             "fault.standby_provision_failed");
         Nest_sim.Engine.trace_instant engine ~cat:"fault"
           ~name:"standby_provision_failed" ~arg:(pod_name ^ ": " ^ e) ()
       | Ok mac ->
@@ -132,8 +131,7 @@ let plugin config =
       Nest_sim.Metrics.bump
         (Nest_sim.Metrics.counter
            (Nest_sim.Engine.metrics engine)
-           "recovery.standby_claimed")
-        ();
+           "recovery.standby_claimed");
       Nest_sim.Engine.trace_instant engine ~cat:"fault" ~name:"standby_claimed"
         ~arg:pod_name ();
       finish_with_mac mac;
@@ -156,8 +154,7 @@ let plugin config =
             Nest_sim.Metrics.bump
               (Nest_sim.Metrics.counter
                  (Nest_sim.Engine.metrics engine)
-                 "fault.pod_setup_failed")
-              ();
+                 "fault.pod_setup_failed");
             Nest_sim.Engine.trace_instant engine ~cat:"fault"
               ~name:"pod_setup_failed" ~arg:(pod_name ^ ": " ^ e) ()
           | Ok mac -> finish_with_mac mac)

@@ -19,17 +19,18 @@ and t = {
   pod : string;
   host : Nest_virt.Host.t;
   shm : Pod_resources.Shm.t;
-  ring_bytes : int;
   mutable endpoints : endpoint list;
   mutable sent : int;
   mutable delivered : int;
 }
 
-let create host shm ~pod ~name ?(ring_kb = 256) () =
+let ring_kb = 256
+let ring_bytes = ring_kb * 1024
+
+let create host shm ~pod ~name =
   Pod_resources.Shm.register shm ~pod ~segment:name ~size_kb:ring_kb
     Pod_resources.Mempipe;
-  { mp_name = name; pod; host; shm; ring_bytes = ring_kb * 1024;
-    endpoints = []; sent = 0; delivered = 0 }
+  { mp_name = name; pod; host; shm; endpoints = []; sent = 0; delivered = 0 }
 
 let attach t vm =
   Pod_resources.Shm.attach t.shm ~pod:t.pod ~segment:t.mp_name
@@ -47,10 +48,10 @@ let copy_cost size =
 
 let send ep ~size ?msg () =
   let t = ep.chan in
-  if size > t.ring_bytes then
+  if size > ring_bytes then
     failwith
       (Printf.sprintf "Mempipe.send: %d bytes exceed the %d-byte ring" size
-         t.ring_bytes);
+         ring_bytes);
   t.sent <- t.sent + 1;
   let engine = Nest_virt.Host.engine t.host in
   (* Copy in, on the sender's guest kernel. *)

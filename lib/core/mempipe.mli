@@ -22,11 +22,9 @@ val create :
   Pod_resources.Shm.t ->
   pod:string ->
   name:string ->
-  ?ring_kb:int ->
-  unit ->
   t
-(** Registers segment [name] for [pod] (Mempipe backend) in the given
-    §4.3 registry.  [ring_kb] defaults to 256. *)
+(** Registers segment [name] for [pod] (Mempipe backend), a 256 KiB ring,
+    in the given §4.3 registry. *)
 
 val attach : t -> Nest_virt.Vm.t -> endpoint
 (** One endpoint per pod fraction; records the attachment in the Shm

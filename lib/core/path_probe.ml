@@ -4,13 +4,17 @@ open Nest_net
    unknown-destination floods would otherwise leave queue-time artifacts
    and branched records), and the second — measured on a warm path —
    carries the provenance record handed to [k].  Its entries decompose
-   the datagram's one-way latency into per-hop queue/service time. *)
-let udp_timed_path ~src ~dst ~dst_addr ~port ?(size = 64) ~k () =
+   the datagram's one-way latency into per-hop queue/service time.  Both
+   datagrams carry 64 B, netperf's UDP_RR size. *)
+let probe_bytes = 64
+
+let udp_timed_path ~src ~dst ~dst_addr ~port ~k () =
   Stack.set_provenance_all src true;
   let server = Stack.Udp.bind dst ~port (fun _ ~src:_ ~src_port:_ _ -> ()) in
   let probe = Stack.Udp.bind src ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
   let send () =
-    Stack.Udp.sendto probe ~dst:dst_addr ~dst_port:port (Payload.raw size)
+    Stack.Udp.sendto probe ~dst:dst_addr ~dst_port:port
+      (Payload.raw probe_bytes)
   in
   let arrivals = ref 0 in
   Stack.set_observer dst

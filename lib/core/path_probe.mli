@@ -14,14 +14,13 @@ val udp_timed_path :
   dst:Stack.ns ->
   dst_addr:Ipv4.t ->
   port:int ->
-  ?size:int ->
   k:(Nest_sim.Provenance.entry list -> unit) ->
   unit ->
   unit
-(** Sends a warmup datagram (resolving ARP so the measured path has no
-    cold-start artifacts) followed by a measured one, and hands [k] the
-    provenance entries recorded for the second — the datagram's one-way
-    latency decomposed into per-hop queue/service time.  Restores
+(** Sends a 64 B warmup datagram (resolving ARP so the measured path has
+    no cold-start artifacts) followed by a measured one, and hands [k]
+    the provenance entries recorded for the second — the datagram's
+    one-way latency decomposed into per-hop queue/service time.  Restores
     provenance and observer state afterwards.  Drive the engine until
     [k] fires.  [List.map (fun e -> e.Nest_sim.Provenance.hop)] reads
     the hop names alone. *)

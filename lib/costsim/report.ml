@@ -29,7 +29,7 @@ type summary = {
    (VM, split pod) buys QMP-free failover (see Hostlo.make_config) at a
    memory price.  4 MiB per endpoint, expressed in the trace's relative
    units (fractions of the 24xlarge's 384 GB). *)
-let default_ep_mem = 4.0 /. (384.0 *. 1024.0)
+let standby_ep_mem = 4.0 /. (384.0 *. 1024.0)
 
 (* Pods whose containers ended up on more than one VM — only those go
    through the reflector, so only those carry a standby pool. *)
@@ -53,7 +53,7 @@ let split_pod_counts (plan : Kube_pack.plan) =
    the same "cheapest fitting model" rule the packer itself uses, so a
    VM that standby memory pushes over its model's capacity is bought one
    size up rather than silently overcommitted. *)
-let standby_priced_cost ~depth ~ep_mem (plan : Kube_pack.plan) =
+let standby_priced_cost ~depth (plan : Kube_pack.plan) =
   if depth = 0 then Kube_pack.plan_cost plan
   else begin
     let vms_of_pod = split_pod_counts plan in
@@ -71,7 +71,7 @@ let standby_priced_cost ~depth ~ep_mem (plan : Kube_pack.plan) =
               else n)
             seen 0
         in
-        let overhead = float_of_int (depth * split_here) *. ep_mem in
+        let overhead = float_of_int (depth * split_here) *. standby_ep_mem in
         let bought = vm.Kube_pack.vm_model.Aws.price_per_hour in
         let price =
           match
@@ -85,17 +85,14 @@ let standby_priced_cost ~depth ~ep_mem (plan : Kube_pack.plan) =
       0.0 plan.Kube_pack.vms
   end
 
-let evaluate_user ?(standby_depth = 0) ?(standby_ep_mem = default_ep_mem)
-    user =
+let evaluate_user ~standby_depth user =
   let base = Kube_pack.pack_user user in
   Kube_pack.check_invariants base;
   let kube_cost = Kube_pack.plan_cost base in
   let kube_vms = Kube_pack.plan_vm_count base in
   let plan, _stats = Hostlo_pack.improve_copy base in
   let hostlo_cost = Kube_pack.plan_cost plan in
-  let hostlo_standby_cost =
-    standby_priced_cost ~depth:standby_depth ~ep_mem:standby_ep_mem plan
-  in
+  let hostlo_standby_cost = standby_priced_cost ~depth:standby_depth plan in
   let split_pods =
     Hashtbl.fold
       (fun _ n acc -> if n > 1 then acc + 1 else acc)
@@ -107,8 +104,7 @@ let evaluate_user ?(standby_depth = 0) ?(standby_ep_mem = default_ep_mem)
     hostlo_vms = Kube_pack.plan_vm_count plan; saving;
     rel_saving = (if kube_cost > 0.0 then saving /. kube_cost else 0.0) }
 
-let evaluate ?standby_depth ?standby_ep_mem users =
-  List.map (evaluate_user ?standby_depth ?standby_ep_mem) users
+let evaluate users = List.map (evaluate_user ~standby_depth:0) users
 
 let summarize outcomes =
   let users = List.length outcomes in

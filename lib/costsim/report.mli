@@ -31,16 +31,14 @@ type summary = {
   total_split_pods : int;
 }
 
-val evaluate_user :
-  ?standby_depth:int -> ?standby_ep_mem:float -> Nest_traces.Trace.user ->
-  outcome
-(** [standby_depth] (default 0) pooled endpoints are pinned per
-    (VM, split pod), [standby_ep_mem] ({!default_ep_mem}) relative
-    memory each; the pool is priced into [hostlo_standby_cost]. *)
+val evaluate_user : standby_depth:int -> Nest_traces.Trace.user -> outcome
+(** [standby_depth] pooled endpoints are pinned per (VM, split pod),
+    4 MiB of memory each; the pool is priced into
+    [hostlo_standby_cost]. *)
 
-val evaluate :
-  ?standby_depth:int -> ?standby_ep_mem:float ->
-  Nest_traces.Trace.user list -> outcome list
+val evaluate : Nest_traces.Trace.user list -> outcome list
+(** {!evaluate_user} at standby depth 0 for each user. *)
+
 val summarize : outcome list -> summary
 
 val savings_histogram : outcome list -> bins:int -> (float * float * int) list

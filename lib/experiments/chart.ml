@@ -5,7 +5,10 @@ let nice_value v =
   else if Float.abs v >= 10.0 then Printf.sprintf "%.1f" v
   else Printf.sprintf "%.2f" v
 
-let plot ~title ~y_label ~x_labels ~series ?(height = 12) ?(width = 72) () =
+let height = 12
+let width = 72
+
+let plot ~title ~y_label ~x_labels ~series =
   if x_labels = [] || series = [] then invalid_arg "Chart.plot: empty input";
   let n = List.length x_labels in
   let all_values = List.concat_map snd series in

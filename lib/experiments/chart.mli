@@ -7,13 +7,10 @@ val plot :
   y_label:string ->
   x_labels:string list ->
   series:(string * float list) list ->
-  ?height:int ->
-  ?width:int ->
-  unit ->
   string
 (** Categorical-x line chart: every series has one value per x label
-    (shorter series are right-padded with gaps).  [height] defaults to
-    12 rows, [width] to 72 columns of plot area.  Returns the rendered
+    (shorter series are right-padded with gaps), on a plot area of 12
+    rows by 72 columns.  Returns the rendered
     block (with legend); raises [Invalid_argument] on empty input. *)
 
 val markers : char list

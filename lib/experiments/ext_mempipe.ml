@@ -11,7 +11,7 @@ let mempipe_rr ~quick ~size =
   let engine = tb.Testbed.engine in
   let shm = Pod_resources.Shm.create () in
   let chan =
-    Mempipe.create tb.Testbed.host shm ~pod:"pod" ~name:"rr-ring" ()
+    Mempipe.create tb.Testbed.host shm ~pod:"pod" ~name:"rr-ring"
   in
   let a = Mempipe.attach chan (Testbed.vm tb 0) in
   let b = Mempipe.attach chan (Testbed.vm tb 1) in

@@ -4,7 +4,7 @@ module Time = Nest_sim.Time
 module Stats = Nest_sim.Stats
 module Engine = Nest_container.Engine
 
-let image = Nest_container.Image.make ~name:"netperf-server" ~size_mb:24 ()
+let image = Nest_container.Image.make ~name:"netperf-server" ~size_mb:24
 
 let boot_one tb ~docker ~mode ~index =
   let vm = Testbed.vm tb 0 in
@@ -111,5 +111,4 @@ let fig8 ~quick =
        ~x_labels:(List.map (fun q -> Printf.sprintf "p%.0f" q) qs)
        ~series:
          [ ("NAT", List.map (fun q -> Stats.percentile nat_s q) qs);
-           ("BrFusion", List.map (fun q -> Stats.percentile brf_s q) qs) ]
-       ())
+           ("BrFusion", List.map (fun q -> Stats.percentile brf_s q) qs) ])

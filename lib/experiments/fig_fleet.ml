@@ -167,8 +167,8 @@ let install_serving site ~ix engine ~p ~start ~stop ~ns ~port ~new_exec
       ~stop engine
   in
   let pool =
-    Netperf.udp_echo_pool ~ns ~port ~new_exec ~service_cost ~initial:1
-      ~max:pool_max ~standby ~slo:srv_slo ()
+    Netperf.udp_echo_pool ~ns ~port ~new_exec ~service_cost ~max:pool_max
+      ~standby ~slo:srv_slo ()
   in
   if p.autoscale then
     let a =
@@ -461,9 +461,14 @@ let arm_churn sd all_nodes ~p ~start ~stop =
 let max_rate = 1e7
 let max_pods = 1_000_000
 
+(* Every node is a full testbed: 16384 of them at the default load run
+   in about 5 s and 0.7 GB. *)
+let max_nodes = 16_384
+
 let validate p =
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  if not (p.nodes > 0) then bad "nodes must be positive (got %d)" p.nodes
+  if not (p.nodes > 0 && p.nodes <= max_nodes) then
+    bad "nodes must be in [1, %d] (got %d)" max_nodes p.nodes
   else if not (p.pods >= 0 && p.pods <= max_pods) then
     bad "pods must be in [0, %d] (got %d)" max_pods p.pods
   else if not (p.rate > 0.0 && p.rate <= max_rate) then

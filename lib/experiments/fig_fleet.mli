@@ -61,10 +61,11 @@ val default_params : params
 val validate : params -> (unit, string) result
 (** The one check of a [params] record, NaN-safe: [Error msg] names the
     first bad field as its CLI flag ("rate must be in (0, 1e+07] (got
-    nan)").  Rate, pods and standby have upper bounds (1e7 req/s,
-    1 000 000 pods, {!Exp_util.max_standby}) so that every accepted run
-    finishes.  Every entry point that runs the scenario raises
-    [Invalid_argument] on an [Error]; the CLI prints it and exits 1. *)
+    nan)").  Nodes, rate, pods and standby have upper bounds (16384
+    nodes, 1e7 req/s, 1 000 000 pods, {!Exp_util.max_standby}) so that
+    every accepted run finishes.  Every entry point that runs the
+    scenario raises [Invalid_argument] on an [Error]; the CLI prints it
+    and exits 1. *)
 
 val run :
   ?params:params -> ?shards:int -> ?domains:int -> quick:bool -> unit -> unit

@@ -81,8 +81,7 @@ let charts results ~what =
        ~series:
          (List.map
             (fun (name, points) -> (name, List.map (fun p -> p.mbps) points))
-            results)
-       ());
+            results));
   print_string
     (Chart.plot ~title:"UDP_RR latency vs message size" ~y_label:"us"
        ~x_labels
@@ -90,8 +89,7 @@ let charts results ~what =
          (List.map
             (fun (name, points) ->
               (name, List.map (fun p -> p.lat_mean_us) points))
-            results)
-       ())
+            results))
 
 let fig2 ~quick =
   Exp_util.header "Fig. 2 — nested (NAT) vs single-level (NoCont) at 1280 B";

@@ -108,13 +108,11 @@ let percentile xs p =
     let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
     List.nth sorted (max 0 (min (n - 1) (rank - 1)))
 
-let run_cell ?(quick = false) ?pods ?(workload = Probe) ?(standby = 0)
+let run_cell ?(quick = false) ?(workload = Probe) ?(standby = 0)
     ~(mode : mode) ~rate ~seed () =
   let tb = Testbed.create ~seed ~num_vms:2 () in
   let engine = tb.Testbed.engine in
-  let k_pods =
-    match pods with Some k -> k | None -> if quick then 4 else 6
-  in
+  let k_pods = if quick then 4 else 6 in
   let trials = if quick then 2 else 3 in
   let spacing = if quick then Time.ms 1500 else Time.sec 2 in
   let probe_start = Time.sec 1 in
@@ -212,7 +210,7 @@ let run_cell ?(quick = false) ?pods ?(workload = Probe) ?(standby = 0)
           ~n:2
           ~name:(Printf.sprintf "mc-srv-%d" !gen)
       in
-      Memcached.serve ~pool ~rng:(Lazy.force mc_rng) ~value_size:100 ns ~port
+      Memcached.serve ~pool ~rng:(Lazy.force mc_rng) ns ~port
   in
   let target = ref None in
   let probe_sock = ref None in
@@ -290,7 +288,6 @@ let run_cell ?(quick = false) ?pods ?(workload = Probe) ?(standby = 0)
         Some
           (Memcached.drive tb ~cl_ns:ns ~cl_new_exec:new_exec
              ~target:(fun () -> !target)
-             ~threads:2
              ~conns:(if quick then 2 else 4)
              ~slo ~start:probe_start ~stop:probe_end ())
   in

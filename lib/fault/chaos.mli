@@ -93,9 +93,10 @@ type outcome = {
 }
 
 val run_cell :
-  ?quick:bool -> ?pods:int -> ?workload:workload -> ?standby:int ->
+  ?quick:bool -> ?workload:workload -> ?standby:int ->
   mode:mode -> rate:float -> seed:int64 -> unit -> outcome
-(** [quick] shrinks the storm and the crash-trial count for smoke runs.
+(** [quick] shrinks the storm (6 pods to 4) and the crash-trial count
+    (3 to 2) for smoke runs.
     [rate] drives the management-plane fault probabilities (including
     the [Partial_timeout] applied-but-ack-lost class) and the data-plane
     noise events; crash trials are always present (they are the recovery

@@ -37,7 +37,7 @@ let timeline t = List.rev t.rev_timeline
 let note t ~kind msg =
   let engine = t.tb.Nestfusion.Testbed.engine in
   t.rev_timeline <- (Engine.now engine, msg) :: t.rev_timeline;
-  Metrics.bump (Metrics.counter (Engine.metrics engine) ("fault." ^ kind)) ();
+  Metrics.bump (Metrics.counter (Engine.metrics engine) ("fault." ^ kind));
   Engine.trace_instant engine ~cat:"fault" ~name:kind ~arg:msg ()
 
 (* Root-namespace NICs of a VM, loopback excluded: a corruption burst

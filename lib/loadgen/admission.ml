@@ -14,8 +14,6 @@ type policy =
       floor : int;
       init : int;
       ceiling : int;
-      high : float;
-      low : float;
       window : Time.ns;
     }
   | Codel of { target_us : float; interval : Time.ns; ceiling : int }
@@ -26,19 +24,23 @@ let fixed bound = Fixed bound
    would let the first burn window build a ceiling-deep queue whose
    drain time contaminates run-wide completion percentiles — the exact
    failure mode the controller exists to prevent. *)
-let burn ?(floor = 1) ?init ?(ceiling = 64) ?(high = 1.0) ?(low = 0.25)
-    ?(window = Time.ms 100) () =
+let burn ?(floor = 1) ?init ?(ceiling = 64) ?(window = Time.ms 100) () =
   let init = match init with Some i -> i | None -> floor in
-  Burn { floor; init; ceiling; high; low; window }
+  Burn { floor; init; ceiling; window }
+
+(* Burn thresholds: halve the limit once the whole error budget is
+   burning, grow it once no more than a quarter is. *)
+let burn_high = 1.0
+let burn_low = 0.25
 
 let codel ?(target_us = 5000.0) ?(interval = Time.ms 100) ?(ceiling = 64) () =
   Codel { target_us; interval; ceiling }
 
 let describe = function
   | Fixed b -> Printf.sprintf "fixed(%d)" b
-  | Burn { floor; init; ceiling; high; low; window } ->
+  | Burn { floor; init; ceiling; window } ->
     Printf.sprintf "burn(%d..%d from %d, high %.2f, low %.2f, %dms)" floor
-      ceiling init high low (window / 1_000_000)
+      ceiling init burn_high burn_low (window / 1_000_000)
   | Codel { target_us; interval; ceiling } ->
     Printf.sprintf "codel(%.0fus, %dms, cap %d)" target_us
       (interval / 1_000_000) ceiling
@@ -64,13 +66,12 @@ type t = {
 
 let validate = function
   | Fixed b -> if b <= 0 then invalid_arg "Admission: fixed bound must be > 0"
-  | Burn { floor; init; ceiling; high; low; window } ->
+  | Burn { floor; init; ceiling; window } ->
     if floor < 1 then invalid_arg "Admission: burn floor must be >= 1";
     if ceiling < floor then
       invalid_arg "Admission: burn ceiling must be >= floor";
     if init < floor || init > ceiling then
       invalid_arg "Admission: burn init must be in [floor, ceiling]";
-    if not (low < high) then invalid_arg "Admission: burn needs low < high";
     if window <= 0 then invalid_arg "Admission: burn window must be > 0"
   | Codel { target_us; interval; ceiling } ->
     if not (target_us > 0.0) then
@@ -82,21 +83,20 @@ let validate = function
    burning more than its whole budget, creep back up one slot per quiet
    window, and hold inside the hysteresis band so an input oscillating
    between "fine" and "merely warm" does not flap the limit. *)
-let rec arm_burn t ~floor ~ceiling ~high ~low ~window ~stop ~at =
+let rec arm_burn t ~floor ~ceiling ~window ~stop ~at =
   if at <= stop then
     Engine.schedule_labeled t.a_engine t.a_burn_lbl ~at (fun () ->
         let b = match t.a_burn_source with Some f -> f () | None -> 0.0 in
         let next =
-          if b >= high then Stdlib.max floor (t.a_limit / 2)
-          else if b <= low then Stdlib.min ceiling (t.a_limit + 1)
+          if b >= burn_high then Stdlib.max floor (t.a_limit / 2)
+          else if b <= burn_low then Stdlib.min ceiling (t.a_limit + 1)
           else t.a_limit
         in
         if next <> t.a_limit then begin
           t.a_limit <- next;
           t.a_transitions <- t.a_transitions + 1
         end;
-        arm_burn t ~floor ~ceiling ~high ~low ~window ~stop
-          ~at:(at + window))
+        arm_burn t ~floor ~ceiling ~window ~stop ~at:(at + window))
 
 let create ~engine ?burn_source ?stop policy =
   validate policy;
@@ -117,14 +117,13 @@ let create ~engine ?burn_source ?stop policy =
     }
   in
   (match policy with
-  | Burn { floor; init = _; ceiling; high; low; window } ->
+  | Burn { floor; init = _; ceiling; window } ->
     let stop =
       match stop with
       | Some s -> s
       | None -> invalid_arg "Admission: a Burn policy needs ~stop"
     in
-    arm_burn t ~floor ~ceiling ~high ~low ~window ~stop
-      ~at:(Engine.now engine + window)
+    arm_burn t ~floor ~ceiling ~window ~stop ~at:(Engine.now engine + window)
   | Fixed _ | Codel _ -> ());
   t
 

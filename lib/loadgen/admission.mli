@@ -10,12 +10,12 @@
     - {!Burn} — burn-rate shedding with hysteresis: an AIMD concurrency
       limit driven by a live SLO burn reading (typically
       {!Nest_sim.Slo.last_burn} of the latency objective).  Every
-      [window] the controller looks at the burn: at or above [high] it
+      [window] the controller looks at the burn: at or above 1.0 it
       halves the limit (multiplicative decrease — shed hard while the
-      SLO budget is burning), at or below [low] it adds one (additive
-      recovery), and {e between the two thresholds it holds} — the
-      hysteresis band that keeps a square-wave load from flapping the
-      limit every window.
+      whole SLO budget is burning), at or below 0.25 it adds one
+      (additive recovery), and {e between the two thresholds it holds} —
+      the hysteresis band that keeps a square-wave load from flapping
+      the limit every window.
     - {!Codel} — CoDel-style deadline-aware drop: completions above
       [target_us] that persist for a full [interval] tip the controller
       into a dropping state whose shed frequency grows as
@@ -40,8 +40,6 @@ type policy =
                               ceiling would let the first window build
                               a ceiling-deep queue). *)
       ceiling : int;      (** Limit never increases above this. *)
-      high : float;       (** Burn at/above this halves the limit. *)
-      low : float;        (** Burn at/below this bumps the limit by 1. *)
       window : Nest_sim.Time.ns;  (** Re-evaluation cadence. *)
     }
   | Codel of {
@@ -55,10 +53,9 @@ type policy =
 val fixed : int -> policy
 
 val burn :
-  ?floor:int -> ?init:int -> ?ceiling:int -> ?high:float -> ?low:float ->
-  ?window:Nest_sim.Time.ns -> unit -> policy
-(** Defaults: floor 1, init = floor, ceiling 64, high 1.0, low 0.25,
-    window 100 ms. *)
+  ?floor:int -> ?init:int -> ?ceiling:int -> ?window:Nest_sim.Time.ns ->
+  unit -> policy
+(** Defaults: floor 1, init = floor, ceiling 64, window 100 ms. *)
 
 val codel :
   ?target_us:float -> ?interval:Nest_sim.Time.ns -> ?ceiling:int -> unit ->
@@ -80,7 +77,7 @@ val create :
     [stop] (mandatory for [Burn]: the ticks must not outlive the
     workload and wedge a draining run).  Raises [Invalid_argument] on
     nonsense bounds ([floor < 1], [ceiling < floor], [init] outside
-    [floor, ceiling], [low >= high], non-positive windows/targets,
+    [floor, ceiling], non-positive windows/targets,
     missing [stop] for [Burn]). *)
 
 val decide : t -> outstanding:int -> bool

@@ -154,11 +154,10 @@ let schedule_next t =
     Engine.schedule_labeled t.g_engine t.g_arrival_lbl ~at:(t.g_start + off)
       t.g_on_arrival
 
-let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
-    ?(max_outstanding = 64) ?admission ?burn_source ?(timeout = Time.ms 100)
-    ?slo ~dispatch ~start ~stop () =
-  if max_outstanding <= 0 then
-    invalid_arg "Loadgen.create: max_outstanding must be > 0";
+let default_max_outstanding = 64
+
+let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng ?admission
+    ?burn_source ?(timeout = Time.ms 100) ?slo ~dispatch ~start ~stop () =
   if timeout <= 0 then invalid_arg "Loadgen.create: timeout must be > 0";
   if stop <= start then invalid_arg "Loadgen.create: stop must be > start";
   (* The admission horizon outlives the last arrival by one timeout so a
@@ -168,7 +167,7 @@ let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
     Admission.create ~engine ?burn_source ~stop:(stop + timeout)
       (match admission with
       | Some p -> p
-      | None -> Admission.fixed max_outstanding)
+      | None -> Admission.fixed default_max_outstanding)
   in
   let t =
     { g_engine = engine; g_label = label;
@@ -245,8 +244,8 @@ type Nest_net.Payload.app_msg += Lg_req of { gen : int; seq : int }
 let app_send_cost_ns = 180
 let app_recv_cost_ns = 250
 
-let udp ~engine ?label ~arrival ~sizes ~rng ?max_outstanding ?admission
-    ?burn_source ?timeout ?slo ~gen_id ~ns ~exec ~target ~start ~stop () =
+let udp ~engine ?label ~arrival ~sizes ~rng ?admission ?burn_source ?timeout
+    ?slo ~gen_id ~ns ~exec ~target ~start ~stop () =
   let sock = ref None in
   let dispatch ~seq ~size =
     match (!sock, target ()) with
@@ -257,8 +256,8 @@ let udp ~engine ?label ~arrival ~sizes ~rng ?max_outstanding ?admission
     | _ -> ()  (* unreachable service: the admission timeout counts it *)
   in
   let t =
-    create ~engine ?label ~arrival ~sizes ~rng ?max_outstanding ?admission
-      ?burn_source ?timeout ?slo ~dispatch ~start ~stop ()
+    create ~engine ?label ~arrival ~sizes ~rng ?admission ?burn_source
+      ?timeout ?slo ~dispatch ~start ~stop ()
   in
   let sk =
     Nest_net.Stack.Udp.bind ns ~port:0 (fun _ ~src:_ ~src_port:_ payload ->

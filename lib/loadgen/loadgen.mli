@@ -12,7 +12,7 @@
     critique).
 
     Admission is a pluggable {!Admission.policy}: the default [Fixed]
-    bound sheds arrivals beyond [max_outstanding]; a [Burn] policy
+    bound sheds arrivals beyond 64 outstanding; a [Burn] policy
     drives an AIMD concurrency limit from a live SLO burn reading; a
     [Codel] policy drops on persistent deadline misses.  A shed is a
     deliberate zero-time fast-fail — graceful degradation, not an
@@ -58,7 +58,6 @@ val create :
   arrival:Arrival.t ->
   sizes:Size_dist.t ->
   rng:Nest_sim.Prng.t ->
-  ?max_outstanding:int ->
   ?admission:Admission.policy ->
   ?burn_source:(unit -> float) ->
   ?timeout:Nest_sim.Time.ns ->
@@ -74,13 +73,12 @@ val create :
     the arrival event for every admitted request; the transport must
     call {!complete} with the same [seq] when the response lands.
     [admission] overrides the shed policy (default
-    [Admission.fixed max_outstanding], the PR 9 behaviour);
+    [Admission.fixed 64], the PR 9 behaviour);
     [burn_source] feeds a [Burn] policy its live SLO reading — wire it
     to {!Nest_sim.Slo.last_burn} of the objective shedding protects.
     The admission controller's window ticks stop at [stop + timeout].
-    [max_outstanding] defaults to 64, [timeout] to 100 ms.  Raises
-    [Invalid_argument] on a non-positive bound/timeout or an empty
-    window. *)
+    [timeout] defaults to 100 ms.  Raises [Invalid_argument] on a
+    non-positive bound/timeout or an empty window. *)
 
 val complete : t -> seq:int -> unit
 (** Marks [seq] complete now: latency (µs, from intended start) goes to
@@ -132,7 +130,6 @@ val udp :
   arrival:Arrival.t ->
   sizes:Size_dist.t ->
   rng:Nest_sim.Prng.t ->
-  ?max_outstanding:int ->
   ?admission:Admission.policy ->
   ?burn_source:(unit -> float) ->
   ?timeout:Nest_sim.Time.ns ->

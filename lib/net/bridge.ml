@@ -4,7 +4,6 @@ type t = {
   engine : Nest_sim.Engine.t;
   br_name : string;
   hop : Hop.t;
-  aging_ns : Nest_sim.Time.ns;
   self : Dev.t;
   mutable port_list : Dev.t list;
   fdb_tbl : entry Mac.Tbl.t;
@@ -12,7 +11,10 @@ type t = {
   hop_ctr : Nest_sim.Metrics.counter;
 }
 
-let fresh t e = Nest_sim.Engine.now t.engine - e.last_seen <= t.aging_ns
+(* FDB entry lifetime: 300 s, the Linux default. *)
+let aging_ns = Nest_sim.Time.sec 300
+
+let fresh t e = Nest_sim.Engine.now t.engine - e.last_seen <= aging_ns
 
 (* Flood/broadcast copies each take their own provenance branch so every
    egress accumulates only its own downstream hops. *)
@@ -41,7 +43,7 @@ let forward t port frame () =
   end
 
 let input t port frame =
-  Nest_sim.Metrics.bump t.hop_ctr ();
+  Nest_sim.Metrics.bump t.hop_ctr;
   Nest_sim.Engine.trace_instant t.engine ~cat:"hop" ~name:t.br_name ();
   (* Source learning. *)
   if not (Mac.is_broadcast frame.Frame.src) then begin
@@ -54,11 +56,11 @@ let input t port frame =
   Hop.service_prov ?prov:(Frame.prov frame) t.hop ~extra_ns:0
     ~bytes:(Frame.len frame) (forward t port frame)
 
-let create engine ~name ~hop ?(aging_ns = Nest_sim.Time.sec 300) ~self_mac () =
+let create engine ~name ~hop ~self_mac =
   Hop.set_name hop name;
   let self = Dev.create ~name:(name ^ "(self)") ~mac:self_mac () in
   let t =
-    { engine; br_name = name; hop; aging_ns; self; port_list = [];
+    { engine; br_name = name; hop; self; port_list = [];
       fdb_tbl = Mac.Tbl.create 32; forwarded = 0;
       hop_ctr =
         Nest_sim.Metrics.counter (Nest_sim.Engine.metrics engine)

@@ -2,11 +2,11 @@
     host bridge and Docker's in-VM [docker0].
 
     The bridge owns a forwarding database (MAC -> port) populated by source
-    learning, with entry aging.  Unknown-destination and broadcast frames
-    are flooded.  Every forwarded frame pays the bridge's {!Hop.t} — on the
-    host bridge that context is the host softirq context; on an in-VM
-    bridge it is the guest's, which is exactly the duplicated work BrFusion
-    removes.
+    learning, with entry aging (300 s, the Linux default).
+    Unknown-destination and broadcast frames are flooded.  Every forwarded
+    frame pays the bridge's {!Hop.t} — on the host bridge that context is
+    the host softirq context; on an in-VM bridge it is the guest's, which
+    is exactly the duplicated work BrFusion removes.
 
     A bridge also exposes a [self] device: the L3 presence of the bridge in
     its owner's network namespace (Linux's [br0] interface), so the owning
@@ -18,11 +18,8 @@ val create :
   Nest_sim.Engine.t ->
   name:string ->
   hop:Hop.t ->
-  ?aging_ns:Nest_sim.Time.ns ->
   self_mac:Mac.t ->
-  unit ->
   t
-(** [aging_ns] defaults to 300 s, the Linux default. *)
 
 val name : t -> string
 

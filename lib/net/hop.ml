@@ -12,7 +12,6 @@ type t = {
   exec : Nest_sim.Exec.t;
   fixed_ns : int;
   per_byte_ns : float;
-  charge_as : Nest_sim.Cpu_account.category option;
   lead_ns : int;
   tail_ns : int;
   mutable hop_name : string;  (* "" = anonymous: falls back to exec name *)
@@ -20,9 +19,9 @@ type t = {
       (* lazily resolved (queue_ns, service_ns) histograms *)
 }
 
-let make ?charge_as ?(per_byte_ns = 0.0) ?(lead_ns = 0) ?(tail_ns = 0)
-    ?(name = "") exec ~fixed_ns =
-  { exec; fixed_ns; per_byte_ns; charge_as; lead_ns; tail_ns;
+let make ?(per_byte_ns = 0.0) ?(lead_ns = 0) ?(tail_ns = 0) ?(name = "") exec
+    ~fixed_ns =
+  { exec; fixed_ns; per_byte_ns; lead_ns; tail_ns;
     hop_name = name; hists = None }
 
 let name t =
@@ -49,7 +48,7 @@ let cost_ns t ~bytes =
   t.fixed_ns + int_of_float (t.per_byte_ns *. float_of_int bytes)
 
 let service t ~bytes k =
-  Nest_sim.Exec.submit ?charge_as:t.charge_as t.exec ~cost:(cost_ns t ~bytes) k
+  Nest_sim.Exec.submit t.exec ~cost:(cost_ns t ~bytes) k
 
 (* Timed service.  [extra_ns] adds cost not in the hop's rate (syscall
    overhead, NAT surcharges).  The hop's [lead_ns] dates the enqueue
@@ -62,13 +61,11 @@ let service t ~bytes k =
 let service_prov ?prov t ~extra_ns ~bytes k =
   let cost = cost_ns t ~bytes + extra_ns in
   match prov with
-  | None -> Nest_sim.Exec.submit ?charge_as:t.charge_as t.exec ~cost k
+  | None -> Nest_sim.Exec.submit t.exec ~cost k
   | Some p ->
     let engine = Nest_sim.Exec.engine t.exec in
     let now = Nest_sim.Engine.now engine in
-    let finish =
-      Nest_sim.Exec.submit_timed ?charge_as:t.charge_as t.exec ~cost k
-    in
+    let finish = Nest_sim.Exec.submit_timed t.exec ~cost k in
     let start_ns = finish - cost in
     let enqueue_ns = now - t.lead_ns in
     let end_ns = finish + t.tail_ns in

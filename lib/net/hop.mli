@@ -15,8 +15,6 @@ type t = {
   exec : Nest_sim.Exec.t;
   fixed_ns : int;
   per_byte_ns : float;
-  charge_as : Nest_sim.Cpu_account.category option;
-      (** Overrides the context's default accounting category. *)
   lead_ns : int;
       (** How long before a service call the packet was handed off (a
           virtio kick delay): recorded as queueing on this hop. *)
@@ -30,7 +28,6 @@ type t = {
 }
 
 val make :
-  ?charge_as:Nest_sim.Cpu_account.category ->
   ?per_byte_ns:float ->
   ?lead_ns:int ->
   ?tail_ns:int ->

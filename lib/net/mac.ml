@@ -41,13 +41,16 @@ end)
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Alloc = struct
-  type alloc = { oui : int; mutable next : int }
+  type alloc = { mutable next : int }
 
-  let create ?(oui = 0x525400) () = { oui = oui land 0xffffff; next = 1 }
+  (* The top 24 bits: the QEMU/KVM OUI. *)
+  let oui = 0x525400
+
+  let create () = { next = 1 }
 
   let fresh a =
     if a.next > 0xffffff then failwith "Mac.Alloc.fresh: pool exhausted";
-    let v = (a.oui lsl 24) lor a.next in
+    let v = (oui lsl 24) lor a.next in
     a.next <- a.next + 1;
     (* Force the locally-administered bit, clear the multicast bit. *)
     let hi = ((v lsr 40) land 0xff) lor 0x02 land lnot 0x01 in

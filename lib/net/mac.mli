@@ -31,8 +31,8 @@ module Tbl : Hashtbl.S with type key = t
 module Alloc : sig
   type alloc
 
-  val create : ?oui:int -> unit -> alloc
-  (** [oui] is the top 24 bits; defaults to 0x525400 (the QEMU/KVM OUI). *)
+  val create : unit -> alloc
+  (** Allocates under the QEMU/KVM OUI 0x525400 (the top 24 bits). *)
 
   val fresh : alloc -> t
 end

@@ -9,11 +9,14 @@ type t = { mutable routes : entry list }
 
 let create () = { routes = [] }
 
-let add t ~dst ~dev ?gateway ?src () =
-  t.routes <- { dst; gateway; dev; src } :: t.routes
+let add t ~dst ~dev ?src () =
+  t.routes <- { dst; gateway = None; dev; src } :: t.routes
 
-let add_default t ~gateway ~dev ?src () =
-  add t ~dst:(Ipv4.cidr_of_string "0.0.0.0/0") ~dev ~gateway ?src ()
+let add_default t ~gateway ~dev () =
+  t.routes <-
+    { dst = Ipv4.cidr_of_string "0.0.0.0/0"; gateway = Some gateway; dev;
+      src = None }
+    :: t.routes
 
 (* [routes] is most-recent-first; keeping the incumbent on equal
    prefixes therefore makes the most recent entry win.  Top-level loops

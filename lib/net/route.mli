@@ -10,9 +10,10 @@ type entry = {
 type t
 
 val create : unit -> t
-val add : t -> dst:Ipv4.cidr -> dev:Dev.t -> ?gateway:Ipv4.t -> ?src:Ipv4.t -> unit -> unit
+val add : t -> dst:Ipv4.cidr -> dev:Dev.t -> ?src:Ipv4.t -> unit -> unit
+(** An on-link route. *)
 
-val add_default : t -> gateway:Ipv4.t -> dev:Dev.t -> ?src:Ipv4.t -> unit -> unit
+val add_default : t -> gateway:Ipv4.t -> dev:Dev.t -> unit -> unit
 (** 0.0.0.0/0 via [gateway]. *)
 
 val lookup : t -> Ipv4.t -> entry

@@ -1145,17 +1145,14 @@ module Tcp = struct
 
   let unlisten ns ~port = Int_tbl.remove ns.listeners port
 
-  let connect ns ~dst ~port ?src ~on_established ?(on_close = fun () -> ()) () =
-    let local_ip =
-      match src with Some s -> s | None -> src_for ns dst
-    in
+  let connect ns ~dst ~port ~on_established () =
+    let local_ip = src_for ns dst in
     let local_port = alloc_ephemeral ns in
     let c =
       tcp_fresh_conn ns ~local_ip ~local_port ~remote_ip:dst ~remote_port:port
         ~state:Syn_sent
     in
     c.on_established_cb <- on_established;
-    c.on_close_cb <- on_close;
     tcp_register c;
     tcp_send_syn c ~flags:flags_syn;
     tcp_arm_rto c;

@@ -160,11 +160,11 @@ module Tcp : sig
     ns ->
     dst:Ipv4.t ->
     port:int ->
-    ?src:Ipv4.t ->
     on_established:(conn -> unit) ->
-    ?on_close:(unit -> unit) ->
     unit ->
     conn
+  (** Opens from the source address the route to [dst] picks.  Set a
+      close callback with {!set_on_close}. *)
 
   val send : conn -> size:int -> ?msg:Payload.app_msg -> unit -> bool
   (** Queues [size] application bytes (optionally completing message

@@ -21,7 +21,7 @@ and t = {
 }
 
 let note_hop t =
-  Nest_sim.Metrics.bump t.hop_ctr ();
+  Nest_sim.Metrics.bump t.hop_ctr;
   Nest_sim.Engine.trace_instant t.engine ~cat:"hop" ~name:t.tap_name ()
 
 let host_input t frame =

@@ -1,7 +1,8 @@
 type Payload.app_msg += Vxlan_encap of Frame.t
 
 let vxlan_header_bytes = 8
-let default_port = 4789
+(* The IANA VXLAN port. *)
+let udp_port = 4789
 let overlay_mtu = 1450
 
 type t = {
@@ -9,7 +10,6 @@ type t = {
   decap_name : string;
   vni : int;
   underlay : Stack.ns;
-  udp_port : int;
   sock : Stack.Udp.sock;
   overlay_dev : Dev.t;
   encap_hop : Hop.t;
@@ -26,7 +26,7 @@ let decap t (payload : Payload.t) =
   match payload.Payload.msg with
   | Some (Vxlan_encap inner) ->
     t.decapsulated <- t.decapsulated + 1;
-    Nest_sim.Metrics.bump t.decap_ctr ();
+    Nest_sim.Metrics.bump t.decap_ctr;
     Nest_sim.Engine.trace_instant (Stack.engine t.underlay) ~cat:"hop"
       ~name:t.decap_name ();
     Hop.service_prov ?prov:(Frame.prov inner) t.decap_hop ~extra_ns:0
@@ -44,7 +44,7 @@ let targets t (inner : Frame.t) =
 let encap t (inner : Frame.t) =
   let targets = targets t inner in
   if not (List.is_empty targets) then begin
-    Nest_sim.Metrics.bump t.encap_ctr ();
+    Nest_sim.Metrics.bump t.encap_ctr;
     Nest_sim.Engine.trace_instant (Stack.engine t.underlay) ~cat:"hop"
       ~name:t.encap_name ();
     let payload =
@@ -65,14 +65,12 @@ let encap t (inner : Frame.t) =
               | Some p when not single -> Some (Nest_sim.Provenance.branch p)
               | p -> p
             in
-            Stack.Udp.sendto ?prov t.sock ~dst:remote ~dst_port:t.udp_port
+            Stack.Udp.sendto ?prov t.sock ~dst:remote ~dst_port:udp_port
               payload)
           targets)
   end
 
-let create underlay ~name ~vni ~local ?(udp_port = default_port) ~encap_hop
-    ~decap_hop () =
-  ignore local;
+let create underlay ~name ~vni ~encap_hop ~decap_hop =
   (* Built once: a per-packet concatenation would allocate, and miss the
      trace pool's physical-equality memo. *)
   let encap_name = name ^ ":encap" and decap_name = name ^ ":decap" in
@@ -86,7 +84,7 @@ let create underlay ~name ~vni ~local ?(udp_port = default_port) ~encap_hop
   let metrics = Nest_sim.Engine.metrics (Stack.engine underlay) in
   let rec t =
     lazy
-      { encap_name; decap_name; vni; underlay; udp_port;
+      { encap_name; decap_name; vni; underlay;
         sock =
           Stack.Udp.bind underlay ~port:udp_port ~kernel:true
             (fun _ ~src:_ ~src_port:_ payload -> decap (Lazy.force t) payload);

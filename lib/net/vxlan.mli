@@ -17,14 +17,11 @@ val create :
   Stack.ns ->
   name:string ->
   vni:int ->
-  local:Ipv4.t ->
-  ?udp_port:int ->
   encap_hop:Hop.t ->
   decap_hop:Hop.t ->
-  unit ->
   t
-(** [udp_port] defaults to 4789.  Binds the VTEP socket in the underlay
-    namespace immediately. *)
+(** Binds the VTEP socket, UDP port 4789, in the underlay namespace
+    immediately. *)
 
 val dev : t -> Dev.t
 (** Overlay-side device (MTU 1450); enslave it to the overlay bridge. *)

@@ -14,9 +14,6 @@ type t = {
   as_tick : Engine.label;  (* "<label>:tick", resolved once *)
   as_min : int;
   as_max : int;
-  as_up : float;
-  as_down : float;
-  as_up_cd : Time.ns;
   as_down_cd : Time.ns;
   as_burn : unit -> float;
   as_apply : int -> unit;
@@ -35,11 +32,18 @@ let set t next =
     t.as_apply next
   end
 
+(* Burn thresholds: scale up once the whole error budget is burning,
+   down once a quarter of it is. *)
+let up_burn = 1.0
+let down_burn = 0.25
+
+(* Ticks are a window apart, so a scale-up may act on every tick; only
+   scale-down waits out a cooldown. *)
 let tick t () =
   let now = Engine.now t.as_engine in
   let b = t.as_burn () in
-  if b >= t.as_up then begin
-    if now - t.as_last_up >= t.as_up_cd && t.as_desired < t.as_max then begin
+  if b >= up_burn then begin
+    if t.as_desired < t.as_max then begin
       (* Proportional jump: a burn of 3 wants roughly 3x the capacity.
          Always at least one step, never past the planned headroom. *)
       let want =
@@ -50,7 +54,7 @@ let tick t () =
       set t next
     end
   end
-  else if b <= t.as_down then begin
+  else if b <= down_burn then begin
     if
       now - t.as_last_down >= t.as_down_cd
       && now - t.as_last_up >= t.as_down_cd
@@ -68,33 +72,25 @@ let rec arm t ~window ~stop ~at =
         tick t ();
         arm t ~window ~stop ~at:(at + window))
 
-let create ~engine ?(label = "autoscaler") ~min ~max ?(up = 1.0)
-    ?(down = 0.25) ?up_cooldown ?down_cooldown ?(window = Time.ms 100)
+let create ~engine ?(label = "autoscaler") ~min ~max ?(window = Time.ms 100)
     ~burn_source ~apply ~start ~stop () =
   if min < 1 then invalid_arg "Autoscaler: min must be >= 1";
   if max < min then invalid_arg "Autoscaler: max must be >= min";
-  if not (down < up) then invalid_arg "Autoscaler: needs down < up";
   if window <= 0 then invalid_arg "Autoscaler: window must be > 0";
-  let up_cd = match up_cooldown with Some c -> c | None -> window in
-  let down_cd = match down_cooldown with Some c -> c | None -> 4 * window in
-  if up_cd <= 0 || down_cd <= 0 then
-    invalid_arg "Autoscaler: cooldowns must be > 0";
+  let down_cd = 4 * window in
   let t =
     {
       as_engine = engine;
       as_tick = Engine.label engine (label ^ ":tick");
       as_min = min;
       as_max = max;
-      as_up = up;
-      as_down = down;
-      as_up_cd = up_cd;
       as_down_cd = down_cd;
       as_burn = burn_source;
       as_apply = apply;
       as_desired = min;
-      (* Start both cooldowns satisfied at [start] so the first tick may
+      (* Start both dates far enough back that the first tick may
          already act; negative sentinels would break on start = 0. *)
-      as_last_up = start - up_cd;
+      as_last_up = start - window;
       as_last_down = start - down_cd;
       as_transitions = 0;
       as_events = [];

@@ -6,11 +6,12 @@
     {!Nest_sim.Slo.worst_last_burn} of a server-side monitor).  The
     policy is deliberately asymmetric, like production autoscalers:
 
-    - {e scale-up is proportional and eager}: at burn ≥ [up], jump
-      toward [ceil (desired × burn)] (clamped to [max]) — a 4× burn
-      wants 4× the capacity {e now}, not four windows from now;
-    - {e scale-down is one step and reluctant}: at burn ≤ [down],
-      shrink by one replica, and only after [down_cooldown] of quiet;
+    - {e scale-up is proportional and eager}: at burn ≥ 1.0 (the whole
+      error budget is burning), jump toward [ceil (desired × burn)]
+      (clamped to [max]) on any tick — a 4× burn wants 4× the capacity
+      {e now}, not four windows from now;
+    - {e scale-down is one step and reluctant}: at burn ≤ 0.25, shrink
+      by one replica, and only after four windows with no scaling;
     - between the thresholds the controller {e holds} — the hysteresis
       band that keeps a load hovering near the threshold from flapping
       pods up and down every window.
@@ -31,10 +32,6 @@ val create :
   ?label:string ->
   min:int ->
   max:int ->
-  ?up:float ->
-  ?down:float ->
-  ?up_cooldown:Nest_sim.Time.ns ->
-  ?down_cooldown:Nest_sim.Time.ns ->
   ?window:Nest_sim.Time.ns ->
   burn_source:(unit -> float) ->
   apply:(int -> unit) ->
@@ -45,11 +42,9 @@ val create :
 (** Arms the evaluation ticks from [start + window] up to [stop] (they
     must not outlive the workload and wedge a draining run).  Initial
     desired count is [min]; [apply] is {e not} called for it — size the
-    pool to [min] at setup.  Defaults: [up] 1.0 (the whole error budget
-    is burning), [down] 0.25, [up_cooldown] one window, [down_cooldown]
-    four windows, [window] 100 ms.  Raises [Invalid_argument] on
-    nonsense bounds ([min < 1], [max < min], [down >= up], non-positive
-    windows or cooldowns). *)
+    pool to [min] at setup.  [window] defaults to 100 ms.  Raises
+    [Invalid_argument] on nonsense bounds ([min < 1], [max < min], a
+    non-positive window). *)
 
 val desired : t -> int
 (** Current desired replica count. *)

@@ -38,19 +38,18 @@ let ensure_member t node =
     let br =
       Bridge.create (Nest_virt.Host.engine host)
         ~name:(Nest_virt.Vm.name vm ^ ":" ^ t.ov_name ^ "-br")
-        ~hop:bridge_hop ~self_mac:(Nest_virt.Host.fresh_mac host) ()
+        ~hop:bridge_hop ~self_mac:(Nest_virt.Host.fresh_mac host)
     in
     let vtep =
       Vxlan.create vns
         ~name:(Nest_virt.Vm.name vm ^ ":" ^ t.ov_name)
-        ~vni:t.ov_vni ~local:(vm_primary_ip vm)
+        ~vni:t.ov_vni
         ~encap_hop:
           (Hop.make soft ~fixed_ns:cm.Nest_virt.Cost_model.vxlan_encap_fixed_ns
              ~per_byte_ns:cm.Nest_virt.Cost_model.vxlan_encap_per_byte_ns)
         ~decap_hop:
           (Hop.make soft ~fixed_ns:cm.Nest_virt.Cost_model.vxlan_decap_fixed_ns
              ~per_byte_ns:cm.Nest_virt.Cost_model.vxlan_decap_per_byte_ns)
-        ()
     in
     Bridge.attach br (Vxlan.dev vtep);
     let m = { m_node = node; m_vtep = vtep; m_bridge = br } in

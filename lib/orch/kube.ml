@@ -19,23 +19,11 @@ let create engine ~default_cni =
 let add_node t n = t.node_list <- t.node_list @ [ n ]
 let nodes t = t.node_list
 
-let deploy_pod t pod ?cni ?node ~on_ready () =
-  let cni = Option.value cni ~default:t.default_cni in
-  let cpu = Pod.cpu_total pod and mem = Pod.mem_total pod in
-  let node =
-    match node with
-    | Some n -> n
-    | None -> (
-      match Scheduler.most_requested t.node_list ~cpu ~mem with
-      | Some n -> n
-      | None ->
-        failwith ("Kube.deploy_pod: no node fits " ^ pod.Pod.pod_name))
-  in
-  Node.reserve node ~cpu ~mem;
-  let publish =
-    List.concat_map (fun c -> c.Pod.ports) pod.Pod.containers
-  in
-  cni.Cni.add ~pod_name:pod.Pod.pod_name ~node ~publish ~k:(fun pod_ns ->
+(* Reserves [pod] on [node], wires it through [cni] and starts its
+   containers. *)
+let place t pod ~cni ~node ~on_ready =
+  Node.reserve node ~cpu:(Pod.cpu_total pod) ~mem:(Pod.mem_total pod);
+  cni.Cni.add ~pod_name:pod.Pod.pod_name ~node ~publish:[] ~k:(fun pod_ns ->
       let remaining = ref (List.length pod.Pod.containers) in
       let started = ref [] in
       List.iter
@@ -60,6 +48,12 @@ let deploy_pod t pod ?cni ?node ~on_ready () =
           in
           started := c :: !started)
         pod.Pod.containers)
+
+let deploy_pod t pod ~on_ready () =
+  let cpu = Pod.cpu_total pod and mem = Pod.mem_total pod in
+  match Scheduler.most_requested t.node_list ~cpu ~mem with
+  | Some node -> place t pod ~cni:t.default_cni ~node ~on_ready
+  | None -> failwith ("Kube.deploy_pod: no node fits " ^ pod.Pod.pod_name)
 
 let delete_pod t dep =
   List.iter
@@ -93,6 +87,6 @@ let reschedule_node_failure t ~node ~on_ready =
       | None -> incr lost
       | Some n ->
         incr rescheduled;
-        deploy_pod t pod ~cni:d.dep_cni ~node:n ~on_ready ())
+        place t pod ~cni:d.dep_cni ~node:n ~on_ready)
     dead;
   (!rescheduled, !lost)

@@ -23,16 +23,13 @@ val nodes : t -> Node.t list
 val deploy_pod :
   t ->
   Pod.t ->
-  ?cni:Cni.t ->
-  ?node:Node.t ->
   on_ready:(deployment -> unit) ->
   unit ->
   unit
-(** Schedules with the most-requested policy unless [node] pins
-    placement; reserves resources; builds pod networking through the CNI
-    plugin; starts every container joined to the pod namespace.
-    [on_ready] fires when all containers are running.
-    Raises [Failure] when no node fits. *)
+(** Schedules with the most-requested policy; reserves resources; builds
+    pod networking through the default CNI plugin; starts every container
+    joined to the pod namespace.  [on_ready] fires when all containers
+    are running.  Raises [Failure] when no node fits. *)
 
 val delete_pod : t -> deployment -> unit
 (** Stops containers and releases the reservation. *)

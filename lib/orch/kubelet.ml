@@ -32,14 +32,14 @@ let hotplug_retries t = (Node.agent_counters t).Node.retries
    [issue] is the raw VMM operation ({!Nest_virt.Vmm.hotplug_nic_mac} or
    the Hostlo variant); each retry is counted on the agent and on the
    engine's [recovery.hotplug_retries] metric so chaos runs can report
-   it.  The final failure (policy exhausted) is handed to [k] — deciding
-   whether that loses the pod is the caller's business. *)
-let hotplug_with_retry t ?(policy = Backoff.default)
-    ~(issue : k:((Mac.t, string) result -> unit) -> unit) ~k () =
+   it.  The final failure ({!Backoff.default} exhausted) is handed to
+   [k] — deciding whether that loses the pod is the caller's business. *)
+let hotplug_with_retry t ~(issue : k:((Mac.t, string) result -> unit) -> unit)
+    ~k () =
   let engine =
     Nest_virt.Host.engine (Nest_virt.Vm.host (Node.vm t))
   in
-  Backoff.retry engine policy
+  Backoff.retry engine Backoff.default
     ~on_retry:(fun ~attempt ~delay_ns ->
       let c = Node.agent_counters t in
       c.Node.retries <- c.Node.retries + 1;
@@ -47,8 +47,7 @@ let hotplug_with_retry t ?(policy = Backoff.default)
          zero-valued row in existing metrics dumps. *)
       let metrics = Nest_sim.Engine.metrics engine in
       Nest_sim.Metrics.bump
-        (Nest_sim.Metrics.counter metrics "recovery.hotplug_retries")
-        ();
+        (Nest_sim.Metrics.counter metrics "recovery.hotplug_retries");
       (* The schedule as data (satellite of the exactly-once work): which
          attempt we are on and how long this retry sleeps, so a chaos
          report can read retry-storm intensity straight off the metrics

@@ -40,14 +40,13 @@ val pods_configured : t -> int
 
 val hotplug_with_retry :
   t ->
-  ?policy:Backoff.policy ->
   issue:(k:((Mac.t, string) result -> unit) -> unit) ->
   k:((Mac.t, string) result -> unit) ->
   unit ->
   unit
 (** Issue a VMM hot-plug operation with kubelet retry semantics: on
-    [Error], re-issue after {!Backoff} delays until success or policy
-    exhaustion.  Retries are counted per agent and on the engine's
+    [Error], re-issue after {!Backoff.default}'s delays until success or
+    its last attempt.  Retries are counted per agent and on the engine's
     [recovery.hotplug_retries] metric (plus a ["fault"] trace instant).
     With no fault plan installed the operation succeeds first try and
     this is exactly one [issue] call. *)

@@ -7,7 +7,6 @@ type container_spec = {
   image : Nest_container.Image.t;
   cpu : float;  (** requested cores. *)
   mem : float;  (** requested GB. *)
-  ports : (int * int) list;  (** published (node_port, container_port). *)
 }
 
 type volume_decl = {
@@ -33,7 +32,6 @@ val container :
   ?image:Nest_container.Image.t ->
   ?cpu:float ->
   ?mem:float ->
-  ?ports:(int * int) list ->
   unit ->
   container_spec
 

@@ -3,9 +3,20 @@
    claim indices.  Results land in their input's slot, so ordering is
    preserved no matter which domain computed what. *)
 
+(* [Max_domains] in OCaml 5.1's runtime: domains alive at once, the
+   calling one included.  Spawning past it fails in the runtime. *)
+let max_domains = 128
+
+let check_parties ~who n =
+  if n > max_domains then
+    invalid_arg
+      (Printf.sprintf "%s: %d domains exceed the runtime's %d" who n
+         max_domains)
+
 let map ~jobs f xs =
   let n = List.length xs in
   let jobs = max 1 (min jobs n) in
+  check_parties ~who:"Domain_pool.map" jobs;
   if jobs <= 1 then List.map f xs
   else begin
     let inputs = Array.of_list xs in

@@ -35,7 +35,7 @@ let rec charge_also cost = function
 (* Core submission path.  Returns the completion time so callers that
    need timing (latency provenance) can recover [start = finish - cost]
    without any allocation on the common path. *)
-let submit_timed ?charge_as t ~cost k =
+let submit_timed t ~cost k =
   let cost = Int.max 0 cost in
   let now = Engine.now t.engine in
   let slot = min_slot t in
@@ -53,15 +53,12 @@ let submit_timed ?charge_as t ~cost k =
   t.busy_ns <- t.busy_ns + cost;
   (match t.account with
   | None -> ()
-  | Some (h, default_cat) ->
-    let cat = match charge_as with Some c -> c | None -> default_cat in
-    Cpu_account.charge_handle h cat cost);
+  | Some (h, cat) -> Cpu_account.charge_handle h cat cost);
   charge_also cost t.also;
   Engine.schedule_labeled t.engine t.label ~at:finish k;
   finish
 
-let submit ?charge_as t ~cost k =
-  ignore (submit_timed ?charge_as t ~cost k : Time.ns)
+let submit t ~cost k = ignore (submit_timed t ~cost k : Time.ns)
 
 let engine t = t.engine
 

@@ -29,19 +29,16 @@ val create :
   t
 (** [width] defaults to 1.  [also] lists secondary accounting targets
     charged for every unit of work in addition to [account] — e.g. a
-    guest vCPU context charges (vm, soft) and also (host, guest).
-    [charge_as] overrides only the primary target's category. *)
+    guest vCPU context charges (vm, soft) and also (host, guest). *)
 
 val name : t -> string
 val width : t -> int
 
-val submit : ?charge_as:Cpu_account.category -> t -> cost:Time.ns -> (unit -> unit) -> unit
+val submit : t -> cost:Time.ns -> (unit -> unit) -> unit
 (** [submit t ~cost k] enqueues a work item needing [cost] ns of service;
     [k] runs at completion. *)
 
-val submit_timed :
-  ?charge_as:Cpu_account.category -> t -> cost:Time.ns -> (unit -> unit) ->
-  Time.ns
+val submit_timed : t -> cost:Time.ns -> (unit -> unit) -> Time.ns
 (** Like {!submit}, but returns the completion date, from which callers
     needing latency attribution recover [start = finish - cost].  The
     common path pays nothing extra for it. *)

@@ -22,15 +22,17 @@ let src name =
 
 let reporter_installed = ref false
 
-let enable ?(level = Logs.Debug) () =
+let enable () =
   locked (fun () ->
       if not !reporter_installed then begin
         Logs.set_reporter (Logs.format_reporter ());
         reporter_installed := true
       end;
-      Hashtbl.iter (fun _ s -> Logs.Src.set_level s (Some level)) sources);
+      Hashtbl.iter
+        (fun _ s -> Logs.Src.set_level s (Some Logs.Debug))
+        sources);
   (* Sources created after [enable] inherit via the global level too. *)
-  Logs.set_level ~all:false (Some level)
+  Logs.set_level ~all:false (Some Logs.Debug)
 
 let disable () =
   locked (fun () ->

@@ -9,9 +9,9 @@
 val src : string -> Logs.src
 (** Creates (or reuses) a source named ["nest.<name>"]. *)
 
-val enable : ?level:Logs.level -> unit -> unit
-(** Installs a stderr reporter and turns every nest source up to [level]
-    (default [Debug]).  Idempotent. *)
+val enable : unit -> unit
+(** Installs a stderr reporter and turns every nest source up to
+    [Debug].  Idempotent. *)
 
 val disable : unit -> unit
 (** Silences all nest sources (the reporter stays installed). *)

@@ -28,7 +28,7 @@ let counter t name =
     Hashtbl.add t.tbl name (M_counter c);
     c
 
-let bump c ?(by = 1) () = c := !c + by
+let bump c = incr c
 let counter_value c = !c
 
 let set_gauge t name v =

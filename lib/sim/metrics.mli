@@ -28,7 +28,9 @@ val counter : t -> string -> counter
 (** Get-or-create.  Raises [Invalid_argument] if [name] is already a
     metric of another flavour. *)
 
-val bump : counter -> ?by:int -> unit -> unit
+val bump : counter -> unit
+(** Adds one. *)
+
 val counter_value : counter -> int
 
 val set_gauge : t -> string -> float -> unit

@@ -359,13 +359,14 @@ let worker t w ~horizon d () =
   done
 
 let run ~until ?(domains = 1) t =
+  let parties = max 1 (min domains (Array.length t.sd_shards)) in
+  Domain_pool.check_parties ~who:"Sharded.run" parties;
   let horizon = until in
   let start = settle t in
   Array.iter
     (fun s -> s.sh_mark <- Engine.events_processed s.sh_engine)
     t.sd_shards;
   if start <= horizon then begin
-    let parties = max 1 (min domains (Array.length t.sd_shards)) in
     let w =
       { w_last = window_last t ~horizon start; w_over = false;
         w_parties = parties; w_spins = spin_polls ~parties;

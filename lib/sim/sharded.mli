@@ -76,10 +76,12 @@ val run : until:Time.ns -> ?domains:int -> t -> unit
     every sub-engine clock ends at [>= until]).  [domains] (default 1)
     spreads shards across that many OCaml domains, capped at the shard
     count — results are identical for any value; only wall-clock time
-    changes.  A domain waiting at a window's barrier spins briefly, then
-    blocks, so domains beyond the host's cores yield them.  An exception
-    raised by an event ends the run at the end of its window, on every
-    domain, and [run] re-raises it. *)
+    changes.  Raises [Invalid_argument] before spawning anything when
+    that capped count exceeds {!Domain_pool.max_domains}.  A domain
+    waiting at a window's barrier spins briefly, then blocks, so domains
+    beyond the host's cores yield them.  An exception raised by an event
+    ends the run at the end of its window, on every domain, and [run]
+    re-raises it. *)
 
 type shard_stats = {
   ss_shard : int;

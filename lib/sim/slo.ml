@@ -126,7 +126,6 @@ let tick t tk () =
     Metrics.bump
       (Metrics.counter (Engine.metrics t.engine)
          ("slo." ^ tk.spec.sname ^ ".violations"))
-      ()
   end;
   tk.w_sent <- 0;
   tk.w_ok <- 0;

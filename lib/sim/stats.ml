@@ -85,16 +85,18 @@ let percentile t p =
 
 let median t = percentile t 50.0
 
-let cdf ?(points = 100) t =
+let cdf_points = 100
+
+let cdf t =
   if t.len = 0 then []
   else begin
     let a = sorted t in
     let n = t.len in
     let sample i =
-      let idx = Stdlib.min (n - 1) (i * (n - 1) / Stdlib.max 1 (points - 1)) in
+      let idx = Stdlib.min (n - 1) (i * (n - 1) / (cdf_points - 1)) in
       (a.(idx), float_of_int (idx + 1) /. float_of_int n)
     in
-    List.init points sample
+    List.init cdf_points sample
   end
 
 let samples t = Array.sub t.data 0 t.len

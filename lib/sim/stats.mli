@@ -40,9 +40,8 @@ val percentile : t -> float -> float
 
 val median : t -> float
 
-val cdf : ?points:int -> t -> (float * float) list
-(** [(value, fraction <= value)] pairs suitable for plotting; [points]
-    defaults to 100. *)
+val cdf : t -> (float * float) list
+(** 100 [(value, fraction <= value)] pairs suitable for plotting. *)
 
 val samples : t -> float array
 (** Copy of the raw samples in insertion order. *)

@@ -139,11 +139,9 @@ let record_i t ~ts kind ~cat ~name ~arg =
     Array.unsafe_set t.args slot arg;
   t.total <- t.total + 1
 
-let record t ~ts kind ~cat ~name ?(arg = "") () =
-  record_i t ~ts kind ~cat:(pool_intern t.cats cat)
+let instant t ~ts ~cat ~name ?(arg = "") () =
+  record_i t ~ts Instant ~cat:(pool_intern t.cats cat)
     ~name:(pool_intern t.names name) ~arg
-
-let instant t ~ts ~cat ~name ?arg () = record t ~ts Instant ~cat ~name ?arg ()
 
 let clear t =
   Array.fill t.args 0 t.cap "";

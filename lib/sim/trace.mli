@@ -46,10 +46,6 @@ val create : ?capacity:int -> unit -> t
     a division.  Raises [Invalid_argument] when [capacity <= 0] or
     [capacity > max_capacity]. *)
 
-val record :
-  t -> ts:Time.ns -> kind -> cat:string -> name:string -> ?arg:string ->
-  unit -> unit
-
 val instant :
   t -> ts:Time.ns -> cat:string -> name:string -> ?arg:string -> unit -> unit
 

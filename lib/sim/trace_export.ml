@@ -33,11 +33,12 @@ let raw t json =
   t.n_events <- t.n_events + 1;
   Buffer.add_string t.buf json
 
-let event t ~ph ~pid ~tid ~ts ~cat ~name args =
+(* Every event lands on its process's thread 0: one track per process. *)
+let event t ~ph ~pid ~ts ~cat ~name args =
   raw t
     (Printf.sprintf
-       "{\"ph\":\"%s\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"cat\":\"%s\",\"name\":\"%s\"%s}"
-       ph pid tid (ts_us ts) (Trace.json_escape cat) (Trace.json_escape name)
+       "{\"ph\":\"%s\",\"pid\":%d,\"tid\":0,\"ts\":%s,\"cat\":\"%s\",\"name\":\"%s\"%s}"
+       ph pid (ts_us ts) (Trace.json_escape cat) (Trace.json_escape name)
        args)
 
 let args_of_pairs = function
@@ -67,23 +68,23 @@ let thread_name t ~pid ~tid name =
        "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
        pid tid (Trace.json_escape name))
 
-let span t ~pid ?(tid = 0) ~cat ~name ~start_ns ~end_ns args =
-  event t ~ph:"B" ~pid ~tid ~ts:start_ns ~cat ~name (args_of_pairs args);
-  event t ~ph:"E" ~pid ~tid ~ts:end_ns ~cat ~name ""
+let span t ~pid ~cat ~name ~start_ns ~end_ns args =
+  event t ~ph:"B" ~pid ~ts:start_ns ~cat ~name (args_of_pairs args);
+  event t ~ph:"E" ~pid ~ts:end_ns ~cat ~name ""
 
-let instant t ~pid ?(tid = 0) ~cat ~name ~ts args =
-  event t ~ph:"i" ~pid ~tid ~ts ~cat ~name
+let instant t ~pid ~cat ~name ~ts args =
+  event t ~ph:"i" ~pid ~ts ~cat ~name
     (match args_of_pairs args with
     | "" -> ",\"s\":\"t\""
     | a -> a ^ ",\"s\":\"t\"")
 
 let counter t ~pid ~name ~ts pairs =
-  event t ~ph:"C" ~pid ~tid:0 ~ts ~cat:"counter" ~name (args_of_pairs pairs)
+  event t ~ph:"C" ~pid ~ts ~cat:"counter" ~name (args_of_pairs pairs)
 
 (* Engine trace ring → slices and instants.  The ring stores matched
    B/E pairs for labeled jobs (Engine.exec), so a straight replay
    produces well-nested slices per track. *)
-let add_trace t ~pid ?(tid = 0) trace =
+let add_trace t ~pid trace =
   Trace.iter trace (fun (e : Trace.event) ->
       let args =
         if e.Trace.arg = "" then []
@@ -91,13 +92,13 @@ let add_trace t ~pid ?(tid = 0) trace =
       in
       match e.Trace.kind with
       | Trace.Span_begin ->
-        event t ~ph:"B" ~pid ~tid ~ts:e.Trace.ts ~cat:e.Trace.cat
+        event t ~ph:"B" ~pid ~ts:e.Trace.ts ~cat:e.Trace.cat
           ~name:e.Trace.name (args_of_pairs args)
       | Trace.Span_end ->
-        event t ~ph:"E" ~pid ~tid ~ts:e.Trace.ts ~cat:e.Trace.cat
+        event t ~ph:"E" ~pid ~ts:e.Trace.ts ~cat:e.Trace.cat
           ~name:e.Trace.name ""
       | Trace.Instant ->
-        instant t ~pid ~tid ~cat:e.Trace.cat ~name:e.Trace.name ~ts:e.Trace.ts
+        instant t ~pid ~cat:e.Trace.cat ~name:e.Trace.name ~ts:e.Trace.ts
           args)
 
 (* Timeline → one counter track per entity, one series per CPU category,
@@ -129,10 +130,10 @@ let add_timeline t ~pid tl =
     (Timeline.entities tl)
 
 (* Provenance record → one slice per hop with queue/service attribution. *)
-let add_provenance t ~pid ?(tid = 0) entries =
+let add_provenance t ~pid entries =
   List.iter
     (fun (e : Provenance.entry) ->
-      span t ~pid ~tid ~cat:"hop" ~name:e.Provenance.hop
+      span t ~pid ~cat:"hop" ~name:e.Provenance.hop
         ~start_ns:e.Provenance.enqueue_ns ~end_ns:e.Provenance.end_ns
         [
           ("queue_ns", string_of_int (Provenance.queue_ns e));

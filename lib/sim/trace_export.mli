@@ -8,7 +8,8 @@
 
     Each simulated entity maps to one trace "process" allocated with
     {!process}; sim-time nanoseconds are emitted as the format's
-    microsecond [ts] with 3 decimals, so nothing is rounded away. *)
+    microsecond [ts] with 3 decimals, so nothing is rounded away.  Every
+    event is on its process's thread 0. *)
 
 type t
 
@@ -20,19 +21,19 @@ val process : t -> name:string -> int
 val thread_name : t -> pid:int -> tid:int -> string -> unit
 
 val span :
-  t -> pid:int -> ?tid:int -> cat:string -> name:string ->
+  t -> pid:int -> cat:string -> name:string ->
   start_ns:Time.ns -> end_ns:Time.ns -> (string * string) list -> unit
 (** Emit a B/E pair.  The args list holds (key, raw-JSON-value) pairs
     attached to the begin event. *)
 
 val instant :
-  t -> pid:int -> ?tid:int -> cat:string -> name:string -> ts:Time.ns ->
+  t -> pid:int -> cat:string -> name:string -> ts:Time.ns ->
   (string * string) list -> unit
 
 val counter :
   t -> pid:int -> name:string -> ts:Time.ns -> (string * string) list -> unit
 
-val add_trace : t -> pid:int -> ?tid:int -> Trace.t -> unit
+val add_trace : t -> pid:int -> Trace.t -> unit
 (** Replay a trace ring: labeled-job spans become duration slices,
     instants become 'i' events. *)
 
@@ -40,7 +41,7 @@ val add_timeline : t -> pid:int -> Timeline.t -> unit
 (** One [cpu.<entity>] counter track per entity, one series per CPU
     category, in cores (busy-ns delta over the sampling period). *)
 
-val add_provenance : t -> pid:int -> ?tid:int -> Provenance.entry list -> unit
+val add_provenance : t -> pid:int -> Provenance.entry list -> unit
 (** One slice per hop, cat ["hop"], with [queue_ns]/[service_ns] args. *)
 
 val event_count : t -> int

@@ -56,7 +56,14 @@ let user rng u =
                      let cpu = sample_cpu rng in
                      { Trace.c_cpu = cpu; c_mem = sample_mem rng cpu })) }) }
 
+(* 100 000 users print about 150 MB of CSV. *)
+let max_users = 100_000
+
 let generate ~seed ~users =
+  if users < 0 || users > max_users then
+    invalid_arg
+      (Printf.sprintf "Trace_gen.generate: users must be in [0, %d] (got %d)"
+         max_users users);
   let rng = Prng.create seed in
   List.init users (user rng)
 

@@ -8,11 +8,15 @@
     the identical packing code over the same distributions (see the
     substitution table in DESIGN.md). *)
 
+val max_users : int
+(** 100 000: the most users {!generate} draws. *)
+
 val generate : seed:int64 -> users:int -> Trace.user list
 (** Deterministic for a given seed.  The paper evaluates 492 users.
     Users are drawn one after another from one stream, so
     [generate ~seed ~users:k] is a prefix of [generate ~seed ~users:m]
-    for [k <= m]. *)
+    for [k <= m].  Raises [Invalid_argument] when [users] is outside
+    [0, max_users]. *)
 
 val first_pods : seed:int64 -> max_users:int -> int -> Trace.pod array
 (** [first_pods ~seed ~max_users n] is the first [n] pods, in order, of

@@ -71,7 +71,7 @@ let tap_hop t = Hop.make t.soft ~fixed_ns:t.cm.Cost_model.tap_fixed_ns
 
 let add_bridge t ~name ~ip ~subnet =
   let br =
-    Bridge.create t.engine ~name ~hop:(bridge_hop t) ~self_mac:(fresh_mac t) ()
+    Bridge.create t.engine ~name ~hop:(bridge_hop t) ~self_mac:(fresh_mac t)
   in
   let self = Bridge.self_dev br in
   Stack.attach t.host_ns self;

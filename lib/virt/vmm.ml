@@ -318,7 +318,7 @@ let execute t ~vm cmd k =
   let apply () =
     match Hashtbl.find_opt t.journal (vm_name, key) with
     | Some r ->
-      Metrics.bump (Metrics.counter (Engine.metrics engine) "qmp.dedupe") ();
+      Metrics.bump (Metrics.counter (Engine.metrics engine) "qmp.dedupe");
       Engine.trace_instant engine ~cat:"qmp" ~name:"dedupe"
         ~arg:(key ^ " @ " ^ vm_name) ();
       Nest_sim.Log.info ~engine log_src (fun () ->
@@ -489,9 +489,10 @@ let crash_vm t ~name =
      [Crashing] is unobservable from the engine (teardown is atomic in
      virtual time) *)
 
-let default_boot_delay = Time.ms 100
+(* How long a restart's boot occupies [Restarting]. *)
+let boot_delay = Time.ms 100
 
-let restart_vm t ~name ?(boot_delay = default_boot_delay) ~k () =
+let restart_vm t ~name ~k () =
   let engine = Host.engine t.vmm_host in
   match (List.assoc_opt name t.spec_list, lifecycle t name) with
   | None, _ -> false

@@ -131,15 +131,13 @@ val crash_vm : t -> name:string -> unit
     pending boot is cancelled and the VM goes back to [Down].  No-op for
     unknown or already-Down VMs. *)
 
-val restart_vm :
-  t -> name:string -> ?boot_delay:Nest_sim.Time.ns -> k:(Vm.t -> unit) ->
-  unit -> bool
+val restart_vm : t -> name:string -> k:(Vm.t -> unit) -> unit -> bool
 (** [Down -> Restarting -> Running]: re-boot a crashed VM from its
     recorded creation spec (same name, sizing, bridge, and address; fresh
-    MACs).  The boot occupies [boot_delay] (default 100ms) of virtual
-    time in [Restarting]; [k] fires with the fresh incarnation when it
-    completes.  Returns [false] — and schedules nothing — when the name
-    has no spec or is not [Down].  A crash landing inside the boot window
+    MACs).  The boot occupies 100 ms of virtual time in [Restarting];
+    [k] fires with the fresh incarnation when it completes.  Returns
+    [false] — and schedules nothing — when the name has no spec or is
+    not [Down].  A crash landing inside the boot window
     cancels it ([k] never fires).  Pods are not restored — rescheduling
     them is the orchestrator's job. *)
 

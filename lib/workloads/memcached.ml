@@ -33,10 +33,17 @@ let service_cv = 0.25
    histogram update). *)
 let client_cost_ns = 11_000
 
+(* Table 1: memtier runs 4 threads of 50 connections each against 100 B
+   values, and the server 4 worker threads. *)
+let memtier_threads = 4
+let conns_per_thread = 50
+let value_size = 100
+let server_threads = 4
+
 (* Server half: service each request on a worker thread, then respond.
    Factored out so chaos cells can re-deploy it into a fresh pod
    namespace after a crash; [run] below uses it unchanged. *)
-let serve ~pool ~rng ~value_size ns ~port =
+let serve ~pool ~rng ns ~port =
   Stack.Tcp.listen ns ~port ~on_accept:(fun conn ->
       Stack.Tcp.set_on_receive conn (fun ~bytes:_ ~msgs ->
           List.iter
@@ -65,8 +72,7 @@ let serve ~pool ~rng ~value_size ns ~port =
               | _ -> ())
             msgs))
 
-let run tb (ep : App.endpoints) ?(threads = 4) ?(conns_per_thread = 50)
-    ?(value_size = 100) ?(server_threads = 4) ?(warmup = Time.ms 100)
+let run tb (ep : App.endpoints) ?(warmup = Time.ms 100)
     ?(duration = Time.sec 1) () =
   let engine = tb.Testbed.engine in
   let rng = Nest_sim.Prng.split (Engine.rng engine) in
@@ -81,9 +87,9 @@ let run tb (ep : App.endpoints) ?(threads = 4) ?(conns_per_thread = 50)
   let stop_at = ref max_int in
   let pool = App.Pool.create ep.App.sv_new_exec ~n:server_threads ~name:"mc" in
   let client_pool =
-    App.Pool.create ep.App.cl_new_exec ~n:threads ~name:"memtier"
+    App.Pool.create ep.App.cl_new_exec ~n:memtier_threads ~name:"memtier"
   in
-  serve ~pool ~rng ~value_size ep.App.sv_ns ~port:ep.App.sv_port;
+  serve ~pool ~rng ep.App.sv_ns ~port:ep.App.sv_port;
   (* memtier: one closed loop per connection. *)
   let next_id = ref 0 in
   let new_request conn =
@@ -107,7 +113,7 @@ let run tb (ep : App.endpoints) ?(threads = 4) ?(conns_per_thread = 50)
             ~msg:(Mc_request { op; id; t0 = Engine.now engine })
             ())
   in
-  let total_conns = threads * conns_per_thread in
+  let total_conns = memtier_threads * conns_per_thread in
   for _ = 1 to total_conns do
     ignore
       (Stack.Tcp.connect ep.App.cl_ns ~dst:ep.App.sv_addr ~port:ep.App.sv_port
@@ -159,12 +165,18 @@ type mc_driver = {
   mcd_corrected : unit -> Nest_sim.Hdr.t;
 }
 
-let drive tb ~cl_ns ~cl_new_exec ~target ?(threads = 2) ?(conns = 4)
-    ?(value_size = 100) ?(op_timeout = Time.ms 60)
-    ?(connect_timeout = Time.ms 500) ?slo ~start ~stop () =
+(* The chaos driver's client: 2 threads; an op times out after 60 ms,
+   a handshake after 500 ms (see [start_conn]). *)
+let drive_threads = 2
+let op_timeout = Time.ms 60
+let connect_timeout = Time.ms 500
+
+let drive tb ~cl_ns ~cl_new_exec ~target ?(conns = 4) ?slo ~start ~stop () =
   let engine = tb.Testbed.engine in
   let rng = Nest_sim.Prng.split (Engine.rng engine) in
-  let client_pool = App.Pool.create cl_new_exec ~n:threads ~name:"memtier-f" in
+  let client_pool =
+    App.Pool.create cl_new_exec ~n:drive_threads ~name:"memtier-f"
+  in
   let sent = ref 0 and dropped = ref 0 in
   let completions = ref [] in
   let slo_sent () =

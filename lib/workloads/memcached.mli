@@ -1,10 +1,11 @@
 (** Memcached server + memtier_benchmark client (Table 1 row 1).
 
-    memtier drives a closed loop: [threads × conns_per_thread] persistent
-    TCP connections, each issuing the next request as soon as the
-    previous response arrives, with a SET:GET ratio of 1:10.  Metrics are
-    responses per second and the per-request latency distribution —
-    Figs. 5 (gain), 11/12 (Hostlo overhead) and the CPU figures. *)
+    memtier drives a closed loop: 4 threads × 50 persistent TCP
+    connections (Table 1), each issuing the next request as soon as the
+    previous response arrives, with a SET:GET ratio of 1:10 over 100 B
+    values.  Metrics are responses per second and the per-request
+    latency distribution — Figs. 5 (gain), 11/12 (Hostlo overhead) and
+    the CPU figures. *)
 
 open Nestfusion
 
@@ -23,16 +24,13 @@ type result = {
 val run :
   Testbed.t ->
   App.endpoints ->
-  ?threads:int ->
-  ?conns_per_thread:int ->
-  ?value_size:int ->
-  ?server_threads:int ->
   ?warmup:Nest_sim.Time.ns ->
   ?duration:Nest_sim.Time.ns ->
   unit ->
   result
-(** Defaults follow Table 1: 4 threads, 50 connections/thread, 1:10
-    SET:GET; 100-byte values; 4 server worker threads. *)
+(** Table 1's constants: 4 client threads × 50 connections, 1:10
+    SET:GET, 100 B values, 4 server worker threads.  [warmup] defaults
+    to 100 ms, [duration] to 1 s. *)
 
 (** {2 Fault-tolerant pieces (chaos cells)}
 
@@ -47,7 +45,6 @@ val run :
 val serve :
   pool:App.Pool.t ->
   rng:Nest_sim.Prng.t ->
-  value_size:int ->
   Nest_net.Stack.ns ->
   port:int ->
   unit
@@ -78,11 +75,7 @@ val drive :
   cl_ns:Nest_net.Stack.ns ->
   cl_new_exec:(string -> Nest_sim.Exec.t) ->
   target:(unit -> (Nest_net.Ipv4.t * int) option) ->
-  ?threads:int ->
   ?conns:int ->
-  ?value_size:int ->
-  ?op_timeout:Nest_sim.Time.ns ->
-  ?connect_timeout:Nest_sim.Time.ns ->
   ?slo:Nest_sim.Slo.t ->
   start:Nest_sim.Time.ns ->
   stop:Nest_sim.Time.ns ->
@@ -90,11 +83,11 @@ val drive :
   mc_driver
 (** Closed loops from [cl_ns] against whatever [target] currently
     answers (polled at each (re)connect).  Runs between [start] and
-    [stop] of virtual time without ever calling [Engine.run].  Defaults:
-    2 threads, 4 connections, 60 ms op timeout.  [connect_timeout]
-    (default 500 ms) bounds the handshake instead: it must outlive a SYN
-    retransmission, because the first SYN after a re-deploy can chase a
-    stale neighbour entry and only the retransmit reaches the
-    replacement pod.  [slo] receives one {!Nest_sim.Slo.observe_sent}
-    per op attempted and an [observe_ok] + [observe_latency] per
-    completion. *)
+    [stop] of virtual time without ever calling [Engine.run].  The
+    client runs 2 threads over [conns] connections (default 4), with a
+    60 ms op timeout.  A 500 ms connect timeout bounds the handshake
+    instead: it must outlive a SYN retransmission, because the first SYN
+    after a re-deploy can chase a stale neighbour entry and only the
+    retransmit reaches the replacement pod.  [slo] receives one
+    {!Nest_sim.Slo.observe_sent} per op attempted and an [observe_ok] +
+    [observe_latency] per completion. *)

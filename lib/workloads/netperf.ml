@@ -125,8 +125,11 @@ type rr_driver = {
   rrd_corrected : unit -> Nest_sim.Hdr.t;
 }
 
-let udp_rr_driver tb ~cl_ns ~cl_exec ~target ~msg_size
-    ?(resend_timeout = Time.ms 10) ?slo ~start ~stop () =
+(* How long a UDP_RR loop waits for a reply before it counts the
+   transaction lost and sends the next one. *)
+let resend_timeout = Time.ms 10
+
+let udp_rr_driver tb ~cl_ns ~cl_exec ~target ~msg_size ?slo ~start ~stop () =
   let engine = tb.Testbed.engine in
   let sent = ref 0 and lost = ref 0 in
   let completions = ref [] in
@@ -219,10 +222,10 @@ let udp_rr_driver tb ~cl_ns ~cl_exec ~target ~msg_size
    generalizes it into the serving side of a fleet node: [max] worker
    contexts created up front (so the exec roster is deterministic),
    requests round-robined over the currently active prefix, and an
-   [epool_set_active] knob an autoscaler drives.  Warm standby workers
-   activate instantly; cold ones pay [boot_delay].  Scale-down is a
-   drain by construction: a deactivated worker merely stops receiving
-   new work — everything already submitted to its exec completes on
+   [epool_set_active] knob an autoscaler drives.  Worker 0 starts
+   ready.  Warm standby workers activate instantly; cold ones pay
+   [boot_delay].  Scale-down is a drain by construction: a deactivated
+   worker merely stops receiving new work — everything already submitted to its exec completes on
    schedule, so no request is ever stranded. *)
 
 type echo_pool = {
@@ -236,14 +239,12 @@ type echo_pool = {
 
 type worker_state = Cold | Warm | Booting | Ready
 
+let boot_delay = Time.ms 50
+
 let udp_echo_pool ~ns ~port ~new_exec ?(service_cost = app_recv_cost_ns)
-    ?(initial = 1) ~max:max_workers ?(standby = 0)
-    ?(boot_delay = Time.ms 50) ?slo () =
-  if initial < 1 then invalid_arg "udp_echo_pool: initial must be >= 1";
-  if max_workers < initial then
-    invalid_arg "udp_echo_pool: max must be >= initial";
+    ~max:max_workers ?(standby = 0) ?slo () =
+  if max_workers < 1 then invalid_arg "udp_echo_pool: max must be >= 1";
   if standby < 0 then invalid_arg "udp_echo_pool: standby must be >= 0";
-  if boot_delay < 0 then invalid_arg "udp_echo_pool: boot_delay must be >= 0";
   if service_cost < 0 then
     invalid_arg "udp_echo_pool: service_cost must be >= 0";
   let workers =
@@ -252,11 +253,9 @@ let udp_echo_pool ~ns ~port ~new_exec ?(service_cost = app_recv_cost_ns)
   let engine = Nest_sim.Exec.engine workers.(0) in
   let state =
     Array.init max_workers (fun i ->
-        if i < initial then Ready
-        else if i < initial + standby then Warm
-        else Cold)
+        if i = 0 then Ready else if i <= standby then Warm else Cold)
   in
-  let active = ref initial in
+  let active = ref 1 in
   let served = ref 0 in
   let cold_starts = ref 0 in
   let rr = ref 0 in

@@ -88,7 +88,6 @@ val udp_rr_driver :
   cl_exec:Nest_sim.Exec.t ->
   target:(unit -> (Nest_net.Ipv4.t * int) option) ->
   msg_size:int ->
-  ?resend_timeout:Nest_sim.Time.ns ->
   ?slo:Nest_sim.Slo.t ->
   start:Nest_sim.Time.ns ->
   stop:Nest_sim.Time.ns ->
@@ -97,8 +96,9 @@ val udp_rr_driver :
 (** Closed-loop UDP_RR from [cl_ns] against whatever [target] currently
     answers (polled per send, so the harness can re-point it after a
     re-deploy; [None] while the service is down just burns watchdog
-    losses).  Runs between [start] and [stop] of virtual time without
-    ever calling [Engine.run].  [slo] receives one
+    losses).  A transaction with no reply within 10 ms is lost and the
+    loop sends the next.  Runs between [start] and [stop] of virtual
+    time without ever calling [Engine.run].  [slo] receives one
     {!Nest_sim.Slo.observe_sent} per transaction attempted and an
     [observe_ok] + [observe_latency] per completion. *)
 
@@ -130,20 +130,18 @@ val udp_echo_pool :
   port:int ->
   new_exec:(string -> Nest_sim.Exec.t) ->
   ?service_cost:Nest_sim.Time.ns ->
-  ?initial:int ->
   max:int ->
   ?standby:int ->
-  ?boot_delay:Nest_sim.Time.ns ->
   ?slo:Nest_sim.Slo.t ->
   unit ->
   echo_pool
 (** [new_exec] is the worker-context factory (e.g. a deployment site's
     [site_new_exec]); it is called exactly [max] times at creation.
-    Workers [0 .. initial-1] start ready, the next [standby] start
-    warm, the rest cold.  Each request pays [service_cost] (default:
-    the echo server's per-transaction cost) on its worker before the
-    reply leaves.  [slo] — a {e server-side} monitor — receives sent at
-    arrival and ok/latency at reply, where latency is the request's
-    queueing plus service time on the node; its burn is what a
-    co-located autoscaler should read.  Defaults: [initial] 1,
-    [standby] 0, [boot_delay] 50 ms. *)
+    Worker 0 starts ready, the next [standby] start warm, the rest cold
+    (a cold worker boots in 50 ms when activated).  Each request pays
+    [service_cost] (default: the echo server's per-transaction cost) on
+    its worker before the reply leaves.  [slo] — a {e server-side}
+    monitor — receives sent at arrival and ok/latency at reply, where
+    latency is the request's queueing plus service time on the node;
+    its burn is what a co-located autoscaler should read.  [standby]
+    defaults to 0; [max] must be at least 1. *)

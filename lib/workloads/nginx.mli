@@ -1,10 +1,10 @@
 (** NGINX server + wrk2 client (Table 1 row 2).
 
     wrk2 is an *open-loop*, constant-rate generator: requests are
-    scheduled on a fixed timeline (10 k req/s by default) across 100
-    connections, and latency is measured from the *intended* send time —
-    wrk2's coordinated-omission correction — so server queueing shows up
-    fully in the distribution.
+    scheduled on a fixed timeline (10 k req/s) across 100 connections,
+    and latency is measured from the *intended* send time — wrk2's
+    coordinated-omission correction — so server queueing shows up fully
+    in the distribution.
 
     The paper attributes most of the containerized NGINX latency to "the
     software itself rather than the networking layer" (§5.2.2): the
@@ -24,14 +24,10 @@ val run :
   Testbed.t ->
   App.endpoints ->
   containerized:bool ->
-  ?threads:int ->
-  ?connections:int ->
-  ?rate_per_sec:int ->
-  ?file_bytes:int ->
-  ?server_workers:int ->
   ?warmup:Nest_sim.Time.ns ->
   ?duration:Nest_sim.Time.ns ->
   unit ->
   result
-(** Defaults follow Table 1: 2 threads, 100 connections total,
-    10 k req/s on a 1 kB file; 4 NGINX workers. *)
+(** Table 1's constants: 100 connections offering 10 k req/s for a 1 kB
+    file, served by 4 NGINX workers.  [warmup] defaults to 100 ms,
+    [duration] to 1 s. *)

@@ -62,8 +62,7 @@ let test_burn_hysteresis_no_flap () =
           let w = Engine.now engine / Time.ms 100 in
           if w mod 2 = 0 then fst wave else snd wave)
         ~stop:(Time.sec 2)
-        (Admission.burn ~floor:1 ~init:8 ~ceiling:16 ~high:1.0 ~low:0.25
-           ~window:(Time.ms 50) ())
+        (Admission.burn ~floor:1 ~init:8 ~ceiling:16 ~window:(Time.ms 50) ())
     in
     Engine.run engine;
     (Admission.transitions a, Admission.limit a)
@@ -171,18 +170,17 @@ let test_decision_cost () =
 
 (* --- autoscaler --------------------------------------------------- *)
 
-(* Scripted burn trajectory: a burst of burn 3.0 must produce one
-   proportional jump (1 -> 3, not a step per window thanks to the up
-   cooldown), then sustained quiet must walk the count back down one
-   step per down-cooldown, never below min. *)
+(* Scripted burn trajectory: one window of burn 3.0 must produce one
+   proportional jump (1 -> 3, not a single step), then sustained quiet
+   must walk the count back down one step per four-window cooldown,
+   never below min. *)
 let test_autoscaler_trajectory () =
   let engine = Engine.create () in
   let applied = ref [] in
   let a =
     Autoscaler.create ~engine ~min:1 ~max:4 ~window:(Time.ms 100)
-      ~up_cooldown:(Time.ms 300) ~down_cooldown:(Time.ms 300)
       ~burn_source:(fun () ->
-        if Engine.now engine <= Time.ms 250 then 3.0 else 0.0)
+        if Engine.now engine <= Time.ms 150 then 3.0 else 0.0)
       ~apply:(fun d -> applied := d :: !applied)
       ~start:0 ~stop:(Time.sec 2) ()
   in
@@ -201,9 +199,9 @@ let test_autoscaler_trajectory () =
 
 (* Scale-down must drain, not strand: requests already accepted by a
    worker the autoscaler deactivates must still be served.  20 requests
-   are fired at 2 ready workers faster than they can serve; mid-burst
-   the pool is scaled to 1.  Every accepted request must produce a
-   reply. *)
+   are fired at 2 ready workers (the second a warm standby, activated
+   at setup) faster than they can serve; mid-burst the pool is scaled
+   to 1.  Every accepted request must produce a reply. *)
 let test_scale_down_drains () =
   let tb = Testbed.create ~num_vms:1 () in
   let site = ref None in
@@ -214,9 +212,11 @@ let test_scale_down_drains () =
   let engine = tb.Testbed.engine in
   let pool =
     Netperf.udp_echo_pool ~ns:site.Deploy.site_ns ~port:site.Deploy.site_port
-      ~new_exec:site.Deploy.site_new_exec ~service_cost:(Time.ms 1) ~initial:2
-      ~max:2 ()
+      ~new_exec:site.Deploy.site_new_exec ~service_cost:(Time.ms 1) ~max:2
+      ~standby:1 ()
   in
+  pool.Netperf.epool_set_active 2;
+  Alcotest.(check int) "both workers ready" 2 (pool.Netperf.epool_ready ());
   let replies = ref 0 in
   let sock =
     Stack.Udp.bind tb.Testbed.client_ns ~port:9001
@@ -295,6 +295,19 @@ let test_upper_bounds_validate () =
   fleet "pods 1000000000" { d with pods = 1_000_000_000 } false;
   fleet "pods 1000001" { d with pods = 1_000_001 } false;
   fleet "pods 1000000" { d with pods = 1_000_000 } true;
+  fleet "nodes 1000000" { d with nodes = 1_000_000 } false;
+  fleet "nodes 16385" { d with nodes = 16_385 } false;
+  fleet "nodes 16384" { d with nodes = 16_384 } true;
+  fleet "nodes 0" { d with nodes = 0 } false;
+  Alcotest.check_raises "trace users 100001"
+    (Invalid_argument
+       "Trace_gen.generate: users must be in [0, 100000] (got 100001)")
+    (fun () ->
+      ignore (Nest_traces.Trace_gen.generate ~seed:1L ~users:100_001));
+  Alcotest.check_raises "trace users -5"
+    (Invalid_argument
+       "Trace_gen.generate: users must be in [0, 100000] (got -5)")
+    (fun () -> ignore (Nest_traces.Trace_gen.generate ~seed:1L ~users:(-5)));
   List.iter
     (fun (standby, ok) ->
       Alcotest.(check bool) (Printf.sprintf "chaos standby %d" standby) ok

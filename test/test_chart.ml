@@ -13,7 +13,6 @@ let test_basic_render () =
   let out =
     Chart.plot ~title:"demo" ~y_label:"Mbps" ~x_labels:[ "64"; "256"; "1024" ]
       ~series:[ ("a", [ 1.0; 2.0; 3.0 ]); ("b", [ 3.0; 2.0; 1.0 ]) ]
-      ()
   in
   Alcotest.(check bool) "title" true (contains out "demo");
   Alcotest.(check bool) "legend a" true (contains out "*=a");
@@ -27,30 +26,31 @@ let test_basic_render () =
 let test_single_point () =
   let out =
     Chart.plot ~title:"one" ~y_label:"v" ~x_labels:[ "x" ]
-      ~series:[ ("s", [ 42.0 ]) ] ()
+      ~series:[ ("s", [ 42.0 ]) ]
   in
   Alcotest.(check bool) "renders" true (contains out "42.0")
 
 let test_empty_rejected () =
   Alcotest.check_raises "no labels" (Invalid_argument "Chart.plot: empty input")
     (fun () ->
-      ignore (Chart.plot ~title:"t" ~y_label:"y" ~x_labels:[] ~series:[ ("s", [ 1. ]) ] ()));
+      ignore (Chart.plot ~title:"t" ~y_label:"y" ~x_labels:[] ~series:[ ("s", [ 1. ]) ]));
   Alcotest.check_raises "no data" (Invalid_argument "Chart.plot: no data")
     (fun () ->
-      ignore (Chart.plot ~title:"t" ~y_label:"y" ~x_labels:[ "a" ] ~series:[ ("s", []) ] ()))
+      ignore (Chart.plot ~title:"t" ~y_label:"y" ~x_labels:[ "a" ] ~series:[ ("s", []) ]))
 
+(* The plot area is 12 rows high. *)
 let test_dimensions =
   QCheck.Test.make ~name:"rendered block has the requested height" ~count:50
-    QCheck.(pair (int_range 4 20) (list_of_size (Gen.int_range 1 10) (float_range 0. 100.)))
-    (fun (height, values) ->
+    QCheck.(list_of_size (Gen.int_range 1 10) (float_range 0. 100.))
+    (fun values ->
       let labels = List.mapi (fun i _ -> string_of_int i) values in
       let out =
         Chart.plot ~title:"t" ~y_label:"y" ~x_labels:labels
-          ~series:[ ("s", values) ] ~height ()
+          ~series:[ ("s", values) ]
       in
       let lines = String.split_on_char '\n' out in
-      (* title + height rows + axis + xlabels + legend + trailing *)
-      List.length lines = height + 5)
+      (* title + 12 rows + axis + xlabels + legend + trailing *)
+      List.length lines = 12 + 5)
 
 let test_values_in_range =
   QCheck.Test.make ~name:"no marker outside the plot grid" ~count:50
@@ -59,11 +59,11 @@ let test_values_in_range =
       let labels = List.mapi (fun i _ -> string_of_int i) values in
       let out =
         Chart.plot ~title:"t" ~y_label:"y" ~x_labels:labels
-          ~series:[ ("s", values) ] ~width:40 ()
+          ~series:[ ("s", values) ]
       in
-      (* every grid row is exactly 12 (label) + 1 (bar) + 40 wide *)
+      (* every grid row is exactly 12 (label) + 1 (bar) + 72 wide *)
       String.split_on_char '\n' out
-      |> List.for_all (fun l -> String.length l <= 56))
+      |> List.for_all (fun l -> String.length l <= 88))
 
 let () =
   Alcotest.run "chart"

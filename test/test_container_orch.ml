@@ -22,7 +22,7 @@ let world ?(num_vms = 1) () =
 
 let test_image_pull () =
   let rng = Nest_sim.Prng.create 1L in
-  let img = Image.make ~name:"big" ~size_mb:400 () in
+  let img = Image.make ~name:"big" ~size_mb:400 in
   Alcotest.(check int) "cached pull is free" 0
     (Image.pull_delay_ns img ~cached:true ~rng);
   let d = Image.pull_delay_ns img ~cached:false ~rng in
@@ -67,7 +67,7 @@ let test_docker_lifecycle_and_boot_duration () =
   let ready = ref None in
   let c =
     Docker.run docker ~name:"c1" ~entity:"app1"
-      ~image:(Image.make ~name:"alpine" ~size_mb:8 ())
+      ~image:(Image.make ~name:"alpine" ~size_mb:8)
       ~netns
       ~net_setup:(fun k -> Docker.nat_net_setup docker ~netns ~publish:[] k)
       ~on_ready:(fun c -> ready := Some c)
@@ -383,7 +383,7 @@ let test_kube_deploy_pod () =
   Kube.add_node kube (Nestfusion.Testbed.node tb 1);
   let pod =
     Pod.make ~name:"web"
-      [ Pod.container ~name:"nginx" ~cpu:2.0 ~mem:1.0 ~ports:[ (8080, 80) ] ();
+      [ Pod.container ~name:"nginx" ~cpu:2.0 ~mem:1.0 ();
         Pod.container ~name:"sidecar" ~cpu:0.5 ~mem:0.5 () ]
   in
   Alcotest.(check (float 1e-9)) "pod cpu" 2.5 (Pod.cpu_total pod);
@@ -426,7 +426,7 @@ let test_nat_ip_released_on_stop () =
     let ready = ref None in
     let c =
       Docker.run docker ~name:(Printf.sprintf "c%d" i) ~entity:"app"
-        ~image:(Image.make ~name:"alpine" ~size_mb:8 ())
+        ~image:(Image.make ~name:"alpine" ~size_mb:8)
         ~netns
         ~net_setup:(fun k -> Docker.nat_net_setup docker ~netns ~publish:[] k)
         ~on_ready:(fun c -> ready := Some c)

@@ -12,6 +12,7 @@ module Hdr = Nest_sim.Hdr
 module Arrival = Nest_loadgen.Arrival
 module Size_dist = Nest_loadgen.Size_dist
 module Loadgen = Nest_loadgen.Loadgen
+module Admission = Nest_loadgen.Admission
 
 let take_offsets a n =
   let rec go acc k =
@@ -141,7 +142,8 @@ let test_shed_and_lost () =
   let g =
     Loadgen.create ~engine ~label:"blackhole"
       ~arrival:(Arrival.constant ~rate_per_s:1000.0)
-      ~sizes:(Size_dist.Fixed 64) ~rng:(Prng.create 1L) ~max_outstanding:4
+      ~sizes:(Size_dist.Fixed 64) ~rng:(Prng.create 1L)
+      ~admission:(Admission.fixed 4)
       ~timeout:(Time.ms 20)
       ~dispatch:(fun ~seq:_ ~size:_ -> ())
       ~start ~stop ()
@@ -193,8 +195,6 @@ let test_all_completed () =
     (Loadgen.counts gen).Loadgen.completed
 
 (* --- one deadline timer against per-request timeouts ---------------- *)
-
-module Admission = Nest_loadgen.Admission
 
 (* A generator with one timeout event per admitted request, scheduled
    right after the dispatch: the reference the single deadline timer
@@ -493,7 +493,7 @@ let test_open_vs_closed_divergence () =
       Loadgen.create ~engine
         ~arrival:(Arrival.constant ~rate_per_s:500.0)
         ~sizes:(Size_dist.Fixed 64) ~rng:(Prng.create 3L)
-        ~max_outstanding:1024 ~timeout:(Time.sec 1)
+        ~admission:(Admission.fixed 1024) ~timeout:(Time.sec 1)
         ~dispatch:(fun ~seq ~size:_ ->
           Engine.schedule_at engine ~at:(reply_at engine) (fun () ->
               Loadgen.complete (Option.get !g) ~seq))

@@ -79,7 +79,7 @@ let test_log_facility () =
   let ran = ref false in
   Nest_sim.Log.debug src (fun () -> ran := true; "x");
   Alcotest.(check bool) "lazy when disabled" false !ran;
-  Nest_sim.Log.enable ~level:Logs.Debug ();
+  Nest_sim.Log.enable ();
   Nest_sim.Log.debug src (fun () -> ran := true; "hello from the test");
   Alcotest.(check bool) "evaluated when enabled" true !ran;
   Nest_sim.Log.disable ();

@@ -537,7 +537,7 @@ let free_hop () = Hop.free (Engine.create ())
 let test_bridge_learning_and_flood () =
   let e = Engine.create () in
   let hop = Hop.free e in
-  let br = Bridge.create e ~name:"br0" ~hop ~self_mac:(Mac.of_int 0xff) () in
+  let br = Bridge.create e ~name:"br0" ~hop ~self_mac:(Mac.of_int 0xff) in
   let mk i =
     let d = Dev.create ~name:(Printf.sprintf "p%d" i) ~mac:(Mac.of_int i) () in
     let received = ref [] in
@@ -572,7 +572,7 @@ let test_bridge_learning_and_flood () =
 
 let test_bridge_self_delivery () =
   let e = Engine.create () in
-  let br = Bridge.create e ~name:"br0" ~hop:(Hop.free e) ~self_mac:(Mac.of_int 0xbb) () in
+  let br = Bridge.create e ~name:"br0" ~hop:(Hop.free e) ~self_mac:(Mac.of_int 0xbb) in
   let self = Bridge.self_dev br in
   let up = ref 0 in
   Dev.set_rx self (fun _ -> incr up);

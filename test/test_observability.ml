@@ -129,8 +129,9 @@ let test_engine_alloc_ledger () =
 let test_metrics_roundtrip () =
   let m = Metrics.create () in
   let c = Metrics.counter m "requests" in
-  Metrics.bump c ();
-  Metrics.bump c ~by:4 ();
+  for _ = 1 to 5 do
+    Metrics.bump c
+  done;
   Metrics.set_gauge m "depth" 3.5;
   let backing = ref 7.0 in
   Metrics.gauge_probe m "probe" (fun () -> !backing);
@@ -170,7 +171,8 @@ let test_metrics_roundtrip () =
 
 let test_metrics_json () =
   let m = Metrics.create () in
-  Metrics.bump (Metrics.counter m "c") ~by:2 ();
+  Metrics.bump (Metrics.counter m "c");
+  Metrics.bump (Metrics.counter m "c");
   Metrics.set_gauge m "g\"q" 1.5;
   Hdr.add (Metrics.histogram m "h") 4.0;
   let j = Metrics.to_json m in

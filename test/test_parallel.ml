@@ -36,6 +36,20 @@ let test_pool_reraises () =
   Alcotest.(check (list int)) "pool usable after exception" [ 0; 2; 4 ]
     (Domain_pool.map ~jobs:2 (fun x -> 2 * x) [ 0; 1; 2 ])
 
+(* More parties than the runtime's domain limit are refused up front:
+   nothing is spawned and no cell runs.  A surplus of jobs over cells is
+   not an excess. *)
+let test_pool_domain_limit () =
+  let calls = Atomic.make 0 in
+  let f x = Atomic.incr calls; x in
+  let n = Domain_pool.max_domains + 1 in
+  Alcotest.check_raises "129 parties refused"
+    (Invalid_argument "Domain_pool.map: 129 domains exceed the runtime's 128")
+    (fun () -> ignore (Domain_pool.map ~jobs:n f (List.init n Fun.id)));
+  Alcotest.(check int) "no cell ran" 0 (Atomic.get calls);
+  Alcotest.(check (list int)) "jobs above the limit, one cell" [ 7 ]
+    (Domain_pool.map ~jobs:n f [ 7 ])
+
 let test_pool_actually_parallel () =
   (* With 4 domains and 4 sleepers, wall-clock must be well under the
      sequential sum (generous bound to stay robust on loaded hosts). *)
@@ -78,6 +92,7 @@ let () =
         [ Alcotest.test_case "order preserved" `Quick test_pool_preserves_order;
           Alcotest.test_case "edge cases" `Quick test_pool_empty_and_small;
           Alcotest.test_case "exceptions re-raised" `Quick test_pool_reraises;
+          Alcotest.test_case "domain limit" `Quick test_pool_domain_limit;
           Alcotest.test_case "parallel wall-clock" `Quick
             test_pool_actually_parallel ] );
       ( "determinism",

@@ -84,7 +84,7 @@ let mempipe_world () =
   let shm = Shm.create () in
   let chan =
     Nestfusion.Mempipe.create tb.Nestfusion.Testbed.host shm ~pod:"p"
-      ~name:"ring" ~ring_kb:64 ()
+      ~name:"ring"
   in
   (tb, shm, chan)
 
@@ -134,8 +134,8 @@ let test_mempipe_ring_bound () =
   let tb, _, chan = mempipe_world () in
   let a = Nestfusion.Mempipe.attach chan (Nestfusion.Testbed.vm tb 0) in
   Alcotest.check_raises "oversized message"
-    (Failure "Mempipe.send: 100000 bytes exceed the 65536-byte ring")
-    (fun () -> Nestfusion.Mempipe.send a ~size:100_000 ())
+    (Failure "Mempipe.send: 300000 bytes exceed the 262144-byte ring")
+    (fun () -> Nestfusion.Mempipe.send a ~size:300_000 ())
 
 (* --- VirtFS functional model --- *)
 

@@ -301,6 +301,20 @@ let test_event_exception () =
         (fun () -> Sharded.run ~until:(Time.us 100) ~domains sd))
     [ 1; 2 ]
 
+(* More domains than the runtime allows are refused before the run
+   spawns one or moves a clock; the count is capped at the shard count
+   first, so a small group takes any [domains]. *)
+let test_domain_limit () =
+  let sd = Sharded.create ~shards:(Nest_sim.Domain_pool.max_domains + 1) () in
+  Alcotest.check_raises "129 domains refused"
+    (Invalid_argument "Sharded.run: 129 domains exceed the runtime's 128")
+    (fun () -> Sharded.run ~until:(Time.us 100) ~domains:1000 sd);
+  Alcotest.(check int) "no clock moved" 0 (Engine.now (Sharded.engine sd 0));
+  let small = Sharded.create ~shards:1 () in
+  Sharded.run ~until:(Time.us 100) ~domains:1000 small;
+  Alcotest.(check int) "one shard ran on the caller" (Time.us 100)
+    (Engine.now (Sharded.engine small 0))
+
 (* ------------------------------------------------------------------ *)
 (* Generated ordering property. *)
 
@@ -537,6 +551,7 @@ let () =
             test_undersized_delay_rejected;
           Alcotest.test_case "an event's exception ends the run" `Quick
             test_event_exception;
+          Alcotest.test_case "domain limit" `Quick test_domain_limit;
         ] );
       ( "determinism",
         [

@@ -87,10 +87,10 @@ let test_forwarding_disabled_drops () =
   let e, a, b, _, _ = two_ns () in
   Stack.set_ip_forward b false;
   let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ ~src_port:_ _ -> ()) in
-  (* Static route pushes an off-subnet destination via the veth. *)
-  Route.add (Stack.routes a) ~dst:(cidr "10.50.0.0/16")
+  (* A default route pushes an off-subnet destination via the veth. *)
+  Route.add_default (Stack.routes a) ~gateway:(ip "192.168.1.2")
     ~dev:(Option.get (Stack.find_dev a "a0"))
-    ~gateway:(ip "192.168.1.2") ();
+    ();
   Stack.Udp.sendto c ~dst:(ip "10.50.0.1") ~dst_port:1 (Payload.raw 16);
   Engine.run e;
   Alcotest.(check int) "not forwarded" 0 (Stack.counters b).Stack.forwarded_pkts;
@@ -304,9 +304,9 @@ let test_tcp_rst_on_closed_port () =
   let c =
     Stack.Tcp.connect a ~dst:(ip "192.168.1.2") ~port:7777
       ~on_established:(fun _ -> ())
-      ~on_close:(fun () -> closed := true)
       ()
   in
+  Stack.Tcp.set_on_close c (fun () -> closed := true);
   Engine.run e;
   Alcotest.(check bool) "connection reset" true !closed;
   Alcotest.(check bool) "closed state" true (Stack.Tcp.is_closed c);

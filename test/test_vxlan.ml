@@ -34,7 +34,7 @@ let world () =
   (* Full-mesh veths would do; simpler: one bridge in a fourth ns acting
      as the physical switch. *)
   let br_hop = Hop.free e in
-  let br = Bridge.create e ~name:"switch" ~hop:br_hop ~self_mac:(Mac.of_int 0xff) () in
+  let br = Bridge.create e ~name:"switch" ~hop:br_hop ~self_mac:(Mac.of_int 0xff) in
   List.iteri
     (fun i (ns, addr) ->
       let a, b =
@@ -51,12 +51,10 @@ let world () =
     nodes;
   (e, nodes)
 
-let vtep e ns local =
-  ignore e;
-  Vxlan.create ns ~name:(Stack.name ns ^ "-vtep") ~vni:88 ~local
+let vtep ns =
+  Vxlan.create ns ~name:(Stack.name ns ^ "-vtep") ~vni:88
     ~encap_hop:(Hop.free (Stack.engine ns))
     ~decap_hop:(Hop.free (Stack.engine ns))
-    ()
 
 let overlay_frame ~src ~dst =
   Frame.make ~src ~dst
@@ -66,18 +64,18 @@ let overlay_frame ~src ~dst =
 
 let test_flood_unknown_unicast () =
   let e, nodes = world () in
-  let (ns1, a1) = List.nth nodes 0
+  let (ns1, _) = List.nth nodes 0
   and (_, a2) = List.nth nodes 1
   and (_, a3) = List.nth nodes 2 in
-  let v1 = vtep e ns1 a1 in
+  let v1 = vtep ns1 in
   Vxlan.add_remote v1 a2;
   Vxlan.add_remote v1 a3;
   (* Receivers on the other two nodes. *)
   let hits = Array.make 3 0 in
   List.iteri
-    (fun i (ns, addr) ->
+    (fun i (ns, _) ->
       if i > 0 then begin
-        let v = vtep e ns addr in
+        let v = vtep ns in
         let sink = Dev.create ~name:"sink" ~mac:(Mac.of_int (0x50 + i)) () in
         ignore sink;
         Dev.set_rx (Vxlan.dev v) (fun _ -> hits.(i) <- hits.(i) + 1)
@@ -93,18 +91,18 @@ let test_flood_unknown_unicast () =
 
 let test_fdb_unicast () =
   let e, nodes = world () in
-  let (ns1, a1) = List.nth nodes 0
+  let (ns1, _) = List.nth nodes 0
   and (_, a2) = List.nth nodes 1
   and (_, a3) = List.nth nodes 2 in
-  let v1 = vtep e ns1 a1 in
+  let v1 = vtep ns1 in
   Vxlan.add_remote v1 a2;
   Vxlan.add_remote v1 a3;
   Vxlan.add_fdb v1 (Mac.of_int 0xbb) a3;
   let hits = Array.make 3 0 in
   List.iteri
-    (fun i (ns, addr) ->
+    (fun i (ns, _) ->
       if i > 0 then begin
-        let v = vtep e ns addr in
+        let v = vtep ns in
         Dev.set_rx (Vxlan.dev v) (fun _ -> hits.(i) <- hits.(i) + 1)
       end)
     nodes;
@@ -117,9 +115,9 @@ let test_fdb_unicast () =
 
 let test_decap_counter_and_inner_intact () =
   let e, nodes = world () in
-  let (ns1, a1) = List.nth nodes 0 and (ns2, a2) = List.nth nodes 1 in
-  let v1 = vtep e ns1 a1 in
-  let v2 = vtep e ns2 a2 in
+  let (ns1, _) = List.nth nodes 0 and (ns2, a2) = List.nth nodes 1 in
+  let v1 = vtep ns1 in
+  let v2 = vtep ns2 in
   Vxlan.add_remote v1 a2;
   let inner_seen = ref None in
   Dev.set_rx (Vxlan.dev v2) (fun f -> inner_seen := Some f);
@@ -142,8 +140,8 @@ let test_decap_counter_and_inner_intact () =
 
 let test_no_remotes_drops_silently () =
   let e, nodes = world () in
-  let (ns1, a1) = List.nth nodes 0 in
-  let v1 = vtep e ns1 a1 in
+  let (ns1, _) = List.nth nodes 0 in
+  let v1 = vtep ns1 in
   Dev.transmit (Vxlan.dev v1)
     (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
   Engine.run e;
@@ -155,18 +153,18 @@ let test_no_remotes_drops_silently () =
    encapsulating into the void. *)
 let test_remove_remote_redirects_flood () =
   let e, nodes = world () in
-  let (ns1, a1) = List.nth nodes 0
+  let (ns1, _) = List.nth nodes 0
   and (_, a2) = List.nth nodes 1
   and (_, a3) = List.nth nodes 2 in
-  let v1 = vtep e ns1 a1 in
+  let v1 = vtep ns1 in
   Vxlan.add_remote v1 a2;
   Vxlan.add_remote v1 a3;
   Vxlan.add_fdb v1 (Mac.of_int 0xbb) a3;
   let hits = Array.make 3 0 in
   List.iteri
-    (fun i (ns, addr) ->
+    (fun i (ns, _) ->
       if i > 0 then begin
-        let v = vtep e ns addr in
+        let v = vtep ns in
         Dev.set_rx (Vxlan.dev v) (fun _ -> hits.(i) <- hits.(i) + 1)
       end)
     nodes;
@@ -191,12 +189,12 @@ let test_remove_remote_redirects_flood () =
    encapsulated datagram meets it. *)
 let test_underlay_rule_drops_encap () =
   let e, nodes = world () in
-  let (ns1, a1) = List.nth nodes 0 and (ns3, a3) = List.nth nodes 2 in
-  let v1 = vtep e ns1 a1 in
+  let (ns1, _) = List.nth nodes 0 and (ns3, a3) = List.nth nodes 2 in
+  let v1 = vtep ns1 in
   Vxlan.add_remote v1 a3;
   Vxlan.add_fdb v1 (Mac.of_int 0xbb) a3;
   let got = ref 0 in
-  let v3 = vtep e ns3 a3 in
+  let v3 = vtep ns3 in
   Dev.set_rx (Vxlan.dev v3) (fun _ -> incr got);
   let send () =
     Dev.transmit (Vxlan.dev v1)
