@@ -150,12 +150,11 @@ let trace_gen users seed out =
   let trace =
     Nest_traces.Trace_gen.generate ~seed:(Int64.of_int seed) ~users
   in
-  let csv = Nest_traces.Trace.to_csv trace in
   (match out with
-  | None -> print_string csv
+  | None -> Nest_traces.Trace.output_csv stdout trace
   | Some path ->
     let oc = open_out path in
-    output_string oc csv;
+    Nest_traces.Trace.output_csv oc trace;
     close_out oc;
     Printf.printf "wrote %d users (%d containers) to %s\n" users
       (List.fold_left

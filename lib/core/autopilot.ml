@@ -1,7 +1,5 @@
 open Nest_net
 
-let log_src = Nest_sim.Log.src "autopilot"
-
 module Node = Nest_orch.Node
 module Pod = Nest_orch.Pod
 module Scheduler = Nest_orch.Scheduler
@@ -235,23 +233,12 @@ let rec deploy t pod ~on_ready =
          "Autopilot.deploy: pod %s exceeds a whole VM and cannot be split \
           (splitting disabled or local volumes)"
          pod.Pod.pod_name);
-  let eng = t.tb.Testbed.engine in
   match Scheduler.most_requested t.fleet ~cpu ~mem with
-  | Some node ->
-    Nest_sim.Log.info ~engine:eng log_src (fun () ->
-        Printf.sprintf "%s: whole on %s (brfusion)" pod.Pod.pod_name
-          (Node.name node));
-    deploy_whole t pod node ~on_ready
+  | Some node -> deploy_whole t pod node ~on_ready
   | None -> (
     match (if splittable then plan_split t pod else None) with
-    | Some assignment ->
-      Nest_sim.Log.info ~engine:eng log_src (fun () ->
-          Printf.sprintf "%s: split over %d placements (hostlo)"
-            pod.Pod.pod_name (List.length assignment));
-      deploy_split t pod assignment ~on_ready
+    | Some assignment -> deploy_split t pod assignment ~on_ready
     | None ->
-      Nest_sim.Log.info ~engine:eng log_src (fun () ->
-          Printf.sprintf "%s: no capacity, buying a VM" pod.Pod.pod_name);
       (* The fleet cannot host it even fragmented: grow it and retry. *)
       buy_vm t (fun _node -> deploy t pod ~on_ready))
 

@@ -274,14 +274,13 @@ let wire_ring sd tbs ring ~shards ~p ~start ~stop =
         plan 0 fwd_impair (i mod shards);
         plan 1 rev_impair (peer mod shards)
       end;
-      ignore
-        (Wire.udp_relay sd
-           ~client_side:(i mod shards, Nest_virt.Host.ns tbs.(i).Testbed.host)
-           ~server_side:
-             (peer mod shards, Nest_virt.Host.ns tbs.(peer).Testbed.host)
-           ~client_port:gw_client_port ~server_port:gw_server_port
-           ~target:(site.Deploy.site_addr, site.Deploy.site_port)
-           ~latency ?fwd_impair ?rev_impair ()))
+      Wire.udp_relay sd
+        ~client_side:(i mod shards, Nest_virt.Host.ns tbs.(i).Testbed.host)
+        ~server_side:
+          (peer mod shards, Nest_virt.Host.ns tbs.(peer).Testbed.host)
+        ~client_port:gw_client_port ~server_port:gw_server_port
+        ~target:(site.Deploy.site_addr, site.Deploy.site_port)
+        ~latency ?fwd_impair ?rev_impair ())
     ring;
   !flaps
 

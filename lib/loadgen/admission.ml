@@ -36,15 +36,6 @@ let burn_low = 0.25
 let codel ?(target_us = 5000.0) ?(interval = Time.ms 100) ?(ceiling = 64) () =
   Codel { target_us; interval; ceiling }
 
-let describe = function
-  | Fixed b -> Printf.sprintf "fixed(%d)" b
-  | Burn { floor; init; ceiling; window } ->
-    Printf.sprintf "burn(%d..%d from %d, high %.2f, low %.2f, %dms)" floor
-      ceiling init burn_high burn_low (window / 1_000_000)
-  | Codel { target_us; interval; ceiling } ->
-    Printf.sprintf "codel(%.0fus, %dms, cap %d)" target_us
-      (interval / 1_000_000) ceiling
-
 type codel_state = {
   mutable first_above : Time.ns option;
       (* when latency first stayed above target; the deadline for

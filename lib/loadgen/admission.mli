@@ -99,5 +99,3 @@ val limit : t -> int
 val transitions : t -> int
 (** Times the controller changed state (limit moved, or CoDel entered /
     left its dropping state) — the hysteresis test's flap counter. *)
-
-val describe : policy -> string

@@ -18,9 +18,3 @@ let draw t rng =
     if shape <= 0.0 then invalid_arg "Size_dist.draw: Pareto shape must be > 0";
     let v = Nest_sim.Dist.bounded_pareto_int rng ~shape ~lo ~hi in
     Int.max lo (Int.min hi v)
-
-let pp fmt = function
-  | Fixed n -> Format.fprintf fmt "fixed:%d" n
-  | Uniform { lo; hi } -> Format.fprintf fmt "uniform:%d-%d" lo hi
-  | Pareto { shape; lo; hi } ->
-    Format.fprintf fmt "pareto:%g:%d-%d" shape lo hi

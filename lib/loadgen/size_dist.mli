@@ -16,5 +16,3 @@ val draw : t -> Nest_sim.Prng.t -> int
 (** One size draw (exactly one PRNG consumption for the random
     variants, zero for [Fixed] — stream usage is shape-stable).  Raises
     [Invalid_argument] on nonsense bounds. *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,7 +7,6 @@ type t = {
   self : Dev.t;
   mutable port_list : Dev.t list;
   fdb_tbl : entry Mac.Tbl.t;
-  mutable forwarded : int;
   hop_ctr : Nest_sim.Metrics.counter;
 }
 
@@ -26,7 +25,6 @@ let flood t port frame =
 (* Top-level, so a frame's hop allocates one continuation and no helper
    closures. *)
 let forward t port frame () =
-  t.forwarded <- t.forwarded + 1;
   if Mac.is_broadcast frame.Frame.dst then begin
     flood t port frame;
     if port != t.self then Dev.deliver t.self frame
@@ -61,7 +59,7 @@ let create engine ~name ~hop ~self_mac =
   let self = Dev.create ~name:(name ^ "(self)") ~mac:self_mac () in
   let t =
     { engine; br_name = name; hop; self; port_list = [];
-      fdb_tbl = Mac.Tbl.create 32; forwarded = 0;
+      fdb_tbl = Mac.Tbl.create 32;
       hop_ctr =
         Nest_sim.Metrics.counter (Nest_sim.Engine.metrics engine)
           ("hop." ^ name) }
@@ -95,5 +93,3 @@ let fdb t =
     (fun mac e acc -> if fresh t e then (mac, e.port.Dev.name) :: acc else acc)
     t.fdb_tbl []
   |> List.sort compare
-
-let forwarded t = t.forwarded

@@ -38,6 +38,3 @@ val ports : t -> Dev.t list
 
 val fdb : t -> (Mac.t * string) list
 (** Current (address, port-name) learning table, unexpired entries only. *)
-
-val forwarded : t -> int
-(** Total frames switched or flooded since creation. *)

@@ -80,7 +80,6 @@ type t = {
   lookup : key;
   mutable next_port : int;
   mutable capacity : int option;
-  mutable ct_drops : int;
 }
 
 let create () =
@@ -88,11 +87,10 @@ let create () =
     lookup =
       { k_proto = Proto_udp; k_src = Ipv4.any; k_sport = 0; k_dst = Ipv4.any;
         k_dport = 0 };
-    next_port = 32768; capacity = None; ct_drops = 0 }
+    next_port = 32768; capacity = None }
 
 let set_capacity t c = t.capacity <- c
 let capacity t = t.capacity
-let drops t = t.ct_drops
 
 (* The lookup key, set to [p]'s flow. *)
 let key_of_packet t (p : Packet.t) =
@@ -121,12 +119,8 @@ let admit t p =
   match t.capacity with
   | None -> true
   | Some cap ->
-    if Flow_tbl.mem t.table (key_of_packet t p) then true
-    else if Flow_tbl.length t.table + 2 <= cap then true
-    else begin
-      t.ct_drops <- t.ct_drops + 1;
-      false
-    end
+    Flow_tbl.mem t.table (key_of_packet t p)
+    || Flow_tbl.length t.table + 2 <= cap
 
 let alloc_port t =
   let p = t.next_port in

@@ -57,10 +57,6 @@ val capacity : t -> int option
 
 val admit : t -> Packet.t -> bool
 (** [admit t p] is [true] when [p]'s flow is already bound or the table
-    has room for a new forward+reply pair.  Returns [false] — and counts
-    a drop — when a new binding would exceed the capacity clamp; the
-    caller must then drop the packet (Linux "nf_conntrack: table full,
-    dropping packet"). *)
-
-val drops : t -> int
-(** Packets refused by {!admit} because the table was full. *)
+    has room for a new forward+reply pair.  Returns [false] when a new
+    binding would exceed the capacity clamp; the caller must then drop
+    the packet (Linux "nf_conntrack: table full, dropping packet"). *)

@@ -2,9 +2,7 @@ type l2_mode = Normal | Reflector
 
 type stats = {
   mutable rx_packets : int;
-  mutable rx_bytes : int;
   mutable tx_packets : int;
-  mutable tx_bytes : int;
   mutable drops : int;
 }
 
@@ -21,9 +19,7 @@ type t = {
 }
 
 let create ?(mtu = 1500) ?(l2 = Normal) ~name ~mac () =
-  let stats =
-    { rx_packets = 0; rx_bytes = 0; tx_packets = 0; tx_bytes = 0; drops = 0 }
-  in
+  let stats = { rx_packets = 0; tx_packets = 0; drops = 0 } in
   let t =
     { name; mac; mtu; up = true; l2; stats; tx_fn = (fun _ -> ());
       rx_fn = None; corrupt_fn = None }
@@ -41,7 +37,6 @@ let transmit t frame =
   if not t.up then t.stats.drops <- t.stats.drops + 1
   else begin
     t.stats.tx_packets <- t.stats.tx_packets + 1;
-    t.stats.tx_bytes <- t.stats.tx_bytes + Frame.len frame;
     t.tx_fn frame
   end
 
@@ -59,7 +54,6 @@ let deliver t frame =
     | None -> t.stats.drops <- t.stats.drops + 1
     | Some f ->
       t.stats.rx_packets <- t.stats.rx_packets + 1;
-      t.stats.rx_bytes <- t.stats.rx_bytes + Frame.len frame;
       f frame
   end
 

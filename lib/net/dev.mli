@@ -17,9 +17,7 @@ type l2_mode = Normal | Reflector
 
 type stats = {
   mutable rx_packets : int;
-  mutable rx_bytes : int;
   mutable tx_packets : int;
-  mutable tx_bytes : int;
   mutable drops : int;
 }
 

@@ -3,8 +3,6 @@ module Time = Nest_sim.Time
 module Trace = Nest_sim.Trace
 module Metrics = Nest_sim.Metrics
 
-let log_src = Nest_sim.Log.src "stack"
-
 (* Per-packet lookup tables: monomorphic equality and an inline integer
    mix for a hash (the mix of [Ipv4.hash], kept here so it inlines), not
    the C [Hashtbl.hash].  No result depends on their bucket order: the
@@ -619,9 +617,6 @@ and tcp_rto_fire c =
              partitioned path).  Without this cap a connection into a
              dead endpoint retransmits forever and a run-to-quiescence
              drain never terminates. *)
-          Nest_sim.Log.debug ~engine:c.c_ns.eng log_src (fun () ->
-              Printf.sprintf "%s: aborting after %d retransmits (una=%d)"
-                c.c_ns.ns_name c.c_retransmits c.snd_una);
           c.c_state <- Closed;
           tcp_unregister c;
           c.on_close_cb ()
@@ -629,9 +624,6 @@ and tcp_rto_fire c =
         else begin
         (* No progress since arming: retransmit. *)
         c.c_retransmits <- c.c_retransmits + 1;
-        Nest_sim.Log.debug ~engine:c.c_ns.eng log_src (fun () ->
-            Printf.sprintf "%s: RTO retransmit #%d (una=%d nxt=%d)"
-              c.c_ns.ns_name c.c_retransmits c.snd_una c.snd_nxt);
         c.rto_backoff <- c.rto_backoff + 1;
         c.ssthresh <- Int.max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
         c.cwnd <- init_cwnd_segments * c.c_mss;
@@ -950,9 +942,7 @@ let demux ns ~on_reflector (pkt : Packet.t) =
             if not s.u_closed then
               s.u_recv s ~src:pkt.Packet.src ~src_port payload)
     | _ | (exception Not_found) ->
-      note_drop ns `No_socket;
-      Nest_sim.Log.debug ~engine:ns.eng log_src (fun () ->
-          Format.asprintf "%s: no UDP socket for %a" ns.ns_name Packet.pp pkt))
+      note_drop ns `No_socket)
   | Packet.Tcp { seg; _ } -> tcp_input ns ~on_reflector pkt seg
   | Packet.Icmp_echo { id; seq; reply } -> icmp_input ns pkt ~id ~seq ~reply
 

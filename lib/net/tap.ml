@@ -16,7 +16,6 @@ and t = {
   mutable queue_list : queue list;
   mutable reflected : int;
   mutable exhausted : bool;
-  mutable tap_drops : int;
   hop_ctr : Nest_sim.Metrics.counter;
 }
 
@@ -27,8 +26,7 @@ let note_hop t =
 let host_input t frame =
   (* Host side -> guest(s).  With several queues the kernel hashes flows;
      we deliver to the first queue, which matches single-queue virtio. *)
-  if t.exhausted then t.tap_drops <- t.tap_drops + 1
-  else begin
+  if not t.exhausted then begin
   note_hop t;
   match t.queue_list with
   | [] -> ()
@@ -46,7 +44,6 @@ let create engine ~name ~mode ~hop ?(per_queue_ns = 0) ~mac () =
   let t =
     { tap_name = name; tap_mode = mode; engine; hop; per_queue_ns; host_side;
       queue_list = []; reflected = 0; exhausted = false;
-      tap_drops = 0;
       hop_ctr =
         Nest_sim.Metrics.counter (Nest_sim.Engine.metrics engine)
           ("hop." ^ name) }
@@ -82,13 +79,10 @@ let queue_set_backend q f = q.backend <- Some f
 let queue_attached q = List.memq q q.tap.queue_list
 let set_exhausted t b = t.exhausted <- b
 let exhausted t = t.exhausted
-let drops t = t.tap_drops
 
 let queue_write q frame =
   let t = q.tap in
-  if t.exhausted || not (queue_attached q) then
-    t.tap_drops <- t.tap_drops + 1
-  else begin
+  if (not t.exhausted) && queue_attached q then begin
   note_hop t;
   match t.tap_mode with
   | Normal ->

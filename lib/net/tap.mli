@@ -48,7 +48,7 @@ val remove_queues : t -> owner:string -> int
 (** Detach (and orphan) every queue owned by [owner], returning how many
     were removed.  Used when a member VM crashes: the Hostlo reflector
     must stop reflecting into the dead VM's rings.  Writes arriving on a
-    detached queue are counted as drops. *)
+    detached queue are dropped. *)
 
 val queues : t -> queue list
 val queue_owner : queue -> string
@@ -67,10 +67,7 @@ val reflected : t -> int
 
 val set_exhausted : t -> bool -> unit
 (** Fault injection: queue exhaustion.  While set, every frame entering
-    the tap (from the host side or from any queue) is dropped and
-    counted — the behavior of full vhost rings under overload. *)
+    the tap (from the host side or from any queue) is dropped — the
+    behavior of full vhost rings under overload. *)
 
 val exhausted : t -> bool
-
-val drops : t -> int
-(** Frames dropped by exhaustion or by writes on detached queues. *)

@@ -17,7 +17,6 @@ type t = {
   fdb : Ipv4.t Mac.Tbl.t;
   mutable remotes : Ipv4.t list;
   mutable encapsulated : int;
-  mutable decapsulated : int;
   encap_ctr : Nest_sim.Metrics.counter;
   decap_ctr : Nest_sim.Metrics.counter;
 }
@@ -25,7 +24,6 @@ type t = {
 let decap t (payload : Payload.t) =
   match payload.Payload.msg with
   | Some (Vxlan_encap inner) ->
-    t.decapsulated <- t.decapsulated + 1;
     Nest_sim.Metrics.bump t.decap_ctr;
     Nest_sim.Engine.trace_instant (Stack.engine t.underlay) ~cat:"hop"
       ~name:t.decap_name ();
@@ -89,7 +87,7 @@ let create underlay ~name ~vni ~encap_hop ~decap_hop =
           Stack.Udp.bind underlay ~port:udp_port ~kernel:true
             (fun _ ~src:_ ~src_port:_ payload -> decap (Lazy.force t) payload);
         overlay_dev; encap_hop; decap_hop; fdb = Mac.Tbl.create 16;
-        remotes = []; encapsulated = 0; decapsulated = 0;
+        remotes = []; encapsulated = 0;
         encap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".encap");
         decap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".decap") }
   in
@@ -113,4 +111,3 @@ let remove_remote t ip =
     t.fdb
 
 let encapsulated t = t.encapsulated
-let decapsulated t = t.decapsulated

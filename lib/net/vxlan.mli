@@ -41,4 +41,5 @@ val remove_remote : t -> Ipv4.t -> unit
     VTEP. *)
 
 val encapsulated : t -> int
-val decapsulated : t -> int
+(** Outer datagrams sent, one per remote (a flooded frame counts once
+    per peer VTEP); the [hop.<name>.encap] metric counts inner frames. *)

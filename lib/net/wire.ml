@@ -8,12 +8,6 @@
 
 module Sharded = Nest_sim.Sharded
 
-type t = {
-  mutable w_client : (Ipv4.t * int) option;  (* last client src seen *)
-  mutable w_forwarded : int;
-  mutable w_returned : int;
-}
-
 type profile = {
   p_name : string;
   p_delay : Nest_sim.Time.ns;
@@ -67,7 +61,7 @@ let impair_verdict = function
 let udp_relay sd ~client_side:(cshard, cns) ~server_side:(sshard, sns)
     ~client_port ~server_port ~target:(tip, tport) ~latency ?fwd_impair
     ?rev_impair () =
-  let t = { w_client = None; w_forwarded = 0; w_returned = 0 } in
+  let client = ref None (* last client src seen *) in
   let fwd =
     Sharded.link sd ~src:cshard ~dst:sshard ~lookahead:latency
       ~label:(Printf.sprintf "wire:%s>%s" (Stack.name cns) (Stack.name sns))
@@ -79,11 +73,11 @@ let udp_relay sd ~client_side:(cshard, cns) ~server_side:(sshard, sns)
       ()
   in
   (* Tie the knot: the server-side handler needs the client-side socket
-     for the return path, and both sockets capture [t]. *)
+     for the return path, and both sockets capture [client]. *)
   let client_sock = ref None in
   let server_sock =
     Stack.Udp.bind sns ~port:server_port (fun sk ~src:_ ~src_port:_ payload ->
-        (* A reply from the server: ship it home.  [w_client] is read on
+        (* A reply from the server: ship it home.  [client] is read on
            the client shard at delivery time — single-flow wires only
            ever hold one value by then. *)
         ignore sk;
@@ -91,26 +85,20 @@ let udp_relay sd ~client_side:(cshard, cns) ~server_side:(sshard, sns)
         | None -> ()
         | Some extra ->
           Sharded.send sd rev ~delay:(latency + extra) (fun () ->
-              t.w_returned <- t.w_returned + 1;
-              match (t.w_client, !client_sock) with
+              match (!client, !client_sock) with
               | Some (ip, p), Some csock ->
                 Stack.Udp.sendto csock ~dst:ip ~dst_port:p payload
               | _ -> ()))
   in
   let csock =
     Stack.Udp.bind cns ~port:client_port (fun _ ~src ~src_port payload ->
-        (match t.w_client with
+        (match !client with
         | Some (ip, p) when Ipv4.equal ip src && p = src_port -> ()
-        | _ -> t.w_client <- Some (src, src_port));
+        | _ -> client := Some (src, src_port));
         match impair_verdict fwd_impair with
         | None -> ()
         | Some extra ->
           Sharded.send sd fwd ~delay:(latency + extra) (fun () ->
-              t.w_forwarded <- t.w_forwarded + 1;
               Stack.Udp.sendto server_sock ~dst:tip ~dst_port:tport payload))
   in
-  client_sock := Some csock;
-  t
-
-let forwarded t = t.w_forwarded
-let returned t = t.w_returned
+  client_sock := Some csock

@@ -18,8 +18,6 @@
     comes from one client socket, as each node's generator in the fleet
     scenario does. *)
 
-type t
-
 (** {2 Named link profiles}
 
     The degraded-network matrix (n3x-style tc profiles): each profile
@@ -76,7 +74,7 @@ val udp_relay :
   ?fwd_impair:impair ->
   ?rev_impair:impair ->
   unit ->
-  t
+  unit
 (** [udp_relay sd ~client_side:(shard, ns) ~server_side:(shard', ns') ...]
     binds a gateway socket on [client_port] in the client-side namespace
     and on [server_port] in the server-side one, and creates the forward
@@ -86,9 +84,3 @@ val udp_relay :
     receives replies on [server_port], so a node that both serves and
     consumes binds two distinct ports).  Raises like
     {!Nest_sim.Sharded.link} on a non-positive [latency]. *)
-
-val forwarded : t -> int
-(** Datagrams delivered to the server side so far. *)
-
-val returned : t -> int
-(** Reply datagrams delivered back to the client side so far. *)

@@ -25,15 +25,14 @@ let configure_nic t ~netns ~mac ?ip ?subnet ?gateway ?on_dead ~k () =
     ()
 
 let pods_configured t = (Node.agent_counters t).Node.configured
-let hotplug_retries t = (Node.agent_counters t).Node.retries
 
 (* Hot-plug with kubelet semantics: a failed or timed-out QMP round-trip
    is retried with exponential backoff instead of wedging pod setup.
    [issue] is the raw VMM operation ({!Nest_virt.Vmm.hotplug_nic_mac} or
-   the Hostlo variant); each retry is counted on the agent and on the
-   engine's [recovery.hotplug_retries] metric so chaos runs can report
-   it.  The final failure ({!Backoff.default} exhausted) is handed to
-   [k] — deciding whether that loses the pod is the caller's business. *)
+   the Hostlo variant); each retry is counted on the engine's
+   [recovery.hotplug_retries] metric so chaos runs can report it.  The
+   final failure ({!Backoff.default} exhausted) is handed to [k] —
+   deciding whether that loses the pod is the caller's business. *)
 let hotplug_with_retry t ~(issue : k:((Mac.t, string) result -> unit) -> unit)
     ~k () =
   let engine =
@@ -41,8 +40,6 @@ let hotplug_with_retry t ~(issue : k:((Mac.t, string) result -> unit) -> unit)
   in
   Backoff.retry engine Backoff.default
     ~on_retry:(fun ~attempt ~delay_ns ->
-      let c = Node.agent_counters t in
-      c.Node.retries <- c.Node.retries + 1;
       (* Registered on first retry only: unfaulted runs must not grow a
          zero-valued row in existing metrics dumps. *)
       let metrics = Nest_sim.Engine.metrics engine in

@@ -46,12 +46,10 @@ val hotplug_with_retry :
   unit
 (** Issue a VMM hot-plug operation with kubelet retry semantics: on
     [Error], re-issue after {!Backoff.default}'s delays until success or
-    its last attempt.  Retries are counted per agent and on the engine's
+    its last attempt.  Retries are counted on the engine's
     [recovery.hotplug_retries] metric (plus a ["fault"] trace instant).
     With no fault plan installed the operation succeeds first try and
     this is exactly one [issue] call. *)
-
-val hotplug_retries : t -> int
 
 val status : t -> string
 (** One-line node status (name, capacity, requested, configured pods). *)

@@ -1,4 +1,4 @@
-type agent_counters = { mutable configured : int; mutable retries : int }
+type agent_counters = { mutable configured : int }
 
 (* An all-float record is stored flat, so reserve and release write
    it without boxing, and a reader that knows the type reads it so. *)
@@ -33,7 +33,7 @@ let create vm =
       Nest_container.Engine.create vm ~name:(Nest_virt.Vm.name vm ^ ":docker");
     res;
     node_ready = true;
-    agent = { configured = 0; retries = 0 } }
+    agent = { configured = 0 } }
 
 let vm t = t.node_vm
 let docker t = t.node_docker

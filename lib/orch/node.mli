@@ -3,9 +3,9 @@
 
 type t
 
-type agent_counters = { mutable configured : int; mutable retries : int }
-(** The node agent's bookkeeping ({!Kubelet}): NICs configured and
-    hot-plug retries.  Kept on the node so it lives and dies with it. *)
+type agent_counters = { mutable configured : int }
+(** The node agent's bookkeeping ({!Kubelet}): NICs configured.  Kept on
+    the node so it lives and dies with it. *)
 
 val create : Nest_virt.Vm.t -> t
 (** Capacity is the VM's vCPU count and memory. *)

@@ -25,7 +25,3 @@ let container ~name ?(image = default_image) ?(cpu = 1.0) ?(mem = 1.0) () =
 
 let cpu_total t = List.fold_left (fun a c -> a +. c.cpu) 0.0 t.containers
 let mem_total t = List.fold_left (fun a c -> a +. c.mem) 0.0 t.containers
-
-let pp fmt t =
-  Format.fprintf fmt "pod %s (%d containers, %.1f cpu, %.1f GB)" t.pod_name
-    (List.length t.containers) (cpu_total t) (mem_total t)

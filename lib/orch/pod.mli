@@ -37,4 +37,3 @@ val container :
 
 val cpu_total : t -> float
 val mem_total : t -> float
-val pp : Format.formatter -> t -> unit

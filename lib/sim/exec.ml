@@ -64,6 +64,3 @@ let engine t = t.engine
 
 let busy_until t = t.slots.(min_slot t)
 let busy_ns t = t.busy_ns
-
-let utilization t ~window =
-  if window <= 0 then 0.0 else float_of_int t.busy_ns /. float_of_int window

@@ -50,6 +50,3 @@ val busy_until : t -> Time.ns
 
 val busy_ns : t -> Time.ns
 (** Total service time accumulated since creation. *)
-
-val utilization : t -> window:Time.ns -> float
-(** [busy_ns / window] — may exceed 1.0 for widths > 1. *)

@@ -2,7 +2,6 @@ type counter = int ref
 
 type metric =
   | M_counter of counter
-  | M_gauge of float ref
   | M_probe of (unit -> float)
   | M_hist of Hdr.t
 
@@ -12,7 +11,7 @@ let create () = { tbl = Hashtbl.create 64 }
 
 let flavour = function
   | M_counter _ -> "counter"
-  | M_gauge _ | M_probe _ -> "gauge"
+  | M_probe _ -> "gauge"
   | M_hist _ -> "histogram"
 
 let wrong_flavour name ~want m =
@@ -30,12 +29,6 @@ let counter t name =
 
 let bump c = incr c
 let counter_value c = !c
-
-let set_gauge t name v =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (M_gauge g) -> g := v
-  | Some m -> wrong_flavour name ~want:"gauge" m
-  | None -> Hashtbl.add t.tbl name (M_gauge (ref v))
 
 let gauge_probe t name f =
   match Hashtbl.find_opt t.tbl name with
@@ -68,7 +61,6 @@ type value =
 
 let value_of = function
   | M_counter c -> Counter !c
-  | M_gauge g -> Gauge !g
   | M_probe f -> Gauge (f ())
   | M_hist h ->
     let n = Hdr.count h in
@@ -101,7 +93,6 @@ let reset t =
     (fun _ m ->
       match m with
       | M_counter c -> c := 0
-      | M_gauge g -> g := 0.0
       | M_probe _ -> ()
       | M_hist h -> Hdr.clear h)
     t.tbl

@@ -9,10 +9,9 @@
 
     Three metric flavours:
     - counters: monotonically increasing ints, zeroed by {!reset};
-    - gauges: either stored floats ({!set_gauge}) or probes
-      ({!gauge_probe}) read lazily at snapshot time — probes are how
-      existing mutable counters (e.g. a namespace's datapath counters) are
-      exported without double accounting;
+    - gauges: probes ({!gauge_probe}) read lazily at snapshot time, which
+      is how existing mutable counters (e.g. a namespace's datapath
+      counters) are exported without double accounting;
     - histograms: bounded-error streaming {!Hdr.t} sketches — O(1) adds
       with no per-sample retention, exact count/total/min/max, and
       percentiles within the sketch's error bound (1 %), mergeable
@@ -32,9 +31,6 @@ val bump : counter -> unit
 (** Adds one. *)
 
 val counter_value : counter -> int
-
-val set_gauge : t -> string -> float -> unit
-(** Stored gauge; creates it on first use. *)
 
 val gauge_probe : t -> string -> (unit -> float) -> unit
 (** Registers (or replaces) a gauge whose value is read by calling the
@@ -64,8 +60,8 @@ val snapshot : t -> (string * value) list
 val find : t -> string -> value option
 
 val reset : t -> unit
-(** Counters to 0, stored gauges to 0, histograms emptied.  Probes are
-    untouched (they re-read their source).  Handles stay valid. *)
+(** Counters to 0, histograms emptied.  Probes are untouched (they
+    re-read their source).  Handles stay valid. *)
 
 val size : t -> int
 (** Number of registered metrics. *)

@@ -62,12 +62,6 @@ let process t ~name =
        pid (Trace.json_escape name));
   pid
 
-let thread_name t ~pid ~tid name =
-  raw t
-    (Printf.sprintf
-       "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-       pid tid (Trace.json_escape name))
-
 let span t ~pid ~cat ~name ~start_ns ~end_ns args =
   event t ~ph:"B" ~pid ~ts:start_ns ~cat ~name (args_of_pairs args);
   event t ~ph:"E" ~pid ~ts:end_ns ~cat ~name ""

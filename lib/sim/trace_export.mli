@@ -18,8 +18,6 @@ val create : unit -> t
 val process : t -> name:string -> int
 (** Allocate a process id and emit its [process_name] metadata. *)
 
-val thread_name : t -> pid:int -> tid:int -> string -> unit
-
 val span :
   t -> pid:int -> cat:string -> name:string ->
   start_ns:Time.ns -> end_ns:Time.ns -> (string * string) list -> unit

@@ -9,22 +9,19 @@ let user_pods u = List.length u.pods
 let user_containers u =
   List.fold_left (fun a p -> a + List.length p.p_containers) 0 u.pods
 
-let to_csv users =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "user,pod,container,cpu,mem\n";
+let output_csv oc users =
+  output_string oc "user,pod,container,cpu,mem\n";
   List.iter
     (fun u ->
       List.iter
         (fun p ->
           List.iteri
             (fun i c ->
-              Buffer.add_string buf
-                (Printf.sprintf "%d,%d,%d,%.6f,%.6f\n" u.u_id p.p_id i
-                   c.c_cpu c.c_mem))
+              Printf.fprintf oc "%d,%d,%d,%.6f,%.6f\n" u.u_id p.p_id i
+                c.c_cpu c.c_mem)
             p.p_containers)
         u.pods)
-    users;
-  Buffer.contents buf
+    users
 
 let of_csv s =
   let lines = String.split_on_char '\n' s in

@@ -24,8 +24,9 @@ val pod_mem : pod -> float
 val user_pods : user -> int
 val user_containers : user -> int
 
-val to_csv : user list -> string
-(** One row per container: [user,pod,container,cpu,mem]. *)
+val output_csv : out_channel -> user list -> unit
+(** Writes a header, then one row per container:
+    [user,pod,container,cpu,mem]. *)
 
 val of_csv : string -> user list
-(** Inverse of {!to_csv}.  Raises [Failure] on malformed rows. *)
+(** Inverse of {!output_csv}.  Raises [Failure] on malformed rows. *)

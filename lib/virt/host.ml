@@ -16,7 +16,6 @@ type t = {
   host_rng : Nest_sim.Prng.t;
   rng_explicit : bool;  (* created with ~rng: key child streams off it *)
   mutable bridge_list : (string * Bridge.t) list;
-  mutable vhost_count : int;
 }
 
 let create engine acct ?(cpus = 12) ?(cost_model = Cost_model.default)
@@ -40,7 +39,7 @@ let create engine acct ?(cpus = 12) ?(cost_model = Cost_model.default)
       | Some r -> Nest_sim.Prng.split r
       | None -> Nest_sim.Prng.split (Nest_sim.Engine.rng engine));
     rng_explicit = (rng <> None);
-    bridge_list = []; vhost_count = 0 }
+    bridge_list = [] }
 
 let engine t = t.engine
 let account t = t.acct
@@ -90,7 +89,6 @@ let masquerade t ~src_subnet ~nat_ip =
 let cpu_set t = t.cpuset
 
 let new_vhost_exec t ~name =
-  t.vhost_count <- t.vhost_count + 1;
   Exec.create ~account:(t.acct, t.host_entity, Cpu_account.Sys)
     ~cpus:t.cpuset t.engine ~name
 

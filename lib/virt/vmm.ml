@@ -3,8 +3,6 @@ module Engine = Nest_sim.Engine
 module Metrics = Nest_sim.Metrics
 module Time = Nest_sim.Time
 
-let log_src = Nest_sim.Log.src "vmm"
-
 type backend =
   | Tap_backend of Tap.t
   | Hostlo_backend of Tap.t
@@ -95,7 +93,7 @@ let lifecycle t name = Hashtbl.find_opt t.lifecycle_tbl name
 let illegal_transitions t = t.illegal
 
 (* The single state mutator.  A request along an illegal edge is refused,
-   counted, and logged — the caller's state is left untouched, and the
+   and counted — the caller's state is left untouched, and the
    [illegal_transitions] counter turning non-zero is a bug by definition
    (every public operation guards its preconditions first). *)
 let transition t ~name to_ =
@@ -109,18 +107,9 @@ let transition t ~name to_ =
   in
   match Hashtbl.find_opt t.lifecycle_tbl name with
   | None when to_ = Running -> ok "(new)" (* first boot enters at Running *)
-  | None ->
-    t.illegal <- t.illegal + 1;
-    Nest_sim.Log.info ~engine log_src (fun () ->
-        Printf.sprintf "ILLEGAL lifecycle transition %s: (none) -> %s" name
-          (lifecycle_name to_));
-    false
   | Some from when legal_edge (from, to_) -> ok (lifecycle_name from)
-  | Some from ->
+  | None | Some _ ->
     t.illegal <- t.illegal + 1;
-    Nest_sim.Log.info ~engine log_src (fun () ->
-        Printf.sprintf "ILLEGAL lifecycle transition %s: %s -> %s" name
-          (lifecycle_name from) (lifecycle_name to_));
     false
 
 let bridge_self_addr t br =
@@ -309,8 +298,6 @@ let vm_current t vm =
 let execute t ~vm cmd k =
   let engine = Host.engine t.vmm_host in
   let vm_name = Vm.name vm in
-  Nest_sim.Log.info ~engine log_src (fun () ->
-      Printf.sprintf "qmp %s -> %s" (Qmp.command_name cmd) vm_name);
   let key = Qmp.idempotency_key cmd in
   (* Exactly-once apply: a journal hit means this logical operation
      already changed device state and only its ack was lost — answer the
@@ -321,8 +308,6 @@ let execute t ~vm cmd k =
       Metrics.bump (Metrics.counter (Engine.metrics engine) "qmp.dedupe");
       Engine.trace_instant engine ~cat:"qmp" ~name:"dedupe"
         ~arg:(key ^ " @ " ^ vm_name) ();
-      Nest_sim.Log.info ~engine log_src (fun () ->
-          Printf.sprintf "qmp dedupe %s @ %s (already applied)" key vm_name);
       r
     | None ->
       let r = perform t ~vm cmd in
@@ -343,9 +328,6 @@ let execute t ~vm cmd k =
   let finish delay r =
     Engine.schedule engine ~delay (fun () ->
         let r = if vm_current t vm then r () else Qmp.Error "vm not running" in
-        Nest_sim.Log.info ~engine log_src (fun () ->
-            Format.asprintf "qmp %s @ %s: %a" (Qmp.command_name cmd) vm_name
-              Qmp.pp_response r);
         k r)
   in
   (* Fault injection on the management plane.  The decision is made at
@@ -465,10 +447,8 @@ let teardown t ~name vm =
   t.vm_list <- List.remove_assoc name t.vm_list
 
 let crash_vm t ~name =
-  let engine = Host.engine t.vmm_host in
   match lifecycle t name with
   | Some Running ->
-    Nest_sim.Log.info ~engine log_src (fun () -> "vm crash: " ^ name);
     ignore (bump_boot_gen t name);
     if transition t ~name Crashing then begin
       (match List.assoc_opt name t.vm_list with
@@ -480,8 +460,6 @@ let crash_vm t ~name =
     (* Crash-during-restart: the replacement QEMU process dies before
        its boot completes.  There is no device state yet — the edge's
        whole job is to cancel the pending boot. *)
-    Nest_sim.Log.info ~engine log_src (fun () ->
-        "vm crash during restart: " ^ name);
     ignore (bump_boot_gen t name);
     if transition t ~name Crashing then ignore (transition t ~name Down)
   | Some Crashing | Some Down | None -> ()
@@ -500,7 +478,6 @@ let restart_vm t ~name ~k () =
   | Some s, Some Down ->
     if not (transition t ~name Restarting) then false
     else begin
-      Nest_sim.Log.info ~engine log_src (fun () -> "vm restart: " ^ name);
       let gen = bump_boot_gen t name in
       Engine.schedule engine ~label:"vmm:boot" ~delay:boot_delay (fun () ->
           (* A crash (or a newer restart) inside the boot window bumped

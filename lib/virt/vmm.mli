@@ -69,7 +69,7 @@ val lifecycle : t -> string -> lifecycle option
 
 val illegal_transitions : t -> int
 (** How many illegal lifecycle transitions were {e requested} (each was
-    refused and logged).  Non-zero means a code path tried to mutate a VM
+    refused and counted).  Non-zero means a code path tried to mutate a VM
     outside the machine's rules — correct runs keep this at exactly 0,
     and the lifecycle tests assert it. *)
 

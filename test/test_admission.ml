@@ -262,7 +262,7 @@ let test_service_us_validate () =
       Alcotest.(check bool) (Printf.sprintf "service-us %g" us) ok
         (Result.is_ok got))
     [ (1e300, false); (1e16, false); (1e-4, false); (Float.nan, false);
-      (0.25, true); (2000.0, true) ]
+      (1e-3, true); (0.25, true); (2000.0, true) ]
 
 (* A rate so small that a node's goodput floor (a fifth of its share)
    underflows to 0 is an error, not an uncaught [Slo] exception; the
@@ -280,7 +280,10 @@ let test_rate_floor_validate () =
 
 (* Values that used to run without bound are refused, and each bound
    itself is accepted: rate, pods and standby on the fleet, standby on
-   chaos. *)
+   chaos.  Then every numeric field of both checks meets the same edge
+   values (zero, -1, the extremes, NaN, the infinities and the smallest
+   denormal): each is accepted exactly when it lies in the field's
+   range. *)
 let test_upper_bounds_validate () =
   let fleet name p ok =
     Alcotest.(check bool) name ok (Result.is_ok (Fig_fleet.validate p))
@@ -313,7 +316,45 @@ let test_upper_bounds_validate () =
       Alcotest.(check bool) (Printf.sprintf "chaos standby %d" standby) ok
         (Result.is_ok
            (Nest_experiments.Fig_chaos.validate ~rates:[ 0.3 ] ~standby)))
-    [ (100_000, false); (1025, false); (-1, false); (1024, true); (0, true) ]
+    [ (100_000, false); (1025, false); (-1, false); (1024, true); (0, true) ];
+  let ints = [ 0; -1; max_int; min_int ]
+  and floats =
+    [ 0.0; -1.0; Float.nan; infinity; neg_infinity; 5e-324; max_float ]
+  in
+  let int_field name ~lo ~hi set =
+    List.iter
+      (fun v ->
+        fleet (Printf.sprintf "%s %d" name v) (set v) (lo <= v && v <= hi))
+      ints
+  and float_field name in_range set =
+    List.iter
+      (fun v -> fleet (Printf.sprintf "%s %g" name v) (set v) (in_range v))
+      floats
+  in
+  int_field "nodes" ~lo:1 ~hi:16_384 (fun nodes -> { d with nodes });
+  int_field "pods" ~lo:0 ~hi:1_000_000 (fun pods -> { d with pods });
+  int_field "standby" ~lo:0 ~hi:1024 (fun standby -> { d with standby });
+  int_field "pods-max" ~lo:1 ~hi:max_int (fun pods_max -> { d with pods_max });
+  float_field "rate" (fun r -> r = 1e7) (fun rate -> { d with rate });
+  float_field "fault-rate"
+    (fun r -> r >= 0.0 && r <= 1.0)
+    (fun fault_rate -> { d with fault_rate });
+  float_field "service-us" (fun _ -> false)
+    (fun service_us -> { d with service_us });
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) (Printf.sprintf "chaos rate %g" r)
+        (r >= 0.0 && r <= 1.0)
+        (Result.is_ok
+           (Nest_experiments.Fig_chaos.validate ~rates:[ 0.0; r ] ~standby:0)))
+    floats;
+  List.iter
+    (fun standby ->
+      Alcotest.(check bool) (Printf.sprintf "chaos standby %d" standby)
+        (standby >= 0 && standby <= 1024)
+        (Result.is_ok
+           (Nest_experiments.Fig_chaos.validate ~rates:[ 0.3 ] ~standby)))
+    ints
 
 (* The ISSUE's acceptance criterion, verbatim: at 2x saturating offered
    load, burn admission (+ autoscaling) keeps the worst availability

@@ -73,20 +73,6 @@ let test_registry_complete () =
   Alcotest.(check bool) "unknown id rejected" true
     (Nest_experiments.Registry.find "fig99" = None)
 
-let test_log_facility () =
-  let src = Nest_sim.Log.src "test" in
-  (* Disabled: thunks must not run. *)
-  let ran = ref false in
-  Nest_sim.Log.debug src (fun () -> ran := true; "x");
-  Alcotest.(check bool) "lazy when disabled" false !ran;
-  Nest_sim.Log.enable ();
-  Nest_sim.Log.debug src (fun () -> ran := true; "hello from the test");
-  Alcotest.(check bool) "evaluated when enabled" true !ran;
-  Nest_sim.Log.disable ();
-  ran := false;
-  Nest_sim.Log.debug src (fun () -> ran := true; "y");
-  Alcotest.(check bool) "lazy again after disable" false !ran
-
 let test_exp_util_pct () =
   Alcotest.(check (float 1e-9)) "increase" 50.0 (Nest_experiments.Exp_util.pct 3.0 2.0);
   Alcotest.(check (float 1e-9)) "decrease" (-50.0) (Nest_experiments.Exp_util.pct 1.0 2.0);
@@ -102,5 +88,4 @@ let () =
           Alcotest.test_case "conntrack pp" `Quick test_conntrack_pp;
           Alcotest.test_case "modes" `Quick test_modes_lists;
           Alcotest.test_case "registry complete" `Quick test_registry_complete;
-          Alcotest.test_case "log facility" `Quick test_log_facility;
           Alcotest.test_case "exp pct" `Quick test_exp_util_pct ] ) ]

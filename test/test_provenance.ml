@@ -459,7 +459,6 @@ let get_exn what = function
 let test_export_roundtrip () =
   let ex = Trace_export.create () in
   let pid = Trace_export.process ex ~name:"proc \"zero\"" in
-  Trace_export.thread_name ex ~pid ~tid:0 "main";
   Trace_export.span ex ~pid ~cat:"c" ~name:"work" ~start_ns:100 ~end_ns:250
     [ ("k", "1") ];
   Trace_export.instant ex ~pid ~cat:"c" ~name:"blip" ~ts:300 [];
@@ -481,8 +480,8 @@ let test_export_roundtrip () =
     (List.length events);
   let ph e = Option.bind (Json.member "ph" e) Json.str |> get_exn "ph" in
   let by_ph c = List.filter (fun e -> ph e = c) events in
-  (* M: process_name + thread_name; B/E: span + provenance slice. *)
-  Alcotest.(check int) "metadata events" 2 (List.length (by_ph "M"));
+  (* M: process_name; B/E: span + provenance slice. *)
+  Alcotest.(check int) "metadata events" 1 (List.length (by_ph "M"));
   Alcotest.(check int) "begin events" 2 (List.length (by_ph "B"));
   Alcotest.(check int) "end events" 2 (List.length (by_ph "E"));
   Alcotest.(check int) "instants" 1 (List.length (by_ph "i"));
