@@ -163,11 +163,7 @@ let trace_gen users seed out =
       path)
 
 let trace_stats path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let csv = really_input_string ic len in
-  close_in ic;
-  let users = Nest_traces.Trace.of_csv csv in
+  let users = In_channel.with_open_text path Nest_traces.Trace.input_csv in
   let pods = Nest_sim.Stats.create ~name:"pods/user" () in
   let conts = Nest_sim.Stats.create ~name:"containers/pod" () in
   let cpu = Nest_sim.Stats.create ~name:"cpu/container (rel)" () in

@@ -34,5 +34,3 @@ let sample rng ~network =
         +. (natnet_per_rule_ms *. float_of_int rules))
   in
   { runtime_ns; network_ns; app_ns }
-
-let total_ns p = p.runtime_ns + p.network_ns + p.app_ns

@@ -24,5 +24,3 @@ val sample :
   Nest_sim.Prng.t ->
   network:[ `Bridge_nat of int  (** existing iptables rules *) | `Brfusion ] ->
   phases
-
-val total_ns : phases -> Nest_sim.Time.ns

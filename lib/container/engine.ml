@@ -3,16 +3,10 @@ module Sim_engine = Nest_sim.Engine
 module Time = Nest_sim.Time
 
 type container = {
-  cid : int;
-  c_name : string;
-  c_entity : string;
-  c_image : Image.t;
   c_netns : Stack.ns;
   c_ordered_at : Time.ns;
   mutable c_ready_at : Time.ns option;
   mutable c_state : [ `Creating | `Running | `Stopped ];
-  c_cpu_req : float;
-  c_mem_req : float;
 }
 
 type t = {
@@ -22,7 +16,6 @@ type t = {
   mutable d_bridge : (Bridge.t * Ipam.t) option;
   mutable d_containers : container list;
   mutable nat_assignments : (Stack.ns * Ipv4.t) list;
-  mutable next_cid : int;
   mutable image_cache : string list;
 }
 
@@ -32,10 +25,8 @@ let docker0_gw = Ipv4.of_string "172.17.0.1"
 let create vm ~name =
   { d_vm = vm; d_name = name;
     d_rng = Nest_sim.Prng.split (Nest_virt.Host.rng (Nest_virt.Vm.host vm));
-    d_bridge = None; d_containers = []; nat_assignments = []; next_cid = 1;
+    d_bridge = None; d_containers = []; nat_assignments = [];
     image_cache = [] }
-
-let vm t = t.d_vm
 
 let primary_vm_ip t =
   let vns = Nest_virt.Vm.ns t.d_vm in
@@ -130,21 +121,15 @@ let nat_net_setup t ~netns ~publish k =
 
 let instant_net_setup k = k ()
 
-let run t ~name ~entity ~image ~netns ~net_setup ?(cpu_req = 1.0)
-    ?(mem_req = 1.0) ~on_ready () =
+let run t ~image ~netns ~net_setup ~on_ready () =
   let host = Nest_virt.Vm.host t.d_vm in
   let engine = Nest_virt.Host.engine host in
   let cached = List.mem image.Image.img_name t.image_cache in
   if not cached then t.image_cache <- image.Image.img_name :: t.image_cache;
-  (* Workloads build their own execution contexts; the VM only needs
-     the entity, to aggregate its CPU figures. *)
-  Nest_virt.Vm.add_entity t.d_vm entity;
   let c =
-    { cid = t.next_cid; c_name = name; c_entity = entity; c_image = image;
-      c_netns = netns; c_ordered_at = Sim_engine.now engine; c_ready_at = None;
-      c_state = `Creating; c_cpu_req = cpu_req; c_mem_req = mem_req }
+    { c_netns = netns; c_ordered_at = Sim_engine.now engine; c_ready_at = None;
+      c_state = `Creating }
   in
-  t.next_cid <- t.next_cid + 1;
   t.d_containers <- t.d_containers @ [ c ];
   let phases = Boot_model.sample t.d_rng ~network:`Brfusion in
   let pull = Image.pull_delay_ns image ~cached ~rng:t.d_rng in
@@ -179,12 +164,8 @@ let stop t c =
   end
 
 let containers t = t.d_containers
-let name c = c.c_name
-let entity c = c.c_entity
 let netns c = c.c_netns
 let state c = c.c_state
-let cpu_req c = c.c_cpu_req
-let mem_req c = c.c_mem_req
 
 let boot_duration_ns c =
   match c.c_ready_at with

@@ -15,14 +15,6 @@ type t
 type container
 
 val create : Nest_virt.Vm.t -> name:string -> t
-val vm : t -> Nest_virt.Vm.t
-
-val docker0_subnet : Ipv4.cidr
-(** 172.17.0.0/16, Docker's default. *)
-
-val ensure_bridge : t -> Bridge.t
-(** Creates docker0 (in-guest bridge + gateway address + masquerade via
-    the VM's primary address) on first call. *)
 
 val nat_net_setup :
   t -> netns:Stack.ns -> publish:(int * int) list -> (unit -> unit) -> unit
@@ -37,29 +29,20 @@ val instant_net_setup : (unit -> unit) -> unit
 
 val run :
   t ->
-  name:string ->
-  entity:string ->
   image:Image.t ->
   netns:Stack.ns ->
   net_setup:((unit -> unit) -> unit) ->
-  ?cpu_req:float ->
-  ?mem_req:float ->
   on_ready:(container -> unit) ->
   unit ->
   container
 (** Orders a container: image pull (cached after first use per engine),
-    runtime setup, network setup, application start, then [on_ready].
-    [cpu_req]/[mem_req] are scheduler-facing resource requests. *)
+    runtime setup, network setup, application start, then [on_ready]. *)
 
 val stop : t -> container -> unit
 val containers : t -> container list
 
-val name : container -> string
-val entity : container -> string
 val netns : container -> Stack.ns
 val state : container -> [ `Creating | `Running | `Stopped ]
-val cpu_req : container -> float
-val mem_req : container -> float
 
 val boot_duration_ns : container -> Nest_sim.Time.ns option
 (** Order-to-ready duration (the Fig. 8 metric); [None] until ready. *)

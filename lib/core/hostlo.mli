@@ -31,8 +31,6 @@ val make_config : ?standby:int -> Nest_virt.Vmm.t -> config
     the pod's critical path.  This is the mitigation the chaos sweep
     measures for Hostlo's availability dip at high fault rates. *)
 
-val standby_depth : config -> int
-
 val preprovision : config -> node:Nest_orch.Node.t -> pod_name:string -> unit
 (** Fill the (node's VM, pod) standby pool up to the configured depth by
     issuing background hot-plugs (kubelet retry semantics; failures are

@@ -28,8 +28,7 @@ let ring_kb = 256
 let ring_bytes = ring_kb * 1024
 
 let create host shm ~pod ~name =
-  Pod_resources.Shm.register shm ~pod ~segment:name ~size_kb:ring_kb
-    Pod_resources.Mempipe;
+  Pod_resources.Shm.register shm ~pod ~segment:name Pod_resources.Mempipe;
   { mp_name = name; pod; host; shm; endpoints = []; sent = 0; delivered = 0 }
 
 let attach t vm =

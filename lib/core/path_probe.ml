@@ -36,14 +36,5 @@ let udp_timed_path ~src ~dst ~dst_addr ~port ~k () =
          | Some _ | None -> ()));
   send ()
 
-let contains_seq hops expected =
-  let rec go hops expected =
-    match (hops, expected) with
-    | _, [] -> true
-    | [], _ -> false
-    | h :: hs, e :: es -> if String.equal h e then go hs es else go hs expected
-  in
-  go hops expected
-
 let pp_hops fmt hops =
   Format.fprintf fmt "[%s]" (String.concat " -> " hops)

@@ -25,8 +25,4 @@ val udp_timed_path :
     [k] fires.  [List.map (fun e -> e.Nest_sim.Provenance.hop)] reads
     the hop names alone. *)
 
-val contains_seq : string list -> string list -> bool
-(** [contains_seq hops expected] checks that [expected] appears in [hops]
-    in order (not necessarily contiguously). *)
-
 val pp_hops : Format.formatter -> string list -> unit

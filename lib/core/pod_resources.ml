@@ -33,32 +33,21 @@ module Volumes = struct
       v.mounted_on <- v.mounted_on @ [ vm ]
     end
 
-  let unmount t ~pod ~volume ~vm =
-    let v = get t ~pod ~volume in
-    v.mounted_on <- List.filter (fun x -> x <> vm) v.mounted_on
-
   let mounts t ~pod ~volume = (get t ~pod ~volume).mounted_on
-
-  let backend_of t ~pod ~volume =
-    Option.map (fun v -> v.vol_backend) (Hashtbl.find_opt t (pod, volume))
 end
 
 module Shm = struct
-  type seg = {
-    seg_backend : shm_backend;
-    seg_kb : int;
-    mutable attached : string list;
-  }
+  type seg = { seg_backend : shm_backend; mutable attached : string list }
 
   type t = (string * string, seg) Hashtbl.t
 
   let create () : t = Hashtbl.create 16
 
-  let register t ~pod ~segment ~size_kb backend =
+  let register t ~pod ~segment backend =
     if Hashtbl.mem t (pod, segment) then
       failwith (Printf.sprintf "Shm.register: duplicate %s/%s" pod segment);
     Hashtbl.replace t (pod, segment)
-      { seg_backend = backend; seg_kb = size_kb; attached = [] }
+      { seg_backend = backend; attached = [] }
 
   let get t ~pod ~segment =
     match Hashtbl.find_opt t (pod, segment) with
@@ -78,15 +67,4 @@ module Shm = struct
       | (Guest_local | Mempipe), _ -> ());
       s.attached <- s.attached @ [ vm ]
     end
-
-  let detach t ~pod ~segment ~vm =
-    let s = get t ~pod ~segment in
-    s.attached <- List.filter (fun x -> x <> vm) s.attached
-
-  let attachments t ~pod ~segment = (get t ~pod ~segment).attached
-
-  let total_kb t ~pod =
-    Hashtbl.fold
-      (fun (p, _) s acc -> if p = pod then acc + s.seg_kb else acc)
-      t 0
 end

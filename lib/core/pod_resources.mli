@@ -29,9 +29,7 @@ module Volumes : sig
       the volume is undeclared, or if a [Local]-backed volume would
       become visible from a second VM. *)
 
-  val unmount : t -> pod:string -> volume:string -> vm:string -> unit
   val mounts : t -> pod:string -> volume:string -> string list
-  val backend_of : t -> pod:string -> volume:string -> backend option
 end
 
 module Shm : sig
@@ -39,12 +37,8 @@ module Shm : sig
 
   val create : unit -> t
 
-  val register : t -> pod:string -> segment:string -> size_kb:int -> shm_backend -> unit
+  val register : t -> pod:string -> segment:string -> shm_backend -> unit
   val attach : t -> pod:string -> segment:string -> vm:string -> unit
   (** Raises [Failure] for unknown segments, or when a [Guest_local]
       segment would be attached from a second VM. *)
-
-  val detach : t -> pod:string -> segment:string -> vm:string -> unit
-  val attachments : t -> pod:string -> segment:string -> string list
-  val total_kb : t -> pod:string -> int
 end

@@ -13,7 +13,6 @@ let models =
     { model_name = "12xlarge"; vcpus = 48; mem_gb = 192; price_per_hour = 2.689 };
     { model_name = "24xlarge"; vcpus = 96; mem_gb = 384; price_per_hour = 5.376 } ]
 
-let find name = List.find_opt (fun m -> m.model_name = name) models
 let rel_cpu m = float_of_int m.vcpus /. 96.0
 let rel_mem m = float_of_int m.mem_gb /. 384.0
 

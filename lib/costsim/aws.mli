@@ -13,8 +13,6 @@ type model = {
 val models : model list
 (** Ascending by price: large .. 24xlarge. *)
 
-val find : string -> model option
-
 val rel_cpu : model -> float
 (** vCPUs / 96. *)
 

@@ -129,9 +129,3 @@ let packing_policy ~quick =
       ("first-fit", Nest_costsim.Kube_pack.First_fit) ];
   Exp_util.row
     "  (a weaker baseline leaves more fragmentation for Hostlo to reclaim)"
-
-let all ~quick =
-  guest_factor ~quick;
-  chain_length ~quick;
-  hostlo_fanout ~quick;
-  packing_policy ~quick

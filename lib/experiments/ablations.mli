@@ -21,5 +21,3 @@ val packing_policy : quick:bool -> unit
 (** Compares the whole-pod baseline under most-requested (the paper's),
     least-requested and first-fit placement: consolidation is what keeps
     the baseline competitive, shrinking Hostlo's relative savings. *)
-
-val all : quick:bool -> unit

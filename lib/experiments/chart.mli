@@ -12,6 +12,3 @@ val plot :
     (shorter series are right-padded with gaps), on a plot area of 12
     rows by 72 columns.  Returns the rendered
     block (with legend); raises [Invalid_argument] on empty input. *)
-
-val markers : char list
-(** Marker cycle, in series order. *)

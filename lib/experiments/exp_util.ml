@@ -102,8 +102,6 @@ module Obs = struct
     Option.iter (fun v -> cfg.timeline <- v) timeline;
     Option.iter (fun v -> cfg.timeline_period <- v) timeline_period
 
-  let prov_sample () = cfg.prov_sample
-
   let enabled () = cfg.trace || cfg.metrics || cfg.provenance || cfg.timeline
   let provenance_on () = cfg.provenance
 

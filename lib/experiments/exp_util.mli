@@ -15,17 +15,14 @@ val max_standby : int
     (1024): each endpoint is a plugged device, so the run's cost grows
     with the depth. *)
 
-val splits : (int * int) list
-(** The (shards, domains) splits every determinism check runs:
-    (1,1) (2,1) (2,2) (4,2) (4,4).  The first is the reference. *)
-
 val clamp_split : nodes:int -> int * int -> int * int
 (** A (shards, domains) split as it runs on a [nodes]-node scenario:
     shards clamped to [1, nodes], domains to [1, shards]. *)
 
 val splits_for : nodes:int -> (int * int) list
-(** {!splits} after {!clamp_split}, duplicates dropped (first kept, so
-    the reference stays first). *)
+(** The (shards, domains) splits every determinism check runs, (1,1)
+    (2,1) (2,2) (4,2) (4,4), after {!clamp_split}, duplicates dropped
+    (first kept, so the reference (1,1) stays first). *)
 
 val digests_agree : title:string -> (string * (string * string) list) list -> bool
 (** [digests_agree ~title cells]: each cell is [(label, runs)], its runs
@@ -50,18 +47,6 @@ module Obs : sig
       sets the global 1-in-N provenance sampling period (clamped to >= 1,
       forwarded to {!Nest_sim.Provenance.set_sampling}); [timeline]
       samples each testbed's CPU account at [timeline_period] cadence. *)
-
-  val enabled : unit -> bool
-  (** True when any collection (trace, metrics, provenance, timeline)
-      is on. *)
-
-  val prov_sample : unit -> int
-  (** Current provenance sampling period as set through [configure]. *)
-
-  val attach : Testbed.t -> label:string -> unit
-  (** Registers the testbed's engine for the next [dump]; installs a
-      tracer on it when tracing is on, and starts a CPU timeline when
-      timelines are on.  No-op when nothing is enabled. *)
 
   val export_chrome : unit -> Nest_sim.Trace_export.t
   (** Everything attached so far as one Chrome trace: each run becomes a

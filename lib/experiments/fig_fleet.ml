@@ -325,7 +325,6 @@ let start_generators tbs deployed ~serves ~p ~prof_ns ~timeout ~start ~stop
       in
       let sizes = Size_dist.Pareto { shape = 1.2; lo = 64; hi = 1400 } in
       let rng = Prng.create (node_seed p.seed (10000 + i)) in
-      let label = Printf.sprintf "n%d:%s" i (mode_of_ix i) in
       (* Client-side admission: the Burn policy protects this node's own
          latency objective — shedding on availability burn would be
          self-defeating (sheds burn availability, which sheds more).
@@ -354,7 +353,7 @@ let start_generators tbs deployed ~serves ~p ~prof_ns ~timeout ~start ~stop
         match site with
         | Single _ ->
           let target = Some (gw, gw_client_port) in
-          Lg.udp ~engine ~label ~arrival ~sizes ~rng ?admission ?burn_source
+          Lg.udp ~engine ~arrival ~sizes ~rng ?admission ?burn_source
             ~timeout ~slo ~gen_id:i ~ns:tb.Testbed.client_ns
             ~exec:
               (Testbed.client_app_exec tb
@@ -363,7 +362,7 @@ let start_generators tbs deployed ~serves ~p ~prof_ns ~timeout ~start ~stop
             ~start ~stop ()
         | Pair pair ->
           let target = Some (pair.Deploy.b_addr, pair.Deploy.b_port) in
-          Lg.udp ~engine ~label ~arrival ~sizes ~rng ?admission ?burn_source
+          Lg.udp ~engine ~arrival ~sizes ~rng ?admission ?burn_source
             ~timeout ~slo ~gen_id:i ~ns:pair.Deploy.a_ns
             ~exec:pair.Deploy.a_exec
             ~target:(fun () -> target)
@@ -561,7 +560,7 @@ type tally = {
 }
 
 let tally nodes =
-  let latency = Hdr.create ~name:"fleet:latency_us" () in
+  let latency = Hdr.create () in
   let off = ref 0 and shed = ref 0 and lost = ref 0 and comp = ref 0 in
   let pods = ref 0 and scale = ref 0 and avail = ref 0.0 in
   List.iter

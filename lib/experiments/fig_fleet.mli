@@ -34,7 +34,6 @@ type admission_policy = [ `Fixed | `Burn | `Codel ]
     [`Burn] an AIMD limit driven by the node's own latency-SLO burn;
     [`Codel] deadline-aware dropping. *)
 
-val admission_to_string : admission_policy -> string
 val admission_of_string : string -> admission_policy option
 
 type params = {
@@ -75,12 +74,6 @@ val run :
     the shard table.  In every entry point, [shards] (default 1) is
     capped at the node count and [domains] (default 1) at the shard
     count. *)
-
-val digest :
-  ?params:params -> ?shards:int -> ?domains:int -> quick:bool -> unit ->
-  string
-(** MD5 over every node's (mode, counts, completion trace) and the
-    churn outcome — must not depend on [shards] or [domains]. *)
 
 type summary = {
   s_offered : int;

@@ -43,9 +43,6 @@ let pair_cell ~quick ~mode ~size =
   in
   point_of ~quick ~endpoints_of ~size
 
-let sweep_single ~quick ~mode ~sizes =
-  Exp_util.Par.map (fun size -> single_cell ~quick ~mode ~size) sizes
-
 (* Flatten a mode × size sweep into independent cells, fan them through
    the domain pool, and regroup into per-mode point lists (cell order is
    preserved by [Par.map], so each group comes back in size order). *)

@@ -78,7 +78,6 @@ let ablations =
       run = (fun ~quick -> Fig_fleet.run ~quick ()) } ]
 
 let find id = List.find_opt (fun e -> e.id = id) (all @ ablations)
-let ids () = List.map (fun e -> e.id) (all @ ablations)
 
 (* Experiments print as they go, so the batch itself stays sequential;
    [jobs] widens the cell-level fan-out *inside* each experiment (see

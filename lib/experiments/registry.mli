@@ -18,8 +18,6 @@ val ablations : entry list
 val find : string -> entry option
 (** Searches both [all] and [ablations]. *)
 
-val ids : unit -> string list
-
 val run_all : ?jobs:int -> quick:bool -> unit -> unit
 (** Runs every entry of [all] in paper order.  [jobs] (default 1) sets
     the {!Exp_util.Par} fan-out width: experiments still print in order,

@@ -71,7 +71,7 @@ type outcome = {
   o_slo : Nest_sim.Slo.compliance list;
       (** Windowed SLO compliance of the served cell: availability for
           probe cells, plus a p99 latency ceiling and a goodput floor
-          for real workloads.  Covered by {!render}/{!digest}. *)
+          for real workloads.  Covered by {!digest}. *)
   o_slo_lat : Nest_sim.Hdr.t;
       (** Run-wide completion-latency sketch (µs) from the SLO monitor;
           merge across cells ({!Nest_sim.Hdr.merge_into}) for fleet
@@ -105,10 +105,8 @@ val run_cell :
     many pooled endpoints per (VM, pod) and fails the service over to a
     surviving VM on crash. *)
 
-val render : outcome -> string
-(** Canonical text form covering the fault timeline and every statistic. *)
-
 val digest : outcome -> string
-(** MD5 hex of {!render} — equal digests mean bit-identical cells. *)
+(** MD5 hex of the cell's canonical rendering (fault timeline and every
+    statistic) — equal digests mean bit-identical cells. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

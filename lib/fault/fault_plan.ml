@@ -48,14 +48,4 @@ type t = {
   events : event list;
 }
 
-let empty = { seed = 0L; qmp = None; events = [] }
-
 let make ?(seed = 1L) ?qmp ?(events = []) () = { seed; qmp; events }
-
-let is_empty t = t.qmp = None && t.events = []
-
-let event_at = function
-  | Vm_crash { at; _ }
-  | Tap_exhaust { at; _ }
-  | Conntrack_clamp { at; _ }
-  | Corrupt_burst { at; _ } -> at

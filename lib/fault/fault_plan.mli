@@ -53,12 +53,4 @@ type t = {
   events : event list;
 }
 
-val empty : t
-(** No faults at all.  Installing it is free: no hooks, no scheduled
-    events, no RNG draws — runs are bit-identical to no injector. *)
-
 val make : ?seed:int64 -> ?qmp:qmp_rule -> ?events:event list -> unit -> t
-
-val is_empty : t -> bool
-
-val event_at : event -> Time.ns

@@ -4,8 +4,8 @@
    seeded from the plan — never from the engine's workload streams — so a
    fault plan perturbs the system only through the faults themselves, and
    the same (plan, testbed seed) pair replays the identical timeline on
-   every run and at every [--jobs] level.  Installing [Fault_plan.empty]
-   is free: no hooks, no scheduled events, no draws.
+   every run and at every [--jobs] level.  Installing a plan with no
+   faults is free: no hooks, no scheduled events, no draws.
 
    Event targets (VMs, taps, namespaces) are resolved at fire time, not
    at install time, because a VM crash invalidates handles: a corruption

@@ -3,7 +3,7 @@
     All randomness comes from the injector's private [Prng] stream seeded
     by the plan, so a fault plan perturbs the run only through the faults
     themselves and the timeline replays bit-identically across runs and
-    [--jobs] levels.  Installing {!Fault_plan.empty} is free — no hooks,
+    [--jobs] levels.  Installing a plan with no faults is free — no hooks,
     no scheduled events, no RNG draws. *)
 
 type t

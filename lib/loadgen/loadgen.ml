@@ -29,7 +29,6 @@ type counts = {
 
 type t = {
   g_engine : Engine.t;
-  g_label : string;
   g_arrival_lbl : Engine.label;  (* resolved once: one event per arrival *)
   g_timeout_lbl : Engine.label;
   g_arrival : Arrival.t;
@@ -156,7 +155,7 @@ let schedule_next t =
 
 let default_max_outstanding = 64
 
-let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng ?admission
+let create ~engine ~arrival ~sizes ~rng ?admission
     ?burn_source ?(timeout = Time.ms 100) ?slo ~dispatch ~start ~stop () =
   if timeout <= 0 then invalid_arg "Loadgen.create: timeout must be > 0";
   if stop <= start then invalid_arg "Loadgen.create: stop must be > start";
@@ -170,7 +169,7 @@ let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng ?admission
       | None -> Admission.fixed default_max_outstanding)
   in
   let t =
-    { g_engine = engine; g_label = label;
+    { g_engine = engine;
       g_arrival_lbl = Engine.label engine "loadgen:arrival";
       g_timeout_lbl = Engine.label engine "loadgen:timeout";
       g_arrival = arrival; g_sizes = sizes; g_rng = rng;
@@ -178,7 +177,7 @@ let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng ?admission
       g_dispatch = dispatch; g_start = start; g_stop = stop;
       g_ring = Array.make 64 (-1); g_oldest = 1; g_timer_armed = false;
       g_on_arrival = ignore; g_on_timer = ignore;
-      g_latency = Nest_sim.Hdr.create ~name:(label ^ ":latency_us") ();
+      g_latency = Nest_sim.Hdr.create ();
       g_offered = 0; g_admitted = 0; g_shed = 0; g_lost = 0;
       g_completed = 0; g_outstanding = 0; g_seq = 0; g_done_at = [||];
       g_done_us = Float.Array.create 0 }
@@ -232,7 +231,6 @@ let iter_completions t f =
   for k = 0 to t.g_completed - 1 do
     f t.g_done_at.(k) (Float.Array.get t.g_done_us k)
   done
-let label t = t.g_label
 let admission_limit t = Admission.limit t.g_admission
 let admission_transitions t = Admission.transitions t.g_admission
 
@@ -244,7 +242,7 @@ type Nest_net.Payload.app_msg += Lg_req of { gen : int; seq : int }
 let app_send_cost_ns = 180
 let app_recv_cost_ns = 250
 
-let udp ~engine ?label ~arrival ~sizes ~rng ?admission ?burn_source ?timeout
+let udp ~engine ~arrival ~sizes ~rng ?admission ?burn_source ?timeout
     ?slo ~gen_id ~ns ~exec ~target ~start ~stop () =
   let sock = ref None in
   let dispatch ~seq ~size =
@@ -256,7 +254,7 @@ let udp ~engine ?label ~arrival ~sizes ~rng ?admission ?burn_source ?timeout
     | _ -> ()  (* unreachable service: the admission timeout counts it *)
   in
   let t =
-    create ~engine ?label ~arrival ~sizes ~rng ?admission ?burn_source
+    create ~engine ~arrival ~sizes ~rng ?admission ?burn_source
       ?timeout ?slo ~dispatch ~start ~stop ()
   in
   let sk =

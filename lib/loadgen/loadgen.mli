@@ -54,7 +54,6 @@ type t
 
 val create :
   engine:Nest_sim.Engine.t ->
-  ?label:string ->
   arrival:Arrival.t ->
   sizes:Size_dist.t ->
   rng:Nest_sim.Prng.t ->
@@ -100,8 +99,6 @@ val iter_completions : t -> (Nest_sim.Time.ns -> float -> unit) -> unit
     in completion order — digest material for determinism checks.  The
     trace is kept in flat arrays, not one record per request. *)
 
-val label : t -> string
-
 val admission_limit : t -> int
 (** Current effective concurrency limit of the admission controller
     (see {!Admission.limit}). *)
@@ -126,7 +123,6 @@ type Nest_net.Payload.app_msg += Lg_req of { gen : int; seq : int }
 
 val udp :
   engine:Nest_sim.Engine.t ->
-  ?label:string ->
   arrival:Arrival.t ->
   sizes:Size_dist.t ->
   rng:Nest_sim.Prng.t ->

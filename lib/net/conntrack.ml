@@ -20,16 +20,6 @@ let flow_of_packet (p : Packet.t) =
     { proto = Proto_icmp; f_src = p.src; f_sport = id; f_dst = p.dst;
       f_dport = id }
 
-let pp_flow fmt f =
-  let proto =
-    match f.proto with
-    | Proto_udp -> "udp"
-    | Proto_tcp -> "tcp"
-    | Proto_icmp -> "icmp"
-  in
-  Format.fprintf fmt "%s %a:%d>%a:%d" proto Ipv4.pp f.f_src f.f_sport Ipv4.pp
-    f.f_dst f.f_dport
-
 (* A binding rewrites matched packets to have the given endpoints. *)
 type rewrite = {
   new_src : (Ipv4.t * int) option;
@@ -90,7 +80,6 @@ let create () =
     next_port = 32768; capacity = None }
 
 let set_capacity t c = t.capacity <- c
-let capacity t = t.capacity
 
 (* The lookup key, set to [p]'s flow. *)
 let key_of_packet t (p : Packet.t) =

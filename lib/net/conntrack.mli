@@ -22,7 +22,6 @@ type flow = {
 (** ICMP echo flows use the echo identifier as both ports. *)
 
 val flow_of_packet : Packet.t -> flow
-val pp_flow : Format.formatter -> flow -> unit
 
 val flow_hash : flow -> int
 (** The binding table's hash of a flow: an integer mix of its five
@@ -52,8 +51,6 @@ val set_capacity : t -> int option -> unit
 (** Fault injection: clamp the table to at most [n] bindings ([None], the
     default, is unlimited).  Enforced through {!admit} at the netfilter
     layer, not inside {!snat}/{!dnat}. *)
-
-val capacity : t -> int option
 
 val admit : t -> Packet.t -> bool
 (** [admit t p] is [true] when [p]'s flow is already bound or the table

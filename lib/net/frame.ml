@@ -59,12 +59,3 @@ let len t =
   Int.max min_frame_bytes (eth_header_bytes + body_len)
 
 let is_broadcast t = Mac.is_broadcast t.dst
-
-let pp fmt t =
-  match t.body with
-  | Ipv4_body p ->
-    Format.fprintf fmt "[%a > %a] %a" Mac.pp t.src Mac.pp t.dst Packet.pp p
-  | Arp_body a ->
-    let op = match a.op with Request -> "who-has" | Reply -> "is-at" in
-    Format.fprintf fmt "[%a > %a] arp %s %a" Mac.pp t.src Mac.pp t.dst op
-      Ipv4.pp a.target_ip

@@ -44,4 +44,3 @@ val len : t -> int
 (** 14-byte Ethernet header + body, padded to the 60-byte minimum. *)
 
 val is_broadcast : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -22,8 +22,6 @@ let create ?(reserved = []) pool =
     allocated = IpSet.empty;
     size }
 
-let cidr t = t.pool
-
 let capacity t = t.size - IpSet.cardinal t.reserved
 let in_use t = IpSet.cardinal t.allocated
 
@@ -48,4 +46,3 @@ let free t ip =
   if not (IpSet.mem ip t.allocated) then
     invalid_arg ("Ipam.free: not allocated: " ^ Ipv4.to_string ip);
   t.allocated <- IpSet.remove ip t.allocated
-

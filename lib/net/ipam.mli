@@ -7,8 +7,6 @@ val create : ?reserved:Ipv4.t list -> Ipv4.cidr -> t
 (** The network and broadcast addresses are always reserved; [reserved]
     adds more (typically the gateway). *)
 
-val cidr : t -> Ipv4.cidr
-
 val alloc : t -> Ipv4.t
 (** Lowest free address.  Raises [Failure] when the pool is exhausted. *)
 

@@ -36,7 +36,6 @@ module Tbl = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 let localhost = of_string "127.0.0.1"
 let any = 0
 
@@ -60,10 +59,6 @@ let cidr_to_string c = Printf.sprintf "%s/%d" (to_string c.base) c.prefix
 let in_subnet c ip = ip land prefix_mask c.prefix = c.base
 let network c = c.base
 let broadcast_addr c = c.base lor (mask32 land lnot (prefix_mask c.prefix))
-
-let host_count c =
-  let size = 1 lsl (32 - c.prefix) in
-  if c.prefix >= 31 then size else size - 2
 
 let host c i =
   let size = 1 lsl (32 - c.prefix) in

@@ -10,10 +10,6 @@ val of_int : int -> t
 val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
-(** An integer mix of the address, not [Hashtbl.hash]. *)
-
-val pp : Format.formatter -> t -> unit
 
 module Tbl : Hashtbl.S with type key = t
 (** Tables keyed by IPv4 address: monomorphic equality and {!hash}.
@@ -39,7 +35,3 @@ val broadcast_addr : cidr -> t
 val host : cidr -> int -> t
 (** [host c i] is the [i]-th host address ([network + i]).  Raises
     [Invalid_argument] if out of range. *)
-
-val host_count : cidr -> int
-(** Number of usable host addresses (excludes network and broadcast for
-    prefixes < 31). *)

@@ -23,7 +23,6 @@ let to_string t =
     ((t lsr 16) land 0xff) ((t lsr 8) land 0xff) (t land 0xff)
 
 let equal = Int.equal
-let compare = Int.compare
 
 (* [Ipv4.hash]'s mix, kept in this module so the table's hash
    inlines. *)
@@ -38,7 +37,6 @@ module Tbl = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Alloc = struct
   type alloc = { mutable next : int }

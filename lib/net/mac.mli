@@ -16,11 +16,6 @@ val of_string : string -> t
 val to_string : t -> string
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
-(** An integer mix of the address, not [Hashtbl.hash]. *)
-
-val pp : Format.formatter -> t -> unit
 
 module Tbl : Hashtbl.S with type key = t
 (** Tables keyed by MAC address: monomorphic equality and {!hash}.

@@ -41,10 +41,3 @@ let publish nf ct ~name ~dst_ip ~dst_port ~to_ip ~to_port =
     end
   in
   Netfilter.append nf Netfilter.Prerouting { rule_name = name; matches; action }
-
-let drop_from nf ~name ~hook ~src_subnet =
-  let matches ~in_dev:_ ~out_dev:_ (pkt : Packet.t) =
-    Ipv4.in_subnet src_subnet pkt.Packet.src
-  in
-  let action _pkt = Netfilter.Drop in
-  Netfilter.append nf hook { rule_name = name; matches; action }

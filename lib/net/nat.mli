@@ -27,7 +27,3 @@ val publish :
   unit
 (** PREROUTING: packets addressed to [dst_ip:dst_port] are redirected to
     [to_ip:to_port] (Docker's [-p] port publishing). *)
-
-val drop_from :
-  Netfilter.t -> name:string -> hook:Netfilter.hook -> src_subnet:Ipv4.cidr -> unit
-(** Simple firewall rule, used in isolation tests. *)

@@ -59,18 +59,3 @@ let rewrite t ~src ~dst =
 
 let ttl_expired t = t.ttl <= 1
 let decrement_ttl t = { t with ttl = t.ttl - 1 }
-
-let proto_name t =
-  match t.transport with
-  | Udp _ -> "udp"
-  | Tcp _ -> "tcp"
-  | Icmp_echo _ -> "icmp"
-
-let pp fmt t =
-  match ports t with
-  | Some (sp, dp) ->
-    Format.fprintf fmt "%s %a:%d > %a:%d len=%d" (proto_name t) Ipv4.pp t.src
-      sp Ipv4.pp t.dst dp (len t)
-  | None ->
-    Format.fprintf fmt "%s %a > %a len=%d" (proto_name t) Ipv4.pp t.src
-      Ipv4.pp t.dst (len t)

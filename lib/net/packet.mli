@@ -41,5 +41,3 @@ val ttl_expired : t -> bool
 
 val decrement_ttl : t -> t
 (** The packet one forwarding hop later; test {!ttl_expired} first. *)
-
-val pp : Format.formatter -> t -> unit

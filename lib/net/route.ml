@@ -40,5 +40,3 @@ let next_hop e ip = match e.gateway with Some gw -> gw | None -> ip
 
 let remove_dev t dev =
   t.routes <- List.filter (fun e -> e.dev != dev) t.routes
-
-let entries t = t.routes

@@ -24,4 +24,3 @@ val next_hop : entry -> Ipv4.t -> Ipv4.t
 (** Gateway if set, otherwise the destination itself (on-link). *)
 
 val remove_dev : t -> Dev.t -> unit
-val entries : t -> entry list

@@ -52,7 +52,6 @@ let create engine ~name ~mode ~hop ?(per_queue_ns = 0) ~mac () =
   t
 
 let name t = t.tap_name
-let mode t = t.tap_mode
 let mac t = t.host_side.Dev.mac
 
 let host_dev t =
@@ -78,7 +77,6 @@ let queue_owner q = q.q_owner
 let queue_set_backend q f = q.backend <- Some f
 let queue_attached q = List.memq q q.tap.queue_list
 let set_exhausted t b = t.exhausted <- b
-let exhausted t = t.exhausted
 
 let queue_write q frame =
   let t = q.tap in

@@ -31,7 +31,6 @@ val create :
     served queue — copying one descriptor per destination ring. *)
 
 val name : t -> string
-val mode : t -> mode
 
 val mac : t -> Mac.t
 (** The tap's own address.  A loopback tap is one interface multiplexed
@@ -69,5 +68,3 @@ val set_exhausted : t -> bool -> unit
 (** Fault injection: queue exhaustion.  While set, every frame entering
     the tap (from the host side or from any queue) is dropped — the
     behavior of full vhost rings under overload. *)
-
-val exhausted : t -> bool

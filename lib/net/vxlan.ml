@@ -96,7 +96,6 @@ let create underlay ~name ~vni ~encap_hop ~decap_hop =
   t
 
 let dev t = t.overlay_dev
-let vni t = t.vni
 
 let add_remote t ip =
   if not (List.exists (Ipv4.equal ip) t.remotes) then

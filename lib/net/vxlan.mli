@@ -26,8 +26,6 @@ val create :
 val dev : t -> Dev.t
 (** Overlay-side device (MTU 1450); enslave it to the overlay bridge. *)
 
-val vni : t -> int
-
 val add_remote : t -> Ipv4.t -> unit
 (** Adds a peer VTEP to the flood list (broadcast / unknown-unicast). *)
 

@@ -33,11 +33,10 @@ type profile = {
   p_loss : float;               (** Per-datagram drop probability. *)
 }
 
-val profiles : profile list
+val profile : string -> profile option
 (** [datacenter] (25 µs ± 5 µs, lossless), [wan] (10 ms ± 1 ms, 0.1 %),
     [edge] (30 ms ± 5 ms, 0.5 %), [lossy] (5 ms ± 2 ms, 2 %). *)
 
-val profile : string -> profile option
 val profile_names : unit -> string list
 
 type impair

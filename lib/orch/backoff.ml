@@ -31,19 +31,6 @@ let delay_ns p ~attempt =
   in
   min p.max_delay_ns (int_of_float d)
 
-(* The whole retry schedule as data: after the [a]-th failure the caller
-   waits the paired delay (no pair for the final attempt — exhaustion is
-   reported, not slept on).  Chaos reporting uses this to turn "retries
-   happened" into retry-storm intensity: how much wall time the policy
-   sinks into waiting at a given fault rate. *)
-let schedule p =
-  List.init (max 0 (p.max_attempts - 1)) (fun i ->
-      let attempt = i + 1 in
-      (attempt, delay_ns p ~attempt))
-
-(* Run [op] until it succeeds or the policy is exhausted.  [op] receives
-   the 1-based attempt number and must call its continuation exactly
-   once; [on_retry] (diagnostics, metrics) fires before each re-issue. *)
 let retry engine p ?(on_retry = fun ~attempt:_ ~delay_ns:_ -> ()) op ~k =
   let rec go attempt =
     op ~attempt ~k:(fun r ->

@@ -13,17 +13,6 @@ type policy = {
 val default : policy
 (** 100 ms base, doubling, capped at 3.2 s, 6 attempts. *)
 
-val delay_ns : policy -> attempt:int -> Nest_sim.Time.ns
-(** Delay scheduled after the [attempt]-th failure (1-based),
-    [base * multiplier^(attempt-1)] capped at [max_delay_ns]. *)
-
-val schedule : policy -> (int * Nest_sim.Time.ns) list
-(** The retry schedule as data: [(attempt, delay after that attempt
-    fails)] for every attempt that has a retry behind it (so
-    [max_attempts - 1] pairs — exhaustion of the last attempt is reported
-    to the caller, not slept on).  Lets chaos reporting quantify
-    retry-storm intensity without re-deriving the policy arithmetic. *)
-
 val retry :
   Nest_sim.Engine.t ->
   policy ->

@@ -17,7 +17,6 @@ let create engine ~default_cni =
   { engine; default_cni; node_list = []; deployment_list = [] }
 
 let add_node t n = t.node_list <- t.node_list @ [ n ]
-let nodes t = t.node_list
 
 (* Reserves [pod] on [node], wires it through [cni] and starts its
    containers. *)
@@ -29,11 +28,8 @@ let place t pod ~cni ~node ~on_ready =
       List.iter
         (fun (cs : Pod.container_spec) ->
           let c =
-            Nest_container.Engine.run (Node.docker node)
-              ~name:(pod.Pod.pod_name ^ "/" ^ cs.Pod.cs_name)
-              ~entity:cs.Pod.cs_name ~image:cs.Pod.image ~netns:pod_ns
-              ~net_setup:Nest_container.Engine.instant_net_setup
-              ~cpu_req:cs.Pod.cpu ~mem_req:cs.Pod.mem
+            Nest_container.Engine.run (Node.docker node) ~image:cs.Pod.image
+              ~netns:pod_ns ~net_setup:Nest_container.Engine.instant_net_setup
               ~on_ready:(fun _ ->
                 decr remaining;
                 if !remaining = 0 then begin
@@ -54,16 +50,6 @@ let deploy_pod t pod ~on_ready () =
   match Scheduler.most_requested t.node_list ~cpu ~mem with
   | Some node -> place t pod ~cni:t.default_cni ~node ~on_ready
   | None -> failwith ("Kube.deploy_pod: no node fits " ^ pod.Pod.pod_name)
-
-let delete_pod t dep =
-  List.iter
-    (fun c -> Nest_container.Engine.stop (Node.docker dep.dep_node) c)
-    dep.dep_containers;
-  Node.release dep.dep_node ~cpu:(Pod.cpu_total dep.dep_pod)
-    ~mem:(Pod.mem_total dep.dep_pod);
-  t.deployment_list <- List.filter (fun d -> d != dep) t.deployment_list
-
-let deployments t = t.deployment_list
 
 (* A node's VM died.  Kubernetes semantics, compressed: the node goes
    NotReady, its pods are evicted, and the scheduler re-places each one

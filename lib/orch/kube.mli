@@ -18,7 +18,6 @@ type deployment = {
 
 val create : Nest_sim.Engine.t -> default_cni:Cni.t -> t
 val add_node : t -> Node.t -> unit
-val nodes : t -> Node.t list
 
 val deploy_pod :
   t ->
@@ -30,11 +29,6 @@ val deploy_pod :
     pod networking through the default CNI plugin; starts every container
     joined to the pod namespace.  [on_ready] fires when all containers
     are running.  Raises [Failure] when no node fits. *)
-
-val delete_pod : t -> deployment -> unit
-(** Stops containers and releases the reservation. *)
-
-val deployments : t -> deployment list
 
 val reschedule_node_failure :
   t -> node:Node.t -> on_ready:(deployment -> unit) -> int * int

@@ -5,8 +5,6 @@ open Nest_net
 type t = Node.t
 
 let of_node node = node
-let node t = t
-
 let configure_nic t ~netns ~mac ?ip ?subnet ?gateway ?on_dead ~k () =
   Nest_virt.Vm.wait_nic (Node.vm t) ~mac ?on_dead ~k:(fun dev ->
       Stack.attach netns dev;
@@ -60,12 +58,3 @@ let hotplug_with_retry t ~(issue : k:((Mac.t, string) result -> unit) -> unit)
         ~arg:(Node.name t) ())
     (fun ~attempt:_ ~k -> issue ~k)
     ~k
-
-let status t =
-  Printf.sprintf "%s: cpu %.1f/%.1f mem %.1f/%.1f, %d NIC(s) configured"
-    (Node.name t)
-    (Node.cpu_requested t)
-    (Node.cpu_capacity t)
-    (Node.mem_requested t)
-    (Node.mem_capacity t)
-    (pods_configured t)

@@ -16,8 +16,6 @@ val of_node : Node.t -> t
 (** The node's agent.  Idempotent: one agent per node, whose state lives
     on the node and is collected with it. *)
 
-val node : t -> Node.t
-
 val configure_nic :
   t ->
   netns:Stack.ns ->
@@ -50,6 +48,3 @@ val hotplug_with_retry :
     [recovery.hotplug_retries] metric (plus a ["fault"] trace instant).
     With no fault plan installed the operation succeeds first try and
     this is exactly one [issue] call. *)
-
-val status : t -> string
-(** One-line node status (name, capacity, requested, configured pods). *)

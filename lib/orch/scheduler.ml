@@ -12,7 +12,6 @@ let pick cmp nodes ~cpu ~mem =
     None nodes
 
 let most_requested nodes ~cpu ~mem = pick (fun a b -> a > b) nodes ~cpu ~mem
-let least_requested nodes ~cpu ~mem = pick (fun a b -> a < b) nodes ~cpu ~mem
 
 (* Exact placement index for [most_requested].
 

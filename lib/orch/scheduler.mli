@@ -9,9 +9,6 @@ val most_requested : Node.t list -> cpu:float -> mem:float -> Node.t option
 (** Feasible node with the highest {!Node.requested_fraction}; ties break
     toward the earliest node in the list.  [None] when nothing fits. *)
 
-val least_requested : Node.t list -> cpu:float -> mem:float -> Node.t option
-(** The spreading policy (for ablations). *)
-
 (** Exact placement index for {!most_requested}: the same answer as the
     fold, without examining every node.
 

@@ -24,11 +24,6 @@ let row t entity =
     Hashtbl.add t.rows entity r;
     r
 
-let charge t ~entity cat ns =
-  let r = row t entity in
-  let i = category_index cat in
-  r.(i) <- r.(i) + ns
-
 type handle = {
   h_acct : t;
   h_entity : string;
@@ -39,8 +34,8 @@ type handle = {
 let handle t ~entity =
   { h_acct = t; h_entity = entity; h_row = [||]; h_epoch = -1 }
 
-(* The row is resolved at the first charge, as [charge] would create it,
-   so [entities] lists the same names; a reset invalidates it. *)
+(* The row is resolved at the first charge, so [entities] lists only
+   the entities something was charged to; a reset invalidates it. *)
 let charge_handle h cat ns =
   if h.h_epoch <> h.h_acct.epoch then begin
     h.h_row <- row h.h_acct h.h_entity;
@@ -71,18 +66,3 @@ let snapshot t =
   entities t
   |> List.map (fun e ->
          (e, List.map (fun c -> (c, get t ~entity:e c)) all_categories))
-
-let cores t ~entity cat ~window =
-  if window <= 0 then 0.0
-  else float_of_int (get t ~entity cat) /. float_of_int window
-
-let pp fmt t =
-  List.iter
-    (fun (e, cats) ->
-      Format.fprintf fmt "%-24s" e;
-      List.iter
-        (fun (c, ns) ->
-          Format.fprintf fmt " %s=%a" (category_to_string c) Time.pp ns)
-        cats;
-      Format.pp_print_newline fmt ())
-    (snapshot t)

@@ -18,7 +18,6 @@ val category_index : category -> int
 type t
 
 val create : unit -> t
-val charge : t -> entity:string -> category -> Time.ns -> unit
 
 type handle
 (** One entity's row, for callers that charge it on every event: the
@@ -28,8 +27,8 @@ val handle : t -> entity:string -> handle
 (** Creates no row: the entity appears in {!entities} only once charged. *)
 
 val charge_handle : handle -> category -> Time.ns -> unit
-(** Same effect as {!charge} on the handle's table and entity, also
-    across {!reset}. *)
+(** Adds to the handle's entity row, created at its first charge and
+    again after a {!reset}. *)
 
 val get : t -> entity:string -> category -> Time.ns
 (** 0 for unknown entities. *)
@@ -39,13 +38,7 @@ val entities : t -> string list
 (** Sorted, deduplicated. *)
 
 val reset : t -> unit
-(** Zeroes all counters (used to discard warmup). *)
+(** Zeroes all counters. *)
 
 val snapshot : t -> (string * (category * Time.ns) list) list
 (** Sorted by entity, each with all five categories. *)
-
-val cores : t -> entity:string -> category -> window:Time.ns -> float
-(** Average number of busy cores over an observation window:
-    charged-ns / window. *)
-
-val pp : Format.formatter -> t -> unit

@@ -2,14 +2,13 @@
    interchangeable: a caller sees one only through [book], [free_at] and
    [commit], so which position holds which date is never observable,
    only the multiset of dates, and every start date follows from it. *)
-type t = { set_name : string; busy : Time.ns array }
+type t = { busy : Time.ns array }
+(* A record, not the bare array: with [t = Time.ns array] perfbench's
+   rr_nat ran about 15 % slower (interleaved runs, 2-core host). *)
 
-let create ~cores ~name =
+let create ~cores =
   if cores <= 0 then invalid_arg "Cpu_set.create: cores must be > 0";
-  { set_name = name; busy = Array.make cores 0 }
-
-let cores t = Array.length t.busy
-let name t = t.set_name
+  { busy = Array.make cores 0 }
 
 let book t ~ready =
   (* Best fit: the latest date <= [ready]; else the earliest date, at 0.

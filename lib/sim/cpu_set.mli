@@ -20,9 +20,7 @@
 
 type t
 
-val create : cores:int -> name:string -> t
-val cores : t -> int
-val name : t -> string
+val create : cores:int -> t
 
 val book : t -> ready:Time.ns -> int
 (** [book t ~ready] picks the core for work ready at [ready]: the

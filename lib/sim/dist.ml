@@ -24,10 +24,6 @@ let[@inline] lognormal_mean_cv rng ~mean ~cv =
   let mu = log mean -. (sigma2 /. 2.0) in
   lognormal rng ~mu ~sigma:(sqrt sigma2)
 
-let[@inline] pareto rng ~shape ~scale =
-  let u = 1.0 -. uniform rng in
-  scale /. (u ** (1.0 /. shape))
-
 let[@inline] bounded_pareto rng ~shape ~lo ~hi =
   (* Inverse CDF of the truncated Pareto. *)
   let u = uniform rng in
@@ -56,16 +52,3 @@ let poisson rng ~mean =
     done;
     !k - 1
   end
-
-let zipf rng ~n ~s =
-  if n <= 0 then invalid_arg "Dist.zipf: n must be > 0";
-  (* Rejection method of Devroye (1986, ch. X.6). *)
-  let b = 2.0 ** (s -. 1.0) in
-  let rec draw () =
-    let u = uniform rng and v = uniform rng in
-    let x = Float.of_int (int_of_float (float_of_int n ** u)) +. 1.0 in
-    let t = (1.0 +. (1.0 /. x)) ** (s -. 1.0) in
-    if v *. x *. (t -. 1.0) /. (b -. 1.0) <= t /. b then int_of_float x
-    else draw ()
-  in
-  Int.min n (draw ())

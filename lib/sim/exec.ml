@@ -5,7 +5,6 @@ type t = {
   also : (Cpu_account.handle * Cpu_account.category) list;
   slots : Time.ns array;
   cpus : Cpu_set.t option;
-  mutable busy_ns : Time.ns;
   label : Engine.label;  (* [exec_name]'s id, resolved once *)
 }
 
@@ -14,10 +13,9 @@ let create ?account ?(also = []) ?(width = 1) ?cpus engine ~name =
   let resolve (acct, entity, cat) = (Cpu_account.handle acct ~entity, cat) in
   { exec_name = name; engine; account = Option.map resolve account;
     also = List.map resolve also; slots = Array.make width 0;
-    cpus; busy_ns = 0; label = Engine.label engine name }
+    cpus; label = Engine.label engine name }
 
 let name t = t.exec_name
-let width t = Array.length t.slots
 
 let min_slot t =
   let best = ref 0 in
@@ -50,7 +48,6 @@ let submit_timed t ~cost k =
       finish
   in
   t.slots.(slot) <- finish;
-  t.busy_ns <- t.busy_ns + cost;
   (match t.account with
   | None -> ()
   | Some (h, cat) -> Cpu_account.charge_handle h cat cost);
@@ -63,4 +60,3 @@ let submit t ~cost k = ignore (submit_timed t ~cost k : Time.ns)
 let engine t = t.engine
 
 let busy_until t = t.slots.(min_slot t)
-let busy_ns t = t.busy_ns

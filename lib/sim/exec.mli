@@ -32,7 +32,6 @@ val create :
     guest vCPU context charges (vm, soft) and also (host, guest). *)
 
 val name : t -> string
-val width : t -> int
 
 val submit : t -> cost:Time.ns -> (unit -> unit) -> unit
 (** [submit t ~cost k] enqueues a work item needing [cost] ns of service;
@@ -47,6 +46,3 @@ val engine : t -> Engine.t
 
 val busy_until : t -> Time.ns
 (** Earliest date a slot of this context frees up. *)
-
-val busy_ns : t -> Time.ns
-(** Total service time accumulated since creation. *)

@@ -13,7 +13,6 @@
    [--jobs] cells. *)
 
 type t = {
-  hname : string;
   alpha : float;
   gamma : float;
   ln_gamma : float;
@@ -29,14 +28,13 @@ type t = {
   mutable mx : float;
 }
 
-let create ?(error = 0.01) ?(name = "") () =
+let create ?(error = 0.01) () =
   if not (error > 0.0 && error < 1.0) then
     invalid_arg "Hdr.create: error must be in (0, 1)";
   let gamma = (1.0 +. error) /. (1.0 -. error) in
   let ln_gamma = log gamma in
   let idx_of v = int_of_float (Float.ceil (log v /. ln_gamma)) in
   {
-    hname = name;
     alpha = error;
     gamma;
     ln_gamma;
@@ -51,8 +49,6 @@ let create ?(error = 0.01) ?(name = "") () =
     mx = neg_infinity;
   }
 
-let name t = t.hname
-let error t = t.alpha
 let count t = t.n
 let total t = t.sum
 let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
@@ -138,8 +134,6 @@ let percentile t p =
     Stdlib.min t.mx (Stdlib.max t.mn est)
   end
 
-let median t = percentile t 50.0
-
 let merge_into ~into src =
   if into.alpha <> src.alpha then
     invalid_arg "Hdr.merge_into: mismatched error bounds";
@@ -160,17 +154,3 @@ let merge_into ~into src =
       end
     done
   end
-
-let merge ?name a b =
-  let m = create ~error:a.alpha ?name () in
-  merge_into ~into:m a;
-  merge_into ~into:m b;
-  m
-
-let pp_summary fmt t =
-  if t.n = 0 then Format.fprintf fmt "%s: (no samples)" t.hname
-  else
-    Format.fprintf fmt
-      "%s: n=%d mean=%.3f p50=%.3f p90=%.3f p99=%.3f p99.9=%.3f min=%.3f max=%.3f (±%.1f%%)"
-      t.hname t.n (mean t) (percentile t 50.0) (percentile t 90.0)
-      (percentile t 99.0) (percentile t 99.9) t.mn t.mx (t.alpha *. 100.0)

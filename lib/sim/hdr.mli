@@ -16,19 +16,14 @@
 
 type t
 
-val create : ?error:float -> ?name:string -> unit -> t
+val create : ?error:float -> unit -> t
 (** [error] is the relative error bound in (0, 1), default [0.01].
     Raises [Invalid_argument] outside that range. *)
-
-val name : t -> string
-
-val error : t -> float
-(** The relative error bound this sketch guarantees on percentiles. *)
 
 val add : t -> float -> unit
 
 val clear : t -> unit
-(** Empties the sketch; keeps its name, error bound, and bucket storage. *)
+(** Empties the sketch; keeps its error bound and bucket storage. *)
 
 val count : t -> int
 val total : t -> float
@@ -45,21 +40,13 @@ val max : t -> float
 
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [0,100] by nearest rank over the
-    buckets; within [error t] relative error of the exact value, and
+    buckets; within the [error] bound of the exact value, and
     always clamped into [[min t, max t]].  0 when empty (unlike
     {!Stats.percentile}, a sketch query cannot raise: fleet aggregation
     reads empty cells). *)
-
-val median : t -> float
 
 val merge_into : into:t -> t -> unit
 (** Adds all of [src]'s mass into [into].  Commutative and associative
     up to bucket contents, so any merge order over a set of sketches
     yields identical percentiles.  Raises [Invalid_argument] when the
     error bounds differ. *)
-
-val merge : ?name:string -> t -> t -> t
-(** Fresh sketch holding both sample sets. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line [name: n=… mean=… p50=… p90=… p99=… p99.9=…] rendering. *)

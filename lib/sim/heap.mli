@@ -40,7 +40,6 @@ val pop : 'a t -> (int * 'a) option
 (** Removes and returns the minimum [(priority, value)]. *)
 
 val size : 'a t -> int
-val is_empty : 'a t -> bool
 
 val clear : 'a t -> unit
 (** Drops every entry and resets the clamp floor to 0. *)

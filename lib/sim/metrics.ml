@@ -40,7 +40,7 @@ let histogram t name =
   | Some (M_hist h) -> h
   | Some m -> wrong_flavour name ~want:"histogram" m
   | None ->
-    let h = Hdr.create ~name () in
+    let h = Hdr.create () in
     Hashtbl.add t.tbl name (M_hist h);
     h
 
@@ -96,8 +96,6 @@ let reset t =
       | M_probe _ -> ()
       | M_hist h -> Hdr.clear h)
     t.tbl
-
-let size t = Hashtbl.length t.tbl
 
 let pp_value fmt = function
   | Counter n -> Format.fprintf fmt "%d" n

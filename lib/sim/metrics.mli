@@ -63,9 +63,6 @@ val reset : t -> unit
 (** Counters to 0, histograms emptied.  Probes are untouched (they
     re-read their source).  Handles stay valid. *)
 
-val size : t -> int
-(** Number of registered metrics. *)
-
 val pp_text : Format.formatter -> t -> unit
 (** One line per metric, sorted by name. *)
 

@@ -42,14 +42,4 @@ let[@inline] int t bound =
   let v = Int64.to_int (next_int64 t) land max_int in
   v mod bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let range_float t lo hi = lo +. ((hi -. lo) *. float t)
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -33,10 +33,5 @@ val bits53 : t -> int
 val int : t -> int -> int
 (** [int t bound] draws uniformly in [0, bound).  [bound] must be > 0. *)
 
-val bool : t -> bool
-
 val range_float : t -> float -> float -> float
 (** [range_float t lo hi] draws uniformly in [lo, hi). *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

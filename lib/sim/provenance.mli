@@ -68,5 +68,3 @@ val gap_ns : t -> Time.ns
 
 val hops : t -> string list
 (** Hop names, oldest first. *)
-
-val pp : Format.formatter -> t -> unit

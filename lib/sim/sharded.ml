@@ -99,8 +99,6 @@ let create ?(seed = 0x5EEDL) ~shards () =
   { sd_shards = Array.init shards mk; sd_links = 0; sd_lookahead = max_int;
     sd_windows = 0 }
 
-let shards t = Array.length t.sd_shards
-
 let engine t i =
   if i < 0 || i >= Array.length t.sd_shards then
     invalid_arg "Sharded.engine: shard index out of range";

@@ -44,8 +44,6 @@ val create : ?seed:int64 -> shards:int -> unit -> t
     keyed on the *partition* (per node), not from the sub-engine root.
     Raises [Invalid_argument] when [shards <= 0]. *)
 
-val shards : t -> int
-
 val engine : t -> int -> Engine.t
 (** The sub-engine of shard [i] (0-based).  Raises [Invalid_argument]
     when out of range. *)

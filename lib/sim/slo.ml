@@ -151,7 +151,7 @@ let create ?(error = 0.01) ?start ~specs ~stop engine =
                  windows = 0; violations = 0; worst_burn = 0.0;
                  last_burn = 0.0 })
              specs);
-      lat = Hdr.create ~error ~name:"slo.latency_us" ();
+      lat = Hdr.create ~error ();
       stop_at = stop;
     }
   in
@@ -217,10 +217,6 @@ let report t =
        t.trackers)
 
 let compliant c = c.c_violations = 0
-
-let compliance_ratio c =
-  if c.c_windows = 0 then 1.0
-  else float_of_int (c.c_windows - c.c_violations) /. float_of_int c.c_windows
 
 let pp_compliance fmt c =
   Format.fprintf fmt "%-12s %-18s windows=%-3d violations=%-3d worst_burn=%.2f %s"

@@ -86,8 +86,4 @@ val report : t -> compliance list
 
 val compliant : compliance -> bool
 
-val compliance_ratio : compliance -> float
-(** Fraction of windows without violation; 1.0 when no window
-    completed. *)
-
 val pp_compliance : Format.formatter -> compliance -> unit

@@ -7,7 +7,7 @@ type t = {
   mutable mn : float;
   mutable mx : float;
   mutable sorted_cache : float array option;
-      (* Samples sorted ascending; invalidated by [add]/[clear].  Shared by
+      (* Samples sorted ascending; invalidated by [add].  Shared by
          all percentile/CDF queries between additions, so a summary line
          costs one sort, not one per percentile. *)
 }
@@ -33,17 +33,7 @@ let add t x =
   if x < t.mn then t.mn <- x;
   if x > t.mx then t.mx <- x
 
-let clear t =
-  t.data <- [||];
-  t.len <- 0;
-  t.sum <- 0.0;
-  t.sumsq <- 0.0;
-  t.mn <- infinity;
-  t.mx <- neg_infinity;
-  t.sorted_cache <- None
-
 let count t = t.len
-let total t = t.sum
 let mean t = if t.len = 0 then 0.0 else t.sum /. float_of_int t.len
 
 let variance t =
@@ -83,22 +73,6 @@ let percentile t p =
     (a.(lo) *. (1.0 -. w)) +. (a.(hi) *. w)
   end
 
-let median t = percentile t 50.0
-
-let cdf_points = 100
-
-let cdf t =
-  if t.len = 0 then []
-  else begin
-    let a = sorted t in
-    let n = t.len in
-    let sample i =
-      let idx = Stdlib.min (n - 1) (i * (n - 1) / (cdf_points - 1)) in
-      (a.(idx), float_of_int (idx + 1) /. float_of_int n)
-    in
-    List.init cdf_points sample
-  end
-
 let samples t = Array.sub t.data 0 t.len
 
 let merge a b =
@@ -131,5 +105,4 @@ module Histogram = struct
   let bin_bounds h i =
     (h.lo +. (float_of_int i *. h.width), h.lo +. (float_of_int (i + 1) *. h.width))
 
-  let total h = Array.fold_left ( + ) 0 h.bins
 end

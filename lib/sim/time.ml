@@ -1,11 +1,9 @@
 type ns = int
 
-let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let sec x = x * 1_000_000_000
 
-let of_sec_f s = int_of_float (s *. 1e9)
 let to_sec_f t = float_of_int t /. 1e9
 let to_us_f t = float_of_int t /. 1e3
 let to_ms_f t = float_of_int t /. 1e6

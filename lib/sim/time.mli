@@ -6,13 +6,9 @@
 type ns = int
 (** A duration or an absolute simulated date, in nanoseconds. *)
 
-val ns : int -> ns
 val us : int -> ns
 val ms : int -> ns
 val sec : int -> ns
-
-val of_sec_f : float -> ns
-(** [of_sec_f s] converts a duration in (possibly fractional) seconds. *)
 
 val to_sec_f : ns -> float
 val to_us_f : ns -> float

@@ -28,7 +28,6 @@ val stop : t -> unit
 (** Stop sampling; the pending tick, if any, becomes a no-op. *)
 
 val period : t -> Time.ns
-val sample_count : t -> int
 
 val ticks : t -> tick list
 (** Oldest first. *)

@@ -143,10 +143,6 @@ let instant t ~ts ~cat ~name ?(arg = "") () =
   record_i t ~ts Instant ~cat:(pool_intern t.cats cat)
     ~name:(pool_intern t.names name) ~arg
 
-let clear t =
-  Array.fill t.args 0 t.cap "";
-  t.total <- 0
-
 (* --- read view: oldest retained slot to newest --- *)
 
 let iter t f =

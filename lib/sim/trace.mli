@@ -52,7 +52,7 @@ val instant :
 val intern_cat : t -> string -> int
 (** Interns a category (≤ 4096 distinct per trace; raises
     [Invalid_argument] beyond).  The returned id is stable for the
-    trace's lifetime and survives {!clear}. *)
+    trace's lifetime. *)
 
 val intern_name : t -> string -> int
 (** Interns a subject name (≤ 65536 distinct per trace). *)
@@ -81,15 +81,9 @@ val capacity : t -> int
 (** Retained-event bound: the requested capacity rounded up to a power
     of two. *)
 
-val clear : t -> unit
-(** Empties the ring and releases retained arg strings.  Interned
-    cat/name pools are kept (ids remain valid). *)
-
 val by_name : t -> (string * int) list
 (** Retained-event counts aggregated by [(cat, name)], rendered as
     ["cat:name"], sorted by name.  The per-hop summary view. *)
-
-val pp_event : Format.formatter -> event -> unit
 
 val pp_text : ?limit:int -> Format.formatter -> t -> unit
 (** Human-readable dump: one line per event, oldest first; at most

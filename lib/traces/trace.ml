@@ -23,41 +23,39 @@ let output_csv oc users =
         u.pods)
     users
 
-let of_csv s =
-  let lines = String.split_on_char '\n' s in
-  let rows =
-    List.filter_map
-      (fun line ->
-        let line = String.trim line in
-        if line = "" || line = "user,pod,container,cpu,mem" then None
-        else
-          match String.split_on_char ',' line with
-          | [ u; p; _; cpu; mem ] -> (
-            try
-              Some
-                ( int_of_string u, int_of_string p,
-                  { c_cpu = float_of_string cpu; c_mem = float_of_string mem } )
-            with _ -> failwith ("Trace.of_csv: bad row: " ^ line))
-          | _ -> failwith ("Trace.of_csv: bad row: " ^ line))
-      lines
-  in
+let input_csv ic =
   (* Group by user, then pod, preserving order of first appearance. *)
   let users = Hashtbl.create 64 in
   let order = ref [] in
-  List.iter
-    (fun (u, p, c) ->
-      let pods =
-        match Hashtbl.find_opt users u with
-        | Some pods -> pods
-        | None ->
-          let pods = Hashtbl.create 16 in
-          Hashtbl.add users u pods;
-          order := u :: !order;
-          pods
-      in
-      let cs = Option.value (Hashtbl.find_opt pods p) ~default:[] in
-      Hashtbl.replace pods p (c :: cs))
-    rows;
+  let add u p c =
+    let pods =
+      match Hashtbl.find_opt users u with
+      | Some pods -> pods
+      | None ->
+        let pods = Hashtbl.create 16 in
+        Hashtbl.add users u pods;
+        order := u :: !order;
+        pods
+    in
+    let cs = Option.value (Hashtbl.find_opt pods p) ~default:[] in
+    Hashtbl.replace pods p (c :: cs)
+  in
+  (try
+     while true do
+       let line = String.trim (input_line ic) in
+       if line <> "" && line <> "user,pod,container,cpu,mem" then
+         let bad () = failwith ("Trace.input_csv: bad row: " ^ line) in
+         match String.split_on_char ',' line with
+         | [ u; p; _; cpu; mem ] -> (
+           match
+             ( int_of_string u, int_of_string p,
+               { c_cpu = float_of_string cpu; c_mem = float_of_string mem } )
+           with
+           | u, p, c -> add u p c
+           | exception Failure _ -> bad ())
+         | _ -> bad ()
+     done
+   with End_of_file -> ());
   List.rev_map
     (fun u ->
       let pods = Hashtbl.find users u in

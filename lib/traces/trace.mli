@@ -28,5 +28,6 @@ val output_csv : out_channel -> user list -> unit
 (** Writes a header, then one row per container:
     [user,pod,container,cpu,mem]. *)
 
-val of_csv : string -> user list
-(** Inverse of {!output_csv}.  Raises [Failure] on malformed rows. *)
+val input_csv : in_channel -> user list
+(** Inverse of {!output_csv}, read line by line to the end of the
+    channel.  Raises [Failure] on malformed rows. *)

@@ -6,7 +6,6 @@ type t = {
   engine : Nest_sim.Engine.t;
   acct : Cpu_account.t;
   host_entity : string;
-  host_cpus : int;
   cm : Cost_model.t;
   mac_alloc : Mac.Alloc.alloc;
   cpuset : Nest_sim.Cpu_set.t;
@@ -20,7 +19,7 @@ type t = {
 
 let create engine acct ?(cpus = 12) ?(cost_model = Cost_model.default)
     ?(entity = "host") ?rng ~name () =
-  let cpuset = Nest_sim.Cpu_set.create ~cores:cpus ~name in
+  let cpuset = Nest_sim.Cpu_set.create ~cores:cpus in
   let sys_exec =
     Exec.create ~account:(acct, entity, Cpu_account.Sys) ~width:cpus
       ~cpus:cpuset engine ~name:(name ^ ":sys")
@@ -32,7 +31,7 @@ let create engine acct ?(cpus = 12) ?(cost_model = Cost_model.default)
   let costs = Kernel_costs.stack_costs cost_model ~sys_exec ~soft_exec:soft in
   let host_ns = Stack.create engine ~name ~costs ?rng () in
   Stack.set_ip_forward host_ns true;
-  { engine; acct; host_entity = entity; host_cpus = cpus; cm = cost_model;
+  { engine; acct; host_entity = entity; cm = cost_model;
     mac_alloc = Mac.Alloc.create (); cpuset; sys_exec; soft; host_ns;
     host_rng =
       (match rng with
@@ -44,7 +43,6 @@ let create engine acct ?(cpus = 12) ?(cost_model = Cost_model.default)
 let engine t = t.engine
 let account t = t.acct
 let entity t = t.host_entity
-let cpus t = t.host_cpus
 let cost_model t = t.cm
 let ns t = t.host_ns
 let soft_exec t = t.soft
@@ -79,14 +77,11 @@ let add_bridge t ~name ~ip ~subnet =
   br
 
 let find_bridge t name = List.assoc_opt name t.bridge_list
-let bridges t = t.bridge_list
 
 let masquerade t ~src_subnet ~nat_ip =
   Nat.masquerade (Stack.nf t.host_ns) (Stack.ct t.host_ns)
     ~name:(Printf.sprintf "masq-%s" (Ipv4.cidr_to_string src_subnet))
     ~src_subnet ~nat_ip ()
-
-let cpu_set t = t.cpuset
 
 let new_vhost_exec t ~name =
   Exec.create ~account:(t.acct, t.host_entity, Cpu_account.Sys)

@@ -26,16 +26,12 @@ val create :
 val engine : t -> Nest_sim.Engine.t
 val account : t -> Nest_sim.Cpu_account.t
 val entity : t -> string
-val cpus : t -> int
 val cost_model : t -> Cost_model.t
 val ns : t -> Stack.ns
 (** Host root namespace (IP forwarding enabled). *)
 
 val soft_exec : t -> Nest_sim.Exec.t
 (** Host softirq context: bridge switching, veth crossings, forwarding. *)
-
-val cpu_set : t -> Nest_sim.Cpu_set.t
-(** The machine's cores; every host-side context draws from it. *)
 
 val fresh_mac : t -> Mac.t
 val rng : t -> Nest_sim.Prng.t
@@ -50,12 +46,6 @@ val add_bridge : t -> name:string -> ip:Ipv4.t -> subnet:Ipv4.cidr -> Bridge.t
     (so the host routes the bridged segment) and registers it by name. *)
 
 val find_bridge : t -> string -> Bridge.t option
-val bridges : t -> (string * Bridge.t) list
-
-val bridge_hop : t -> Hop.t
-(** Switching cost on the host softirq context (for extra bridges). *)
-
-val veth_hop : t -> Hop.t
 val tap_hop : t -> Hop.t
 
 val masquerade : t -> src_subnet:Ipv4.cidr -> nat_ip:Ipv4.t -> unit

@@ -26,8 +26,3 @@ let idempotency_key = function
   | Netdev_add_hostlo { id; _ } -> "netdev_add_hostlo:" ^ id
   | Device_add { id; _ } -> "device_add:" ^ id
   | Device_del { id } -> "device_del:" ^ id
-
-let pp_response fmt = function
-  | Ok_done -> Format.pp_print_string fmt "ok"
-  | Ok_nic { mac } -> Format.fprintf fmt "ok mac=%a" Nest_net.Mac.pp mac
-  | Error e -> Format.fprintf fmt "error: %s" e

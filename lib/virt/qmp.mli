@@ -31,5 +31,3 @@ val idempotency_key : command -> string
     key and answers a retried command from the journal instead of
     re-applying it (exactly-once hot-plug: a lost ack no longer means a
     duplicated device). *)
-
-val pp_response : Format.formatter -> response -> unit

@@ -1,7 +1,6 @@
 open Nest_net
 
 type t = {
-  nic_id : string;
   guest_dev : Dev.t;
   vhost : Nest_sim.Exec.t;
   mutable plugged : bool;
@@ -39,7 +38,7 @@ let create ~vm ~id ~mac ~queue ~vhost ?(l2 = Dev.Normal) () =
   let nic = Vm.name vm ^ ":" ^ id in
   let guest_dev = Dev.create ~name:nic ~mac ~l2 () in
   let t =
-    { nic_id = id; guest_dev; vhost; plugged = true; engine; nic;
+    { guest_dev; vhost; plugged = true; engine; nic;
       lbls = [| None; None |]; kick_ns = cm.Cost_model.virtio_kick_delay_ns;
       notify_ns = cm.Cost_model.virtio_notify_delay_ns }
   in
@@ -82,7 +81,6 @@ let create ~vm ~id ~mac ~queue ~vhost ?(l2 = Dev.Normal) () =
   t
 
 let dev t = t.guest_dev
-let id t = t.nic_id
 
 let unplug t =
   t.plugged <- false;

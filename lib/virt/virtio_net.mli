@@ -26,8 +26,6 @@ val create :
 val dev : t -> Dev.t
 (** The guest-visible device; attach it to a guest namespace. *)
 
-val id : t -> string
-
 val unplug : t -> unit
 (** Detaches the frontend: subsequent traffic in either direction is
     dropped (device_del). *)

@@ -11,7 +11,6 @@ type t = {
   sys : Exec.t;
   soft : Exec.t;
   vm_ns : Stack.ns;
-  mutable entity_list : string list;
   mutable nic_list : Dev.t list;
   mutable nic_waiters : (Mac.t * (Dev.t -> unit) * (unit -> unit)) list;
   mutable netns_list : Stack.ns list;
@@ -26,7 +25,7 @@ let create host ~name ~vcpus ~mem_mb =
   let engine = Host.engine host in
   let acct = Host.account host in
   let guest_charge = [ (acct, Host.entity host, Cpu_account.Guest) ] in
-  let vm_cpuset = Nest_sim.Cpu_set.create ~cores:vcpus ~name in
+  let vm_cpuset = Nest_sim.Cpu_set.create ~cores:vcpus in
   let sys =
     Exec.create ~account:(acct, name, Cpu_account.Sys) ~also:guest_charge
       ~width:vcpus ~cpus:vm_cpuset engine ~name:(name ^ ":sys")
@@ -42,7 +41,7 @@ let create host ~name ~vcpus ~mem_mb =
   let vm_ns = Stack.create engine ~name ~costs ?rng:(Host.ns_rng_src host) () in
   Stack.set_ip_forward vm_ns true;
   { vm_name = name; vm_host = host; vm_vcpus = vcpus; vm_mem_mb = mem_mb;
-    vm_cpuset; sys; soft; vm_ns; entity_list = [ name ]; nic_list = [];
+    vm_cpuset; sys; soft; vm_ns; nic_list = [];
     nic_waiters = []; netns_list = []; vm_alive = true }
 
 let name t = t.vm_name
@@ -50,7 +49,6 @@ let host t = t.vm_host
 let vcpus t = t.vm_vcpus
 let mem_mb t = t.vm_mem_mb
 let ns t = t.vm_ns
-let cpu_set t = t.vm_cpuset
 let sys_exec t = t.sys
 let soft_exec t = t.soft
 
@@ -66,13 +64,8 @@ let new_netns t ~name ?(with_loopback = true) () =
   t.netns_list <- t.netns_list @ [ ns ];
   ns
 
-let add_entity t entity =
-  if not (List.mem entity t.entity_list) then
-    t.entity_list <- t.entity_list @ [ entity ]
-
 let new_app_exec t ~name ~entity =
   let acct = Host.account t.vm_host in
-  add_entity t entity;
   Exec.create
     ~account:(acct, entity, Cpu_account.Usr)
     ~also:[ (acct, Host.entity t.vm_host, Cpu_account.Guest) ]
@@ -84,8 +77,6 @@ let guest_hops t ~veth:() =
       ~per_byte_ns:cm.Cost_model.veth_per_byte_ns,
     Hop.make t.soft ~fixed_ns:cm.Cost_model.bridge_fixed_ns
       ~per_byte_ns:cm.Cost_model.bridge_per_byte_ns )
-
-let entities t = t.entity_list
 
 (* Hostlo endpoints all carry the reflector tap's MAC (§4.2: one
    interface multiplexed between VMs), so a MAC can match several

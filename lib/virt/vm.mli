@@ -25,10 +25,6 @@ val ns : t -> Stack.ns
 val sys_exec : t -> Nest_sim.Exec.t
 val soft_exec : t -> Nest_sim.Exec.t
 
-val cpu_set : t -> Nest_sim.Cpu_set.t
-(** The VM's vCPUs: every guest context (kernel and applications) draws
-    from this pool, so the VM saturates as a whole. *)
-
 val new_netns : t -> name:string -> ?with_loopback:bool -> unit -> Stack.ns
 (** A pod/container network namespace inside this guest.  It shares the
     guest kernel's execution contexts: its packet work contends with the
@@ -40,15 +36,6 @@ val new_app_exec : t -> name:string -> entity:string -> Nest_sim.Exec.t
 val guest_hops : t -> veth:unit -> Hop.t * Hop.t
 (** [(guest-soft veth hop, guest-soft bridge hop)] for building in-guest
     plumbing (Docker's veth pairs and docker0). *)
-
-val add_entity : t -> string -> unit
-(** Registers an app entity with this VM (once; later calls are no-ops)
-    without creating an execution context for it. *)
-
-val entities : t -> string list
-(** This VM's entity plus every app entity registered through
-    {!add_entity} or {!new_app_exec}, in registration order; used to
-    aggregate per-VM CPU figures. *)
 
 (* Hot-plug arrival: the VMM inserts NICs; the in-guest agent waits for
    them by MAC (virtio probe + udev having completed). *)

@@ -357,10 +357,12 @@ let execute t ~vm cmd k =
    [Error] instead of raising: under fault injection a refused or timed-
    out QMP round-trip is an operational event the orchestrator retries
    (Kubelet backoff), not a programming error. *)
-let hotplug_nic_mac t ~vm ~bridge ~id ~k =
-  execute t ~vm (Qmp.Netdev_add { id = id ^ "-nd"; bridge }) (fun r1 ->
+(* netdev_add (of either kind), then device_add: the MAC as soon as the
+   VMM answers. *)
+let plug_mac t ~vm ~what netdev_add ~id ~k =
+  execute t ~vm netdev_add (fun r1 ->
       match r1 with
-      | Qmp.Error e -> k (Result.Error ("netdev_add: " ^ e))
+      | Qmp.Error e -> k (Result.Error (what ^ ": " ^ e))
       | Qmp.Ok_done | Qmp.Ok_nic _ ->
         execute t ~vm (Qmp.Device_add { id; netdev = id ^ "-nd" }) (fun r2 ->
             match r2 with
@@ -368,33 +370,17 @@ let hotplug_nic_mac t ~vm ~bridge ~id ~k =
             | Qmp.Error e -> k (Result.Error ("device_add: " ^ e))
             | Qmp.Ok_done -> k (Result.Error "device_add: no mac")))
 
-let require_mac what k = function
-  | Result.Ok mac -> k mac
-  | Result.Error e -> failwith (what ^ ": " ^ e)
+let hotplug_nic_mac t ~vm ~bridge ~id ~k =
+  plug_mac t ~vm ~what:"netdev_add" (Qmp.Netdev_add { id = id ^ "-nd"; bridge }) ~id ~k
 
 let hotplug_nic t ~vm ~bridge ~id ~k =
-  hotplug_nic_mac t ~vm ~bridge ~id
-    ~k:(require_mac "hotplug_nic" (fun mac -> Vm.wait_nic vm ~mac ~k ()))
+  hotplug_nic_mac t ~vm ~bridge ~id ~k:(function
+    | Result.Ok mac -> Vm.wait_nic vm ~mac ~k ()
+    | Result.Error e -> failwith ("hotplug_nic: " ^ e))
 
 let hotplug_hostlo_endpoint_mac t ~vm ~hostlo ~id ~k =
-  execute t ~vm (Qmp.Netdev_add_hostlo { id = id ^ "-nd"; hostlo }) (fun r1 ->
-      match r1 with
-      | Qmp.Error e -> k (Result.Error ("netdev_add_hostlo: " ^ e))
-      | Qmp.Ok_done | Qmp.Ok_nic _ ->
-        execute t ~vm (Qmp.Device_add { id; netdev = id ^ "-nd" }) (fun r2 ->
-            match r2 with
-            | Qmp.Ok_nic { mac } -> k (Result.Ok mac)
-            | Qmp.Error e -> k (Result.Error ("device_add: " ^ e))
-            | Qmp.Ok_done -> k (Result.Error "device_add: no mac")))
-
-let hotplug_hostlo_endpoint t ~vm ~hostlo ~id ~k =
-  hotplug_hostlo_endpoint_mac t ~vm ~hostlo ~id
-    ~k:
-      (require_mac "hotplug_hostlo_endpoint" (fun mac ->
-           Vm.wait_nic vm ~mac ~k ()))
-
-let unplug_nic t ~vm ~id =
-  execute t ~vm (Qmp.Device_del { id }) (fun _ -> ())
+  plug_mac t ~vm ~what:"netdev_add_hostlo"
+    (Qmp.Netdev_add_hostlo { id = id ^ "-nd"; hostlo }) ~id ~k
 
 (* ------------------------------------------------------------------ *)
 (* VM crash / restart (fault injection)                                *)

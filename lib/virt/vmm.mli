@@ -87,8 +87,6 @@ val bridge_addr : t -> string -> (Ipv4.t * Ipv4.cidr) option
 val create_hostlo : t -> name:string -> Tap.t
 (** New loopback-mode tap in the host kernel (no VM attached yet). *)
 
-val find_hostlo : t -> string -> Tap.t option
-
 val find_tap : t -> string -> Tap.t option
 (** Any tap the VMM knows — VM-serving taps ("tap-<vm>", hot-plugged
     "<vm>:<id>") and Hostlo reflectors — by interface name.  Used by
@@ -110,14 +108,9 @@ val hotplug_nic_mac :
     A refused or timed-out round-trip (fault injection, dead VM) arrives
     as [Error] for the orchestrator to retry. *)
 
-val hotplug_hostlo_endpoint :
-  t -> vm:Vm.t -> hostlo:string -> id:string -> k:(Dev.t -> unit) -> unit
-
 val hotplug_hostlo_endpoint_mac :
   t -> vm:Vm.t -> hostlo:string -> id:string ->
   k:((Mac.t, string) result -> unit) -> unit
-
-val unplug_nic : t -> vm:Vm.t -> id:string -> unit
 
 (* Fault injection: abrupt VM death and supervised restart. *)
 

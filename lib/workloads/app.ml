@@ -48,7 +48,6 @@ module Pool = struct
       t.workers;
     Nest_sim.Exec.submit !best ~cost k
 
-  let size t = Array.length t.workers
 end
 
 module Cpu_snap = struct
@@ -68,8 +67,4 @@ module Cpu_snap = struct
     if window <= 0 then 0.0
     else float_of_int (diff_ns ~before ~after ~entity cat) /. float_of_int window
 
-  let entity_total_cores ~before ~after ~entity ~window =
-    List.fold_left
-      (fun acc cat -> acc +. diff_cores ~before ~after ~entity cat ~window)
-      0.0 Nest_sim.Cpu_account.all_categories
 end

@@ -32,7 +32,6 @@ module Pool : sig
 
   val create : (string -> Nest_sim.Exec.t) -> n:int -> name:string -> t
   val submit : t -> cost:int -> (unit -> unit) -> unit
-  val size : t -> int
 end
 
 (** CPU accounting snapshots for before/after measurement windows. *)
@@ -49,6 +48,4 @@ module Cpu_snap : sig
     window:Nest_sim.Time.ns ->
     float
 
-  val entity_total_cores :
-    before:t -> after:t -> entity:string -> window:Nest_sim.Time.ns -> float
 end

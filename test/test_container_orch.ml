@@ -39,10 +39,7 @@ let test_boot_model_shapes =
       nat.Boot_model.runtime_ns > 0
       && nat.Boot_model.app_ns > 0
       && nat.Boot_model.network_ns > 0
-      && brf.Boot_model.network_ns = 0
-      && Boot_model.total_ns nat
-         = nat.Boot_model.runtime_ns + nat.Boot_model.network_ns
-           + nat.Boot_model.app_ns)
+      && brf.Boot_model.network_ns = 0)
 
 let test_boot_network_grows_with_rules () =
   let rng = Nest_sim.Prng.create 3L in
@@ -66,7 +63,7 @@ let test_docker_lifecycle_and_boot_duration () =
   let netns = Nest_virt.Vm.new_netns vm ~name:"c1" () in
   let ready = ref None in
   let c =
-    Docker.run docker ~name:"c1" ~entity:"app1"
+    Docker.run docker
       ~image:(Image.make ~name:"alpine" ~size_mb:8)
       ~netns
       ~net_setup:(fun k -> Docker.nat_net_setup docker ~netns ~publish:[] k)
@@ -131,7 +128,7 @@ let test_docker_armed_netfilter () =
       [ Netfilter.Prerouting; Netfilter.Forward; Netfilter.Postrouting ]
   in
   Alcotest.(check int) "pristine VM has no rules" 0 rules_before;
-  ignore (Docker.ensure_bridge docker);
+  Docker.nat_net_setup docker ~netns:(Nest_virt.Vm.new_netns vm ~name:"c" ()) ~publish:[] ignore;
   let rules_after =
     List.fold_left
       (fun a h -> a + Netfilter.rule_count nf h)
@@ -166,9 +163,6 @@ let test_scheduler_policies () =
   (* most requested consolidates onto the busier node. *)
   (match Scheduler.most_requested [ n1; n2 ] ~cpu:1.0 ~mem:1.0 with
   | Some n -> Alcotest.(check string) "most-requested" "vm1" (Node.name n)
-  | None -> Alcotest.fail "no node");
-  (match Scheduler.least_requested [ n1; n2 ] ~cpu:1.0 ~mem:1.0 with
-  | Some n -> Alcotest.(check string) "least-requested spreads" "vm2" (Node.name n)
   | None -> Alcotest.fail "no node");
   (* When the busy node can't fit, fall over to the other. *)
   (match Scheduler.most_requested [ n1; n2 ] ~cpu:3.0 ~mem:1.0 with
@@ -220,7 +214,7 @@ let test_index_equals_fold =
       (* Quarter-unit requests make exact fraction ties common; the
          others exercise arbitrary floats. *)
       let demand () =
-        if Nest_sim.Prng.bool rng then
+        if Nest_sim.Prng.int rng 2 = 1 then
           float_of_int (Nest_sim.Prng.int rng 9) *. 0.25
         else Nest_sim.Prng.range_float rng 0.0 3.0
       in
@@ -399,12 +393,7 @@ let test_kube_deploy_pod () =
          (fun c -> Docker.netns c == d.Kube.dep_ns)
          d.Kube.dep_containers);
     Alcotest.(check (float 1e-9)) "resources reserved" 2.5
-      (Node.cpu_requested d.Kube.dep_node);
-    Alcotest.(check int) "deployment listed" 1 (List.length (Kube.deployments kube));
-    Kube.delete_pod kube d;
-    Alcotest.(check (float 1e-9)) "released" 0.0
-      (Node.cpu_requested d.Kube.dep_node);
-    Alcotest.(check int) "delisted" 0 (List.length (Kube.deployments kube))
+      (Node.cpu_requested d.Kube.dep_node)
 
 let test_kube_no_fit () =
   let tb = world () in
@@ -417,6 +406,8 @@ let test_kube_no_fit () =
     (Failure "Kube.deploy_pod: no node fits huge") (fun () ->
       Kube.deploy_pod kube monster ~on_ready:(fun _ -> ()) ())
 
+let docker0_subnet = Ipv4.cidr_of_string "172.17.0.0/16"
+
 let test_nat_ip_released_on_stop () =
   let tb = world () in
   let vm = Nestfusion.Testbed.vm tb 0 in
@@ -425,7 +416,7 @@ let test_nat_ip_released_on_stop () =
     let netns = Nest_virt.Vm.new_netns vm ~name:(Printf.sprintf "c%d" i) () in
     let ready = ref None in
     let c =
-      Docker.run docker ~name:(Printf.sprintf "c%d" i) ~entity:"app"
+      Docker.run docker
         ~image:(Image.make ~name:"alpine" ~size_mb:8)
         ~netns
         ~net_setup:(fun k -> Docker.nat_net_setup docker ~netns ~publish:[] k)
@@ -440,11 +431,11 @@ let test_nat_ip_released_on_stop () =
   let c1, ns1 = boot 1 in
   let ip1 =
     match Stack.addrs ns1 with
-    | (_, ip, _) :: _ when Ipv4.in_subnet Docker.docker0_subnet ip -> Some ip
+    | (_, ip, _) :: _ when Ipv4.in_subnet docker0_subnet ip -> Some ip
     | _ ->
       List.find_map
         (fun (_, ip, _) ->
-          if Ipv4.in_subnet Docker.docker0_subnet ip then Some ip else None)
+          if Ipv4.in_subnet docker0_subnet ip then Some ip else None)
         (Stack.addrs ns1)
   in
   Docker.stop docker c1;
@@ -452,7 +443,7 @@ let test_nat_ip_released_on_stop () =
   let ip2 =
     List.find_map
       (fun (_, ip, _) ->
-        if Ipv4.in_subnet Docker.docker0_subnet ip then Some ip else None)
+        if Ipv4.in_subnet docker0_subnet ip then Some ip else None)
       (Stack.addrs ns2)
   in
   Alcotest.(check bool) "released address reused" true
@@ -487,10 +478,7 @@ let test_kubelet_agent () =
       (List.memq dev (Stack.devices netns));
     Alcotest.(check bool) "addressed" true
       (Stack.is_local_addr netns (ip "10.0.0.88")));
-  Alcotest.(check int) "counted" 1 (Kubelet.pods_configured kl);
-  Alcotest.(check bool) "status mentions the node" true
-    (String.length (Kubelet.status kl) > 0
-    && String.sub (Kubelet.status kl) 0 3 = "vm1")
+  Alcotest.(check int) "counted" 1 (Kubelet.pods_configured kl)
 
 (* Regression: a process-global agent registry used to keep every node,
    and through it the whole testbed, alive for the life of the process.

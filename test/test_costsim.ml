@@ -13,14 +13,15 @@ let qtest = QCheck_alcotest.to_alcotest
 (* Table 2 data *)
 
 let test_aws_models () =
+  let find name = List.find (fun m -> m.Aws.model_name = name) Aws.models in
   Alcotest.(check int) "six models" 6 (List.length Aws.models);
-  let m = Option.get (Aws.find "2xlarge") in
+  let m = find "2xlarge" in
   Alcotest.(check int) "2xlarge vcpus" 8 m.Aws.vcpus;
   Alcotest.(check (float 1e-9)) "2xlarge price" 0.448 m.Aws.price_per_hour;
   Alcotest.(check (float 1e-4)) "relative cpu of large" 0.0208
-    (Aws.rel_cpu (Option.get (Aws.find "large")));
+    (Aws.rel_cpu (find "large"));
   Alcotest.(check (float 1e-9)) "24xlarge is the unit" 1.0
-    (Aws.rel_cpu (Option.get (Aws.find "24xlarge")));
+    (Aws.rel_cpu (find "24xlarge"));
   (* Prices are increasing with size. *)
   let prices = List.map (fun m -> m.Aws.price_per_hour) Aws.models in
   Alcotest.(check bool) "sorted by price" true
@@ -69,11 +70,8 @@ let test_trace_csv_roundtrip () =
   let oc = open_out path in
   Trace.output_csv oc users;
   close_out oc;
-  let ic = open_in path in
-  let csv = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let back = In_channel.with_open_text path Trace.input_csv in
   Sys.remove path;
-  let back = Trace.of_csv csv in
   Alcotest.(check int) "user count" (List.length users) (List.length back);
   List.iter2
     (fun a b ->

@@ -27,11 +27,17 @@ let test_plan_events () =
             { tap = "tap-vm1"; at = Time.ms 2; duration = Time.ms 1 } ]
       ()
   in
-  Alcotest.(check bool) "not empty" false (Fault_plan.is_empty plan);
-  Alcotest.(check bool) "empty is empty" true (Fault_plan.is_empty Fault_plan.empty);
-  Alcotest.(check (list int)) "event times"
+  Alcotest.(check int) "seed kept" 9 (Int64.to_int plan.Fault_plan.seed);
+  Alcotest.(check bool) "qmp rule kept" true (plan.Fault_plan.qmp <> None);
+  Alcotest.(check (list int)) "event times, in the order given"
     [ Time.ms 10; Time.ms 2 ]
-    (List.map Fault_plan.event_at plan.Fault_plan.events)
+    (List.map
+       (function
+         | Fault_plan.Vm_crash { at; _ }
+         | Fault_plan.Tap_exhaust { at; _ }
+         | Fault_plan.Conntrack_clamp { at; _ }
+         | Fault_plan.Corrupt_burst { at; _ } -> at)
+       plan.Fault_plan.events)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: same seed => same timeline and same digest. *)
@@ -90,7 +96,7 @@ let test_hostlo_crash_no_dangling_queue () =
   Testbed.run_until tb (Time.sec 1);
   Alcotest.(check int) "both fractions set up" 2 !added;
   let tap =
-    match Vmm.find_hostlo tb.Testbed.vmm "hostlo-svc" with
+    match Vmm.find_tap tb.Testbed.vmm "hostlo-svc" with
     | Some tap -> tap
     | None -> Alcotest.fail "reflector tap hostlo-svc not found"
   in

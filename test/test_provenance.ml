@@ -88,7 +88,7 @@ let test_trace_iter () =
 
 let test_contains_seq () =
   let check name exp hops expected =
-    Alcotest.(check bool) name exp (Path_probe.contains_seq hops expected)
+    Alcotest.(check bool) name exp (Helpers.contains_seq hops expected)
   in
   check "empty expected in empty hops" true [] [];
   check "empty expected in any hops" true [ "a"; "b" ] [];
@@ -115,14 +115,15 @@ let test_timeline_sampling () =
   let tl = Timeline.create ~period:(Time.us 10) e acct in
   Timeline.start tl;
   Timeline.start tl (* idempotent: must not double the cadence *);
+  let vm1 = Cpu_account.handle acct ~entity:"vm1" in
   Engine.schedule e ~delay:(Time.us 25) (fun () ->
-      Cpu_account.charge acct ~entity:"vm1" Cpu_account.Soft (Time.us 3));
+      Cpu_account.charge_handle vm1 Cpu_account.Soft (Time.us 3));
   Engine.schedule e ~delay:(Time.us 55) (fun () ->
-      Cpu_account.charge acct ~entity:"vm1" Cpu_account.Soft (Time.us 2));
+      Cpu_account.charge_handle vm1 Cpu_account.Soft (Time.us 2));
   Engine.run ~until:(Time.us 100) e;
   Timeline.stop tl;
   (* Ticks at 0,10,...,100 sim-us: one per period, not more. *)
-  Alcotest.(check int) "one sample per period" 11 (Timeline.sample_count tl);
+  Alcotest.(check int) "one sample per period" 11 (List.length (Timeline.ticks tl));
   Alcotest.(check (list string)) "entities" [ "vm1" ] (Timeline.entities tl);
   let series = Timeline.series tl ~entity:"vm1" Cpu_account.Soft in
   Alcotest.(check int) "series covers every tick" 11 (List.length series);
@@ -145,7 +146,7 @@ let test_timeline_sampling () =
   (* Stopped: driving the engine further adds no samples. *)
   Engine.schedule e ~delay:(Time.us 50) (fun () -> ());
   Engine.run ~until:(Time.us 200) e;
-  Alcotest.(check int) "no samples after stop" 11 (Timeline.sample_count tl)
+  Alcotest.(check int) "no samples after stop" 11 (List.length (Timeline.ticks tl))
 
 (* --- pay-for-use: prov=None allocates exactly like the untimed path --- *)
 

@@ -455,7 +455,7 @@ let gen_fleet_config =
   let* service_us = oneofl [ 0.25; 2000.0 ] in
   let* standby = int_range 0 2 in
   let* seed = int_bound 1_000_000 in
-  let+ split = oneofl (List.tl Exp_util.splits) in
+  let+ split = oneofl (List.tl (Exp_util.splits_for ~nodes:4)) in
   ( { Fig_fleet.default_params with
       Fig_fleet.nodes; pods; rate; profile = Nest_net.Wire.profile profile;
       fault_rate; admission; autoscale; service_us; standby;
@@ -469,7 +469,7 @@ let print_fleet_config ((p : Fig_fleet.params), (shards, domains)) =
     p.nodes p.pods p.rate
     (match p.profile with Some pr -> pr.Nest_net.Wire.p_name | None -> "none")
     p.fault_rate
-    (Fig_fleet.admission_to_string p.admission)
+    (match p.admission with `Fixed -> "fixed" | `Burn -> "burn" | `Codel -> "codel")
     p.autoscale p.service_us p.standby p.seed shards domains
 
 (* Shrink towards the plainest fleet one field at a time, keeping the

@@ -49,7 +49,7 @@ let test_heap_interleaved () =
   Alcotest.(check int) "min after mix" 3 (Heap.min_prio h);
   Alcotest.(check int) "size" 2 (Heap.size h);
   Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h);
+  Alcotest.(check int) "cleared" 0 (Heap.size h);
   Alcotest.(check int) "min when empty" (-1) (Heap.min_prio h)
 
 (* ------------------------------------------------------------------ *)
@@ -158,7 +158,7 @@ let test_queue_past_clamp () =
     Alcotest.(check string) "late entry pops" "late" v;
     Alcotest.(check int) "clamped to the last popped priority" 100 p
   | None -> Alcotest.fail "expected an entry");
-  Alcotest.(check bool) "empty" true (Heap.is_empty q)
+  Alcotest.(check int) "empty" 0 (Heap.size q)
 
 let test_queue_interleaved_monotone =
   (* The engine's actual pattern: pushes always at or above the last
@@ -424,8 +424,10 @@ let test_prng_reference_stream () =
 
 (* Minor words per draw, exact on one domain.  The state is unboxed
    bytes, so [int] and [bits53] allocate nothing; the float draws are
-   inlined into their caller (modules compile without -opaque), so the
-   float they return is never boxed either. *)
+   inlined into their caller, so the float they return is never boxed
+   either.  Under the dev profile modules compile -opaque: nothing
+   inlines across modules and each float draw boxes its result (the
+   per-profile pins below). *)
 let test_prng_draws_allocate_nothing () =
   let r = Prng.create 5L in
   let n = 10_000 in
@@ -437,19 +439,20 @@ let test_prng_draws_allocate_nothing () =
     done;
     (Gc.minor_words () -. w0) /. float_of_int n
   in
-  List.iter
-    (fun (name, words, f) ->
-      Alcotest.(check (float 0.0)) (name ^ ": minor words per draw") words
-        (per_draw f))
+  let draws =
     [ ("Prng.int", 0.0, fun () -> sink := !sink + Prng.int r 1000);
       ("Prng.bits53", 0.0, fun () -> sink := !sink lxor Prng.bits53 r);
-      ("Prng.float", 0.0, fun () -> Float.Array.set fsink 0 (Prng.float r));
-      ("Dist.exponential", 0.0,
+      ("Prng.float", 2.0, fun () -> Float.Array.set fsink 0 (Prng.float r));
+      ("Dist.exponential", 2.0,
         fun () -> Float.Array.set fsink 0 (Dist.exponential r ~mean:3.0));
-      ("Dist.lognormal_mean_cv", 0.0,
+      ("Dist.lognormal_mean_cv", 2.0,
         fun () ->
           Float.Array.set fsink 0 (Dist.lognormal_mean_cv r ~mean:3.0 ~cv:0.5))
     ]
+  in
+  Alcotest.(check (list (pair string (float 0.0)))) "minor words per draw"
+    (List.map (fun (name, dev, _) -> (name, Helpers.per_profile ~release:0.0 ~dev)) draws)
+    (List.map (fun (name, _, f) -> (name, per_draw f)) draws)
 
 let test_prng_float_range =
   QCheck.Test.make ~name:"Prng.float in [0,1)" ~count:500
@@ -466,14 +469,6 @@ let test_prng_int_range =
       let r = Prng.create seed in
       let v = Prng.int r bound in
       v >= 0 && v < bound)
-
-let test_prng_shuffle_permutation =
-  QCheck.Test.make ~name:"shuffle is a permutation" ~count:200
-    QCheck.(pair int64 (list small_int))
-    (fun (seed, l) ->
-      let a = Array.of_list l in
-      Prng.shuffle (Prng.create seed) a;
-      List.sort compare (Array.to_list a) = List.sort compare l)
 
 let mean_of f n rng =
   let acc = ref 0.0 in
@@ -525,14 +520,6 @@ let test_dist_poisson_mean () =
     true
     (abs_float (m -. 8.0) < 0.3)
 
-let test_dist_zipf_range =
-  QCheck.Test.make ~name:"zipf rank within [1,n]" ~count:300
-    QCheck.(pair int64 (int_range 1 500))
-    (fun (seed, n) ->
-      let r = Prng.create seed in
-      let v = Dist.zipf r ~n ~s:1.2 in
-      v >= 1 && v <= n)
-
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -550,7 +537,7 @@ let test_stats_against_oracle =
         /. (n -. 1.0)
       in
       abs_float (Stats.mean s -. mean) < 1e-6
-      && abs_float (Stats.variance s -. var) < 1e-3)
+      && abs_float ((Stats.stddev s ** 2.0) -. var) < 1e-3)
 
 let test_stats_percentiles () =
   let s = Stats.create () in
@@ -559,8 +546,7 @@ let test_stats_percentiles () =
   Alcotest.(check (float 1e-9)) "p50" 30.0 (Stats.percentile s 50.0);
   Alcotest.(check (float 1e-9)) "p100" 50.0 (Stats.percentile s 100.0);
   Alcotest.(check (float 1e-9)) "p25 interpolates" 20.0
-    (Stats.percentile s 25.0);
-  Alcotest.(check (float 1e-9)) "median" 30.0 (Stats.median s)
+    (Stats.percentile s 25.0)
 
 let test_stats_merge () =
   let a = Stats.create () and b = Stats.create () in
@@ -570,24 +556,12 @@ let test_stats_merge () =
   Alcotest.(check int) "count" 4 (Stats.count m);
   Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean m)
 
-let test_stats_cdf_monotone =
-  QCheck.Test.make ~name:"cdf fractions are nondecreasing in [0,1]"
-    ~count:100
-    QCheck.(list_of_size (Gen.int_range 1 80) (float_range 0. 100.))
-    (fun xs ->
-      let s = Stats.create () in
-      List.iter (Stats.add s) xs;
-      let cdf = Stats.cdf s in
-      let fracs = List.map snd cdf in
-      List.for_all (fun f -> f >= 0.0 && f <= 1.0) fracs
-      && List.sort compare fracs = fracs)
-
 let test_histogram () =
   let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
   List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 2.5; 9.5; 11.0; -1.0 ];
   let counts = Stats.Histogram.counts h in
-  Alcotest.(check int) "total counts everything (clamped)" 6
-    (Stats.Histogram.total h);
+  Alcotest.(check int) "counts hold everything (clamped)" 6
+    (Array.fold_left ( + ) 0 counts);
   Alcotest.(check int) "first bin has 0.5, 1.5 and clamped -1.0" 3 counts.(0);
   Alcotest.(check int) "last bin has 9.5 and clamped 11.0" 2 counts.(4);
   let lo, hi = Stats.Histogram.bin_bounds h 1 in
@@ -607,8 +581,7 @@ let test_exec_serializes () =
   Alcotest.(check (list (pair int int)))
     "FIFO with accumulated service"
     [ (1, 100); (2, 150) ]
-    (List.rev !finished);
-  Alcotest.(check int) "busy_ns" 150 (Exec.busy_ns x)
+    (List.rev !finished)
 
 let test_exec_width_parallel () =
   let e = Engine.create () in
@@ -666,7 +639,7 @@ let test_exec_accounting_across_reset () =
 
 let test_cpuset_caps_parallelism () =
   let e = Engine.create () in
-  let set = Cpu_set.create ~cores:2 ~name:"vm" in
+  let set = Cpu_set.create ~cores:2 in
   (* Three independent width-1 contexts on a 2-core machine. *)
   let xs = List.init 3 (fun i -> Exec.create ~cpus:set e ~name:(string_of_int i)) in
   let done_at = ref [] in
@@ -680,7 +653,7 @@ let test_cpuset_caps_parallelism () =
 
 let test_cpuset_affinity_no_false_contention () =
   let e = Engine.create () in
-  let set = Cpu_set.create ~cores:2 ~name:"m" in
+  let set = Cpu_set.create ~cores:2 in
   let busy = Exec.create ~cpus:set e ~name:"busy" in
   (* Saturate one context with queued work... *)
   for _ = 1 to 10 do
@@ -695,25 +668,24 @@ let test_cpuset_affinity_no_false_contention () =
 
 let test_cpu_account_reset_snapshot () =
   let acct = Cpu_account.create () in
-  Cpu_account.charge acct ~entity:"a" Cpu_account.Usr 100;
-  Cpu_account.charge acct ~entity:"b" Cpu_account.Sys 200;
+  let charge entity = Cpu_account.charge_handle (Cpu_account.handle acct ~entity) in
+  charge "b" Cpu_account.Sys 200;
+  charge "a" Cpu_account.Usr 100;
   Alcotest.(check (list string)) "entities sorted" [ "a"; "b" ]
     (Cpu_account.entities acct);
   let snap = Cpu_account.snapshot acct in
   Alcotest.(check int) "snapshot rows" 2 (List.length snap);
-  Alcotest.(check (float 1e-9)) "cores" 0.5
-    (Cpu_account.cores acct ~entity:"b" Cpu_account.Sys ~window:400);
-  Cpu_account.reset acct;
-  Alcotest.(check int) "reset zeroes" 0
-    (Cpu_account.get acct ~entity:"a" Cpu_account.Usr)
+  Alcotest.(check int) "every category in a row" 5
+    (List.length (List.assoc "a" snap));
+  Alcotest.(check int) "charged cell" 200
+    (List.assoc Cpu_account.Sys (List.assoc "b" snap))
 
 let test_time_pp () =
   let s t = Format.asprintf "%a" Time.pp t in
   Alcotest.(check string) "ns" "42ns" (s 42);
   Alcotest.(check string) "us" "1.50us" (s 1500);
   Alcotest.(check string) "ms" "2.50ms" (s 2_500_000);
-  Alcotest.(check string) "s" "1.500s" (s 1_500_000_000);
-  Alcotest.(check int) "of_sec_f" (Time.sec 2) (Time.of_sec_f 2.0)
+  Alcotest.(check string) "s" "1.500s" (s 1_500_000_000)
 
 let () =
   Alcotest.run "sim"
@@ -748,19 +720,16 @@ let () =
           Alcotest.test_case "draws allocate nothing" `Quick
             test_prng_draws_allocate_nothing;
           qtest test_prng_float_range;
-          qtest test_prng_int_range;
-          qtest test_prng_shuffle_permutation ] );
+          qtest test_prng_int_range ] );
       ( "dist",
         [ Alcotest.test_case "exponential mean" `Quick test_dist_exponential_mean;
           Alcotest.test_case "lognormal mean/cv" `Quick test_dist_lognormal_mean_cv;
           qtest test_dist_bounded_pareto;
-          Alcotest.test_case "poisson mean" `Quick test_dist_poisson_mean;
-          qtest test_dist_zipf_range ] );
+          Alcotest.test_case "poisson mean" `Quick test_dist_poisson_mean ] );
       ( "stats",
         [ qtest test_stats_against_oracle;
           Alcotest.test_case "percentiles" `Quick test_stats_percentiles;
           Alcotest.test_case "merge" `Quick test_stats_merge;
-          qtest test_stats_cdf_monotone;
           Alcotest.test_case "histogram" `Quick test_histogram ] );
       ( "exec",
         [ Alcotest.test_case "serializes" `Quick test_exec_serializes;

@@ -131,10 +131,7 @@ let test_cpu_snapshots () =
     App.Cpu_snap.diff_cores ~before ~after ~entity:"vm1"
       Nest_sim.Cpu_account.Soft ~window
   in
-  Alcotest.(check bool) "NAT burns guest softirq time" true (soft > 0.05);
-  Alcotest.(check bool) "total across categories >= soft" true
-    (App.Cpu_snap.entity_total_cores ~before ~after ~entity:"vm1" ~window
-    >= soft)
+  Alcotest.(check bool) "NAT burns guest softirq time" true (soft > 0.05)
 
 let test_pool_least_loaded () =
   let e = Nest_sim.Engine.create () in
@@ -147,7 +144,6 @@ let test_pool_least_loaded () =
       ~n:3 ~name:"p"
   in
   Alcotest.(check int) "three workers" 3 !made;
-  Alcotest.(check int) "size" 3 (App.Pool.size pool);
   let finish = ref [] in
   for _ = 1 to 3 do
     App.Pool.submit pool ~cost:100 (fun () ->
