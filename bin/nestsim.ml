@@ -148,19 +148,16 @@ let trace_gen users seed out =
   at_least 0 "users" users;
   at_most Nest_traces.Trace_gen.max_users "users" users;
   let trace =
-    Nest_traces.Trace_gen.generate ~seed:(Int64.of_int seed) ~users
+    Seq.take users (Nest_traces.Trace_gen.users ~seed:(Int64.of_int seed))
   in
-  (match out with
-  | None -> Nest_traces.Trace.output_csv stdout trace
+  match out with
+  | None -> ignore (Nest_traces.Trace.output_csv stdout trace)
   | Some path ->
     let oc = open_out path in
-    Nest_traces.Trace.output_csv oc trace;
+    let containers = Nest_traces.Trace.output_csv oc trace in
     close_out oc;
-    Printf.printf "wrote %d users (%d containers) to %s\n" users
-      (List.fold_left
-         (fun a u -> a + Nest_traces.Trace.user_containers u)
-         0 trace)
-      path)
+    Printf.printf "wrote %d users (%d containers) to %s\n" users containers
+      path
 
 let trace_stats path =
   let users = In_channel.with_open_text path Nest_traces.Trace.input_csv in

@@ -96,7 +96,7 @@ let plugin config =
             ())
       ()
   in
-  { Nest_orch.Cni.cni_name = "brfusion"; add }
+  { Nest_orch.Cni.add }
 
 (* Crash-time lease GC: every pod namespace inside the dead VM held an
    address out of the bridge subnet's pool.  The pods are gone — their

@@ -158,7 +158,7 @@ let plugin config =
           | Ok mac -> finish_with_mac mac)
         ()
   in
-  { Nest_orch.Cni.cni_name = "hostlo"; add }
+  { Nest_orch.Cni.add }
 
 let tap_of_pod config pod = Hashtbl.find_opt config.taps pod
 

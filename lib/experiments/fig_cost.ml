@@ -15,25 +15,10 @@ let fig9 ~quick =
   Exp_util.header "Fig. 9 — Hostlo cost savings over cluster traces";
   let users = if quick then 150 else Nest_traces.Trace_gen.default_users in
   let trace = Nest_traces.Trace_gen.generate ~seed:2026L ~users in
-  (* Each user's packing evaluation is independent; chunk them so a
-     domain claims a batch of users at a time rather than one. *)
+  (* Each user's packing evaluation is independent: the pool hands the
+     domains one user at a time. *)
   let outcomes =
-    let chunk = 64 in
-    let rec chunks = function
-      | [] -> []
-      | l ->
-        let rec take n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: rest -> take (n - 1) (x :: acc) rest
-        in
-        let c, rest = take chunk [] l in
-        c :: chunks rest
-    in
-    Exp_util.Par.map
-      (List.map (Report.evaluate_user ~standby_depth:2))
-      (chunks trace)
-    |> List.concat
+    Exp_util.Par.map (Report.evaluate_user ~standby_depth:2) trace
   in
   let summary = Report.summarize outcomes in
   Format.printf "%a@." Report.pp_summary summary;

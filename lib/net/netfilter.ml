@@ -10,8 +10,7 @@ type rule = {
 
 (* One chain per hook, indexed by [hook_index], plus the running sum of
    their lengths: the stack reads the total on every packet (the nat
-   surcharge), so it is maintained by [append]/[remove] instead of
-   recounted. *)
+   surcharge), so it is maintained by [append] instead of recounted. *)
 type t = {
   chains : rule list array;
   mutable total : int;
@@ -30,15 +29,6 @@ let append t hook rule =
   let i = hook_index hook in
   t.chains.(i) <- t.chains.(i) @ [ rule ];
   t.total <- t.total + 1
-
-let remove t hook name =
-  let i = hook_index hook in
-  let before = t.chains.(i) in
-  let after =
-    List.filter (fun r -> not (String.equal r.rule_name name)) before
-  in
-  t.chains.(i) <- after;
-  t.total <- t.total - (List.length before - List.length after)
 
 (* Top-level so a traversal allocates no closure: it runs at every hook
    of every packet.  [v] is the verdict so far: [Accept], or the last

@@ -26,8 +26,6 @@ type t
 
 val create : unit -> t
 val append : t -> hook -> rule -> unit
-val remove : t -> hook -> string -> unit
-(** Removes all rules with the given name on that hook. *)
 
 val run : t -> hook -> in_dev:string -> out_dev:string -> Packet.t -> verdict
 (** Runs the hook's rules in insertion order on a packet crossing
@@ -46,4 +44,4 @@ val rule_count : t -> hook -> int
 
 val total_rules : t -> int
 (** Sum of {!rule_count} over the five hooks, in O(1): kept up to date
-    by {!append} and {!remove}. *)
+    by {!append}. *)

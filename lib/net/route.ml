@@ -37,6 +37,3 @@ let rec first_match ip = function
 let lookup t ip = first_match ip t.routes
 
 let next_hop e ip = match e.gateway with Some gw -> gw | None -> ip
-
-let remove_dev t dev =
-  t.routes <- List.filter (fun e -> e.dev != dev) t.routes

@@ -22,5 +22,3 @@ val lookup : t -> Ipv4.t -> entry
 
 val next_hop : entry -> Ipv4.t -> Ipv4.t
 (** Gateway if set, otherwise the destination itself (on-link). *)
-
-val remove_dev : t -> Dev.t -> unit

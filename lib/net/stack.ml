@@ -199,7 +199,6 @@ and tcp_conn = {
   mutable on_writable : unit -> unit;
   mutable writable_waiting : bool;
   mutable on_established_cb : tcp_conn -> unit;
-  mutable on_close_cb : unit -> unit;
   c_sndbuf : int;
 }
 
@@ -618,8 +617,7 @@ and tcp_rto_fire c =
              dead endpoint retransmits forever and a run-to-quiescence
              drain never terminates. *)
           c.c_state <- Closed;
-          tcp_unregister c;
-          c.on_close_cb ()
+          tcp_unregister c
         end
         else begin
         (* No progress since arming: retransmit. *)
@@ -755,8 +753,7 @@ let tcp_rx_ack c (seg : Tcp_wire.t) =
 let tcp_close_conn c =
   if c.c_state <> Closed then begin
     c.c_state <- Closed;
-    tcp_unregister c;
-    c.on_close_cb ()
+    tcp_unregister c
   end
 
 let tcp_conn_input c (pkt : Packet.t) (seg : Tcp_wire.t) =
@@ -853,7 +850,6 @@ let tcp_fresh_conn ns ~local_ip ~local_port ~remote_ip ~remote_port ~state =
       on_writable = (fun () -> ());
       writable_waiting = false;
       on_established_cb = (fun _ -> ());
-      on_close_cb = (fun () -> ());
       c_sndbuf = sndbuf_default }
   in
   c.pump_k <- (fun () -> tcp_pump c);
@@ -1024,12 +1020,6 @@ let attach ns dev =
   ns.devs <- ns.devs @ [ dev ];
   Dev.set_rx dev (fun frame -> dev_rx ns dev frame)
 
-let detach ns dev =
-  ns.devs <- List.filter (fun d -> d != dev) ns.devs;
-  ns.addr_list <- List.filter (fun (d, _, _) -> d != dev) ns.addr_list;
-  Route.remove_dev ns.rt dev;
-  Dev.clear_rx dev
-
 let create engine ~name ~costs ?(with_loopback = true) ?rng () =
   let cnt =
     { delivered = 0; forwarded_pkts = 0; dropped_no_socket = 0;
@@ -1166,7 +1156,6 @@ module Tcp = struct
 
   let set_on_receive c f = c.on_receive <- f
   let set_on_writable c f = c.on_writable <- f
-  let set_on_close c f = c.on_close_cb <- f
 
   let close c =
     match c.c_state with

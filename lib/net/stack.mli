@@ -86,7 +86,6 @@ val costs : ns -> costs
 val attach : ns -> Dev.t -> unit
 (** The stack becomes the device's consumer. *)
 
-val detach : ns -> Dev.t -> unit
 val devices : ns -> Dev.t list
 val find_dev : ns -> string -> Dev.t option
 
@@ -163,8 +162,8 @@ module Tcp : sig
     on_established:(conn -> unit) ->
     unit ->
     conn
-  (** Opens from the source address the route to [dst] picks.  Set a
-      close callback with {!set_on_close}. *)
+  (** Opens from the source address the route to [dst] picks; poll
+      {!is_closed} to see it end. *)
 
   val send : conn -> size:int -> ?msg:Payload.app_msg -> unit -> bool
   (** Queues [size] application bytes (optionally completing message
@@ -173,7 +172,6 @@ module Tcp : sig
 
   val set_on_receive : conn -> (bytes:int -> msgs:Payload.app_msg list -> unit) -> unit
   val set_on_writable : conn -> (unit -> unit) -> unit
-  val set_on_close : conn -> (unit -> unit) -> unit
   val close : conn -> unit
 
   val sndbuf_limit : conn -> int

@@ -8,13 +8,11 @@ let overlay_mtu = 1450
 type t = {
   encap_name : string;  (* trace names, built once: see [create] *)
   decap_name : string;
-  vni : int;
   underlay : Stack.ns;
   sock : Stack.Udp.sock;
   overlay_dev : Dev.t;
   encap_hop : Hop.t;
   decap_hop : Hop.t;
-  fdb : Ipv4.t Mac.Tbl.t;
   mutable remotes : Ipv4.t list;
   mutable encapsulated : int;
   encap_ctr : Nest_sim.Metrics.counter;
@@ -31,16 +29,9 @@ let decap t (payload : Payload.t) =
       ~bytes:(Frame.len inner) (fun () -> Dev.deliver t.overlay_dev inner)
   | Some _ | None -> ()
 
-(* FDB-pinned unicast, or flood to every peer VTEP. *)
-let targets t (inner : Frame.t) =
-  if Frame.is_broadcast inner then t.remotes
-  else
-    match Mac.Tbl.find t.fdb inner.Frame.dst with
-    | remote -> [ remote ]
-    | exception Not_found -> t.remotes
-
+(* Every frame floods to the peer VTEPs listed when it enters. *)
 let encap t (inner : Frame.t) =
-  let targets = targets t inner in
+  let targets = t.remotes in
   if not (List.is_empty targets) then begin
     Nest_sim.Metrics.bump t.encap_ctr;
     Nest_sim.Engine.trace_instant (Stack.engine t.underlay) ~cat:"hop"
@@ -82,11 +73,11 @@ let create underlay ~name ~vni ~encap_hop ~decap_hop =
   let metrics = Nest_sim.Engine.metrics (Stack.engine underlay) in
   let rec t =
     lazy
-      { encap_name; decap_name; vni; underlay;
+      { encap_name; decap_name; underlay;
         sock =
           Stack.Udp.bind underlay ~port:udp_port ~kernel:true
             (fun _ ~src:_ ~src_port:_ payload -> decap (Lazy.force t) payload);
-        overlay_dev; encap_hop; decap_hop; fdb = Mac.Tbl.create 16;
+        overlay_dev; encap_hop; decap_hop;
         remotes = []; encapsulated = 0;
         encap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".encap");
         decap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".decap") }
@@ -101,12 +92,7 @@ let add_remote t ip =
   if not (List.exists (Ipv4.equal ip) t.remotes) then
     t.remotes <- t.remotes @ [ ip ]
 
-let add_fdb t mac ip = Mac.Tbl.replace t.fdb mac ip
-
 let remove_remote t ip =
-  t.remotes <- List.filter (fun r -> not (Ipv4.equal r ip)) t.remotes;
-  Mac.Tbl.filter_map_inplace
-    (fun _ dst -> if Ipv4.equal dst ip then None else Some dst)
-    t.fdb
+  t.remotes <- List.filter (fun r -> not (Ipv4.equal r ip)) t.remotes
 
 let encapsulated t = t.encapsulated

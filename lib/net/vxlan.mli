@@ -27,16 +27,13 @@ val dev : t -> Dev.t
 (** Overlay-side device (MTU 1450); enslave it to the overlay bridge. *)
 
 val add_remote : t -> Ipv4.t -> unit
-(** Adds a peer VTEP to the flood list (broadcast / unknown-unicast). *)
-
-val add_fdb : t -> Mac.t -> Ipv4.t -> unit
-(** Pins a unicast inner MAC to a peer VTEP. *)
+(** Adds a peer VTEP to the flood list.  The VTEP keeps no FDB: every
+    frame, unicast included, is encapsulated once per peer. *)
 
 val remove_remote : t -> Ipv4.t -> unit
-(** Drops a peer VTEP: removes it from the flood list, expires every FDB
-    entry pointing at it.  Called by the overlay CNI when a member node
-    is pruned, so failover cannot keep encapsulating toward a dead
-    VTEP. *)
+(** Drops a peer VTEP from the flood list.  Called by the overlay CNI
+    when a member node is pruned, so failover cannot keep encapsulating
+    toward a dead VTEP. *)
 
 val encapsulated : t -> int
 (** Outer datagrams sent, one per remote (a flooded frame counts once

@@ -1,5 +1,4 @@
 type t = {
-  cni_name : string;
   add :
     pod_name:string ->
     node:Node.t ->
@@ -7,26 +6,3 @@ type t = {
     k:(Nest_net.Stack.ns -> unit) ->
     unit;
 }
-
-(* Process-global and therefore mutex-guarded: the parallel experiment
-   harness may register/look up plugins from several domains. *)
-let registry : (string, t) Hashtbl.t = Hashtbl.create 8
-let registry_mu = Mutex.create ()
-
-let locked f =
-  Mutex.lock registry_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mu) f
-
-let register t =
-  locked (fun () ->
-      if Hashtbl.mem registry t.cni_name then
-        failwith ("Cni.register: duplicate plugin " ^ t.cni_name);
-      Hashtbl.replace registry t.cni_name t)
-
-let find name = locked (fun () -> Hashtbl.find_opt registry name)
-
-let names () =
-  locked (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) registry [])
-  |> List.sort compare
-
-let reset_registry () = locked (fun () -> Hashtbl.reset registry)

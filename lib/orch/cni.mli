@@ -8,7 +8,6 @@
     need (VMM handle, host bridge, overlay network, Hostlo tap). *)
 
 type t = {
-  cni_name : string;
   add :
     pod_name:string ->
     node:Node.t ->
@@ -16,10 +15,3 @@ type t = {
     k:(Nest_net.Stack.ns -> unit) ->
     unit;
 }
-
-val register : t -> unit
-(** Raises [Failure] on duplicate names. *)
-
-val find : string -> t option
-val names : unit -> string list
-val reset_registry : unit -> unit

@@ -5,4 +5,4 @@ let plugin () =
     Nest_container.Engine.nat_net_setup (Node.docker node) ~netns ~publish
       (fun () -> k netns)
   in
-  { Cni.cni_name = "bridge-nat"; add }
+  { Cni.add }

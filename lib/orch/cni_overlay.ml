@@ -64,8 +64,8 @@ let ensure_member t node =
         t.member_list
     in
     (* Unpeer the dead members from the survivors too: their flood-list
-       and FDB entries would otherwise keep pointing at the dead VTEP
-       until the replacement re-announced the address. *)
+       entries would otherwise keep pointing at the dead VTEP until the
+       replacement re-announced the address. *)
     List.iter
       (fun d ->
         let dead_ip = vm_primary_ip (Node.vm d.m_node) in
@@ -110,7 +110,7 @@ let plugin t =
     t.pod_addrs <- (netns, ip) :: t.pod_addrs;
     k netns
   in
-  { Cni.cni_name = "overlay:" ^ t.ov_name; add }
+  { Cni.add }
 
 let members t = List.map (fun m -> m.m_node) t.member_list
 

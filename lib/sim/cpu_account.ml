@@ -10,57 +10,42 @@ let category_to_string = function
   | Guest -> "guest"
   | Irq -> "irq"
 
-(* [epoch] counts resets, so a {!handle}'s cached row is recognised as
-   stale once the table it came from has been cleared. *)
-type t = { rows : (string, int array) Hashtbl.t; mutable epoch : int }
+type t = (string, int array) Hashtbl.t
 
-let create () = { rows = Hashtbl.create 32; epoch = 0 }
+let create () : t = Hashtbl.create 32
 
 let row t entity =
-  match Hashtbl.find_opt t.rows entity with
+  match Hashtbl.find_opt t entity with
   | Some r -> r
   | None ->
     let r = Array.make 5 0 in
-    Hashtbl.add t.rows entity r;
+    Hashtbl.add t entity r;
     r
 
-type handle = {
-  h_acct : t;
-  h_entity : string;
-  mutable h_row : int array;
-  mutable h_epoch : int;  (* [h_acct.epoch] when [h_row] was resolved *)
-}
+type handle = { h_acct : t; h_entity : string; mutable h_row : int array }
 
-let handle t ~entity =
-  { h_acct = t; h_entity = entity; h_row = [||]; h_epoch = -1 }
+let handle t ~entity = { h_acct = t; h_entity = entity; h_row = [||] }
 
 (* The row is resolved at the first charge, so [entities] lists only
-   the entities something was charged to; a reset invalidates it. *)
+   the entities something was charged to. *)
 let charge_handle h cat ns =
-  if h.h_epoch <> h.h_acct.epoch then begin
-    h.h_row <- row h.h_acct h.h_entity;
-    h.h_epoch <- h.h_acct.epoch
-  end;
+  if Array.length h.h_row = 0 then h.h_row <- row h.h_acct h.h_entity;
   let i = category_index cat in
   h.h_row.(i) <- h.h_row.(i) + ns
 
 let get t ~entity cat =
-  match Hashtbl.find_opt t.rows entity with
+  match Hashtbl.find_opt t entity with
   | None -> 0
   | Some r -> r.(category_index cat)
 
 let entity_total t ~entity =
-  match Hashtbl.find_opt t.rows entity with
+  match Hashtbl.find_opt t entity with
   | None -> 0
   | Some r -> Array.fold_left ( + ) 0 r
 
 let entities t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.rows []
+  Hashtbl.fold (fun k _ acc -> k :: acc) t []
   |> List.sort_uniq String.compare
-
-let reset t =
-  Hashtbl.reset t.rows;
-  t.epoch <- t.epoch + 1
 
 let snapshot t =
   entities t

@@ -27,8 +27,7 @@ val handle : t -> entity:string -> handle
 (** Creates no row: the entity appears in {!entities} only once charged. *)
 
 val charge_handle : handle -> category -> Time.ns -> unit
-(** Adds to the handle's entity row, created at its first charge and
-    again after a {!reset}. *)
+(** Adds to the handle's entity row, created at its first charge. *)
 
 val get : t -> entity:string -> category -> Time.ns
 (** 0 for unknown entities. *)
@@ -36,9 +35,6 @@ val get : t -> entity:string -> category -> Time.ns
 val entity_total : t -> entity:string -> Time.ns
 val entities : t -> string list
 (** Sorted, deduplicated. *)
-
-val reset : t -> unit
-(** Zeroes all counters. *)
 
 val snapshot : t -> (string * (category * Time.ns) list) list
 (** Sorted by entity, each with all five categories. *)

@@ -35,20 +35,3 @@ let[@inline] bounded_pareto rng ~shape ~lo ~hi =
 let bounded_pareto_int rng ~shape ~lo ~hi =
   int_of_float
     (bounded_pareto rng ~shape ~lo:(float_of_int lo) ~hi:(float_of_int hi))
-
-let poisson rng ~mean =
-  if mean <= 0.0 then 0
-  else if mean > 60.0 then
-    let v = normal rng ~mu:mean ~sigma:(sqrt mean) in
-    Int.max 0 (int_of_float (Float.round v))
-  else begin
-    let l = exp (-.mean) in
-    let k = ref 0 and p = ref 1.0 in
-    let continue = ref true in
-    while !continue do
-      incr k;
-      p := !p *. uniform rng;
-      if !p <= l then continue := false
-    done;
-    !k - 1
-  end

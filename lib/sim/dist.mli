@@ -16,6 +16,3 @@ val bounded_pareto : Prng.t -> shape:float -> lo:float -> hi:float -> float
 val bounded_pareto_int : Prng.t -> shape:float -> lo:int -> hi:int -> int
 (** [int_of_float] of {!bounded_pareto} on [lo, hi], the same draw, with
     no float boxed on the way out. *)
-
-val poisson : Prng.t -> mean:float -> int
-(** Poisson variate (Knuth for small means, normal approximation above 60). *)

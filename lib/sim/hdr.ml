@@ -55,14 +55,6 @@ let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
 let min t = t.mn
 let max t = t.mx
 
-let clear t =
-  t.zero <- 0;
-  Array.fill t.buckets 0 (Array.length t.buckets) 0;
-  t.n <- 0;
-  t.sum <- 0.0;
-  t.mn <- infinity;
-  t.mx <- neg_infinity
-
 (* Absolute log-bucket index of a strictly positive value, clamped to the
    supported range so one wild sample cannot balloon the bucket array. *)
 let[@inline] idx_of t v =

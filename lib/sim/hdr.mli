@@ -22,9 +22,6 @@ val create : ?error:float -> unit -> t
 
 val add : t -> float -> unit
 
-val clear : t -> unit
-(** Empties the sketch; keeps its error bound and bucket storage. *)
-
 val count : t -> int
 val total : t -> float
 (** Exact sum of all samples. *)

@@ -12,9 +12,9 @@
    queued, and a free stack recycles the cells.
 
    A vacated value cell is overwritten with the caller's [dummy] at
-   once: a popped or cleared value must become unreachable from the
-   queue immediately, or the arrays pin arbitrarily large closures (the
-   engine stores event thunks here) until the cell happens to be reused.
+   once: a popped value must become unreachable from the queue
+   immediately, or the arrays pin arbitrarily large closures (the engine
+   stores event thunks here) until the cell happens to be reused.
    Once the arrays are sized, neither push nor pop allocates, tag
    included: tags are immediate ints, stored without a write barrier.
 
@@ -151,7 +151,6 @@ let push t ~prio ~tag value =
   sift_up t.heap prio s c (t.len - 1)
 
 let size t = t.len
-let is_empty t = t.len = 0
 let min_prio t = if t.len = 0 then -1 else t.heap.(0)
 
 let pop_value t =
@@ -165,15 +164,3 @@ let pop_value t =
   take t c
 
 let popped_tag t = t.popped_tag
-
-let pop t =
-  if is_empty t then None
-  else
-    let p = min_prio t in
-    Some (p, pop_value t)
-
-let clear t =
-  Array.fill t.cells 0 (Array.length t.cells) t.dummy;
-  free_from t 0;
-  t.len <- 0;
-  t.floor <- 0

@@ -13,8 +13,8 @@
     events scheduled for the same instant fire in scheduling order.
     Priorities are non-negative: a push below the last popped priority
     (or below 0) is clamped up to it, i.e. nothing can be scheduled into
-    the already-delivered past.  A popped or cleared value is
-    unreachable from the queue at once. *)
+    the already-delivered past.  A popped value is unreachable from the
+    queue at once. *)
 
 type 'a t
 
@@ -33,13 +33,7 @@ val pop_value : 'a t -> 'a
     the queue is empty. *)
 
 val popped_tag : 'a t -> int
-(** The tag pushed with the value the last {!pop_value} or {!pop}
-    returned; 0 before any pop. *)
-
-val pop : 'a t -> (int * 'a) option
-(** Removes and returns the minimum [(priority, value)]. *)
+(** The tag pushed with the value the last {!pop_value} returned; 0
+    before any pop. *)
 
 val size : 'a t -> int
-
-val clear : 'a t -> unit
-(** Drops every entry and resets the clamp floor to 0. *)

@@ -88,15 +88,6 @@ let snapshot t =
 
 let find t name = Option.map value_of (Hashtbl.find_opt t.tbl name)
 
-let reset t =
-  Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | M_counter c -> c := 0
-      | M_probe _ -> ()
-      | M_hist h -> Hdr.clear h)
-    t.tbl
-
 let pp_value fmt = function
   | Counter n -> Format.fprintf fmt "%d" n
   | Gauge v -> Format.fprintf fmt "%g" v

@@ -1,5 +1,5 @@
 (** Global metrics registry: named counters, gauges and histograms with a
-    single snapshot/reset surface.
+    single snapshot surface.
 
     Every {!Engine.t} owns one registry ({!Engine.metrics}), so metric
     lifetime is the engine's lifetime — no cross-run accumulation, no
@@ -8,7 +8,7 @@
     name table is only consulted at registration and snapshot time.
 
     Three metric flavours:
-    - counters: monotonically increasing ints, zeroed by {!reset};
+    - counters: monotonically increasing ints;
     - gauges: probes ({!gauge_probe}) read lazily at snapshot time, which
       is how existing mutable counters (e.g. a namespace's datapath
       counters) are exported without double accounting;
@@ -58,10 +58,6 @@ val snapshot : t -> (string * value) list
 (** All metrics, sorted by name; probes are evaluated now. *)
 
 val find : t -> string -> value option
-
-val reset : t -> unit
-(** Counters to 0, histograms emptied.  Probes are untouched (they
-    re-read their source).  Handles stay valid. *)
 
 val pp_text : Format.formatter -> t -> unit
 (** One line per metric, sorted by name. *)

@@ -75,12 +75,6 @@ let percentile t p =
 
 let samples t = Array.sub t.data 0 t.len
 
-let merge a b =
-  let m = create ~name:(name a) () in
-  Array.iter (add m) (samples a);
-  Array.iter (add m) (samples b);
-  m
-
 let pp_summary fmt t =
   if t.len = 0 then Format.fprintf fmt "%s: (no samples)" t.stat_name
   else

@@ -36,9 +36,6 @@ val percentile : t -> float -> float
 val samples : t -> float array
 (** Copy of the raw samples in insertion order. *)
 
-val merge : t -> t -> t
-(** New accumulator holding both sample sets. *)
-
 val pp_summary : Format.formatter -> t -> unit
 (** One-line [name: n=… mean=… sd=… p50=… p99=…] rendering. *)
 

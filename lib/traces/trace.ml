@@ -11,17 +11,18 @@ let user_containers u =
 
 let output_csv oc users =
   output_string oc "user,pod,container,cpu,mem\n";
-  List.iter
-    (fun u ->
-      List.iter
-        (fun p ->
+  Seq.fold_left
+    (fun n u ->
+      List.fold_left
+        (fun n p ->
           List.iteri
             (fun i c ->
               Printf.fprintf oc "%d,%d,%d,%.6f,%.6f\n" u.u_id p.p_id i
                 c.c_cpu c.c_mem)
-            p.p_containers)
-        u.pods)
-    users
+            p.p_containers;
+          n + List.length p.p_containers)
+        n u.pods)
+    0 users
 
 let input_csv ic =
   (* Group by user, then pod, preserving order of first appearance. *)

@@ -24,9 +24,10 @@ val pod_mem : pod -> float
 val user_pods : user -> int
 val user_containers : user -> int
 
-val output_csv : out_channel -> user list -> unit
+val output_csv : out_channel -> user Seq.t -> int
 (** Writes a header, then one row per container:
-    [user,pod,container,cpu,mem]. *)
+    [user,pod,container,cpu,mem], as it traverses the stream once.
+    Returns the number of containers written. *)
 
 val input_csv : in_channel -> user list
 (** Inverse of {!output_csv}, read line by line to the end of the

@@ -40,9 +40,9 @@ let clamp_pod containers =
   keep [] 0.0 0.0 containers
 
 (* One user: its pod count, then each pod's containers, all drawn from
-   [rng] in order.  [generate] and [first_pods] both draw users through
-   it, one after another from one stream, so the first users of a seed
-   are the same whatever the count. *)
+   [rng] in order.  [users] draws them one after another from one
+   stream, so the first users of a seed are the same whatever the
+   count. *)
 let user rng u =
   let pods = sample_pod_count rng in
   { Trace.u_id = u;
@@ -59,21 +59,22 @@ let user rng u =
 (* 100 000 users print about 150 MB of CSV. *)
 let max_users = 100_000
 
-let generate ~seed ~users =
-  if users < 0 || users > max_users then
+(* The generator is made at the start of each traversal, so every
+   traversal draws the same users. *)
+let users ~seed () =
+  let rng = Prng.create seed in
+  Seq.map (user rng) (Seq.ints 0) ()
+
+let generate ~seed ~users:n =
+  if n < 0 || n > max_users then
     invalid_arg
       (Printf.sprintf "Trace_gen.generate: users must be in [0, %d] (got %d)"
-         max_users users);
-  let rng = Prng.create seed in
-  List.init users (user rng)
+         max_users n);
+  List.of_seq (Seq.take n (users ~seed))
 
 let first_pods ~seed ~max_users n =
-  let rng = Prng.create seed in
-  let rec draw u have acc =
-    if have >= n || u >= max_users then acc
-    else
-      let pods = (user rng u).Trace.pods in
-      draw (u + 1) (have + List.length pods) (List.rev_append pods acc)
-  in
-  let all = Array.of_list (List.rev (draw 0 0 [])) in
-  if Array.length all <= n then all else Array.sub all 0 n
+  users ~seed
+  |> Seq.take max_users
+  |> Seq.concat_map (fun u -> List.to_seq u.Trace.pods)
+  |> Seq.take n
+  |> Array.of_seq

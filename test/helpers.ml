@@ -38,6 +38,15 @@ let nat_netperf_sweep () =
         lat_sd_us = Stats.stddev rr.Netperf.latency })
     [ 64; 1024 ]
 
+(* Removes and returns the queue's minimum [(priority, value)], the way
+   the engine pops it. *)
+let heap_pop h =
+  let open Nest_sim in
+  if Heap.size h = 0 then None
+  else
+    let p = Heap.min_prio h in
+    Some (p, Heap.pop_value h)
+
 (* [contains_seq hops expected]: [expected] appears in [hops] in order,
    not necessarily contiguously. *)
 let contains_seq hops expected =

@@ -356,18 +356,6 @@ let test_index_allocation () =
        release_words_bound)
     true (per_release <= release_words_bound)
 
-let test_cni_registry () =
-  Cni.reset_registry ();
-  let p = Cni_bridge.plugin () in
-  Cni.register p;
-  Alcotest.(check bool) "found" true (Cni.find "bridge-nat" <> None);
-  Alcotest.check_raises "duplicate"
-    (Failure "Cni.register: duplicate plugin bridge-nat") (fun () ->
-      Cni.register (Cni_bridge.plugin ()));
-  Alcotest.(check (list string)) "names" [ "bridge-nat" ] (Cni.names ());
-  Cni.reset_registry ();
-  Alcotest.(check bool) "reset" true (Cni.find "bridge-nat" = None)
-
 let test_kube_deploy_pod () =
   let tb = world ~num_vms:2 () in
   let kube =
@@ -543,7 +531,6 @@ let () =
           qtest test_index_equals_fold;
           Alcotest.test_case "index work per placement" `Quick test_index_work;
           Alcotest.test_case "index allocation" `Quick test_index_allocation;
-          Alcotest.test_case "cni registry" `Quick test_cni_registry;
           Alcotest.test_case "kube deploy" `Quick test_kube_deploy_pod;
           Alcotest.test_case "kube no fit" `Quick test_kube_no_fit;
           Alcotest.test_case "overlay isolation" `Quick

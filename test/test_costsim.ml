@@ -46,6 +46,27 @@ let test_trace_gen_deterministic () =
   let c = Trace_gen.generate ~seed:6L ~users:30 in
   Alcotest.(check bool) "different seed differs" true (a <> c)
 
+(* The stream restarts from its seed on every traversal, and [generate]
+   is its prefix. *)
+let test_trace_gen_stream () =
+  List.iter
+    (fun seed ->
+      let s = Trace_gen.users ~seed in
+      let first = List.of_seq (Seq.take 40 s) in
+      let second = List.of_seq (Seq.take 40 s) in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %Ld: two traversals agree" seed)
+        true (first = second);
+      List.iter
+        (fun k ->
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %Ld: first %d = generate" seed k)
+            true
+            (List.filteri (fun i _ -> i < k) first
+            = Trace_gen.generate ~seed ~users:k))
+        [ 0; 1; 7; 40 ])
+    [ 1L; 2026L ]
+
 let test_trace_gen_bounds =
   QCheck.Test.make ~name:"generated demands are positive and sub-machine"
     ~count:20 QCheck.int64
@@ -68,8 +89,11 @@ let test_trace_csv_roundtrip () =
   let users = Trace_gen.generate ~seed:12L ~users:20 in
   let path = Filename.temp_file "trace" ".csv" in
   let oc = open_out path in
-  Trace.output_csv oc users;
+  let written = Trace.output_csv oc (List.to_seq users) in
   close_out oc;
+  Alcotest.(check int) "containers written"
+    (List.fold_left (fun a u -> a + Trace.user_containers u) 0 users)
+    written;
   let back = In_channel.with_open_text path Trace.input_csv in
   Sys.remove path;
   Alcotest.(check int) "user count" (List.length users) (List.length back);
@@ -207,6 +231,8 @@ let () =
           Alcotest.test_case "cheapest fitting" `Quick test_cheapest_fitting ] );
       ( "trace",
         [ Alcotest.test_case "deterministic" `Quick test_trace_gen_deterministic;
+          Alcotest.test_case "stream restarts from its seed" `Quick
+            test_trace_gen_stream;
           qtest test_trace_gen_bounds;
           Alcotest.test_case "churn pods are the doubled trace's prefix" `Quick
             test_first_pods_is_prefix;

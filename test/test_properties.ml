@@ -29,7 +29,7 @@ let test_heap_oracle =
       List.for_all
         (fun (is_pop, v) ->
           if is_pop then
-            match (Heap.pop h, !model) with
+            match (Helpers.heap_pop h, !model) with
             | None, [] -> true
             | Some (p, seq), (m, mseq) :: rest ->
               model := rest;

@@ -1,4 +1,4 @@
-(* Direct VTEP tests: encapsulation, FDB-directed unicast vs flood, and
+(* Direct VTEP tests: encapsulation, flooding to the peer list, and
    counters — below the CNI overlay plugin that normally drives it. *)
 
 open Nest_net
@@ -91,37 +91,13 @@ let test_flood_unknown_unicast () =
         Dev.set_rx (Vxlan.dev v) (fun _ -> hits.(i) <- hits.(i) + 1)
       end)
     nodes;
-  (* Unknown destination MAC: flood to both remotes. *)
+  (* Every frame floods to both remotes. *)
   Dev.transmit (Vxlan.dev v1)
     (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
   Engine.run e;
   Alcotest.(check int) "node2 got the flood" 1 hits.(1);
   Alcotest.(check int) "node3 got the flood" 1 hits.(2);
   Alcotest.(check int) "two encapsulations" 2 (Vxlan.encapsulated v1)
-
-let test_fdb_unicast () =
-  let e, nodes = world () in
-  let (ns1, _) = List.nth nodes 0
-  and (_, a2) = List.nth nodes 1
-  and (_, a3) = List.nth nodes 2 in
-  let v1 = vtep ns1 in
-  Vxlan.add_remote v1 a2;
-  Vxlan.add_remote v1 a3;
-  Vxlan.add_fdb v1 (Mac.of_int 0xbb) a3;
-  let hits = Array.make 3 0 in
-  List.iteri
-    (fun i (ns, _) ->
-      if i > 0 then begin
-        let v = vtep ns in
-        Dev.set_rx (Vxlan.dev v) (fun _ -> hits.(i) <- hits.(i) + 1)
-      end)
-    nodes;
-  Dev.transmit (Vxlan.dev v1)
-    (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
-  Engine.run e;
-  Alcotest.(check int) "pinned MAC goes only to node3" 0 hits.(1);
-  Alcotest.(check int) "node3 got it" 1 hits.(2);
-  Alcotest.(check int) "single encapsulation" 1 (Vxlan.encapsulated v1)
 
 let test_decap_counter_and_inner_intact () =
   let e, nodes = world () in
@@ -158,8 +134,8 @@ let test_no_remotes_drops_silently () =
     (Vxlan.encapsulated v1)
 
 (* A peer VTEP pruned mid-flow (the overlay CNI's failover path): the
-   pinned flow falls back to flooding the surviving member instead of
-   encapsulating into the void. *)
+   flow floods only the surviving member instead of encapsulating into
+   the void. *)
 let test_remove_remote_redirects_flood () =
   let e, nodes = world () in
   let (ns1, _) = List.nth nodes 0
@@ -168,7 +144,6 @@ let test_remove_remote_redirects_flood () =
   let v1 = vtep ns1 in
   Vxlan.add_remote v1 a2;
   Vxlan.add_remote v1 a3;
-  Vxlan.add_fdb v1 (Mac.of_int 0xbb) a3;
   let hits = Array.make 3 0 in
   List.iteri
     (fun i (ns, _) ->
@@ -185,14 +160,16 @@ let test_remove_remote_redirects_flood () =
   for _ = 1 to 3 do
     send ()
   done;
-  Alcotest.(check int) "pinned node receiving" 3 hits.(2);
-  Alcotest.(check int) "flood node untouched" 0 hits.(1);
+  Alcotest.(check int) "node2 receiving" 3 hits.(1);
+  Alcotest.(check int) "node3 receiving" 3 hits.(2);
   Vxlan.remove_remote v1 a3;
   for _ = 1 to 2 do
     send ()
   done;
   Alcotest.(check int) "dead VTEP gets nothing more" 3 hits.(2);
-  Alcotest.(check int) "survivor now floods" 2 hits.(1)
+  Alcotest.(check int) "survivor still receives" 5 hits.(1);
+  Alcotest.(check int) "one encapsulation per remote" 8
+    (Vxlan.encapsulated v1)
 
 (* A firewall rule lands in the underlay under a flowing tunnel: the next
    encapsulated datagram meets it. *)
@@ -201,7 +178,6 @@ let test_underlay_rule_drops_encap () =
   let (ns1, _) = List.nth nodes 0 and (ns3, a3) = List.nth nodes 2 in
   let v1 = vtep ns1 in
   Vxlan.add_remote v1 a3;
-  Vxlan.add_fdb v1 (Mac.of_int 0xbb) a3;
   let got = ref 0 in
   let v3 = vtep ns3 in
   Dev.set_rx (Vxlan.dev v3) (fun _ -> incr got);
@@ -225,7 +201,6 @@ let () =
   Alcotest.run "vxlan"
     [ ( "vtep",
         [ Alcotest.test_case "flood unknown" `Quick test_flood_unknown_unicast;
-          Alcotest.test_case "fdb unicast" `Quick test_fdb_unicast;
           Alcotest.test_case "decap intact" `Quick
             test_decap_counter_and_inner_intact;
           Alcotest.test_case "no remotes" `Quick test_no_remotes_drops_silently;
