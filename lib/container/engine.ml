@@ -62,19 +62,16 @@ let ensure_bridge t =
       ~nat_ip:(primary_vm_ip t) ();
     (* Docker also installs its DOCKER / DOCKER-ISOLATION chain plumbing;
        the rules below match nothing but are traversed (and paid for) by
-       every packet through the armed hooks, like the real chains. *)
-    let filler hook name =
-      Netfilter.append (Stack.nf vns) hook
-        { Netfilter.rule_name = name;
-          matches = (fun ~in_dev:_ ~out_dev:_ _ -> false);
-          action = (fun _ -> Netfilter.Accept) }
-    in
-    filler Netfilter.Prerouting "docker-prerouting-jump";
-    filler Netfilter.Forward "docker-isolation-stage-1";
-    filler Netfilter.Forward "docker-isolation-stage-2";
-    filler Netfilter.Forward "docker-user";
-    filler Netfilter.Forward "docker-forward";
-    filler Netfilter.Postrouting "docker-postrouting-jump";
+       every packet through the armed hooks, like the real chains: the
+       PREROUTING jump, the two isolation stages, DOCKER-USER, the
+       forward jump and the POSTROUTING jump. *)
+    List.iter
+      (fun hook ->
+        Netfilter.append (Stack.nf vns) hook
+          { Netfilter.matches = (fun ~in_dev:_ ~out_dev:_ _ -> false);
+            action = (fun _ -> Netfilter.Accept) })
+      Netfilter.
+        [ Prerouting; Forward; Forward; Forward; Forward; Postrouting ];
     let ipam = Ipam.create ~reserved:[ docker0_gw ] docker0_subnet in
     t.d_bridge <- Some (br, ipam);
     br

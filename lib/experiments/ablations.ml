@@ -45,10 +45,9 @@ let chain_length ~quick =
         (* Pile extra never-matching rules onto the VM's forward chain,
            like a busy firewall would. *)
         let nf = Stack.nf (Nest_virt.Vm.ns (Testbed.vm tb 0)) in
-        for i = 1 to extra do
+        for _ = 1 to extra do
           Netfilter.append nf Netfilter.Forward
-            { Netfilter.rule_name = Printf.sprintf "filler-%d" i;
-              matches = (fun ~in_dev:_ ~out_dev:_ _ -> false);
+            { Netfilter.matches = (fun ~in_dev:_ ~out_dev:_ _ -> false);
               action = (fun _ -> Netfilter.Accept) }
         done;
         (Netperf.tcp_stream tb ep ~msg_size:1280 ~duration:(dur ~quick) ())

@@ -27,7 +27,7 @@ let masquerade nf ct ~name ~src_subnet ?out_dev ~nat_ip () =
       Netfilter.Mangle (Conntrack.snat ct pkt ~to_ip:nat_ip)
     end
   in
-  Netfilter.append nf Netfilter.Postrouting { rule_name = name; matches; action }
+  Netfilter.append nf Netfilter.Postrouting { matches; action }
 
 let publish nf ct ~name ~dst_ip ~dst_port ~to_ip ~to_port =
   let matches ~in_dev:_ ~out_dev:_ (pkt : Packet.t) =
@@ -40,4 +40,4 @@ let publish nf ct ~name ~dst_ip ~dst_port ~to_ip ~to_port =
       Netfilter.Mangle (Conntrack.dnat ct pkt ~to_ip ~to_port)
     end
   in
-  Netfilter.append nf Netfilter.Prerouting { rule_name = name; matches; action }
+  Netfilter.append nf Netfilter.Prerouting { matches; action }

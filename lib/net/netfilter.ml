@@ -3,7 +3,6 @@ type hook = Prerouting | Input | Forward | Output | Postrouting
 type verdict = Accept | Drop | Mangle of Packet.t
 
 type rule = {
-  rule_name : string;
   matches : in_dev:string -> out_dev:string -> Packet.t -> bool;
   action : Packet.t -> verdict;
 }

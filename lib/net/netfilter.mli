@@ -15,7 +15,6 @@ type verdict =
   | Mangle of Packet.t  (** Continue traversal with the rewritten packet. *)
 
 type rule = {
-  rule_name : string;
   matches : in_dev:string -> out_dev:string -> Packet.t -> bool;
       (** [in_dev]/[out_dev] are the ingress and egress device names,
           [""] when unknown at this hook. *)

@@ -181,14 +181,18 @@ let exec_profiled t lbl fn at =
 let dispatch t lbl fn at =
   if t.profiling then exec_profiled t lbl fn at else exec t lbl fn at
 
+(* Pops the queue's minimum, due at [at], and runs it. *)
+let fire t at =
+  let fn = Heap.pop_value t.queue in
+  t.clock <- at;
+  t.executed <- t.executed + 1;
+  dispatch t (Heap.popped_tag t.queue) fn at
+
 let step t =
   let at = Heap.min_prio t.queue in
   if at < 0 then false
   else begin
-    let fn = Heap.pop_value t.queue in
-    t.clock <- at;
-    t.executed <- t.executed + 1;
-    dispatch t (Heap.popped_tag t.queue) fn at;
+    fire t at;
     true
   end
 
@@ -216,7 +220,7 @@ let run ?until t =
     let continue = ref true in
     while !continue do
       let at = Heap.min_prio t.queue in
-      if at >= 0 && at <= horizon then ignore (step t)
+      if at >= 0 && at <= horizon then fire t at
       else begin
         continue := false;
         t.clock <- Int.max t.clock horizon

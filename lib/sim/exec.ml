@@ -30,10 +30,10 @@ let rec charge_also cost = function
     Cpu_account.charge_handle h cat cost;
     charge_also cost rest
 
-(* Core submission path.  Returns the completion time so callers that
-   need timing (latency provenance) can recover [start = finish - cost]
-   without any allocation on the common path. *)
-let submit_timed t ~cost k =
+(* Books [cost] ns of work on the least busy slot (and, when bound, a
+   core of the set), charges it to the accounts and returns its
+   completion date. *)
+let book t ~cost =
   let cost = Int.max 0 cost in
   let now = Engine.now t.engine in
   let slot = min_slot t in
@@ -52,6 +52,15 @@ let submit_timed t ~cost k =
   | None -> ()
   | Some (h, cat) -> Cpu_account.charge_handle h cat cost);
   charge_also cost t.also;
+  finish
+
+let charge t ~cost = ignore (book t ~cost : Time.ns)
+
+(* Returns the completion time so callers that need timing (latency
+   provenance) can recover [start = finish - cost] without any
+   allocation on the common path. *)
+let submit_timed t ~cost k =
+  let finish = book t ~cost in
   Engine.schedule_labeled t.engine t.label ~at:finish k;
   finish
 

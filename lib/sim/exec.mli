@@ -42,6 +42,11 @@ val submit_timed : t -> cost:Time.ns -> (unit -> unit) -> Time.ns
     needing latency attribution recover [start = finish - cost].  The
     common path pays nothing extra for it. *)
 
+val charge : t -> cost:Time.ns -> unit
+(** Books and charges [cost] ns of work exactly as {!submit} does (the
+    slot, the core and the accounts), but schedules no event: for work
+    whose completion nothing waits on. *)
+
 val engine : t -> Engine.t
 
 val busy_until : t -> Time.ns

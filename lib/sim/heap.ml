@@ -1,8 +1,20 @@
-(* The engine's event queue: an implicit 4-ary min-heap on (prio, seq).
+(* The engine's event queue: an implicit 4-ary min-heap on (prio, seq),
+   plus one front slot outside it.
 
    Every entry carries an int tag beside its value (the engine's label
    id), so a caller that needs a small integer per entry pays no boxing
    for it.
+
+   The front slot holds at most one entry, and that entry comes before
+   every heap entry in (prio, seq) order.  A push earlier than
+   everything queued takes the slot: with the slot empty, that is a
+   priority below the heap's minimum (an equal priority loses on seq);
+   with it full, a priority below the slot's, and the slot's entry then
+   moves into the heap with its seq kept.  Any other push goes to the
+   heap.  A pop takes the slot first.  The simulator's datapath is a
+   chain of events, each scheduling the next hop earlier than anything
+   already queued, so in a closed loop most entries pass through the
+   slot and never touch the heap's arrays.
 
    A heap entry is three ints: its priority, its sequence number and the
    index of the cell that holds its value.  The heap stores its entries
@@ -11,12 +23,12 @@
    and their tags stay in one pool of cells (two parallel arrays) while
    queued, and a free stack recycles the cells.
 
-   A vacated value cell is overwritten with the caller's [dummy] at
-   once: a popped value must become unreachable from the queue
-   immediately, or the arrays pin arbitrarily large closures (the engine
-   stores event thunks here) until the cell happens to be reused.
-   Once the arrays are sized, neither push nor pop allocates, tag
-   included: tags are immediate ints, stored without a write barrier.
+   A vacated value cell or slot is overwritten with the caller's [dummy]
+   at once: a popped value must become unreachable from the queue
+   immediately, or the queue pins arbitrarily large closures (the engine
+   stores event thunks here) until the cell happens to be reused.  Once the arrays are sized, neither push nor pop allocates,
+   tag included: tags are immediate ints, stored without a write
+   barrier.
 
    Ordering contract: extraction is by (prio, seq), FIFO among equal
    priorities.  A push below the last popped priority (or below 0) is
@@ -33,6 +45,11 @@ type 'a t = {
   mutable next_seq : int;
   mutable floor : int;       (* last popped priority *)
   mutable popped_tag : int;  (* tag of the last popped entry *)
+  (* The front slot; [slot_prio = -1] when it is empty. *)
+  mutable slot_prio : int;
+  mutable slot_seq : int;
+  mutable slot_tag : int;
+  mutable slot_value : 'a;
 }
 
 (* Capacities in entries (or cells).  The first arrays are small: most
@@ -44,7 +61,8 @@ let next_capacity n = if n = 0 then 64 else Int.max 1024 (2 * n)
 
 let create ~dummy () =
   { dummy; heap = [||]; len = 0; cells = [||]; cell_tags = [||];
-    free = [||]; n_free = 0; next_seq = 0; floor = 0; popped_tag = 0 }
+    free = [||]; n_free = 0; next_seq = 0; floor = 0; popped_tag = 0;
+    slot_prio = -1; slot_seq = 0; slot_tag = 0; slot_value = dummy }
 
 (* --- entries ------------------------------------------------------- *)
 
@@ -141,19 +159,40 @@ let take t c =
 
 (* --- the queue ----------------------------------------------------- *)
 
-let push t ~prio ~tag value =
-  let prio = Int.max prio t.floor in
-  let s = t.next_seq in
-  t.next_seq <- s + 1;
+let heap_push t prio s tag value =
   let c = store t tag value in
   if 3 * t.len = Array.length t.heap then grow_heap t;
   t.len <- t.len + 1;
   sift_up t.heap prio s c (t.len - 1)
 
-let size t = t.len
-let min_prio t = if t.len = 0 then -1 else t.heap.(0)
+let fill_slot t prio s tag value =
+  t.slot_prio <- prio;
+  t.slot_seq <- s;
+  t.slot_tag <- tag;
+  t.slot_value <- value
 
-let pop_value t =
+let push t ~prio ~tag value =
+  let prio = Int.max prio t.floor in
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  if t.slot_prio < 0 then begin
+    if t.len = 0 || prio < t.heap.(0) then fill_slot t prio s tag value
+    else heap_push t prio s tag value
+  end
+  else if prio < t.slot_prio then begin
+    heap_push t t.slot_prio t.slot_seq t.slot_tag t.slot_value;
+    fill_slot t prio s tag value
+  end
+  else heap_push t prio s tag value
+
+let size t = if t.slot_prio < 0 then t.len else t.len + 1
+
+let min_prio t =
+  if t.slot_prio >= 0 then t.slot_prio
+  else if t.len = 0 then -1
+  else t.heap.(0)
+
+let pop_heap t =
   if t.len = 0 then invalid_arg "Heap.pop_value: empty";
   let a = t.heap in
   t.floor <- a.(0);
@@ -162,5 +201,16 @@ let pop_value t =
   t.len <- n;
   if n > 0 then sift_down a n a.(3 * n) a.((3 * n) + 1) a.((3 * n) + 2) 0;
   take t c
+
+let[@inline] pop_value t =
+  if t.slot_prio >= 0 then begin
+    let v = t.slot_value in
+    t.floor <- t.slot_prio;
+    t.popped_tag <- t.slot_tag;
+    t.slot_prio <- -1;
+    t.slot_value <- t.dummy;
+    v
+  end
+  else pop_heap t
 
 let popped_tag t = t.popped_tag

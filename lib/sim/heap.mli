@@ -1,8 +1,13 @@
 (** The engine's event queue: a min-priority queue keyed by
     [(priority, sequence)].
 
-    One implicit 4-ary heap; a push and a pop each cost O(log n) sift
-    steps over flat int triples.  Each entry carries an int tag beside
+    One implicit 4-ary heap plus one front slot outside it.  A push
+    earlier than everything queued takes the slot (moving a slot entry
+    it precedes into the heap), and a pop takes the slot first, so an
+    event that schedules the next one to run costs no sift at all; any
+    other push or pop costs O(log n) sift steps over flat int triples.
+    The slot's entry always comes before every heap entry in
+    [(priority, sequence)] order.  Each entry carries an int tag beside
     its value (the engine keeps its event's label id there).  Once its
     arrays are sized, neither push nor {!pop_value} allocates, and
     neither does the tag: it is stored and read back as an immediate

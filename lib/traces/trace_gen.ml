@@ -72,9 +72,20 @@ let generate ~seed ~users:n =
          max_users n);
   List.of_seq (Seq.take n (users ~seed))
 
+(* Draws users in order, copying their pods out, and stops at the n-th
+   pod: no user past it is drawn. *)
 let first_pods ~seed ~max_users n =
-  users ~seed
-  |> Seq.take max_users
-  |> Seq.concat_map (fun u -> List.to_seq u.Trace.pods)
-  |> Seq.take n
-  |> Array.of_seq
+  let rng = Prng.create seed in
+  let out = Array.make n { Trace.p_id = 0; p_containers = [] } in
+  let rec copy k = function
+    | p :: rest when k < n ->
+      out.(k) <- p;
+      copy (k + 1) rest
+    | _ -> k
+  in
+  let rec draw u k =
+    if k < n && u < max_users then draw (u + 1) (copy k (user rng u).Trace.pods)
+    else k
+  in
+  let k = draw 0 0 in
+  if k = n then out else Array.sub out 0 k

@@ -17,8 +17,7 @@ let tcp_stream tb (ep : App.endpoints) ~msg_size ?(warmup = Time.ms 100)
   Stack.Tcp.listen ep.App.sv_ns ~port:ep.App.sv_port ~on_accept:(fun conn ->
       Stack.Tcp.set_on_receive conn (fun ~bytes ~msgs:_ ->
           received := !received + bytes;
-          Nest_sim.Exec.submit ep.App.sv_exec ~cost:app_recv_cost_ns
-            (fun () -> ())));
+          Nest_sim.Exec.charge ep.App.sv_exec ~cost:app_recv_cost_ns));
   let stop_at = ref max_int in
   let rec fill conn =
     if Engine.now engine < !stop_at then begin
@@ -26,8 +25,7 @@ let tcp_stream tb (ep : App.endpoints) ~msg_size ?(warmup = Time.ms 100)
       while !accepted do
         if Stack.Tcp.send conn ~size:msg_size () then begin
           incr sends;
-          Nest_sim.Exec.submit ep.App.cl_exec ~cost:app_send_cost_ns
-            (fun () -> ())
+          Nest_sim.Exec.charge ep.App.cl_exec ~cost:app_send_cost_ns
         end
         else accepted := false
       done;

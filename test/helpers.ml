@@ -65,10 +65,9 @@ let per_profile ~release ~dev =
   if String.equal Build_profile.name "dev" then dev else release
 
 (* A firewall rule dropping every packet from [src_subnet] on [hook]. *)
-let drop_from nf ~name ~hook ~src_subnet =
+let drop_from nf ~hook ~src_subnet =
   let open Nest_net in
   Netfilter.append nf hook
-    { Netfilter.rule_name = name;
-      matches =
+    { Netfilter.matches =
         (fun ~in_dev:_ ~out_dev:_ p -> Ipv4.in_subnet src_subnet p.Packet.src);
       action = (fun _ -> Netfilter.Drop) }

@@ -203,8 +203,7 @@ let test_netfilter_order_and_mangle () =
   let nf = Netfilter.create () in
   let order = ref [] in
   let mk name verdict =
-    { Netfilter.rule_name = name;
-      matches = (fun ~in_dev:_ ~out_dev:_ _ -> true);
+    { Netfilter.matches = (fun ~in_dev:_ ~out_dev:_ _ -> true);
       action =
         (fun p ->
           order := name :: !order;
@@ -226,7 +225,7 @@ let test_netfilter_order_and_mangle () =
 
 let test_netfilter_drop_and_remove () =
   let nf = Netfilter.create () in
-  Helpers.drop_from nf ~name:"deny" ~hook:Netfilter.Forward
+  Helpers.drop_from nf ~hook:Netfilter.Forward
     ~src_subnet:(Ipv4.cidr_of_string "10.0.0.0/8");
   let run src =
     Netfilter.run nf Netfilter.Forward ~in_dev:"" ~out_dev:"" (udp_pkt ~src ())
@@ -304,7 +303,7 @@ let test_netfilter_total_rules =
       List.for_all
         (fun h ->
           Netfilter.append nf hooks.(h)
-            { Netfilter.rule_name = "r"; matches = (fun ~in_dev:_ ~out_dev:_ _ -> true);
+            { Netfilter.matches = (fun ~in_dev:_ ~out_dev:_ _ -> true);
               action = (fun _ -> Netfilter.Accept) };
           Netfilter.total_rules nf = summed ())
         ops)

@@ -182,24 +182,35 @@ let test_metrics_json () =
 
 (* Helpers allocate in their own frame so the test frame holds no hidden
    strong reference when the GC runs. *)
-let[@inline never] push_tracked h w i =
+let[@inline never] push_tracked h w i ~prio =
   let v = Bytes.make 32 'x' in
   Weak.set w i (Some v);
-  Heap.push h ~tag:0 ~prio:(i + 1) v
+  Heap.push h ~tag:0 ~prio v
 
-let[@inline never] drain h = while Helpers.heap_pop h <> None do () done
+let[@inline never] pop_one h = ignore (Helpers.heap_pop h : _ option)
 
 let weak_cleared w i = Weak.get w i = None
 
+(* Value 0 takes the queue's empty front slot, value 1 displaces it into
+   the heap and takes the slot, and value 2 goes to the heap: the pops
+   take 1 from the slot, then 0 (displaced) and 2 from the heap. *)
 let test_heap_pop_releases () =
   let h = Heap.create ~dummy:Bytes.empty () in
-  let w = Weak.create 2 in
-  push_tracked h w 0;
-  push_tracked h w 1;
-  drain h;
+  let w = Weak.create 3 in
+  push_tracked h w 0 ~prio:2;
+  push_tracked h w 1 ~prio:1;
+  push_tracked h w 2 ~prio:3;
+  pop_one h;
   Gc.full_major ();
-  Alcotest.(check bool) "slot 0 released after pop" true (weak_cleared w 0);
-  Alcotest.(check bool) "slot 1 released after pop" true (weak_cleared w 1);
+  Alcotest.(check bool) "slot value released after pop" true (weak_cleared w 1);
+  Alcotest.(check bool) "displaced value still queued" false (weak_cleared w 0);
+  pop_one h;
+  Gc.full_major ();
+  Alcotest.(check bool) "displaced value released after pop" true
+    (weak_cleared w 0);
+  pop_one h;
+  Gc.full_major ();
+  Alcotest.(check bool) "heap value released after pop" true (weak_cleared w 2);
   (* The heap stays usable afterwards. *)
   Heap.push h ~tag:0 ~prio:1 (Bytes.make 1 'y');
   Alcotest.(check int) "reusable" 1 (Heap.size h)

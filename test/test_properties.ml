@@ -13,16 +13,37 @@ let qtest = QCheck_alcotest.to_alcotest
 (* Heap (the engine's event queue) vs sorted-list oracle under
    interleaved push/pop.  The queue clamps a push below the last popped
    priority up to it, and so does the model.  Each value is its push
-   index, so a pop must return the exact (prio, seq) minimum, ties
-   included; half the inputs draw from 4 priorities to make ties
-   dense. *)
+   index, and so is its tag, so a pop must return the exact (prio, seq)
+   minimum, ties included, with its own tag.  A third of the inputs draw
+   from 4 priorities to make ties dense, and a third push mostly new
+   minima (each priority at or below the last), so the queue's front
+   slot fills, is displaced into the heap and is popped, equal
+   priorities included. *)
+
+(* Push priorities that fall from 64 by 0 to 2 each, a quarter of the
+   ops pops. *)
+let descending_ops =
+  QCheck.(
+    map
+      (fun steps ->
+        let p = ref 64 in
+        List.map
+          (fun (is_pop, d) ->
+            if is_pop then (true, 0)
+            else begin
+              p := Int.max 0 (!p - d);
+              (false, !p)
+            end)
+          steps)
+      (list (pair (map (fun k -> k = 0) (int_range 0 3)) (int_range 0 2))))
 
 let test_heap_oracle =
-  QCheck.Test.make ~name:"heap behaves like a sorted multiset" ~count:400
+  QCheck.Test.make ~name:"heap behaves like a sorted multiset" ~count:600
     QCheck.(
       oneof
         [ list (pair bool small_int);
-          list (pair (map (fun k -> k = 0) (int_range 0 2)) (int_range 0 3)) ])
+          list (pair (map (fun k -> k = 0) (int_range 0 2)) (int_range 0 3));
+          descending_ops ])
     (fun ops ->
       let h = Heap.create ~dummy:0 () in
       let model = ref [] and floor = ref 0 and pushed = ref 0 in
@@ -34,10 +55,10 @@ let test_heap_oracle =
             | Some (p, seq), (m, mseq) :: rest ->
               model := rest;
               floor := m;
-              p = m && seq = mseq
+              p = m && seq = mseq && Heap.popped_tag h = mseq
             | None, _ :: _ | Some _, [] -> false
           else begin
-            Heap.push h ~tag:0 ~prio:v !pushed;
+            Heap.push h ~tag:!pushed ~prio:v !pushed;
             model := List.sort compare ((Int.max v !floor, !pushed) :: !model);
             incr pushed;
             true

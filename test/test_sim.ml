@@ -649,6 +649,60 @@ let test_cpuset_affinity_no_false_contention () =
   Engine.run e;
   Alcotest.(check int) "no false contention from queued work" 50 !at
 
+(* [Exec.charge] books exactly what [Exec.submit] books and schedules
+   nothing.  Both runs drive a width-2 context that shares a 2-core set
+   with a second context; the first charges every third step instead of
+   submitting it.  Each step records the submit's finish date ([None]
+   where the step charged) and the context's [busy_until]. *)
+let exec_steps ~charged =
+  let e = Engine.create () in
+  let set = Cpu_set.create ~cores:2 in
+  let acct = Cpu_account.create () in
+  let x =
+    Exec.create ~account:(acct, "vm1", Cpu_account.Soft)
+      ~also:[ (acct, "host", Cpu_account.Guest) ]
+      ~width:2 ~cpus:set e ~name:"x"
+  in
+  let other = Exec.create ~cpus:set e ~name:"other" in
+  let rng = Prng.create 7L in
+  let steps =
+    List.init 200 (fun i ->
+        Engine.run ~until:(i * 60) e;
+        let cost = 20 + Prng.int rng 200 in
+        let finish =
+          if charged i then begin
+            let pending = Engine.pending e in
+            Exec.charge x ~cost;
+            Alcotest.(check int) "charge schedules nothing" pending
+              (Engine.pending e);
+            None
+          end
+          else Some (Exec.submit_timed x ~cost ignore)
+        in
+        if i mod 4 = 0 then Exec.submit other ~cost:(Prng.int rng 150) ignore;
+        (finish, Exec.busy_until x))
+  in
+  Engine.run e;
+  let totals =
+    List.map
+      (fun (entity, cat) -> Cpu_account.get acct ~entity cat)
+      [ ("vm1", Cpu_account.Soft); ("host", Cpu_account.Guest) ]
+  in
+  (steps, totals)
+
+let test_exec_charge_books_like_submit () =
+  let charged i = i mod 3 = 1 in
+  let steps, totals = exec_steps ~charged in
+  let all_steps, all_totals = exec_steps ~charged:(fun _ -> false) in
+  let expected =
+    List.mapi
+      (fun i (finish, busy) -> ((if charged i then None else finish), busy))
+      all_steps
+  in
+  Alcotest.(check (list (pair (option int) int)))
+    "finish dates and busy_until" expected steps;
+  Alcotest.(check (list int)) "account totals" all_totals totals
+
 let test_cpu_account_reset_snapshot () =
   let acct = Cpu_account.create () in
   let charge entity = Cpu_account.charge_handle (Cpu_account.handle acct ~entity) in
@@ -718,6 +772,8 @@ let () =
           Alcotest.test_case "accounting" `Quick test_exec_accounting;
           Alcotest.test_case "accounting across reset" `Quick
             test_exec_accounting_across_reset;
+          Alcotest.test_case "charge books like submit" `Quick
+            test_exec_charge_books_like_submit;
           Alcotest.test_case "cpuset caps" `Quick test_cpuset_caps_parallelism;
           Alcotest.test_case "cpuset affinity" `Quick
             test_cpuset_affinity_no_false_contention;

@@ -190,7 +190,7 @@ let test_underlay_rule_drops_encap () =
     send ()
   done;
   Alcotest.(check int) "flowing through the underlay" 3 !got;
-  Helpers.drop_from (Stack.nf ns1) ~name:"deny" ~hook:Netfilter.Output
+  Helpers.drop_from (Stack.nf ns1) ~hook:Netfilter.Output
     ~src_subnet:(cidr "10.5.0.0/24");
   send ();
   Alcotest.(check int) "new underlay rule drops the next datagram" 3 !got;
