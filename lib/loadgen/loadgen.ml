@@ -262,7 +262,7 @@ let udp ~engine ~arrival ~sizes ~rng ?admission ?burn_source ?timeout
         match payload.Nest_net.Payload.msg with
         | Some (Lg_req { gen; seq }) when gen = gen_id ->
           complete t ~seq;
-          Nest_sim.Exec.submit exec ~cost:app_recv_cost_ns (fun () -> ())
+          Nest_sim.Exec.charge exec ~cost:app_recv_cost_ns
         | _ -> ())
   in
   sock := Some sk;

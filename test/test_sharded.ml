@@ -504,8 +504,8 @@ let prop_fleet_digest_identity =
    follow from event dates alone, so both 2-shard splits read the same
    pair on any host.  A change to the scenario's event dates, or to how
    windows are cut, moves them. *)
-let fleet_windows = 1188
-let fleet_critical = 15949
+let fleet_windows = 1187
+let fleet_critical = 15471
 
 let test_fleet_window_counters () =
   let params =

@@ -585,13 +585,18 @@ let test_udp_rr_minor_words () =
    the two softirq contexts of the nested-NAT path, pinned (exact, like
    the gate above), and the rows summing to the unprofiled total, so the
    ledger attributes every word the run allocates and adds none.
-   Under dev both rows read 100.00. *)
+   Under dev both rows read 100.00.  Profiling with the default clock
+   allocates nothing itself: the profiled run's words per event equal
+   the unprofiled run's exactly (4 more when each clock read boxed its
+   float). *)
 let vm1_softirq_words_per_tx = Helpers.per_profile ~release:95.96 ~dev:100.00
 let host_softirq_words_per_tx = Helpers.per_profile ~release:100.00 ~dev:100.00
 
 let test_udp_rr_alloc_ledger () =
-  let off_words, _, _, _ = udp_rr_cost () in
-  let _, _, _, ledger = udp_rr_cost ~profile:true () in
+  let off_words, off_events, _, _ = udp_rr_cost () in
+  let prof_words, prof_events, _, ledger = udp_rr_cost ~profile:true () in
+  Alcotest.(check (float 0.0)) "profiling adds no words per event"
+    (off_words /. off_events) (prof_words /. prof_events);
   let row label =
     match List.assoc_opt label ledger with
     | Some w -> w
