@@ -86,9 +86,14 @@ let run_cmd ids quick jobs trace metrics obs_json trace_capacity =
 (* Observability-first run: full collection on, any registered experiment
    (or none), a Perfetto-loadable Chrome trace written to --out, and a
    per-hop latency-attribution table comparing the deployment modes. *)
+(* A timeline tick waits one period in the engine's queue, which refuses
+   an event 2^42 ns (about 73 min) or more past another queued one. *)
+let max_timeline_period_us = 3_600_000_000
+
 let obs_cmd ids quick out trace_capacity timeline_period_us prov_sample slo =
   check_trace_capacity trace_capacity;
   at_least 1 "timeline-period" timeline_period_us;
+  at_most max_timeline_period_us "timeline-period" timeline_period_us;
   at_least 1 "prov-sample" prov_sample;
   let chosen = experiments ids in
   (* The trace is written only after every experiment has run, so find
@@ -241,7 +246,7 @@ let obs_term =
     Arg.(value & opt int 1000
          & info [ "timeline-period" ] ~docv:"US"
              ~doc:"CPU-timeline sampling period in microseconds of sim \
-                   time.")
+                   time, at most one hour (3600000000).")
   in
   let prov_sample =
     Arg.(value & opt int 1
@@ -529,7 +534,8 @@ let fleet_term =
              ~doc:"Per-request service cost on a serving pod, in \
                    microseconds.  Raise it to move the fleet's bottleneck \
                    from the network to the pods (and give admission and \
-                   autoscaling something to fight).")
+                   autoscaling something to fight).  At most 1 s \
+                   (1000000).")
   in
   let pods_max =
     Arg.(value & opt int 4

@@ -463,6 +463,16 @@ let max_pods = 1_000_000
    in about 5 s and 0.7 GB. *)
 let max_nodes = 16_384
 
+(* A pod's exec books requests first come, first served, so its n-th
+   queued request completes n service times ahead, and the engine's
+   queue refuses an event 2^42 ns (about 73 min) or more past another
+   queued one.  A generator keeps at most 64 requests outstanding and
+   frees a slot only by a completion or a timeout (at least 100 ms), so
+   over a full run's 1 s of arrivals one pod is handed at most about
+   700 requests that have not completed: at 1 s each, its last
+   completion lies at most about 12 min ahead. *)
+let max_service_us = 1e6
+
 let validate p =
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
   if not (p.nodes > 0 && p.nodes <= max_nodes) then
@@ -480,12 +490,11 @@ let validate p =
     bad "standby must be in [0, %d] (got %d)" Exp_util.max_standby p.standby
   else if
     (* [install_serving] charges [int_of_float (service_us *. 1000.)] ns:
-       at least 1 ns, and no wrap to a negative cost. *)
-    not (p.service_us *. 1000.0 >= 1.0
-         && p.service_us *. 1000.0 < Float.of_int max_int)
+       at least 1 ns. *)
+    not (p.service_us *. 1000.0 >= 1.0 && p.service_us <= max_service_us)
   then
-    bad "service-us must be in [0.001, %g) (got %g)"
-      (Float.of_int max_int /. 1000.0) p.service_us
+    bad "service-us must be in [0.001, %.0f] (got %.10g)" max_service_us
+      p.service_us
   else if not (p.pods_max >= 1) then
     bad "pods-max must be >= 1 (got %d)" p.pods_max
   else Ok ()

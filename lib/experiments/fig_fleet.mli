@@ -62,9 +62,10 @@ val validate : params -> (unit, string) result
     first bad field as its CLI flag ("rate must be in (0, 1e+07] (got
     nan)").  Nodes, rate, pods and standby have upper bounds (16384
     nodes, 1e7 req/s, 1 000 000 pods, {!Exp_util.max_standby}) so that
-    every accepted run finishes.  Every entry point that runs the
-    scenario raises [Invalid_argument] on an [Error]; the CLI prints it
-    and exits 1. *)
+    every accepted run finishes, and service-us one (1 s) so that a
+    pod's backlog of completions stays inside the event queue's span.
+    Every entry point that runs the scenario raises [Invalid_argument]
+    on an [Error]; the CLI prints it and exits 1. *)
 
 val run :
   ?params:params -> ?shards:int -> ?domains:int -> quick:bool -> unit -> unit

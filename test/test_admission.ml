@@ -251,8 +251,9 @@ let overload_params admission autoscale rate =
     service_us = 2000.0 }
 
 (* --service-us is charged as whole nanoseconds: anything below 1 ns
-   or past max_int ns (where [int_of_float] wraps negative) is an
-   error, NaN included. *)
+   is an error, NaN included.  Above 1 s a pod's backlog of completions
+   could reach past the event queue's 2^42 ns span (a quick run at
+   1e8 us did), so that is refused too. *)
 let test_service_us_validate () =
   List.iter
     (fun (us, ok) ->
@@ -261,8 +262,27 @@ let test_service_us_validate () =
       in
       Alcotest.(check bool) (Printf.sprintf "service-us %g" us) ok
         (Result.is_ok got))
-    [ (1e300, false); (1e16, false); (1e-4, false); (Float.nan, false);
-      (1e-3, true); (0.25, true); (2000.0, true) ]
+    [ (1e300, false); (1e16, false); (5e9, false); (1000001.0, false);
+      (1e-4, false); (Float.nan, false);
+      (1e-3, true); (0.25, true); (2000.0, true); (1e6, true) ]
+
+(* The largest accepted service time finishes a full run, fixed and
+   codel admission, on the plain and the lossy link: each pod's backlog
+   of completions stays inside the queue's span (10 s per request, ten
+   times the ceiling, does not). *)
+let test_service_us_ceiling_runs () =
+  List.iter
+    (fun (admission, name) ->
+      let params =
+        { Fig_fleet.default_params with
+          Fig_fleet.nodes = 2; rate = 1e5; service_us = 1e6; admission;
+          profile = Nest_net.Wire.profile name }
+      in
+      let s = Fig_fleet.summarize ~params ~quick:false () in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s offered %d > 0" name s.Fig_fleet.s_offered)
+        true (s.Fig_fleet.s_offered > 0))
+    [ (`Fixed, "datacenter"); (`Codel, "lossy") ]
 
 (* A rate so small that a node's goodput floor (a fifth of its share)
    underflows to 0 is an error, not an uncaught [Slo] exception; the
@@ -435,6 +455,8 @@ let () =
         [
           Alcotest.test_case "service-us validation" `Quick
             test_service_us_validate;
+          Alcotest.test_case "service-us ceiling runs" `Quick
+            test_service_us_ceiling_runs;
           Alcotest.test_case "rate floor validation" `Quick
             test_rate_floor_validate;
           Alcotest.test_case "upper bounds validation" `Quick
