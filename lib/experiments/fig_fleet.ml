@@ -334,11 +334,13 @@ let start_generators tbs deployed ~serves ~p ~prof_ns ~timeout ~start ~stop
         match p.admission with
         | `Fixed -> None
         | `Burn ->
-          Some (Admission.burn ~floor:1 ~ceiling:64 ~window:slo_window ())
+          Some
+            (Admission.burn ~floor:1 ~ceiling:Lg.default_max_outstanding
+               ~window:slo_window ())
         | `Codel ->
           Some
             (Admission.codel ~target_us:limit_us ~interval:slo_window
-               ~ceiling:64 ())
+               ~ceiling:Lg.default_max_outstanding ())
       in
       let burn_source =
         match p.admission with
@@ -463,15 +465,33 @@ let max_pods = 1_000_000
    in about 5 s and 0.7 GB. *)
 let max_nodes = 16_384
 
+(* The request timeout's floor: [build] times a request out after the
+   larger of this and eight link delays. *)
+let timeout_floor = Time.ms 100
+
 (* A pod's exec books requests first come, first served, so its n-th
    queued request completes n service times ahead, and the engine's
-   queue refuses an event 2^42 ns (about 73 min) or more past another
-   queued one.  A generator keeps at most 64 requests outstanding and
-   frees a slot only by a completion or a timeout (at least 100 ms), so
-   over a full run's 1 s of arrivals one pod is handed at most about
-   700 requests that have not completed: at 1 s each, its last
-   completion lies at most about 12 min ahead. *)
+   queue refuses an event [Heap.span] (2^42 ns, about 73 min) or more
+   past another queued one.  A generator keeps at most
+   [Lg.default_max_outstanding] (64) requests outstanding, under every
+   admission policy, and frees a slot only by a completion or a timeout
+   (at least [timeout_floor]), so over a full run's 1 s of arrivals one
+   pod is handed at most 64 * (1 s / 100 ms + 1) = 704 requests that
+   have not completed: at 1 s each, its last completion lies at most
+   about 12 min ahead.  The check below redoes this sum from the
+   constants, so a change that grows the backlog past the span fails
+   every program that links the fleet, at start-up. *)
 let max_service_us = 1e6
+
+let () =
+  let measure = (Exp_util.durations ~quick:false).Exp_util.measure in
+  let backlog = Lg.default_max_outstanding * ((measure / timeout_floor) + 1) in
+  if backlog * int_of_float (max_service_us *. 1e3) >= Nest_sim.Heap.span then
+    failwith
+      (Printf.sprintf
+         "fig_fleet: %d requests of %.0f us can queue on one pod, past the \
+          event queue's span"
+         backlog max_service_us)
 
 let validate p =
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -543,7 +563,7 @@ let build ~p ~shards ~domains ~quick =
   (* The one request timeout.  The horizon lets every admitted request
      resolve — complete or hit it — so the digest never races the
      horizon. *)
-  let timeout = max (Time.ms 100) (8 * prof_ns) in
+  let timeout = max timeout_floor (8 * prof_ns) in
   let nodes =
     start_generators tbs deployed ~serves ~p ~prof_ns ~timeout ~start ~stop
   in
@@ -608,12 +628,16 @@ let per_mode nodes =
       | gen, srv -> Some (mode, gen, srv))
     [ "nat"; "brfusion"; "hostlo" ]
 
-(* The primitive [Printf]'s ["%.6f"] ends in: the same bytes, without
-   the format interpreter's garbage on every completion line. *)
-external format_float : string -> float -> string = "caml_format_float"
-
+(* Completion lines are written as integer digits: [Time.buffer_add_us]
+   prints the bytes ["%.6f"] gives the latency in µs.  The buffer is
+   sized from the completion count, so a run that completes nothing
+   does not pay for a large one. *)
 let digest_of sc =
-  let b = Buffer.create 8192 in
+  let completed =
+    List.fold_left (fun a n -> a + (Lg.counts n.f_gen).Lg.completed) 0
+      sc.sc_nodes
+  in
+  let b = Buffer.create ((256 * List.length sc.sc_nodes) + (32 * completed)) in
   List.iter
     (fun n ->
       let g = n.f_gen in
@@ -623,10 +647,10 @@ let digest_of sc =
                          completed=%d adm_limit=%d\n"
            n.f_ix n.f_mode c.Lg.offered c.Lg.admitted c.Lg.shed c.Lg.lost
            c.Lg.completed (Lg.admission_limit g));
-      Lg.iter_completions g (fun at us ->
-          Buffer.add_string b (string_of_int at);
+      Lg.iter_completions g (fun at latency ->
+          Time.buffer_add_ns b at;
           Buffer.add_char b ' ';
-          Buffer.add_string b (format_float "%.6f" us);
+          Time.buffer_add_us b latency;
           Buffer.add_char b '\n');
       (* Serving side: pool traffic and the autoscaler trajectory are
          digest material too — a scaling decision happening one window

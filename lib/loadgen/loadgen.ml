@@ -60,10 +60,10 @@ type t = {
   mutable g_outstanding : int;
   mutable g_seq : int;
   (* Completion trace, flat and growable: entry k is the k-th
-     completion's time and latency (µs); [g_completed] entries are in
+     completion's time and latency (ns); [g_completed] entries are in
      use. *)
   mutable g_done_at : Time.ns array;
-  mutable g_done_us : Float.Array.t;
+  mutable g_done_ns : Time.ns array;
 }
 
 let slo_sent t =
@@ -180,25 +180,25 @@ let create ~engine ~arrival ~sizes ~rng ?admission
       g_latency = Nest_sim.Hdr.create ();
       g_offered = 0; g_admitted = 0; g_shed = 0; g_lost = 0;
       g_completed = 0; g_outstanding = 0; g_seq = 0; g_done_at = [||];
-      g_done_us = Float.Array.create 0 }
+      g_done_ns = [||] }
   in
   t.g_on_arrival <- (fun () -> arrive t; schedule_next t);
   t.g_on_timer <- (fun () -> on_timer t);
   schedule_next t;
   t
 
-let record_completion t at us =
+let record_completion t at latency =
   let n = t.g_completed in
   if n = Array.length t.g_done_at then begin
     let cap = max 64 (2 * n) in
-    let done_at = Array.make cap 0 and done_us = Float.Array.create cap in
+    let done_at = Array.make cap 0 and done_ns = Array.make cap 0 in
     Array.blit t.g_done_at 0 done_at 0 n;
-    Float.Array.blit t.g_done_us 0 done_us 0 n;
+    Array.blit t.g_done_ns 0 done_ns 0 n;
     t.g_done_at <- done_at;
-    t.g_done_us <- done_us
+    t.g_done_ns <- done_ns
   end;
   t.g_done_at.(n) <- at;
-  Float.Array.set t.g_done_us n us;
+  t.g_done_ns.(n) <- latency;
   t.g_completed <- n + 1
 
 let complete t ~seq =
@@ -212,11 +212,11 @@ let complete t ~seq =
       t.g_ring.(i) <- -1;
       t.g_outstanding <- t.g_outstanding - 1;
       let now = Engine.now t.g_engine in
-      (* Boxed once here: each of the four calls below takes the float
+      (* Boxed once here: each of the three calls below takes the float
          boxed, and an unboxed [us] would be boxed again for each. *)
       let us = Sys.opaque_identity (Time.to_us_f (now - intended)) in
       Nest_sim.Hdr.add t.g_latency us;
-      record_completion t now us;
+      record_completion t now (now - intended);
       Admission.on_complete t.g_admission ~latency_us:us;
       slo_done t us
     end
@@ -229,7 +229,7 @@ let counts t =
 let latency t = t.g_latency
 let iter_completions t f =
   for k = 0 to t.g_completed - 1 do
-    f t.g_done_at.(k) (Float.Array.get t.g_done_us k)
+    f t.g_done_at.(k) t.g_done_ns.(k)
   done
 let admission_limit t = Admission.limit t.g_admission
 let admission_transitions t = Admission.transitions t.g_admission

@@ -52,6 +52,10 @@ type counts = {
 
 type t
 
+val default_max_outstanding : int
+(** The [Fixed] admission bound {!create} uses when given no
+    [admission] policy: 64 requests outstanding. *)
+
 val create :
   engine:Nest_sim.Engine.t ->
   arrival:Arrival.t ->
@@ -72,7 +76,7 @@ val create :
     the arrival event for every admitted request; the transport must
     call {!complete} with the same [seq] when the response lands.
     [admission] overrides the shed policy (default
-    [Admission.fixed 64], the PR 9 behaviour);
+    [Admission.fixed default_max_outstanding], the PR 9 behaviour);
     [burn_source] feeds a [Burn] policy its live SLO reading — wire it
     to {!Nest_sim.Slo.last_burn} of the objective shedding protects.
     The admission controller's window ticks stop at [stop + timeout].
@@ -94,10 +98,14 @@ val latency : t -> Nest_sim.Hdr.t
     percentiles come from {!Nest_sim.Hdr.merge_into} across
     generators. *)
 
-val iter_completions : t -> (Nest_sim.Time.ns -> float -> unit) -> unit
-(** [iter_completions t f] calls [f at latency_us] for each completion,
-    in completion order — digest material for determinism checks.  The
-    trace is kept in flat arrays, not one record per request. *)
+val iter_completions :
+  t -> (Nest_sim.Time.ns -> Nest_sim.Time.ns -> unit) -> unit
+(** [iter_completions t f] calls [f at latency] for each completion, in
+    completion order, [latency] in integer ns from the intended start
+    (the sketch and the SLO monitor get the same value in µs, via
+    {!Nest_sim.Time.to_us_f}) — digest material for determinism
+    checks.  The trace is kept in two flat int arrays, not one record
+    per request. *)
 
 val admission_limit : t -> int
 (** Current effective concurrency limit of the admission controller

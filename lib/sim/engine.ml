@@ -13,7 +13,15 @@ type label = int
 
 let unlabeled = 0
 
+(* Eight unused words at each end of the record: a sharded run gives
+   every shard its own engine, written on every event by the one domain
+   that pumps it, and the padding keeps those writes off the 64-byte
+   cache lines of every other shard's records, whatever lies next to
+   this one in the heap (OCaml 5.1 has no [Atomic.make_contended]).
+   {!Heap.t} and {!Sharded}'s per-shard records are padded alike. *)
 type t = {
+  pad0 : int; pad1 : int; pad2 : int; pad3 : int;
+  pad4 : int; pad5 : int; pad6 : int; pad7 : int;
   mutable clock : Time.ns;
   queue : (unit -> unit) Heap.t;
   root_rng : Prng.t;
@@ -30,11 +38,15 @@ type t = {
   mutable prof_secs : float array;
   mutable prof_words : float array;
   mutable prof_clock : (unit -> float) option;  (* None: [Sys.time] *)
+  pad8 : int; pad9 : int; pad10 : int; pad11 : int;
+  pad12 : int; pad13 : int; pad14 : int; pad15 : int;
 }
 
 let create ?(seed = 0x5EEDL) () =
   let t =
     {
+      pad0 = 0; pad1 = 0; pad2 = 0; pad3 = 0;
+      pad4 = 0; pad5 = 0; pad6 = 0; pad7 = 0;
       clock = 0;
       queue = Heap.create ~dummy:ignore ();
       root_rng = Prng.create seed;
@@ -51,6 +63,8 @@ let create ?(seed = 0x5EEDL) () =
       prof_secs = Array.make 16 0.0;
       prof_words = Array.make 16 0.0;
       prof_clock = None;
+      pad8 = 0; pad9 = 0; pad10 = 0; pad11 = 0;
+      pad12 = 0; pad13 = 0; pad14 = 0; pad15 = 0;
     }
   in
   Metrics.gauge_probe t.metrics "engine.events_processed" (fun () ->

@@ -57,7 +57,12 @@ let date_bits = 62 - seq_bits
 let span = 1 lsl date_bits
 let empty_key = max_int
 
+(* Eight unused words at each end, as in {!Engine.t}: each shard's
+   queue is written on every event by its own domain, and the padding
+   keeps those writes off other shards' cache lines. *)
 type 'a t = {
+  pad0 : int; pad1 : int; pad2 : int; pad3 : int;
+  pad4 : int; pad5 : int; pad6 : int; pad7 : int;
   dummy : 'a;
   mutable keys : int array;  (* children of entry i: 4i+1 .. 4i+4 *)
   mutable cell_of : int array;  (* cell index of each heap entry *)
@@ -74,6 +79,8 @@ type 'a t = {
   mutable slot_key : int;
   mutable slot_tag : int;
   mutable slot_value : 'a;
+  pad8 : int; pad9 : int; pad10 : int; pad11 : int;
+  pad12 : int; pad13 : int; pad14 : int; pad15 : int;
 }
 
 (* Capacities in entries (or cells).  The first arrays are small: most
@@ -84,10 +91,14 @@ type 'a t = {
 let next_capacity n = if n = 0 then 64 else Int.max 1024 (2 * n)
 
 let create ~dummy () =
-  { dummy; keys = [| empty_key |]; cell_of = [||]; len = 0; cells = [||];
+  { pad0 = 0; pad1 = 0; pad2 = 0; pad3 = 0;
+    pad4 = 0; pad5 = 0; pad6 = 0; pad7 = 0;
+    dummy; keys = [| empty_key |]; cell_of = [||]; len = 0; cells = [||];
     cell_tags = [||]; free = [||]; n_free = 0; base = 0; next_seq = 0;
     floor = 0; popped_tag = 0; slot_key = -1; slot_tag = 0;
-    slot_value = dummy }
+    slot_value = dummy;
+    pad8 = 0; pad9 = 0; pad10 = 0; pad11 = 0;
+    pad12 = 0; pad13 = 0; pad14 = 0; pad15 = 0 }
 
 let[@inline] date t k = t.base + (k lsr seq_bits)
 

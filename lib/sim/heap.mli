@@ -35,6 +35,10 @@ type 'a t
 val create : dummy:'a -> unit -> 'a t
 (** [dummy] fills vacated value cells; it is never returned. *)
 
+val span : int
+(** 2^42: queued priorities must lie within [span] of each other (the
+    engine's dates are ns, so about 73 minutes). *)
+
 val push : 'a t -> prio:int -> tag:int -> 'a -> unit
 (** Inserts with the next sequence number.  Raises [Invalid_argument],
     queueing nothing, when the (clamped) priority lies 2^42 ns or more

@@ -40,11 +40,35 @@ type msg = {
   m_fn : unit -> unit;
 }
 
+(* The three records below are written while a window lasts, each by
+   one domain: a buffer by its shard's (an outbox by its source's), a
+   link by its source shard's, a shard by its own.  Eight unused words
+   at each end keep those writes off the 64-byte cache lines of any
+   record another domain writes (OCaml 5.1 has no
+   [Atomic.make_contended]); {!Engine.t} and {!Heap.t} are padded
+   alike. *)
+
 (* A growable array of messages: a shard's inbox keeps it as a binary
    min-heap by (date, link key, send order), an outbox in send order. *)
-type buf = { mutable b_msgs : msg array; mutable b_len : int }
+type buf = {
+  b_pad0 : int; b_pad1 : int; b_pad2 : int; b_pad3 : int;
+  b_pad4 : int; b_pad5 : int; b_pad6 : int; b_pad7 : int;
+  mutable b_msgs : msg array;
+  mutable b_len : int;
+  b_pad8 : int; b_pad9 : int; b_pad10 : int; b_pad11 : int;
+  b_pad12 : int; b_pad13 : int; b_pad14 : int; b_pad15 : int;
+}
+
+let empty_buf () =
+  { b_pad0 = 0; b_pad1 = 0; b_pad2 = 0; b_pad3 = 0;
+    b_pad4 = 0; b_pad5 = 0; b_pad6 = 0; b_pad7 = 0;
+    b_msgs = [||]; b_len = 0;
+    b_pad8 = 0; b_pad9 = 0; b_pad10 = 0; b_pad11 = 0;
+    b_pad12 = 0; b_pad13 = 0; b_pad14 = 0; b_pad15 = 0 }
 
 type link = {
+  l_pad0 : int; l_pad1 : int; l_pad2 : int; l_pad3 : int;
+  l_pad4 : int; l_pad5 : int; l_pad6 : int; l_pad7 : int;
   l_src : int;
   l_dst : int;
   l_key : int;                     (* creation order: delivery tie-break *)
@@ -52,9 +76,13 @@ type link = {
   l_label : Engine.label;
   l_out : buf option;              (* the pair's outbox; None on a self-link *)
   mutable l_sent : int;
+  l_pad8 : int; l_pad9 : int; l_pad10 : int; l_pad11 : int;
+  l_pad12 : int; l_pad13 : int; l_pad14 : int; l_pad15 : int;
 }
 
 type shard = {
+  sh_pad0 : int; sh_pad1 : int; sh_pad2 : int; sh_pad3 : int;
+  sh_pad4 : int; sh_pad5 : int; sh_pad6 : int; sh_pad7 : int;
   sh_ix : int;
   sh_engine : Engine.t;
   sh_inbox : buf;
@@ -63,6 +91,8 @@ type shard = {
   (* Cumulative counters (see {!stats}). *)
   mutable sh_delivered : int;
   mutable sh_critical : int;
+  sh_pad8 : int; sh_pad9 : int; sh_pad10 : int; sh_pad11 : int;
+  sh_pad12 : int; sh_pad13 : int; sh_pad14 : int; sh_pad15 : int;
 }
 
 type t = {
@@ -87,13 +117,17 @@ let create ?(seed = 0x5EEDL) ~shards () =
       else Int64.add seed (Int64.mul golden (Int64.of_int i))
     in
     {
+      sh_pad0 = 0; sh_pad1 = 0; sh_pad2 = 0; sh_pad3 = 0;
+      sh_pad4 = 0; sh_pad5 = 0; sh_pad6 = 0; sh_pad7 = 0;
       sh_ix = i;
       sh_engine = Engine.create ~seed:s ();
-      sh_inbox = { b_msgs = [||]; b_len = 0 };
+      sh_inbox = empty_buf ();
       sh_outs = [];
       sh_mark = 0;
       sh_delivered = 0;
       sh_critical = 0;
+      sh_pad8 = 0; sh_pad9 = 0; sh_pad10 = 0; sh_pad11 = 0;
+      sh_pad12 = 0; sh_pad13 = 0; sh_pad14 = 0; sh_pad15 = 0;
     }
   in
   { sd_shards = Array.init shards mk; sd_links = 0; sd_lookahead = max_int;
@@ -120,15 +154,19 @@ let link t ~src ~dst ~lookahead ?(label = "") () =
       match List.assoc_opt src d.sh_outs with
       | Some ob -> Some ob
       | None ->
-        let ob = { b_msgs = [||]; b_len = 0 } in
+        let ob = empty_buf () in
         d.sh_outs <- (src, ob) :: d.sh_outs;
         Some ob
     end
   in
   let l =
-    { l_src = src; l_dst = dst; l_key = t.sd_links; l_lookahead = lookahead;
+    { l_pad0 = 0; l_pad1 = 0; l_pad2 = 0; l_pad3 = 0;
+      l_pad4 = 0; l_pad5 = 0; l_pad6 = 0; l_pad7 = 0;
+      l_src = src; l_dst = dst; l_key = t.sd_links; l_lookahead = lookahead;
       l_label = Engine.label t.sd_shards.(dst).sh_engine label; l_out = out;
-      l_sent = 0 }
+      l_sent = 0;
+      l_pad8 = 0; l_pad9 = 0; l_pad10 = 0; l_pad11 = 0;
+      l_pad12 = 0; l_pad13 = 0; l_pad14 = 0; l_pad15 = 0 }
   in
   t.sd_links <- t.sd_links + 1;
   l

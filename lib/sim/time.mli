@@ -14,5 +14,14 @@ val to_sec_f : ns -> float
 val to_us_f : ns -> float
 val to_ms_f : ns -> float
 
+val buffer_add_ns : Buffer.t -> ns -> unit
+(** Appends [t] in decimal: the bytes of [string_of_int t], written as
+    digits with no intermediate string. *)
+
+val buffer_add_us : Buffer.t -> ns -> unit
+(** Appends [t] in microseconds with six decimals: for
+    [|t| < 2^42], the bytes [Printf.sprintf "%.6f" (to_us_f t)] gives,
+    written from integer digits with no float formatting. *)
+
 val pp : Format.formatter -> ns -> unit
 (** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)

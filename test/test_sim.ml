@@ -821,6 +821,61 @@ let test_time_pp () =
   Alcotest.(check string) "ms" "2.50ms" (s 2_500_000);
   Alcotest.(check string) "s" "1.500s" (s 1_500_000_000)
 
+(* The primitive [Printf]'s ["%.6f"] ends in: the bytes the fleet's
+   digest printed for a latency before it was written as digits. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let with_buffer add t =
+  let b = Buffer.create 32 in
+  add b t;
+  Buffer.contents b
+
+(* Both writers against the printers they replace: [buffer_add_us] is
+   exact below 2^42 ns in magnitude, [buffer_add_ns] on every int. *)
+let check_time_writers t =
+  Alcotest.(check string)
+    (Printf.sprintf "ns %d" t) (string_of_int t)
+    (with_buffer Time.buffer_add_ns t);
+  Alcotest.(check string)
+    (Printf.sprintf "us %d" t)
+    (format_float "%.6f" (Time.to_us_f t))
+    (with_buffer Time.buffer_add_us t)
+
+let test_time_writers_edges () =
+  let powers = List.init 13 (fun k -> int_of_float (10. ** float_of_int k)) in
+  let edges =
+    [ 0; 1; 999; 1000; 1001; 1 lsl 31; (1 lsl 42) - 1 ]
+    @ List.concat_map (fun p -> [ p - 1; p; p + 1 ]) powers
+  in
+  let rng = Random.State.make [| 42 |] in
+  let random = List.init 200 (fun _ -> Random.State.full_int rng (1 lsl 42)) in
+  List.iter
+    (fun t ->
+      check_time_writers t;
+      check_time_writers (-t))
+    (edges @ random);
+  List.iter
+    (fun t ->
+      Alcotest.(check string) "ns extremes" (string_of_int t)
+        (with_buffer Time.buffer_add_ns t))
+    [ max_int; min_int; min_int + 1 ]
+
+let test_time_writers_random =
+  let gen =
+    QCheck.Gen.(
+      map3
+        (fun x bits neg ->
+          let t = x land ((1 lsl bits) - 1) in
+          if neg then -t else t)
+        int (int_range 0 42) bool)
+  in
+  QCheck.Test.make ~count:2000 ~name:"writers print like format_float"
+    (QCheck.make ~print:string_of_int gen) (fun t ->
+      String.equal (string_of_int t) (with_buffer Time.buffer_add_ns t)
+      && String.equal
+           (format_float "%.6f" (Time.to_us_f t))
+           (with_buffer Time.buffer_add_us t))
+
 let () =
   Alcotest.run "sim"
     [ ( "heap",
@@ -880,4 +935,8 @@ let () =
             test_cpuset_affinity_no_false_contention;
           Alcotest.test_case "account snapshot" `Quick
             test_cpu_account_reset_snapshot;
-          Alcotest.test_case "time pp" `Quick test_time_pp ] ) ]
+          Alcotest.test_case "time pp" `Quick test_time_pp ] );
+      ( "time",
+        [ Alcotest.test_case "writers at the edges" `Quick
+            test_time_writers_edges;
+          qtest test_time_writers_random ] ) ]
